@@ -50,7 +50,6 @@ class RunConfig:
     h_kind: str = "product"
     deme_count: int = 1
     subdemes_per_deme: int = 3
-    threads: int = 0  # 0: machine default; current engine runs serially
 
     def validate(self):
         if self.problem not in PROBLEM_NAMES:
@@ -89,11 +88,10 @@ def execute_run(cfg: RunConfig, mode: str, seed: int) -> dict:
     t0 = time.perf_counter()
     if cfg.deme_count > 1:
         budget = DemeBudget(
-            per_deme=max(cfg.budget // cfg.deme_count, 1),
-            subdemes_per_deme=cfg.subdemes_per_deme,
+            total=cfg.budget, subdemes_per_deme=cfg.subdemes_per_deme
         )
         rng = np.random.default_rng(seed)
-        demes, states, reports = run_demes(
+        demes, states, reports, trace = run_demes(
             problem,
             cfg.deme_count,
             evo,
@@ -104,9 +102,8 @@ def execute_run(cfg: RunConfig, mode: str, seed: int) -> dict:
             rng,
             mode=mode,
             omega=run_cfg.omega,
+            h_kind=run_cfg.h_kind,
         )
-        trace = [row for st in states for row in st.trace]
-        trace.sort(key=lambda r: (r["deme_id"], r["eval_order"]))
         best = aggregate_best(demes)
         success = (
             best is not None
@@ -136,10 +133,10 @@ def execute_run(cfg: RunConfig, mode: str, seed: int) -> dict:
         skipped = result.skipped_total
     wall = time.perf_counter() - t0
 
+    # trace rows are in global evaluation order
     evals_to_target = cfg.budget
     if problem.target is not None:
-        ordered = sorted(trace, key=lambda r: r["eval_order"])
-        for i, row in enumerate(ordered):
+        for i, row in enumerate(trace):
             if row["score"] >= problem.target:
                 evals_to_target = i + 1
                 break
@@ -366,7 +363,6 @@ def build_run_config(args) -> RunConfig:
             )
         ),
         chart_dim=int(pick(args.chart_dim, "chart_dim", sd.get("chart_dim", 2))),
-        exact_rays=pick(args.exact_rays, "exact_rays", sd.get("exact_rays", None)),
     )
     ed = data.get("evolution", {})
     evolution = EvolutionConfig(
@@ -433,14 +429,12 @@ def build_run_config(args) -> RunConfig:
         subdemes_per_deme=int(
             pick(args.subdemes_per_deme, "subdemes_per_deme", 3)
         ),
-        threads=int(pick(args.threads, "threads", 0)),
     )
 
 
 def _add_common_flags(p: argparse.ArgumentParser):
     p.add_argument("--config", default=None, help="JSON config file")
     p.add_argument("--out", default="out", help="output directory")
-    p.add_argument("--threads", type=int, default=None)
     p.add_argument("--seed", type=int, default=None)
 
 
@@ -460,13 +454,6 @@ def _add_run_flags(p: argparse.ArgumentParser):
         "--refinement-levels", dest="refinement_levels", type=int, default=None
     )
     p.add_argument("--chart-dim", dest="chart_dim", type=int, default=None)
-    p.add_argument(
-        "--exact-rays",
-        dest="exact_rays",
-        action="store_const",
-        const=True,
-        default=None,
-    )
     p.add_argument("--subpop-size", dest="subpop_size", type=int, default=None)
     p.add_argument("--generations", type=int, default=None)
     p.add_argument("--mutation-rate", dest="mutation_rate", type=float, default=None)

@@ -157,12 +157,32 @@ def best_sample(population) -> ScoredSample:
     return max(population.samples, key=lambda s: (s.score, -s.id))
 
 
+def normalize_scores(scores, population) -> np.ndarray:
+    """Min-max rescale scores against the population's score range.
+
+    Scores outside that range clamp to [0, 1]; a population whose
+    scores are all equal maps every score to 1.
+    """
+    if len(population.samples) == 0:
+        raise EmptyLedger("normalize_scores on empty ledger")
+    ref = population.scores
+    lo, hi = ref.min(), ref.max()
+    scores = np.asarray(scores, dtype=float)
+    if hi == lo:
+        return np.ones_like(scores)
+    return np.clip((scores - lo) / (hi - lo), 0.0, 1.0)
+
+
 class ResolvedMetric:
     """A DistanceMetric bound to a problem and a population snapshot.
 
-    Precomputes per-sample behavior vectors and, for the blended kind,
-    median scales over a deterministic sample of ledger pairs so the
-    genotypic and phenotypic terms are comparable.
+    Computes the snapshot's distance table once, at construction: one
+    row per sample, from the behavior vectors stored here, so no
+    behavior is computed twice. A genotype outside the snapshot gets its
+    row on its first query; later queries of the same genotype (equal
+    canonical key) reuse it. For the blended kind, median scales over a
+    deterministic sample of snapshot pairs make the genotypic and
+    phenotypic terms comparable.
     """
 
     def __init__(self, problem, population, metric: DistanceMetric):
@@ -170,15 +190,23 @@ class ResolvedMetric:
         self.metric = metric
         self.samples = tuple(population.samples)
         self._genos = [s.genotype for s in self.samples]
+        self._kind = metric.kind
+        # blend extremes must reduce to the pure metrics exactly
+        if metric.kind == "blended" and metric.lam in (0.0, 1.0):
+            self._kind = "genotypic" if metric.lam == 1.0 else "phenotypic"
         self._behaviors = None
-        if metric.kind in ("phenotypic", "blended"):
+        if self._kind != "genotypic":
             self._behaviors = np.array(
-                [problem.behavior(s.genotype) for s in self.samples], dtype=float
+                [problem.behavior(g) for g in self._genos], dtype=float
             )
         self._geno_scale = 1.0
         self._pheno_scale = 1.0
-        if metric.kind == "blended":
+        if self._kind == "blended":
             self._geno_scale, self._pheno_scale = self._median_scales()
+        self._rows = {}
+        for i, g in enumerate(self._genos):
+            bx = None if self._behaviors is None else self._behaviors[i]
+            self._rows[problem.canonical_key(g)] = self._row(g, bx)
 
     def _median_scales(self) -> tuple[float, float]:
         n = len(self.samples)
@@ -201,44 +229,33 @@ class ResolvedMetric:
         mp = float(np.median(dp))
         return (mg if mg > 0 else 1.0), (mp if mp > 0 else 1.0)
 
+    def _row(self, x, bx) -> np.ndarray:
+        """Distances from x, with behavior vector bx, to every sample."""
+        if self._kind != "phenotypic":
+            dg = self.problem.geno_distances(x, self._genos)
+        if self._kind != "genotypic":
+            dp = np.linalg.norm(self._behaviors - bx[None, :], axis=1)
+        if self._kind == "genotypic":
+            row = dg
+        elif self._kind == "phenotypic":
+            row = dp
+        else:
+            lam = self.metric.lam
+            row = lam * dg / self._geno_scale + (1 - lam) * dp / self._pheno_scale
+        row = np.asarray(row, dtype=float)
+        row.flags.writeable = False  # shared by every query of x
+        return row
+
     def to_all(self, x) -> np.ndarray:
         """Distances from genotype x to every sample in the snapshot."""
-        kind = self.metric.kind
-        if kind in ("genotypic", "blended"):
-            dg = self.problem.geno_distances(x, self._genos)
-        if kind in ("phenotypic", "blended"):
-            bx = np.asarray(self.problem.behavior(x), dtype=float)
-            dp = np.linalg.norm(self._behaviors - bx[None, :], axis=1)
-        if kind == "genotypic":
-            return dg
-        if kind == "phenotypic":
-            return dp
-        lam = self.metric.lam
-        # blend extremes must reduce to the pure metrics exactly
-        if lam == 1.0:
-            return dg
-        if lam == 0.0:
-            return dp
-        return lam * dg / self._geno_scale + (1 - lam) * dp / self._pheno_scale
-
-    def pair(self, a, b) -> float:
-        kind = self.metric.kind
-        if kind in ("genotypic", "blended"):
-            dg = self.problem.d_geno(a, b)
-        if kind in ("phenotypic", "blended"):
-            ba = np.asarray(self.problem.behavior(a), dtype=float)
-            bb = np.asarray(self.problem.behavior(b), dtype=float)
-            dp = float(np.linalg.norm(ba - bb))
-        if kind == "genotypic":
-            return dg
-        if kind == "phenotypic":
-            return dp
-        lam = self.metric.lam
-        if lam == 1.0:
-            return dg
-        if lam == 0.0:
-            return dp
-        return lam * dg / self._geno_scale + (1 - lam) * dp / self._pheno_scale
+        key = self.problem.canonical_key(x)
+        row = self._rows.get(key)
+        if row is None:
+            bx = None
+            if self._behaviors is not None:
+                bx = np.asarray(self.problem.behavior(x), dtype=float)
+            row = self._rows[key] = self._row(x, bx)
+        return row
 
 
 def knn(

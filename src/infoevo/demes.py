@@ -9,7 +9,7 @@ vectors on a shared probe set.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -41,12 +41,14 @@ class Deme:
 
 @dataclass(frozen=True)
 class DemeBudget:
-    per_deme: int
+    """Evaluations shared by all demes, and rays kept per deme round."""
+
+    total: int
     subdemes_per_deme: int = 3
 
     def __post_init__(self):
-        if self.per_deme < 1:
-            raise ValueError("per_deme budget must be positive")
+        if self.total < 1:
+            raise ValueError("total budget must be positive")
         if self.subdemes_per_deme < 1:
             raise ValueError("subdemes_per_deme must be positive")
 
@@ -55,7 +57,8 @@ def spawn_demes(problem, count: int, rng: np.random.Generator, budget: DemeBudge
     """Create demes with random nonempty feature subsets and exemplars.
 
     All demes share the problem's scoring function; each owns a ledger
-    capped at the per-deme budget.
+    capped at its share of the total budget. Shares differ by at most
+    one evaluation, the first demes taking the remainder.
     """
     if count < 1:
         raise ValueError("deme count must be positive")
@@ -70,7 +73,9 @@ def spawn_demes(problem, count: int, rng: np.random.Generator, budget: DemeBudge
                 deme_id=i,
                 feature_subset=subset,
                 exemplar=exemplar,
-                ledger=EvaluationLedger(budget.per_deme),
+                ledger=EvaluationLedger(
+                    budget.total // count + (i < budget.total % count)
+                ),
                 rng=np.random.default_rng(rng.integers(2**63)),
             )
         )
@@ -88,20 +93,14 @@ def run_deme_round(
     *,
     mode: str = "info_evo",
     omega: OmegaKind = OmegaKind(),
+    h_kind: str,
     state: RunState | None = None,
     max_rounds: int = 1,
 ) -> RunResult:
     """One guided round inside a deme; marks it exhausted at budget."""
     if deme.status != "active":
         raise ValueError(f"deme {deme.deme_id} is not active")
-    params = StepParams(
-        gamma=step_params.gamma,
-        ray_count=budget.subdemes_per_deme,
-        grid_resolution=step_params.grid_resolution,
-        refinement_levels=step_params.refinement_levels,
-        chart_dim=step_params.chart_dim,
-        exact_rays=step_params.exact_rays,
-    )
+    params = replace(step_params, ray_count=budget.subdemes_per_deme)
     if state is None:
         state = RunState(ledger=deme.ledger, problem=problem, deme_id=deme.deme_id)
     result = info_evo_loop(
@@ -112,6 +111,7 @@ def run_deme_round(
         policy,
         mode=mode,
         omega=omega,
+        h_kind=h_kind,
         state=state,
         rng=deme.rng,
         max_rounds=max_rounds,
@@ -133,16 +133,20 @@ def run_demes(
     *,
     mode: str = "info_evo",
     omega: OmegaKind = OmegaKind(),
+    h_kind: str,
 ):
     """Round-robin the active demes until all are exhausted.
 
-    Returns (demes, per-deme RunStates, per-deme report lists).
+    Returns (demes, per-deme RunStates, per-deme report lists, trace).
+    The trace holds every deme's rows in global evaluation order: demes
+    run one at a time, so appending each round's new rows keeps it.
     """
     demes = spawn_demes(problem, count, rng, budget)
     states = [
         RunState(ledger=d.ledger, problem=problem, deme_id=d.deme_id) for d in demes
     ]
     reports: list[list] = [[] for _ in demes]
+    trace: list[dict] = []
     while any(d.status == "active" for d in demes):
         progressed = False
         for deme, state in zip(demes, states):
@@ -159,16 +163,18 @@ def run_demes(
                 policy,
                 mode=mode,
                 omega=omega,
+                h_kind=h_kind,
                 state=state,
                 max_rounds=1,
             )
             reports[deme.deme_id].extend(result.reports)
+            trace.extend(state.trace[before:])  # one row per new evaluation
             if deme.ledger.eval_count > before:
                 progressed = True
         if not progressed:
             for d in demes:
                 d.status = "exhausted"
-    return demes, states, reports
+    return demes, states, reports, trace
 
 
 def behavior_to_distribution(outputs, eps_b: float = BEHAVIOR_EPS):

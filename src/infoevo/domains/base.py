@@ -61,6 +61,3 @@ class Problem(ABC):
 
     def render(self, genotype) -> str:
         return str(genotype)
-
-    def default_mutation_rate(self) -> float:
-        return 0.05

@@ -67,9 +67,6 @@ class BitstringProblem(Problem):
     def render(self, genotype) -> str:
         return "".join(str(int(b)) for b in genotype)
 
-    def default_mutation_rate(self) -> float:
-        return max(1.0 / self.dimension, 0.01)
-
 
 class OneMax(BitstringProblem):
     def __init__(self, bits: int = 50):

@@ -234,6 +234,3 @@ class SymbolicRegression(Problem):
 
     def render(self, genotype) -> str:
         return tree_str(genotype)
-
-    def default_mutation_rate(self) -> float:
-        return 0.1

@@ -33,10 +33,6 @@ class ZeroTangent(InfoEvoError):
     """Cannot follow a geodesic with a zero direction vector."""
 
 
-class DegenerateDirection(InfoEvoError):
-    """Promise-ascent direction vanished; chart fell back to random directions."""
-
-
 class GoalOutsideChart(InfoEvoError):
     """Requested grid endpoint lies outside the chart radius."""
 
@@ -59,10 +55,6 @@ class NonFiniteOutput(InfoEvoError):
 
 class BadLength(InfoEvoError):
     """Genotype length incompatible with the scoring function."""
-
-
-class DomainMismatch(InfoEvoError):
-    """Distance requested between genotypes of different domains."""
 
 
 class ConfigError(InfoEvoError):

@@ -21,6 +21,7 @@ from .core import (
     ScoredSample,
     best_sample,
     evaluate,
+    normalize_scores,
     view_of,
 )
 from .errors import BudgetExhausted
@@ -198,38 +199,41 @@ def vary(parents, fitness, config: EvolutionConfig, problem, rng) -> list:
 
 
 def run_subpopulation(
-    seed_parents,
+    view_fitness,
     mp: ModifiedPromise | None,
     config: EvolutionConfig,
     problem,
     state: RunState,
     view,
-    rm: ResolvedMetric,
+    rm: ResolvedMetric | None,
     policy: FilterPolicy,
     rng,
     ray_index: int = 0,
 ) -> SubdemeReport:
     """One guided (or unguided, mp=None) evolutionary burst.
 
-    Candidate filtering and fitness use the frozen population view; new
-    evaluations append to the shared ledger.
+    ``view_fitness`` is the fitness of each view sample: its score when
+    unguided, its ledger modified fitness under ``mp`` when guided. The
+    subpop_size fittest view samples seed the parents. Candidate
+    filtering and fitness use the frozen population view and its metric
+    ``rm`` (unused, and may be None, when unguided); new evaluations
+    append to the shared ledger.
     """
     report = SubdemeReport(ray_index=ray_index)
-    parents = list(seed_parents)
+    seed_idx = sorted(range(len(view)), key=lambda i: (-view_fitness[i], i))
+    seed_idx = seed_idx[: config.subpop_size]
+    parents = [view.samples[i] for i in seed_idx]
+    fitness = [view_fitness[i] for i in seed_idx]
     filtering = mp is not None and policy.threshold_quantile > 0
-    ledger_mf = None
-    threshold = None
-    if mp is not None:
-        ledger_mf = guidance.ledger_modified_fitness(mp, view, rm)
-        threshold = float(np.quantile(ledger_mf, policy.threshold_quantile))
+    if filtering:
+        threshold = float(np.quantile(view_fitness, policy.threshold_quantile))
 
     def fitness_of(sample: ScoredSample) -> float:
         if mp is None:
             return sample.score
-        zn = guidance.normalize_against(sample.score, view)
+        zn = normalize_scores(sample.score, view)
         return guidance.modified_fitness(sample.genotype, zn, mp, view, rm)
 
-    fitness = [fitness_of(s) for s in parents]
     for _ in range(config.generations_per_round):
         if state.stop or state.ledger.remaining <= 0:
             report.early_stop = True
@@ -243,7 +247,7 @@ def run_subpopulation(
             report.candidates_generated += 1
             if filtering and len(view) >= 2 * policy.k:
                 ok, _est = guidance.should_evaluate(
-                    child, mp, view, policy, rm, ledger_mf, threshold
+                    child, view, policy, rm, view_fitness, threshold
                 )
                 if not ok:
                     report.candidates_skipped += 1
@@ -347,16 +351,14 @@ def info_evo_loop(
         report = RoundReport(round_index=round_index, gamma_used=gamma)
         report.best_score_before = best_sample(ledger).score
         view = view_of(ledger, config.population_cap)
-        rm = ResolvedMetric(problem, view, policy.metric)
-        m = config.subpop_size
 
         if mode == "baseline" or len(view) < 3:
-            parents = sorted(view.samples, key=lambda s: (-s.score, s.id))[:m]
             frag = run_subpopulation(
-                parents, None, config, problem, state, view, rm, policy, rng
+                view.scores, None, config, problem, state, view, None, policy, rng
             )
             report.subdemes.append(frag)
         else:
+            rm = ResolvedMetric(problem, view, policy.metric)
             pv = promise_vector(view, promise_weights, rm)
             base = manifold.from_weights(pv.values)
             d = min(step_params.chart_dim, len(view) - 1)
@@ -384,13 +386,8 @@ def info_evo_loop(
                 mp = ModifiedPromise(
                     base=base, target=target_dist, omega=omega, h_kind=h_kind
                 )
-                ledger_mf = guidance.ledger_modified_fitness(mp, view, rm)
-                seed_idx = sorted(
-                    range(len(view)), key=lambda i: (-ledger_mf[i], i)
-                )[:m]
-                parents = [view.samples[i] for i in seed_idx]
                 frag = run_subpopulation(
-                    parents,
+                    guidance.ledger_modified_fitness(mp, view, rm),
                     mp,
                     config,
                     problem,

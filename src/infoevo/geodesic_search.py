@@ -89,7 +89,6 @@ class StepParams:
     grid_resolution: int = 32
     refinement_levels: int = 3
     chart_dim: int = 2
-    exact_rays: bool | None = None  # None: automatic by population size
 
     def __post_init__(self):
         if not 0 < self.gamma < np.pi:
@@ -366,14 +365,11 @@ def geodesic_rays(
     """Rays from the chart base covering the promise-ascent cone.
 
     In exact mode the polylines come from the closed-form flow; otherwise
-    each ray is a refined Dijkstra path to a boundary goal.
+    each ray is a refined Dijkstra path to a boundary goal. By default
+    the closed form is used above EXACT_RAYS_THRESHOLD samples.
     """
     if exact is None:
-        exact = (
-            params.exact_rays
-            if params.exact_rays is not None
-            else chart.base.n > EXACT_RAYS_THRESHOLD
-        )
+        exact = chart.base.n > EXACT_RAYS_THRESHOLD
     length = chart.radius
     rays = []
     for cdir in _ray_coord_directions(chart.dim, params.ray_count, rng):

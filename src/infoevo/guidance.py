@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import manifold
-from .core import DistanceMetric, ResolvedMetric, knn
+from .core import DistanceMetric, ResolvedMetric, knn, normalize_scores
 from .errors import DegenerateLine, EmptyLedger
 from .manifold import LogDistribution
 
@@ -69,15 +69,6 @@ class FilterPolicy:
             raise ValueError("k must be positive")
         if not 0.0 <= self.threshold_quantile < 1.0:
             raise ValueError("threshold_quantile must lie in [0, 1)")
-
-
-def normalize_against(score: float, population) -> float:
-    """Min-max normalize one score against a population snapshot."""
-    scores = [s.score for s in population.samples]
-    lo, hi = min(scores), max(scores)
-    if hi == lo:
-        return 1.0
-    return min(max((score - lo) / (hi - lo), 0.0), 1.0)
 
 
 def omega_knn(
@@ -162,9 +153,7 @@ def ledger_modified_fitness(
     mp: ModifiedPromise, population, rm: ResolvedMetric
 ) -> np.ndarray:
     """Modified fitness of every sample in the snapshot."""
-    scores = population.scores
-    lo, hi = scores.min(), scores.max()
-    norm = np.ones_like(scores) if hi == lo else (scores - lo) / (hi - lo)
+    norm = normalize_scores(population.scores, population)
     return np.array(
         [
             mp.h(norm[i], omega_value(s.genotype, mp, population, rm))
@@ -175,16 +164,15 @@ def ledger_modified_fitness(
 
 def estimate_fitness(
     x,
-    mp: ModifiedPromise,
     population,
     policy: FilterPolicy,
     rm: ResolvedMetric,
-    ledger_mf: np.ndarray | None = None,
+    ledger_mf: np.ndarray,
 ) -> float:
     """Distance-weighted average of neighbors' modified fitness.
 
-    ``ledger_mf`` lets callers reuse precomputed per-sample fitness for
-    a whole batch of candidates.
+    ``ledger_mf`` is the snapshot's per-sample modified fitness, computed
+    once for a whole batch of candidates.
     """
     if len(population.samples) == 0:
         raise EmptyLedger("estimate_fitness on empty ledger")
@@ -192,29 +180,17 @@ def estimate_fitness(
     dists = np.array([d for _, d in neighbors])
     delta = 1e-9 * (float(np.median(dists)) + 1e-30)
     weights = 1.0 / (dists + delta)
-    if ledger_mf is not None:
-        vals = np.array(
-            [ledger_mf[population.pos_by_id[s.id]] for s, _ in neighbors]
-        )
-    else:
-        scores = population.scores
-        lo, hi = scores.min(), scores.max()
-        vals = []
-        for s, _ in neighbors:
-            zn = 1.0 if hi == lo else (s.score - lo) / (hi - lo)
-            vals.append(modified_fitness(s.genotype, zn, mp, population, rm))
-        vals = np.array(vals)
+    vals = np.array([ledger_mf[population.pos_by_id[s.id]] for s, _ in neighbors])
     return float(np.sum(weights * vals) / np.sum(weights))
 
 
 def should_evaluate(
     x,
-    mp: ModifiedPromise,
     population,
     policy: FilterPolicy,
     rm: ResolvedMetric,
-    ledger_mf: np.ndarray | None = None,
-    threshold: float | None = None,
+    ledger_mf: np.ndarray,
+    threshold: float,
 ) -> tuple[bool, float]:
     """Decide whether a candidate is worth an expensive evaluation.
 
@@ -224,11 +200,7 @@ def should_evaluate(
     n = len(population.samples)
     if n < 2 * policy.k:
         return True, float("nan")
-    if ledger_mf is None:
-        ledger_mf = ledger_modified_fitness(mp, population, rm)
-    est = estimate_fitness(x, mp, population, policy, rm, ledger_mf)
-    if threshold is None:
-        threshold = float(np.quantile(ledger_mf, policy.threshold_quantile))
+    est = estimate_fitness(x, population, policy, rm, ledger_mf)
     return est >= threshold, est
 
 

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ResolvedMetric, knn
+from .core import ResolvedMetric, knn, normalize_scores
 from .errors import EmptyLedger, LedgerTooSmall
 
 
@@ -48,33 +48,20 @@ class PromiseVector:
         return self.values.shape[0]
 
 
-def normalize_scores(population) -> np.ndarray:
-    """Min-max rescaling of scores to [0, 1]; all-equal ledgers map to 1."""
-    if len(population.samples) == 0:
-        raise EmptyLedger("normalize_scores on empty ledger")
-    scores = np.array([s.score for s in population.samples], dtype=float)
-    lo, hi = scores.min(), scores.max()
-    if hi == lo:
-        return np.ones_like(scores)
-    return (scores - lo) / (hi - lo)
-
-
 def local_max_prob(
     i: int,
     population,
     k_local: int,
     rm: ResolvedMetric,
-    norm: np.ndarray | None = None,
+    norm: np.ndarray,
 ) -> float:
     """How close sample i comes to dominating its k nearest neighbors.
 
-    The ratio of its normalized score to the max over the neighborhood
-    including itself; 1 iff it ties or beats every neighbor.
+    The ratio of its normalized score ``norm[i]`` to the max over the
+    neighborhood including itself; 1 iff it ties or beats every neighbor.
     """
     if len(population.samples) < 2:
         raise LedgerTooSmall("local_max_prob needs at least 2 samples")
-    if norm is None:
-        norm = normalize_scores(population)
     sample = population.samples[i]
     neighbors = knn(sample.genotype, population, k_local + 1, rm)
     hood = [norm[population.pos_by_id[s.id]] for s, _ in neighbors if s.id != sample.id]
@@ -85,10 +72,8 @@ def local_max_prob(
     return float(norm[i] / denom)
 
 
-def global_max_prob(i: int, population, norm: np.ndarray | None = None) -> float:
+def global_max_prob(i: int, norm: np.ndarray) -> float:
     """Ratio of sample i's normalized score to the population maximum."""
-    if norm is None:
-        norm = normalize_scores(population)
     denom = norm.max()
     if denom <= 0:
         return 1.0
@@ -104,10 +89,10 @@ def promise_vector(
     if len(population.samples) == 0:
         raise EmptyLedger("promise_vector on empty ledger")
     n = len(population.samples)
-    norm = normalize_scores(population)
+    norm = normalize_scores(population.scores, population)
     values = weights.w_zeta * norm
     if weights.w_gm > 0:
-        gm = np.array([global_max_prob(i, population, norm) for i in range(n)])
+        gm = np.array([global_max_prob(i, norm) for i in range(n)])
         values = values + weights.w_gm * gm**weights.sharpness
     if weights.w_lm > 0 and n >= 2:
         lm = np.array(

@@ -143,11 +143,11 @@ def test_criterion_5_guidance_monotonicity_and_filter_soundness(capsys):
     mf = ledger_modified_fitness(mp, view, rm)
     thr0 = float(np.quantile(mf, 0.0))
     for x in rng.uniform(0, 10, 200):
-        accepted, est = should_evaluate(float(x), mp, view, policy0, rm, mf, thr0)
+        accepted, est = should_evaluate(float(x), view, policy0, rm, mf, thr0)
         ok &= accepted or est < thr0
     # on this ledger, estimates interpolate ledger values >= the minimum
     accepted_all = all(
-        should_evaluate(float(x), mp, view, policy0, rm, mf, thr0)[0]
+        should_evaluate(float(x), view, policy0, rm, mf, thr0)[0]
         for x in rng.uniform(0, 10, 200)
     )
     ok &= accepted_all
@@ -167,7 +167,7 @@ def test_criterion_5_guidance_monotonicity_and_filter_soundness(capsys):
         subpop_size=20, generations_per_round=5, elitism=2, seed=0
     )
     rep = run_subpopulation(
-        list(view2.samples)[:10],
+        ledger_modified_fitness(mp2, view2, rm2),
         mp2,
         config,
         problem2,

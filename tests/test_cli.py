@@ -3,7 +3,8 @@ import json
 
 import pytest
 
-from infoevo.cli import geodesic_check, main
+from infoevo import evolve
+from infoevo.cli import RunConfig, execute_run, geodesic_check, main
 from infoevo.errors import ConfigError
 
 
@@ -218,3 +219,33 @@ def test_list_problems(capsys):
     assert run_cli(["list-problems"]) == 0
     out = capsys.readouterr().out.split()
     assert out == ["onemax", "trap5", "sphere", "rosenbrock", "symreg"]
+
+
+DEME_RUN = dict(
+    problem="onemax", problem_params={"bits": 30}, budget=1500, seed=1, deme_count=2
+)
+
+
+def test_deme_run_honours_h_kind():
+    product = execute_run(RunConfig(**DEME_RUN, h_kind="product"), "info_evo", 1)
+    summed = execute_run(RunConfig(**DEME_RUN, h_kind="weighted_sum"), "info_evo", 1)
+    assert product["trace"] != summed["trace"]
+
+
+def test_deme_run_evals_to_target_in_global_order(monkeypatch):
+    new_scores = []
+    evaluate = evolve.evaluate
+
+    def recording(genotype, problem, ledger):
+        before = ledger.eval_count
+        sample = evaluate(genotype, problem, ledger)
+        if ledger.eval_count > before:
+            new_scores.append(sample.score)
+        return sample
+
+    monkeypatch.setattr(evolve, "evaluate", recording)
+    record = execute_run(RunConfig(**DEME_RUN), "info_evo", 1)
+    assert record["success"]
+    assert [row["score"] for row in record["trace"]] == new_scores
+    first = next(i for i, score in enumerate(new_scores) if score >= 30.0)
+    assert record["evals_to_target"] == first + 1

@@ -131,6 +131,42 @@ def test_blended_metric_extremes_match_pure_metrics(rng):
     assert np.array_equal(lam0.to_all(x), pheno.to_all(x))
 
 
+def test_resolved_metric_computes_each_behavior_once(rng):
+    problem = OneMax(bits=16)
+    ledger = EvaluationLedger(budget=30)
+    for _ in range(12):
+        evaluate(problem.random_genotype(rng), problem, ledger)
+    view = view_of(ledger)
+    calls = []
+    behavior = problem.behavior
+    problem.behavior = lambda g: calls.append(1) or behavior(g)
+    rm = ResolvedMetric(problem, view, DistanceMetric.blended(0.5))
+    assert len(calls) == len(view)
+    for s in view.samples:
+        knn(s.genotype, view, 3, rm)
+    assert len(calls) == len(view)
+    outside = problem.random_genotype(rng)
+    first = knn(outside, view, 3, rm)
+    assert knn(outside, view, 3, rm) == first
+    assert len(calls) == len(view) + 1
+
+
+def test_resolved_metric_rows_match_direct_distances(rng):
+    problem = OneMax(bits=16)
+    ledger = EvaluationLedger(budget=30)
+    for _ in range(12):
+        evaluate(problem.random_genotype(rng), problem, ledger)
+    view = view_of(ledger)
+    geno = ResolvedMetric(problem, view, DistanceMetric.genotypic())
+    pheno = ResolvedMetric(problem, view, DistanceMetric.phenotypic())
+    genos = [s.genotype for s in view.samples]
+    behaviors = np.array([problem.behavior(g) for g in genos], dtype=float)
+    for g in genos + [problem.random_genotype(rng)]:
+        dp = np.linalg.norm(behaviors - problem.behavior(g)[None, :], axis=1)
+        assert np.array_equal(geno.to_all(g), problem.geno_distances(g, genos))
+        assert np.array_equal(pheno.to_all(g), dp)
+
+
 def test_view_of_caps_by_score():
     _, ledger = make_scalar_ledger([5.0, 1.0, 9.0, 3.0, 7.0])
     view = view_of(ledger, cap=3)

@@ -23,6 +23,7 @@ def deme_args():
         promise_weights=PromiseWeights(),
         step_params=StepParams(ray_count=3, grid_resolution=8, refinement_levels=1),
         policy=FilterPolicy(k=3),
+        h_kind="product",
     )
 
 
@@ -43,7 +44,7 @@ def small_config(**kw):
 
 def test_spawn_demes_count_and_subsets():
     problem = OneMax(bits=12)
-    demes = spawn_demes(problem, 4, np.random.default_rng(1), DemeBudget(per_deme=50))
+    demes = spawn_demes(problem, 4, np.random.default_rng(1), DemeBudget(total=200))
     assert len(demes) == 4
     for i, d in enumerate(demes):
         assert d.deme_id == i
@@ -55,10 +56,18 @@ def test_spawn_demes_count_and_subsets():
         assert d.exemplar.shape == (12,)
 
 
+def test_spawn_demes_split_the_whole_budget():
+    problem = OneMax(bits=12)
+    demes = spawn_demes(problem, 7, np.random.default_rng(1), DemeBudget(total=1500))
+    budgets = [d.ledger.budget for d in demes]
+    assert sum(budgets) == 1500
+    assert max(budgets) - min(budgets) <= 1
+
+
 def test_spawn_demes_deterministic():
     problem = OneMax(bits=10)
-    a = spawn_demes(problem, 3, np.random.default_rng(7), DemeBudget(per_deme=20))
-    b = spawn_demes(problem, 3, np.random.default_rng(7), DemeBudget(per_deme=20))
+    a = spawn_demes(problem, 3, np.random.default_rng(7), DemeBudget(total=60))
+    b = spawn_demes(problem, 3, np.random.default_rng(7), DemeBudget(total=60))
     for da, db in zip(a, b):
         assert da.feature_subset == db.feature_subset
         assert np.array_equal(da.exemplar, db.exemplar)
@@ -67,11 +76,11 @@ def test_spawn_demes_deterministic():
 def test_spawn_demes_validation():
     problem = OneMax(bits=8)
     with pytest.raises(ValueError):
-        spawn_demes(problem, 0, np.random.default_rng(0), DemeBudget(per_deme=10))
+        spawn_demes(problem, 0, np.random.default_rng(0), DemeBudget(total=10))
     with pytest.raises(ValueError):
-        DemeBudget(per_deme=0)
+        DemeBudget(total=0)
     with pytest.raises(ValueError):
-        DemeBudget(per_deme=10, subdemes_per_deme=0)
+        DemeBudget(total=10, subdemes_per_deme=0)
 
 
 # --- rounds ---
@@ -80,7 +89,7 @@ def test_spawn_demes_validation():
 def test_run_deme_round_budget_and_subdeme_count():
     problem = OneMax(bits=16)
     problem.target = 17.0  # unreachable: the round runs to plan
-    budget = DemeBudget(per_deme=200, subdemes_per_deme=3)
+    budget = DemeBudget(total=200, subdemes_per_deme=3)
     demes = spawn_demes(problem, 1, np.random.default_rng(3), budget)
     deme = demes[0]
     result = run_deme_round(
@@ -95,7 +104,7 @@ def test_run_deme_round_budget_and_subdeme_count():
 
 def test_run_deme_round_marks_exhausted():
     problem = OneMax(bits=8)  # tiny: target reachable fast
-    budget = DemeBudget(per_deme=400)
+    budget = DemeBudget(total=400)
     demes = spawn_demes(problem, 1, np.random.default_rng(5), budget)
     deme = demes[0]
     run_deme_round(
@@ -109,8 +118,8 @@ def test_run_deme_round_marks_exhausted():
 def test_run_demes_isolated_ledgers():
     problem = OneMax(bits=12)
     problem.target = 13.0  # unreachable; every deme spends its own budget
-    budget = DemeBudget(per_deme=40)
-    demes, states, reports = run_demes(
+    budget = DemeBudget(total=120)
+    demes, states, reports, _ = run_demes(
         problem,
         3,
         small_config(),
@@ -129,8 +138,8 @@ def test_run_demes_isolated_ledgers():
 
 def test_aggregate_best_across_demes():
     problem = OneMax(bits=10)
-    budget = DemeBudget(per_deme=60)
-    demes, _, _ = run_demes(
+    budget = DemeBudget(total=120)
+    demes, _, _, _ = run_demes(
         problem,
         2,
         small_config(),

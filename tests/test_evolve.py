@@ -104,12 +104,13 @@ def test_vary_requires_parents(rng):
 def test_run_subpopulation_budget_zero(rng):
     problem = ScalarProblem()
     ledger = EvaluationLedger(budget=3)
-    parents = [evaluate(float(v), problem, ledger) for v in (1.0, 2.0, 3.0)]
+    for v in (1.0, 2.0, 3.0):
+        evaluate(float(v), problem, ledger)
     view = view_of(ledger)
     rm = ResolvedMetric(problem, view, DistanceMetric.genotypic())
     state = RunState(ledger=ledger, problem=problem)
     report = run_subpopulation(
-        parents, None, small_config(), problem, state, view, rm, FilterPolicy(), rng
+        view.scores, None, small_config(), problem, state, view, rm, FilterPolicy(), rng
     )
     assert report.candidates_evaluated == 0
     assert report.early_stop
@@ -118,13 +119,14 @@ def test_run_subpopulation_budget_zero(rng):
 def test_run_subpopulation_unguided_accounting(rng):
     problem = ScalarProblem()
     ledger = EvaluationLedger(budget=200)
-    parents = [evaluate(float(v), problem, ledger) for v in (1.0, 2.0, 3.0, 4.0)]
+    for v in (1.0, 2.0, 3.0, 4.0):
+        evaluate(float(v), problem, ledger)
     view = view_of(ledger)
     rm = ResolvedMetric(problem, view, DistanceMetric.genotypic())
     state = RunState(ledger=ledger, problem=problem)
     config = small_config(generations_per_round=3)
     report = run_subpopulation(
-        parents, None, config, problem, state, view, rm, FilterPolicy(), rng
+        view.scores, None, config, problem, state, view, rm, FilterPolicy(), rng
     )
     assert report.generations_run == 3
     assert report.candidates_generated == 3 * (config.subpop_size - config.elitism)
@@ -142,7 +144,7 @@ def test_run_subpopulation_improves_best(rng):
     state = RunState(ledger=ledger, problem=problem)
     config = small_config(subpop_size=20, generations_per_round=6)
     run_subpopulation(
-        parents, None, config, problem, state, view, rm, FilterPolicy(), rng
+        view.scores, None, config, problem, state, view, rm, FilterPolicy(), rng
     )
     after = max(s.score for s in ledger.samples)
     assert after >= before
@@ -191,6 +193,19 @@ def test_loop_baseline_mode():
     for report in result.reports:
         assert report.rays_generated == 0
         assert report.candidates_skipped == 0
+
+
+def test_loop_baseline_one_objective_call_per_evaluation():
+    problem = OneMax(bits=20)
+    calls = []
+    score = problem.score
+    problem.score = lambda g: calls.append(1) or score(g)
+    config = EvolutionConfig(
+        subpop_size=20, generations_per_round=4, seed=3, init_population=40
+    )
+    result = info_evo_loop(problem, config, budget=600, mode="baseline", **default_args())
+    assert len(result.reports) > 0
+    assert len(calls) == result.ledger.eval_count
 
 
 def test_loop_unknown_mode():

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from infoevo import manifold
-from infoevo.core import DistanceMetric, ResolvedMetric, view_of
+from infoevo.core import DistanceMetric, ResolvedMetric, normalize_scores, view_of
 from infoevo.errors import DegenerateLine, EmptyLedger
 from infoevo.guidance import (
     FilterPolicy,
@@ -12,7 +12,6 @@ from infoevo.guidance import (
     estimate_fitness,
     ledger_modified_fitness,
     modified_fitness,
-    normalize_against,
     omega_knn,
     omega_projection,
     rank_rays,
@@ -41,18 +40,18 @@ def point_mass(index, n):
 
 def test_normalize_against_examples():
     view, _ = scalar_setup([0.0, 10.0])
-    assert normalize_against(5.0, view) == 0.5
-    assert normalize_against(0.0, view) == 0.0
-    assert normalize_against(10.0, view) == 1.0
+    assert normalize_scores(5.0, view) == 0.5
+    assert normalize_scores(0.0, view) == 0.0
+    assert normalize_scores(10.0, view) == 1.0
     # values outside the snapshot range clamp
-    assert normalize_against(-3.0, view) == 0.0
-    assert normalize_against(14.0, view) == 1.0
+    assert normalize_scores(-3.0, view) == 0.0
+    assert normalize_scores(14.0, view) == 1.0
 
 
 def test_normalize_against_degenerate():
     view, _ = scalar_setup([4.0])
-    assert normalize_against(4.0, view) == 1.0
-    assert normalize_against(99.0, view) == 1.0
+    assert normalize_scores(4.0, view) == 1.0
+    assert normalize_scores(99.0, view) == 1.0
 
 
 # --- omega: knn mass ---
@@ -210,7 +209,7 @@ def test_ledger_modified_fitness_matches_pointwise():
     mp = ModifiedPromise(manifold.uniform(3), point_mass(2, 3), omega=OmegaKind(k=2))
     batch = ledger_modified_fitness(mp, view, rm)
     for i, s in enumerate(view.samples):
-        zn = normalize_against(s.score, view)
+        zn = normalize_scores(s.score, view)
         assert batch[i] == pytest.approx(
             modified_fitness(s.genotype, zn, mp, view, rm)
         )
@@ -220,7 +219,7 @@ def test_estimate_fitness_exact_match_recovers_sample_value():
     view, rm = scalar_setup([0.0, 5.0, 10.0])
     mp = ModifiedPromise(manifold.uniform(3), point_mass(2, 3), omega=OmegaKind(k=2))
     ledger_mf = ledger_modified_fitness(mp, view, rm)
-    est = estimate_fitness(10.0, mp, view, FilterPolicy(k=2), rm, ledger_mf)
+    est = estimate_fitness(10.0, view, FilterPolicy(k=2), rm, ledger_mf)
     # a candidate sitting on a ledger sample is dominated by that sample
     assert est == pytest.approx(ledger_mf[2], rel=1e-6)
 
@@ -229,7 +228,7 @@ def test_estimate_fitness_between_neighbors():
     view, rm = scalar_setup([0.0, 10.0])
     mp = ModifiedPromise(manifold.uniform(2), point_mass(1, 2), omega=OmegaKind(k=1))
     ledger_mf = ledger_modified_fitness(mp, view, rm)
-    est = estimate_fitness(5.0, mp, view, FilterPolicy(k=2), rm, ledger_mf)
+    est = estimate_fitness(5.0, view, FilterPolicy(k=2), rm, ledger_mf)
     lo, hi = sorted(ledger_mf)
     assert lo - 1e-12 <= est <= hi + 1e-12
 
@@ -237,7 +236,9 @@ def test_estimate_fitness_between_neighbors():
 def test_should_evaluate_cold_start():
     view, rm = scalar_setup([0.0, 5.0])
     mp = ModifiedPromise(manifold.uniform(2), point_mass(1, 2))
-    ok, est = should_evaluate(3.0, mp, view, FilterPolicy(k=7), rm)
+    ledger_mf = ledger_modified_fitness(mp, view, rm)
+    thr = float(np.quantile(ledger_mf, 0.25))
+    ok, est = should_evaluate(3.0, view, FilterPolicy(k=7), rm, ledger_mf, thr)
     assert ok
     assert np.isnan(est)
 
@@ -254,7 +255,7 @@ def test_should_evaluate_quantile_zero_accepts_all(rng):
     ledger_mf = ledger_modified_fitness(mp, view, rm)
     thr = float(np.quantile(ledger_mf, 0.0))
     for x in rng.uniform(0, 10, 30):
-        ok, est = should_evaluate(float(x), mp, view, policy, rm, ledger_mf)
+        ok, est = should_evaluate(float(x), view, policy, rm, ledger_mf, thr)
         # only candidates estimated below the ledger minimum can be skipped
         assert ok or est < thr
 
@@ -269,7 +270,7 @@ def test_should_evaluate_threshold_behavior(rng):
     ledger_mf = ledger_modified_fitness(mp, view, rm)
     thr = float(np.quantile(ledger_mf, 0.25))
     for x in rng.uniform(0, 10, 50):
-        ok, est = should_evaluate(float(x), mp, view, policy, rm, ledger_mf)
+        ok, est = should_evaluate(float(x), view, policy, rm, ledger_mf, thr)
         assert ok == (est >= thr)
 
 

@@ -23,37 +23,38 @@ def scalar_setup(values):
 
 def test_normalize_scores_affine():
     view, _ = scalar_setup([-2.0, 0.0, 2.0])
-    assert np.allclose(normalize_scores(view), [0.0, 0.5, 1.0])
+    assert np.allclose(normalize_scores(view.scores, view), [0.0, 0.5, 1.0])
 
 
 def test_normalize_scores_degenerate():
     view, _ = scalar_setup([7.0, 7.0000])
-    assert np.allclose(normalize_scores(view), [1.0, 1.0])
+    assert np.allclose(normalize_scores(view.scores, view), [1.0, 1.0])
 
 
 def test_normalize_scores_two_points():
     view, _ = scalar_setup([0.0, 10.0])
-    assert np.allclose(normalize_scores(view), [0.0, 1.0])
+    assert np.allclose(normalize_scores(view.scores, view), [0.0, 1.0])
 
 
 def test_normalize_scores_empty():
     view, _ = scalar_setup([1.0])
     from infoevo.core import PopulationView
 
+    empty = PopulationView.of([])
     with pytest.raises(EmptyLedger):
-        normalize_scores(PopulationView.of([]))
+        normalize_scores(empty.scores, empty)
 
 
 def test_local_max_prob_dominant_sample():
     # genotype value == score, so 9.0 dominates its neighborhood
     view, rm = scalar_setup([1.0, 2.0, 9.0])
-    assert local_max_prob(2, view, 2, rm) == 1.0
+    assert local_max_prob(2, view, 2, rm, normalize_scores(view.scores, view)) == 1.0
 
 
 def test_local_max_prob_direct_ratio():
     # normalized scores 0, 0.5, 1; the middle sample's best neighbor is 1.0
     view, rm = scalar_setup([0.0, 5.0, 10.0])
-    assert local_max_prob(1, view, 2, rm) == pytest.approx(0.5)
+    assert local_max_prob(1, view, 2, rm, normalize_scores(view.scores, view)) == pytest.approx(0.5)
 
 
 class EqualScoreProblem:
@@ -86,27 +87,29 @@ def test_local_max_prob_all_equal():
         evaluate(v, problem, ledger)
     view = view_of(ledger)
     rm = ResolvedMetric(problem, view, DistanceMetric.genotypic())
+    norm = normalize_scores(view.scores, view)
     for i in range(3):
-        assert local_max_prob(i, view, 2, rm) == 1.0
+        assert local_max_prob(i, view, 2, rm, norm) == 1.0
 
 
 def test_local_max_prob_needs_two_samples():
     view, rm = scalar_setup([1.0])
     with pytest.raises(LedgerTooSmall):
-        local_max_prob(0, view, 1, rm)
+        local_max_prob(0, view, 1, rm, normalize_scores(view.scores, view))
 
 
 def test_global_max_prob():
     view, _ = scalar_setup([0.0, 5.0, 10.0])
-    assert global_max_prob(2, view) == 1.0
-    assert global_max_prob(1, view) == pytest.approx(0.5)
-    assert global_max_prob(0, view) == 0.0
+    norm = normalize_scores(view.scores, view)
+    assert global_max_prob(2, norm) == 1.0
+    assert global_max_prob(1, norm) == pytest.approx(0.5)
+    assert global_max_prob(0, norm) == 0.0
 
 
 def test_promise_vector_score_only_reduction():
     view, rm = scalar_setup([3.0, 8.0, 1.0])
     pv = promise_vector(view, PromiseWeights(w_zeta=1, w_lm=0, w_gm=0), rm)
-    assert np.allclose(pv.values, normalize_scores(view))
+    assert np.allclose(pv.values, normalize_scores(view.scores, view))
     assert int(np.argmax(pv.values)) == int(np.argmax(view.scores))
 
 
