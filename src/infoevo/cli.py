@@ -27,12 +27,57 @@ from .domains import PROBLEM_NAMES, make_problem
 from .errors import ConfigError, InfoEvoError
 from .evolve import EvolutionConfig, info_evo_loop
 from .geodesic_search import StepParams
-from .guidance import FilterPolicy, OmegaKind
+from .guidance import H_KINDS, FilterPolicy, OmegaKind
 from .promise import PromiseWeights
 
 TRACE_SCHEMA = "trace.v1"
 RUN_SCHEMA = "run.v1"
 GEODESIC_TOLERANCE = 0.02
+
+# One row per run setting: its command-line flag, its config-file section
+# (None for the top level of the file), its key there and its type. Each
+# key names the field it sets in its section's dataclass, except
+# policy.metric and policy.lambda (the DistanceMetric's kind and lam) and
+# the top-level omega (the OmegaKind's kind; its k is policy.k).
+SETTINGS = (
+    ("--problem", None, "problem", str),
+    ("--seed", None, "seed", int),
+    ("--budget", None, "budget", int),
+    ("--mode", None, "mode", str),
+    ("--omega", None, "omega", str),
+    ("--h", None, "h_kind", str),
+    ("--deme-count", None, "deme_count", int),
+    ("--subdemes-per-deme", None, "subdemes_per_deme", int),
+    ("--bits", "problem_params", "bits", int),
+    ("--dim", "problem_params", "dim", int),
+    ("--max-depth", "problem_params", "max_depth", int),
+    ("--dataset", "problem_params", "dataset", str),
+    ("--target", "problem_params", "target", float),
+    ("--w-zeta", "weights", "w_zeta", float),
+    ("--w-lm", "weights", "w_lm", float),
+    ("--w-gm", "weights", "w_gm", float),
+    ("--k-local", "weights", "k_local", int),
+    ("--gamma", "step", "gamma", float),
+    ("--ray-count", "step", "ray_count", int),
+    ("--resolution", "step", "grid_resolution", int),
+    ("--refinement-levels", "step", "refinement_levels", int),
+    ("--chart-dim", "step", "chart_dim", int),
+    ("--subpop-size", "evolution", "subpop_size", int),
+    ("--generations", "evolution", "generations_per_round", int),
+    ("--mutation-rate", "evolution", "mutation_rate", float),
+    ("--crossover-rate", "evolution", "crossover_rate", float),
+    ("--elitism", "evolution", "elitism", int),
+    ("--eda-fraction", "evolution", "eda_fraction", float),
+    ("--tournament-size", "evolution", "tournament_size", int),
+    ("--init-population", "evolution", "init_population", int),
+    ("--population-cap", "evolution", "population_cap", int),
+    ("--filter-k", "policy", "k", int),
+    ("--threshold-quantile", "policy", "threshold_quantile", float),
+    ("--metric", "policy", "metric", str),
+    ("--lambda", "policy", "lambda", float),
+)
+SECTIONS = ("problem_params", "weights", "step", "evolution", "policy")
+JSON_TYPES = {str: str, int: int, float: (int, float)}  # accepted per setting type
 
 
 @dataclass
@@ -66,6 +111,8 @@ class RunConfig:
             raise ConfigError("deme_count", "must be at least 1")
         if self.subdemes_per_deme < 1:
             raise ConfigError("subdemes_per_deme", "must be at least 1")
+        if self.h_kind not in H_KINDS:
+            raise ConfigError("h_kind", f"unknown h kind {self.h_kind!r}")
 
     def snapshot(self) -> dict:
         d = asdict(self)
@@ -73,18 +120,10 @@ class RunConfig:
         return d
 
 
-def _baseline_variant(cfg: RunConfig) -> RunConfig:
-    policy = FilterPolicy(
-        k=cfg.policy.k, threshold_quantile=0.0, metric=cfg.policy.metric
-    )
-    return replace(cfg, mode="baseline", policy=policy)
-
-
 def execute_run(cfg: RunConfig, mode: str, seed: int) -> dict:
     """Run one experiment; returns a record with the trace attached."""
     problem = make_problem(cfg.problem, **cfg.problem_params)
-    run_cfg = cfg if mode != "baseline" else _baseline_variant(cfg)
-    evo = replace(run_cfg.evolution, seed=seed)
+    evo = replace(cfg.evolution, seed=seed)
     t0 = time.perf_counter()
     if cfg.deme_count > 1:
         budget = DemeBudget(
@@ -96,13 +135,13 @@ def execute_run(cfg: RunConfig, mode: str, seed: int) -> dict:
             cfg.deme_count,
             evo,
             budget,
-            run_cfg.weights,
-            run_cfg.step,
-            run_cfg.policy,
+            cfg.weights,
+            cfg.step,
+            cfg.policy,
             rng,
             mode=mode,
-            omega=run_cfg.omega,
-            h_kind=run_cfg.h_kind,
+            omega=cfg.omega,
+            h_kind=cfg.h_kind,
         )
         best = aggregate_best(demes)
         success = (
@@ -117,13 +156,13 @@ def execute_run(cfg: RunConfig, mode: str, seed: int) -> dict:
         result = info_evo_loop(
             problem,
             evo,
-            run_cfg.weights,
-            run_cfg.step,
-            run_cfg.policy,
+            cfg.weights,
+            cfg.step,
+            cfg.policy,
             cfg.budget,
             mode=mode,
-            omega=run_cfg.omega,
-            h_kind=run_cfg.h_kind,
+            omega=cfg.omega,
+            h_kind=cfg.h_kind,
         )
         trace = result.trace
         best = result.best
@@ -311,180 +350,98 @@ def cmd_geodesic_check(args) -> int:
     return 0 if worst <= GEODESIC_TOLERANCE else 1
 
 
-def _load_config_file(path: str) -> dict:
+def _key(section: str | None, name: str) -> str:
+    return f"{section}.{name}" if section else name
+
+
+def _read_config(path: str, given: dict):
+    """Add a config file's settings to ``given``, checking each key and type."""
     try:
         with open(path) as fh:
-            return json.load(fh)
+            data = json.load(fh)
     except FileNotFoundError:
         raise ConfigError("config", f"file not found: {path}")
     except json.JSONDecodeError as e:
         raise ConfigError("config", f"invalid JSON in {path}: {e}")
+    if not isinstance(data, dict):
+        raise ConfigError("config", f"{path} must hold a JSON object")
+    kinds = {(section, name): kind for _, section, name, kind in SETTINGS}
+    for top_name, top_value in data.items():
+        if top_name in SECTIONS:
+            if not isinstance(top_value, dict):
+                raise ConfigError(top_name, "must be a JSON object")
+            section, values = top_name, top_value
+        else:
+            section, values = None, {top_name: top_value}
+        for name, value in values.items():
+            kind = kinds.get((section, name))
+            if kind is None:
+                raise ConfigError(_key(section, name), "unknown config key")
+            # JSON true/false would pass as int; an int is a valid float
+            if isinstance(value, bool) or not isinstance(value, JSON_TYPES[kind]):
+                raise ConfigError(
+                    _key(section, name),
+                    f"expected {kind.__name__}, got {json.dumps(value)}",
+                )
+            given[section][name] = kind(value)
+
+
+def _build(section: str, cls, **values):
+    """One settings dataclass from the values given; errors name the section."""
+    try:
+        return cls(**values)
+    except (TypeError, ValueError) as e:
+        raise ConfigError(section, str(e))
 
 
 def build_run_config(args) -> RunConfig:
-    """Merge config file (if given) with command-line flags; flags win."""
-    data = _load_config_file(args.config) if args.config else {}
+    """Merge config file (if given) with command-line flags; flags win.
 
-    def pick(flag_value, key, default):
-        if flag_value is not None:
-            return flag_value
-        return data.get(key, default)
-
-    problem_params = dict(data.get("problem_params", {}))
-    for key, flag in (
-        ("bits", args.bits),
-        ("dim", args.dim),
-        ("max_depth", args.max_depth),
-        ("dataset", args.dataset),
-        ("target", args.target),
-    ):
-        if flag is not None:
-            problem_params[key] = flag
-
-    wd = data.get("weights", {})
-    weights = PromiseWeights(
-        w_zeta=pick(args.w_zeta, "w_zeta", wd.get("w_zeta", 1.0)),
-        w_lm=pick(args.w_lm, "w_lm", wd.get("w_lm", 0.5)),
-        w_gm=pick(args.w_gm, "w_gm", wd.get("w_gm", 0.5)),
-        k_local=int(pick(args.k_local, "k_local", wd.get("k_local", 5))),
+    Each settings dataclass is built only from the values given, so a
+    setting given nowhere takes its dataclass default.
+    """
+    given: dict = {section: {} for section in (None, *SECTIONS)}
+    if args.config:
+        _read_config(args.config, given)
+    for flag, section, name, _ in SETTINGS:
+        if getattr(args, _dest(flag)) is not None:
+            given[section][name] = getattr(args, _dest(flag))
+    top, policy = given[None], given["policy"]
+    metric = {
+        attr: policy.pop(key)
+        for key, attr in (("metric", "kind"), ("lambda", "lam"))
+        if key in policy
+    }
+    policy = _build(
+        "policy",
+        FilterPolicy,
+        metric=_build("policy", DistanceMetric, **metric),
+        **policy,
     )
-    sd = data.get("step", {})
-    step = StepParams(
-        gamma=pick(args.gamma, "gamma", sd.get("gamma", 0.25)),
-        ray_count=int(pick(args.ray_count, "ray_count", sd.get("ray_count", 5))),
-        grid_resolution=int(
-            pick(args.resolution, "grid_resolution", sd.get("grid_resolution", 32))
-        ),
-        refinement_levels=int(
-            pick(
-                args.refinement_levels,
-                "refinement_levels",
-                sd.get("refinement_levels", 3),
-            )
-        ),
-        chart_dim=int(pick(args.chart_dim, "chart_dim", sd.get("chart_dim", 2))),
-    )
-    ed = data.get("evolution", {})
-    evolution = EvolutionConfig(
-        subpop_size=int(pick(args.subpop_size, "subpop_size", ed.get("subpop_size", 40))),
-        generations_per_round=int(
-            pick(
-                args.generations,
-                "generations_per_round",
-                ed.get("generations_per_round", 4),
-            )
-        ),
-        mutation_rate=pick(
-            args.mutation_rate, "mutation_rate", ed.get("mutation_rate", 0.05)
-        ),
-        crossover_rate=pick(
-            args.crossover_rate, "crossover_rate", ed.get("crossover_rate", 0.7)
-        ),
-        elitism=int(pick(args.elitism, "elitism", ed.get("elitism", 2))),
-        eda_fraction=pick(args.eda_fraction, "eda_fraction", ed.get("eda_fraction", 0.2)),
-        tournament_size=int(
-            pick(args.tournament_size, "tournament_size", ed.get("tournament_size", 3))
-        ),
-        seed=0,  # replaced per run
-        init_population=int(
-            pick(args.init_population, "init_population", ed.get("init_population", 96))
-        ),
-        population_cap=int(
-            pick(args.population_cap, "population_cap", ed.get("population_cap", 256))
-        ),
-    )
-    pd = data.get("policy", {})
-    metric_kind = pick(args.metric, "metric", pd.get("metric", "blended"))
-    lam = pick(args.blend_lambda, "lambda", pd.get("lambda", 0.5))
-    try:
-        metric = DistanceMetric(metric_kind, lam)
-    except ValueError as e:
-        raise ConfigError("metric", str(e))
-    policy = FilterPolicy(
-        k=int(pick(args.filter_k, "filter_k", pd.get("k", 7))),
-        threshold_quantile=pick(
-            args.threshold_quantile,
-            "threshold_quantile",
-            pd.get("threshold_quantile", 0.25),
-        ),
-        metric=metric,
-    )
-    omega = OmegaKind(
-        kind=pick(args.omega, "omega", data.get("omega", "knn_mass")),
-        k=policy.k,
-    )
+    omega = {"kind": top.pop("omega")} if "omega" in top else {}
     return RunConfig(
-        problem=pick(args.problem, "problem", "onemax"),
-        problem_params=problem_params,
-        budget=int(pick(args.budget, "budget", 20000)),
-        seed=pick(args.seed, "seed", None),
-        mode=pick(args.mode, "mode", "info_evo"),
-        weights=weights,
-        step=step,
-        evolution=evolution,
+        **top,
+        problem_params=given["problem_params"],
+        weights=_build("weights", PromiseWeights, **given["weights"]),
+        step=_build("step", StepParams, **given["step"]),
+        evolution=_build("evolution", EvolutionConfig, **given["evolution"]),
         policy=policy,
-        omega=omega,
-        h_kind=pick(args.h, "h_kind", data.get("h_kind", "product")),
-        deme_count=int(pick(args.deme_count, "deme_count", 1)),
-        subdemes_per_deme=int(
-            pick(args.subdemes_per_deme, "subdemes_per_deme", 3)
-        ),
+        omega=_build("omega", OmegaKind, k=policy.k, **omega),
     )
 
 
 def _add_common_flags(p: argparse.ArgumentParser):
     p.add_argument("--config", default=None, help="JSON config file")
     p.add_argument("--out", default="out", help="output directory")
-    p.add_argument("--seed", type=int, default=None)
 
 
-def _add_run_flags(p: argparse.ArgumentParser):
-    p.add_argument("--problem", default=None, choices=None)
-    p.add_argument("--bits", type=int, default=None)
-    p.add_argument("--dim", type=int, default=None)
-    p.add_argument("--max-depth", dest="max_depth", type=int, default=None)
-    p.add_argument("--dataset", default=None)
-    p.add_argument("--target", type=float, default=None)
-    p.add_argument("--budget", type=int, default=None)
-    p.add_argument("--mode", default=None)
-    p.add_argument("--gamma", type=float, default=None)
-    p.add_argument("--ray-count", dest="ray_count", type=int, default=None)
-    p.add_argument("--resolution", type=int, default=None)
-    p.add_argument(
-        "--refinement-levels", dest="refinement_levels", type=int, default=None
-    )
-    p.add_argument("--chart-dim", dest="chart_dim", type=int, default=None)
-    p.add_argument("--subpop-size", dest="subpop_size", type=int, default=None)
-    p.add_argument("--generations", type=int, default=None)
-    p.add_argument("--mutation-rate", dest="mutation_rate", type=float, default=None)
-    p.add_argument("--crossover-rate", dest="crossover_rate", type=float, default=None)
-    p.add_argument("--elitism", type=int, default=None)
-    p.add_argument("--eda-fraction", dest="eda_fraction", type=float, default=None)
-    p.add_argument(
-        "--tournament-size", dest="tournament_size", type=int, default=None
-    )
-    p.add_argument(
-        "--init-population", dest="init_population", type=int, default=None
-    )
-    p.add_argument(
-        "--population-cap", dest="population_cap", type=int, default=None
-    )
-    p.add_argument("--w-zeta", dest="w_zeta", type=float, default=None)
-    p.add_argument("--w-lm", dest="w_lm", type=float, default=None)
-    p.add_argument("--w-gm", dest="w_gm", type=float, default=None)
-    p.add_argument("--k-local", dest="k_local", type=int, default=None)
-    p.add_argument("--filter-k", dest="filter_k", type=int, default=None)
-    p.add_argument(
-        "--threshold-quantile", dest="threshold_quantile", type=float, default=None
-    )
-    p.add_argument("--metric", default=None)
-    p.add_argument("--lambda", dest="blend_lambda", type=float, default=None)
-    p.add_argument("--omega", default=None)
-    p.add_argument("--h", default=None)
-    p.add_argument("--deme-count", dest="deme_count", type=int, default=None)
-    p.add_argument(
-        "--subdemes-per-deme", dest="subdemes_per_deme", type=int, default=None
-    )
+def _dest(flag: str) -> str:
+    return flag[2:].replace("-", "_")
+
+
+def _add_setting_flags(p: argparse.ArgumentParser):
+    for flag, section, name, kind in SETTINGS:
+        p.add_argument(flag, dest=_dest(flag), metavar=_key(section, name), type=kind)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -493,15 +450,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_run = sub.add_parser("run", help="run one experiment")
     _add_common_flags(p_run)
-    _add_run_flags(p_run)
+    _add_setting_flags(p_run)
 
     p_cmp = sub.add_parser("compare", help="paired guided vs baseline runs")
     _add_common_flags(p_cmp)
-    _add_run_flags(p_cmp)
+    _add_setting_flags(p_cmp)
     p_cmp.add_argument("--repeats", type=int, default=3)
 
     p_geo = sub.add_parser("geodesic-check", help="grid vs closed-form geodesics")
     _add_common_flags(p_geo)
+    p_geo.add_argument("--seed", type=int, default=0)
     p_geo.add_argument("--n", type=int, nargs="+", default=[3, 5, 10])
     p_geo.add_argument("--trials", type=int, default=50)
     p_geo.add_argument("--resolution", type=int, default=32)
@@ -524,8 +482,6 @@ def main(argv=None) -> int:
                 print(name)
             return 0
         if args.command == "geodesic-check":
-            if args.seed is None:
-                args.seed = 0
             return cmd_geodesic_check(args)
         cfg = build_run_config(args)
         out_dir = Path(args.out)

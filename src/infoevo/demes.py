@@ -1,10 +1,11 @@
 """Island-style orchestration and the behavior-vector program distance.
 
-Demes are independent islands, each with its own feature subset,
-exemplar, and evaluation ledger; every guided round inside a deme spawns
-per-ray sub-demes. The distance between two programs is the closed-form
-geodesic distance between the distributions induced by their behavior
-vectors on a shared probe set.
+Demes are independent islands, each with its own evaluation ledger,
+random stream and run of the guided loop. The demes take rounds in turn,
+each continuing its loop where it stopped, and every guided round inside
+a deme spawns per-ray sub-demes. The distance between two programs is the
+closed-form geodesic distance between the distributions induced by their
+behavior vectors on a shared probe set.
 """
 
 from __future__ import annotations
@@ -32,8 +33,6 @@ BEHAVIOR_EPS = 1e-6  # relative uniform mass mixed into behavior distributions
 @dataclass
 class Deme:
     deme_id: int
-    feature_subset: tuple[int, ...]
-    exemplar: object
     ledger: EvaluationLedger
     status: str = "active"  # or "exhausted"
     rng: np.random.Generator | None = field(default=None, repr=False)
@@ -53,33 +52,23 @@ class DemeBudget:
             raise ValueError("subdemes_per_deme must be positive")
 
 
-def spawn_demes(problem, count: int, rng: np.random.Generator, budget: DemeBudget):
-    """Create demes with random nonempty feature subsets and exemplars.
+def spawn_demes(count: int, rng: np.random.Generator, budget: DemeBudget):
+    """Create demes, each with a random stream drawn from ``rng``.
 
-    All demes share the problem's scoring function; each owns a ledger
-    capped at its share of the total budget. Shares differ by at most
-    one evaluation, the first demes taking the remainder.
+    Each deme owns a ledger capped at its share of the total budget.
+    Shares differ by at most one evaluation, the first demes taking the
+    remainder.
     """
     if count < 1:
         raise ValueError("deme count must be positive")
-    arity = max(problem.dimension, 1)
-    demes = []
-    for i in range(count):
-        size = int(rng.integers(1, arity + 1))
-        subset = tuple(sorted(rng.choice(arity, size=size, replace=False)))
-        exemplar = problem.random_genotype(rng)
-        demes.append(
-            Deme(
-                deme_id=i,
-                feature_subset=subset,
-                exemplar=exemplar,
-                ledger=EvaluationLedger(
-                    budget.total // count + (i < budget.total % count)
-                ),
-                rng=np.random.default_rng(rng.integers(2**63)),
-            )
+    return [
+        Deme(
+            deme_id=i,
+            ledger=EvaluationLedger(budget.total // count + (i < budget.total % count)),
+            rng=np.random.default_rng(rng.integers(2**63)),
         )
-    return demes
+        for i in range(count)
+    ]
 
 
 def run_deme_round(
@@ -94,15 +83,17 @@ def run_deme_round(
     mode: str = "info_evo",
     omega: OmegaKind = OmegaKind(),
     h_kind: str,
-    state: RunState | None = None,
+    state: RunState,
     max_rounds: int = 1,
 ) -> RunResult:
-    """One guided round inside a deme; marks it exhausted at budget."""
+    """Guided rounds inside a deme, continuing ``state``'s loop.
+
+    Marks the deme exhausted when its budget is spent, its target is
+    reached or its loop stops.
+    """
     if deme.status != "active":
         raise ValueError(f"deme {deme.deme_id} is not active")
     params = replace(step_params, ray_count=budget.subdemes_per_deme)
-    if state is None:
-        state = RunState(ledger=deme.ledger, problem=problem, deme_id=deme.deme_id)
     result = info_evo_loop(
         problem,
         config,
@@ -135,13 +126,18 @@ def run_demes(
     omega: OmegaKind = OmegaKind(),
     h_kind: str,
 ):
-    """Round-robin the active demes until all are exhausted.
+    """Round-robin the active demes, one round each, until all are exhausted.
+
+    A deme is exhausted when its budget is spent, it reaches the target
+    or its loop stops after three rounds without evaluations. A pass in
+    which no deme's ledger grows exhausts them all: once the demes only
+    draw genotypes they have already scored, no round can make progress.
 
     Returns (demes, per-deme RunStates, per-deme report lists, trace).
     The trace holds every deme's rows in global evaluation order: demes
     run one at a time, so appending each round's new rows keeps it.
     """
-    demes = spawn_demes(problem, count, rng, budget)
+    demes = spawn_demes(count, rng, budget)
     states = [
         RunState(ledger=d.ledger, problem=problem, deme_id=d.deme_id) for d in demes
     ]

@@ -97,7 +97,12 @@ class RoundReport:
 
 @dataclass
 class RunState:
-    """Mutable bookkeeping shared across one run."""
+    """Mutable bookkeeping shared across one run.
+
+    The loop's schedule (step size, round index and the counters of
+    rounds without improvement and without evaluations) lives here, so a
+    loop called for a few rounds at a time continues where it stopped.
+    """
 
     ledger: EvaluationLedger
     problem: object
@@ -105,6 +110,10 @@ class RunState:
     trace: list[dict] = field(default_factory=list)
     skipped_total: int = 0
     stop: bool = False
+    gamma: float | None = None  # the step size; None until the first round
+    round_index: int = 0
+    no_improve: int = 0
+    stalled_rounds: int = 0
 
     def record(self, genotype) -> ScoredSample:
         before = self.ledger.eval_count
@@ -316,8 +325,10 @@ def info_evo_loop(
 
     Seeds the ledger with a random initial population, then repeats
     promise estimation, ray stepping, ray ranking, and one guided
-    subpopulation per kept ray until the budget is spent or the
-    problem's target is reached.
+    subpopulation per kept ray until the budget is spent, the problem's
+    target is reached or three rounds in a row evaluate nothing (which
+    sets ``state.stop``). With ``max_rounds``, returns after that many
+    rounds; calling it again with the same ``state`` continues the run.
     """
     if mode not in ("info_evo", "baseline"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -339,16 +350,15 @@ def info_evo_loop(
         state.record(problem.random_genotype(rng))
 
     reports: list[RoundReport] = []
-    gamma = step_params.gamma
-    no_improve = 0
-    stalled_rounds = 0
-    round_index = 0
+    if state.gamma is None:
+        state.gamma = step_params.gamma
     kept_count = math.ceil(step_params.ray_count / 2)
 
     while not state.stop and ledger.remaining > 0 and ledger.eval_count > 0:
-        if max_rounds is not None and round_index >= max_rounds:
+        if max_rounds is not None and len(reports) >= max_rounds:
             break
-        report = RoundReport(round_index=round_index, gamma_used=gamma)
+        gamma = state.gamma
+        report = RoundReport(round_index=state.round_index, gamma_used=gamma)
         report.best_score_before = best_sample(ledger).score
         view = view_of(ledger, config.population_cap)
 
@@ -405,24 +415,24 @@ def info_evo_loop(
         report.candidates_evaluated = sum(f.candidates_evaluated for f in report.subdemes)
         report.best_score_after = best_sample(ledger).score
         reports.append(report)
-        round_index += 1
+        state.round_index += 1
 
         if report.best_score_after > report.best_score_before:
-            no_improve = 0
+            state.no_improve = 0
         else:
-            no_improve += 1
-            if no_improve >= 2:
-                gamma = max(gamma / 2.0, GAMMA_FLOOR)
-                no_improve = 0
+            state.no_improve += 1
+            if state.no_improve >= 2:
+                state.gamma = max(gamma / 2.0, GAMMA_FLOOR)
+                state.no_improve = 0
         # a round that consumed no budget cannot make progress; bail out
         # after a few in a row rather than spinning forever
         if report.candidates_evaluated == 0:
-            stalled_rounds += 1
-            if stalled_rounds >= 3:
+            state.stalled_rounds += 1
+            if state.stalled_rounds >= 3:
                 logger.warning("three rounds without evaluations; stopping early")
-                break
+                state.stop = True
         else:
-            stalled_rounds = 0
+            state.stalled_rounds = 0
 
     best = best_sample(ledger) if ledger.eval_count else None
     success = (

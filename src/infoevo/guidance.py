@@ -19,6 +19,7 @@ from .errors import DegenerateLine, EmptyLedger
 from .manifold import LogDistribution
 
 OMEGA_BASELINE = 0.05  # keeps the product form from annihilating zero-omega candidates
+H_KINDS = ("product", "weighted_sum")
 
 
 @dataclass(frozen=True)
@@ -40,14 +41,14 @@ class ModifiedPromise:
     base: LogDistribution
     target: LogDistribution
     omega: OmegaKind = OmegaKind()
-    h_kind: str = "product"  # or "weighted_sum"
+    h_kind: str = "product"  # one of H_KINDS
     alpha: float = 0.5
     omega_baseline: float = OMEGA_BASELINE
 
     def __post_init__(self):
         if self.base.n != self.target.n:
             raise ValueError("base and target must share a population")
-        if self.h_kind not in ("product", "weighted_sum"):
+        if self.h_kind not in H_KINDS:
             raise ValueError(f"unknown h kind {self.h_kind!r}")
         if not 0.0 <= self.alpha <= 1.0:
             raise ValueError("alpha must lie in [0, 1]")

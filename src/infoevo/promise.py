@@ -21,7 +21,6 @@ class PromiseWeights:
     w_lm: float = 0.5
     w_gm: float = 0.5
     k_local: int = 5
-    sharpness: float = 1.0  # exponent applied to the two heuristic ratios
 
     def __post_init__(self):
         if min(self.w_zeta, self.w_lm, self.w_gm) < 0:
@@ -93,12 +92,12 @@ def promise_vector(
     values = weights.w_zeta * norm
     if weights.w_gm > 0:
         gm = np.array([global_max_prob(i, norm) for i in range(n)])
-        values = values + weights.w_gm * gm**weights.sharpness
+        values = values + weights.w_gm * gm
     if weights.w_lm > 0 and n >= 2:
         lm = np.array(
             [local_max_prob(i, population, weights.k_local, rm, norm) for i in range(n)]
         )
-        values = values + weights.w_lm * lm**weights.sharpness
+        values = values + weights.w_lm * lm
     elif weights.w_lm > 0:
         values = values + weights.w_lm
     if values.max() <= 0:

@@ -4,7 +4,15 @@ import json
 import pytest
 
 from infoevo import evolve
-from infoevo.cli import RunConfig, execute_run, geodesic_check, main
+from infoevo.cli import (
+    SETTINGS,
+    RunConfig,
+    build_parser,
+    build_run_config,
+    execute_run,
+    geodesic_check,
+    main,
+)
 from infoevo.errors import ConfigError
 
 
@@ -134,6 +142,77 @@ def test_run_config_file_merged_with_flag_override(tmp_path):
     assert record["config"]["budget"] == 200
     assert record["config"]["problem_params"]["bits"] == 12
     assert record["seed"] == 9
+
+
+# a valid non-default value for each setting that 3 (int) or 0.3 (float)
+# does not give
+SAMPLES = {
+    "subdemes_per_deme": 4,
+    "step.refinement_levels": 4,
+    "evolution.tournament_size": 4,
+    "problem": "sphere",
+    "mode": "baseline",
+    "omega": "projection",
+    "h_kind": "weighted_sum",
+    "problem_params.dataset": "data.csv",
+    "policy.metric": "genotypic",
+}
+
+
+def config_from(argv):
+    return build_run_config(build_parser().parse_args(["run", *argv]))
+
+
+def file_with(tmp_path, data):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(data))
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "flag,section,name,kind",
+    SETTINGS,
+    ids=[f"{section}.{name}" if section else name for _, section, name, _ in SETTINGS],
+)
+def test_setting_by_flag_equals_setting_by_file_key(tmp_path, flag, section, name, kind):
+    key = f"{section}.{name}" if section else name
+    value = SAMPLES.get(key, 3 if kind is int else 0.3)
+    data = {section: {name: value}} if section else {name: value}
+    by_flag = config_from([flag, str(value)])
+    assert by_flag == config_from(["--config", file_with(tmp_path, data)])
+    assert by_flag != config_from([])  # the setting changes the config
+
+
+@pytest.mark.parametrize(
+    "argv,data,field",
+    [
+        (["--gamma", "5"], None, "step"),
+        (["--omega", "bogus"], None, "omega"),
+        (["--h", "bogus"], None, "h_kind"),
+        (["--mode", "baseline", "--h", "bogus"], None, "h_kind"),
+        (["--subpop-size", "0"], None, "evolution"),
+        (["--threshold-quantile", "1.5"], None, "policy"),
+        (["--lambda", "2"], None, "policy"),
+        ([], {"gamma": 0.3}, "gamma"),  # top-level alias of step.gamma
+        ([], {"filter_k": 3}, "filter_k"),  # top-level alias of policy.k
+        ([], {"step": {"gama": 0.3}}, "step.gama"),
+        ([], {"evolution": {"seed": 4}}, "evolution.seed"),  # set per run
+        ([], {"budget": "many"}, "budget"),
+        ([], {"budget": None}, "budget"),
+        ([], {"budget": 2.5}, "budget"),  # not truncated to 2
+        ([], {"budget": True}, "budget"),
+        ([], {"step": {"gamma": "0.3"}}, "step.gamma"),
+        ([], {"problem_params": {"dataset": 5}}, "problem_params.dataset"),
+        ([], {"policy": 3}, "policy"),
+    ],
+)
+def test_invalid_setting_exits_2(tmp_path, capsys, argv, data, field):
+    if data is not None:
+        argv = argv + ["--config", file_with(tmp_path, data)]
+    code = run_cli(["run", "--seed", "1", "--out", str(tmp_path / "out")] + argv)
+    assert code == 2
+    assert f"error: config field '{field}'" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_run_missing_config_file_exits_2(tmp_path):

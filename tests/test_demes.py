@@ -12,7 +12,7 @@ from infoevo.demes import (
 )
 from infoevo.domains import OneMax
 from infoevo.errors import NonFiniteOutput
-from infoevo.evolve import EvolutionConfig
+from infoevo.evolve import EvolutionConfig, RunState
 from infoevo.geodesic_search import StepParams
 from infoevo.guidance import FilterPolicy
 from infoevo.promise import PromiseWeights
@@ -25,6 +25,10 @@ def deme_args():
         policy=FilterPolicy(k=3),
         h_kind="product",
     )
+
+
+def deme_state(deme, problem):
+    return RunState(ledger=deme.ledger, problem=problem, deme_id=deme.deme_id)
 
 
 def small_config(**kw):
@@ -43,40 +47,34 @@ def small_config(**kw):
 
 
 def test_spawn_demes_count_and_subsets():
-    problem = OneMax(bits=12)
-    demes = spawn_demes(problem, 4, np.random.default_rng(1), DemeBudget(total=200))
+    demes = spawn_demes(4, np.random.default_rng(1), DemeBudget(total=200))
     assert len(demes) == 4
     for i, d in enumerate(demes):
         assert d.deme_id == i
-        assert 1 <= len(d.feature_subset) <= 12
-        assert len(set(d.feature_subset)) == len(d.feature_subset)
-        assert all(0 <= f < 12 for f in d.feature_subset)
         assert d.ledger.budget == 50
         assert d.status == "active"
-        assert d.exemplar.shape == (12,)
 
 
 def test_spawn_demes_split_the_whole_budget():
-    problem = OneMax(bits=12)
-    demes = spawn_demes(problem, 7, np.random.default_rng(1), DemeBudget(total=1500))
+    demes = spawn_demes(7, np.random.default_rng(1), DemeBudget(total=1500))
     budgets = [d.ledger.budget for d in demes]
     assert sum(budgets) == 1500
     assert max(budgets) - min(budgets) <= 1
 
 
 def test_spawn_demes_deterministic():
-    problem = OneMax(bits=10)
-    a = spawn_demes(problem, 3, np.random.default_rng(7), DemeBudget(total=60))
-    b = spawn_demes(problem, 3, np.random.default_rng(7), DemeBudget(total=60))
+    a = spawn_demes(3, np.random.default_rng(7), DemeBudget(total=60))
+    b = spawn_demes(3, np.random.default_rng(7), DemeBudget(total=60))
     for da, db in zip(a, b):
-        assert da.feature_subset == db.feature_subset
-        assert np.array_equal(da.exemplar, db.exemplar)
+        assert da.ledger.budget == db.ledger.budget
+        assert np.array_equal(da.rng.integers(2**63, size=4), db.rng.integers(2**63, size=4))
+    streams = [d.rng.integers(2**63) for d in a]
+    assert len(set(streams)) == 3  # each deme draws its own stream
 
 
 def test_spawn_demes_validation():
-    problem = OneMax(bits=8)
     with pytest.raises(ValueError):
-        spawn_demes(problem, 0, np.random.default_rng(0), DemeBudget(total=10))
+        spawn_demes(0, np.random.default_rng(0), DemeBudget(total=10))
     with pytest.raises(ValueError):
         DemeBudget(total=0)
     with pytest.raises(ValueError):
@@ -90,10 +88,16 @@ def test_run_deme_round_budget_and_subdeme_count():
     problem = OneMax(bits=16)
     problem.target = 17.0  # unreachable: the round runs to plan
     budget = DemeBudget(total=200, subdemes_per_deme=3)
-    demes = spawn_demes(problem, 1, np.random.default_rng(3), budget)
+    demes = spawn_demes(1, np.random.default_rng(3), budget)
     deme = demes[0]
     result = run_deme_round(
-        deme, problem, small_config(), budget, **deme_args(), max_rounds=1
+        deme,
+        problem,
+        small_config(),
+        budget,
+        **deme_args(),
+        state=deme_state(deme, problem),
+        max_rounds=1,
     )
     assert deme.ledger.eval_count <= 200
     for report in result.reports:
@@ -105,14 +109,15 @@ def test_run_deme_round_budget_and_subdeme_count():
 def test_run_deme_round_marks_exhausted():
     problem = OneMax(bits=8)  # tiny: target reachable fast
     budget = DemeBudget(total=400)
-    demes = spawn_demes(problem, 1, np.random.default_rng(5), budget)
+    demes = spawn_demes(1, np.random.default_rng(5), budget)
     deme = demes[0]
+    state = deme_state(deme, problem)
     run_deme_round(
-        deme, problem, small_config(), budget, **deme_args(), max_rounds=50
+        deme, problem, small_config(), budget, **deme_args(), state=state, max_rounds=50
     )
     assert deme.status == "exhausted"
     with pytest.raises(ValueError):
-        run_deme_round(deme, problem, small_config(), budget, **deme_args())
+        run_deme_round(deme, problem, small_config(), budget, **deme_args(), state=state)
 
 
 def test_run_demes_isolated_ledgers():
@@ -134,6 +139,54 @@ def test_run_demes_isolated_ledgers():
         assert d.ledger.eval_count <= 40
         assert len(state.trace) == d.ledger.eval_count
         assert all(row["deme_id"] == d.deme_id for row in state.trace)
+
+
+def test_run_demes_continue_each_deme_loop():
+    problem = OneMax(bits=12)
+    problem.target = 13.0  # unreachable: gamma halves once the best stalls
+    _, _, reports, _ = run_demes(
+        problem,
+        2,
+        small_config(),
+        DemeBudget(total=200),
+        **deme_args(),
+        rng=np.random.default_rng(2),
+    )
+    for deme_reports in reports:
+        assert [r.round_index for r in deme_reports] == list(range(len(deme_reports)))
+        assert min(r.gamma_used for r in deme_reports) < deme_args()["step_params"].gamma
+
+
+def test_run_deme_round_stalled_loop_exhausts_deme():
+    problem = OneMax(bits=12)
+    problem.target = 13.0
+    budget = DemeBudget(total=200)
+    deme = spawn_demes(1, np.random.default_rng(1), budget)[0]
+    state = deme_state(deme, problem)
+    config = small_config(generations_per_round=0)  # no round evaluates
+    for _ in range(3):
+        assert deme.status == "active"
+        run_deme_round(deme, problem, config, budget, **deme_args(), state=state)
+    assert state.stop and state.round_index == 3
+    assert deme.status == "exhausted"
+
+
+def test_run_demes_end_when_no_deme_can_grow_its_ledger():
+    problem = OneMax(bits=3)  # 8 genotypes, far fewer than each deme's budget
+    problem.target = 4.0  # unreachable
+    demes, _, reports, trace = run_demes(
+        problem,
+        2,
+        small_config(),
+        DemeBudget(total=200),
+        **deme_args(),
+        rng=np.random.default_rng(2),
+    )
+    assert all(d.status == "exhausted" for d in demes)
+    assert all(d.ledger.remaining > 0 for d in demes)
+    assert all(d.ledger.eval_count <= 8 for d in demes)
+    assert len(trace) == sum(d.ledger.eval_count for d in demes)
+    assert all(deme_reports for deme_reports in reports)
 
 
 def test_aggregate_best_across_demes():
