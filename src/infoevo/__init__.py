@@ -10,9 +10,9 @@ from .core import (
     knn,
     view_of,
 )
-from .evolve import EvolutionConfig, info_evo_loop
+from .evolve import EvolutionConfig, RunConfig, info_evo_loop
 from .geodesic_search import StepParams
-from .guidance import FilterPolicy, ModifiedPromise, OmegaKind
+from .guidance import FilterPolicy, ModifiedPromise
 from .manifold import LogDistribution, TangentVector
 from .promise import PromiseVector, PromiseWeights
 
@@ -28,11 +28,11 @@ __all__ = [
     "knn",
     "view_of",
     "EvolutionConfig",
+    "RunConfig",
     "info_evo_loop",
     "StepParams",
     "FilterPolicy",
     "ModifiedPromise",
-    "OmegaKind",
     "LogDistribution",
     "TangentVector",
     "PromiseVector",

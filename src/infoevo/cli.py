@@ -15,19 +15,19 @@ import csv
 import json
 import sys
 import time
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import geodesic_search, manifold
 from .core import DistanceMetric
-from .demes import DemeBudget, aggregate_best, run_demes
+from .demes import aggregate_best, run_demes
 from .domains import PROBLEM_NAMES, make_problem
 from .errors import ConfigError, InfoEvoError
-from .evolve import EvolutionConfig, info_evo_loop
+from .evolve import EvolutionConfig, RunConfig, info_evo_loop
 from .geodesic_search import StepParams
-from .guidance import H_KINDS, FilterPolicy, OmegaKind
+from .guidance import FilterPolicy
 from .promise import PromiseWeights
 
 TRACE_SCHEMA = "trace.v1"
@@ -36,9 +36,9 @@ GEODESIC_TOLERANCE = 0.02
 
 # One row per run setting: its command-line flag, its config-file section
 # (None for the top level of the file), its key there and its type. Each
-# key names the field it sets in its section's dataclass, except
-# policy.metric and policy.lambda (the DistanceMetric's kind and lam) and
-# the top-level omega (the OmegaKind's kind; its k is policy.k).
+# key names the field it sets in its section's dataclass (RunConfig for the
+# top level), except policy.metric and policy.lambda (the DistanceMetric's
+# kind and lam).
 SETTINGS = (
     ("--problem", None, "problem", str),
     ("--seed", None, "seed", int),
@@ -47,7 +47,6 @@ SETTINGS = (
     ("--omega", None, "omega", str),
     ("--h", None, "h_kind", str),
     ("--deme-count", None, "deme_count", int),
-    ("--subdemes-per-deme", None, "subdemes_per_deme", int),
     ("--bits", "problem_params", "bits", int),
     ("--dim", "problem_params", "dim", int),
     ("--max-depth", "problem_params", "max_depth", int),
@@ -80,68 +79,14 @@ SECTIONS = ("problem_params", "weights", "step", "evolution", "policy")
 JSON_TYPES = {str: str, int: int, float: (int, float)}  # accepted per setting type
 
 
-@dataclass
-class RunConfig:
-    problem: str = "onemax"
-    problem_params: dict = field(default_factory=dict)
-    budget: int = 20000
-    seed: int | None = None
-    mode: str = "info_evo"
-    weights: PromiseWeights = field(default_factory=PromiseWeights)
-    step: StepParams = field(default_factory=StepParams)
-    evolution: EvolutionConfig = field(default_factory=EvolutionConfig)
-    policy: FilterPolicy = field(default_factory=FilterPolicy)
-    omega: OmegaKind = field(default_factory=OmegaKind)
-    h_kind: str = "product"
-    deme_count: int = 1
-    subdemes_per_deme: int = 3
-
-    def validate(self):
-        if self.problem not in PROBLEM_NAMES:
-            raise ConfigError(
-                "problem", f"unknown problem {self.problem!r}; see list-problems"
-            )
-        if self.seed is None:
-            raise ConfigError("seed", "a seed is mandatory")
-        if self.budget < 1:
-            raise ConfigError("budget", "budget must be positive")
-        if self.mode not in ("info_evo", "baseline", "paired"):
-            raise ConfigError("mode", f"unknown mode {self.mode!r}")
-        if self.deme_count < 1:
-            raise ConfigError("deme_count", "must be at least 1")
-        if self.subdemes_per_deme < 1:
-            raise ConfigError("subdemes_per_deme", "must be at least 1")
-        if self.h_kind not in H_KINDS:
-            raise ConfigError("h_kind", f"unknown h kind {self.h_kind!r}")
-
-    def snapshot(self) -> dict:
-        d = asdict(self)
-        d["metric"] = {"kind": self.policy.metric.kind, "lam": self.policy.metric.lam}
-        return d
-
-
 def execute_run(cfg: RunConfig, mode: str, seed: int) -> dict:
     """Run one experiment; returns a record with the trace attached."""
+    cfg = replace(cfg, mode=mode, seed=seed)
     problem = make_problem(cfg.problem, **cfg.problem_params)
-    evo = replace(cfg.evolution, seed=seed)
     t0 = time.perf_counter()
     if cfg.deme_count > 1:
-        budget = DemeBudget(
-            total=cfg.budget, subdemes_per_deme=cfg.subdemes_per_deme
-        )
-        rng = np.random.default_rng(seed)
         demes, states, reports, trace = run_demes(
-            problem,
-            cfg.deme_count,
-            evo,
-            budget,
-            cfg.weights,
-            cfg.step,
-            cfg.policy,
-            rng,
-            mode=mode,
-            omega=cfg.omega,
-            h_kind=cfg.h_kind,
+            problem, cfg, np.random.default_rng(seed)
         )
         best = aggregate_best(demes)
         success = (
@@ -153,17 +98,7 @@ def execute_run(cfg: RunConfig, mode: str, seed: int) -> dict:
         eval_count = sum(d.ledger.eval_count for d in demes)
         skipped = sum(st.skipped_total for st in states)
     else:
-        result = info_evo_loop(
-            problem,
-            evo,
-            cfg.weights,
-            cfg.step,
-            cfg.policy,
-            cfg.budget,
-            mode=mode,
-            omega=cfg.omega,
-            h_kind=cfg.h_kind,
-        )
+        result = info_evo_loop(problem, cfg)
         trace = result.trace
         best = result.best
         success = result.success
@@ -183,7 +118,7 @@ def execute_run(cfg: RunConfig, mode: str, seed: int) -> dict:
         "schema": RUN_SCHEMA,
         "mode": mode,
         "seed": seed,
-        "config": cfg.snapshot(),
+        "config": asdict(cfg),
         "success": success,
         "best_score": best.score if best else None,
         "best_genotype": problem.render(best.genotype) if best else None,
@@ -418,7 +353,6 @@ def build_run_config(args) -> RunConfig:
         metric=_build("policy", DistanceMetric, **metric),
         **policy,
     )
-    omega = {"kind": top.pop("omega")} if "omega" in top else {}
     return RunConfig(
         **top,
         problem_params=given["problem_params"],
@@ -426,7 +360,6 @@ def build_run_config(args) -> RunConfig:
         step=_build("step", StepParams, **given["step"]),
         evolution=_build("evolution", EvolutionConfig, **given["evolution"]),
         policy=policy,
-        omega=_build("omega", OmegaKind, k=policy.k, **omega),
     )
 
 

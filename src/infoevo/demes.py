@@ -10,22 +10,14 @@ behavior vectors on a shared probe set.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import manifold
 from .core import EvaluationLedger, best_sample
 from .errors import NonFiniteOutput
-from .evolve import (
-    EvolutionConfig,
-    RunResult,
-    RunState,
-    info_evo_loop,
-)
-from .geodesic_search import StepParams
-from .guidance import FilterPolicy, OmegaKind
-from .promise import PromiseWeights
+from .evolve import RunConfig, RunResult, RunState, info_evo_loop
 
 BEHAVIOR_EPS = 1e-6  # relative uniform mass mixed into behavior distributions
 
@@ -38,33 +30,21 @@ class Deme:
     rng: np.random.Generator | None = field(default=None, repr=False)
 
 
-@dataclass(frozen=True)
-class DemeBudget:
-    """Evaluations shared by all demes, and rays kept per deme round."""
-
-    total: int
-    subdemes_per_deme: int = 3
-
-    def __post_init__(self):
-        if self.total < 1:
-            raise ValueError("total budget must be positive")
-        if self.subdemes_per_deme < 1:
-            raise ValueError("subdemes_per_deme must be positive")
-
-
-def spawn_demes(count: int, rng: np.random.Generator, budget: DemeBudget):
+def spawn_demes(count: int, rng: np.random.Generator, budget: int):
     """Create demes, each with a random stream drawn from ``rng``.
 
-    Each deme owns a ledger capped at its share of the total budget.
+    Each deme owns a ledger capped at its share of the total ``budget``.
     Shares differ by at most one evaluation, the first demes taking the
     remainder.
     """
     if count < 1:
         raise ValueError("deme count must be positive")
+    if budget < 1:
+        raise ValueError("total budget must be positive")
     return [
         Deme(
             deme_id=i,
-            ledger=EvaluationLedger(budget.total // count + (i < budget.total % count)),
+            ledger=EvaluationLedger(budget // count + (i < budget % count)),
             rng=np.random.default_rng(rng.integers(2**63)),
         )
         for i in range(count)
@@ -74,102 +54,54 @@ def spawn_demes(count: int, rng: np.random.Generator, budget: DemeBudget):
 def run_deme_round(
     deme: Deme,
     problem,
-    config: EvolutionConfig,
-    budget: DemeBudget,
-    promise_weights: PromiseWeights,
-    step_params: StepParams,
-    policy: FilterPolicy,
+    cfg: RunConfig,
     *,
-    mode: str = "info_evo",
-    omega: OmegaKind = OmegaKind(),
-    h_kind: str,
     state: RunState,
     max_rounds: int = 1,
 ) -> RunResult:
     """Guided rounds inside a deme, continuing ``state``'s loop.
 
     Marks the deme exhausted when its budget is spent, its target is
-    reached or its loop stops.
+    reached or its loop stops or runs no round (as when it has no
+    initial population to start from).
     """
     if deme.status != "active":
         raise ValueError(f"deme {deme.deme_id} is not active")
-    params = replace(step_params, ray_count=budget.subdemes_per_deme)
     result = info_evo_loop(
-        problem,
-        config,
-        promise_weights,
-        params,
-        policy,
-        mode=mode,
-        omega=omega,
-        h_kind=h_kind,
-        state=state,
-        rng=deme.rng,
-        max_rounds=max_rounds,
+        problem, cfg, state=state, rng=deme.rng, max_rounds=max_rounds
     )
-    if deme.ledger.remaining <= 0 or result.success or state.stop:
+    if deme.ledger.remaining <= 0 or state.stop or not result.reports:
         deme.status = "exhausted"
     return result
 
 
-def run_demes(
-    problem,
-    count: int,
-    config: EvolutionConfig,
-    budget: DemeBudget,
-    promise_weights: PromiseWeights,
-    step_params: StepParams,
-    policy: FilterPolicy,
-    rng: np.random.Generator,
-    *,
-    mode: str = "info_evo",
-    omega: OmegaKind = OmegaKind(),
-    h_kind: str,
-):
-    """Round-robin the active demes, one round each, until all are exhausted.
+def run_demes(problem, cfg: RunConfig, rng: np.random.Generator):
+    """Round-robin ``cfg.deme_count`` demes, one round each, until all are
+    exhausted.
 
-    A deme is exhausted when its budget is spent, it reaches the target
-    or its loop stops after three rounds without evaluations. A pass in
-    which no deme's ledger grows exhausts them all: once the demes only
-    draw genotypes they have already scored, no round can make progress.
+    The demes share ``cfg.budget`` and run the loop with ``cfg`` as a
+    single run does. A deme is exhausted when its budget is spent, it
+    reaches the target or its loop stops after three rounds that add
+    nothing to its ledger.
 
     Returns (demes, per-deme RunStates, per-deme report lists, trace).
     The trace holds every deme's rows in global evaluation order: demes
     run one at a time, so appending each round's new rows keeps it.
     """
-    demes = spawn_demes(count, rng, budget)
+    demes = spawn_demes(cfg.deme_count, rng, cfg.budget)
     states = [
         RunState(ledger=d.ledger, problem=problem, deme_id=d.deme_id) for d in demes
     ]
     reports: list[list] = [[] for _ in demes]
     trace: list[dict] = []
     while any(d.status == "active" for d in demes):
-        progressed = False
         for deme, state in zip(demes, states):
             if deme.status != "active":
                 continue
             before = deme.ledger.eval_count
-            result = run_deme_round(
-                deme,
-                problem,
-                config,
-                budget,
-                promise_weights,
-                step_params,
-                policy,
-                mode=mode,
-                omega=omega,
-                h_kind=h_kind,
-                state=state,
-                max_rounds=1,
-            )
+            result = run_deme_round(deme, problem, cfg, state=state)
             reports[deme.deme_id].extend(result.reports)
             trace.extend(state.trace[before:])  # one row per new evaluation
-            if deme.ledger.eval_count > before:
-                progressed = True
-        if not progressed:
-            for d in demes:
-                d.status = "exhausted"
     return demes, states, reports, trace
 
 

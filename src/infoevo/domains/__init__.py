@@ -2,43 +2,48 @@
 
 from __future__ import annotations
 
+from ..errors import ConfigError, InfoEvoError
 from .base import Problem
 from .bitstrings import OneMax, Trap5, score_onemax, score_trap
 from .realvec import Rosenbrock, Sphere, score_rosenbrock, score_sphere
 from .symreg import SymbolicRegression, eval_tree, load_dataset, tree_str
 
-PROBLEM_NAMES = ("onemax", "trap5", "sphere", "rosenbrock", "symreg")
+# registry name -> (class, the problem_params it reads)
+PROBLEMS = {
+    "onemax": (OneMax, ("bits",)),
+    "trap5": (Trap5, ("bits",)),
+    "sphere": (Sphere, ("dim", "target")),
+    "rosenbrock": (Rosenbrock, ("dim", "target")),
+    "symreg": (SymbolicRegression, ("max_depth", "dataset", "target")),
+}
+PROBLEM_NAMES = tuple(PROBLEMS)
 
 
 def make_problem(name: str, **params) -> Problem:
-    """Build a problem by registry name.
+    """Build a problem by registry name from the params it reads.
 
-    Recognized params per problem: onemax/trap5 -> bits; sphere and
-    rosenbrock -> dim, target; symreg -> max_depth, dataset (CSV path).
+    An unknown name, a param the problem does not read and a value its
+    constructor (or the dataset file) rejects raise ``ConfigError``. A
+    symreg ``dataset`` is a CSV path; empty means the built-in dataset.
     """
-    if name == "onemax":
-        return OneMax(bits=int(params.get("bits", 50)))
-    if name == "trap5":
-        return Trap5(bits=int(params.get("bits", 30)))
-    if name == "sphere":
-        kw = {}
-        if "target" in params:
-            kw["target"] = params["target"]
-        return Sphere(dim=int(params.get("dim", 10)), **kw)
-    if name == "rosenbrock":
-        kw = {}
-        if "target" in params:
-            kw["target"] = params["target"]
-        return Rosenbrock(dim=int(params.get("dim", 5)), **kw)
-    if name == "symreg":
-        kw = {"max_depth": int(params.get("max_depth", 5))}
-        if "dataset" in params and params["dataset"]:
-            probes, outputs = load_dataset(params["dataset"])
-            kw["probes"], kw["outputs"] = probes, outputs
-        if "target" in params:
-            kw["target"] = params["target"]
-        return SymbolicRegression(**kw)
-    raise KeyError(name)
+    if name not in PROBLEMS:
+        raise ConfigError("problem", f"unknown problem {name!r}; see list-problems")
+    cls, known = PROBLEMS[name]
+    for key in params:
+        if key not in known:
+            raise ConfigError(f"problem_params.{key}", f"{name} does not read it")
+    kw = dict(params)
+    if "dataset" in kw:
+        path = kw.pop("dataset")
+        if path:
+            try:
+                kw["probes"], kw["outputs"] = load_dataset(path)
+            except (OSError, ValueError) as e:
+                raise ConfigError("problem_params.dataset", f"cannot read {path}: {e}")
+    try:
+        return cls(**kw)
+    except (ValueError, InfoEvoError) as e:
+        raise ConfigError("problem_params", str(e))
 
 
 __all__ = [

@@ -11,7 +11,7 @@ class Problem(ABC):
     """A pluggable optimization domain (maximization convention).
 
     Subclasses supply the scoring function, variation operators, EDA
-    loci, and the genotypic/phenotypic distances. Scoring must be pure
+    loci, the genotypic distance and, optionally, a behavior vector. Scoring must be pure
     and deterministic.
     """
 
@@ -51,9 +51,6 @@ class Problem(ABC):
     def behavior(self, genotype) -> np.ndarray:
         """Behavior vector; the score itself unless a domain overrides."""
         return np.array([self.score(genotype)], dtype=float)
-
-    def d_pheno(self, a, b) -> float:
-        return float(np.linalg.norm(self.behavior(a) - self.behavior(b)))
 
     def geno_distances(self, x, genotypes) -> np.ndarray:
         """Genotypic distances from x to each genotype; override to vectorize."""

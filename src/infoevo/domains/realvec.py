@@ -23,6 +23,8 @@ def score_rosenbrock(x: np.ndarray) -> float:
 
 class RealVectorProblem(Problem):
     def __init__(self, dim: int, sigma: float = 0.3):
+        if dim < 1:
+            raise ValueError("dimension must be positive")
         self.dimension = dim
         self.sigma = sigma
         self._bin_width = (BOX_HI - BOX_LO) / EDA_BINS

@@ -117,7 +117,7 @@ def load_dataset(path) -> tuple[tuple[tuple[float, ...], ...], tuple[float, ...]
     probes, outputs = [], []
     with open(Path(path), newline="") as fh:
         reader = csv.reader(fh)
-        next(reader)  # header
+        next(reader, None)  # header; an empty file has none
         for row in reader:
             if not row:
                 continue
@@ -135,12 +135,11 @@ class SymbolicRegression(Problem):
         n_vars: int | None = None,
         max_depth: int = 5,
         target: float | None = -1e-9,
-        pheno_metric: str = "euclidean",
     ):
         if len(probes) == 0:
             raise ValueError("dataset must be nonempty")
-        if pheno_metric not in ("euclidean", "fisher"):
-            raise ValueError(f"unknown pheno metric {pheno_metric!r}")
+        if max_depth < 1:
+            raise ValueError("max_depth must be at least 1")
         self.probes = tuple(tuple(p) for p in probes)
         self.outputs = np.asarray(outputs, dtype=float)
         self.n_vars = n_vars if n_vars is not None else len(self.probes[0])
@@ -148,7 +147,6 @@ class SymbolicRegression(Problem):
         self.dimension = self.n_vars
         self.name = f"symreg-d{max_depth}"
         self.target = target
-        self.pheno_metric = pheno_metric
 
     def _random_leaf(self, rng):
         if rng.random() < 0.6:
@@ -224,13 +222,6 @@ class SymbolicRegression(Problem):
         pb = _depth_profile(b, self.max_depth)
         depth_term = 0.5 * float(np.abs(pa - pb).sum())
         return 0.5 * (label_term + depth_term)
-
-    def d_pheno(self, a, b) -> float:
-        if self.pheno_metric == "fisher":
-            from ..demes import program_fisher_distance
-
-            return program_fisher_distance(a, b, self.probes, self)
-        return super().d_pheno(a, b)
 
     def render(self, genotype) -> str:
         return tree_str(genotype)

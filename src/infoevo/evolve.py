@@ -24,9 +24,10 @@ from .core import (
     normalize_scores,
     view_of,
 )
-from .errors import BudgetExhausted
+from .domains import make_problem
+from .errors import BudgetExhausted, ConfigError
 from .geodesic_search import StepParams
-from .guidance import FilterPolicy, ModifiedPromise, OmegaKind
+from .guidance import H_KINDS, OMEGA_KINDS, FilterPolicy, ModifiedPromise
 from .promise import PromiseWeights, promise_vector
 
 logger = logging.getLogger(__name__)
@@ -44,7 +45,6 @@ class EvolutionConfig:
     elitism: int = 2
     eda_fraction: float = 0.2
     tournament_size: int = 3
-    seed: int = 0
     init_population: int = 96
     population_cap: int = 256
 
@@ -64,7 +64,44 @@ class EvolutionConfig:
 
 
 @dataclass
+class RunConfig:
+    """Every setting of one run, from the command line to the loop."""
+
+    problem: str = "onemax"
+    problem_params: dict = field(default_factory=dict)
+    budget: int = 20000
+    seed: int | None = None
+    mode: str = "info_evo"
+    weights: PromiseWeights = field(default_factory=PromiseWeights)
+    step: StepParams = field(default_factory=StepParams)
+    evolution: EvolutionConfig = field(default_factory=EvolutionConfig)
+    policy: FilterPolicy = field(default_factory=FilterPolicy)
+    omega: str = "knn_mass"  # one of OMEGA_KINDS; its k is policy.k
+    h_kind: str = "product"  # one of H_KINDS
+    deme_count: int = 1
+
+    def validate(self):
+        """Raise ConfigError, naming the setting, unless the run can start."""
+        if self.seed is None:
+            raise ConfigError("seed", "a seed is mandatory")
+        if self.budget < 1:
+            raise ConfigError("budget", "budget must be positive")
+        if self.mode not in ("info_evo", "baseline", "paired"):
+            raise ConfigError("mode", f"unknown mode {self.mode!r}")
+        if self.deme_count < 1:
+            raise ConfigError("deme_count", "must be at least 1")
+        if self.omega not in OMEGA_KINDS:
+            raise ConfigError("omega", f"unknown omega kind {self.omega!r}")
+        if self.h_kind not in H_KINDS:
+            raise ConfigError("h_kind", f"unknown h kind {self.h_kind!r}")
+        make_problem(self.problem, **self.problem_params)
+
+
+@dataclass
 class SubdemeReport:
+    """One ray's burst. ``candidates_evaluated`` counts the candidates
+    passed to the ledger, duplicates that cost no budget included."""
+
     ray_index: int
     generations_run: int = 0
     candidates_generated: int = 0
@@ -100,7 +137,7 @@ class RunState:
     """Mutable bookkeeping shared across one run.
 
     The loop's schedule (step size, round index and the counters of
-    rounds without improvement and without evaluations) lives here, so a
+    rounds without improvement and without new evaluations) lives here, so a
     loop called for a few rounds at a time continues where it stopped.
     """
 
@@ -306,41 +343,34 @@ def _next_generation(parents, fitness, new_samples, fitness_of, config):
 
 def info_evo_loop(
     problem,
-    config: EvolutionConfig,
-    promise_weights: PromiseWeights,
-    step_params: StepParams,
-    policy: FilterPolicy,
-    budget: int | None = None,
+    cfg: RunConfig,
     *,
-    mode: str = "info_evo",
-    omega: OmegaKind = OmegaKind(),
-    h_kind: str = "product",
-    ledger: EvaluationLedger | None = None,
     state: RunState | None = None,
     rng: np.random.Generator | None = None,
-    deme_id: int = 0,
     max_rounds: int | None = None,
 ) -> RunResult:
     """Run the full guided loop (or the unguided baseline) to budget.
 
-    Seeds the ledger with a random initial population, then repeats
-    promise estimation, ray stepping, ray ranking, and one guided
-    subpopulation per kept ray until the budget is spent, the problem's
-    target is reached or three rounds in a row evaluate nothing (which
-    sets ``state.stop``). With ``max_rounds``, returns after that many
-    rounds; calling it again with the same ``state`` continues the run.
+    Reads the run's settings from ``cfg``. Seeds the ledger with a random
+    initial population, then repeats promise estimation, ray stepping,
+    ray ranking, and one guided subpopulation per kept ray until the
+    budget is spent, the problem's target is reached or three rounds in
+    a row add nothing to the ledger (which sets ``state.stop``). Without
+    ``state`` the run gets a ledger of ``cfg.budget`` evaluations, and
+    without ``rng`` a stream seeded by ``cfg.seed``. With ``max_rounds``,
+    returns after that many rounds; calling it again with the same
+    ``state`` continues the run.
     """
-    if mode not in ("info_evo", "baseline"):
-        raise ValueError(f"unknown mode {mode!r}")
+    if cfg.mode not in ("info_evo", "baseline"):
+        raise ValueError(f"unknown mode {cfg.mode!r}")
     if rng is None:
-        rng = np.random.default_rng(config.seed)
+        if cfg.seed is None:
+            raise ValueError("either rng or cfg.seed must be given")
+        rng = np.random.default_rng(cfg.seed)
     if state is None:
-        if ledger is None:
-            if budget is None:
-                raise ValueError("either budget or ledger must be given")
-            ledger = EvaluationLedger(budget)
-        state = RunState(ledger=ledger, problem=problem, deme_id=deme_id)
+        state = RunState(ledger=EvaluationLedger(cfg.budget), problem=problem)
     ledger = state.ledger
+    config, step_params, policy = cfg.evolution, cfg.step, cfg.policy
 
     # random initial population; duplicates cost attempts but no budget
     init_goal = min(config.init_population, ledger.budget)
@@ -357,19 +387,20 @@ def info_evo_loop(
     while not state.stop and ledger.remaining > 0 and ledger.eval_count > 0:
         if max_rounds is not None and len(reports) >= max_rounds:
             break
+        evals_before = ledger.eval_count
         gamma = state.gamma
         report = RoundReport(round_index=state.round_index, gamma_used=gamma)
         report.best_score_before = best_sample(ledger).score
         view = view_of(ledger, config.population_cap)
 
-        if mode == "baseline" or len(view) < 3:
+        if cfg.mode == "baseline" or len(view) < 3:
             frag = run_subpopulation(
                 view.scores, None, config, problem, state, view, None, policy, rng
             )
             report.subdemes.append(frag)
         else:
             rm = ResolvedMetric(problem, view, policy.metric)
-            pv = promise_vector(view, promise_weights, rm)
+            pv = promise_vector(view, cfg.weights, rm)
             base = manifold.from_weights(pv.values)
             d = min(step_params.chart_dim, len(view) - 1)
             chart = geodesic_search.build_chart(
@@ -394,7 +425,11 @@ def info_evo_loop(
                     # degenerate step: fall back to the base distribution
                     continue
                 mp = ModifiedPromise(
-                    base=base, target=target_dist, omega=omega, h_kind=h_kind
+                    base=base,
+                    target=target_dist,
+                    omega=cfg.omega,
+                    k=policy.k,
+                    h_kind=cfg.h_kind,
                 )
                 frag = run_subpopulation(
                     guidance.ledger_modified_fitness(mp, view, rm),
@@ -424,12 +459,13 @@ def info_evo_loop(
             if state.no_improve >= 2:
                 state.gamma = max(gamma / 2.0, GAMMA_FLOOR)
                 state.no_improve = 0
-        # a round that consumed no budget cannot make progress; bail out
-        # after a few in a row rather than spinning forever
-        if report.candidates_evaluated == 0:
+        # a round that added nothing to the ledger (it drew only genotypes
+        # already scored) made no progress; bail out after a few in a row
+        # rather than spinning forever
+        if ledger.eval_count == evals_before:
             state.stalled_rounds += 1
             if state.stalled_rounds >= 3:
-                logger.warning("three rounds without evaluations; stopping early")
+                logger.warning("three rounds without new evaluations; stopping early")
                 state.stop = True
         else:
             state.stalled_rounds = 0

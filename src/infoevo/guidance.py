@@ -20,18 +20,7 @@ from .manifold import LogDistribution
 
 OMEGA_BASELINE = 0.05  # keeps the product form from annihilating zero-omega candidates
 H_KINDS = ("product", "weighted_sum")
-
-
-@dataclass(frozen=True)
-class OmegaKind:
-    kind: str = "knn_mass"  # or "projection"
-    k: int = 7
-
-    def __post_init__(self):
-        if self.kind not in ("knn_mass", "projection"):
-            raise ValueError(f"unknown omega kind {self.kind!r}")
-        if self.k < 1:
-            raise ValueError("k must be positive")
+OMEGA_KINDS = ("knn_mass", "projection")
 
 
 @dataclass(frozen=True)
@@ -40,7 +29,8 @@ class ModifiedPromise:
 
     base: LogDistribution
     target: LogDistribution
-    omega: OmegaKind = OmegaKind()
+    omega: str = "knn_mass"  # one of OMEGA_KINDS
+    k: int = 7  # neighbors omega looks at
     h_kind: str = "product"  # one of H_KINDS
     alpha: float = 0.5
     omega_baseline: float = OMEGA_BASELINE
@@ -48,6 +38,10 @@ class ModifiedPromise:
     def __post_init__(self):
         if self.base.n != self.target.n:
             raise ValueError("base and target must share a population")
+        if self.omega not in OMEGA_KINDS:
+            raise ValueError(f"unknown omega kind {self.omega!r}")
+        if self.k < 1:
+            raise ValueError("k must be positive")
         if self.h_kind not in H_KINDS:
             raise ValueError(f"unknown h kind {self.h_kind!r}")
         if not 0.0 <= self.alpha <= 1.0:
@@ -130,9 +124,9 @@ def omega_projection(
 
 
 def omega_value(x, mp: ModifiedPromise, population, rm: ResolvedMetric) -> float:
-    if mp.omega.kind == "knn_mass":
-        return omega_knn(x, mp.target, population, mp.omega.k, rm)
-    return omega_projection(x, mp, population, mp.omega.k, rm)
+    if mp.omega == "knn_mass":
+        return omega_knn(x, mp.target, population, mp.k, rm)
+    return omega_projection(x, mp, population, mp.k, rm)
 
 
 def modified_fitness(

@@ -19,7 +19,6 @@ from infoevo.evolve import EvolutionConfig, RunState, run_subpopulation
 from infoevo.guidance import (
     FilterPolicy,
     ModifiedPromise,
-    OmegaKind,
     ledger_modified_fitness,
     should_evaluate,
 )
@@ -137,7 +136,7 @@ def test_criterion_5_guidance_monotonicity_and_filter_soundness(capsys):
     mp = ModifiedPromise(
         manifold.uniform(n),
         manifold.from_weights(rng.uniform(0.1, 1.0, n)),
-        omega=OmegaKind(k=3),
+        k=3,
     )
     policy0 = FilterPolicy(k=3, threshold_quantile=0.0)
     mf = ledger_modified_fitness(mp, view, rm)
@@ -160,12 +159,10 @@ def test_criterion_5_guidance_monotonicity_and_filter_soundness(capsys):
     mp2 = ModifiedPromise(
         manifold.uniform(30),
         manifold.from_weights(rng.uniform(0.1, 1.0, 30)),
-        omega=OmegaKind(k=3),
+        k=3,
     )
     state = RunState(ledger=seed_ledger, problem=problem2)
-    config = EvolutionConfig(
-        subpop_size=20, generations_per_round=5, elitism=2, seed=0
-    )
+    config = EvolutionConfig(subpop_size=20, generations_per_round=5, elitism=2)
     rep = run_subpopulation(
         ledger_modified_fitness(mp2, view2, rm2),
         mp2,
@@ -273,25 +270,24 @@ def test_criterion_7_desk_scale_runs(capsys, tmp_path):
 
 
 def test_criterion_8_resource_factor(capsys):
-    from infoevo.evolve import info_evo_loop
+    from infoevo.evolve import RunConfig, info_evo_loop
     from infoevo.geodesic_search import StepParams
 
     problem = OneMax(bits=30)
     problem.target = 31.0  # unreachable: rounds run to plan
     config = EvolutionConfig(
-        subpop_size=10, generations_per_round=3, elitism=2, seed=4,
-        init_population=40,
+        subpop_size=10, generations_per_round=3, elitism=2, init_population=40,
     )
     params = StepParams(ray_count=5, grid_resolution=8, refinement_levels=1)
-    result = info_evo_loop(
-        problem,
-        config,
-        PromiseWeights(),
-        params,
-        FilterPolicy(k=3, threshold_quantile=0.0),  # filtering disabled
+    cfg = RunConfig(
         budget=100000,
-        max_rounds=3,
+        seed=4,
+        weights=PromiseWeights(),
+        step=params,
+        evolution=config,
+        policy=FilterPolicy(k=3, threshold_quantile=0.0),  # filtering disabled
     )
+    result = info_evo_loop(problem, cfg, max_rounds=3)
     ok = len(result.reports) == 3
     kept = -(-params.ray_count // 2)  # ceil(5/2) = 3
     for rep in result.reports:

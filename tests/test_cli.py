@@ -1,9 +1,10 @@
 import csv
 import json
+from dataclasses import replace
 
 import pytest
 
-from infoevo import evolve
+from infoevo import cli, demes, evolve
 from infoevo.cli import (
     SETTINGS,
     RunConfig,
@@ -147,7 +148,6 @@ def test_run_config_file_merged_with_flag_override(tmp_path):
 # a valid non-default value for each setting that 3 (int) or 0.3 (float)
 # does not give
 SAMPLES = {
-    "subdemes_per_deme": 4,
     "step.refinement_levels": 4,
     "evolution.tournament_size": 4,
     "problem": "sphere",
@@ -196,7 +196,7 @@ def test_setting_by_flag_equals_setting_by_file_key(tmp_path, flag, section, nam
         ([], {"gamma": 0.3}, "gamma"),  # top-level alias of step.gamma
         ([], {"filter_k": 3}, "filter_k"),  # top-level alias of policy.k
         ([], {"step": {"gama": 0.3}}, "step.gama"),
-        ([], {"evolution": {"seed": 4}}, "evolution.seed"),  # set per run
+        ([], {"evolution": {"seed": 4}}, "evolution.seed"),  # the seed is top-level
         ([], {"budget": "many"}, "budget"),
         ([], {"budget": None}, "budget"),
         ([], {"budget": 2.5}, "budget"),  # not truncated to 2
@@ -204,6 +204,16 @@ def test_setting_by_flag_equals_setting_by_file_key(tmp_path, flag, section, nam
         ([], {"step": {"gamma": "0.3"}}, "step.gamma"),
         ([], {"problem_params": {"dataset": 5}}, "problem_params.dataset"),
         ([], {"policy": 3}, "policy"),
+        (["--bits", "3", "--target", "4"], None, "problem_params.target"),  # onemax
+        ([], {"problem_params": {"max_depth": 3}}, "problem_params.max_depth"),
+        (["--bits", "0"], None, "problem_params"),
+        (["--problem", "sphere", "--dim", "0"], None, "problem_params"),
+        (["--problem", "symreg", "--max-depth", "0"], None, "problem_params"),
+        (
+            ["--problem", "symreg", "--dataset", "/nonexistent/data.csv"],
+            None,
+            "problem_params.dataset",
+        ),
     ],
 )
 def test_invalid_setting_exits_2(tmp_path, capsys, argv, data, field):
@@ -328,3 +338,65 @@ def test_deme_run_evals_to_target_in_global_order(monkeypatch):
     assert [row["score"] for row in record["trace"]] == new_scores
     first = next(i for i, score in enumerate(new_scores) if score >= 30.0)
     assert record["evals_to_target"] == first + 1
+
+
+def test_deme_run_hands_the_loop_the_single_run_config(monkeypatch):
+    given = []
+
+    def recording(loop):
+        def wrapper(problem, cfg, **kw):
+            given.append(cfg)
+            return loop(problem, cfg, **kw)
+
+        return wrapper
+
+    monkeypatch.setattr(cli, "info_evo_loop", recording(cli.info_evo_loop))
+    monkeypatch.setattr(demes, "info_evo_loop", recording(demes.info_evo_loop))
+    cfg = RunConfig(**{**DEME_RUN, "budget": 200, "seed": None})
+    execute_run(replace(cfg, deme_count=1), "baseline", 3)
+    assert given == [replace(cfg, deme_count=1, mode="baseline", seed=3)]
+    given.clear()
+    execute_run(cfg, "baseline", 3)
+    assert len(given) > 1
+    assert all(c == replace(cfg, mode="baseline", seed=3) for c in given)
+
+
+def test_deme_run_keeps_the_ray_count(tmp_path):
+    out = tmp_path / "out"
+    argv = FAST_RUN + ["--deme-count", "2", "--ray-count", "5"]  # the last flag wins
+    assert run_cli(["run", "--out", str(out)] + argv) == 0
+    record = json.loads((out / "run.json").read_text())
+    assert record["config"]["step"]["ray_count"] == 5
+    guided = [r for r in record["rounds"] if r["rays_generated"]]
+    assert guided
+    assert all(r["rays_generated"] == 5 for r in guided)
+
+
+def test_run_json_holds_only_the_seed_that_ran(tmp_path):
+    out = tmp_path / "out"
+    assert run_cli(["run", "--out", str(out)] + FAST_RUN + ["--seed", "7"]) == 0
+    record = json.loads((out / "run.json").read_text())
+
+    def seeds(node):
+        if isinstance(node, dict):
+            for key, value in node.items():
+                if key == "seed":
+                    yield value
+                yield from seeds(value)
+        elif isinstance(node, list):
+            for value in node:
+                yield from seeds(value)
+
+    assert list(seeds(record)) == [7, 7]  # the record's and its config's
+    assert record["config"]["mode"] == "info_evo"
+    assert "metric" not in record["config"]  # policy.metric holds it
+
+
+def test_run_ends_when_no_new_genotype_can_be_drawn(tmp_path):
+    # depth-1 trees are the 6 leaves; none fits the built-in x^2 + x
+    out = tmp_path / "out"
+    argv = ["--problem", "symreg", "--max-depth", "1", "--budget", "100", "--seed", "1"]
+    assert run_cli(["run", "--out", str(out)] + argv) == 0
+    record = json.loads((out / "run.json").read_text())
+    assert not record["success"]
+    assert record["eval_count"] <= 6

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from infoevo.demes import (
-    DemeBudget,
     aggregate_best,
     behavior_to_distribution,
     program_fisher_distance,
@@ -12,18 +11,26 @@ from infoevo.demes import (
 )
 from infoevo.domains import OneMax
 from infoevo.errors import NonFiniteOutput
-from infoevo.evolve import EvolutionConfig, RunState
+from infoevo.evolve import EvolutionConfig, RunConfig, RunState
 from infoevo.geodesic_search import StepParams
 from infoevo.guidance import FilterPolicy
 from infoevo.promise import PromiseWeights
 
 
-def deme_args():
-    return dict(
-        promise_weights=PromiseWeights(),
-        step_params=StepParams(ray_count=3, grid_resolution=8, refinement_levels=1),
+def deme_config(budget, deme_count=1, evolution=None, **kw):
+    base = dict(
+        weights=PromiseWeights(),
+        step=StepParams(ray_count=3, grid_resolution=8, refinement_levels=1),
         policy=FilterPolicy(k=3),
         h_kind="product",
+    )
+    base.update(kw)
+    return RunConfig(
+        budget=budget,
+        seed=0,
+        deme_count=deme_count,
+        evolution=evolution or small_config(),
+        **base,
     )
 
 
@@ -36,7 +43,6 @@ def small_config(**kw):
         subpop_size=10,
         generations_per_round=2,
         elitism=2,
-        seed=0,
         init_population=15,
     )
     base.update(kw)
@@ -47,7 +53,7 @@ def small_config(**kw):
 
 
 def test_spawn_demes_count_and_subsets():
-    demes = spawn_demes(4, np.random.default_rng(1), DemeBudget(total=200))
+    demes = spawn_demes(4, np.random.default_rng(1), 200)
     assert len(demes) == 4
     for i, d in enumerate(demes):
         assert d.deme_id == i
@@ -56,15 +62,15 @@ def test_spawn_demes_count_and_subsets():
 
 
 def test_spawn_demes_split_the_whole_budget():
-    demes = spawn_demes(7, np.random.default_rng(1), DemeBudget(total=1500))
+    demes = spawn_demes(7, np.random.default_rng(1), 1500)
     budgets = [d.ledger.budget for d in demes]
     assert sum(budgets) == 1500
     assert max(budgets) - min(budgets) <= 1
 
 
 def test_spawn_demes_deterministic():
-    a = spawn_demes(3, np.random.default_rng(7), DemeBudget(total=60))
-    b = spawn_demes(3, np.random.default_rng(7), DemeBudget(total=60))
+    a = spawn_demes(3, np.random.default_rng(7), 60)
+    b = spawn_demes(3, np.random.default_rng(7), 60)
     for da, db in zip(a, b):
         assert da.ledger.budget == db.ledger.budget
         assert np.array_equal(da.rng.integers(2**63, size=4), db.rng.integers(2**63, size=4))
@@ -74,11 +80,9 @@ def test_spawn_demes_deterministic():
 
 def test_spawn_demes_validation():
     with pytest.raises(ValueError):
-        spawn_demes(0, np.random.default_rng(0), DemeBudget(total=10))
+        spawn_demes(0, np.random.default_rng(0), 10)
     with pytest.raises(ValueError):
-        DemeBudget(total=0)
-    with pytest.raises(ValueError):
-        DemeBudget(total=10, subdemes_per_deme=0)
+        spawn_demes(1, np.random.default_rng(0), 0)
 
 
 # --- rounds ---
@@ -87,17 +91,11 @@ def test_spawn_demes_validation():
 def test_run_deme_round_budget_and_subdeme_count():
     problem = OneMax(bits=16)
     problem.target = 17.0  # unreachable: the round runs to plan
-    budget = DemeBudget(total=200, subdemes_per_deme=3)
-    demes = spawn_demes(1, np.random.default_rng(3), budget)
+    cfg = deme_config(200)
+    demes = spawn_demes(1, np.random.default_rng(3), cfg.budget)
     deme = demes[0]
     result = run_deme_round(
-        deme,
-        problem,
-        small_config(),
-        budget,
-        **deme_args(),
-        state=deme_state(deme, problem),
-        max_rounds=1,
+        deme, problem, cfg, state=deme_state(deme, problem), max_rounds=1
     )
     assert deme.ledger.eval_count <= 200
     for report in result.reports:
@@ -108,29 +106,21 @@ def test_run_deme_round_budget_and_subdeme_count():
 
 def test_run_deme_round_marks_exhausted():
     problem = OneMax(bits=8)  # tiny: target reachable fast
-    budget = DemeBudget(total=400)
-    demes = spawn_demes(1, np.random.default_rng(5), budget)
+    cfg = deme_config(400)
+    demes = spawn_demes(1, np.random.default_rng(5), cfg.budget)
     deme = demes[0]
     state = deme_state(deme, problem)
-    run_deme_round(
-        deme, problem, small_config(), budget, **deme_args(), state=state, max_rounds=50
-    )
+    run_deme_round(deme, problem, cfg, state=state, max_rounds=50)
     assert deme.status == "exhausted"
     with pytest.raises(ValueError):
-        run_deme_round(deme, problem, small_config(), budget, **deme_args(), state=state)
+        run_deme_round(deme, problem, cfg, state=state)
 
 
 def test_run_demes_isolated_ledgers():
     problem = OneMax(bits=12)
     problem.target = 13.0  # unreachable; every deme spends its own budget
-    budget = DemeBudget(total=120)
     demes, states, reports, _ = run_demes(
-        problem,
-        3,
-        small_config(),
-        budget,
-        **deme_args(),
-        rng=np.random.default_rng(2),
+        problem, deme_config(120, deme_count=3), np.random.default_rng(2)
     )
     assert all(d.status == "exhausted" for d in demes)
     ids = [id(d.ledger) for d in demes]
@@ -144,29 +134,23 @@ def test_run_demes_isolated_ledgers():
 def test_run_demes_continue_each_deme_loop():
     problem = OneMax(bits=12)
     problem.target = 13.0  # unreachable: gamma halves once the best stalls
-    _, _, reports, _ = run_demes(
-        problem,
-        2,
-        small_config(),
-        DemeBudget(total=200),
-        **deme_args(),
-        rng=np.random.default_rng(2),
-    )
+    cfg = deme_config(200, deme_count=2)
+    _, _, reports, _ = run_demes(problem, cfg, np.random.default_rng(2))
     for deme_reports in reports:
         assert [r.round_index for r in deme_reports] == list(range(len(deme_reports)))
-        assert min(r.gamma_used for r in deme_reports) < deme_args()["step_params"].gamma
+        assert min(r.gamma_used for r in deme_reports) < cfg.step.gamma
 
 
 def test_run_deme_round_stalled_loop_exhausts_deme():
     problem = OneMax(bits=12)
     problem.target = 13.0
-    budget = DemeBudget(total=200)
-    deme = spawn_demes(1, np.random.default_rng(1), budget)[0]
+    # no round evaluates
+    cfg = deme_config(200, evolution=small_config(generations_per_round=0))
+    deme = spawn_demes(1, np.random.default_rng(1), cfg.budget)[0]
     state = deme_state(deme, problem)
-    config = small_config(generations_per_round=0)  # no round evaluates
     for _ in range(3):
         assert deme.status == "active"
-        run_deme_round(deme, problem, config, budget, **deme_args(), state=state)
+        run_deme_round(deme, problem, cfg, state=state)
     assert state.stop and state.round_index == 3
     assert deme.status == "exhausted"
 
@@ -175,12 +159,7 @@ def test_run_demes_end_when_no_deme_can_grow_its_ledger():
     problem = OneMax(bits=3)  # 8 genotypes, far fewer than each deme's budget
     problem.target = 4.0  # unreachable
     demes, _, reports, trace = run_demes(
-        problem,
-        2,
-        small_config(),
-        DemeBudget(total=200),
-        **deme_args(),
-        rng=np.random.default_rng(2),
+        problem, deme_config(200, deme_count=2), np.random.default_rng(2)
     )
     assert all(d.status == "exhausted" for d in demes)
     assert all(d.ledger.remaining > 0 for d in demes)
@@ -189,16 +168,18 @@ def test_run_demes_end_when_no_deme_can_grow_its_ledger():
     assert all(deme_reports for deme_reports in reports)
 
 
+def test_run_demes_end_when_no_deme_has_an_initial_population():
+    problem = OneMax(bits=12)
+    cfg = deme_config(200, deme_count=2, evolution=small_config(init_population=0))
+    demes, _, reports, trace = run_demes(problem, cfg, np.random.default_rng(2))
+    assert all(d.status == "exhausted" for d in demes)
+    assert trace == [] and reports == [[], []]
+
+
 def test_aggregate_best_across_demes():
     problem = OneMax(bits=10)
-    budget = DemeBudget(total=120)
     demes, _, _, _ = run_demes(
-        problem,
-        2,
-        small_config(),
-        budget,
-        **deme_args(),
-        rng=np.random.default_rng(4),
+        problem, deme_config(120, deme_count=2), np.random.default_rng(4)
     )
     best = aggregate_best(demes)
     assert best is not None

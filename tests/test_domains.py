@@ -202,16 +202,6 @@ def test_symreg_behavior_clipped():
     assert np.all(np.abs(beh) <= 1e6)
 
 
-def test_symreg_fisher_pheno_metric():
-    problem = SymbolicRegression(pheno_metric="fisher")
-    x = ("x", 0)
-    a = ("+", x, ("c", 1.0))
-    b = ("+", ("+", x, ("c", 0.5)), ("c", 0.5))
-    assert problem.d_pheno(a, b) == pytest.approx(0.0, abs=1e-6)
-    with pytest.raises(ValueError):
-        SymbolicRegression(pheno_metric="cosine")
-
-
 def test_load_dataset_roundtrip(tmp_path):
     path = tmp_path / "data.csv"
     path.write_text("x0,y\n-1,0\n0,0\n1,2\n2,6\n")

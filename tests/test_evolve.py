@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,7 @@ from infoevo.core import EvaluationLedger, evaluate, view_of, ResolvedMetric, Di
 from infoevo.domains import OneMax, Sphere
 from infoevo.evolve import (
     EvolutionConfig,
+    RunConfig,
     RunState,
     info_evo_loop,
     run_subpopulation,
@@ -17,12 +20,14 @@ from infoevo.promise import PromiseWeights
 from conftest import ScalarProblem
 
 
-def default_args():
-    return dict(
-        promise_weights=PromiseWeights(),
-        step_params=StepParams(ray_count=3, grid_resolution=8, refinement_levels=1),
+def run_config(evolution, seed=0, **kw):
+    base = dict(
+        weights=PromiseWeights(),
+        step=StepParams(ray_count=3, grid_resolution=8, refinement_levels=1),
         policy=FilterPolicy(k=3),
     )
+    base.update(kw)
+    return RunConfig(evolution=evolution, seed=seed, **base)
 
 
 def small_config(**kw):
@@ -30,7 +35,6 @@ def small_config(**kw):
         subpop_size=10,
         generations_per_round=2,
         elitism=2,
-        seed=0,
         init_population=20,
     )
     base.update(kw)
@@ -156,7 +160,7 @@ def test_run_subpopulation_improves_best(rng):
 def test_loop_target_reached_during_init():
     problem = ScalarProblem(target=0.0)  # any genotype scores >= 0
     config = small_config(init_population=5)
-    result = info_evo_loop(problem, config, budget=50, **default_args())
+    result = info_evo_loop(problem, run_config(config, budget=50))
     assert result.success
     assert result.ledger.eval_count == 1  # stops on the first evaluation
     assert result.best is not None
@@ -166,7 +170,7 @@ def test_loop_respects_budget():
     problem = OneMax(bits=40)
     problem.target = 41.0  # unreachable target
     config = small_config(init_population=15)
-    result = info_evo_loop(problem, config, budget=120, **default_args())
+    result = info_evo_loop(problem, run_config(config, budget=120))
     assert result.ledger.eval_count <= 120
     assert not result.success
 
@@ -174,9 +178,9 @@ def test_loop_respects_budget():
 def test_loop_reaches_onemax_optimum():
     problem = OneMax(bits=20)
     config = EvolutionConfig(
-        subpop_size=20, generations_per_round=4, seed=3, init_population=40
+        subpop_size=20, generations_per_round=4, init_population=40
     )
-    result = info_evo_loop(problem, config, budget=4000, **default_args())
+    result = info_evo_loop(problem, run_config(config, seed=3, budget=4000))
     assert result.success
     assert result.best.score == 20
 
@@ -184,10 +188,10 @@ def test_loop_reaches_onemax_optimum():
 def test_loop_baseline_mode():
     problem = OneMax(bits=20)
     config = EvolutionConfig(
-        subpop_size=20, generations_per_round=4, seed=3, init_population=40
+        subpop_size=20, generations_per_round=4, init_population=40
     )
     result = info_evo_loop(
-        problem, config, budget=4000, mode="baseline", **default_args()
+        problem, run_config(config, seed=3, budget=4000, mode="baseline")
     )
     assert result.success
     for report in result.reports:
@@ -201,31 +205,31 @@ def test_loop_baseline_one_objective_call_per_evaluation():
     score = problem.score
     problem.score = lambda g: calls.append(1) or score(g)
     config = EvolutionConfig(
-        subpop_size=20, generations_per_round=4, seed=3, init_population=40
+        subpop_size=20, generations_per_round=4, init_population=40
     )
-    result = info_evo_loop(problem, config, budget=600, mode="baseline", **default_args())
+    result = info_evo_loop(
+        problem, run_config(config, seed=3, budget=600, mode="baseline")
+    )
     assert len(result.reports) > 0
     assert len(calls) == result.ledger.eval_count
 
 
 def test_loop_unknown_mode():
     with pytest.raises(ValueError):
-        info_evo_loop(
-            OneMax(8), small_config(), budget=10, mode="turbo", **default_args()
-        )
+        info_evo_loop(OneMax(8), run_config(small_config(), budget=10, mode="turbo"))
 
 
-def test_loop_requires_budget_or_ledger():
+def test_loop_requires_a_seed():
     with pytest.raises(ValueError):
-        info_evo_loop(OneMax(8), small_config(), **default_args())
+        info_evo_loop(OneMax(8), run_config(small_config(), seed=None))
 
 
 def test_loop_reproducible():
     problem = OneMax(bits=24)
     problem.target = 25.0
-    config = small_config(seed=9, init_population=30)
-    a = info_evo_loop(problem, config, budget=300, **default_args())
-    b = info_evo_loop(problem, config, budget=300, **default_args())
+    cfg = run_config(small_config(init_population=30), seed=9, budget=300)
+    a = info_evo_loop(problem, cfg)
+    b = info_evo_loop(problem, cfg)
     assert a.trace == b.trace
     assert a.best.score == b.best.score
     assert a.skipped_total == b.skipped_total
@@ -235,7 +239,7 @@ def test_loop_trace_contract():
     problem = OneMax(bits=16)
     problem.target = 17.0
     config = small_config(init_population=20)
-    result = info_evo_loop(problem, config, budget=100, **default_args())
+    result = info_evo_loop(problem, run_config(config, budget=100))
     assert len(result.trace) == result.ledger.eval_count
     orders = [row["eval_order"] for row in result.trace]
     assert orders == list(range(len(orders)))
@@ -249,10 +253,9 @@ def test_loop_trace_contract():
 def test_loop_round_accounting():
     problem = OneMax(bits=24)
     problem.target = 25.0
-    config = small_config(init_population=30)
-    result = info_evo_loop(problem, config, budget=400, **default_args())
-    params = default_args()["step_params"]
-    kept = -(-params.ray_count // 2)
+    cfg = run_config(small_config(init_population=30), budget=400)
+    result = info_evo_loop(problem, cfg)
+    kept = -(-cfg.step.ray_count // 2)
     total_evals = sum(r.candidates_evaluated for r in result.reports)
     # memoized duplicates count as evaluated candidates but spend no budget
     assert total_evals >= result.ledger.eval_count - 30
@@ -266,9 +269,8 @@ def test_loop_filter_disabled_evaluates_everything():
     problem = OneMax(bits=24)
     problem.target = 25.0
     config = small_config(init_population=30)
-    args = default_args()
-    args["policy"] = FilterPolicy(k=3, threshold_quantile=0.0)
-    result = info_evo_loop(problem, config, budget=400, **args)
+    policy = FilterPolicy(k=3, threshold_quantile=0.0)
+    result = info_evo_loop(problem, run_config(config, budget=400, policy=policy))
     assert result.skipped_total == 0
     for report in result.reports:
         assert report.candidates_skipped == 0
@@ -282,11 +284,10 @@ def test_loop_gamma_halves_after_stall():
             return min(float(genotype), 1.0)  # flat landscape above 1
 
     problem = CappedScalar()
-    config = small_config(init_population=20, seed=2)
-    args = default_args()
-    result = info_evo_loop(problem, config, budget=200, max_rounds=6, **args)
+    cfg = run_config(small_config(init_population=20), seed=2, budget=200)
+    result = info_evo_loop(problem, cfg, max_rounds=6)
     gammas = [r.gamma_used for r in result.reports]
-    assert gammas[0] == args["step_params"].gamma
+    assert gammas[0] == cfg.step.gamma
     # the score saturates, so gamma must shrink over non-improving rounds
     assert any(g < gammas[0] for g in gammas[1:])
 
@@ -294,9 +295,9 @@ def test_loop_gamma_halves_after_stall():
 def test_loop_continuous_domain_progress():
     problem = Sphere(dim=4)
     config = EvolutionConfig(
-        subpop_size=20, generations_per_round=4, seed=1, init_population=40
+        subpop_size=20, generations_per_round=4, init_population=40
     )
-    result = info_evo_loop(problem, config, budget=2500, **default_args())
+    result = info_evo_loop(problem, run_config(config, seed=1, budget=2500))
     assert result.best.score > -0.5  # started from uniform in [-5, 5]^4
 
 
@@ -304,9 +305,9 @@ def test_loop_paired_modes_share_init():
     # same seed: both modes evaluate the identical initial population
     problem = OneMax(bits=30)
     problem.target = 31.0
-    config = small_config(seed=17, init_population=25)
-    a = info_evo_loop(problem, config, budget=60, **default_args())
-    b = info_evo_loop(problem, config, budget=60, mode="baseline", **default_args())
+    cfg = run_config(small_config(init_population=25), seed=17, budget=60)
+    a = info_evo_loop(problem, cfg)
+    b = info_evo_loop(problem, replace(cfg, mode="baseline"))
     init_a = [row["score"] for row in a.trace[:25]]
     init_b = [row["score"] for row in b.trace[:25]]
     assert init_a == init_b

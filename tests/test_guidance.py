@@ -7,7 +7,6 @@ from infoevo.errors import DegenerateLine, EmptyLedger
 from infoevo.guidance import (
     FilterPolicy,
     ModifiedPromise,
-    OmegaKind,
     embed_candidate,
     estimate_fitness,
     ledger_modified_fitness,
@@ -122,7 +121,7 @@ def test_omega_projection_target_embedding_full_length():
     view, rm = scalar_setup([0.0, 5.0, 10.0])
     base = manifold.uniform(3)
     target = point_mass(2, 3)
-    mp = ModifiedPromise(base, target, omega=OmegaKind("projection", k=3))
+    mp = ModifiedPromise(base, target, omega="projection", k=3)
     # candidate at 10.0 embeds as (near) the target point mass, so its
     # projection is (near) the full base-to-target distance
     d = manifold.geodesic_distance_exact(base, target)
@@ -133,7 +132,7 @@ def test_omega_projection_opposite_clamps_to_zero():
     view, rm = scalar_setup([0.0, 5.0, 10.0])
     base = manifold.uniform(3)
     target = point_mass(2, 3)
-    mp = ModifiedPromise(base, target, omega=OmegaKind("projection", k=1))
+    mp = ModifiedPromise(base, target, omega="projection", k=1)
     # candidate embedding sits at sample 0: moving toward that corner
     # moves away from the target, so the projection clamps at zero
     assert omega_projection(0.0, mp, view, 1, rm) == 0.0
@@ -142,7 +141,7 @@ def test_omega_projection_opposite_clamps_to_zero():
 def test_omega_projection_degenerate_line():
     view, rm = scalar_setup([0.0, 5.0, 10.0])
     base = manifold.uniform(3)
-    mp = ModifiedPromise(base, base, omega=OmegaKind("projection"))
+    mp = ModifiedPromise(base, base, omega="projection")
     with pytest.raises(DegenerateLine):
         omega_projection(5.0, mp, view, 2, rm)
 
@@ -183,7 +182,7 @@ def test_modified_fitness_prefers_near_target():
     view, rm = scalar_setup([0.0, 5.0, 10.0])
     base = manifold.uniform(3)
     target = point_mass(2, 3)
-    mp = ModifiedPromise(base, target, omega=OmegaKind("knn_mass", k=1))
+    mp = ModifiedPromise(base, target, omega="knn_mass", k=1)
     high = modified_fitness(9.8, 1.0, mp, view, rm)
     low = modified_fitness(0.2, 1.0, mp, view, rm)
     assert high > low
@@ -198,7 +197,9 @@ def test_modified_promise_validation():
     with pytest.raises(ValueError):
         ModifiedPromise(base, base, alpha=1.5)
     with pytest.raises(ValueError):
-        OmegaKind("bogus")
+        ModifiedPromise(base, base, omega="bogus")
+    with pytest.raises(ValueError):
+        ModifiedPromise(base, base, k=0)
 
 
 # --- estimation and filtering ---
@@ -206,7 +207,7 @@ def test_modified_promise_validation():
 
 def test_ledger_modified_fitness_matches_pointwise():
     view, rm = scalar_setup([0.0, 5.0, 10.0])
-    mp = ModifiedPromise(manifold.uniform(3), point_mass(2, 3), omega=OmegaKind(k=2))
+    mp = ModifiedPromise(manifold.uniform(3), point_mass(2, 3), k=2)
     batch = ledger_modified_fitness(mp, view, rm)
     for i, s in enumerate(view.samples):
         zn = normalize_scores(s.score, view)
@@ -217,7 +218,7 @@ def test_ledger_modified_fitness_matches_pointwise():
 
 def test_estimate_fitness_exact_match_recovers_sample_value():
     view, rm = scalar_setup([0.0, 5.0, 10.0])
-    mp = ModifiedPromise(manifold.uniform(3), point_mass(2, 3), omega=OmegaKind(k=2))
+    mp = ModifiedPromise(manifold.uniform(3), point_mass(2, 3), k=2)
     ledger_mf = ledger_modified_fitness(mp, view, rm)
     est = estimate_fitness(10.0, view, FilterPolicy(k=2), rm, ledger_mf)
     # a candidate sitting on a ledger sample is dominated by that sample
@@ -226,7 +227,7 @@ def test_estimate_fitness_exact_match_recovers_sample_value():
 
 def test_estimate_fitness_between_neighbors():
     view, rm = scalar_setup([0.0, 10.0])
-    mp = ModifiedPromise(manifold.uniform(2), point_mass(1, 2), omega=OmegaKind(k=1))
+    mp = ModifiedPromise(manifold.uniform(2), point_mass(1, 2), k=1)
     ledger_mf = ledger_modified_fitness(mp, view, rm)
     est = estimate_fitness(5.0, view, FilterPolicy(k=2), rm, ledger_mf)
     lo, hi = sorted(ledger_mf)
@@ -249,7 +250,7 @@ def test_should_evaluate_quantile_zero_accepts_all(rng):
     mp = ModifiedPromise(
         manifold.uniform(len(view.samples)),
         point_mass(0, len(view.samples)),
-        omega=OmegaKind(k=3),
+        k=3,
     )
     policy = FilterPolicy(k=3, threshold_quantile=0.0)
     ledger_mf = ledger_modified_fitness(mp, view, rm)
@@ -265,7 +266,7 @@ def test_should_evaluate_threshold_behavior(rng):
     view, rm = scalar_setup(values)
     n = len(view.samples)
     best = int(np.argmax(view.scores))
-    mp = ModifiedPromise(manifold.uniform(n), point_mass(best, n), omega=OmegaKind(k=3))
+    mp = ModifiedPromise(manifold.uniform(n), point_mass(best, n), k=3)
     policy = FilterPolicy(k=3, threshold_quantile=0.25)
     ledger_mf = ledger_modified_fitness(mp, view, rm)
     thr = float(np.quantile(ledger_mf, 0.25))
