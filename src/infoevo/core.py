@@ -3,11 +3,13 @@
 The ledger is the single source of truth for which genotypes have been
 scored. All other modules treat it (or a frozen view of it) as an
 immutable snapshot per loop iteration; only ``evaluate`` mutates it.
+A ``ResolvedMetric`` is the one handle on such a view: neighbor queries
+go through it and answer in view positions.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Sequence
 
 import numpy as np
@@ -92,12 +94,10 @@ class PopulationView:
     """
 
     samples: tuple[ScoredSample, ...]
-    pos_by_id: dict[int, int] = field(repr=False, default_factory=dict)
 
     @staticmethod
     def of(samples: Sequence[ScoredSample]) -> "PopulationView":
-        samples = tuple(samples)
-        return PopulationView(samples, {s.id: i for i, s in enumerate(samples)})
+        return PopulationView(tuple(samples))
 
     def __len__(self) -> int:
         return len(self.samples)
@@ -174,22 +174,24 @@ def normalize_scores(scores, population) -> np.ndarray:
 
 
 class ResolvedMetric:
-    """A DistanceMetric bound to a problem and a population snapshot.
+    """A DistanceMetric bound to a problem and a population view.
 
-    Computes the snapshot's distance table once, at construction: one
-    row per sample, from the behavior vectors stored here, so no
-    behavior is computed twice. A genotype outside the snapshot gets its
-    row on its first query; later queries of the same genotype (equal
-    canonical key) reuse it. For the blended kind, median scales over a
-    deterministic sample of snapshot pairs make the genotypic and
-    phenotypic terms comparable.
+    The view it was built from is ``view``; every neighbor query answers
+    in positions of that view. Computes the view's distance table once,
+    at construction: one row per sample, from the behavior vectors and
+    genotypic rows stored here, so no behavior or genotypic distance is
+    computed twice. A genotype outside the view gets its row on its
+    first query; later queries of the same genotype (equal canonical
+    key) reuse it. For the blended kind, median scales over a
+    deterministic sample of view pairs, read from the genotypic rows,
+    make the genotypic and phenotypic terms comparable.
     """
 
-    def __init__(self, problem, population, metric: DistanceMetric):
+    def __init__(self, problem, view, metric: DistanceMetric):
         self.problem = problem
         self.metric = metric
-        self.samples = tuple(population.samples)
-        self._genos = [s.genotype for s in self.samples]
+        self.view = view
+        self._genos = [s.genotype for s in view.samples]
         self._kind = metric.kind
         # blend extremes must reduce to the pure metrics exactly
         if metric.kind == "blended" and metric.lam in (0.0, 1.0):
@@ -199,17 +201,20 @@ class ResolvedMetric:
             self._behaviors = np.array(
                 [problem.behavior(g) for g in self._genos], dtype=float
             )
+        geno_rows = [None] * len(self._genos)
+        if self._kind != "phenotypic":
+            geno_rows = [problem.geno_distances(g, self._genos) for g in self._genos]
         self._geno_scale = 1.0
         self._pheno_scale = 1.0
         if self._kind == "blended":
-            self._geno_scale, self._pheno_scale = self._median_scales()
+            self._geno_scale, self._pheno_scale = self._median_scales(geno_rows)
         self._rows = {}
         for i, g in enumerate(self._genos):
             bx = None if self._behaviors is None else self._behaviors[i]
-            self._rows[problem.canonical_key(g)] = self._row(g, bx)
+            self._rows[problem.canonical_key(g)] = self._row(g, bx, geno_rows[i])
 
-    def _median_scales(self) -> tuple[float, float]:
-        n = len(self.samples)
+    def _median_scales(self, geno_rows) -> tuple[float, float]:
+        n = len(self._genos)
         if n < 2:
             return 1.0, 1.0
         rng = np.random.default_rng(0xC0FFEE)
@@ -222,16 +227,19 @@ class ResolvedMetric:
             pairs = [(int(i), int(j)) for i, j in zip(ii, jj) if i != j][
                 :PAIR_SAMPLE_LIMIT
             ]
-        dg = [self.problem.d_geno(self._genos[i], self._genos[j]) for i, j in pairs]
+        dg = [geno_rows[i][j] for i, j in pairs]
         bp = self._behaviors
         dp = [float(np.linalg.norm(bp[i] - bp[j])) for i, j in pairs]
         mg = float(np.median(dg))
         mp = float(np.median(dp))
         return (mg if mg > 0 else 1.0), (mp if mp > 0 else 1.0)
 
-    def _row(self, x, bx) -> np.ndarray:
-        """Distances from x, with behavior vector bx, to every sample."""
-        if self._kind != "phenotypic":
+    def _row(self, x, bx, dg=None) -> np.ndarray:
+        """Distances from x, with behavior vector bx, to every sample.
+
+        ``dg`` is x's genotypic row when it is already known.
+        """
+        if self._kind != "phenotypic" and dg is None:
             dg = self.problem.geno_distances(x, self._genos)
         if self._kind != "genotypic":
             dp = np.linalg.norm(self._behaviors - bx[None, :], axis=1)
@@ -247,7 +255,7 @@ class ResolvedMetric:
         return row
 
     def to_all(self, x) -> np.ndarray:
-        """Distances from genotype x to every sample in the snapshot."""
+        """Distances from genotype x to every sample in the view."""
         key = self.problem.canonical_key(x)
         row = self._rows.get(key)
         if row is None:
@@ -258,22 +266,18 @@ class ResolvedMetric:
         return row
 
 
-def knn(
-    x,
-    population,
-    k: int,
-    rm: ResolvedMetric,
-) -> list[tuple[ScoredSample, float]]:
-    """The min(k, n) nearest evaluated samples to x, ascending by distance.
+def knn(x, rm: ResolvedMetric, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The min(k, n) nearest samples of rm's view to x, ascending by distance.
 
-    Ties break toward the smaller genotype id.
+    Returns their view positions and their distances. Ties break toward
+    the earlier position, which is the smaller id in a view from
+    ``view_of``.
     """
-    samples = population.samples
-    if len(samples) == 0:
+    n = len(rm.view)
+    if n == 0:
         raise EmptyLedger("knn on empty ledger")
     if k < 1:
         raise ValueError("k must be positive")
-    dists = np.asarray(rm.to_all(x), dtype=float)
-    ids = np.array([s.id for s in samples])
-    order = np.lexsort((ids, dists))[: min(k, len(samples))]
-    return [(samples[i], float(dists[i])) for i in order]
+    dists = rm.to_all(x)
+    idx = np.argsort(dists, kind="stable")[: min(k, n)]
+    return idx, dists[idx]

@@ -11,7 +11,6 @@ from pathlib import Path
 
 import numpy as np
 
-from ..errors import NonFiniteOutput
 from .base import Problem
 
 OPS = ("+", "-", "*", "/")

@@ -250,21 +250,22 @@ def run_subpopulation(
     config: EvolutionConfig,
     problem,
     state: RunState,
-    view,
-    rm: ResolvedMetric | None,
+    source,
     policy: FilterPolicy,
     rng,
     ray_index: int = 0,
 ) -> SubdemeReport:
     """One guided (or unguided, mp=None) evolutionary burst.
 
-    ``view_fitness`` is the fitness of each view sample: its score when
-    unguided, its ledger modified fitness under ``mp`` when guided. The
-    subpop_size fittest view samples seed the parents. Candidate
-    filtering and fitness use the frozen population view and its metric
-    ``rm`` (unused, and may be None, when unguided); new evaluations
-    append to the shared ledger.
+    ``source`` is the round's population view when unguided, and the
+    view's ResolvedMetric when guided: candidate filtering and fitness
+    read the view through it. ``view_fitness`` is the fitness of each
+    view sample: its score when unguided, its ledger modified fitness
+    under ``mp`` when guided. The subpop_size fittest view samples seed
+    the parents; new evaluations append to the shared ledger.
     """
+    rm = source if mp is not None else None
+    view = source if rm is None else rm.view
     report = SubdemeReport(ray_index=ray_index)
     seed_idx = sorted(range(len(view)), key=lambda i: (-view_fitness[i], i))
     seed_idx = seed_idx[: config.subpop_size]
@@ -278,7 +279,7 @@ def run_subpopulation(
         if mp is None:
             return sample.score
         zn = normalize_scores(sample.score, view)
-        return guidance.modified_fitness(sample.genotype, zn, mp, view, rm)
+        return guidance.modified_fitness(sample.genotype, zn, mp, rm)
 
     for _ in range(config.generations_per_round):
         if state.stop or state.ledger.remaining <= 0:
@@ -291,9 +292,9 @@ def run_subpopulation(
             if state.stop:
                 break
             report.candidates_generated += 1
-            if filtering and len(view) >= 2 * policy.k:
+            if filtering:
                 ok, _est = guidance.should_evaluate(
-                    child, view, policy, rm, view_fitness, threshold
+                    child, policy, rm, view_fitness, threshold
                 )
                 if not ok:
                     report.candidates_skipped += 1
@@ -395,12 +396,12 @@ def info_evo_loop(
 
         if cfg.mode == "baseline" or len(view) < 3:
             frag = run_subpopulation(
-                view.scores, None, config, problem, state, view, None, policy, rng
+                view.scores, None, config, problem, state, view, policy, rng
             )
             report.subdemes.append(frag)
         else:
             rm = ResolvedMetric(problem, view, policy.metric)
-            pv = promise_vector(view, cfg.weights, rm)
+            pv = promise_vector(cfg.weights, rm)
             base = manifold.from_weights(pv.values)
             d = min(step_params.chart_dim, len(view) - 1)
             chart = geodesic_search.build_chart(
@@ -432,12 +433,11 @@ def info_evo_loop(
                     h_kind=cfg.h_kind,
                 )
                 frag = run_subpopulation(
-                    guidance.ledger_modified_fitness(mp, view, rm),
+                    guidance.ledger_modified_fitness(mp, rm),
                     mp,
                     config,
                     problem,
                     state,
-                    view,
                     rm,
                     policy,
                     rng,

@@ -4,7 +4,9 @@ Each stepped distribution becomes a guide: a candidate's directionality
 measure omega (kNN probability mass or projection magnitude) is combined
 with its normalized score through a monotone map h, and candidates whose
 estimated guided fitness falls below a ledger quantile are skipped
-before any expensive evaluation.
+before any expensive evaluation. Every function here reads the round's
+view through its ``ResolvedMetric``; neighbor queries answer in view
+positions, which index distributions and per-sample arrays directly.
 """
 
 from __future__ import annotations
@@ -15,10 +17,11 @@ import numpy as np
 
 from . import manifold
 from .core import DistanceMetric, ResolvedMetric, knn, normalize_scores
-from .errors import DegenerateLine, EmptyLedger
+from .errors import DegenerateLine
 from .manifold import LogDistribution
 
 OMEGA_BASELINE = 0.05  # keeps the product form from annihilating zero-omega candidates
+H_ALPHA = 0.5  # weight of the normalized score in the weighted-sum form of h
 H_KINDS = ("product", "weighted_sum")
 OMEGA_KINDS = ("knn_mass", "projection")
 
@@ -32,8 +35,6 @@ class ModifiedPromise:
     omega: str = "knn_mass"  # one of OMEGA_KINDS
     k: int = 7  # neighbors omega looks at
     h_kind: str = "product"  # one of H_KINDS
-    alpha: float = 0.5
-    omega_baseline: float = OMEGA_BASELINE
 
     def __post_init__(self):
         if self.base.n != self.target.n:
@@ -44,13 +45,11 @@ class ModifiedPromise:
             raise ValueError("k must be positive")
         if self.h_kind not in H_KINDS:
             raise ValueError(f"unknown h kind {self.h_kind!r}")
-        if not 0.0 <= self.alpha <= 1.0:
-            raise ValueError("alpha must lie in [0, 1]")
 
     def h(self, zeta_norm: float, omega_val: float) -> float:
         if self.h_kind == "product":
-            return zeta_norm * (omega_val + self.omega_baseline)
-        return self.alpha * zeta_norm + (1 - self.alpha) * omega_val
+            return zeta_norm * (omega_val + OMEGA_BASELINE)
+        return H_ALPHA * zeta_norm + (1 - H_ALPHA) * omega_val
 
 
 @dataclass(frozen=True)
@@ -66,50 +65,29 @@ class FilterPolicy:
             raise ValueError("threshold_quantile must lie in [0, 1)")
 
 
-def omega_knn(
-    x,
-    dist: LogDistribution,
-    population,
-    k: int,
-    rm: ResolvedMetric,
-) -> float:
+def omega_knn(x, dist: LogDistribution, k: int, rm: ResolvedMetric) -> float:
     """Probability mass the distribution puts on x's k nearest neighbors."""
-    if len(population.samples) == 0:
-        raise EmptyLedger("omega_knn on empty ledger")
-    neighbors = knn(x, population, k, rm)
+    idx, _ = knn(x, rm, k)
     p = dist.p
-    return float(sum(p[population.pos_by_id[s.id]] for s, _ in neighbors))
+    # a sequential sum, in neighbor order: np.sum adds 8 or more terms
+    # in another order
+    return float(sum(p[j] for j in idx))
 
 
-def embed_candidate(
-    x,
-    population,
-    k: int,
-    rm: ResolvedMetric,
-) -> LogDistribution:
+def embed_candidate(x, k: int, rm: ResolvedMetric) -> LogDistribution:
     """Represent a genotype as a distribution on its k nearest samples.
 
     Mass is proportional to inverse distance, so an exact ledger match
     is a near-point-mass.
     """
-    if len(population.samples) == 0:
-        raise EmptyLedger("embed_candidate on empty ledger")
-    neighbors = knn(x, population, k, rm)
-    dists = np.array([d for _, d in neighbors])
+    idx, dists = knn(x, rm, k)
     delta = 1e-9 * (float(np.median(dists)) + 1e-30)
-    w = np.zeros(len(population.samples))
-    for (s, d) in neighbors:
-        w[population.pos_by_id[s.id]] = 1.0 / (d + delta)
+    w = np.zeros(len(rm.view))
+    w[idx] = 1.0 / (dists + delta)
     return manifold.from_weights(w)
 
 
-def omega_projection(
-    x,
-    mp: ModifiedPromise,
-    population,
-    k: int,
-    rm: ResolvedMetric,
-) -> float:
+def omega_projection(x, mp: ModifiedPromise, k: int, rm: ResolvedMetric) -> float:
     """Projection of x's embedding onto the base-to-target direction.
 
     Negative projections clamp to zero so h stays monotone-compatible.
@@ -118,70 +96,59 @@ def omega_projection(
     u_norm = u.norm
     if u_norm < 1e-12:
         raise DegenerateLine("base and target distributions coincide")
-    e = manifold.log_map(mp.base, embed_candidate(x, population, k, rm))
+    e = manifold.log_map(mp.base, embed_candidate(x, k, rm))
     proj = manifold.inner(mp.base, e.f, u.f) / u_norm
     return max(0.0, float(proj))
 
 
-def omega_value(x, mp: ModifiedPromise, population, rm: ResolvedMetric) -> float:
+def omega_value(x, mp: ModifiedPromise, rm: ResolvedMetric) -> float:
     if mp.omega == "knn_mass":
-        return omega_knn(x, mp.target, population, mp.k, rm)
-    return omega_projection(x, mp, population, mp.k, rm)
+        return omega_knn(x, mp.target, mp.k, rm)
+    return omega_projection(x, mp, mp.k, rm)
 
 
 def modified_fitness(
-    x,
-    zeta_value: float,
-    mp: ModifiedPromise,
-    population,
-    rm: ResolvedMetric,
+    x, zeta_value: float, mp: ModifiedPromise, rm: ResolvedMetric
 ) -> float:
     """Guided fitness h(zeta_norm, omega) for a genotype with known score.
 
-    ``zeta_value`` is the normalized score under the snapshot's min-max
+    ``zeta_value`` is the normalized score under the view's min-max
     convention.
     """
-    return mp.h(zeta_value, omega_value(x, mp, population, rm))
+    return mp.h(zeta_value, omega_value(x, mp, rm))
 
 
-def ledger_modified_fitness(
-    mp: ModifiedPromise, population, rm: ResolvedMetric
-) -> np.ndarray:
-    """Modified fitness of every sample in the snapshot."""
-    norm = normalize_scores(population.scores, population)
+def ledger_modified_fitness(mp: ModifiedPromise, rm: ResolvedMetric) -> np.ndarray:
+    """Modified fitness of every sample in rm's view."""
+    view = rm.view
+    norm = normalize_scores(view.scores, view)
     return np.array(
         [
-            mp.h(norm[i], omega_value(s.genotype, mp, population, rm))
-            for i, s in enumerate(population.samples)
+            mp.h(norm[i], omega_value(s.genotype, mp, rm))
+            for i, s in enumerate(view.samples)
         ]
     )
 
 
 def estimate_fitness(
     x,
-    population,
     policy: FilterPolicy,
     rm: ResolvedMetric,
     ledger_mf: np.ndarray,
 ) -> float:
     """Distance-weighted average of neighbors' modified fitness.
 
-    ``ledger_mf`` is the snapshot's per-sample modified fitness, computed
+    ``ledger_mf`` is the view's per-sample modified fitness, computed
     once for a whole batch of candidates.
     """
-    if len(population.samples) == 0:
-        raise EmptyLedger("estimate_fitness on empty ledger")
-    neighbors = knn(x, population, policy.k, rm)
-    dists = np.array([d for _, d in neighbors])
+    idx, dists = knn(x, rm, policy.k)
     delta = 1e-9 * (float(np.median(dists)) + 1e-30)
     weights = 1.0 / (dists + delta)
-    vals = np.array([ledger_mf[population.pos_by_id[s.id]] for s, _ in neighbors])
-    return float(np.sum(weights * vals) / np.sum(weights))
+    return float(np.sum(weights * ledger_mf[idx]) / np.sum(weights))
 
 
 def should_evaluate(
     x,
-    population,
     policy: FilterPolicy,
     rm: ResolvedMetric,
     ledger_mf: np.ndarray,
@@ -189,13 +156,12 @@ def should_evaluate(
 ) -> tuple[bool, float]:
     """Decide whether a candidate is worth an expensive evaluation.
 
-    Returns (evaluate?, estimate). Cold start (fewer than 2k samples)
-    always evaluates.
+    Returns (evaluate?, estimate). Cold start (fewer than 2k view
+    samples) always evaluates.
     """
-    n = len(population.samples)
-    if n < 2 * policy.k:
+    if len(rm.view) < 2 * policy.k:
         return True, float("nan")
-    est = estimate_fitness(x, population, policy, rm, ledger_mf)
+    est = estimate_fitness(x, policy, rm, ledger_mf)
     return est >= threshold, est
 
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import ResolvedMetric, knn, normalize_scores
-from .errors import EmptyLedger, LedgerTooSmall
+from .errors import LedgerTooSmall
 
 
 @dataclass(frozen=True)
@@ -49,22 +49,19 @@ class PromiseVector:
 
 def local_max_prob(
     i: int,
-    population,
     k_local: int,
     rm: ResolvedMetric,
     norm: np.ndarray,
 ) -> float:
-    """How close sample i comes to dominating its k nearest neighbors.
+    """How close view sample i comes to dominating its k nearest neighbors.
 
     The ratio of its normalized score ``norm[i]`` to the max over the
     neighborhood including itself; 1 iff it ties or beats every neighbor.
     """
-    if len(population.samples) < 2:
+    if len(rm.view) < 2:
         raise LedgerTooSmall("local_max_prob needs at least 2 samples")
-    sample = population.samples[i]
-    neighbors = knn(sample.genotype, population, k_local + 1, rm)
-    hood = [norm[population.pos_by_id[s.id]] for s, _ in neighbors if s.id != sample.id]
-    hood = hood[:k_local]
+    idx, _ = knn(rm.view.samples[i].genotype, rm, k_local + 1)
+    hood = [norm[j] for j in idx if j != i][:k_local]
     denom = max([norm[i]] + hood)
     if denom <= 0:
         return 1.0
@@ -79,24 +76,17 @@ def global_max_prob(i: int, norm: np.ndarray) -> float:
     return float(norm[i] / denom)
 
 
-def promise_vector(
-    population,
-    weights: PromiseWeights,
-    rm: ResolvedMetric,
-) -> PromiseVector:
+def promise_vector(weights: PromiseWeights, rm: ResolvedMetric) -> PromiseVector:
     """Weighted blend of normalized score and the two heuristic ratios."""
-    if len(population.samples) == 0:
-        raise EmptyLedger("promise_vector on empty ledger")
-    n = len(population.samples)
-    norm = normalize_scores(population.scores, population)
+    view = rm.view
+    n = len(view)
+    norm = normalize_scores(view.scores, view)
     values = weights.w_zeta * norm
     if weights.w_gm > 0:
         gm = np.array([global_max_prob(i, norm) for i in range(n)])
         values = values + weights.w_gm * gm
     if weights.w_lm > 0 and n >= 2:
-        lm = np.array(
-            [local_max_prob(i, population, weights.k_local, rm, norm) for i in range(n)]
-        )
+        lm = np.array([local_max_prob(i, weights.k_local, rm, norm) for i in range(n)])
         values = values + weights.w_lm * lm
     elif weights.w_lm > 0:
         values = values + weights.w_lm

@@ -106,7 +106,7 @@ def test_criterion_4_promise_reduction(capsys):
         problem, ledger = make_scalar_ledger(values)
         view = view_of(ledger)
         rm = ResolvedMetric(problem, view, DistanceMetric.genotypic())
-        pv = promise_vector(view, weights, rm)
+        pv = promise_vector(weights, rm)
         ok &= int(np.argmax(pv.values)) == int(np.argmax(view.scores))
     report(capsys, 4, "score-only promise argmax matches raw scores on 100 ledgers", ok)
     assert ok
@@ -139,14 +139,14 @@ def test_criterion_5_guidance_monotonicity_and_filter_soundness(capsys):
         k=3,
     )
     policy0 = FilterPolicy(k=3, threshold_quantile=0.0)
-    mf = ledger_modified_fitness(mp, view, rm)
+    mf = ledger_modified_fitness(mp, rm)
     thr0 = float(np.quantile(mf, 0.0))
     for x in rng.uniform(0, 10, 200):
-        accepted, est = should_evaluate(float(x), view, policy0, rm, mf, thr0)
+        accepted, est = should_evaluate(float(x), policy0, rm, mf, thr0)
         ok &= accepted or est < thr0
     # on this ledger, estimates interpolate ledger values >= the minimum
     accepted_all = all(
-        should_evaluate(float(x), view, policy0, rm, mf, thr0)[0]
+        should_evaluate(float(x), policy0, rm, mf, thr0)[0]
         for x in rng.uniform(0, 10, 200)
     )
     ok &= accepted_all
@@ -164,12 +164,11 @@ def test_criterion_5_guidance_monotonicity_and_filter_soundness(capsys):
     state = RunState(ledger=seed_ledger, problem=problem2)
     config = EvolutionConfig(subpop_size=20, generations_per_round=5, elitism=2)
     rep = run_subpopulation(
-        ledger_modified_fitness(mp2, view2, rm2),
+        ledger_modified_fitness(mp2, rm2),
         mp2,
         config,
         problem2,
         state,
-        view2,
         rm2,
         FilterPolicy(k=3, threshold_quantile=0.5),
         np.random.default_rng(0),

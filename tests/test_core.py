@@ -58,10 +58,10 @@ def test_knn_self_distance_zero():
     problem, ledger = make_scalar_ledger([1.0, 4.0, 9.0])
     view = view_of(ledger)
     rm = ResolvedMetric(problem, view, DistanceMetric.genotypic())
-    results = knn(4.0, view, 1, rm)
-    assert len(results) == 1
-    assert results[0][0].genotype == 4.0
-    assert results[0][1] == 0.0
+    idx, dists = knn(4.0, rm, 1)
+    assert len(idx) == 1
+    assert view.samples[idx[0]].genotype == 4.0
+    assert dists[0] == 0.0
 
 
 def test_knn_one_bit_example():
@@ -71,22 +71,23 @@ def test_knn_one_bit_example():
     evaluate(np.array([1], dtype=np.uint8), problem, ledger)
     view = view_of(ledger)
     rm = ResolvedMetric(problem, view, DistanceMetric.genotypic())
-    results = knn(np.array([0], dtype=np.uint8), view, 2, rm)
-    assert [d for _, d in results] == [0.0, 1.0]
+    _, dists = knn(np.array([0], dtype=np.uint8), rm, 2)
+    assert list(dists) == [0.0, 1.0]
 
 
 def test_knn_clamps_to_population_size():
     problem, ledger = make_scalar_ledger([1.0, 2.0, 3.0, 4.0, 5.0])
     view = view_of(ledger)
     rm = ResolvedMetric(problem, view, DistanceMetric.genotypic())
-    assert len(knn(0.0, view, 10, rm)) == 5
+    idx, dists = knn(0.0, rm, 10)
+    assert len(idx) == len(dists) == 5
 
 
 def test_knn_distances_nondecreasing(rng):
     problem, ledger = make_scalar_ledger(list(rng.uniform(0, 10, 20)))
     view = view_of(ledger)
     rm = ResolvedMetric(problem, view, DistanceMetric.genotypic())
-    dists = [d for _, d in knn(3.3, view, 20, rm)]
+    dists = list(knn(3.3, rm, 20)[1])
     assert dists == sorted(dists)
 
 
@@ -94,15 +95,15 @@ def test_knn_ties_break_by_smaller_id():
     problem, ledger = make_scalar_ledger([2.0, 6.0])  # both distance 2 from 4
     view = view_of(ledger)
     rm = ResolvedMetric(problem, view, DistanceMetric.genotypic())
-    results = knn(4.0, view, 2, rm)
-    assert [s.id for s, _ in results] == [0, 1]
+    idx, _ = knn(4.0, rm, 2)
+    assert [view.samples[i].id for i in idx] == [0, 1]
 
 
 def test_knn_empty_ledger():
     problem = ScalarProblem()
     view = PopulationView.of([])
     with pytest.raises(EmptyLedger):
-        knn(1.0, view, 1, ResolvedMetric(problem, view, DistanceMetric.genotypic()))
+        knn(1.0, ResolvedMetric(problem, view, DistanceMetric.genotypic()), 1)
 
 
 def test_best_score_cases():
@@ -143,11 +144,12 @@ def test_resolved_metric_computes_each_behavior_once(rng):
     rm = ResolvedMetric(problem, view, DistanceMetric.blended(0.5))
     assert len(calls) == len(view)
     for s in view.samples:
-        knn(s.genotype, view, 3, rm)
+        knn(s.genotype, rm, 3)
     assert len(calls) == len(view)
     outside = problem.random_genotype(rng)
-    first = knn(outside, view, 3, rm)
-    assert knn(outside, view, 3, rm) == first
+    first = knn(outside, rm, 3)
+    again = knn(outside, rm, 3)
+    assert all(np.array_equal(a, b) for a, b in zip(again, first))
     assert len(calls) == len(view) + 1
 
 

@@ -3,7 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from infoevo.core import EvaluationLedger, evaluate, view_of, ResolvedMetric, DistanceMetric
+from infoevo.core import EvaluationLedger, evaluate, view_of
 from infoevo.domains import OneMax, Sphere
 from infoevo.evolve import (
     EvolutionConfig,
@@ -111,10 +111,9 @@ def test_run_subpopulation_budget_zero(rng):
     for v in (1.0, 2.0, 3.0):
         evaluate(float(v), problem, ledger)
     view = view_of(ledger)
-    rm = ResolvedMetric(problem, view, DistanceMetric.genotypic())
     state = RunState(ledger=ledger, problem=problem)
     report = run_subpopulation(
-        view.scores, None, small_config(), problem, state, view, rm, FilterPolicy(), rng
+        view.scores, None, small_config(), problem, state, view, FilterPolicy(), rng
     )
     assert report.candidates_evaluated == 0
     assert report.early_stop
@@ -126,11 +125,10 @@ def test_run_subpopulation_unguided_accounting(rng):
     for v in (1.0, 2.0, 3.0, 4.0):
         evaluate(float(v), problem, ledger)
     view = view_of(ledger)
-    rm = ResolvedMetric(problem, view, DistanceMetric.genotypic())
     state = RunState(ledger=ledger, problem=problem)
     config = small_config(generations_per_round=3)
     report = run_subpopulation(
-        view.scores, None, config, problem, state, view, rm, FilterPolicy(), rng
+        view.scores, None, config, problem, state, view, FilterPolicy(), rng
     )
     assert report.generations_run == 3
     assert report.candidates_generated == 3 * (config.subpop_size - config.elitism)
@@ -144,11 +142,10 @@ def test_run_subpopulation_improves_best(rng):
     parents = [evaluate(problem.random_genotype(rng), problem, ledger) for _ in range(12)]
     before = max(p.score for p in parents)
     view = view_of(ledger)
-    rm = ResolvedMetric(problem, view, DistanceMetric.genotypic())
     state = RunState(ledger=ledger, problem=problem)
     config = small_config(subpop_size=20, generations_per_round=6)
     run_subpopulation(
-        view.scores, None, config, problem, state, view, rm, FilterPolicy(), rng
+        view.scores, None, config, problem, state, view, FilterPolicy(), rng
     )
     after = max(s.score for s in ledger.samples)
     assert after >= before

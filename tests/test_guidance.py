@@ -18,7 +18,7 @@ from infoevo.guidance import (
 )
 from infoevo.promise import PromiseVector
 
-from conftest import make_scalar_ledger
+from conftest import ScalarProblem, make_scalar_ledger
 
 
 def scalar_setup(values):
@@ -60,15 +60,15 @@ def test_omega_knn_point_mass_on_neighbor():
     view, rm = scalar_setup([0.0, 5.0, 10.0])
     dist = point_mass(0, 3)
     # nearest 1 neighbor of 0.2 is sample 0, which carries ~all mass
-    assert omega_knn(0.2, dist, view, 1, rm) == pytest.approx(1.0, abs=1e-6)
+    assert omega_knn(0.2, dist, 1, rm) == pytest.approx(1.0, abs=1e-6)
     # nearest neighbor of 9.9 is sample 2, which carries ~no mass
-    assert omega_knn(9.9, dist, view, 1, rm) == pytest.approx(0.0, abs=1e-6)
+    assert omega_knn(9.9, dist, 1, rm) == pytest.approx(0.0, abs=1e-6)
 
 
 def test_omega_knn_monotone_in_k():
     view, rm = scalar_setup([0.0, 2.0, 4.0, 6.0, 8.0])
     dist = manifold.uniform(5)
-    vals = [omega_knn(3.0, dist, view, k, rm) for k in (1, 2, 3, 4, 5)]
+    vals = [omega_knn(3.0, dist, k, rm) for k in (1, 2, 3, 4, 5)]
     for a, b in zip(vals, vals[1:]):
         assert b >= a - 1e-12
     assert vals[-1] == pytest.approx(1.0)
@@ -77,16 +77,16 @@ def test_omega_knn_monotone_in_k():
 def test_omega_knn_uniform_mass_fraction():
     view, rm = scalar_setup([0.0, 2.0, 4.0, 6.0])
     dist = manifold.uniform(4)
-    assert omega_knn(0.1, dist, view, 2, rm) == pytest.approx(0.5)
+    assert omega_knn(0.1, dist, 2, rm) == pytest.approx(0.5)
 
 
 def test_omega_knn_empty():
     from infoevo.core import PopulationView
 
-    view, rm = scalar_setup([1.0])
     empty = PopulationView.of([])
+    rm = ResolvedMetric(ScalarProblem(), empty, DistanceMetric.genotypic())
     with pytest.raises(EmptyLedger):
-        omega_knn(1.0, manifold.uniform(1), empty, 1, rm)
+        omega_knn(1.0, manifold.uniform(1), 1, rm)
 
 
 # --- candidate embedding ---
@@ -94,7 +94,7 @@ def test_omega_knn_empty():
 
 def test_embed_candidate_exact_match_is_near_point_mass():
     view, rm = scalar_setup([0.0, 5.0, 10.0])
-    emb = embed_candidate(5.0, view, 3, rm)
+    emb = embed_candidate(5.0, 3, rm)
     assert int(np.argmax(emb.p)) == 1
     assert emb.p[1] > 0.999
 
@@ -102,14 +102,14 @@ def test_embed_candidate_exact_match_is_near_point_mass():
 def test_embed_candidate_inverse_distance_ratio():
     view, rm = scalar_setup([0.0, 3.0])
     # distances 1 and 2: weights 1 and 0.5, so masses 2/3 and 1/3
-    emb = embed_candidate(1.0, view, 2, rm)
+    emb = embed_candidate(1.0, 2, rm)
     assert emb.p[0] == pytest.approx(2 / 3, rel=1e-6)
     assert emb.p[1] == pytest.approx(1 / 3, rel=1e-6)
 
 
 def test_embed_candidate_restricted_to_k_neighbors():
     view, rm = scalar_setup([0.0, 1.0, 50.0])
-    emb = embed_candidate(0.4, view, 2, rm)
+    emb = embed_candidate(0.4, 2, rm)
     # the far sample gets only the floor mass
     assert emb.p[2] < 1e-6
 
@@ -125,7 +125,7 @@ def test_omega_projection_target_embedding_full_length():
     # candidate at 10.0 embeds as (near) the target point mass, so its
     # projection is (near) the full base-to-target distance
     d = manifold.geodesic_distance_exact(base, target)
-    assert omega_projection(10.0, mp, view, 3, rm) == pytest.approx(d, rel=1e-3)
+    assert omega_projection(10.0, mp, 3, rm) == pytest.approx(d, rel=1e-3)
 
 
 def test_omega_projection_opposite_clamps_to_zero():
@@ -135,7 +135,7 @@ def test_omega_projection_opposite_clamps_to_zero():
     mp = ModifiedPromise(base, target, omega="projection", k=1)
     # candidate embedding sits at sample 0: moving toward that corner
     # moves away from the target, so the projection clamps at zero
-    assert omega_projection(0.0, mp, view, 1, rm) == 0.0
+    assert omega_projection(0.0, mp, 1, rm) == 0.0
 
 
 def test_omega_projection_degenerate_line():
@@ -143,7 +143,7 @@ def test_omega_projection_degenerate_line():
     base = manifold.uniform(3)
     mp = ModifiedPromise(base, base, omega="projection")
     with pytest.raises(DegenerateLine):
-        omega_projection(5.0, mp, view, 2, rm)
+        omega_projection(5.0, mp, 2, rm)
 
 
 # --- modified fitness ---
@@ -152,7 +152,7 @@ def test_omega_projection_degenerate_line():
 def test_h_product_form():
     base = manifold.uniform(3)
     target = point_mass(0, 3)
-    mp = ModifiedPromise(base, target, h_kind="product", omega_baseline=0.05)
+    mp = ModifiedPromise(base, target, h_kind="product")
     assert mp.h(0.8, 0.5) == pytest.approx(0.8 * 0.55)
     assert mp.h(0.0, 1.0) == 0.0
     # the baseline keeps zero-omega candidates alive
@@ -162,8 +162,8 @@ def test_h_product_form():
 def test_h_weighted_sum_form():
     base = manifold.uniform(3)
     target = point_mass(0, 3)
-    mp = ModifiedPromise(base, target, h_kind="weighted_sum", alpha=0.25)
-    assert mp.h(0.8, 0.4) == pytest.approx(0.25 * 0.8 + 0.75 * 0.4)
+    mp = ModifiedPromise(base, target, h_kind="weighted_sum")
+    assert mp.h(0.8, 0.4) == pytest.approx(0.5 * 0.8 + 0.5 * 0.4)
 
 
 def test_h_monotone_in_both_arguments(rng):
@@ -183,8 +183,8 @@ def test_modified_fitness_prefers_near_target():
     base = manifold.uniform(3)
     target = point_mass(2, 3)
     mp = ModifiedPromise(base, target, omega="knn_mass", k=1)
-    high = modified_fitness(9.8, 1.0, mp, view, rm)
-    low = modified_fitness(0.2, 1.0, mp, view, rm)
+    high = modified_fitness(9.8, 1.0, mp, rm)
+    low = modified_fitness(0.2, 1.0, mp, rm)
     assert high > low
 
 
@@ -194,8 +194,6 @@ def test_modified_promise_validation():
         ModifiedPromise(base, manifold.uniform(4))
     with pytest.raises(ValueError):
         ModifiedPromise(base, base, h_kind="nope")
-    with pytest.raises(ValueError):
-        ModifiedPromise(base, base, alpha=1.5)
     with pytest.raises(ValueError):
         ModifiedPromise(base, base, omega="bogus")
     with pytest.raises(ValueError):
@@ -208,19 +206,19 @@ def test_modified_promise_validation():
 def test_ledger_modified_fitness_matches_pointwise():
     view, rm = scalar_setup([0.0, 5.0, 10.0])
     mp = ModifiedPromise(manifold.uniform(3), point_mass(2, 3), k=2)
-    batch = ledger_modified_fitness(mp, view, rm)
+    batch = ledger_modified_fitness(mp, rm)
     for i, s in enumerate(view.samples):
         zn = normalize_scores(s.score, view)
         assert batch[i] == pytest.approx(
-            modified_fitness(s.genotype, zn, mp, view, rm)
+            modified_fitness(s.genotype, zn, mp, rm)
         )
 
 
 def test_estimate_fitness_exact_match_recovers_sample_value():
     view, rm = scalar_setup([0.0, 5.0, 10.0])
     mp = ModifiedPromise(manifold.uniform(3), point_mass(2, 3), k=2)
-    ledger_mf = ledger_modified_fitness(mp, view, rm)
-    est = estimate_fitness(10.0, view, FilterPolicy(k=2), rm, ledger_mf)
+    ledger_mf = ledger_modified_fitness(mp, rm)
+    est = estimate_fitness(10.0, FilterPolicy(k=2), rm, ledger_mf)
     # a candidate sitting on a ledger sample is dominated by that sample
     assert est == pytest.approx(ledger_mf[2], rel=1e-6)
 
@@ -228,8 +226,8 @@ def test_estimate_fitness_exact_match_recovers_sample_value():
 def test_estimate_fitness_between_neighbors():
     view, rm = scalar_setup([0.0, 10.0])
     mp = ModifiedPromise(manifold.uniform(2), point_mass(1, 2), k=1)
-    ledger_mf = ledger_modified_fitness(mp, view, rm)
-    est = estimate_fitness(5.0, view, FilterPolicy(k=2), rm, ledger_mf)
+    ledger_mf = ledger_modified_fitness(mp, rm)
+    est = estimate_fitness(5.0, FilterPolicy(k=2), rm, ledger_mf)
     lo, hi = sorted(ledger_mf)
     assert lo - 1e-12 <= est <= hi + 1e-12
 
@@ -237,9 +235,9 @@ def test_estimate_fitness_between_neighbors():
 def test_should_evaluate_cold_start():
     view, rm = scalar_setup([0.0, 5.0])
     mp = ModifiedPromise(manifold.uniform(2), point_mass(1, 2))
-    ledger_mf = ledger_modified_fitness(mp, view, rm)
+    ledger_mf = ledger_modified_fitness(mp, rm)
     thr = float(np.quantile(ledger_mf, 0.25))
-    ok, est = should_evaluate(3.0, view, FilterPolicy(k=7), rm, ledger_mf, thr)
+    ok, est = should_evaluate(3.0, FilterPolicy(k=7), rm, ledger_mf, thr)
     assert ok
     assert np.isnan(est)
 
@@ -253,10 +251,10 @@ def test_should_evaluate_quantile_zero_accepts_all(rng):
         k=3,
     )
     policy = FilterPolicy(k=3, threshold_quantile=0.0)
-    ledger_mf = ledger_modified_fitness(mp, view, rm)
+    ledger_mf = ledger_modified_fitness(mp, rm)
     thr = float(np.quantile(ledger_mf, 0.0))
     for x in rng.uniform(0, 10, 30):
-        ok, est = should_evaluate(float(x), view, policy, rm, ledger_mf, thr)
+        ok, est = should_evaluate(float(x), policy, rm, ledger_mf, thr)
         # only candidates estimated below the ledger minimum can be skipped
         assert ok or est < thr
 
@@ -268,10 +266,10 @@ def test_should_evaluate_threshold_behavior(rng):
     best = int(np.argmax(view.scores))
     mp = ModifiedPromise(manifold.uniform(n), point_mass(best, n), k=3)
     policy = FilterPolicy(k=3, threshold_quantile=0.25)
-    ledger_mf = ledger_modified_fitness(mp, view, rm)
+    ledger_mf = ledger_modified_fitness(mp, rm)
     thr = float(np.quantile(ledger_mf, 0.25))
     for x in rng.uniform(0, 10, 50):
-        ok, est = should_evaluate(float(x), view, policy, rm, ledger_mf, thr)
+        ok, est = should_evaluate(float(x), policy, rm, ledger_mf, thr)
         assert ok == (est >= thr)
 
 

@@ -48,13 +48,13 @@ def test_normalize_scores_empty():
 def test_local_max_prob_dominant_sample():
     # genotype value == score, so 9.0 dominates its neighborhood
     view, rm = scalar_setup([1.0, 2.0, 9.0])
-    assert local_max_prob(2, view, 2, rm, normalize_scores(view.scores, view)) == 1.0
+    assert local_max_prob(2, 2, rm, normalize_scores(view.scores, view)) == 1.0
 
 
 def test_local_max_prob_direct_ratio():
     # normalized scores 0, 0.5, 1; the middle sample's best neighbor is 1.0
     view, rm = scalar_setup([0.0, 5.0, 10.0])
-    assert local_max_prob(1, view, 2, rm, normalize_scores(view.scores, view)) == pytest.approx(0.5)
+    assert local_max_prob(1, 2, rm, normalize_scores(view.scores, view)) == pytest.approx(0.5)
 
 
 class EqualScoreProblem:
@@ -89,13 +89,13 @@ def test_local_max_prob_all_equal():
     rm = ResolvedMetric(problem, view, DistanceMetric.genotypic())
     norm = normalize_scores(view.scores, view)
     for i in range(3):
-        assert local_max_prob(i, view, 2, rm, norm) == 1.0
+        assert local_max_prob(i, 2, rm, norm) == 1.0
 
 
 def test_local_max_prob_needs_two_samples():
     view, rm = scalar_setup([1.0])
     with pytest.raises(LedgerTooSmall):
-        local_max_prob(0, view, 1, rm, normalize_scores(view.scores, view))
+        local_max_prob(0, 1, rm, normalize_scores(view.scores, view))
 
 
 def test_global_max_prob():
@@ -108,14 +108,14 @@ def test_global_max_prob():
 
 def test_promise_vector_score_only_reduction():
     view, rm = scalar_setup([3.0, 8.0, 1.0])
-    pv = promise_vector(view, PromiseWeights(w_zeta=1, w_lm=0, w_gm=0), rm)
+    pv = promise_vector(PromiseWeights(w_zeta=1, w_lm=0, w_gm=0), rm)
     assert np.allclose(pv.values, normalize_scores(view.scores, view))
     assert int(np.argmax(pv.values)) == int(np.argmax(view.scores))
 
 
 def test_promise_vector_gm_only():
     view, rm = scalar_setup([0.0, 5.0, 10.0])
-    pv = promise_vector(view, PromiseWeights(w_zeta=0, w_lm=0, w_gm=1), rm)
+    pv = promise_vector(PromiseWeights(w_zeta=0, w_lm=0, w_gm=1), rm)
     assert int(np.argmax(pv.values)) == 2
     assert pv.values[2] == pytest.approx(1.0)
 
@@ -124,7 +124,7 @@ def test_promise_vector_hand_derived():
     # normalized scores (0, 0.5, 1); weights (1, 0, 1):
     # values = norm + norm/max(norm) = (0, 1.0, 2.0)
     view, rm = scalar_setup([0.0, 5.0, 10.0])
-    pv = promise_vector(view, PromiseWeights(w_zeta=1, w_lm=0, w_gm=1), rm)
+    pv = promise_vector(PromiseWeights(w_zeta=1, w_lm=0, w_gm=1), rm)
     assert np.allclose(pv.values, [0.0, 1.0, 2.0])
 
 
@@ -132,7 +132,7 @@ def test_promise_argmax_invariance_random(rng):
     for _ in range(100):
         scores = rng.uniform(-5, 5, size=8)
         view, rm = scalar_setup(list(scores))
-        pv = promise_vector(view, PromiseWeights(w_zeta=2.5, w_lm=0, w_gm=0), rm)
+        pv = promise_vector(PromiseWeights(w_zeta=2.5, w_lm=0, w_gm=0), rm)
         assert int(np.argmax(pv.values)) == int(np.argmax(view.scores))
 
 
@@ -140,11 +140,11 @@ def test_promise_monotone_in_own_score(rng):
     base_scores = [1.0, 4.0, 2.5, 3.0, 0.5]
     weights = PromiseWeights(w_zeta=1.0, w_lm=0.5, w_gm=0.5, k_local=2)
     view, rm = scalar_setup(base_scores)
-    before = promise_vector(view, weights, rm).values[2]
+    before = promise_vector(weights, rm).values[2]
     bumped = list(base_scores)
     bumped[2] += 0.8
     view2, rm2 = scalar_setup(bumped)
-    after = promise_vector(view2, weights, rm2).values[2]
+    after = promise_vector(weights, rm2).values[2]
     assert after >= before - 1e-12
 
 
@@ -152,7 +152,7 @@ def test_promise_values_bounded(rng):
     weights = PromiseWeights(w_zeta=1.0, w_lm=0.5, w_gm=0.5, k_local=3)
     for _ in range(20):
         view, rm = scalar_setup(list(rng.uniform(-3, 3, size=10)))
-        pv = promise_vector(view, weights, rm)
+        pv = promise_vector(weights, rm)
         assert np.all(pv.values >= 0)
         assert np.all(pv.values <= weights.w_zeta + weights.w_lm + weights.w_gm + 1e-12)
 

@@ -1,0 +1,153 @@
+"""Property tests: neighbor queries and manifold edge cases."""
+
+import numpy as np
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from infoevo import manifold
+from infoevo.core import DistanceMetric, ResolvedMetric, knn, view_of
+from infoevo.errors import GammaExceedsRay
+from infoevo.geodesic_search import GeodesicRay, sample_exact_ray, step_along
+from infoevo.guidance import omega_knn
+from infoevo.manifold import _EXP_CLIP
+
+from conftest import make_scalar_ledger
+
+# small integer genotypes, so that many samples tie in distance to a query
+scalar_views = st.tuples(
+    st.lists(st.integers(0, 15), min_size=1, max_size=14, unique=True),
+    st.integers(-3, 18),  # the query point
+    st.integers(1, 20),  # k: up to past n
+    st.one_of(st.none(), st.integers(1, 14)),  # view cap
+)
+
+
+def scalar_view(values, cap):
+    problem, ledger = make_scalar_ledger([float(v) for v in values])
+    view = view_of(ledger, cap)
+    return view, ResolvedMetric(problem, view, DistanceMetric.genotypic())
+
+
+def brute_force_knn(view, x, k):
+    """Positions sorted by (distance, id), cut at k."""
+    order = sorted(
+        range(len(view)),
+        key=lambda i: (abs(view.samples[i].genotype - x), view.samples[i].id),
+    )
+    return order[:k]
+
+
+@settings(max_examples=200, deadline=None)
+@given(scalar_views)
+def test_knn_matches_brute_force_sort(case):
+    values, x, k, cap = case
+    view, rm = scalar_view(values, cap)
+    idx, dists = knn(float(x), rm, k)
+    expected = brute_force_knn(view, x, k)
+    assert list(idx) == expected
+    assert len(idx) == min(k, len(view))
+    assert list(dists) == [abs(view.samples[i].genotype - x) for i in expected]
+
+
+@settings(max_examples=200, deadline=None)
+@given(scalar_views, st.data())
+def test_omega_knn_is_sequential_sum_over_neighbors(case, data):
+    values, x, k, cap = case
+    view, rm = scalar_view(values, cap)
+    weights = data.draw(
+        st.lists(
+            st.floats(0.0, 1.0, allow_nan=False),
+            min_size=len(view),
+            max_size=len(view),
+        ).filter(lambda w: sum(w) > 0)
+    )
+    dist = manifold.from_weights(weights)
+    expected = 0
+    for i in brute_force_knn(view, x, k):
+        expected += dist.p[i]
+    assert omega_knn(float(x), dist, k, rm) == float(expected)
+
+
+# distributions with some coordinates at the from_weights floor: the
+# simplex boundary up to EPS_FLOOR
+boundary_weights = st.lists(
+    st.one_of(st.just(0.0), st.floats(1e-6, 1.0)), min_size=2, max_size=10
+).filter(lambda w: sum(w) > 0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(boundary_weights, st.data())
+def test_exp_log_round_trip_near_boundary(wa, data):
+    wb = data.draw(
+        st.lists(
+            st.one_of(st.just(0.0), st.floats(1e-6, 1.0)),
+            min_size=len(wa),
+            max_size=len(wa),
+        ).filter(lambda w: sum(w) > 0)
+    )
+    a, b = manifold.from_weights(wa), manifold.from_weights(wb)
+    v = manifold.log_map(a, b)
+    # exp_map refuses to advance along a zero tangent (b equal to a)
+    assume(v.norm > 0)
+    back = manifold.exp_map(a, v, 1.0)
+    assert np.all(np.isfinite(back.phi))
+    assert manifold.mass(back.phi) == pytest.approx(1.0, abs=1e-12)
+    assert np.allclose(back.p, b.p, rtol=1e-6, atol=1e-12)
+    assert manifold.geodesic_distance_exact(back, b) < 1e-6
+
+
+@settings(max_examples=200, deadline=None)
+@given(boundary_weights, st.data())
+def test_exp_map_floors_a_coordinate_that_reaches_zero(w, data):
+    base = manifold.from_weights(w)
+    n = base.n
+    f = data.draw(
+        st.lists(st.floats(-1.0, 1.0), min_size=n, max_size=n).filter(
+            lambda f: manifold.project_tangent(base, f).norm > 1e-3
+        )
+    )
+    v = manifold.project_tangent(base, f)
+    # the angle at which coordinate i of the great circle through
+    # q = 2 sqrt(p) crosses zero
+    i = data.draw(st.integers(0, n - 1))
+    q = 2.0 * base.sqrt_p
+    u = base.sqrt_p * v.f
+    u = u / np.linalg.norm(u)
+    theta = float(np.arctan2(q[i], -2.0 * u[i]))
+    out = manifold.exp_map(base, v, 2.0 * theta / v.norm)
+    assert np.all(np.isfinite(out.phi))
+    assert out.p.min() >= _EXP_CLIP * (1 - 1e-9)
+    assert out.p[i] <= 2 * _EXP_CLIP
+    assert manifold.mass(out.phi) == pytest.approx(1.0, abs=1e-12)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    boundary_weights,
+    st.data(),
+    st.floats(0.01, 1.0),  # the ray's arc length
+    st.floats(1.0, 3.0),  # gamma as a multiple of that length
+)
+def test_step_along_a_ray_shorter_than_gamma(w, data, length, over):
+    base = manifold.from_weights(w)
+    n = base.n
+    f = data.draw(
+        st.lists(st.floats(-1.0, 1.0), min_size=n, max_size=n).filter(
+            lambda f: manifold.project_tangent(base, f).norm > 1e-3
+        )
+    )
+    v = manifold.project_tangent(base, f)
+    unit = manifold.TangentVector(v.f / v.norm, base)
+    ray = GeodesicRay(base, unit, sample_exact_ray(base, unit, length))
+    short = ray.polyline.length
+    gamma = short * over + 2e-9
+    with pytest.raises(GammaExceedsRay):
+        step_along(ray, gamma)
+    # the loop's rule: step to the ray's end instead
+    end = step_along(ray, min(gamma, short))
+    assert np.all(np.isfinite(end.phi))
+    assert manifold.mass(end.phi) == pytest.approx(1.0, abs=1e-12)
+    assert manifold.geodesic_distance_exact(base, end) <= short + 1e-6
+    last = ray.polyline.points[-1]
+    assert manifold.geodesic_distance_exact(end, last) < 1e-6
