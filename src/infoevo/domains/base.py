@@ -10,9 +10,9 @@ import numpy as np
 class Problem(ABC):
     """A pluggable optimization domain (maximization convention).
 
-    Subclasses supply the scoring function, variation operators, EDA
-    loci, the genotypic distance and, optionally, a behavior vector. Scoring must be pure
-    and deterministic.
+    Subclasses supply the scoring function, variation operators, the
+    genotypic distance and, optionally, EDA loci and a behavior vector.
+    Scoring must be pure and deterministic.
     """
 
     name: str = "problem"
@@ -35,15 +35,22 @@ class Problem(ABC):
     def crossover(self, a, b, rng: np.random.Generator): ...
 
     def loci(self, genotype):
-        """Discrete locus values for EDA marginals; None if unsupported."""
+        """Discrete locus values for EDA marginals; None if unsupported.
+
+        A domain that returns a list here gives every genotype the same
+        number of loci, each value drawn from ``locus_alphabet`` of its
+        locus, and defines ``from_loci`` and ``locus_alphabet`` too.
+        """
         return None
 
     def from_loci(self, values, rng: np.random.Generator):
+        """A genotype whose loci are ``values`` (one per locus, an array)."""
         raise NotImplementedError
 
     def locus_alphabet(self, locus: int):
-        """Full value alphabet of a locus; None to infer from observed values."""
-        return None
+        """Every value a locus can take, as a tuple; all loci's tuples
+        have one length."""
+        raise NotImplementedError
 
     @abstractmethod
     def d_geno(self, a, b) -> float: ...

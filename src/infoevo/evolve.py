@@ -34,6 +34,8 @@ logger = logging.getLogger(__name__)
 
 GAMMA_FLOOR = 0.01
 EDA_MIN_PARENT_POOL = 4
+# the tolerance Generator.choice allows on the sum of p
+_CHOICE_ATOL = math.sqrt(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
@@ -181,33 +183,48 @@ class RunResult:
 
 
 def _eda_model(parents, fitness, problem, m: int):
-    """Per-locus marginals of the top-quartile parents, Laplace smoothed."""
+    """Per-locus marginals of the top-quartile parents, Laplace smoothed.
+
+    Returns the (loci x alphabet) table of locus values and each row's
+    cumulative distribution, normalised as ``Generator.choice`` normalises
+    ``p``; None when the domain defines no loci. Raises ValueError, as
+    ``choice`` would at each draw, unless every row is a distribution.
+    """
     order = sorted(range(len(parents)), key=lambda i: (-fitness[i], i))
     q = max(1, math.ceil(len(parents) / 4))
-    top = [parents[i] for i in order[:q]]
-    loci_lists = [problem.loci(s.genotype) for s in top]
-    if loci_lists[0] is None:
+    loci = [problem.loci(parents[i].genotype) for i in order[:q]]
+    if loci[0] is None:
         return None
-    n_loci = len(loci_lists[0])
+    top = np.array(loci)
+    alphabet = np.array([problem.locus_alphabet(j) for j in range(top.shape[1])])
+    counts = (top[:, :, None] == alphabet[None, :, :]).sum(axis=0).astype(float)
+    probs = counts / counts.sum(axis=1, keepdims=True)
     eps = 1.0 / m
-    model = []
-    for locus in range(n_loci):
-        observed = [ll[locus] for ll in loci_lists]
-        alphabet = problem.locus_alphabet(locus)
-        if alphabet is None:
-            alphabet = sorted(set(observed))
-        counts = np.array([observed.count(v) for v in alphabet], dtype=float)
-        probs = counts / counts.sum()
-        probs = (1.0 - len(alphabet) * eps) * probs + eps
-        probs = np.maximum(probs, 0.0)
-        model.append((list(alphabet), probs / probs.sum()))
-    return model
+    probs = (1.0 - alphabet.shape[1] * eps) * probs + eps
+    probs = np.maximum(probs, 0.0)
+    probs /= probs.sum(axis=1, keepdims=True)
+    # choice's checks of p; the clamp above keeps every entry non-negative
+    if not np.all(np.isfinite(probs)) or np.any(
+        np.abs(probs.sum(axis=1) - 1.0) > _CHOICE_ATOL
+    ):
+        raise ValueError("EDA marginals are not probability distributions")
+    cdf = probs.cumsum(axis=1)
+    cdf /= cdf[:, -1:]
+    return alphabet, cdf
 
 
 def _sample_eda(model, problem, rng):
-    values = [alpha[rng.choice(len(alpha), p=probs)] for alpha, probs in model]
-    # rng.choice over indices keeps the alphabet type intact
-    return problem.from_loci([v for v in values], rng)
+    """One offspring: one uniform per locus against its row of the CDF.
+
+    ``(cdf <= u).sum()`` is ``searchsorted(u, side="right")`` on a
+    non-decreasing row, which is how ``rng.choice(len(alphabet), p=probs)``
+    turns its one uniform into an index; drawing all loci at once keeps
+    the random stream of one ``choice`` call per locus.
+    """
+    alphabet, cdf = model
+    u = rng.random(cdf.shape[0])
+    idx = (cdf <= u[:, None]).sum(axis=1)
+    return problem.from_loci(alphabet[np.arange(cdf.shape[0]), idx], rng)
 
 
 def _tournament(parents, fitness, size, rng):
@@ -221,7 +238,8 @@ def vary(parents, fitness, config: EvolutionConfig, problem, rng) -> list:
 
     Tournament selection with crossover+mutation; an eda_fraction share
     is sampled from smoothed per-locus marginals of the top quartile
-    instead, when the domain defines loci.
+    instead, when the domain defines loci. The marginals' CDFs are built
+    once per call, and each EDA offspring takes one uniform per locus.
     """
     if not parents:
         raise ValueError("parents must be nonempty")

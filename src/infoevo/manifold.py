@@ -84,6 +84,9 @@ def from_weights(w, eps_floor: float = EPS_FLOOR) -> LogDistribution:
     total = w.sum()
     if total <= 0:
         raise AllZeroWeights("at least one weight must be positive")
+    if np.isinf(total):  # finite weights whose sum overflows
+        w = w / w.max()
+        total = w.sum()
     p = np.maximum(w, eps_floor * total)
     p = p / p.sum()
     with np.errstate(divide="ignore"):  # eps_floor=0 legitimately yields -inf
@@ -171,13 +174,17 @@ def log_map(base: LogDistribution, target: LogDistribution) -> TangentVector:
 
 
 def geodesic_midpoint(a: LogDistribution, b: LogDistribution) -> LogDistribution:
-    return exp_map(a, log_map(a, b), 0.5)
+    return geodesic_point(a, b, 0.5)
 
 
 def geodesic_point(a: LogDistribution, b: LogDistribution, frac: float) -> LogDistribution:
-    """Point a fraction of the way from a to b along the geodesic."""
+    """Point a fraction of the way from a to b along the geodesic; a
+    itself when a and b are too close for log_map to leave a."""
     if frac <= 0:
         return a
     if frac >= 1:
         return b
-    return exp_map(a, log_map(a, b), frac)
+    try:
+        return exp_map(a, log_map(a, b), frac)
+    except ZeroTangent:
+        return a

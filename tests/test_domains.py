@@ -2,12 +2,14 @@ import numpy as np
 import pytest
 
 from infoevo.domains import (
+    PROBLEMS,
     OneMax,
     Sphere,
     SymbolicRegression,
     Trap5,
     make_problem,
 )
+from infoevo.domains.base import Problem
 from infoevo.domains.bitstrings import score_onemax, score_trap
 from infoevo.domains.realvec import score_rosenbrock, score_sphere
 from infoevo.domains.symreg import (
@@ -79,6 +81,39 @@ def test_bitstring_eda_plumbing():
     assert problem.locus_alphabet(0) == (0, 1)
     back = problem.from_loci([1, 0, 1, 0], np.random.default_rng(0))
     assert np.array_equal(back, g)
+
+
+# --- the EDA loci contract ---
+
+LOCI_PROBLEMS = sorted(
+    name for name, (cls, _) in PROBLEMS.items() if cls.loci is not Problem.loci
+)
+
+
+def test_some_problems_define_loci():
+    assert LOCI_PROBLEMS == ["onemax", "rosenbrock", "sphere", "trap5"]
+
+
+@pytest.mark.parametrize("name", LOCI_PROBLEMS)
+def test_loci_lie_in_alphabets_of_one_length(name, rng):
+    problem = make_problem(name)
+    genotypes = [problem.random_genotype(rng) for _ in range(20)]
+    genotypes += [problem.mutate(g, 1.0, rng) for g in genotypes]
+    n_loci = len(problem.loci(genotypes[0]))
+    alphabets = [problem.locus_alphabet(j) for j in range(n_loci)]
+    assert len({len(a) for a in alphabets}) == 1
+    for g in genotypes:
+        loci = problem.loci(g)
+        assert len(loci) == n_loci
+        assert all(v in alphabets[j] for j, v in enumerate(loci))
+
+
+def test_base_problem_defines_no_loci(scalar_problem):
+    assert scalar_problem.loci(1.0) is None
+    with pytest.raises(NotImplementedError):
+        scalar_problem.locus_alphabet(0)
+    with pytest.raises(NotImplementedError):
+        scalar_problem.from_loci([0], np.random.default_rng(0))
 
 
 # --- real vectors ---

@@ -164,6 +164,16 @@ def test_exp_map_zero_tangent_raises():
         manifold.exp_map(base, zero, 0.5)
 
 
+def test_geodesic_point_between_equal_points_is_the_point():
+    # the computed distance rounds to exactly 0, so log_map returns the
+    # zero tangent; exp_map would refuse to advance along it
+    a = manifold.from_weights([0.0, 1e-5])
+    b = manifold.from_weights([0.0, 1e-5])
+    assert manifold.geodesic_distance_exact(a, b) == 0.0
+    assert manifold.geodesic_point(a, b, 0.3) is a
+    assert manifold.geodesic_midpoint(a, b) is a
+
+
 def test_log_map_of_base_is_zero():
     base = manifold.uniform(3)
     v = manifold.log_map(base, base)

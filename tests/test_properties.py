@@ -1,4 +1,4 @@
-"""Property tests: neighbor queries and manifold edge cases."""
+"""Property tests: neighbor queries, manifold edge cases and EDA sampling."""
 
 import numpy as np
 import pytest
@@ -6,8 +6,18 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from infoevo import manifold
-from infoevo.core import DistanceMetric, ResolvedMetric, knn, view_of
+from infoevo.core import (
+    DistanceMetric,
+    EvaluationLedger,
+    ResolvedMetric,
+    ScoredSample,
+    evaluate,
+    knn,
+    view_of,
+)
+from infoevo.domains import OneMax, Sphere
 from infoevo.errors import GammaExceedsRay
+from infoevo.evolve import EvolutionConfig, _eda_model, _sample_eda, vary
 from infoevo.geodesic_search import GeodesicRay, sample_exact_ray, step_along
 from infoevo.guidance import omega_knn
 from infoevo.manifold import _EXP_CLIP
@@ -151,3 +161,128 @@ def test_step_along_a_ray_shorter_than_gamma(w, data, length, over):
     assert manifold.geodesic_distance_exact(base, end) <= short + 1e-6
     last = ray.polyline.points[-1]
     assert manifold.geodesic_distance_exact(end, last) < 1e-6
+
+
+# weights across the whole double range, with exact zeros, so that sums
+# overflow and the smallest weights' shares fall below a double's range
+unfloored_weights = st.lists(
+    st.one_of(st.just(0.0), st.floats(0.0, 1e308, exclude_min=True)),
+    min_size=1,
+    max_size=12,
+).filter(lambda w: max(w) > 0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(unfloored_weights)
+def test_from_weights_without_floor(w):
+    dist = manifold.from_weights(w, eps_floor=0)
+    w = np.asarray(w)
+    assert np.all(dist.p[w == 0] == 0.0)
+    assert manifold.mass(dist.phi) == pytest.approx(1.0, abs=1e-12)
+    # positive weights keep their ratios wherever a double holds the share
+    top = int(np.argmax(w))
+    held = w > 1e-300 * w[top]
+    ratios = dist.p[held] / dist.p[top]
+    assert np.allclose(ratios, w[held] / w[top], rtol=1e-12, atol=0)
+    other = manifold.from_weights(w[::-1], eps_floor=0)
+    d = manifold.geodesic_distance_exact(dist, other)
+    assert d == manifold.geodesic_distance_exact(other, dist)
+    assert 0.0 <= d <= np.pi
+
+
+# --- EDA sampling ---
+
+
+def top_quartile(fitness):
+    order = sorted(range(len(fitness)), key=lambda i: (-fitness[i], i))
+    return order[: max(1, -(-len(fitness) // 4))]
+
+
+def choice_per_locus(top_loci, alphabets, m, rng):
+    """One ``rng.choice`` per locus from its Laplace-smoothed marginal."""
+    eps = 1.0 / m
+    values = []
+    for locus, alphabet in enumerate(alphabets):
+        observed = [loci[locus] for loci in top_loci]
+        counts = np.array([observed.count(v) for v in alphabet], dtype=float)
+        probs = counts / counts.sum()
+        probs = np.maximum((1.0 - len(alphabet) * eps) * probs + eps, 0.0)
+        probs = probs / probs.sum()
+        values.append(alphabet[rng.choice(len(alphabet), p=probs)])
+    return values
+
+
+class Loci:
+    """Genotypes that are their own loci, over one alphabet."""
+
+    def __init__(self, alphabet):
+        self.alphabet = alphabet
+
+    def loci(self, genotype):
+        return list(genotype)
+
+    def locus_alphabet(self, locus):
+        return self.alphabet
+
+    def from_loci(self, values, rng):
+        return [int(v) for v in values]
+
+
+@st.composite
+def eda_cases(draw):
+    size = draw(st.integers(2, 8))
+    values = st.lists(st.integers(-20, 20), min_size=size, max_size=size, unique=True)
+    alphabet = tuple(draw(values))
+    n_loci = draw(st.integers(1, 10))
+    genotypes = draw(
+        st.lists(
+            st.lists(st.sampled_from(alphabet), min_size=n_loci, max_size=n_loci),
+            min_size=1,
+            max_size=12,
+        )
+    )
+    n = len(genotypes)
+    fitness = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+    # subpop sizes below the alphabet size clamp some smoothed marginals to 0
+    m = draw(st.integers(1, size + 4))
+    return alphabet, genotypes, fitness, m
+
+
+@settings(max_examples=300, deadline=None)
+@given(eda_cases(), st.integers(1, 4), st.integers(0, 2**32 - 1))
+def test_eda_sampler_matches_choice_per_locus(case, draws, seed):
+    alphabet, genotypes, fitness, m = case
+    problem = Loci(alphabet)
+    parents = [ScoredSample(i, g, 0.0, i) for i, g in enumerate(genotypes)]
+    model = _eda_model(parents, fitness, problem, m)
+    top = [genotypes[i] for i in top_quartile(fitness)]
+    rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+    for _ in range(draws):
+        got = _sample_eda(model, problem, rng)
+        assert got == choice_per_locus(top, [alphabet] * len(genotypes[0]), m, ref)
+    assert rng.bit_generator.state == ref.bit_generator.state
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    st.sampled_from([OneMax(bits=12), Sphere(dim=5)]),
+    st.integers(4, 16),
+    st.integers(1, 12),
+    st.integers(0, 2**32 - 1),
+)
+def test_vary_all_eda_matches_choice_per_locus(problem, n_parents, subpop, seed):
+    init = np.random.default_rng(seed)
+    ledger = EvaluationLedger(budget=n_parents)
+    genotypes = [problem.random_genotype(init) for _ in range(n_parents)]
+    parents = [evaluate(g, problem, ledger) for g in genotypes]
+    fitness = [float(f) for f in init.integers(0, 3, size=len(parents))]
+    config = EvolutionConfig(subpop_size=subpop, elitism=0, eda_fraction=1.0)
+    rng, ref = np.random.default_rng(seed + 1), np.random.default_rng(seed + 1)
+    kids = vary(parents, fitness, config, problem, rng)
+    top = [problem.loci(parents[i].genotype) for i in top_quartile(fitness)]
+    alphabets = [problem.locus_alphabet(j) for j in range(len(top[0]))]
+    for kid in kids:
+        assert ref.random() < 1.0  # vary's EDA-or-tournament draw
+        values = choice_per_locus(top, alphabets, subpop, ref)
+        assert np.array_equal(kid, problem.from_loci(values, ref))
+    assert rng.bit_generator.state == ref.bit_generator.state
