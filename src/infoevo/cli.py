@@ -33,6 +33,13 @@ from .promise import PromiseWeights
 TRACE_SCHEMA = "trace.v1"
 RUN_SCHEMA = "run.v1"
 GEODESIC_TOLERANCE = 0.02
+# run-record fields compare.csv gives per run, and their median per mode
+COMPARE_COLUMNS = (
+    "evals_to_target",
+    "best_score",
+    "candidates_skipped",
+    "objective_calls",
+)
 
 # One row per run setting: its command-line flag, its config-file section
 # (None for the top level of the file), its key there and its type. Each
@@ -96,7 +103,9 @@ def execute_run(cfg: RunConfig, mode: str, seed: int) -> dict:
         )
         rounds = [r.as_dict() for deme_rounds in reports for r in deme_rounds]
         eval_count = sum(d.ledger.eval_count for d in demes)
+        objective_calls = sum(d.ledger.objective_calls for d in demes)
         skipped = sum(st.skipped_total for st in states)
+        stop_reason = [st.stop_reason for st in states]
     else:
         result = info_evo_loop(problem, cfg)
         trace = result.trace
@@ -104,7 +113,9 @@ def execute_run(cfg: RunConfig, mode: str, seed: int) -> dict:
         success = result.success
         rounds = [r.as_dict() for r in result.reports]
         eval_count = result.ledger.eval_count
+        objective_calls = result.ledger.objective_calls
         skipped = result.skipped_total
+        stop_reason = result.stop_reason
     wall = time.perf_counter() - t0
 
     # trace rows are in global evaluation order
@@ -120,9 +131,11 @@ def execute_run(cfg: RunConfig, mode: str, seed: int) -> dict:
         "seed": seed,
         "config": asdict(cfg),
         "success": success,
+        "stop_reason": stop_reason,
         "best_score": best.score if best else None,
         "best_genotype": problem.render(best.genotype) if best else None,
         "eval_count": eval_count,
+        "objective_calls": objective_calls,
         "candidates_skipped": skipped,
         "evals_to_target": evals_to_target,
         "rounds": rounds,
@@ -177,45 +190,23 @@ def cmd_compare(cfg: RunConfig, repeats: int, out_dir: Path) -> int:
         seed = cfg.seed + offset
         for mode in ("info_evo", "baseline"):
             record = execute_run(cfg, mode, seed)
-            row = {
-                "seed": seed,
-                "mode": mode,
-                "evals_to_target": record["evals_to_target"],
-                "best_score": record["best_score"],
-                "candidates_skipped": record["candidates_skipped"],
-            }
+            row = {"seed": seed, "mode": mode}
+            row.update((c, record[c]) for c in COMPARE_COLUMNS)
             rows.append(row)
             per_mode[mode].append(row)
     csv_path = out_dir / "compare.csv"
     with open(csv_path, "w", newline="") as fh:
-        writer = csv.DictWriter(
-            fh,
-            fieldnames=[
-                "seed",
-                "mode",
-                "evals_to_target",
-                "best_score",
-                "candidates_skipped",
-            ],
-        )
+        writer = csv.DictWriter(fh, fieldnames=["seed", "mode", *COMPARE_COLUMNS])
         writer.writeheader()
         for row in rows:
             writer.writerow(row)
         for mode in ("info_evo", "baseline"):
             group = per_mode[mode]
-            writer.writerow(
-                {
-                    "seed": "median",
-                    "mode": mode,
-                    "evals_to_target": float(
-                        np.median([r["evals_to_target"] for r in group])
-                    ),
-                    "best_score": float(np.median([r["best_score"] for r in group])),
-                    "candidates_skipped": float(
-                        np.median([r["candidates_skipped"] for r in group])
-                    ),
-                }
+            median = {"seed": "median", "mode": mode}
+            median.update(
+                (c, float(np.median([r[c] for r in group]))) for c in COMPARE_COLUMNS
             )
+            writer.writerow(median)
     print(f"wrote {csv_path}")
     return 0
 

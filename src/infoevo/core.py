@@ -1,10 +1,14 @@
 """Evaluation ledger, memoized scoring, and nearest-neighbor queries.
 
 The ledger is the single source of truth for which genotypes have been
-scored. All other modules treat it (or a frozen view of it) as an
-immutable snapshot per loop iteration; only ``evaluate`` mutates it.
-A ``ResolvedMetric`` is the one handle on such a view: neighbor queries
-go through it and answer in view positions.
+evaluated, that is, charged to the budget. It is also the run's memo of
+objective values and behavior vectors, which also memoizes genotypes it
+has not charged (candidates the filter scored and skipped), so no
+genotype's ``score`` or ``behavior`` is computed twice in a run. All
+other modules treat the ledger (or a frozen view of it) as an immutable
+snapshot per loop iteration; only ``evaluate`` charges it. A
+``ResolvedMetric`` is the one handle on such a view: neighbor queries go
+through it and answer in view positions.
 """
 
 from __future__ import annotations
@@ -14,6 +18,7 @@ from typing import Any, Sequence
 
 import numpy as np
 
+from .domains.base import Problem
 from .errors import BudgetExhausted, EmptyLedger
 
 PAIR_SAMPLE_LIMIT = 1000  # pairs sampled when scaling the blended metric
@@ -61,7 +66,13 @@ class DistanceMetric:
 
 
 class EvaluationLedger:
-    """Append-only record of evaluated genotypes with a hard budget."""
+    """Append-only record of evaluated genotypes with a hard budget.
+
+    Also the run's memo, keyed by canonical key, of every objective value
+    and behavior vector the run has computed, charged or not.
+    ``objective_calls`` counts the ``score`` and ``behavior`` calls the
+    memo made, one per miss.
+    """
 
     def __init__(self, budget: int):
         if budget < 0:
@@ -69,6 +80,9 @@ class EvaluationLedger:
         self.budget = budget
         self.samples: list[ScoredSample] = []
         self._by_key: dict[Any, ScoredSample] = {}
+        self._scores: dict[Any, float] = {}
+        self._behaviors: dict[Any, np.ndarray] = {}
+        self.objective_calls = 0
 
     @property
     def eval_count(self) -> int:
@@ -80,6 +94,31 @@ class EvaluationLedger:
 
     def lookup(self, key: Any) -> ScoredSample | None:
         return self._by_key.get(key)
+
+    def score_of(self, genotype, problem, key) -> float:
+        """The objective value of genotype (canonical key ``key``), from the
+        memo; computed on a miss. Charges no budget."""
+        value = self._scores.get(key)
+        if value is None:
+            value = self._scores[key] = float(problem.score(genotype))
+            self.objective_calls += 1
+        return value
+
+    def behavior_of(self, genotype, problem, key) -> np.ndarray:
+        """The behavior vector of genotype, from the memo.
+
+        A domain that keeps the default ``Problem.behavior`` (the score
+        itself) gets its memoized score, so no second objective call.
+        """
+        if type(problem).behavior is Problem.behavior:
+            return np.array([self.score_of(genotype, problem, key)], dtype=float)
+        value = self._behaviors.get(key)
+        if value is None:
+            value = np.array(problem.behavior(genotype), dtype=float)
+            value.flags.writeable = False  # shared by every reader of key
+            self._behaviors[key] = value
+            self.objective_calls += 1
+        return value
 
     def __len__(self) -> int:
         return len(self.samples)
@@ -121,9 +160,11 @@ def view_of(ledger: EvaluationLedger, cap: int | None = None) -> PopulationView:
 
 
 def evaluate(genotype, problem, ledger: EvaluationLedger) -> ScoredSample:
-    """Score a genotype, memoizing by canonical form.
+    """Charge a genotype to the ledger, memoizing by canonical form.
 
-    A cached genotype is returned without consuming budget.
+    A cached genotype is returned without consuming budget. The score
+    comes from the ledger's memo, so a genotype the filter already scored
+    costs no second objective call.
     """
     key = problem.canonical_key(genotype)
     cached = ledger.lookup(key)
@@ -136,7 +177,7 @@ def evaluate(genotype, problem, ledger: EvaluationLedger) -> ScoredSample:
     sample = ScoredSample(
         id=len(ledger.samples),
         genotype=genotype,
-        score=float(problem.score(genotype)),
+        score=ledger.score_of(genotype, problem, key),
         eval_order=ledger.eval_count,
     )
     ledger.samples.append(sample)
@@ -179,19 +220,29 @@ class ResolvedMetric:
     The view it was built from is ``view``; every neighbor query answers
     in positions of that view. Computes the view's distance table once,
     at construction: one row per sample, from the behavior vectors and
-    genotypic rows stored here, so no behavior or genotypic distance is
-    computed twice. A genotype outside the view gets its row on its
-    first query; later queries of the same genotype (equal canonical
-    key) reuse it. For the blended kind, median scales over a
+    genotypic rows stored here, so no genotypic distance is computed
+    twice. Behavior vectors come from ``memo``, the run's ledger, and new
+    ones are added to it, so none is computed twice in a run; without a
+    memo the metric keeps a private one. A genotype outside the view gets
+    its row on its first query; later queries of the same genotype (equal
+    canonical key) reuse it. For the blended kind, median scales over a
     deterministic sample of view pairs, read from the genotypic rows,
     make the genotypic and phenotypic terms comparable.
     """
 
-    def __init__(self, problem, view, metric: DistanceMetric):
+    def __init__(
+        self,
+        problem,
+        view,
+        metric: DistanceMetric,
+        memo: EvaluationLedger | None = None,
+    ):
         self.problem = problem
         self.metric = metric
         self.view = view
+        self._memo = EvaluationLedger(0) if memo is None else memo
         self._genos = [s.genotype for s in view.samples]
+        keys = [problem.canonical_key(g) for g in self._genos]
         self._kind = metric.kind
         # blend extremes must reduce to the pure metrics exactly
         if metric.kind == "blended" and metric.lam in (0.0, 1.0):
@@ -199,7 +250,11 @@ class ResolvedMetric:
         self._behaviors = None
         if self._kind != "genotypic":
             self._behaviors = np.array(
-                [problem.behavior(g) for g in self._genos], dtype=float
+                [
+                    self._memo.behavior_of(g, problem, key)
+                    for g, key in zip(self._genos, keys)
+                ],
+                dtype=float,
             )
         geno_rows = [None] * len(self._genos)
         if self._kind != "phenotypic":
@@ -209,9 +264,9 @@ class ResolvedMetric:
         if self._kind == "blended":
             self._geno_scale, self._pheno_scale = self._median_scales(geno_rows)
         self._rows = {}
-        for i, g in enumerate(self._genos):
+        for i, (g, key) in enumerate(zip(self._genos, keys)):
             bx = None if self._behaviors is None else self._behaviors[i]
-            self._rows[problem.canonical_key(g)] = self._row(g, bx, geno_rows[i])
+            self._rows[key] = self._row(g, bx, geno_rows[i])
 
     def _median_scales(self, geno_rows) -> tuple[float, float]:
         n = len(self._genos)
@@ -261,7 +316,7 @@ class ResolvedMetric:
         if row is None:
             bx = None
             if self._behaviors is not None:
-                bx = np.asarray(self.problem.behavior(x), dtype=float)
+                bx = self._memo.behavior_of(x, self.problem, key)
             row = self._rows[key] = self._row(x, bx)
         return row
 

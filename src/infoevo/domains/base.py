@@ -12,7 +12,9 @@ class Problem(ABC):
 
     Subclasses supply the scoring function, variation operators, the
     genotypic distance and, optionally, EDA loci and a behavior vector.
-    Scoring must be pure and deterministic.
+    ``score`` and ``behavior`` must be pure and deterministic functions of
+    the canonical key: a run memoizes both by that key and computes each
+    at most once per genotype.
     """
 
     name: str = "problem"

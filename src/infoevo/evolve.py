@@ -141,6 +141,10 @@ class RunState:
     The loop's schedule (step size, round index and the counters of
     rounds without improvement and without new evaluations) lives here, so a
     loop called for a few rounds at a time continues where it stopped.
+    ``stop_reason`` says why the run ended: ``"target"`` (an evaluation
+    reached the problem's target), ``"budget"`` (the budget is spent) or
+    ``"stall"`` (three rounds in a row added nothing to the ledger); it is
+    None while the run can go on.
     """
 
     ledger: EvaluationLedger
@@ -148,11 +152,15 @@ class RunState:
     deme_id: int = 0
     trace: list[dict] = field(default_factory=list)
     skipped_total: int = 0
-    stop: bool = False
+    stop_reason: str | None = None
     gamma: float | None = None  # the step size; None until the first round
     round_index: int = 0
     no_improve: int = 0
     stalled_rounds: int = 0
+
+    @property
+    def stop(self) -> bool:
+        return self.stop_reason is not None
 
     def record(self, genotype) -> ScoredSample:
         before = self.ledger.eval_count
@@ -168,7 +176,7 @@ class RunState:
             )
             target = self.problem.target
             if target is not None and sample.score >= target:
-                self.stop = True
+                self.stop_reason = "target"
         return sample
 
 
@@ -180,6 +188,7 @@ class RunResult:
     trace: list[dict]
     ledger: EvaluationLedger
     skipped_total: int
+    stop_reason: str | None
 
 
 def _eda_model(parents, fitness, problem, m: int):
@@ -374,7 +383,7 @@ def info_evo_loop(
     initial population, then repeats promise estimation, ray stepping,
     ray ranking, and one guided subpopulation per kept ray until the
     budget is spent, the problem's target is reached or three rounds in
-    a row add nothing to the ledger (which sets ``state.stop``). Without
+    a row add nothing to the ledger (``state.stop_reason`` says which). Without
     ``state`` the run gets a ledger of ``cfg.budget`` evaluations, and
     without ``rng`` a stream seeded by ``cfg.seed``. With ``max_rounds``,
     returns after that many rounds; calling it again with the same
@@ -418,7 +427,7 @@ def info_evo_loop(
             )
             report.subdemes.append(frag)
         else:
-            rm = ResolvedMetric(problem, view, policy.metric)
+            rm = ResolvedMetric(problem, view, policy.metric, ledger)
             pv = promise_vector(cfg.weights, rm)
             base = manifold.from_weights(pv.values)
             d = min(step_params.chart_dim, len(view) - 1)
@@ -484,9 +493,11 @@ def info_evo_loop(
             state.stalled_rounds += 1
             if state.stalled_rounds >= 3:
                 logger.warning("three rounds without new evaluations; stopping early")
-                state.stop = True
+                state.stop_reason = "stall"
         else:
             state.stalled_rounds = 0
+    if not state.stop and ledger.remaining <= 0:
+        state.stop_reason = "budget"
 
     best = best_sample(ledger) if ledger.eval_count else None
     success = (
@@ -501,4 +512,5 @@ def info_evo_loop(
         trace=state.trace,
         ledger=ledger,
         skipped_total=state.skipped_total,
+        stop_reason=state.stop_reason,
     )

@@ -34,6 +34,27 @@ class ScalarProblem(Problem):
         return abs(float(a) - float(b))
 
 
+def count_objective_calls(problem):
+    """Wrap the instance's ``score`` (and ``behavior``, where its class
+    overrides the default) to count calls, as the benchmark's own
+    wrapper does; returns the list each call appends its name to."""
+    calls = []
+
+    def counting(name):
+        fn = getattr(problem, name)
+
+        def wrapper(genotype):
+            calls.append(name)
+            return fn(genotype)
+
+        return wrapper
+
+    problem.score = counting("score")
+    if type(problem).behavior is not Problem.behavior:
+        problem.behavior = counting("behavior")
+    return calls
+
+
 @pytest.fixture
 def scalar_problem():
     return ScalarProblem()

@@ -16,6 +16,8 @@ from infoevo.cli import (
 )
 from infoevo.errors import ConfigError
 
+from conftest import count_objective_calls
+
 
 def run_cli(argv):
     return main(argv)
@@ -253,6 +255,7 @@ def test_compare_csv_row_accounting(tmp_path):
     assert [r["mode"] for r in median_rows] == ["info_evo", "baseline"]
     for r in data_rows:
         assert 1 <= int(r["evals_to_target"]) <= 400
+        assert int(r["objective_calls"]) >= int(r["evals_to_target"])
 
 
 def test_compare_invalid_repeats_exits_2(tmp_path):
@@ -400,3 +403,48 @@ def test_run_ends_when_no_new_genotype_can_be_drawn(tmp_path):
     record = json.loads((out / "run.json").read_text())
     assert not record["success"]
     assert record["eval_count"] <= 6
+    assert record["stop_reason"] == "stall"
+
+
+FAST_SETTINGS = FAST_RUN[4:]  # FAST_RUN without its problem flags
+UNREACHABLE = ["--problem", "sphere", "--dim", "3", "--target", "1"] + FAST_SETTINGS
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        FAST_RUN,
+        ["--problem", "sphere", "--dim", "3"] + FAST_SETTINGS,
+        ["--problem", "symreg"] + FAST_SETTINGS + ["--budget", "150"],
+        FAST_RUN + ["--mode", "baseline"],
+        FAST_RUN + ["--deme-count", "2"],
+    ],
+    ids=["onemax", "sphere", "symreg", "onemax-baseline", "onemax-demes"],
+)
+def test_run_reports_its_objective_calls(argv, monkeypatch):
+    calls = []
+    make_problem = cli.make_problem
+
+    def counted(name, **params):
+        problem = make_problem(name, **params)
+        calls.append(count_objective_calls(problem))
+        return problem
+
+    monkeypatch.setattr(cli, "make_problem", counted)
+    cfg = build_run_config(build_parser().parse_args(["run", "--out", "unused"] + argv))
+    record = execute_run(cfg, cfg.mode, cfg.seed)
+    assert record["objective_calls"] == len(calls[0]) >= record["eval_count"]
+
+
+def test_run_reports_why_it_stopped(tmp_path):
+    out = tmp_path / "out"
+    assert run_cli(["run", "--out", str(out)] + FAST_RUN) == 0
+    record = json.loads((out / "run.json").read_text())
+    assert record["success"] and record["stop_reason"] == "target"
+    assert run_cli(["run", "--out", str(out)] + UNREACHABLE + ["--budget", "120"]) == 0
+    record = json.loads((out / "run.json").read_text())
+    assert record["eval_count"] == 120 and record["stop_reason"] == "budget"
+    argv = UNREACHABLE + ["--budget", "120", "--deme-count", "2"]
+    assert run_cli(["run", "--out", str(out)] + argv) == 0
+    record = json.loads((out / "run.json").read_text())
+    assert record["stop_reason"] == ["budget", "budget"]

@@ -11,10 +11,10 @@ from infoevo.core import (
     knn,
     view_of,
 )
-from infoevo.domains import OneMax
+from infoevo.domains import OneMax, make_problem
 from infoevo.errors import BudgetExhausted, EmptyLedger
 
-from conftest import ScalarProblem, make_scalar_ledger
+from conftest import ScalarProblem, count_objective_calls, make_scalar_ledger
 
 
 def test_evaluate_onemax_all_ones():
@@ -133,24 +133,39 @@ def test_blended_metric_extremes_match_pure_metrics(rng):
 
 
 def test_resolved_metric_computes_each_behavior_once(rng):
+    # OneMax keeps the default behavior, its score: the view's scores are
+    # in the ledger's memo, so building the metric calls no objective
     problem = OneMax(bits=16)
     ledger = EvaluationLedger(budget=30)
     for _ in range(12):
         evaluate(problem.random_genotype(rng), problem, ledger)
     view = view_of(ledger)
-    calls = []
-    behavior = problem.behavior
-    problem.behavior = lambda g: calls.append(1) or behavior(g)
-    rm = ResolvedMetric(problem, view, DistanceMetric.blended(0.5))
-    assert len(calls) == len(view)
+    calls = count_objective_calls(problem)
+    rm = ResolvedMetric(problem, view, DistanceMetric.blended(0.5), ledger)
     for s in view.samples:
         knn(s.genotype, rm, 3)
-    assert len(calls) == len(view)
+    assert calls == []
     outside = problem.random_genotype(rng)
     first = knn(outside, rm, 3)
     again = knn(outside, rm, 3)
     assert all(np.array_equal(a, b) for a, b in zip(again, first))
-    assert len(calls) == len(view) + 1
+    assert calls == ["score"]
+    assert ledger.objective_calls == 12 + 1
+
+    # symreg overrides behavior: each sample's is computed once, across
+    # two metrics whose views overlap
+    problem = make_problem("symreg")
+    ledger = EvaluationLedger(budget=30)
+    for _ in range(12):
+        evaluate(problem.random_genotype(rng), problem, ledger)
+    calls = count_objective_calls(problem)
+    first = PopulationView.of(ledger.samples[:8])
+    second = PopulationView.of(ledger.samples[4:])
+    for view in (first, second):
+        rm = ResolvedMetric(problem, view, DistanceMetric.phenotypic(), ledger)
+        for s in view.samples:
+            knn(s.genotype, rm, 3)
+    assert calls == ["behavior"] * len(ledger)
 
 
 def test_resolved_metric_rows_match_direct_distances(rng):

@@ -3,6 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from infoevo import guidance
 from infoevo.core import EvaluationLedger, evaluate, view_of
 from infoevo.domains import OneMax, Sphere
 from infoevo.evolve import (
@@ -17,7 +18,7 @@ from infoevo.geodesic_search import StepParams
 from infoevo.guidance import FilterPolicy
 from infoevo.promise import PromiseWeights
 
-from conftest import ScalarProblem
+from conftest import ScalarProblem, count_objective_calls
 
 
 def run_config(evolution, seed=0, **kw):
@@ -209,6 +210,35 @@ def test_loop_baseline_one_objective_call_per_evaluation():
     )
     assert len(result.reports) > 0
     assert len(calls) == result.ledger.eval_count
+
+
+@pytest.mark.parametrize(
+    "make", [lambda: OneMax(bits=20), lambda: Sphere(dim=5)], ids=["onemax-20", "sphere-5"]
+)
+def test_guided_loop_scores_each_genotype_once(make, monkeypatch):
+    # every evaluated genotype costs one objective call, and so does each
+    # distinct genotype the filter skipped and the run never evaluated (a
+    # run ended by its budget would also pay for the candidate that passed
+    # the filter and found the budget spent)
+    problem = make()
+    calls = count_objective_calls(problem)
+    skipped = set()
+    should_evaluate = guidance.should_evaluate
+
+    def recording(x, *args):
+        ok, est = should_evaluate(x, *args)
+        if not ok:
+            skipped.add(problem.canonical_key(x))
+        return ok, est
+
+    monkeypatch.setattr(guidance, "should_evaluate", recording)
+    config = EvolutionConfig(subpop_size=20, generations_per_round=4, init_population=40)
+    result = info_evo_loop(problem, run_config(config, seed=3, budget=5000))
+    ledger = result.ledger
+    assert result.stop_reason == "target" and result.skipped_total > 0
+    never_evaluated = [key for key in skipped if ledger.lookup(key) is None]
+    assert len(calls) == ledger.eval_count + len(never_evaluated)
+    assert ledger.objective_calls == len(calls)
 
 
 def test_loop_unknown_mode():

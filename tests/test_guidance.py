@@ -2,7 +2,15 @@ import numpy as np
 import pytest
 
 from infoevo import manifold
-from infoevo.core import DistanceMetric, ResolvedMetric, normalize_scores, view_of
+from infoevo.core import (
+    DistanceMetric,
+    EvaluationLedger,
+    ResolvedMetric,
+    evaluate,
+    normalize_scores,
+    view_of,
+)
+from infoevo.domains import OneMax
 from infoevo.errors import DegenerateLine, EmptyLedger
 from infoevo.guidance import (
     FilterPolicy,
@@ -18,7 +26,7 @@ from infoevo.guidance import (
 )
 from infoevo.promise import PromiseVector
 
-from conftest import ScalarProblem, make_scalar_ledger
+from conftest import ScalarProblem, count_objective_calls, make_scalar_ledger
 
 
 def scalar_setup(values):
@@ -271,6 +279,26 @@ def test_should_evaluate_threshold_behavior(rng):
     for x in rng.uniform(0, 10, 50):
         ok, est = should_evaluate(float(x), policy, rm, ledger_mf, thr)
         assert ok == (est >= thr)
+
+
+def test_screened_then_evaluated_candidate_costs_one_objective_call(rng):
+    problem = OneMax(bits=16)
+    ledger = EvaluationLedger(budget=30)
+    for _ in range(12):
+        evaluate(problem.random_genotype(rng), problem, ledger)
+    view = view_of(ledger)
+    rm = ResolvedMetric(problem, view, DistanceMetric.blended(0.5), ledger)
+    calls = count_objective_calls(problem)
+    x = problem.random_genotype(rng)
+    while ledger.lookup(problem.canonical_key(x)) is not None:
+        x = problem.random_genotype(rng)
+    policy = FilterPolicy(k=3)
+    ok, _ = should_evaluate(x, policy, rm, view.scores, float("-inf"))
+    assert ok and calls == ["score"]
+    sample = evaluate(x, problem, ledger)
+    assert calls == ["score"]
+    assert sample.score == float(x.sum())
+    assert ledger.eval_count == len(view) + 1
 
 
 def test_filter_policy_validation():

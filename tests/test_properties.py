@@ -1,4 +1,5 @@
-"""Property tests: neighbor queries, manifold edge cases and EDA sampling."""
+"""Property tests: neighbor queries, manifold edge cases, EDA sampling and
+the run memo."""
 
 import numpy as np
 import pytest
@@ -9,13 +10,14 @@ from infoevo import manifold
 from infoevo.core import (
     DistanceMetric,
     EvaluationLedger,
+    PopulationView,
     ResolvedMetric,
     ScoredSample,
     evaluate,
     knn,
     view_of,
 )
-from infoevo.domains import OneMax, Sphere
+from infoevo.domains import OneMax, Sphere, make_problem
 from infoevo.errors import GammaExceedsRay
 from infoevo.evolve import EvolutionConfig, _eda_model, _sample_eda, vary
 from infoevo.geodesic_search import GeodesicRay, sample_exact_ray, step_along
@@ -286,3 +288,41 @@ def test_vary_all_eda_matches_choice_per_locus(problem, n_parents, subpop, seed)
         values = choice_per_locus(top, alphabets, subpop, ref)
         assert np.array_equal(kid, problem.from_loci(values, ref))
     assert rng.bit_generator.state == ref.bit_generator.state
+
+# --- the run memo ---
+
+# OneMax keeps the default behavior (its score); symreg, on its built-in
+# dataset, has behavior vectors of its own
+MEMO_PROBLEMS = {"onemax": OneMax(bits=10), "symreg": make_problem("symreg")}
+metrics = st.one_of(
+    st.just(DistanceMetric.genotypic()),
+    st.just(DistanceMetric.phenotypic()),
+    st.floats(0.0, 1.0).map(DistanceMetric.blended),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from(sorted(MEMO_PROBLEMS)),
+    metrics,
+    st.integers(2, 12),
+    st.integers(0, 2**32 - 1),
+    st.data(),
+)
+def test_metric_rows_from_the_run_memo_match_rows_without_it(name, metric, n, seed, data):
+    problem = MEMO_PROBLEMS[name]
+    rng = np.random.default_rng(seed)
+    ledger = EvaluationLedger(budget=n)
+    for _ in range(n):
+        evaluate(problem.random_genotype(rng), problem, ledger)
+    samples = ledger.samples
+    end = data.draw(st.integers(1, len(samples)))
+    start = data.draw(st.integers(0, end - 1))
+    # two views that share samples[start:end], and genotypes outside both
+    views = [PopulationView.of(samples[:end]), PopulationView.of(samples[start:])]
+    outside = [problem.random_genotype(rng) for _ in range(3)]
+    for view in views:
+        shared = ResolvedMetric(problem, view, metric, ledger)
+        alone = ResolvedMetric(problem, view, metric)
+        for g in [s.genotype for s in view.samples] + outside:
+            assert shared.to_all(g).tobytes() == alone.to_all(g).tobytes()
