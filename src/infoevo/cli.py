@@ -22,10 +22,10 @@ import numpy as np
 
 from . import geodesic_search, manifold
 from .core import DistanceMetric
-from .demes import aggregate_best, run_demes
+from .demes import run_demes
 from .domains import PROBLEM_NAMES, make_problem
 from .errors import ConfigError, InfoEvoError
-from .evolve import EvolutionConfig, RunConfig, info_evo_loop
+from .evolve import EvolutionConfig, RunConfig
 from .geodesic_search import StepParams
 from .guidance import FilterPolicy
 from .promise import PromiseWeights
@@ -91,32 +91,11 @@ def execute_run(cfg: RunConfig, mode: str, seed: int) -> dict:
     cfg = replace(cfg, mode=mode, seed=seed)
     problem = make_problem(cfg.problem, **cfg.problem_params)
     t0 = time.perf_counter()
-    if cfg.deme_count > 1:
-        demes, states, reports, trace = run_demes(
-            problem, cfg, np.random.default_rng(seed)
-        )
-        best = aggregate_best(demes)
-        success = (
-            best is not None
-            and problem.target is not None
-            and best.score >= problem.target
-        )
-        rounds = [r.as_dict() for deme_rounds in reports for r in deme_rounds]
-        eval_count = sum(d.ledger.eval_count for d in demes)
-        objective_calls = sum(d.ledger.objective_calls for d in demes)
-        skipped = sum(st.skipped_total for st in states)
-        stop_reason = [st.stop_reason for st in states]
-    else:
-        result = info_evo_loop(problem, cfg)
-        trace = result.trace
-        best = result.best
-        success = result.success
-        rounds = [r.as_dict() for r in result.reports]
-        eval_count = result.ledger.eval_count
-        objective_calls = result.ledger.objective_calls
-        skipped = result.skipped_total
-        stop_reason = result.stop_reason
+    states, trace = run_demes(problem, cfg, np.random.default_rng(seed))
     wall = time.perf_counter() - t0
+    bests = [st.best for st in states if st.best is not None]
+    best = max(bests, key=lambda s: s.score, default=None)
+    stop_reasons = [st.stop_reason for st in states]
 
     # trace rows are in global evaluation order
     evals_to_target = cfg.budget
@@ -130,15 +109,15 @@ def execute_run(cfg: RunConfig, mode: str, seed: int) -> dict:
         "mode": mode,
         "seed": seed,
         "config": asdict(cfg),
-        "success": success,
-        "stop_reason": stop_reason,
+        "success": any(st.success for st in states),
+        "stop_reason": stop_reasons[0] if len(states) == 1 else stop_reasons,
         "best_score": best.score if best else None,
         "best_genotype": problem.render(best.genotype) if best else None,
-        "eval_count": eval_count,
-        "objective_calls": objective_calls,
-        "candidates_skipped": skipped,
+        "eval_count": sum(st.ledger.eval_count for st in states),
+        "objective_calls": sum(st.ledger.objective_calls for st in states),
+        "candidates_skipped": sum(st.skipped_total for st in states),
         "evals_to_target": evals_to_target,
-        "rounds": rounds,
+        "rounds": [r.as_dict() for st in states for r in st.reports],
         "wall_time_s": wall,
         "trace": trace,
     }

@@ -1,38 +1,31 @@
 """Island-style orchestration and the behavior-vector program distance.
 
-Demes are independent islands, each with its own evaluation ledger,
-random stream and run of the guided loop. The demes take rounds in turn,
-each continuing its loop where it stopped, and every guided round inside
-a deme spawns per-ray sub-demes. The distance between two programs is the
-closed-form geodesic distance between the distributions induced by their
-behavior vectors on a shared probe set.
+A deme is one run of the guided loop, its ``RunState``, with its own
+evaluation ledger and random stream; a single run is the one-deme case.
+The demes take rounds in turn, each continuing its loop where it
+stopped, and every guided round inside a deme spawns per-ray sub-demes.
+The distance between two programs is the closed-form geodesic distance
+between the distributions induced by their behavior vectors on a shared
+probe set.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from . import manifold
-from .core import EvaluationLedger, best_sample
+from .core import EvaluationLedger
 from .errors import NonFiniteOutput
-from .evolve import RunConfig, RunResult, RunState, info_evo_loop
+from .evolve import RunConfig, RunState, info_evo_loop
 
 BEHAVIOR_EPS = 1e-6  # relative uniform mass mixed into behavior distributions
 
 
-@dataclass
-class Deme:
-    deme_id: int
-    ledger: EvaluationLedger
-    status: str = "active"  # or "exhausted"
-    rng: np.random.Generator | None = field(default=None, repr=False)
+def spawn_demes(problem, count: int, rng: np.random.Generator, budget: int):
+    """One fresh RunState per deme.
 
-
-def spawn_demes(count: int, rng: np.random.Generator, budget: int):
-    """Create demes, each with a random stream drawn from ``rng``.
-
+    Deme 0 continues ``rng`` itself, so one deme is the run a single
+    ``rng`` gives; each further deme's stream is seeded from ``rng``.
     Each deme owns a ledger capped at its share of the total ``budget``.
     Shares differ by at most one evaluation, the first demes taking the
     remainder.
@@ -41,68 +34,41 @@ def spawn_demes(count: int, rng: np.random.Generator, budget: int):
         raise ValueError("deme count must be positive")
     if budget < 1:
         raise ValueError("total budget must be positive")
+    streams = [rng]
+    streams += [np.random.default_rng(rng.integers(2**63)) for _ in range(count - 1)]
     return [
-        Deme(
-            deme_id=i,
+        RunState(
             ledger=EvaluationLedger(budget // count + (i < budget % count)),
-            rng=np.random.default_rng(rng.integers(2**63)),
+            problem=problem,
+            rng=stream,
+            deme_id=i,
         )
-        for i in range(count)
+        for i, stream in enumerate(streams)
     ]
-
-
-def run_deme_round(
-    deme: Deme,
-    problem,
-    cfg: RunConfig,
-    *,
-    state: RunState,
-    max_rounds: int = 1,
-) -> RunResult:
-    """Guided rounds inside a deme, continuing ``state``'s loop.
-
-    Marks the deme exhausted when its budget is spent, its target is
-    reached or its loop stops or runs no round (as when it has no
-    initial population to start from).
-    """
-    if deme.status != "active":
-        raise ValueError(f"deme {deme.deme_id} is not active")
-    result = info_evo_loop(
-        problem, cfg, state=state, rng=deme.rng, max_rounds=max_rounds
-    )
-    if deme.ledger.remaining <= 0 or state.stop or not result.reports:
-        deme.status = "exhausted"
-    return result
 
 
 def run_demes(problem, cfg: RunConfig, rng: np.random.Generator):
-    """Round-robin ``cfg.deme_count`` demes, one round each, until all are
-    exhausted.
+    """Round-robin ``cfg.deme_count`` demes, one round each, until every
+    deme has stopped.
 
     The demes share ``cfg.budget`` and run the loop with ``cfg`` as a
-    single run does. A deme is exhausted when its budget is spent, it
-    reaches the target or its loop stops after three rounds that add
-    nothing to its ledger.
+    single run does. A deme stops when its budget is spent, it reaches
+    the target, or its loop stalls.
 
-    Returns (demes, per-deme RunStates, per-deme report lists, trace).
-    The trace holds every deme's rows in global evaluation order: demes
-    run one at a time, so appending each round's new rows keeps it.
+    Returns (per-deme RunStates, trace). The trace holds every deme's
+    rows in global evaluation order: demes run one at a time, so
+    appending each round's new rows keeps it.
     """
-    demes = spawn_demes(cfg.deme_count, rng, cfg.budget)
-    states = [
-        RunState(ledger=d.ledger, problem=problem, deme_id=d.deme_id) for d in demes
-    ]
-    reports: list[list] = [[] for _ in demes]
+    states = spawn_demes(problem, cfg.deme_count, rng, cfg.budget)
     trace: list[dict] = []
-    while any(d.status == "active" for d in demes):
-        for deme, state in zip(demes, states):
-            if deme.status != "active":
+    while not all(st.stop for st in states):
+        for st in states:
+            if st.stop:
                 continue
-            before = deme.ledger.eval_count
-            result = run_deme_round(deme, problem, cfg, state=state)
-            reports[deme.deme_id].extend(result.reports)
-            trace.extend(state.trace[before:])  # one row per new evaluation
-    return demes, states, reports, trace
+            before = len(st.trace)
+            info_evo_loop(problem, cfg, state=st, max_rounds=1)
+            trace.extend(st.trace[before:])  # one row per new evaluation
+    return states, trace
 
 
 def behavior_to_distribution(outputs, eps_b: float = BEHAVIOR_EPS):
@@ -145,13 +111,3 @@ def program_fisher_distance(a, b, probes, problem, eps_b: float = BEHAVIOR_EPS) 
     da = behavior_to_distribution(out_a, eps_b)
     db = behavior_to_distribution(out_b, eps_b)
     return manifold.geodesic_distance_exact(da, db)
-
-
-def aggregate_best(demes):
-    """Best sample across the demes' ledgers."""
-    candidates = [
-        best_sample(d.ledger) for d in demes if d.ledger.eval_count > 0
-    ]
-    if not candidates:
-        return None
-    return max(candidates, key=lambda s: s.score)

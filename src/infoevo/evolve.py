@@ -25,7 +25,7 @@ from .core import (
     view_of,
 )
 from .domains import make_problem
-from .errors import BudgetExhausted, ConfigError
+from .errors import ConfigError
 from .geodesic_search import StepParams
 from .guidance import H_KINDS, OMEGA_KINDS, FilterPolicy, ModifiedPromise
 from .promise import PromiseWeights, promise_vector
@@ -136,21 +136,25 @@ class RoundReport:
 
 @dataclass
 class RunState:
-    """Mutable bookkeeping shared across one run.
+    """One run: its ledger, random stream, schedule and rounds.
 
     The loop's schedule (step size, round index and the counters of
     rounds without improvement and without new evaluations) lives here, so a
     loop called for a few rounds at a time continues where it stopped.
-    ``stop_reason`` says why the run ended: ``"target"`` (an evaluation
-    reached the problem's target), ``"budget"`` (the budget is spent) or
-    ``"stall"`` (three rounds in a row added nothing to the ledger); it is
-    None while the run can go on.
+    ``reports`` holds every round the state ran, and ``trace`` one row per
+    new evaluation. ``stop_reason`` says why the run ended: ``"target"``
+    (an evaluation reached the problem's target), ``"budget"`` (the budget
+    is spent) or ``"stall"`` (three rounds in a row added nothing to the
+    ledger, or the ledger is empty, so no round can run); it is None while
+    the run can go on. A deme is one RunState.
     """
 
     ledger: EvaluationLedger
     problem: object
+    rng: np.random.Generator = field(repr=False)
     deme_id: int = 0
     trace: list[dict] = field(default_factory=list)
+    reports: list[RoundReport] = field(default_factory=list)
     skipped_total: int = 0
     stop_reason: str | None = None
     gamma: float | None = None  # the step size; None until the first round
@@ -161,6 +165,15 @@ class RunState:
     @property
     def stop(self) -> bool:
         return self.stop_reason is not None
+
+    @property
+    def best(self) -> ScoredSample | None:
+        return best_sample(self.ledger) if self.ledger.eval_count else None
+
+    @property
+    def success(self) -> bool:
+        best, target = self.best, self.problem.target
+        return best is not None and target is not None and best.score >= target
 
     def record(self, genotype) -> ScoredSample:
         before = self.ledger.eval_count
@@ -178,17 +191,6 @@ class RunState:
             if target is not None and sample.score >= target:
                 self.stop_reason = "target"
         return sample
-
-
-@dataclass
-class RunResult:
-    best: ScoredSample | None
-    success: bool
-    reports: list[RoundReport]
-    trace: list[dict]
-    ledger: EvaluationLedger
-    skipped_total: int
-    stop_reason: str | None
 
 
 def _eda_model(parents, fitness, problem, m: int):
@@ -318,6 +320,14 @@ def run_subpopulation(
         for child in offspring:
             if state.stop:
                 break
+            # once the budget is spent only a genotype the ledger holds can
+            # be recorded; any other ends the burst before it is counted
+            # or screened
+            if state.ledger.remaining <= 0 and (
+                state.ledger.lookup(problem.canonical_key(child)) is None
+            ):
+                out_of_budget = True
+                break
             report.candidates_generated += 1
             if filtering:
                 ok, _est = guidance.should_evaluate(
@@ -327,19 +337,11 @@ def run_subpopulation(
                     report.candidates_skipped += 1
                     state.skipped_total += 1
                     continue
-            try:
-                new_samples.append(state.record(child))
-            except BudgetExhausted:
-                out_of_budget = True
-                break
+            new_samples.append(state.record(child))
             report.candidates_evaluated += 1
         report.generations_run += 1
         if out_of_budget or state.stop:
             report.early_stop = out_of_budget
-            if new_samples:
-                parents, fitness = _next_generation(
-                    parents, fitness, new_samples, fitness_of, config
-                )
             break
         if new_samples:
             parents, fitness = _next_generation(
@@ -374,46 +376,53 @@ def info_evo_loop(
     cfg: RunConfig,
     *,
     state: RunState | None = None,
-    rng: np.random.Generator | None = None,
     max_rounds: int | None = None,
-) -> RunResult:
+) -> RunState:
     """Run the full guided loop (or the unguided baseline) to budget.
 
     Reads the run's settings from ``cfg``. Seeds the ledger with a random
     initial population, then repeats promise estimation, ray stepping,
     ray ranking, and one guided subpopulation per kept ray until the
     budget is spent, the problem's target is reached or three rounds in
-    a row add nothing to the ledger (``state.stop_reason`` says which). Without
-    ``state`` the run gets a ledger of ``cfg.budget`` evaluations, and
-    without ``rng`` a stream seeded by ``cfg.seed``. With ``max_rounds``,
-    returns after that many rounds; calling it again with the same
-    ``state`` continues the run.
+    a row add nothing to the ledger (``state.stop_reason`` says which).
+    Without ``state`` the run gets a ledger of ``cfg.budget`` evaluations
+    and a stream seeded by ``cfg.seed``. With ``max_rounds``, returns
+    after that many rounds; calling it again with the same ``state``
+    continues the run, and one round per call gives the same run as a
+    single call. Returns the state it advanced.
     """
     if cfg.mode not in ("info_evo", "baseline"):
         raise ValueError(f"unknown mode {cfg.mode!r}")
-    if rng is None:
-        if cfg.seed is None:
-            raise ValueError("either rng or cfg.seed must be given")
-        rng = np.random.default_rng(cfg.seed)
     if state is None:
-        state = RunState(ledger=EvaluationLedger(cfg.budget), problem=problem)
-    ledger = state.ledger
+        if cfg.seed is None:
+            raise ValueError("a fresh run needs cfg.seed")
+        state = RunState(
+            ledger=EvaluationLedger(cfg.budget),
+            problem=problem,
+            rng=np.random.default_rng(cfg.seed),
+        )
+    ledger, rng = state.ledger, state.rng
     config, step_params, policy = cfg.evolution, cfg.step, cfg.policy
 
-    # random initial population; duplicates cost attempts but no budget
-    init_goal = min(config.init_population, ledger.budget)
-    attempts = 0
-    while ledger.eval_count < init_goal and attempts < 50 * init_goal and not state.stop:
-        attempts += 1
-        state.record(problem.random_genotype(rng))
+    if state.round_index == 0:
+        # random initial population; duplicates cost attempts but no budget
+        init_goal = min(config.init_population, ledger.budget)
+        attempts = 0
+        while (
+            ledger.eval_count < init_goal
+            and attempts < 50 * init_goal
+            and not state.stop
+        ):
+            attempts += 1
+            state.record(problem.random_genotype(rng))
 
-    reports: list[RoundReport] = []
+    rounds_run = 0
     if state.gamma is None:
         state.gamma = step_params.gamma
     kept_count = math.ceil(step_params.ray_count / 2)
 
     while not state.stop and ledger.remaining > 0 and ledger.eval_count > 0:
-        if max_rounds is not None and len(reports) >= max_rounds:
+        if max_rounds is not None and rounds_run >= max_rounds:
             break
         evals_before = ledger.eval_count
         gamma = state.gamma
@@ -476,8 +485,9 @@ def info_evo_loop(
         report.candidates_skipped = sum(f.candidates_skipped for f in report.subdemes)
         report.candidates_evaluated = sum(f.candidates_evaluated for f in report.subdemes)
         report.best_score_after = best_sample(ledger).score
-        reports.append(report)
+        state.reports.append(report)
         state.round_index += 1
+        rounds_run += 1
 
         if report.best_score_after > report.best_score_before:
             state.no_improve = 0
@@ -498,19 +508,6 @@ def info_evo_loop(
             state.stalled_rounds = 0
     if not state.stop and ledger.remaining <= 0:
         state.stop_reason = "budget"
-
-    best = best_sample(ledger) if ledger.eval_count else None
-    success = (
-        best is not None
-        and problem.target is not None
-        and best.score >= problem.target
-    )
-    return RunResult(
-        best=best,
-        success=success,
-        reports=reports,
-        trace=state.trace,
-        ledger=ledger,
-        skipped_total=state.skipped_total,
-        stop_reason=state.stop_reason,
-    )
+    elif not state.stop and ledger.eval_count == 0:
+        state.stop_reason = "stall"  # no initial population to start from
+    return state

@@ -81,7 +81,8 @@ def from_weights(w, eps_floor: float = EPS_FLOOR) -> LogDistribution:
         raise NegativeWeight("weights must be finite")
     if np.any(w < 0):
         raise NegativeWeight("weights must be nonnegative")
-    total = w.sum()
+    with np.errstate(over="ignore"):  # an overflowed sum is handled below
+        total = w.sum()
     if total <= 0:
         raise AllZeroWeights("at least one weight must be positive")
     if np.isinf(total):  # finite weights whose sum overflows

@@ -161,7 +161,9 @@ def test_criterion_5_guidance_monotonicity_and_filter_soundness(capsys):
         manifold.from_weights(rng.uniform(0.1, 1.0, 30)),
         k=3,
     )
-    state = RunState(ledger=seed_ledger, problem=problem2)
+    state = RunState(
+        ledger=seed_ledger, problem=problem2, rng=np.random.default_rng(0)
+    )
     config = EvolutionConfig(subpop_size=20, generations_per_round=5, elitism=2)
     rep = run_subpopulation(
         ledger_modified_fitness(mp2, rm2),
@@ -171,7 +173,7 @@ def test_criterion_5_guidance_monotonicity_and_filter_soundness(capsys):
         state,
         rm2,
         FilterPolicy(k=3, threshold_quantile=0.5),
-        np.random.default_rng(0),
+        state.rng,
     )
     ok &= rep.candidates_evaluated + rep.candidates_skipped == rep.candidates_generated
     ok &= rep.candidates_skipped == state.skipped_total

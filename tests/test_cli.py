@@ -14,7 +14,11 @@ from infoevo.cli import (
     geodesic_check,
     main,
 )
+from infoevo.domains import make_problem
 from infoevo.errors import ConfigError
+from infoevo.evolve import EvolutionConfig, info_evo_loop
+from infoevo.geodesic_search import StepParams
+from infoevo.guidance import FilterPolicy
 
 from conftest import count_objective_calls
 
@@ -353,15 +357,54 @@ def test_deme_run_hands_the_loop_the_single_run_config(monkeypatch):
 
         return wrapper
 
-    monkeypatch.setattr(cli, "info_evo_loop", recording(cli.info_evo_loop))
     monkeypatch.setattr(demes, "info_evo_loop", recording(demes.info_evo_loop))
     cfg = RunConfig(**{**DEME_RUN, "budget": 200, "seed": None})
     execute_run(replace(cfg, deme_count=1), "baseline", 3)
-    assert given == [replace(cfg, deme_count=1, mode="baseline", seed=3)]
+    assert given
+    assert all(c == replace(cfg, deme_count=1, mode="baseline", seed=3) for c in given)
     given.clear()
     execute_run(cfg, "baseline", 3)
     assert len(given) > 1
     assert all(c == replace(cfg, mode="baseline", seed=3) for c in given)
+
+
+TINY_SPACE = dict(
+    problem="onemax",
+    problem_params={"bits": 3},
+    budget=200,
+    step=StepParams(ray_count=3, grid_resolution=8, refinement_levels=1),
+    evolution=EvolutionConfig(
+        subpop_size=10, generations_per_round=2, elitism=2, init_population=15
+    ),
+    policy=FilterPolicy(k=3),
+)
+
+
+@pytest.mark.parametrize(
+    "settings, target",
+    [
+        pytest.param({**DEME_RUN, "deme_count": 1}, None, id="onemax-30"),
+        # 8 genotypes and an unreachable target: every round redraws the
+        # initial population unless only the run's first call draws it
+        pytest.param(TINY_SPACE, 4.0, id="onemax-3-unreachable"),
+    ],
+)
+@pytest.mark.parametrize("mode", ["info_evo", "baseline"])
+def test_single_run_is_a_one_deme_run(settings, target, mode, monkeypatch):
+    def make(name, **params):
+        problem = make_problem(name, **params)
+        if target is not None:
+            problem.target = target
+        return problem
+
+    monkeypatch.setattr(cli, "make_problem", make)
+    cfg = RunConfig(**{**settings, "mode": mode, "seed": 2})
+    record = execute_run(cfg, mode, 2)
+    state = info_evo_loop(make(cfg.problem, **cfg.problem_params), cfg)
+    assert record["trace"] == state.trace
+    assert record["rounds"] == [r.as_dict() for r in state.reports]
+    assert record["objective_calls"] == state.ledger.objective_calls
+    assert record["stop_reason"] == state.stop_reason
 
 
 def test_deme_run_keeps_the_ray_count(tmp_path):

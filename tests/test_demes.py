@@ -1,17 +1,16 @@
 import numpy as np
 import pytest
 
+from infoevo.cli import execute_run
 from infoevo.demes import (
-    aggregate_best,
     behavior_to_distribution,
     program_fisher_distance,
-    run_deme_round,
     run_demes,
     spawn_demes,
 )
 from infoevo.domains import OneMax
 from infoevo.errors import NonFiniteOutput
-from infoevo.evolve import EvolutionConfig, RunConfig, RunState
+from infoevo.evolve import EvolutionConfig, RunConfig, info_evo_loop
 from infoevo.geodesic_search import StepParams
 from infoevo.guidance import FilterPolicy
 from infoevo.promise import PromiseWeights
@@ -34,10 +33,6 @@ def deme_config(budget, deme_count=1, evolution=None, **kw):
     )
 
 
-def deme_state(deme, problem):
-    return RunState(ledger=deme.ledger, problem=problem, deme_id=deme.deme_id)
-
-
 def small_config(**kw):
     base = dict(
         subpop_size=10,
@@ -53,36 +48,47 @@ def small_config(**kw):
 
 
 def test_spawn_demes_count_and_subsets():
-    demes = spawn_demes(4, np.random.default_rng(1), 200)
-    assert len(demes) == 4
-    for i, d in enumerate(demes):
-        assert d.deme_id == i
-        assert d.ledger.budget == 50
-        assert d.status == "active"
+    problem = OneMax(bits=8)
+    states = spawn_demes(problem, 4, np.random.default_rng(1), 200)
+    assert len(states) == 4
+    for i, st in enumerate(states):
+        assert st.deme_id == i
+        assert st.problem is problem
+        assert st.ledger.budget == 50
+        assert not st.stop and st.round_index == 0 and st.reports == []
 
 
 def test_spawn_demes_split_the_whole_budget():
-    demes = spawn_demes(7, np.random.default_rng(1), 1500)
-    budgets = [d.ledger.budget for d in demes]
+    states = spawn_demes(OneMax(bits=8), 7, np.random.default_rng(1), 1500)
+    budgets = [st.ledger.budget for st in states]
     assert sum(budgets) == 1500
     assert max(budgets) - min(budgets) <= 1
 
 
 def test_spawn_demes_deterministic():
-    a = spawn_demes(3, np.random.default_rng(7), 60)
-    b = spawn_demes(3, np.random.default_rng(7), 60)
+    problem = OneMax(bits=8)
+    a = spawn_demes(problem, 3, np.random.default_rng(7), 60)
+    b = spawn_demes(problem, 3, np.random.default_rng(7), 60)
     for da, db in zip(a, b):
         assert da.ledger.budget == db.ledger.budget
         assert np.array_equal(da.rng.integers(2**63, size=4), db.rng.integers(2**63, size=4))
-    streams = [d.rng.integers(2**63) for d in a]
+    streams = [st.rng.integers(2**63) for st in a]
     assert len(set(streams)) == 3  # each deme draws its own stream
+    # deme 0 continues the stream it was given, so one deme is a single run
+    rng = np.random.default_rng(7)
+    (only,) = spawn_demes(problem, 1, rng, 60)
+    assert only.rng is rng
+    assert np.array_equal(
+        only.rng.integers(2**63, size=4),
+        np.random.default_rng(7).integers(2**63, size=4),
+    )
 
 
 def test_spawn_demes_validation():
     with pytest.raises(ValueError):
-        spawn_demes(0, np.random.default_rng(0), 10)
+        spawn_demes(OneMax(bits=8), 0, np.random.default_rng(0), 10)
     with pytest.raises(ValueError):
-        spawn_demes(1, np.random.default_rng(0), 0)
+        spawn_demes(OneMax(bits=8), 1, np.random.default_rng(0), 0)
 
 
 # --- rounds ---
@@ -92,13 +98,11 @@ def test_run_deme_round_budget_and_subdeme_count():
     problem = OneMax(bits=16)
     problem.target = 17.0  # unreachable: the round runs to plan
     cfg = deme_config(200)
-    demes = spawn_demes(1, np.random.default_rng(3), cfg.budget)
-    deme = demes[0]
-    result = run_deme_round(
-        deme, problem, cfg, state=deme_state(deme, problem), max_rounds=1
-    )
-    assert deme.ledger.eval_count <= 200
-    for report in result.reports:
+    (state,) = spawn_demes(problem, 1, np.random.default_rng(3), cfg.budget)
+    info_evo_loop(problem, cfg, state=state, max_rounds=1)
+    assert state.ledger.eval_count <= 200
+    assert len(state.reports) == 1
+    for report in state.reports:
         # kept sub-demes per round: ceil(3 / 2) = 2
         assert report.rays_used <= 2
         assert len(report.subdemes) <= 2
@@ -107,38 +111,40 @@ def test_run_deme_round_budget_and_subdeme_count():
 def test_run_deme_round_marks_exhausted():
     problem = OneMax(bits=8)  # tiny: target reachable fast
     cfg = deme_config(400)
-    demes = spawn_demes(1, np.random.default_rng(5), cfg.budget)
-    deme = demes[0]
-    state = deme_state(deme, problem)
-    run_deme_round(deme, problem, cfg, state=state, max_rounds=50)
-    assert deme.status == "exhausted"
-    with pytest.raises(ValueError):
-        run_deme_round(deme, problem, cfg, state=state)
+    (state,) = spawn_demes(problem, 1, np.random.default_rng(5), cfg.budget)
+    info_evo_loop(problem, cfg, state=state, max_rounds=50)
+    assert state.stop
+    # a stopped deme runs no further round and draws nothing
+    rounds, evals = len(state.reports), state.ledger.eval_count
+    draws = state.rng.bit_generator.state
+    info_evo_loop(problem, cfg, state=state)
+    assert len(state.reports) == rounds and state.ledger.eval_count == evals
+    assert state.rng.bit_generator.state == draws
 
 
 def test_run_demes_isolated_ledgers():
     problem = OneMax(bits=12)
     problem.target = 13.0  # unreachable; every deme spends its own budget
-    demes, states, reports, _ = run_demes(
+    states, _ = run_demes(
         problem, deme_config(120, deme_count=3), np.random.default_rng(2)
     )
-    assert all(d.status == "exhausted" for d in demes)
-    ids = [id(d.ledger) for d in demes]
+    assert all(st.stop for st in states)
+    ids = [id(st.ledger) for st in states]
     assert len(set(ids)) == 3
-    for d, state in zip(demes, states):
-        assert d.ledger.eval_count <= 40
-        assert len(state.trace) == d.ledger.eval_count
-        assert all(row["deme_id"] == d.deme_id for row in state.trace)
+    for st in states:
+        assert st.ledger.eval_count <= 40
+        assert len(st.trace) == st.ledger.eval_count
+        assert all(row["deme_id"] == st.deme_id for row in st.trace)
 
 
 def test_run_demes_continue_each_deme_loop():
     problem = OneMax(bits=12)
     problem.target = 13.0  # unreachable: gamma halves once the best stalls
     cfg = deme_config(200, deme_count=2)
-    _, _, reports, _ = run_demes(problem, cfg, np.random.default_rng(2))
-    for deme_reports in reports:
-        assert [r.round_index for r in deme_reports] == list(range(len(deme_reports)))
-        assert min(r.gamma_used for r in deme_reports) < cfg.step.gamma
+    states, _ = run_demes(problem, cfg, np.random.default_rng(2))
+    for st in states:
+        assert [r.round_index for r in st.reports] == list(range(len(st.reports)))
+        assert min(r.gamma_used for r in st.reports) < cfg.step.gamma
 
 
 def test_run_deme_round_stalled_loop_exhausts_deme():
@@ -146,50 +152,50 @@ def test_run_deme_round_stalled_loop_exhausts_deme():
     problem.target = 13.0
     # no round evaluates
     cfg = deme_config(200, evolution=small_config(generations_per_round=0))
-    deme = spawn_demes(1, np.random.default_rng(1), cfg.budget)[0]
-    state = deme_state(deme, problem)
+    (state,) = spawn_demes(problem, 1, np.random.default_rng(1), cfg.budget)
     for _ in range(3):
-        assert deme.status == "active"
-        run_deme_round(deme, problem, cfg, state=state)
-    assert state.stop and state.round_index == 3
-    assert deme.status == "exhausted"
+        assert not state.stop
+        info_evo_loop(problem, cfg, state=state, max_rounds=1)
+    assert state.stop_reason == "stall" and state.round_index == 3
 
 
 def test_run_demes_end_when_no_deme_can_grow_its_ledger():
     problem = OneMax(bits=3)  # 8 genotypes, far fewer than each deme's budget
     problem.target = 4.0  # unreachable
-    demes, _, reports, trace = run_demes(
+    states, trace = run_demes(
         problem, deme_config(200, deme_count=2), np.random.default_rng(2)
     )
-    assert all(d.status == "exhausted" for d in demes)
-    assert all(d.ledger.remaining > 0 for d in demes)
-    assert all(d.ledger.eval_count <= 8 for d in demes)
-    assert len(trace) == sum(d.ledger.eval_count for d in demes)
-    assert all(deme_reports for deme_reports in reports)
+    assert all(st.stop_reason == "stall" for st in states)
+    assert all(st.ledger.remaining > 0 for st in states)
+    assert all(st.ledger.eval_count <= 8 for st in states)
+    assert len(trace) == sum(st.ledger.eval_count for st in states)
+    assert all(st.reports for st in states)
 
 
 def test_run_demes_end_when_no_deme_has_an_initial_population():
     problem = OneMax(bits=12)
     cfg = deme_config(200, deme_count=2, evolution=small_config(init_population=0))
-    demes, _, reports, trace = run_demes(problem, cfg, np.random.default_rng(2))
-    assert all(d.status == "exhausted" for d in demes)
-    assert trace == [] and reports == [[], []]
+    states, trace = run_demes(problem, cfg, np.random.default_rng(2))
+    assert [st.stop_reason for st in states] == ["stall", "stall"]
+    assert trace == [] and all(st.reports == [] for st in states)
 
 
 def test_aggregate_best_across_demes():
     problem = OneMax(bits=10)
-    demes, _, _, _ = run_demes(
+    states, _ = run_demes(
         problem, deme_config(120, deme_count=2), np.random.default_rng(4)
     )
-    best = aggregate_best(demes)
-    assert best is not None
-    per_deme = [
-        max(s.score for s in d.ledger.samples)
-        for d in demes
-        if d.ledger.eval_count
-    ]
-    assert best.score == max(per_deme)
-    assert aggregate_best([]) is None
+    for st in states:
+        assert st.best.score == max(s.score for s in st.ledger.samples)
+    assert spawn_demes(problem, 1, np.random.default_rng(4), 10)[0].best is None
+    # a run's best is the best of its demes; at this seed deme 1 holds it
+    cfg = RunConfig(
+        problem="sphere", problem_params={"dim": 5}, budget=120, deme_count=2
+    )
+    record = execute_run(cfg, "info_evo", 6)
+    best_row = max(record["trace"], key=lambda row: row["score"])
+    assert best_row["deme_id"] == 1
+    assert record["best_score"] == best_row["score"]
 
 
 # --- behavior distributions and program distance ---

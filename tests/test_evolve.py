@@ -112,7 +112,7 @@ def test_run_subpopulation_budget_zero(rng):
     for v in (1.0, 2.0, 3.0):
         evaluate(float(v), problem, ledger)
     view = view_of(ledger)
-    state = RunState(ledger=ledger, problem=problem)
+    state = RunState(ledger=ledger, problem=problem, rng=rng)
     report = run_subpopulation(
         view.scores, None, small_config(), problem, state, view, FilterPolicy(), rng
     )
@@ -126,7 +126,7 @@ def test_run_subpopulation_unguided_accounting(rng):
     for v in (1.0, 2.0, 3.0, 4.0):
         evaluate(float(v), problem, ledger)
     view = view_of(ledger)
-    state = RunState(ledger=ledger, problem=problem)
+    state = RunState(ledger=ledger, problem=problem, rng=rng)
     config = small_config(generations_per_round=3)
     report = run_subpopulation(
         view.scores, None, config, problem, state, view, FilterPolicy(), rng
@@ -143,7 +143,7 @@ def test_run_subpopulation_improves_best(rng):
     parents = [evaluate(problem.random_genotype(rng), problem, ledger) for _ in range(12)]
     before = max(p.score for p in parents)
     view = view_of(ledger)
-    state = RunState(ledger=ledger, problem=problem)
+    state = RunState(ledger=ledger, problem=problem, rng=rng)
     config = small_config(subpop_size=20, generations_per_round=6)
     run_subpopulation(
         view.scores, None, config, problem, state, view, FilterPolicy(), rng
@@ -213,13 +213,17 @@ def test_loop_baseline_one_objective_call_per_evaluation():
 
 
 @pytest.mark.parametrize(
-    "make", [lambda: OneMax(bits=20), lambda: Sphere(dim=5)], ids=["onemax-20", "sphere-5"]
+    "make, budget, stop",
+    [
+        pytest.param(lambda: OneMax(bits=20), 5000, "target", id="onemax-20"),
+        pytest.param(lambda: Sphere(dim=5), 5000, "target", id="sphere-5"),
+        pytest.param(lambda: Sphere(dim=5), 800, "budget", id="sphere-5-budget-800"),
+    ],
 )
-def test_guided_loop_scores_each_genotype_once(make, monkeypatch):
+def test_guided_loop_scores_each_genotype_once(make, budget, stop, monkeypatch):
     # every evaluated genotype costs one objective call, and so does each
-    # distinct genotype the filter skipped and the run never evaluated (a
-    # run ended by its budget would also pay for the candidate that passed
-    # the filter and found the budget spent)
+    # distinct genotype the filter skipped and the run never evaluated; a
+    # run ended by its budget screens no candidate once the budget is spent
     problem = make()
     calls = count_objective_calls(problem)
     skipped = set()
@@ -233,12 +237,37 @@ def test_guided_loop_scores_each_genotype_once(make, monkeypatch):
 
     monkeypatch.setattr(guidance, "should_evaluate", recording)
     config = EvolutionConfig(subpop_size=20, generations_per_round=4, init_population=40)
-    result = info_evo_loop(problem, run_config(config, seed=3, budget=5000))
+    result = info_evo_loop(problem, run_config(config, seed=3, budget=budget))
     ledger = result.ledger
-    assert result.stop_reason == "target" and result.skipped_total > 0
+    assert result.stop_reason == stop and result.skipped_total > 0
     never_evaluated = [key for key in skipped if ledger.lookup(key) is None]
     assert len(calls) == ledger.eval_count + len(never_evaluated)
     assert ledger.objective_calls == len(calls)
+
+
+@pytest.mark.parametrize("mode", ["info_evo", "baseline"])
+def test_budget_ended_run_counts_every_candidate(mode):
+    # the last round's burst ends before a candidate the spent budget
+    # cannot take is counted, so every count adds up to the end
+    result = info_evo_loop(
+        OneMax(bits=50), RunConfig(budget=500, seed=1, mode=mode)
+    )
+    assert result.stop_reason == "budget"
+    for report in result.reports:
+        for part in [report, *report.subdemes]:
+            assert part.candidates_generated == (
+                part.candidates_skipped + part.candidates_evaluated
+            )
+    assert result.reports[-1].subdemes[-1].early_stop
+
+
+def test_loop_without_initial_population_stalls():
+    problem = OneMax(bits=12)
+    cfg = run_config(small_config(init_population=0), budget=100)
+    result = info_evo_loop(problem, cfg)
+    assert result.stop_reason == "stall"
+    assert result.reports == [] and result.trace == []
+    assert result.best is None and not result.success
 
 
 def test_loop_unknown_mode():

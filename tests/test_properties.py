@@ -174,6 +174,7 @@ unfloored_weights = st.lists(
 ).filter(lambda w: max(w) > 0)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @settings(max_examples=300, deadline=None)
 @given(unfloored_weights)
 def test_from_weights_without_floor(w):
