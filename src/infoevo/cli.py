@@ -225,7 +225,7 @@ def geodesic_check(
             )
             if 0.2 <= exact <= 0.8:
                 break
-        raw = geodesic_search.dijkstra_geodesic(chart, start, goal, resolution)
+        (raw,) = geodesic_search.dijkstra_geodesic(chart, start, [goal], resolution)
         refined = geodesic_search.refine_polyline(raw, refinement_levels)
         err = (refined.length - exact) / exact
         max_err = max(max_err, err)

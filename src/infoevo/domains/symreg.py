@@ -7,6 +7,7 @@ and (op, left, right) for the binary operators +, -, * and protected /.
 from __future__ import annotations
 
 import csv
+import operator
 from pathlib import Path
 
 import numpy as np
@@ -146,6 +147,9 @@ class SymbolicRegression(Problem):
         self.dimension = self.n_vars
         self.name = f"symreg-d{max_depth}"
         self.target = target
+        self._vocabulary: dict[str, int] = {}  # label -> count-vector column
+        self._feature_cache: dict[str, tuple[np.ndarray, float, np.ndarray]] = {}
+        self._last_stack = None  # (trees, their stacked features)
 
     def _random_leaf(self, rng):
         if rng.random() < 0.6:
@@ -205,22 +209,59 @@ class SymbolicRegression(Problem):
                 return child
         return a
 
-    def d_geno(self, a, b) -> float:
-        la, lb = tree_labels(a), tree_labels(b)
-        ca: dict[str, int] = {}
-        for lbl in la:
-            ca[lbl] = ca.get(lbl, 0) + 1
-        shared = 0
-        cb: dict[str, int] = {}
-        for lbl in lb:
-            cb[lbl] = cb.get(lbl, 0) + 1
-        for lbl, cnt in cb.items():
-            shared += min(cnt, ca.get(lbl, 0))
-        label_term = 1.0 - shared / max(len(la), len(lb))
-        pa = _depth_profile(a, self.max_depth)
-        pb = _depth_profile(b, self.max_depth)
-        depth_term = 0.5 * float(np.abs(pa - pb).sum())
+    def _features(self, tree) -> tuple[np.ndarray, float, np.ndarray]:
+        """Label counts, label total and depth profile, once per tree.
+
+        Counts are over a vocabulary that grows as labels first appear,
+        so a tree cached earlier has a shorter count vector. The cache is
+        keyed by the tree's repr: a label spells a constant by its repr,
+        which the canonical key rounds.
+        """
+        key = repr(tree)
+        feats = self._feature_cache.get(key)
+        if feats is None:
+            labels = tree_labels(tree)
+            vocab = self._vocabulary
+            cols = [vocab.setdefault(lbl, len(vocab)) for lbl in labels]
+            counts = np.bincount(cols, minlength=len(vocab)).astype(float)
+            feats = (counts, float(len(labels)), _depth_profile(tree, self.max_depth))
+            self._feature_cache[key] = feats
+        return feats
+
+    def _stacked(self, genotypes) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Count matrix, label totals and depth profiles, one row per tree.
+
+        A round asks for rows over the same view list once per sample, so
+        the last list's stack is kept while it holds the same trees.
+        """
+        last = self._last_stack
+        if last is not None and len(last[0]) == len(genotypes):
+            if all(map(operator.is_, last[0], genotypes)):
+                return last[1]
+        feats = [self._features(g) for g in genotypes]
+        counts = np.zeros((len(feats), len(self._vocabulary)))
+        for row, (c, _, _) in zip(counts, feats):
+            row[: len(c)] = c
+        totals = np.array([t for _, t, _ in feats])
+        profiles = np.array([p for _, _, p in feats]).reshape(len(feats), self.max_depth)
+        stack = (counts, totals, profiles)
+        self._last_stack = (tuple(genotypes), stack)
+        return stack
+
+    def geno_distances(self, x, genotypes) -> np.ndarray:
+        """Mean of the label-multiset distance and half the L1 distance of
+        depth profiles, from x to each genotype."""
+        cx, tx, px = self._features(x)
+        counts, totals, profiles = self._stacked(genotypes)
+        # a label past either side's columns appeared after it was counted
+        shared = min(counts.shape[1], len(cx))
+        overlap = np.minimum(counts[:, :shared], cx[:shared]).sum(axis=1)
+        label_term = 1.0 - overlap / np.maximum(totals, tx)
+        depth_term = 0.5 * np.abs(profiles - px).sum(axis=1)
         return 0.5 * (label_term + depth_term)
+
+    def d_geno(self, a, b) -> float:
+        return float(self.geno_distances(a, [b])[0])
 
     def render(self, genotype) -> str:
         return tree_str(genotype)

@@ -4,8 +4,10 @@ Search runs in a low-dimensional chart anchored at the current promise
 distribution: geodesic normal coordinates along a promise-ascent
 direction plus random orthonormal directions. Within the chart, shortest
 paths are found with Dijkstra on a lazily materialized lattice and
-tightened by hierarchical midpoint refinement; the closed-form geometry
-in :mod:`infoevo.manifold` provides both the fast path and the oracle.
+tightened by hierarchical midpoint refinement. Every ray starts at the
+chart base, so one search from the base serves all of a chart's rays.
+The closed-form geometry in :mod:`infoevo.manifold` provides both the
+fast path and the oracle.
 """
 
 from __future__ import annotations
@@ -161,6 +163,7 @@ class _LazyGrid:
         self.spacing = chart.radius / resolution
         self.limit = chart.radius + 0.5 * self.spacing
         self._points: dict[tuple, LogDistribution] = {}
+        self._inside: dict[tuple, bool] = {}
         self._offsets = [
             o
             for o in itertools.product((-1, 0, 1), repeat=chart.dim)
@@ -171,7 +174,11 @@ class _LazyGrid:
         return np.array(key, dtype=float) * self.spacing
 
     def in_bounds(self, key: tuple) -> bool:
-        return float(np.linalg.norm(self.coords(key))) <= self.limit
+        inside = self._inside.get(key)
+        if inside is None:
+            inside = float(np.linalg.norm(self.coords(key))) <= self.limit
+            self._inside[key] = inside
+        return inside
 
     def point(self, key: tuple) -> LogDistribution:
         pt = self._points.get(key)
@@ -204,59 +211,67 @@ class _LazyGrid:
 def dijkstra_geodesic(
     chart: Chart,
     start_coords,
-    goal_coords,
+    goals,
     resolution: int,
-) -> GeodesicPolyline:
-    """Shortest lattice path between two chart points.
+) -> list[GeodesicPolyline]:
+    """Shortest lattice paths from one chart point to each goal point.
 
     The lattice is a uniform grid in chart coordinates (8-connected in
     2-d, 26-connected in 3-d) with edge weights given by the exact
-    pairwise geodesic distance of the mapped distributions.
+    pairwise geodesic distance of the mapped distributions. One
+    single-source search serves every goal and stops once all are
+    settled. Each goal is a sink of its own, entered from the corners of
+    its cell and never expanded, so the lattice nodes are settled in the
+    same order as in a search for that goal alone, and each goal's path
+    is the one such a search returns.
     """
     start_coords = np.asarray(start_coords, dtype=float)
-    goal_coords = np.asarray(goal_coords, dtype=float)
-    for name, c in (("start", start_coords), ("goal", goal_coords)):
+    goals = [np.asarray(g, dtype=float) for g in goals]
+    for name, c in [("start", start_coords)] + [("goal", g) for g in goals]:
         if float(np.linalg.norm(c)) > chart.radius * (1 + 1e-9):
             raise GoalOutsideChart(f"{name} point lies outside the chart radius")
-    if np.allclose(start_coords, goal_coords):
-        return GeodesicPolyline((chart.point(start_coords),), 0.0)
-
-    grid = _LazyGrid(chart, resolution)
     start_pt = chart.point(start_coords)
-    goal_pt = chart.point(goal_coords)
-    START, GOAL = ("S",), ("G",)
+    paths: list[GeodesicPolyline | None] = [None] * len(goals)
+    START = ("S",)
+    sink_points: dict[tuple, LogDistribution] = {}  # ("G", goal index) -> point
+    sinks_entered: dict[tuple, list[tuple]] = {}  # lattice node -> its sinks
+    grid = _LazyGrid(chart, resolution)
+    for i, goal in enumerate(goals):
+        if np.allclose(start_coords, goal):
+            paths[i] = GeodesicPolyline((start_pt,), 0.0)
+            continue
+        sink = ("G", i)
+        sink_points[sink] = chart.point(goal)
+        for corner in grid.cell_corners(goal):
+            sinks_entered.setdefault(corner, []).append(sink)
+    if not sink_points:
+        return paths
 
     def node_point(key: tuple) -> LogDistribution:
         if key == START:
             return start_pt
-        if key == GOAL:
-            return goal_pt
-        return grid.point(key)
-
-    goal_entries = set(grid.cell_corners(goal_coords))
+        pt = sink_points.get(key)
+        return grid.point(key) if pt is None else pt
 
     def expand(key: tuple):
         if key == START:
-            yield from grid.cell_corners(start_coords)
-        elif key == GOAL:
-            return
-        else:
-            yield from grid.neighbors(key)
-            if key in goal_entries:
-                yield GOAL
+            return grid.cell_corners(start_coords)
+        return itertools.chain(grid.neighbors(key), sinks_entered.get(key, ()))
 
     dist: dict[tuple, float] = {START: 0.0}
     prev: dict[tuple, tuple] = {}
     counter = itertools.count()  # heap tiebreaker; node keys are not comparable
     heap: list[tuple[float, int, tuple]] = [(0.0, next(counter), START)]
     done: set[tuple] = set()
-    while heap:
+    unsettled = len(sink_points)
+    while heap and unsettled:
         d, _, key = heapq.heappop(heap)
         if key in done:
             continue
         done.add(key)
-        if key == GOAL:
-            break
+        if key in sink_points:
+            unsettled -= 1
+            continue
         pt = node_point(key)
         for nk in expand(key):
             if nk in done:
@@ -267,20 +282,22 @@ def dijkstra_geodesic(
                 dist[nk] = nd
                 prev[nk] = key
                 heapq.heappush(heap, (nd, next(counter), nk))
-    if GOAL not in done:
+    if unsettled:
         raise NoPath("no lattice route from start to goal")
 
-    path_keys = [GOAL]
-    while path_keys[-1] != START:
-        path_keys.append(prev[path_keys[-1]])
-    path_keys.reverse()
-    points = [node_point(k) for k in path_keys]
-    # drop coincident consecutive points (start/goal may sit on a node)
-    deduped = [points[0]]
-    for pt in points[1:]:
-        if manifold.geodesic_distance_exact(deduped[-1], pt) > 1e-14:
-            deduped.append(pt)
-    return GeodesicPolyline.of(deduped)
+    for sink in sink_points:
+        path_keys = [sink]
+        while path_keys[-1] != START:
+            path_keys.append(prev[path_keys[-1]])
+        path_keys.reverse()
+        points = [node_point(k) for k in path_keys]
+        # drop coincident consecutive points (start/goal may sit on a node)
+        deduped = [points[0]]
+        for pt in points[1:]:
+            if manifold.geodesic_distance_exact(deduped[-1], pt) > 1e-14:
+                deduped.append(pt)
+        paths[sink[1]] = GeodesicPolyline.of(deduped)
+    return paths
 
 
 def _downsample(pts: list, keep: int) -> list:
@@ -365,28 +382,29 @@ def geodesic_rays(
     """Rays from the chart base covering the promise-ascent cone.
 
     In exact mode the polylines come from the closed-form flow; otherwise
-    each ray is a refined Dijkstra path to a boundary goal. By default
-    the closed form is used above EXACT_RAYS_THRESHOLD samples.
+    each ray is a refined Dijkstra path to a boundary goal, and one
+    search from the chart base finds every ray's path. By default the
+    closed form is used above EXACT_RAYS_THRESHOLD samples.
     """
     if exact is None:
         exact = chart.base.n > EXACT_RAYS_THRESHOLD
     length = chart.radius
-    rays = []
-    for cdir in _ray_coord_directions(chart.dim, params.ray_count, rng):
-        direction = chart.tangent(cdir)
-        if exact:
-            poly = sample_exact_ray(chart.base, direction, length)
-        else:
-            raw = dijkstra_geodesic(
-                chart, np.zeros(chart.dim), length * cdir, params.grid_resolution
-            )
-            poly = refine_polyline(raw, params.refinement_levels)
-        rays.append(
-            GeodesicRay(
-                origin=chart.base, initial_direction=direction, polyline=poly
-            )
+    cdirs = _ray_coord_directions(chart.dim, params.ray_count, rng)
+    directions = [chart.tangent(cdir) for cdir in cdirs]
+    if exact:
+        polys = [sample_exact_ray(chart.base, u, length) for u in directions]
+    else:
+        raws = dijkstra_geodesic(
+            chart,
+            np.zeros(chart.dim),
+            [length * cdir for cdir in cdirs],
+            params.grid_resolution,
         )
-    return rays
+        polys = [refine_polyline(raw, params.refinement_levels) for raw in raws]
+    return [
+        GeodesicRay(origin=chart.base, initial_direction=u, polyline=poly)
+        for u, poly in zip(directions, polys)
+    ]
 
 
 def step_along(ray: GeodesicRay, gamma: float) -> LogDistribution:

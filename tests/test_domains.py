@@ -228,6 +228,16 @@ def test_symreg_distances(rng):
     assert 0.0 <= problem.d_geno(a, b) <= 1.0
 
 
+def test_symreg_distance_tells_apart_constants_with_one_canonical_key():
+    # the canonical key prints constants with %g; the labels use repr
+    problem = SymbolicRegression()
+    a, b = ("c", 1.0), ("c", 1.0000001)
+    assert problem.canonical_key(a) == problem.canonical_key(b)
+    assert problem.d_geno(a, a) == 0.0
+    assert problem.d_geno(a, b) == 0.5
+    assert problem.geno_distances(b, [a, b]).tolist() == [0.5, 0.0]
+
+
 def test_symreg_behavior_clipped():
     problem = SymbolicRegression()
     big = ("c", 1e300)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from infoevo import manifold
+from infoevo import geodesic_search, manifold
 from infoevo.errors import GammaExceedsRay, GoalOutsideChart
 from infoevo.geodesic_search import (
     GeodesicPolyline,
@@ -86,7 +86,7 @@ def test_chart_point_normal_coordinates(rng):
 def test_dijkstra_start_equals_goal(rng):
     base = random_distribution(rng, 5)
     chart = build_chart(base, rng.uniform(0, 1, 5), 2, rng, radius=0.5)
-    poly = dijkstra_geodesic(chart, [0.1, 0.1], [0.1, 0.1], 8)
+    (poly,) = dijkstra_geodesic(chart, [0.1, 0.1], [[0.1, 0.1]], 8)
     assert poly.length == 0.0
     assert len(poly.points) == 1
 
@@ -101,7 +101,7 @@ def test_dijkstra_matches_exact_distance_n3(rng):
     chart = build_chart(base, np.array([3.0, 1.0, 0.5]), 2, np.random.default_rng(1), radius=1.0)
     v = manifold.log_map(base, goal)
     coords = [manifold.inner(base, v.f, u.f) for u in chart.directions]
-    poly = dijkstra_geodesic(chart, [0.0, 0.0], coords, 32)
+    (poly,) = dijkstra_geodesic(chart, [0.0, 0.0], [coords], 32)
     assert poly.length <= exact * (1 + grid_slack(32))
     assert poly.length >= exact - 1e-9
     refined = refine_polyline(poly, 3)
@@ -111,7 +111,7 @@ def test_dijkstra_matches_exact_distance_n3(rng):
 def test_dijkstra_axis_aligned_goal(rng):
     base = random_distribution(rng, 6)
     chart = build_chart(base, rng.uniform(0, 1, 6), 2, rng, radius=0.8)
-    poly = dijkstra_geodesic(chart, [0.0, 0.0], [0.8, 0.0], 16)
+    (poly,) = dijkstra_geodesic(chart, [0.0, 0.0], [[0.8, 0.0]], 16)
     # goal along a frame direction: geodesic distance equals 0.8 exactly
     assert poly.length >= 0.8 - 1e-9
     assert poly.length <= 0.8 * (1 + grid_slack(16))
@@ -121,14 +121,14 @@ def test_dijkstra_goal_outside_chart(rng):
     base = random_distribution(rng, 5)
     chart = build_chart(base, rng.uniform(0, 1, 5), 2, rng, radius=0.3)
     with pytest.raises(GoalOutsideChart):
-        dijkstra_geodesic(chart, [0.0, 0.0], [0.4, 0.0], 8)
+        dijkstra_geodesic(chart, [0.0, 0.0], [[0.4, 0.0]], 8)
 
 
 def test_dijkstra_endpoints_match_requests(rng):
     base = random_distribution(rng, 7)
     chart = build_chart(base, rng.uniform(0, 1, 7), 2, rng, radius=0.6)
     start, goal = [0.05, -0.1], [0.3, 0.4]
-    poly = dijkstra_geodesic(chart, start, goal, 12)
+    (poly,) = dijkstra_geodesic(chart, start, [goal], 12)
     d0 = manifold.geodesic_distance_exact(poly.points[0], chart.point(start))
     d1 = manifold.geodesic_distance_exact(poly.points[-1], chart.point(goal))
     assert d0 < 1e-12
@@ -138,15 +138,15 @@ def test_dijkstra_endpoints_match_requests(rng):
 def test_dijkstra_symmetry(rng):
     base = random_distribution(rng, 6)
     chart = build_chart(base, rng.uniform(0, 1, 6), 2, rng, radius=0.6)
-    fwd = dijkstra_geodesic(chart, [-0.2, 0.1], [0.3, -0.25], 12)
-    bwd = dijkstra_geodesic(chart, [0.3, -0.25], [-0.2, 0.1], 12)
+    (fwd,) = dijkstra_geodesic(chart, [-0.2, 0.1], [[0.3, -0.25]], 12)
+    (bwd,) = dijkstra_geodesic(chart, [0.3, -0.25], [[-0.2, 0.1]], 12)
     assert fwd.length == pytest.approx(bwd.length, abs=1e-9)
 
 
 def test_dijkstra_3d_chart(rng):
     base = random_distribution(rng, 10)
     chart = build_chart(base, rng.uniform(0, 1, 10), 3, rng, radius=0.5)
-    poly = dijkstra_geodesic(chart, [0.0, 0.0, 0.0], [0.3, 0.2, 0.1], 8)
+    (poly,) = dijkstra_geodesic(chart, [0.0, 0.0, 0.0], [[0.3, 0.2, 0.1]], 8)
     exact = float(np.linalg.norm([0.3, 0.2, 0.1]))
     assert poly.length >= exact - 1e-9
     assert poly.length <= exact * (1 + grid_slack(8))
@@ -158,7 +158,7 @@ def test_dijkstra_3d_chart(rng):
 def test_refine_never_lengthens(rng):
     base = random_distribution(rng, 6)
     chart = build_chart(base, rng.uniform(0, 1, 6), 2, rng, radius=0.7)
-    raw = dijkstra_geodesic(chart, [0.0, 0.0], [0.4, 0.5], 16)
+    (raw,) = dijkstra_geodesic(chart, [0.0, 0.0], [[0.4, 0.5]], 16)
     refined = refine_polyline(raw, 3)
     assert refined.length <= raw.length + 1e-12
 
@@ -166,7 +166,7 @@ def test_refine_never_lengthens(rng):
 def test_refine_monotone_across_levels(rng):
     base = random_distribution(rng, 6)
     chart = build_chart(base, rng.uniform(0, 1, 6), 2, rng, radius=0.7)
-    raw = dijkstra_geodesic(chart, [0.0, 0.0], [0.35, 0.55], 16)
+    (raw,) = dijkstra_geodesic(chart, [0.0, 0.0], [[0.35, 0.55]], 16)
     lengths = [refine_polyline(raw, lv).length for lv in (0, 1, 2, 3)]
     for a, b in zip(lengths, lengths[1:]):
         assert b <= a + 1e-12
@@ -188,7 +188,7 @@ def test_refine_exact_geodesic_is_fixed_point(rng):
 def test_refine_preserves_endpoints(rng):
     base = random_distribution(rng, 6)
     chart = build_chart(base, rng.uniform(0, 1, 6), 2, rng, radius=0.6)
-    raw = dijkstra_geodesic(chart, [0.0, 0.0], [0.3, 0.3], 12)
+    (raw,) = dijkstra_geodesic(chart, [0.0, 0.0], [[0.3, 0.3]], 12)
     refined = refine_polyline(raw, 3)
     assert np.array_equal(refined.points[0].phi, raw.points[0].phi)
     assert np.array_equal(refined.points[-1].phi, raw.points[-1].phi)
@@ -244,6 +244,24 @@ def test_geodesic_rays_grid_mode_close_to_exact(rng):
     for ray in grid_rays:
         # each ray targets a boundary point: exact distance is the radius
         assert abs(ray.polyline.length - 0.5) / 0.5 < 0.02
+
+
+def test_geodesic_rays_one_lattice_search_per_chart(rng, monkeypatch):
+    # counted through the module attribute, where the rays look it up
+    searches = []
+    search = geodesic_search.dijkstra_geodesic
+
+    def counting(chart, start, goals, resolution):
+        searches.append(len(goals))
+        return search(chart, start, goals, resolution)
+
+    monkeypatch.setattr(geodesic_search, "dijkstra_geodesic", counting)
+    base = random_distribution(rng, 8)
+    chart = build_chart(base, rng.uniform(0, 1, 8), 2, rng, radius=0.5)
+    params = StepParams(ray_count=5, grid_resolution=8, refinement_levels=1)
+    rays = geodesic_rays(chart, params, rng, exact=False)
+    assert searches == [5]
+    assert len(rays) == 5
 
 
 def test_geodesic_rays_auto_exact_above_threshold(rng):

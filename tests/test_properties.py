@@ -1,5 +1,5 @@
-"""Property tests: neighbor queries, manifold edge cases, EDA sampling and
-the run memo."""
+"""Property tests: neighbor queries, manifold edge cases, EDA sampling,
+the run memo, the lattice search and the tree distance."""
 
 import numpy as np
 import pytest
@@ -17,10 +17,17 @@ from infoevo.core import (
     knn,
     view_of,
 )
-from infoevo.domains import OneMax, Sphere, make_problem
+from infoevo.domains import OneMax, Sphere, SymbolicRegression, make_problem
+from infoevo.domains.symreg import OPS, _depth_profile, tree_labels
 from infoevo.errors import GammaExceedsRay
 from infoevo.evolve import EvolutionConfig, _eda_model, _sample_eda, vary
-from infoevo.geodesic_search import GeodesicRay, sample_exact_ray, step_along
+from infoevo.geodesic_search import (
+    GeodesicRay,
+    build_chart,
+    dijkstra_geodesic,
+    sample_exact_ray,
+    step_along,
+)
 from infoevo.guidance import omega_knn
 from infoevo.manifold import _EXP_CLIP
 
@@ -327,3 +334,114 @@ def test_metric_rows_from_the_run_memo_match_rows_without_it(name, metric, n, se
         alone = ResolvedMetric(problem, view, metric)
         for g in [s.genotype for s in view.samples] + outside:
             assert shared.to_all(g).tobytes() == alone.to_all(g).tobytes()
+
+
+# --- one lattice search for several goals ---
+
+
+@st.composite
+def chart_point(draw, dim: int, radius: float, spacing: float, start):
+    """A point in the chart disc: anywhere, the start, or a lattice node."""
+    kind = draw(st.sampled_from(("any", "start", "node")))
+    if kind == "start":
+        return np.array(start)
+    if kind == "node":
+        steps = int(radius / spacing)
+        key = draw(st.lists(st.integers(-steps, steps), min_size=dim, max_size=dim))
+        assume(np.linalg.norm(key) * spacing <= radius)
+        return np.array(key, dtype=float) * spacing
+    u = np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=dim, max_size=dim)))
+    return u / max(1.0, float(np.linalg.norm(u))) * radius
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(1, 3),  # chart dimension
+    st.integers(0, 3),  # extra distribution size past dim + 1
+    st.integers(2, 6),  # lattice resolution
+    st.integers(0, 2**32 - 1),
+    st.data(),
+)
+def test_one_search_gives_each_goal_its_own_path(dim, extra, resolution, seed, data):
+    rng = np.random.default_rng(seed)
+    n = dim + 1 + extra
+    base = manifold.from_weights(rng.uniform(0.1, 1.0, size=n))
+    chart = build_chart(base, rng.uniform(0.0, 1.0, size=n), dim, rng, radius=0.6)
+    spacing = chart.radius / resolution
+    start = np.zeros(dim)
+    if data.draw(st.booleans(), label="start away from the origin"):
+        start = data.draw(chart_point(dim, chart.radius / 2, spacing, start))
+    goals = data.draw(
+        st.lists(chart_point(dim, chart.radius, spacing, start), min_size=1, max_size=4)
+    )
+    if data.draw(st.booleans(), label="duplicate a goal"):
+        goals.append(goals[data.draw(st.integers(0, len(goals) - 1))].copy())
+    together = dijkstra_geodesic(chart, start, goals, resolution)
+    assert len(together) == len(goals)
+    for goal, poly in zip(goals, together):
+        (alone,) = dijkstra_geodesic(chart, start, [goal], resolution)
+        assert poly.length == alone.length
+        assert len(poly.points) == len(alone.points)
+        for a, b in zip(poly.points, alone.points):
+            assert np.array_equal(a.phi, b.phi)
+
+
+# --- tree distance ---
+
+
+def per_pair_tree_distance(problem, a, b) -> float:
+    """The label-multiset and depth-profile distance, one pair at a time."""
+    la, lb = tree_labels(a), tree_labels(b)
+    ca: dict[str, int] = {}
+    for lbl in la:
+        ca[lbl] = ca.get(lbl, 0) + 1
+    cb: dict[str, int] = {}
+    for lbl in lb:
+        cb[lbl] = cb.get(lbl, 0) + 1
+    shared = sum(min(cnt, ca.get(lbl, 0)) for lbl, cnt in cb.items())
+    label_term = 1.0 - shared / max(len(la), len(lb))
+    pa = _depth_profile(a, problem.max_depth)
+    pb = _depth_profile(b, problem.max_depth)
+    depth_term = 0.5 * float(np.abs(pa - pb).sum())
+    return 0.5 * (label_term + depth_term)
+
+
+@st.composite
+def trees(draw, depth: int):
+    """Trees up to ``depth`` over two inputs, constants from anywhere."""
+    if depth == 1 or draw(st.booleans()):
+        if draw(st.booleans()):
+            return ("x", draw(st.integers(0, 1)))
+        return ("c", draw(st.floats(-1e6, 1e6)))
+    op = draw(st.sampled_from(OPS))
+    return (op, draw(trees(depth - 1)), draw(trees(depth - 1)))
+
+
+def reference_row(problem, x, gs) -> bytes:
+    return np.array([per_pair_tree_distance(problem, x, g) for g in gs], dtype=float).tobytes()
+
+
+def assert_rows_match(problem, x, gs):
+    got = problem.geno_distances(x, gs)
+    assert got.dtype == float and got.shape == (len(gs),)
+    per_pair = np.array([problem.d_geno(x, g) for g in gs], dtype=float)
+    assert got.tobytes() == per_pair.tobytes() == reference_row(problem, x, gs)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 6), st.data())
+def test_tree_distance_rows_match_per_pair_distances(max_depth, data):
+    problem = SymbolicRegression(probes=((0.0, 1.0),), outputs=(0.0,), max_depth=max_depth)
+    x = data.draw(trees(max_depth))
+    gs = data.draw(st.lists(trees(max_depth), max_size=8))
+    assert_rows_match(problem, x, gs)
+    # a label first seen after the rows above filled the cache: in the
+    # query tree against rows stacked before it (the same list again),
+    # and in a row
+    late = ("+", ("c", 1e9), x) if max_depth > 1 else ("c", 1e9)
+    assert problem.geno_distances(x, gs).tobytes() == reference_row(problem, x, gs)
+    assert problem.geno_distances(late, gs).tobytes() == reference_row(problem, late, gs)
+    assert_rows_match(problem, late, gs)
+    assert_rows_match(problem, x, gs + [late])
+    empty = problem.geno_distances(x, [])
+    assert empty.dtype == float and empty.shape == (0,)
