@@ -14,7 +14,7 @@ from .evolve import EvolutionConfig, RunConfig, info_evo_loop
 from .geodesic_search import StepParams
 from .guidance import FilterPolicy, ModifiedPromise
 from .manifold import LogDistribution, TangentVector
-from .promise import PromiseVector, PromiseWeights
+from .promise import PromiseWeights
 
 __version__ = "0.1.0"
 
@@ -35,7 +35,6 @@ __all__ = [
     "ModifiedPromise",
     "LogDistribution",
     "TangentVector",
-    "PromiseVector",
     "PromiseWeights",
     "__version__",
 ]

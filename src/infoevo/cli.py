@@ -61,7 +61,6 @@ SETTINGS = (
     ("--target", "problem_params", "target", float),
     ("--w-zeta", "weights", "w_zeta", float),
     ("--w-lm", "weights", "w_lm", float),
-    ("--w-gm", "weights", "w_gm", float),
     ("--k-local", "weights", "k_local", int),
     ("--gamma", "step", "gamma", float),
     ("--ray-count", "step", "ray_count", int),
@@ -206,6 +205,10 @@ def geodesic_check(
         raise ConfigError("n", "needs n >= 3")
     if trials < 1:
         raise ConfigError("trials", "must be at least 1")
+    if resolution < 1:
+        raise ConfigError("resolution", "must be at least 1")
+    if refinement_levels < 0:
+        raise ConfigError("refinement_levels", "must be nonnegative")
     rng = np.random.default_rng(seed)
     radius = 0.9
     results = []

@@ -26,12 +26,12 @@ PAIR_SAMPLE_LIMIT = 1000  # pairs sampled when scaling the blended metric
 
 @dataclass(frozen=True)
 class ScoredSample:
-    """One evaluated genotype with its memoized score."""
+    """One evaluated genotype with its memoized score; ``id`` is its
+    position in its ledger's evaluation order."""
 
     id: int
     genotype: Any
     score: float
-    eval_order: int
 
 
 @dataclass(frozen=True)
@@ -178,7 +178,6 @@ def evaluate(genotype, problem, ledger: EvaluationLedger) -> ScoredSample:
         id=len(ledger.samples),
         genotype=genotype,
         score=ledger.score_of(genotype, problem, key),
-        eval_order=ledger.eval_count,
     )
     ledger.samples.append(sample)
     ledger._by_key[key] = sample

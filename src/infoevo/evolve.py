@@ -181,7 +181,7 @@ class RunState:
         if self.ledger.eval_count > before:
             self.trace.append(
                 {
-                    "eval_order": sample.eval_order,
+                    "eval_order": sample.id,
                     "score": sample.score,
                     "deme_id": self.deme_id,
                     "skipped": self.skipped_total,
@@ -438,10 +438,10 @@ def info_evo_loop(
         else:
             rm = ResolvedMetric(problem, view, policy.metric, ledger)
             pv = promise_vector(cfg.weights, rm)
-            base = manifold.from_weights(pv.values)
+            base = manifold.from_weights(pv)
             d = min(step_params.chart_dim, len(view) - 1)
             chart = geodesic_search.build_chart(
-                base, pv.values, d, rng, radius=2 * gamma
+                base, pv, d, rng, radius=2 * gamma
             )
             rays = geodesic_search.geodesic_rays(chart, step_params, rng)
             report.rays_generated = len(rays)

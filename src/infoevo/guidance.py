@@ -165,11 +165,10 @@ def should_evaluate(
     return est >= threshold, est
 
 
-def rank_rays(candidates, base_promise) -> list[int]:
+def rank_rays(candidates, promise) -> list[int]:
     """Order stepped distributions by expected promise, best first.
 
     Returns indices into ``candidates``; ties keep the original order.
     """
-    values = np.asarray(base_promise.values, dtype=float)
-    gains = [float(np.sum(c.p * values)) for c in candidates]
+    gains = [float(np.sum(c.p * promise)) for c in candidates]
     return sorted(range(len(candidates)), key=lambda i: (-gains[i], i))

@@ -1,6 +1,8 @@
 import csv
 import json
-from dataclasses import replace
+import re
+from dataclasses import asdict, replace
+from pathlib import Path
 
 import pytest
 
@@ -220,6 +222,7 @@ def test_setting_by_flag_equals_setting_by_file_key(tmp_path, flag, section, nam
             None,
             "problem_params.dataset",
         ),
+        ([], {"weights": {"w_gm": 0.5}}, "weights.w_gm"),  # a deleted setting
     ],
 )
 def test_invalid_setting_exits_2(tmp_path, capsys, argv, data, field):
@@ -229,6 +232,21 @@ def test_invalid_setting_exits_2(tmp_path, capsys, argv, data, field):
     assert code == 2
     assert f"error: config field '{field}'" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_readme_examples_are_the_defaults(tmp_path):
+    file_example, record_example = re.findall(
+        r"```json\n(.*?)```", README.read_text(), re.S
+    )
+    path = tmp_path / "cfg.json"
+    path.write_text(file_example)
+    cfg = config_from(["--config", str(path)])
+    assert cfg == RunConfig(seed=1, problem_params={"bits": 50})
+    record = json.loads("{" + record_example + "}")
+    assert record["config"] == asdict(replace(cfg, mode="info_evo"))
 
 
 def test_run_missing_config_file_exits_2(tmp_path):
@@ -288,6 +306,20 @@ def test_geodesic_check_validation():
         geodesic_check(2, trials=1, resolution=8)
     with pytest.raises(ConfigError):
         geodesic_check(3, trials=0, resolution=8)
+    for kwargs, field in (
+        ({"resolution": 0}, "resolution"),
+        ({"resolution": -3}, "resolution"),
+        ({"resolution": 8, "refinement_levels": -1}, "refinement_levels"),
+    ):
+        with pytest.raises(ConfigError) as err:
+            geodesic_check(3, trials=1, **kwargs)
+        assert err.value.field == field
+
+
+def test_geodesic_check_bad_resolution_exits_2(capsys):
+    code = run_cli(["geodesic-check", "--n", "3", "--trials", "1", "--resolution", "0"])
+    assert code == 2
+    assert "error: config field 'resolution'" in capsys.readouterr().err
 
 
 def test_geodesic_check_cli_exit_zero(capsys):

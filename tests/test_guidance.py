@@ -24,7 +24,6 @@ from infoevo.guidance import (
     rank_rays,
     should_evaluate,
 )
-from infoevo.promise import PromiseVector
 
 from conftest import ScalarProblem, count_objective_calls, make_scalar_ledger
 
@@ -314,7 +313,7 @@ def test_filter_policy_validation():
 
 
 def test_rank_rays_by_expected_promise():
-    pv = PromiseVector(np.array([0.0, 0.5, 1.0]))
+    pv = np.array([0.0, 0.5, 1.0])
     low = point_mass(0, 3)
     mid = manifold.uniform(3)
     high = point_mass(2, 3)
@@ -323,6 +322,6 @@ def test_rank_rays_by_expected_promise():
 
 
 def test_rank_rays_ties_stable():
-    pv = PromiseVector(np.array([1.0, 1.0, 1.0]))
+    pv = np.array([1.0, 1.0, 1.0])
     a, b, c = manifold.uniform(3), manifold.uniform(3), manifold.uniform(3)
     assert rank_rays([a, b, c], pv) == [0, 1, 2]

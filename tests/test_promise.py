@@ -5,7 +5,6 @@ from infoevo.core import DistanceMetric, ResolvedMetric, view_of
 from infoevo.errors import EmptyLedger, LedgerTooSmall
 from infoevo.promise import (
     PromiseWeights,
-    global_max_prob,
     local_max_prob,
     normalize_scores,
     promise_vector,
@@ -98,67 +97,53 @@ def test_local_max_prob_needs_two_samples():
         local_max_prob(0, 1, rm, normalize_scores(view.scores, view))
 
 
-def test_global_max_prob():
-    view, _ = scalar_setup([0.0, 5.0, 10.0])
-    norm = normalize_scores(view.scores, view)
-    assert global_max_prob(2, norm) == 1.0
-    assert global_max_prob(1, norm) == pytest.approx(0.5)
-    assert global_max_prob(0, norm) == 0.0
-
-
 def test_promise_vector_score_only_reduction():
     view, rm = scalar_setup([3.0, 8.0, 1.0])
-    pv = promise_vector(PromiseWeights(w_zeta=1, w_lm=0, w_gm=0), rm)
-    assert np.allclose(pv.values, normalize_scores(view.scores, view))
-    assert int(np.argmax(pv.values)) == int(np.argmax(view.scores))
-
-
-def test_promise_vector_gm_only():
-    view, rm = scalar_setup([0.0, 5.0, 10.0])
-    pv = promise_vector(PromiseWeights(w_zeta=0, w_lm=0, w_gm=1), rm)
-    assert int(np.argmax(pv.values)) == 2
-    assert pv.values[2] == pytest.approx(1.0)
+    pv = promise_vector(PromiseWeights(w_zeta=1, w_lm=0), rm)
+    assert not pv.flags.writeable
+    assert np.allclose(pv, normalize_scores(view.scores, view))
+    assert int(np.argmax(pv)) == int(np.argmax(view.scores))
 
 
 def test_promise_vector_hand_derived():
-    # normalized scores (0, 0.5, 1); weights (1, 0, 1):
-    # values = norm + norm/max(norm) = (0, 1.0, 2.0)
+    # normalized scores (0, 0.5, 1); weights (2, 0):
+    # values = 2 * norm = (0, 1.0, 2.0)
     view, rm = scalar_setup([0.0, 5.0, 10.0])
-    pv = promise_vector(PromiseWeights(w_zeta=1, w_lm=0, w_gm=1), rm)
-    assert np.allclose(pv.values, [0.0, 1.0, 2.0])
+    pv = promise_vector(PromiseWeights(w_zeta=2, w_lm=0), rm)
+    assert np.allclose(pv, [0.0, 1.0, 2.0])
 
 
 def test_promise_argmax_invariance_random(rng):
     for _ in range(100):
         scores = rng.uniform(-5, 5, size=8)
         view, rm = scalar_setup(list(scores))
-        pv = promise_vector(PromiseWeights(w_zeta=2.5, w_lm=0, w_gm=0), rm)
-        assert int(np.argmax(pv.values)) == int(np.argmax(view.scores))
+        pv = promise_vector(PromiseWeights(w_zeta=2.5, w_lm=0), rm)
+        assert int(np.argmax(pv)) == int(np.argmax(view.scores))
 
 
 def test_promise_monotone_in_own_score(rng):
     base_scores = [1.0, 4.0, 2.5, 3.0, 0.5]
-    weights = PromiseWeights(w_zeta=1.0, w_lm=0.5, w_gm=0.5, k_local=2)
+    weights = PromiseWeights(w_zeta=1.5, w_lm=0.5, k_local=2)
     view, rm = scalar_setup(base_scores)
-    before = promise_vector(weights, rm).values[2]
+    before = promise_vector(weights, rm)[2]
     bumped = list(base_scores)
     bumped[2] += 0.8
     view2, rm2 = scalar_setup(bumped)
-    after = promise_vector(weights, rm2).values[2]
+    after = promise_vector(weights, rm2)[2]
     assert after >= before - 1e-12
 
 
 def test_promise_values_bounded(rng):
-    weights = PromiseWeights(w_zeta=1.0, w_lm=0.5, w_gm=0.5, k_local=3)
+    weights = PromiseWeights(w_zeta=1.5, w_lm=0.5, k_local=3)
     for _ in range(20):
         view, rm = scalar_setup(list(rng.uniform(-3, 3, size=10)))
         pv = promise_vector(weights, rm)
-        assert np.all(pv.values >= 0)
-        assert np.all(pv.values <= weights.w_zeta + weights.w_lm + weights.w_gm + 1e-12)
+        assert np.all(pv >= 0)
+        assert np.all(pv <= weights.w_zeta + weights.w_lm + 1e-12)
 
 
 def test_promise_weights_validation():
     with pytest.raises(ValueError):
-        PromiseWeights(w_zeta=0, w_lm=0, w_gm=0)
+        PromiseWeights(w_zeta=0, w_lm=0)
     with pytest.raises(ValueError):
         PromiseWeights(w_zeta=-1)

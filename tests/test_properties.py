@@ -1,5 +1,6 @@
-"""Property tests: neighbor queries, manifold edge cases, EDA sampling,
-the run memo, the lattice search and the tree distance."""
+"""Property tests: neighbor queries, the promise vector, manifold edge
+cases, EDA sampling, the run memo, the lattice search and the tree
+distance."""
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from infoevo.core import (
     ScoredSample,
     evaluate,
     knn,
+    normalize_scores,
     view_of,
 )
 from infoevo.domains import OneMax, Sphere, SymbolicRegression, make_problem
@@ -30,8 +32,9 @@ from infoevo.geodesic_search import (
 )
 from infoevo.guidance import omega_knn
 from infoevo.manifold import _EXP_CLIP
+from infoevo.promise import PromiseWeights, local_max_prob, promise_vector
 
-from conftest import make_scalar_ledger
+from conftest import ScalarProblem, make_scalar_ledger
 
 # small integer genotypes, so that many samples tie in distance to a query
 scalar_views = st.tuples(
@@ -93,6 +96,65 @@ def test_omega_knn_is_sequential_sum_over_neighbors(case, data):
 boundary_weights = st.lists(
     st.one_of(st.just(0.0), st.floats(1e-6, 1.0)), min_size=2, max_size=10
 ).filter(lambda w: sum(w) > 0)
+
+
+class TableScore(ScalarProblem):
+    """Scalar genotypes scored from a table, so that any scores, ties
+    included, can sit at any positions."""
+
+    def __init__(self, table):
+        super().__init__()
+        self.table = table
+
+    def score(self, genotype):
+        return self.table[genotype]
+
+
+@st.composite
+def scored_views(draw):
+    """A view of 2 to 12 samples; scores come from a few shared levels,
+    so that many tie, or are drawn freely."""
+    positions = draw(st.lists(st.integers(-20, 20), min_size=2, max_size=12, unique=True))
+    levels = draw(st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=3))
+    score = st.one_of(st.sampled_from(levels), st.floats(-1e3, 1e3))
+    scores = draw(st.lists(score, min_size=len(positions), max_size=len(positions)))
+    problem = TableScore(dict(zip(map(float, positions), scores)))
+    ledger = EvaluationLedger(len(positions))
+    for g in problem.table:
+        evaluate(g, problem, ledger)
+    view = view_of(ledger)
+    return view, ResolvedMetric(problem, view, DistanceMetric.genotypic())
+
+
+weight = st.one_of(st.just(0.0), st.floats(0.0, 10.0))
+promise_weights = st.builds(
+    lambda w, k: PromiseWeights(*w, k_local=k),
+    st.tuples(weight, weight).filter(lambda w: sum(w) > 0),  # (w_zeta, w_lm)
+    st.integers(1, 6),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(scored_views(), promise_weights)
+def test_best_sample_promise_is_the_weight_sum(case, weights):
+    # the best sample's normalized score and local-max ratio are both 1
+    view, rm = case
+    pv = promise_vector(weights, rm)
+    best = int(np.argmax(view.scores))
+    assert pv[best] == weights.w_zeta + weights.w_lm
+    assert pv.max() == pv[best] > 0
+
+
+@settings(max_examples=200, deadline=None)
+@given(scored_views())
+def test_default_promise_is_the_three_term_blend(case):
+    # the blend of normalized score (1), global-max ratio (0.5, which is
+    # the normalized score again) and local-max ratio (0.5)
+    view, rm = case
+    norm = normalize_scores(view.scores, view)
+    lm = np.array([local_max_prob(i, 5, rm, norm) for i in range(len(view))])
+    blend = norm + 0.5 * norm + 0.5 * lm
+    assert promise_vector(PromiseWeights(), rm).tobytes() == blend.tobytes()
 
 
 @settings(max_examples=200, deadline=None)
@@ -181,7 +243,6 @@ unfloored_weights = st.lists(
 ).filter(lambda w: max(w) > 0)
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 @settings(max_examples=300, deadline=None)
 @given(unfloored_weights)
 def test_from_weights_without_floor(w):
@@ -263,7 +324,7 @@ def eda_cases(draw):
 def test_eda_sampler_matches_choice_per_locus(case, draws, seed):
     alphabet, genotypes, fitness, m = case
     problem = Loci(alphabet)
-    parents = [ScoredSample(i, g, 0.0, i) for i, g in enumerate(genotypes)]
+    parents = [ScoredSample(i, g, 0.0) for i, g in enumerate(genotypes)]
     model = _eda_model(parents, fitness, problem, m)
     top = [genotypes[i] for i in top_quartile(fitness)]
     rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
