@@ -14,6 +14,7 @@ through it and answer in view positions.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Any, Sequence
 
 import numpy as np
@@ -141,9 +142,12 @@ class PopulationView:
     def __len__(self) -> int:
         return len(self.samples)
 
-    @property
+    @cached_property
     def scores(self) -> np.ndarray:
-        return np.array([s.score for s in self.samples], dtype=float)
+        """The samples' scores, a read-only array built on first use."""
+        scores = np.array([s.score for s in self.samples], dtype=float)
+        scores.flags.writeable = False
+        return scores
 
 
 def view_of(ledger: EvaluationLedger, cap: int | None = None) -> PopulationView:
@@ -217,16 +221,17 @@ class ResolvedMetric:
     """A DistanceMetric bound to a problem and a population view.
 
     The view it was built from is ``view``; every neighbor query answers
-    in positions of that view. Computes the view's distance table once,
-    at construction: one row per sample, from the behavior vectors and
-    genotypic rows stored here, so no genotypic distance is computed
-    twice. Behavior vectors come from ``memo``, the run's ledger, and new
-    ones are added to it, so none is computed twice in a run; without a
-    memo the metric keeps a private one. A genotype outside the view gets
-    its row on its first query; later queries of the same genotype (equal
-    canonical key) reuse it. For the blended kind, median scales over a
-    deterministic sample of view pairs, read from the genotypic rows,
-    make the genotypic and phenotypic terms comparable.
+    in positions of that view. Stacks the view's genotypes and computes
+    its distance table once, at construction: one row per sample, with
+    its stable ascending order, from the behavior vectors and genotypic
+    rows stored here, so no distance is computed or sorted twice. Behavior
+    vectors come from ``memo``, the run's ledger, and new ones are added
+    to it, so none is computed twice in a run; without a memo the metric
+    keeps a private one. A genotype outside the view gets its row on its
+    first query; later queries of the same genotype (equal canonical key)
+    reuse it. For the blended kind, median scales over a deterministic
+    sample of view pairs, read from the genotypic rows, make the genotypic
+    and phenotypic terms comparable.
     """
 
     def __init__(
@@ -257,7 +262,8 @@ class ResolvedMetric:
             )
         geno_rows = [None] * len(self._genos)
         if self._kind != "phenotypic":
-            geno_rows = [problem.geno_distances(g, self._genos) for g in self._genos]
+            self._stacked = problem.stack(self._genos)
+            geno_rows = [problem.geno_distances(g, self._stacked) for g in self._genos]
         self._geno_scale = 1.0
         self._pheno_scale = 1.0
         if self._kind == "blended":
@@ -288,13 +294,14 @@ class ResolvedMetric:
         mp = float(np.median(dp))
         return (mg if mg > 0 else 1.0), (mp if mp > 0 else 1.0)
 
-    def _row(self, x, bx, dg=None) -> np.ndarray:
-        """Distances from x, with behavior vector bx, to every sample.
+    def _row(self, x, bx, dg=None) -> tuple[np.ndarray, np.ndarray]:
+        """Distances from x, with behavior vector bx, to every sample, and
+        their stable ascending order.
 
         ``dg`` is x's genotypic row when it is already known.
         """
         if self._kind != "phenotypic" and dg is None:
-            dg = self.problem.geno_distances(x, self._genos)
+            dg = self.problem.geno_distances(x, self._stacked)
         if self._kind != "genotypic":
             dp = np.linalg.norm(self._behaviors - bx[None, :], axis=1)
         if self._kind == "genotypic":
@@ -305,19 +312,22 @@ class ResolvedMetric:
             lam = self.metric.lam
             row = lam * dg / self._geno_scale + (1 - lam) * dp / self._pheno_scale
         row = np.asarray(row, dtype=float)
-        row.flags.writeable = False  # shared by every query of x
-        return row
+        order = np.argsort(row, kind="stable")
+        # shared by every query of x
+        row.flags.writeable = order.flags.writeable = False
+        return row, order
 
-    def to_all(self, x) -> np.ndarray:
-        """Distances from genotype x to every sample in the view."""
+    def neighbors(self, x) -> tuple[np.ndarray, np.ndarray]:
+        """Distances from genotype x to every sample in the view, and the
+        view positions by ascending distance, ties toward the earlier."""
         key = self.problem.canonical_key(x)
-        row = self._rows.get(key)
-        if row is None:
+        found = self._rows.get(key)
+        if found is None:
             bx = None
             if self._behaviors is not None:
                 bx = self._memo.behavior_of(x, self.problem, key)
-            row = self._rows[key] = self._row(x, bx)
-        return row
+            found = self._rows[key] = self._row(x, bx)
+        return found
 
 
 def knn(x, rm: ResolvedMetric, k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -327,11 +337,10 @@ def knn(x, rm: ResolvedMetric, k: int) -> tuple[np.ndarray, np.ndarray]:
     the earlier position, which is the smaller id in a view from
     ``view_of``.
     """
-    n = len(rm.view)
-    if n == 0:
+    if len(rm.view) == 0:
         raise EmptyLedger("knn on empty ledger")
     if k < 1:
         raise ValueError("k must be positive")
-    dists = rm.to_all(x)
-    idx = np.argsort(dists, kind="stable")[: min(k, n)]
+    dists, order = rm.neighbors(x)
+    idx = order[:k]
     return idx, dists[idx]

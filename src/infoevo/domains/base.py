@@ -54,16 +54,19 @@ class Problem(ABC):
         have one length."""
         raise NotImplementedError
 
-    @abstractmethod
-    def d_geno(self, a, b) -> float: ...
-
     def behavior(self, genotype) -> np.ndarray:
         """Behavior vector; the score itself unless a domain overrides."""
         return np.array([self.score(genotype)], dtype=float)
 
-    def geno_distances(self, x, genotypes) -> np.ndarray:
-        """Genotypic distances from x to each genotype; override to vectorize."""
-        return np.array([self.d_geno(x, g) for g in genotypes], dtype=float)
+    def stack(self, genotypes):
+        """The genotypes in the form ``geno_distances`` reads, one entry
+        (``len`` of the result) per genotype."""
+        return tuple(genotypes)
+
+    @abstractmethod
+    def geno_distances(self, x, stacked) -> np.ndarray:
+        """Genotypic distances from x to each genotype of ``stacked``, a
+        float row as long as ``stacked``."""
 
     def render(self, genotype) -> str:
         return str(genotype)

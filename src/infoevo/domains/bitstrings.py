@@ -55,14 +55,14 @@ class BitstringProblem(Problem):
     def locus_alphabet(self, locus):
         return (0, 1)
 
-    def d_geno(self, a, b) -> float:
-        return float(np.sum(np.asarray(a) != np.asarray(b)))
-
-    def geno_distances(self, x, genotypes) -> np.ndarray:
+    def stack(self, genotypes) -> np.ndarray:
+        """An (n, dimension) bit matrix, one row per genotype."""
         mat = np.asarray(genotypes, dtype=np.uint8)
-        return np.sum(mat != np.asarray(x, dtype=np.uint8)[None, :], axis=1).astype(
-            float
-        )
+        return mat.reshape(len(genotypes), self.dimension)
+
+    def geno_distances(self, x, stacked) -> np.ndarray:
+        diff = stacked != np.asarray(x, dtype=np.uint8)[None, :]
+        return np.sum(diff, axis=1).astype(float)
 
     def render(self, genotype) -> str:
         return "".join(str(int(b)) for b in genotype)

@@ -59,12 +59,13 @@ class RealVectorProblem(Problem):
     def locus_alphabet(self, locus):
         return tuple(range(EDA_BINS))
 
-    def d_geno(self, a, b) -> float:
-        return float(np.linalg.norm(np.asarray(a) - np.asarray(b)))
-
-    def geno_distances(self, x, genotypes) -> np.ndarray:
+    def stack(self, genotypes) -> np.ndarray:
+        """An (n, dimension) float matrix, one row per genotype."""
         mat = np.asarray(genotypes, dtype=float)
-        return np.linalg.norm(mat - np.asarray(x, dtype=float)[None, :], axis=1)
+        return mat.reshape(len(genotypes), self.dimension)
+
+    def geno_distances(self, x, stacked) -> np.ndarray:
+        return np.linalg.norm(stacked - np.asarray(x, dtype=float)[None, :], axis=1)
 
     def render(self, genotype) -> str:
         return "[" + ", ".join(f"{v:.6g}" for v in genotype) + "]"

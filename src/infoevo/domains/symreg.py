@@ -2,16 +2,18 @@
 
 Trees are nested tuples: ("x", i) for inputs, ("c", v) for constants,
 and (op, left, right) for the binary operators +, -, * and protected /.
+Programs also have a behavior distance, ``program_fisher_distance``.
 """
 
 from __future__ import annotations
 
 import csv
-import operator
 from pathlib import Path
 
 import numpy as np
 
+from .. import manifold
+from ..errors import NonFiniteOutput
 from .base import Problem
 
 OPS = ("+", "-", "*", "/")
@@ -20,6 +22,7 @@ DIV_GUARD = 1e-9  # protected division returns 1 below this magnitude
 OVERFLOW_SCORE = -1e18  # finite sentinel for non-finite tree outputs
 DEFAULT_PROBES = ((-1.0,), (0.0,), (1.0,), (2.0,))
 DEFAULT_OUTPUTS = (0.0, 0.0, 2.0, 6.0)  # f(x) = x^2 + x
+BEHAVIOR_EPS = 1e-6  # relative uniform mass mixed into behavior distributions
 
 
 def eval_tree(node, inputs) -> float:
@@ -75,6 +78,37 @@ def tree_str(node) -> str:
     if tag == "c":
         return f"{node[1]:g}"
     return f"({tree_str(node[1])} {tag} {tree_str(node[2])})"
+
+
+def behavior_to_distribution(outputs, eps_b: float = BEHAVIOR_EPS):
+    """Normalize a behavior vector to a strictly positive distribution.
+
+    Shifts negative outputs up to zero, mixes in eps_b of the output
+    range per coordinate, and renormalizes; a constant vector maps to
+    the uniform distribution.
+    """
+    outputs = np.asarray(outputs, dtype=float)
+    if not np.all(np.isfinite(outputs)):
+        raise NonFiniteOutput("behavior vector contains non-finite entries")
+    lo = outputs.min()
+    shifted = outputs - lo if lo < 0 else outputs.copy()
+    spread = float(outputs.max() - lo)
+    if spread == 0 or shifted.sum() == 0:
+        return manifold.uniform(outputs.size)
+    shifted = shifted + eps_b * spread
+    return manifold.from_weights(shifted)
+
+
+def program_fisher_distance(a, b, probes, problem, eps_b: float = BEHAVIOR_EPS) -> float:
+    """Geodesic distance between two programs' behavior distributions.
+
+    A pseudometric on behavior space: programs with identical outputs on
+    ``probes`` get distance zero even if syntactically distinct; the
+    distance reads no setting of ``problem``, the programs' domain.
+    """
+    da = behavior_to_distribution([eval_tree(a, p) for p in probes], eps_b)
+    db = behavior_to_distribution([eval_tree(b, p) for p in probes], eps_b)
+    return manifold.geodesic_distance_exact(da, db)
 
 
 def _depth_profile(node, max_depth: int) -> np.ndarray:
@@ -149,7 +183,6 @@ class SymbolicRegression(Problem):
         self.target = target
         self._vocabulary: dict[str, int] = {}  # label -> count-vector column
         self._feature_cache: dict[str, tuple[np.ndarray, float, np.ndarray]] = {}
-        self._last_stack = None  # (trees, their stacked features)
 
     def _random_leaf(self, rng):
         if rng.random() < 0.6:
@@ -228,40 +261,28 @@ class SymbolicRegression(Problem):
             self._feature_cache[key] = feats
         return feats
 
-    def _stacked(self, genotypes) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Count matrix, label totals and depth profiles, one row per tree.
-
-        A round asks for rows over the same view list once per sample, so
-        the last list's stack is kept while it holds the same trees.
-        """
-        last = self._last_stack
-        if last is not None and len(last[0]) == len(genotypes):
-            if all(map(operator.is_, last[0], genotypes)):
-                return last[1]
+    def stack(self, genotypes) -> np.ndarray:
+        """One row per tree: its depth profile, its label total, then its
+        label counts, one column per label seen so far."""
         feats = [self._features(g) for g in genotypes]
-        counts = np.zeros((len(feats), len(self._vocabulary)))
-        for row, (c, _, _) in zip(counts, feats):
-            row[: len(c)] = c
-        totals = np.array([t for _, t, _ in feats])
-        profiles = np.array([p for _, _, p in feats]).reshape(len(feats), self.max_depth)
-        stack = (counts, totals, profiles)
-        self._last_stack = (tuple(genotypes), stack)
-        return stack
+        d = self.max_depth
+        stacked = np.zeros((len(feats), d + 1 + len(self._vocabulary)))
+        for row, (counts, total, profile) in zip(stacked, feats):
+            row[:d], row[d], row[d + 1 : d + 1 + len(counts)] = profile, total, counts
+        return stacked
 
-    def geno_distances(self, x, genotypes) -> np.ndarray:
+    def geno_distances(self, x, stacked) -> np.ndarray:
         """Mean of the label-multiset distance and half the L1 distance of
-        depth profiles, from x to each genotype."""
+        depth profiles, from x to each tree of ``stacked``."""
         cx, tx, px = self._features(x)
-        counts, totals, profiles = self._stacked(genotypes)
+        d = self.max_depth
+        profiles, totals, counts = stacked[:, :d], stacked[:, d], stacked[:, d + 1 :]
         # a label past either side's columns appeared after it was counted
         shared = min(counts.shape[1], len(cx))
         overlap = np.minimum(counts[:, :shared], cx[:shared]).sum(axis=1)
         label_term = 1.0 - overlap / np.maximum(totals, tx)
         depth_term = 0.5 * np.abs(profiles - px).sum(axis=1)
         return 0.5 * (label_term + depth_term)
-
-    def d_geno(self, a, b) -> float:
-        return float(self.geno_distances(a, [b])[0])
 
     def render(self, genotype) -> str:
         return tree_str(genotype)

@@ -53,6 +53,12 @@ class EvolutionConfig:
     def __post_init__(self):
         if self.subpop_size < 1:
             raise ValueError("subpop_size must be positive")
+        if self.population_cap < 1:
+            raise ValueError("population_cap must be positive")
+        if self.generations_per_round < 0:
+            raise ValueError("generations_per_round must be nonnegative")
+        if self.init_population < 0:
+            raise ValueError("init_population must be nonnegative")
         if not 0 < self.mutation_rate <= 1:
             raise ValueError("mutation_rate must lie in (0, 1]")
         if not 0 <= self.crossover_rate <= 1:

@@ -74,16 +74,22 @@ def omega_knn(x, dist: LogDistribution, k: int, rm: ResolvedMetric) -> float:
     return float(sum(p[j] for j in idx))
 
 
+def _inverse_distance_weights(x, k: int, rm: ResolvedMetric):
+    """x's k nearest view positions and their inverse-distance weights."""
+    idx, dists = knn(x, rm, k)
+    delta = 1e-9 * (float(np.median(dists)) + 1e-30)
+    return idx, 1.0 / (dists + delta)
+
+
 def embed_candidate(x, k: int, rm: ResolvedMetric) -> LogDistribution:
     """Represent a genotype as a distribution on its k nearest samples.
 
     Mass is proportional to inverse distance, so an exact ledger match
     is a near-point-mass.
     """
-    idx, dists = knn(x, rm, k)
-    delta = 1e-9 * (float(np.median(dists)) + 1e-30)
+    idx, weights = _inverse_distance_weights(x, k, rm)
     w = np.zeros(len(rm.view))
-    w[idx] = 1.0 / (dists + delta)
+    w[idx] = weights
     return manifold.from_weights(w)
 
 
@@ -141,9 +147,7 @@ def estimate_fitness(
     ``ledger_mf`` is the view's per-sample modified fitness, computed
     once for a whole batch of candidates.
     """
-    idx, dists = knn(x, rm, policy.k)
-    delta = 1e-9 * (float(np.median(dists)) + 1e-30)
-    weights = 1.0 / (dists + delta)
+    idx, weights = _inverse_distance_weights(x, policy.k, rm)
     return float(np.sum(weights * ledger_mf[idx]) / np.sum(weights))
 
 

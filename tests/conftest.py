@@ -30,8 +30,8 @@ class ScalarProblem(Problem):
         w = rng.random()
         return float(w * a + (1 - w) * b)
 
-    def d_geno(self, a, b):
-        return abs(float(a) - float(b))
+    def geno_distances(self, x, stacked):
+        return np.array([abs(float(x) - float(g)) for g in stacked], dtype=float)
 
 
 def count_objective_calls(problem):

@@ -13,8 +13,8 @@ import numpy as np
 from infoevo import manifold
 from infoevo.cli import geodesic_check, main as cli_main
 from infoevo.core import DistanceMetric, ResolvedMetric, view_of
-from infoevo.demes import behavior_to_distribution, program_fisher_distance
 from infoevo.domains import OneMax, SymbolicRegression
+from infoevo.domains.symreg import behavior_to_distribution, program_fisher_distance
 from infoevo.evolve import EvolutionConfig, RunState, run_subpopulation
 from infoevo.guidance import (
     FilterPolicy,

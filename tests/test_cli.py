@@ -223,6 +223,10 @@ def test_setting_by_flag_equals_setting_by_file_key(tmp_path, flag, section, nam
             "problem_params.dataset",
         ),
         ([], {"weights": {"w_gm": 0.5}}, "weights.w_gm"),  # a deleted setting
+        (["--population-cap", "0"], None, "evolution"),
+        (["--population-cap", "-5"], None, "evolution"),
+        (["--generations", "-1"], None, "evolution"),
+        (["--init-population", "-3"], None, "evolution"),
     ],
 )
 def test_invalid_setting_exits_2(tmp_path, capsys, argv, data, field):

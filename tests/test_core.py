@@ -128,8 +128,8 @@ def test_blended_metric_extremes_match_pure_metrics(rng):
     lam1 = ResolvedMetric(problem, view, DistanceMetric.blended(1.0))
     lam0 = ResolvedMetric(problem, view, DistanceMetric.blended(0.0))
     x = problem.random_genotype(rng)
-    assert np.array_equal(lam1.to_all(x), geno.to_all(x))
-    assert np.array_equal(lam0.to_all(x), pheno.to_all(x))
+    assert np.array_equal(lam1.neighbors(x)[0], geno.neighbors(x)[0])
+    assert np.array_equal(lam0.neighbors(x)[0], pheno.neighbors(x)[0])
 
 
 def test_resolved_metric_computes_each_behavior_once(rng):
@@ -178,10 +178,14 @@ def test_resolved_metric_rows_match_direct_distances(rng):
     pheno = ResolvedMetric(problem, view, DistanceMetric.phenotypic())
     genos = [s.genotype for s in view.samples]
     behaviors = np.array([problem.behavior(g) for g in genos], dtype=float)
+    stacked = problem.stack(genos)
     for g in genos + [problem.random_genotype(rng)]:
         dp = np.linalg.norm(behaviors - problem.behavior(g)[None, :], axis=1)
-        assert np.array_equal(geno.to_all(g), problem.geno_distances(g, genos))
-        assert np.array_equal(pheno.to_all(g), dp)
+        for rm, row in ((geno, problem.geno_distances(g, stacked)), (pheno, dp)):
+            dists, order = rm.neighbors(g)
+            assert np.array_equal(dists, row)
+            assert np.array_equal(order, np.argsort(row, kind="stable"))
+            assert not dists.flags.writeable and not order.flags.writeable
 
 
 def test_view_of_caps_by_score():
@@ -190,3 +194,12 @@ def test_view_of_caps_by_score():
     assert sorted(s.genotype for s in view.samples) == [5.0, 7.0, 9.0]
     # view keeps ascending-id order
     assert [s.id for s in view.samples] == sorted(s.id for s in view.samples)
+
+
+def test_view_scores_are_built_once_and_read_only():
+    _, ledger = make_scalar_ledger([5.0, 1.0, 9.0])
+    view = view_of(ledger)
+    assert view.scores is view.scores
+    assert view.scores.tolist() == [5.0, 1.0, 9.0]
+    with pytest.raises(ValueError):
+        view.scores[0] = 0.0

@@ -2,13 +2,9 @@ import numpy as np
 import pytest
 
 from infoevo.cli import execute_run
-from infoevo.demes import (
-    behavior_to_distribution,
-    program_fisher_distance,
-    run_demes,
-    spawn_demes,
-)
+from infoevo.demes import run_demes, spawn_demes
 from infoevo.domains import OneMax
+from infoevo.domains.symreg import behavior_to_distribution, program_fisher_distance
 from infoevo.errors import NonFiniteOutput
 from infoevo.evolve import EvolutionConfig, RunConfig, info_evo_loop
 from infoevo.geodesic_search import StepParams

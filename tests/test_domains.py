@@ -24,6 +24,11 @@ from infoevo.domains.symreg import (
 from infoevo.errors import BadLength
 
 
+def distance(problem, a, b) -> float:
+    """The genotypic distance of one pair, through a one-row stack."""
+    return float(problem.geno_distances(a, problem.stack([b]))[0])
+
+
 # --- bitstrings ---
 
 
@@ -66,12 +71,13 @@ def test_bitstring_distances(rng):
     problem = OneMax(bits=8)
     a = np.zeros(8, dtype=np.uint8)
     b = np.ones(8, dtype=np.uint8)
-    assert problem.d_geno(a, a) == 0.0
-    assert problem.d_geno(a, b) == 8.0
-    batch = problem.geno_distances(a, [a, b, problem.mutate(a, 0.5, rng)])
-    assert batch[0] == 0.0
-    assert batch[1] == 8.0
-    assert batch[2] == problem.d_geno(a, problem.mutate(a, 0.5, rng)) or batch[2] >= 0
+    assert distance(problem, a, a) == 0.0
+    assert distance(problem, a, b) == 8.0
+    c = problem.mutate(a, 0.5, rng)
+    stacked = problem.stack([a, b, c])
+    assert stacked.shape == (3, 8) and len(stacked) == 3
+    batch = problem.geno_distances(a, stacked)
+    assert batch.tolist() == [0.0, 8.0, float(np.sum(c != a))]
 
 
 def test_bitstring_eda_plumbing():
@@ -151,8 +157,8 @@ def test_realvec_eda_bins_roundtrip(rng):
 
 def test_realvec_distance_euclidean():
     problem = Sphere(dim=2)
-    assert problem.d_geno([0.0, 0.0], [3.0, 4.0]) == 5.0
-    batch = problem.geno_distances(np.zeros(2), [[3.0, 4.0], [0.0, 0.0]])
+    assert distance(problem, [0.0, 0.0], [3.0, 4.0]) == 5.0
+    batch = problem.geno_distances(np.zeros(2), problem.stack([[3.0, 4.0], [0.0, 0.0]]))
     assert np.allclose(batch, [5.0, 0.0])
 
 
@@ -223,9 +229,9 @@ def test_symreg_distances(rng):
     problem = SymbolicRegression()
     a = problem.random_genotype(rng)
     b = problem.random_genotype(rng)
-    assert problem.d_geno(a, a) == 0.0
-    assert problem.d_geno(a, b) == problem.d_geno(b, a)
-    assert 0.0 <= problem.d_geno(a, b) <= 1.0
+    assert distance(problem, a, a) == 0.0
+    assert distance(problem, a, b) == distance(problem, b, a)
+    assert 0.0 <= distance(problem, a, b) <= 1.0
 
 
 def test_symreg_distance_tells_apart_constants_with_one_canonical_key():
@@ -233,9 +239,9 @@ def test_symreg_distance_tells_apart_constants_with_one_canonical_key():
     problem = SymbolicRegression()
     a, b = ("c", 1.0), ("c", 1.0000001)
     assert problem.canonical_key(a) == problem.canonical_key(b)
-    assert problem.d_geno(a, a) == 0.0
-    assert problem.d_geno(a, b) == 0.5
-    assert problem.geno_distances(b, [a, b]).tolist() == [0.5, 0.0]
+    assert distance(problem, a, a) == 0.0
+    assert distance(problem, a, b) == 0.5
+    assert problem.geno_distances(b, problem.stack([a, b])).tolist() == [0.5, 0.0]
 
 
 def test_symreg_behavior_clipped():
@@ -261,6 +267,15 @@ def test_load_dataset_roundtrip(tmp_path):
 # --- registry ---
 
 
+@pytest.mark.parametrize("name", sorted(PROBLEMS))
+def test_distance_row_to_an_empty_stack_is_empty(name, rng):
+    problem = make_problem(name)
+    stacked = problem.stack([])
+    assert len(stacked) == 0
+    row = problem.geno_distances(problem.random_genotype(rng), stacked)
+    assert row.dtype == float and row.shape == (0,)
+
+
 def test_make_problem_names():
     assert make_problem("onemax", bits=16).dimension == 16
     assert make_problem("trap5", bits=10).dimension == 10
@@ -280,7 +295,7 @@ def test_geno_distance_correlates_with_score_gap(rng):
     dists, gaps = [], []
     for rate in np.linspace(0.05, 0.5, 60):
         g = problem.mutate(base, float(rate), rng)
-        dists.append(problem.d_geno(base, g))
+        dists.append(distance(problem, base, g))
         gaps.append(abs(problem.score(g) - base_score))
     dr = np.argsort(np.argsort(dists)).astype(float)
     gr = np.argsort(np.argsort(gaps)).astype(float)

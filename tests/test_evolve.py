@@ -54,6 +54,11 @@ def test_config_validation():
         EvolutionConfig(elitism=40, subpop_size=40)
     with pytest.raises(ValueError):
         EvolutionConfig(eda_fraction=1.5)
+    for bad in ({"population_cap": 0}, {"generations_per_round": -1}, {"init_population": -1}):
+        with pytest.raises(ValueError):
+            EvolutionConfig(**bad)
+    # zero counts stay valid: a run of them stalls and stops
+    EvolutionConfig(generations_per_round=0, init_population=0, population_cap=1)
 
 
 # --- variation ---

@@ -67,11 +67,11 @@ class EqualScoreProblem:
     def canonical_key(self, genotype):
         return float(genotype)
 
-    def d_geno(self, a, b):
-        return abs(a - b)
+    def stack(self, genotypes):
+        return np.array(genotypes, dtype=float)
 
-    def geno_distances(self, x, genotypes):
-        return np.array([abs(x - g) for g in genotypes])
+    def geno_distances(self, x, stacked):
+        return np.abs(x - stacked)
 
     def behavior(self, genotype):
         return np.array([3.0])

@@ -394,7 +394,8 @@ def test_metric_rows_from_the_run_memo_match_rows_without_it(name, metric, n, se
         shared = ResolvedMetric(problem, view, metric, ledger)
         alone = ResolvedMetric(problem, view, metric)
         for g in [s.genotype for s in view.samples] + outside:
-            assert shared.to_all(g).tobytes() == alone.to_all(g).tobytes()
+            for a, b in zip(shared.neighbors(g), alone.neighbors(g)):
+                assert a.tobytes() == b.tobytes()
 
 
 # --- one lattice search for several goals ---
@@ -483,9 +484,13 @@ def reference_row(problem, x, gs) -> bytes:
 
 
 def assert_rows_match(problem, x, gs):
-    got = problem.geno_distances(x, gs)
+    stacked = problem.stack(gs)
+    assert len(stacked) == len(gs)
+    got = problem.geno_distances(x, stacked)
     assert got.dtype == float and got.shape == (len(gs),)
-    per_pair = np.array([problem.d_geno(x, g) for g in gs], dtype=float)
+    per_pair = np.array(
+        [problem.geno_distances(x, problem.stack([g]))[0] for g in gs], dtype=float
+    )
     assert got.tobytes() == per_pair.tobytes() == reference_row(problem, x, gs)
 
 
@@ -495,14 +500,14 @@ def test_tree_distance_rows_match_per_pair_distances(max_depth, data):
     problem = SymbolicRegression(probes=((0.0, 1.0),), outputs=(0.0,), max_depth=max_depth)
     x = data.draw(trees(max_depth))
     gs = data.draw(st.lists(trees(max_depth), max_size=8))
+    older = problem.stack(gs)
     assert_rows_match(problem, x, gs)
-    # a label first seen after the rows above filled the cache: in the
-    # query tree against rows stacked before it (the same list again),
-    # and in a row
+    # a label first seen after a stack was built: in the query tree
+    # against that older stack, and in a row
     late = ("+", ("c", 1e9), x) if max_depth > 1 else ("c", 1e9)
-    assert problem.geno_distances(x, gs).tobytes() == reference_row(problem, x, gs)
-    assert problem.geno_distances(late, gs).tobytes() == reference_row(problem, late, gs)
+    assert problem.geno_distances(x, older).tobytes() == reference_row(problem, x, gs)
+    assert problem.geno_distances(late, older).tobytes() == reference_row(problem, late, gs)
     assert_rows_match(problem, late, gs)
     assert_rows_match(problem, x, gs + [late])
-    empty = problem.geno_distances(x, [])
+    empty = problem.geno_distances(x, problem.stack([]))
     assert empty.dtype == float and empty.shape == (0,)
