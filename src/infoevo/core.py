@@ -222,16 +222,19 @@ class ResolvedMetric:
 
     The view it was built from is ``view``; every neighbor query answers
     in positions of that view. Stacks the view's genotypes and computes
-    its distance table once, at construction: one row per sample, with
-    its stable ascending order, from the behavior vectors and genotypic
-    rows stored here, so no distance is computed or sorted twice. Behavior
-    vectors come from ``memo``, the run's ledger, and new ones are added
-    to it, so none is computed twice in a run; without a memo the metric
-    keeps a private one. A genotype outside the view gets its row on its
-    first query; later queries of the same genotype (equal canonical key)
-    reuse it. For the blended kind, median scales over a deterministic
-    sample of view pairs, read from the genotypic rows, make the genotypic
-    and phenotypic terms comparable.
+    its distance table once, at construction, as one n-by-n block: one
+    genotypic block from a single ``geno_distances`` call, one behavior
+    block, their blend, and one stable argsort of every row, so no
+    distance is computed or sorted twice. Each sample's row and order are
+    read-only views of those blocks. Behavior vectors come from ``memo``,
+    the run's ledger, and new ones are added to it, so none is computed
+    twice in a run; without a memo the metric keeps a private one. A
+    genotype outside the view gets its row on its first query; later
+    queries of the same genotype (equal canonical key) reuse it.
+    ``add_genotypic_rows`` computes the genotypic part of such rows for a
+    batch of genotypes in one block beforehand. For the blended kind,
+    median scales over a deterministic sample of view pairs, read from
+    the two blocks, make the genotypic and phenotypic terms comparable.
     """
 
     def __init__(
@@ -245,77 +248,82 @@ class ResolvedMetric:
         self.metric = metric
         self.view = view
         self._memo = EvaluationLedger(0) if memo is None else memo
-        self._genos = [s.genotype for s in view.samples]
-        keys = [problem.canonical_key(g) for g in self._genos]
+        genos = [s.genotype for s in view.samples]
+        keys = [problem.canonical_key(g) for g in genos]
         self._kind = metric.kind
         # blend extremes must reduce to the pure metrics exactly
         if metric.kind == "blended" and metric.lam in (0.0, 1.0):
             self._kind = "genotypic" if metric.lam == 1.0 else "phenotypic"
-        self._behaviors = None
+        dg = dp = self._behaviors = None
         if self._kind != "genotypic":
-            self._behaviors = np.array(
-                [
-                    self._memo.behavior_of(g, problem, key)
-                    for g, key in zip(self._genos, keys)
-                ],
+            self._behaviors = b = np.array(
+                [self._memo.behavior_of(g, problem, key) for g, key in zip(genos, keys)],
                 dtype=float,
             )
-        geno_rows = [None] * len(self._genos)
+            # over the last axis, so that an empty view, whose behaviors
+            # stack to shape (0,), gives empty blocks
+            dp = np.linalg.norm(b[None] - b[:, None], axis=-1)
         if self._kind != "phenotypic":
-            self._stacked = problem.stack(self._genos)
-            geno_rows = [problem.geno_distances(g, self._stacked) for g in self._genos]
+            self._stacked = problem.stack(genos)
+            dg = problem.geno_distances(self._stacked, self._stacked)
         self._geno_scale = 1.0
         self._pheno_scale = 1.0
         if self._kind == "blended":
-            self._geno_scale, self._pheno_scale = self._median_scales(geno_rows)
-        self._rows = {}
-        for i, (g, key) in enumerate(zip(self._genos, keys)):
-            bx = None if self._behaviors is None else self._behaviors[i]
-            self._rows[key] = self._row(g, bx, geno_rows[i])
+            self._geno_scale, self._pheno_scale = self._median_scales(dg, dp)
+        rows = self._blend(dg, dp)
+        orders = np.argsort(rows, axis=-1, kind="stable")
+        # shared by every query of a view sample
+        rows.flags.writeable = orders.flags.writeable = False
+        self._rows = dict(zip(keys, zip(rows, orders)))
+        # genotypic rows of genotypes outside the view, not yet queried
+        self._pending: dict = {}
 
-    def _median_scales(self, geno_rows) -> tuple[float, float]:
-        n = len(self._genos)
+    @staticmethod
+    def _median_scales(dg, dp) -> tuple[float, float]:
+        n = len(dg)
         if n < 2:
             return 1.0, 1.0
-        rng = np.random.default_rng(0xC0FFEE)
-        total = n * (n - 1) // 2
-        if total <= PAIR_SAMPLE_LIMIT:
-            pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        if n * (n - 1) // 2 <= PAIR_SAMPLE_LIMIT:
+            ii, jj = np.triu_indices(n, 1)
         else:
+            rng = np.random.default_rng(0xC0FFEE)
             ii = rng.integers(0, n, size=2 * PAIR_SAMPLE_LIMIT)
             jj = rng.integers(0, n, size=2 * PAIR_SAMPLE_LIMIT)
-            pairs = [(int(i), int(j)) for i, j in zip(ii, jj) if i != j][
-                :PAIR_SAMPLE_LIMIT
-            ]
-        dg = [geno_rows[i][j] for i, j in pairs]
-        bp = self._behaviors
-        dp = [float(np.linalg.norm(bp[i] - bp[j])) for i, j in pairs]
-        mg = float(np.median(dg))
-        mp = float(np.median(dp))
+            distinct = ii != jj
+            ii = ii[distinct][:PAIR_SAMPLE_LIMIT]
+            jj = jj[distinct][:PAIR_SAMPLE_LIMIT]
+        mg = float(np.median(dg[ii, jj]))
+        mp = float(np.median(dp[ii, jj]))
         return (mg if mg > 0 else 1.0), (mp if mp > 0 else 1.0)
 
-    def _row(self, x, bx, dg=None) -> tuple[np.ndarray, np.ndarray]:
-        """Distances from x, with behavior vector bx, to every sample, and
-        their stable ascending order.
-
-        ``dg`` is x's genotypic row when it is already known.
-        """
-        if self._kind != "phenotypic" and dg is None:
-            dg = self.problem.geno_distances(x, self._stacked)
-        if self._kind != "genotypic":
-            dp = np.linalg.norm(self._behaviors - bx[None, :], axis=1)
+    def _blend(self, dg, dp) -> np.ndarray:
+        """The metric's distances from genotypic distances ``dg`` and
+        behavior distances ``dp`` (either None where the kind omits it)."""
         if self._kind == "genotypic":
-            row = dg
-        elif self._kind == "phenotypic":
-            row = dp
-        else:
-            lam = self.metric.lam
-            row = lam * dg / self._geno_scale + (1 - lam) * dp / self._pheno_scale
-        row = np.asarray(row, dtype=float)
-        order = np.argsort(row, kind="stable")
-        # shared by every query of x
-        row.flags.writeable = order.flags.writeable = False
-        return row, order
+            return dg
+        if self._kind == "phenotypic":
+            return dp
+        lam = self.metric.lam
+        return lam * dg / self._geno_scale + (1 - lam) * dp / self._pheno_scale
+
+    def add_genotypic_rows(self, genotypes) -> None:
+        """Compute, in one block, the genotypic rows of those ``genotypes``
+        this metric holds no row for yet.
+
+        Calls no objective: the behavior part of each row, and its order,
+        are still computed on the genotype's first query.
+        """
+        if self._kind == "phenotypic":
+            return
+        fresh = {}
+        for g in genotypes:
+            key = self.problem.canonical_key(g)
+            if key not in self._rows and key not in self._pending:
+                fresh.setdefault(key, g)
+        if fresh:
+            xs = self.problem.stack(list(fresh.values()))
+            block = self.problem.geno_distances(xs, self._stacked)
+            self._pending.update(zip(fresh, block))
 
     def neighbors(self, x) -> tuple[np.ndarray, np.ndarray]:
         """Distances from genotype x to every sample in the view, and the
@@ -323,10 +331,20 @@ class ResolvedMetric:
         key = self.problem.canonical_key(x)
         found = self._rows.get(key)
         if found is None:
-            bx = None
+            dg = dp = None
             if self._behaviors is not None:
                 bx = self._memo.behavior_of(x, self.problem, key)
-            found = self._rows[key] = self._row(x, bx)
+                dp = np.linalg.norm(self._behaviors - bx[None, :], axis=1)
+            if self._kind != "phenotypic":
+                dg = self._pending.pop(key, None)
+                if dg is None:
+                    xs = self.problem.stack([x])
+                    dg = self.problem.geno_distances(xs, self._stacked)[0]
+            row = self._blend(dg, dp)
+            order = np.argsort(row, kind="stable")
+            # shared by every query of x
+            row.flags.writeable = order.flags.writeable = False
+            found = self._rows[key] = row, order
         return found
 
 

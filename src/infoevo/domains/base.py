@@ -64,9 +64,11 @@ class Problem(ABC):
         return tuple(genotypes)
 
     @abstractmethod
-    def geno_distances(self, x, stacked) -> np.ndarray:
-        """Genotypic distances from x to each genotype of ``stacked``, a
-        float row as long as ``stacked``."""
+    def geno_distances(self, xs, stacked) -> np.ndarray:
+        """Genotypic distances between two stacks: a float block of shape
+        ``(len(xs), len(stacked))`` whose entry ``[i, j]`` is the distance
+        from genotype i of ``xs`` to genotype j of ``stacked``. One
+        genotype's row is ``geno_distances(stack([x]), stacked)[0]``."""
 
     def render(self, genotype) -> str:
         return str(genotype)

@@ -60,9 +60,13 @@ class BitstringProblem(Problem):
         mat = np.asarray(genotypes, dtype=np.uint8)
         return mat.reshape(len(genotypes), self.dimension)
 
-    def geno_distances(self, x, stacked) -> np.ndarray:
-        diff = stacked != np.asarray(x, dtype=np.uint8)[None, :]
-        return np.sum(diff, axis=1).astype(float)
+    def geno_distances(self, xs, stacked) -> np.ndarray:
+        """Hamming distances as ``|a| + |b| - 2 a.b``: every term is an
+        integer of at most ``dimension``, so the float64 block is exact
+        in any summation order, and no (m, n, bits) temporary is built."""
+        a = np.asarray(xs, dtype=float)
+        b = np.asarray(stacked, dtype=float)
+        return a.sum(axis=1)[:, None] + b.sum(axis=1)[None, :] - 2.0 * (a @ b.T)
 
     def render(self, genotype) -> str:
         return "".join(str(int(b)) for b in genotype)

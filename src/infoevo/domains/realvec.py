@@ -64,8 +64,10 @@ class RealVectorProblem(Problem):
         mat = np.asarray(genotypes, dtype=float)
         return mat.reshape(len(genotypes), self.dimension)
 
-    def geno_distances(self, x, stacked) -> np.ndarray:
-        return np.linalg.norm(stacked - np.asarray(x, dtype=float)[None, :], axis=1)
+    def geno_distances(self, xs, stacked) -> np.ndarray:
+        # the last-axis reduction of a one-row call, so that every row of a
+        # block equals that call bit for bit
+        return np.linalg.norm(stacked[None, :, :] - xs[:, None, :], axis=2)
 
     def render(self, genotype) -> str:
         return "[" + ", ".join(f"{v:.6g}" for v in genotype) + "]"

@@ -271,17 +271,18 @@ class SymbolicRegression(Problem):
             row[:d], row[d], row[d + 1 : d + 1 + len(counts)] = profile, total, counts
         return stacked
 
-    def geno_distances(self, x, stacked) -> np.ndarray:
+    def geno_distances(self, xs, stacked) -> np.ndarray:
         """Mean of the label-multiset distance and half the L1 distance of
-        depth profiles, from x to each tree of ``stacked``."""
-        cx, tx, px = self._features(x)
+        depth profiles, from each tree of ``xs`` to each tree of
+        ``stacked``."""
         d = self.max_depth
-        profiles, totals, counts = stacked[:, :d], stacked[:, d], stacked[:, d + 1 :]
-        # a label past either side's columns appeared after it was counted
-        shared = min(counts.shape[1], len(cx))
-        overlap = np.minimum(counts[:, :shared], cx[:shared]).sum(axis=1)
-        label_term = 1.0 - overlap / np.maximum(totals, tx)
-        depth_term = 0.5 * np.abs(profiles - px).sum(axis=1)
+        # a label past either stack's columns appeared after that stack was
+        # built, so none of its trees has it
+        width = min(xs.shape[1], stacked.shape[1])
+        x, y = xs[:, None, :width], stacked[None, :, :width]
+        overlap = np.minimum(x[..., d + 1 :], y[..., d + 1 :]).sum(axis=2)
+        label_term = 1.0 - overlap / np.maximum(x[..., d], y[..., d])
+        depth_term = 0.5 * np.abs(y[..., :d] - x[..., :d]).sum(axis=2)
         return 0.5 * (label_term + depth_term)
 
     def render(self, genotype) -> str:

@@ -21,7 +21,6 @@ from .core import (
     ScoredSample,
     best_sample,
     evaluate,
-    normalize_scores,
     view_of,
 )
 from .domains import make_problem
@@ -309,11 +308,14 @@ def run_subpopulation(
     filtering = mp is not None and policy.threshold_quantile > 0
     if filtering:
         threshold = float(np.quantile(view_fitness, policy.threshold_quantile))
+    if mp is not None:
+        # normalize_scores against the view, one scalar at a time
+        lo, hi = float(view.scores.min()), float(view.scores.max())
 
     def fitness_of(sample: ScoredSample) -> float:
         if mp is None:
             return sample.score
-        zn = normalize_scores(sample.score, view)
+        zn = 1.0 if hi == lo else min(max((sample.score - lo) / (hi - lo), 0.0), 1.0)
         return guidance.modified_fitness(sample.genotype, zn, mp, rm)
 
     for _ in range(config.generations_per_round):
@@ -321,6 +323,8 @@ def run_subpopulation(
             report.early_stop = True
             break
         offspring = vary(parents, fitness, config, problem, rng)
+        if filtering:
+            rm.add_genotypic_rows(offspring)
         new_samples: list[ScoredSample] = []
         out_of_budget = False
         for child in offspring:

@@ -68,16 +68,24 @@ class FilterPolicy:
 def omega_knn(x, dist: LogDistribution, k: int, rm: ResolvedMetric) -> float:
     """Probability mass the distribution puts on x's k nearest neighbors."""
     idx, _ = knn(x, rm, k)
-    p = dist.p
     # a sequential sum, in neighbor order: np.sum adds 8 or more terms
     # in another order
-    return float(sum(p[j] for j in idx))
+    return float(sum(dist.p[idx].tolist()))
+
+
+def _ascending_median(values) -> float:
+    """The median of nonempty ascending values: the middle one, or the
+    mean of the middle two, the same double numpy's median gives."""
+    mid = len(values) // 2
+    if len(values) % 2:
+        return float(values[mid])
+    return float((values[mid - 1] + values[mid]) / 2)
 
 
 def _inverse_distance_weights(x, k: int, rm: ResolvedMetric):
     """x's k nearest view positions and their inverse-distance weights."""
     idx, dists = knn(x, rm, k)
-    delta = 1e-9 * (float(np.median(dists)) + 1e-30)
+    delta = 1e-9 * (_ascending_median(dists) + 1e-30)
     return idx, 1.0 / (dists + delta)
 
 

@@ -30,8 +30,9 @@ class ScalarProblem(Problem):
         w = rng.random()
         return float(w * a + (1 - w) * b)
 
-    def geno_distances(self, x, stacked):
-        return np.array([abs(float(x) - float(g)) for g in stacked], dtype=float)
+    def geno_distances(self, xs, stacked):
+        xs, gs = np.asarray(xs, dtype=float), np.asarray(stacked, dtype=float)
+        return np.abs(np.subtract.outer(xs, gs))
 
 
 def count_objective_calls(problem):

@@ -181,11 +181,44 @@ def test_resolved_metric_rows_match_direct_distances(rng):
     stacked = problem.stack(genos)
     for g in genos + [problem.random_genotype(rng)]:
         dp = np.linalg.norm(behaviors - problem.behavior(g)[None, :], axis=1)
-        for rm, row in ((geno, problem.geno_distances(g, stacked)), (pheno, dp)):
+        dg = problem.geno_distances(problem.stack([g]), stacked)[0]
+        for rm, row in ((geno, dg), (pheno, dp)):
             dists, order = rm.neighbors(g)
             assert np.array_equal(dists, row)
             assert np.array_equal(order, np.argsort(row, kind="stable"))
             assert not dists.flags.writeable and not order.flags.writeable
+
+
+def test_resolved_metric_computes_one_distance_block_per_batch(rng):
+    problem = make_problem("symreg")
+    ledger = EvaluationLedger(budget=30)
+    for _ in range(12):
+        evaluate(problem.random_genotype(rng), problem, ledger)
+    view = view_of(ledger)
+    shapes = []
+    geno_distances = problem.geno_distances
+
+    def counting(xs, stacked):
+        shapes.append((len(xs), len(stacked)))
+        return geno_distances(xs, stacked)
+
+    problem.geno_distances = counting
+    rm = ResolvedMetric(problem, view, DistanceMetric.blended(0.5), ledger)
+    assert shapes == [(len(view), len(view))]
+    offspring = [problem.random_genotype(rng) for _ in range(5)]
+    fresh = {problem.canonical_key(g) for g in offspring}
+    fresh -= {problem.canonical_key(s.genotype) for s in view.samples}
+    calls = ledger.objective_calls
+    rm.add_genotypic_rows(offspring + [view.samples[0].genotype])
+    assert ledger.objective_calls == calls
+    assert fresh and shapes[1:] == [(len(fresh), len(view))]
+    rm.add_genotypic_rows(offspring)  # every row is held already
+    for g in offspring:
+        knn(g, rm, 3)
+    assert len(shapes) == 2
+    # a genotype never added gets its own one-row block on its query
+    knn(("-", ("c", 123.0), ("x", 0)), rm, 3)
+    assert shapes[2:] == [(1, len(view))]
 
 
 def test_view_of_caps_by_score():

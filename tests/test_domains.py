@@ -25,8 +25,13 @@ from infoevo.errors import BadLength
 
 
 def distance(problem, a, b) -> float:
-    """The genotypic distance of one pair, through a one-row stack."""
-    return float(problem.geno_distances(a, problem.stack([b]))[0])
+    """The genotypic distance of one pair, through two one-row stacks."""
+    return float(problem.geno_distances(problem.stack([a]), problem.stack([b]))[0, 0])
+
+
+def row(problem, x, stacked) -> np.ndarray:
+    """The genotypic distances from x to each genotype of ``stacked``."""
+    return problem.geno_distances(problem.stack([x]), stacked)[0]
 
 
 # --- bitstrings ---
@@ -76,7 +81,7 @@ def test_bitstring_distances(rng):
     c = problem.mutate(a, 0.5, rng)
     stacked = problem.stack([a, b, c])
     assert stacked.shape == (3, 8) and len(stacked) == 3
-    batch = problem.geno_distances(a, stacked)
+    batch = row(problem, a, stacked)
     assert batch.tolist() == [0.0, 8.0, float(np.sum(c != a))]
 
 
@@ -158,7 +163,7 @@ def test_realvec_eda_bins_roundtrip(rng):
 def test_realvec_distance_euclidean():
     problem = Sphere(dim=2)
     assert distance(problem, [0.0, 0.0], [3.0, 4.0]) == 5.0
-    batch = problem.geno_distances(np.zeros(2), problem.stack([[3.0, 4.0], [0.0, 0.0]]))
+    batch = row(problem, np.zeros(2), problem.stack([[3.0, 4.0], [0.0, 0.0]]))
     assert np.allclose(batch, [5.0, 0.0])
 
 
@@ -241,7 +246,7 @@ def test_symreg_distance_tells_apart_constants_with_one_canonical_key():
     assert problem.canonical_key(a) == problem.canonical_key(b)
     assert distance(problem, a, a) == 0.0
     assert distance(problem, a, b) == 0.5
-    assert problem.geno_distances(b, problem.stack([a, b])).tolist() == [0.5, 0.0]
+    assert row(problem, b, problem.stack([a, b])).tolist() == [0.5, 0.0]
 
 
 def test_symreg_behavior_clipped():
@@ -272,8 +277,10 @@ def test_distance_row_to_an_empty_stack_is_empty(name, rng):
     problem = make_problem(name)
     stacked = problem.stack([])
     assert len(stacked) == 0
-    row = problem.geno_distances(problem.random_genotype(rng), stacked)
-    assert row.dtype == float and row.shape == (0,)
+    one = row(problem, problem.random_genotype(rng), stacked)
+    assert one.dtype == float and one.shape == (0,)
+    block = problem.geno_distances(stacked, problem.stack([problem.random_genotype(rng)]))
+    assert block.dtype == float and block.shape == (0, 1)
 
 
 def test_make_problem_names():

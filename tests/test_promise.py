@@ -70,8 +70,8 @@ class EqualScoreProblem:
     def stack(self, genotypes):
         return np.array(genotypes, dtype=float)
 
-    def geno_distances(self, x, stacked):
-        return np.abs(x - stacked)
+    def geno_distances(self, xs, stacked):
+        return np.abs(xs[:, None] - stacked[None, :])
 
     def behavior(self, genotype):
         return np.array([3.0])

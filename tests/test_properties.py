@@ -1,6 +1,7 @@
 """Property tests: neighbor queries, the promise vector, manifold edge
-cases, EDA sampling, the run memo, the lattice search and the tree
-distance."""
+cases, EDA sampling, the run memo, the lattice search, the genotype
+distance blocks, the metric's blocks and the exact per-candidate
+arithmetic."""
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 from infoevo import manifold
 from infoevo.core import (
+    PAIR_SAMPLE_LIMIT,
     DistanceMetric,
     EvaluationLedger,
     PopulationView,
@@ -19,7 +21,9 @@ from infoevo.core import (
     normalize_scores,
     view_of,
 )
-from infoevo.domains import OneMax, Sphere, SymbolicRegression, make_problem
+from infoevo.domains import PROBLEMS, OneMax, Sphere, SymbolicRegression, make_problem
+from infoevo.domains.bitstrings import BitstringProblem
+from infoevo.domains.realvec import RealVectorProblem
 from infoevo.domains.symreg import OPS, _depth_profile, tree_labels
 from infoevo.errors import GammaExceedsRay
 from infoevo.evolve import EvolutionConfig, _eda_model, _sample_eda, vary
@@ -30,7 +34,7 @@ from infoevo.geodesic_search import (
     sample_exact_ray,
     step_along,
 )
-from infoevo.guidance import omega_knn
+from infoevo.guidance import _ascending_median, omega_knn
 from infoevo.manifold import _EXP_CLIP
 from infoevo.promise import PromiseWeights, local_max_prob, promise_vector
 
@@ -448,7 +452,7 @@ def test_one_search_gives_each_goal_its_own_path(dim, extra, resolution, seed, d
             assert np.array_equal(a.phi, b.phi)
 
 
-# --- tree distance ---
+# --- genotype distance blocks ---
 
 
 def per_pair_tree_distance(problem, a, b) -> float:
@@ -468,6 +472,17 @@ def per_pair_tree_distance(problem, a, b) -> float:
     return 0.5 * (label_term + depth_term)
 
 
+def per_pair_distance(problem, a, b) -> float:
+    """Any registered domain's genotypic distance, one pair at a time."""
+    if isinstance(problem, BitstringProblem):
+        return float((np.asarray(a) != np.asarray(b)).sum())
+    if isinstance(problem, RealVectorProblem):
+        # over the last axis, as the distance has always reduced: without
+        # an axis, norm takes a dot product, which rounds otherwise
+        return float(np.linalg.norm(np.asarray(b) - np.asarray(a), axis=-1))
+    return per_pair_tree_distance(problem, a, b)
+
+
 @st.composite
 def trees(draw, depth: int):
     """Trees up to ``depth`` over two inputs, constants from anywhere."""
@@ -479,18 +494,66 @@ def trees(draw, depth: int):
     return (op, draw(trees(depth - 1)), draw(trees(depth - 1)))
 
 
+def genotypes(problem):
+    """Genotypes of a registered domain, ties among them likely."""
+    if isinstance(problem, BitstringProblem):
+        bits = st.lists(st.integers(0, 1), min_size=problem.dimension, max_size=problem.dimension)
+        return bits.map(lambda v: np.array(v, dtype=np.uint8))
+    if isinstance(problem, RealVectorProblem):
+        coord = st.one_of(st.sampled_from([-5.0, 0.0, 1.0]), st.floats(-5.0, 5.0))
+        vec = st.lists(coord, min_size=problem.dimension, max_size=problem.dimension)
+        return vec.map(lambda v: np.array(v, dtype=float))
+    return trees(problem.max_depth)
+
+
+def reference_block(problem, xs, gs) -> bytes:
+    block = [[per_pair_distance(problem, x, g) for g in gs] for x in xs]
+    return np.array(block, dtype=float).reshape(len(xs), len(gs)).tobytes()
+
+
+def assert_block_matches(problem, xs, gs, left=None, right=None):
+    """The block between stacks of xs and gs (or the given stacks of
+    them) equals the per-pair distances byte for byte."""
+    left = problem.stack(xs) if left is None else left
+    right = problem.stack(gs) if right is None else right
+    got = problem.geno_distances(left, right)
+    assert got.dtype == float and got.shape == (len(xs), len(gs))
+    assert got.tobytes() == reference_block(problem, xs, gs)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(sorted(PROBLEMS)), st.data())
+def test_distance_blocks_match_per_pair_distances(name, data):
+    problem = make_problem(name)
+    xs = data.draw(st.lists(genotypes(problem), max_size=5), label="xs")
+    gs = data.draw(st.lists(genotypes(problem), max_size=8), label="gs")
+    older = problem.stack(gs)
+    assert_block_matches(problem, xs, gs, right=older)
+    assert_block_matches(problem, gs, xs)
+    assert_block_matches(problem, xs, [])
+    assert_block_matches(problem, [], gs)
+    if isinstance(problem, SymbolicRegression):
+        # labels first seen after the right-hand stack was built, on
+        # either side of it
+        late = [("+", ("c", 1e9), x) for x in xs] + [("c", -1e9)]
+        assert_block_matches(problem, late, gs, right=older)
+        assert_block_matches(problem, gs, late, left=older)
+
+
 def reference_row(problem, x, gs) -> bytes:
     return np.array([per_pair_tree_distance(problem, x, g) for g in gs], dtype=float).tobytes()
+
+
+def row_of(problem, x, stacked) -> np.ndarray:
+    return problem.geno_distances(problem.stack([x]), stacked)[0]
 
 
 def assert_rows_match(problem, x, gs):
     stacked = problem.stack(gs)
     assert len(stacked) == len(gs)
-    got = problem.geno_distances(x, stacked)
+    got = row_of(problem, x, stacked)
     assert got.dtype == float and got.shape == (len(gs),)
-    per_pair = np.array(
-        [problem.geno_distances(x, problem.stack([g]))[0] for g in gs], dtype=float
-    )
+    per_pair = np.array([row_of(problem, x, problem.stack([g]))[0] for g in gs], dtype=float)
     assert got.tobytes() == per_pair.tobytes() == reference_row(problem, x, gs)
 
 
@@ -505,9 +568,129 @@ def test_tree_distance_rows_match_per_pair_distances(max_depth, data):
     # a label first seen after a stack was built: in the query tree
     # against that older stack, and in a row
     late = ("+", ("c", 1e9), x) if max_depth > 1 else ("c", 1e9)
-    assert problem.geno_distances(x, older).tobytes() == reference_row(problem, x, gs)
-    assert problem.geno_distances(late, older).tobytes() == reference_row(problem, late, gs)
+    assert row_of(problem, x, older).tobytes() == reference_row(problem, x, gs)
+    assert row_of(problem, late, older).tobytes() == reference_row(problem, late, gs)
     assert_rows_match(problem, late, gs)
     assert_rows_match(problem, x, gs + [late])
-    empty = problem.geno_distances(x, problem.stack([]))
+    empty = row_of(problem, x, problem.stack([]))
     assert empty.dtype == float and empty.shape == (0,)
+
+
+# --- the metric's distance blocks ---
+
+# OneMax-10 ties often; symreg has behavior vectors of its own
+BLOCK_PROBLEMS = {
+    "onemax": lambda: OneMax(bits=10),
+    "sphere": lambda: Sphere(dim=10),
+    "symreg": lambda: make_problem("symreg"),
+}
+block_metrics = st.one_of(
+    st.sampled_from(
+        [
+            DistanceMetric.genotypic(),
+            DistanceMetric.phenotypic(),
+            DistanceMetric.blended(0.0),
+            DistanceMetric.blended(1.0),
+        ]
+    ),
+    st.floats(0.0, 1.0).map(DistanceMetric.blended),
+)
+
+
+def reference_rows(problem, view, metric, queries):
+    """Each query's distances to the view and their stable order, built
+    one row at a time from ``geno_distances`` and the behavior vectors."""
+    genos = [s.genotype for s in view.samples]
+    stacked = problem.stack(genos)
+    behaviors = np.array([problem.behavior(g) for g in genos], dtype=float)
+
+    def parts(x):
+        dg = problem.geno_distances(problem.stack([x]), stacked)[0]
+        dp = np.linalg.norm(behaviors - problem.behavior(x)[None, :], axis=1)
+        return dg, dp
+
+    kind, lam = metric.kind, metric.lam
+    if kind == "blended" and lam in (0.0, 1.0):
+        kind = "genotypic" if lam == 1.0 else "phenotypic"
+    geno_scale = pheno_scale = 1.0
+    n = len(genos)
+    if kind == "blended" and n >= 2:
+        rows = [parts(g) for g in genos]
+        if n * (n - 1) // 2 <= PAIR_SAMPLE_LIMIT:
+            pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        else:
+            rng = np.random.default_rng(0xC0FFEE)
+            ii = rng.integers(0, n, size=2 * PAIR_SAMPLE_LIMIT)
+            jj = rng.integers(0, n, size=2 * PAIR_SAMPLE_LIMIT)
+            pairs = [(i, j) for i, j in zip(ii, jj) if i != j][:PAIR_SAMPLE_LIMIT]
+        mg = float(np.median([rows[i][0][j] for i, j in pairs]))
+        mp = float(np.median([rows[i][1][j] for i, j in pairs]))
+        geno_scale = mg if mg > 0 else 1.0
+        pheno_scale = mp if mp > 0 else 1.0
+    out = []
+    for x in queries:
+        dg, dp = parts(x)
+        if kind == "genotypic":
+            row = dg
+        elif kind == "phenotypic":
+            row = dp
+        else:
+            row = lam * dg / geno_scale + (1 - lam) * dp / pheno_scale
+        out.append((row, np.argsort(row, kind="stable")))
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from(sorted(BLOCK_PROBLEMS)),
+    block_metrics,
+    st.integers(1, 50),  # past 46 samples the scales sample their pairs
+    st.integers(0, 2**32 - 1),
+)
+def test_metric_blocks_match_rows_built_one_at_a_time(name, metric, n, seed):
+    problem = BLOCK_PROBLEMS[name]()
+    rng = np.random.default_rng(seed)
+    ledger = EvaluationLedger(budget=n)
+    for _ in range(n):
+        evaluate(problem.random_genotype(rng), problem, ledger)
+    view = view_of(ledger)
+    rm = ResolvedMetric(problem, view, metric, ledger)
+    genos = [s.genotype for s in view.samples]
+    # offspring: new genotypes, one of them twice, and a view sample
+    offspring = [problem.random_genotype(rng) for _ in range(4)]
+    offspring += [offspring[0], genos[-1]]
+    calls = ledger.objective_calls
+    rm.add_genotypic_rows(offspring)
+    assert ledger.objective_calls == calls
+    queries = genos + offspring
+    for x, (row, order) in zip(queries, reference_rows(problem, view, metric, queries)):
+        dists, got = rm.neighbors(x)
+        assert dists.tobytes() == row.tobytes()
+        assert got.tobytes() == order.tobytes()
+        assert not dists.flags.writeable and not got.flags.writeable
+
+
+# --- exact per-candidate arithmetic ---
+
+distances = st.one_of(st.sampled_from([0.0, 0.5, 1.0, 3.0]), st.floats(0.0, 1e6))
+
+
+@pytest.mark.parametrize("k", range(1, 17))
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_middle_of_sorted_distances_is_np_median(k, data):
+    values = np.array(data.draw(st.lists(distances, min_size=k, max_size=k)))
+    got = _ascending_median(np.sort(values))
+    assert np.float64(got).tobytes() == np.float64(np.median(values)).tobytes()
+
+
+@pytest.mark.parametrize("k", range(1, 17))
+@settings(max_examples=20, deadline=None)
+@given(st.lists(st.integers(0, 30), min_size=16, max_size=24, unique=True), st.data())
+def test_omega_knn_matches_generator_sum(k, values, data):
+    view, rm = scalar_view(values, None)
+    weights = data.draw(st.lists(st.floats(1e-6, 1.0), min_size=len(view), max_size=len(view)))
+    dist = manifold.from_weights(weights)
+    x = float(data.draw(st.integers(-3, 33)))
+    idx, _ = knn(x, rm, k)
+    assert omega_knn(x, dist, k, rm) == float(sum(dist.p[j] for j in idx))
