@@ -1,7 +1,6 @@
 """Info-Evo: geodesic guidance over promise landscapes for evolutionary search."""
 
 from .core import (
-    DistanceMetric,
     EvaluationLedger,
     PopulationView,
     ScoredSample,
@@ -19,7 +18,6 @@ from .promise import PromiseWeights
 __version__ = "0.1.0"
 
 __all__ = [
-    "DistanceMetric",
     "EvaluationLedger",
     "PopulationView",
     "ScoredSample",

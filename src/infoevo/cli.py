@@ -21,7 +21,6 @@ from pathlib import Path
 import numpy as np
 
 from . import geodesic_search, manifold
-from .core import DistanceMetric
 from .demes import run_demes
 from .domains import PROBLEM_NAMES, make_problem
 from .errors import ConfigError, InfoEvoError
@@ -44,8 +43,7 @@ COMPARE_COLUMNS = (
 # One row per run setting: its command-line flag, its config-file section
 # (None for the top level of the file), its key there and its type. Each
 # key names the field it sets in its section's dataclass (RunConfig for the
-# top level), except policy.metric and policy.lambda (the DistanceMetric's
-# kind and lam).
+# top level), so run.json's config is itself a valid config file.
 SETTINGS = (
     ("--problem", None, "problem", str),
     ("--seed", None, "seed", int),
@@ -78,8 +76,7 @@ SETTINGS = (
     ("--population-cap", "evolution", "population_cap", int),
     ("--filter-k", "policy", "k", int),
     ("--threshold-quantile", "policy", "threshold_quantile", float),
-    ("--metric", "policy", "metric", str),
-    ("--lambda", "policy", "lambda", float),
+    ("--lambda", "policy", "lam", float),
 )
 SECTIONS = ("problem_params", "weights", "step", "evolution", "policy")
 JSON_TYPES = {str: str, int: int, float: (int, float)}  # accepted per setting type
@@ -314,25 +311,13 @@ def build_run_config(args) -> RunConfig:
     for flag, section, name, _ in SETTINGS:
         if getattr(args, _dest(flag)) is not None:
             given[section][name] = getattr(args, _dest(flag))
-    top, policy = given[None], given["policy"]
-    metric = {
-        attr: policy.pop(key)
-        for key, attr in (("metric", "kind"), ("lambda", "lam"))
-        if key in policy
-    }
-    policy = _build(
-        "policy",
-        FilterPolicy,
-        metric=_build("policy", DistanceMetric, **metric),
-        **policy,
-    )
     return RunConfig(
-        **top,
+        **given[None],
         problem_params=given["problem_params"],
         weights=_build("weights", PromiseWeights, **given["weights"]),
         step=_build("step", StepParams, **given["step"]),
         evolution=_build("evolution", EvolutionConfig, **given["evolution"]),
-        policy=policy,
+        policy=_build("policy", FilterPolicy, **given["policy"]),
     )
 
 

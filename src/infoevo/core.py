@@ -35,37 +35,6 @@ class ScoredSample:
     score: float
 
 
-@dataclass(frozen=True)
-class DistanceMetric:
-    """Selector for the genotype-space metric.
-
-    ``kind`` is one of ``genotypic``, ``phenotypic``, ``blended``;
-    ``lam`` is the genotypic weight of the blend (lam=1 is purely
-    genotypic, lam=0 purely phenotypic).
-    """
-
-    kind: str = "blended"
-    lam: float = 0.5
-
-    def __post_init__(self):
-        if self.kind not in ("genotypic", "phenotypic", "blended"):
-            raise ValueError(f"unknown metric kind {self.kind!r}")
-        if not 0.0 <= self.lam <= 1.0:
-            raise ValueError("blend weight must lie in [0, 1]")
-
-    @staticmethod
-    def genotypic() -> "DistanceMetric":
-        return DistanceMetric("genotypic")
-
-    @staticmethod
-    def phenotypic() -> "DistanceMetric":
-        return DistanceMetric("phenotypic")
-
-    @staticmethod
-    def blended(lam: float = 0.5) -> "DistanceMetric":
-        return DistanceMetric("blended", lam)
-
-
 class EvaluationLedger:
     """Append-only record of evaluated genotypes with a hard budget.
 
@@ -218,21 +187,25 @@ def normalize_scores(scores, population) -> np.ndarray:
 
 
 class ResolvedMetric:
-    """A DistanceMetric bound to a problem and a population view.
+    """The filter's distance, bound to a problem and a population view.
 
-    The view it was built from is ``view``; every neighbor query answers
-    in positions of that view. Stacks the view's genotypes and computes
-    its distance table once, at construction, as one n-by-n block: one
-    genotypic block from a single ``geno_distances`` call, one behavior
-    block, their blend, and one stable argsort of every row, so no
-    distance is computed or sorted twice. Each sample's row and order are
-    read-only views of those blocks. Behavior vectors come from ``memo``,
-    the run's ledger, and new ones are added to it, so none is computed
-    twice in a run; without a memo the metric keeps a private one. A
-    genotype outside the view gets its row on its first query; later
-    queries of the same genotype (equal canonical key) reuse it.
+    The distance blends genotype distance, weight ``lam``, with behavior
+    distance, weight ``1 - lam``; ``lam = 1`` is the genotypic metric and
+    ``lam = 0`` the phenotypic one, exactly, and each reads only its own
+    distance. The view it was built from is ``view``; every neighbor
+    query answers in positions of that view. Stacks the view's genotypes
+    and computes its distance table once, at construction, as one n-by-n
+    block: one genotypic block from a single ``geno_distances`` call, one
+    behavior block, their blend, and one stable argsort of every row, so
+    no distance is computed or sorted twice. Each sample's row and order
+    are read-only views of those blocks. Behavior vectors come from
+    ``memo``, the run's ledger, and new ones are added to it, so none is
+    computed twice in a run; without a memo the metric keeps a private
+    one. A genotype outside the view gets its row on its first query;
+    later queries of the same genotype (equal canonical key) reuse it.
     ``add_genotypic_rows`` computes the genotypic part of such rows for a
-    batch of genotypes in one block beforehand. For the blended kind,
+    batch of genotypes in one block beforehand; a single query's part
+    comes from the same block code. Strictly between the extremes,
     median scales over a deterministic sample of view pairs, read from
     the two blocks, make the genotypic and phenotypic terms comparable.
     """
@@ -241,19 +214,17 @@ class ResolvedMetric:
         self,
         problem,
         view,
-        metric: DistanceMetric,
+        lam: float,
         memo: EvaluationLedger | None = None,
     ):
         self.problem = problem
-        self.metric = metric
+        self.lam = lam
         self.view = view
         self._memo = EvaluationLedger(0) if memo is None else memo
         genos = [s.genotype for s in view.samples]
         keys = [problem.canonical_key(g) for g in genos]
-        self._kind = metric.kind
         # blend extremes must reduce to the pure metrics exactly
-        if metric.kind == "blended" and metric.lam in (0.0, 1.0):
-            self._kind = "genotypic" if metric.lam == 1.0 else "phenotypic"
+        self._kind = {1.0: "genotypic", 0.0: "phenotypic"}.get(lam, "blended")
         dg = dp = self._behaviors = None
         if self._kind != "genotypic":
             self._behaviors = b = np.array(
@@ -298,12 +269,12 @@ class ResolvedMetric:
 
     def _blend(self, dg, dp) -> np.ndarray:
         """The metric's distances from genotypic distances ``dg`` and
-        behavior distances ``dp`` (either None where the kind omits it)."""
+        behavior distances ``dp`` (either None where lam omits it)."""
         if self._kind == "genotypic":
             return dg
         if self._kind == "phenotypic":
             return dp
-        lam = self.metric.lam
+        lam = self.lam
         return lam * dg / self._geno_scale + (1 - lam) * dp / self._pheno_scale
 
     def add_genotypic_rows(self, genotypes) -> None:
@@ -320,6 +291,11 @@ class ResolvedMetric:
             key = self.problem.canonical_key(g)
             if key not in self._rows and key not in self._pending:
                 fresh.setdefault(key, g)
+        self._add_pending(fresh)
+
+    def _add_pending(self, fresh: dict) -> None:
+        """The genotypic rows, in one block, of the genotypes that
+        ``fresh`` maps their canonical keys to."""
         if fresh:
             xs = self.problem.stack(list(fresh.values()))
             block = self.problem.geno_distances(xs, self._stacked)
@@ -336,10 +312,9 @@ class ResolvedMetric:
                 bx = self._memo.behavior_of(x, self.problem, key)
                 dp = np.linalg.norm(self._behaviors - bx[None, :], axis=1)
             if self._kind != "phenotypic":
-                dg = self._pending.pop(key, None)
-                if dg is None:
-                    xs = self.problem.stack([x])
-                    dg = self.problem.geno_distances(xs, self._stacked)[0]
+                if key not in self._pending:
+                    self._add_pending({key: x})
+                dg = self._pending.pop(key)
             row = self._blend(dg, dp)
             order = np.argsort(row, kind="stable")
             # shared by every query of x

@@ -50,12 +50,6 @@ def tree_depth(node) -> int:
     return 1 + max(tree_depth(node[1]), tree_depth(node[2]))
 
 
-def tree_size(node) -> int:
-    if node[0] in ("x", "c"):
-        return 1
-    return 1 + tree_size(node[1]) + tree_size(node[2])
-
-
 def tree_labels(node, out=None) -> list[str]:
     if out is None:
         out = []

@@ -282,14 +282,13 @@ def run_subpopulation(
     view_fitness,
     mp: ModifiedPromise | None,
     config: EvolutionConfig,
-    problem,
     state: RunState,
     source,
     policy: FilterPolicy,
-    rng,
     ray_index: int = 0,
 ) -> SubdemeReport:
-    """One guided (or unguided, mp=None) evolutionary burst.
+    """One guided (or unguided, mp=None) evolutionary burst of ``state``'s
+    run, drawing from its random stream.
 
     ``source`` is the round's population view when unguided, and the
     view's ResolvedMetric when guided: candidate filtering and fitness
@@ -298,6 +297,7 @@ def run_subpopulation(
     under ``mp`` when guided. The subpop_size fittest view samples seed
     the parents; new evaluations append to the shared ledger.
     """
+    problem, rng = state.problem, state.rng
     rm = source if mp is not None else None
     view = source if rm is None else rm.view
     report = SubdemeReport(ray_index=ray_index)
@@ -365,16 +365,16 @@ def _next_generation(parents, fitness, new_samples, fitness_of, config):
     pool = list(zip(parents, fitness)) + list(zip(new_samples, new_fit))
     pool.sort(key=lambda t: -t[1])
     elites = []
-    seen = set()
+    elite_ids = set()
     for s, f in pool:
-        if s.id in seen:
+        if s.id in elite_ids:
             continue
-        seen.add(s.id)
+        elite_ids.add(s.id)
         elites.append((s, f))
         if len(elites) >= config.elitism:
             break
     nxt = elites + [
-        (s, f) for s, f in zip(new_samples, new_fit) if s.id not in {e[0].id for e in elites}
+        (s, f) for s, f in zip(new_samples, new_fit) if s.id not in elite_ids
     ]
     parents = [s for s, _ in nxt]
     fitness = [f for _, f in nxt]
@@ -441,12 +441,10 @@ def info_evo_loop(
         view = view_of(ledger, config.population_cap)
 
         if cfg.mode == "baseline" or len(view) < 3:
-            frag = run_subpopulation(
-                view.scores, None, config, problem, state, view, policy, rng
-            )
+            frag = run_subpopulation(view.scores, None, config, state, view, policy)
             report.subdemes.append(frag)
         else:
-            rm = ResolvedMetric(problem, view, policy.metric, ledger)
+            rm = ResolvedMetric(problem, view, policy.lam, ledger)
             pv = promise_vector(cfg.weights, rm)
             base = manifold.from_weights(pv)
             d = min(step_params.chart_dim, len(view) - 1)
@@ -482,11 +480,9 @@ def info_evo_loop(
                     guidance.ledger_modified_fitness(mp, rm),
                     mp,
                     config,
-                    problem,
                     state,
                     rm,
                     policy,
-                    rng,
                     ray_index=ray_index,
                 )
                 report.subdemes.append(frag)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import manifold
-from .core import DistanceMetric, ResolvedMetric, knn, normalize_scores
+from .core import ResolvedMetric, knn, normalize_scores
 from .errors import DegenerateLine
 from .manifold import LogDistribution
 
@@ -54,15 +54,20 @@ class ModifiedPromise:
 
 @dataclass(frozen=True)
 class FilterPolicy:
+    """The kNN filter's settings. ``lam`` is the genotypic weight of the
+    distance it and omega read (1 purely genotypic, 0 purely phenotypic)."""
+
     k: int = 7
     threshold_quantile: float = 0.25
-    metric: DistanceMetric = DistanceMetric.blended(0.5)
+    lam: float = 0.5
 
     def __post_init__(self):
         if self.k < 1:
             raise ValueError("k must be positive")
         if not 0.0 <= self.threshold_quantile < 1.0:
             raise ValueError("threshold_quantile must lie in [0, 1)")
+        if not 0.0 <= self.lam <= 1.0:
+            raise ValueError("lam must lie in [0, 1]")
 
 
 def omega_knn(x, dist: LogDistribution, k: int, rm: ResolvedMetric) -> float:

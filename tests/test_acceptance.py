@@ -12,7 +12,7 @@ import numpy as np
 
 from infoevo import manifold
 from infoevo.cli import geodesic_check, main as cli_main
-from infoevo.core import DistanceMetric, ResolvedMetric, view_of
+from infoevo.core import ResolvedMetric, view_of
 from infoevo.domains import OneMax, SymbolicRegression
 from infoevo.domains.symreg import behavior_to_distribution, program_fisher_distance
 from infoevo.evolve import EvolutionConfig, RunState, run_subpopulation
@@ -105,7 +105,7 @@ def test_criterion_4_promise_reduction(capsys):
         values = list(rng.uniform(-10, 10, size=int(rng.integers(3, 15))))
         problem, ledger = make_scalar_ledger(values)
         view = view_of(ledger)
-        rm = ResolvedMetric(problem, view, DistanceMetric.genotypic())
+        rm = ResolvedMetric(problem, view, 1.0)
         pv = promise_vector(weights, rm)
         ok &= int(np.argmax(pv)) == int(np.argmax(view.scores))
     report(capsys, 4, "score-only promise argmax matches raw scores on 100 ledgers", ok)
@@ -131,7 +131,7 @@ def test_criterion_5_guidance_monotonicity_and_filter_soundness(capsys):
     values = list(rng.uniform(0, 10, 30))
     problem, ledger = make_scalar_ledger(values)
     view = view_of(ledger)
-    rm = ResolvedMetric(problem, view, DistanceMetric.genotypic())
+    rm = ResolvedMetric(problem, view, 1.0)
     n = len(view.samples)
     mp = ModifiedPromise(
         manifold.uniform(n),
@@ -155,7 +155,7 @@ def test_criterion_5_guidance_monotonicity_and_filter_soundness(capsys):
     # generation (the evaluated/skipped/generated accounting is exact)
     problem2, seed_ledger = make_scalar_ledger(list(rng.uniform(0, 10, 30)), budget=10000)
     view2 = view_of(seed_ledger)
-    rm2 = ResolvedMetric(problem2, view2, DistanceMetric.genotypic())
+    rm2 = ResolvedMetric(problem2, view2, 1.0)
     mp2 = ModifiedPromise(
         manifold.uniform(30),
         manifold.from_weights(rng.uniform(0.1, 1.0, 30)),
@@ -169,11 +169,9 @@ def test_criterion_5_guidance_monotonicity_and_filter_soundness(capsys):
         ledger_modified_fitness(mp2, rm2),
         mp2,
         config,
-        problem2,
         state,
         rm2,
         FilterPolicy(k=3, threshold_quantile=0.5),
-        state.rng,
     )
     ok &= rep.candidates_evaluated + rep.candidates_skipped == rep.candidates_generated
     ok &= rep.candidates_skipped == state.skipped_total

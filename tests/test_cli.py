@@ -163,7 +163,6 @@ SAMPLES = {
     "omega": "projection",
     "h_kind": "weighted_sum",
     "problem_params.dataset": "data.csv",
-    "policy.metric": "genotypic",
 }
 
 
@@ -227,6 +226,8 @@ def test_setting_by_flag_equals_setting_by_file_key(tmp_path, flag, section, nam
         (["--population-cap", "-5"], None, "evolution"),
         (["--generations", "-1"], None, "evolution"),
         (["--init-population", "-3"], None, "evolution"),
+        ([], {"policy": {"metric": "genotypic"}}, "policy.metric"),  # deleted
+        ([], {"policy": {"lambda": 0.5}}, "policy.lambda"),  # now policy.lam
     ],
 )
 def test_invalid_setting_exits_2(tmp_path, capsys, argv, data, field):
@@ -471,7 +472,23 @@ def test_run_json_holds_only_the_seed_that_ran(tmp_path):
 
     assert list(seeds(record)) == [7, 7]  # the record's and its config's
     assert record["config"]["mode"] == "info_evo"
-    assert "metric" not in record["config"]  # policy.metric holds it
+    assert record["config"]["policy"] == {"k": 7, "threshold_quantile": 0.25, "lam": 0.5}
+
+
+def test_run_json_config_is_a_config_file_of_the_run(tmp_path):
+    out = tmp_path / "out"
+    argv = FAST_RUN + ["--lambda", "0.3", "--filter-k", "5", "--omega", "projection"]
+    assert run_cli(["run", "--out", str(out)] + argv) == 0
+    record = json.loads((out / "run.json").read_text())
+    path = file_with(tmp_path, record["config"])
+    assert config_from(["--config", path]) == config_from(argv)
+
+
+def test_metric_flag_is_unrecognised(capsys):
+    with pytest.raises(SystemExit) as exc:
+        build_parser().parse_args(["run", "--seed", "1", "--metric", "genotypic"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --metric" in capsys.readouterr().err
 
 
 def test_run_ends_when_no_new_genotype_can_be_drawn(tmp_path):

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from infoevo.core import (
-    DistanceMetric,
     EvaluationLedger,
     PopulationView,
     ResolvedMetric,
@@ -57,7 +56,7 @@ def test_memoization_counts_distinct_genotypes(rng):
 def test_knn_self_distance_zero():
     problem, ledger = make_scalar_ledger([1.0, 4.0, 9.0])
     view = view_of(ledger)
-    rm = ResolvedMetric(problem, view, DistanceMetric.genotypic())
+    rm = ResolvedMetric(problem, view, 1.0)
     idx, dists = knn(4.0, rm, 1)
     assert len(idx) == 1
     assert view.samples[idx[0]].genotype == 4.0
@@ -70,7 +69,7 @@ def test_knn_one_bit_example():
     evaluate(np.array([0], dtype=np.uint8), problem, ledger)
     evaluate(np.array([1], dtype=np.uint8), problem, ledger)
     view = view_of(ledger)
-    rm = ResolvedMetric(problem, view, DistanceMetric.genotypic())
+    rm = ResolvedMetric(problem, view, 1.0)
     _, dists = knn(np.array([0], dtype=np.uint8), rm, 2)
     assert list(dists) == [0.0, 1.0]
 
@@ -78,7 +77,7 @@ def test_knn_one_bit_example():
 def test_knn_clamps_to_population_size():
     problem, ledger = make_scalar_ledger([1.0, 2.0, 3.0, 4.0, 5.0])
     view = view_of(ledger)
-    rm = ResolvedMetric(problem, view, DistanceMetric.genotypic())
+    rm = ResolvedMetric(problem, view, 1.0)
     idx, dists = knn(0.0, rm, 10)
     assert len(idx) == len(dists) == 5
 
@@ -86,7 +85,7 @@ def test_knn_clamps_to_population_size():
 def test_knn_distances_nondecreasing(rng):
     problem, ledger = make_scalar_ledger(list(rng.uniform(0, 10, 20)))
     view = view_of(ledger)
-    rm = ResolvedMetric(problem, view, DistanceMetric.genotypic())
+    rm = ResolvedMetric(problem, view, 1.0)
     dists = list(knn(3.3, rm, 20)[1])
     assert dists == sorted(dists)
 
@@ -94,7 +93,7 @@ def test_knn_distances_nondecreasing(rng):
 def test_knn_ties_break_by_smaller_id():
     problem, ledger = make_scalar_ledger([2.0, 6.0])  # both distance 2 from 4
     view = view_of(ledger)
-    rm = ResolvedMetric(problem, view, DistanceMetric.genotypic())
+    rm = ResolvedMetric(problem, view, 1.0)
     idx, _ = knn(4.0, rm, 2)
     assert [view.samples[i].id for i in idx] == [0, 1]
 
@@ -103,7 +102,7 @@ def test_knn_empty_ledger():
     problem = ScalarProblem()
     view = PopulationView.of([])
     with pytest.raises(EmptyLedger):
-        knn(1.0, ResolvedMetric(problem, view, DistanceMetric.genotypic()), 1)
+        knn(1.0, ResolvedMetric(problem, view, 1.0), 1)
 
 
 def test_best_score_cases():
@@ -118,18 +117,27 @@ def test_best_score_cases():
 
 
 def test_blended_metric_extremes_match_pure_metrics(rng):
+    # lam = 1 is genotype distance alone and calls no objective; lam = 0
+    # is behavior distance alone and computes no genotype distance
     problem = OneMax(bits=16)
     ledger = EvaluationLedger(budget=30)
     for _ in range(12):
         evaluate(problem.random_genotype(rng), problem, ledger)
     view = view_of(ledger)
-    geno = ResolvedMetric(problem, view, DistanceMetric.genotypic())
-    pheno = ResolvedMetric(problem, view, DistanceMetric.phenotypic())
-    lam1 = ResolvedMetric(problem, view, DistanceMetric.blended(1.0))
-    lam0 = ResolvedMetric(problem, view, DistanceMetric.blended(0.0))
+    genos = [s.genotype for s in view.samples]
     x = problem.random_genotype(rng)
-    assert np.array_equal(lam1.neighbors(x)[0], geno.neighbors(x)[0])
-    assert np.array_equal(lam0.neighbors(x)[0], pheno.neighbors(x)[0])
+    dg = problem.geno_distances(problem.stack([x]), problem.stack(genos))[0]
+    behaviors = np.array([problem.behavior(g) for g in genos], dtype=float)
+    dp = np.linalg.norm(behaviors - problem.behavior(x)[None, :], axis=1)
+    calls = count_objective_calls(problem)
+    for lam in (1.0, 1):
+        dists, _ = ResolvedMetric(problem, view, lam).neighbors(x)
+        assert dists.tobytes() == dg.tobytes()
+    assert calls == []
+    problem.geno_distances = None  # lam = 0 must not call it
+    for lam in (0.0, 0):
+        dists, _ = ResolvedMetric(problem, view, lam).neighbors(x)
+        assert dists.tobytes() == dp.tobytes()
 
 
 def test_resolved_metric_computes_each_behavior_once(rng):
@@ -141,7 +149,7 @@ def test_resolved_metric_computes_each_behavior_once(rng):
         evaluate(problem.random_genotype(rng), problem, ledger)
     view = view_of(ledger)
     calls = count_objective_calls(problem)
-    rm = ResolvedMetric(problem, view, DistanceMetric.blended(0.5), ledger)
+    rm = ResolvedMetric(problem, view, 0.5, ledger)
     for s in view.samples:
         knn(s.genotype, rm, 3)
     assert calls == []
@@ -162,7 +170,7 @@ def test_resolved_metric_computes_each_behavior_once(rng):
     first = PopulationView.of(ledger.samples[:8])
     second = PopulationView.of(ledger.samples[4:])
     for view in (first, second):
-        rm = ResolvedMetric(problem, view, DistanceMetric.phenotypic(), ledger)
+        rm = ResolvedMetric(problem, view, 0.0, ledger)
         for s in view.samples:
             knn(s.genotype, rm, 3)
     assert calls == ["behavior"] * len(ledger)
@@ -174,8 +182,8 @@ def test_resolved_metric_rows_match_direct_distances(rng):
     for _ in range(12):
         evaluate(problem.random_genotype(rng), problem, ledger)
     view = view_of(ledger)
-    geno = ResolvedMetric(problem, view, DistanceMetric.genotypic())
-    pheno = ResolvedMetric(problem, view, DistanceMetric.phenotypic())
+    geno = ResolvedMetric(problem, view, 1.0)
+    pheno = ResolvedMetric(problem, view, 0.0)
     genos = [s.genotype for s in view.samples]
     behaviors = np.array([problem.behavior(g) for g in genos], dtype=float)
     stacked = problem.stack(genos)
@@ -203,7 +211,7 @@ def test_resolved_metric_computes_one_distance_block_per_batch(rng):
         return geno_distances(xs, stacked)
 
     problem.geno_distances = counting
-    rm = ResolvedMetric(problem, view, DistanceMetric.blended(0.5), ledger)
+    rm = ResolvedMetric(problem, view, 0.5, ledger)
     assert shapes == [(len(view), len(view))]
     offspring = [problem.random_genotype(rng) for _ in range(5)]
     fresh = {problem.canonical_key(g) for g in offspring}

@@ -18,7 +18,6 @@ from infoevo.domains.symreg import (
     eval_tree,
     load_dataset,
     tree_depth,
-    tree_size,
     tree_str,
 )
 from infoevo.errors import BadLength
@@ -189,7 +188,6 @@ def test_tree_shape_helpers():
     x = ("x", 0)
     t = ("+", ("*", x, x), ("c", 1.0))
     assert tree_depth(t) == 3
-    assert tree_size(t) == 5
     assert tree_str(t) == "((x0 * x0) + 1)"
 
 

@@ -118,9 +118,8 @@ def test_run_subpopulation_budget_zero(rng):
         evaluate(float(v), problem, ledger)
     view = view_of(ledger)
     state = RunState(ledger=ledger, problem=problem, rng=rng)
-    report = run_subpopulation(
-        view.scores, None, small_config(), problem, state, view, FilterPolicy(), rng
-    )
+    config = small_config()
+    report = run_subpopulation(view.scores, None, config, state, view, FilterPolicy())
     assert report.candidates_evaluated == 0
     assert report.early_stop
 
@@ -133,9 +132,7 @@ def test_run_subpopulation_unguided_accounting(rng):
     view = view_of(ledger)
     state = RunState(ledger=ledger, problem=problem, rng=rng)
     config = small_config(generations_per_round=3)
-    report = run_subpopulation(
-        view.scores, None, config, problem, state, view, FilterPolicy(), rng
-    )
+    report = run_subpopulation(view.scores, None, config, state, view, FilterPolicy())
     assert report.generations_run == 3
     assert report.candidates_generated == 3 * (config.subpop_size - config.elitism)
     assert report.candidates_skipped == 0  # unguided runs never filter
@@ -150,9 +147,7 @@ def test_run_subpopulation_improves_best(rng):
     view = view_of(ledger)
     state = RunState(ledger=ledger, problem=problem, rng=rng)
     config = small_config(subpop_size=20, generations_per_round=6)
-    run_subpopulation(
-        view.scores, None, config, problem, state, view, FilterPolicy(), rng
-    )
+    run_subpopulation(view.scores, None, config, state, view, FilterPolicy())
     after = max(s.score for s in ledger.samples)
     assert after >= before
 

@@ -3,7 +3,6 @@ import pytest
 
 from infoevo import manifold
 from infoevo.core import (
-    DistanceMetric,
     EvaluationLedger,
     ResolvedMetric,
     evaluate,
@@ -31,7 +30,7 @@ from conftest import ScalarProblem, count_objective_calls, make_scalar_ledger
 def scalar_setup(values):
     problem, ledger = make_scalar_ledger(values)
     view = view_of(ledger)
-    rm = ResolvedMetric(problem, view, DistanceMetric.genotypic())
+    rm = ResolvedMetric(problem, view, 1.0)
     return view, rm
 
 
@@ -91,7 +90,7 @@ def test_omega_knn_empty():
     from infoevo.core import PopulationView
 
     empty = PopulationView.of([])
-    rm = ResolvedMetric(ScalarProblem(), empty, DistanceMetric.genotypic())
+    rm = ResolvedMetric(ScalarProblem(), empty, 1.0)
     with pytest.raises(EmptyLedger):
         omega_knn(1.0, manifold.uniform(1), 1, rm)
 
@@ -286,7 +285,7 @@ def test_screened_then_evaluated_candidate_costs_one_objective_call(rng):
     for _ in range(12):
         evaluate(problem.random_genotype(rng), problem, ledger)
     view = view_of(ledger)
-    rm = ResolvedMetric(problem, view, DistanceMetric.blended(0.5), ledger)
+    rm = ResolvedMetric(problem, view, 0.5, ledger)
     calls = count_objective_calls(problem)
     x = problem.random_genotype(rng)
     while ledger.lookup(problem.canonical_key(x)) is not None:
@@ -307,6 +306,10 @@ def test_filter_policy_validation():
         FilterPolicy(threshold_quantile=1.0)
     with pytest.raises(ValueError):
         FilterPolicy(threshold_quantile=-0.1)
+    for lam in (-0.1, 1.5, float("nan")):
+        with pytest.raises(ValueError):
+            FilterPolicy(lam=lam)
+    assert FilterPolicy(lam=0.0).lam == 0.0 and FilterPolicy(lam=1.0).lam == 1.0
 
 
 # --- ray ranking ---

@@ -5,13 +5,12 @@ arithmetic."""
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from infoevo import manifold
 from infoevo.core import (
     PAIR_SAMPLE_LIMIT,
-    DistanceMetric,
     EvaluationLedger,
     PopulationView,
     ResolvedMetric,
@@ -52,7 +51,7 @@ scalar_views = st.tuples(
 def scalar_view(values, cap):
     problem, ledger = make_scalar_ledger([float(v) for v in values])
     view = view_of(ledger, cap)
-    return view, ResolvedMetric(problem, view, DistanceMetric.genotypic())
+    return view, ResolvedMetric(problem, view, 1.0)
 
 
 def brute_force_knn(view, x, k):
@@ -114,6 +113,17 @@ class TableScore(ScalarProblem):
         return self.table[genotype]
 
 
+def table_view(positions, scores):
+    """The view of scalar genotypes at ``positions`` with those scores,
+    in that order, and its genotypic metric."""
+    problem = TableScore(dict(zip(map(float, positions), scores)))
+    ledger = EvaluationLedger(len(positions))
+    for g in problem.table:
+        evaluate(g, problem, ledger)
+    view = view_of(ledger)
+    return view, ResolvedMetric(problem, view, 1.0)
+
+
 @st.composite
 def scored_views(draw):
     """A view of 2 to 12 samples; scores come from a few shared levels,
@@ -122,12 +132,7 @@ def scored_views(draw):
     levels = draw(st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=3))
     score = st.one_of(st.sampled_from(levels), st.floats(-1e3, 1e3))
     scores = draw(st.lists(score, min_size=len(positions), max_size=len(positions)))
-    problem = TableScore(dict(zip(map(float, positions), scores)))
-    ledger = EvaluationLedger(len(positions))
-    for g in problem.table:
-        evaluate(g, problem, ledger)
-    view = view_of(ledger)
-    return view, ResolvedMetric(problem, view, DistanceMetric.genotypic())
+    return table_view(positions, scores)
 
 
 weight = st.one_of(st.just(0.0), st.floats(0.0, 10.0))
@@ -151,14 +156,20 @@ def test_best_sample_promise_is_the_weight_sum(case, weights):
 
 @settings(max_examples=200, deadline=None)
 @given(scored_views())
+# a subnormal normalized score, where 1.5 * norm and norm + 0.5 * norm
+# differ in the last bit
+@example(table_view(range(10), [166.0] * 8 + [2.225073858507203e-309, 0.0]))
 def test_default_promise_is_the_three_term_blend(case):
     # the blend of normalized score (1), global-max ratio (0.5, which is
-    # the normalized score again) and local-max ratio (0.5)
+    # the normalized score again) and local-max ratio (0.5): the score
+    # terms are one weight, w_zeta = 1.5
     view, rm = case
+    weights = PromiseWeights()
+    assert (weights.w_zeta, weights.w_lm, weights.k_local) == (1.5, 0.5, 5)
     norm = normalize_scores(view.scores, view)
     lm = np.array([local_max_prob(i, 5, rm, norm) for i in range(len(view))])
-    blend = norm + 0.5 * norm + 0.5 * lm
-    assert promise_vector(PromiseWeights(), rm).tobytes() == blend.tobytes()
+    blend = weights.w_zeta * norm + weights.w_lm * lm
+    assert promise_vector(weights, rm).tobytes() == blend.tobytes()
 
 
 @settings(max_examples=200, deadline=None)
@@ -367,22 +378,19 @@ def test_vary_all_eda_matches_choice_per_locus(problem, n_parents, subpop, seed)
 # OneMax keeps the default behavior (its score); symreg, on its built-in
 # dataset, has behavior vectors of its own
 MEMO_PROBLEMS = {"onemax": OneMax(bits=10), "symreg": make_problem("symreg")}
-metrics = st.one_of(
-    st.just(DistanceMetric.genotypic()),
-    st.just(DistanceMetric.phenotypic()),
-    st.floats(0.0, 1.0).map(DistanceMetric.blended),
-)
+# the genotypic weight lam, its two extremes drawn often
+lams = st.one_of(st.just(1.0), st.just(0.0), st.floats(0.0, 1.0))
 
 
 @settings(max_examples=60, deadline=None)
 @given(
     st.sampled_from(sorted(MEMO_PROBLEMS)),
-    metrics,
+    lams,
     st.integers(2, 12),
     st.integers(0, 2**32 - 1),
     st.data(),
 )
-def test_metric_rows_from_the_run_memo_match_rows_without_it(name, metric, n, seed, data):
+def test_metric_rows_from_the_run_memo_match_rows_without_it(name, lam, n, seed, data):
     problem = MEMO_PROBLEMS[name]
     rng = np.random.default_rng(seed)
     ledger = EvaluationLedger(budget=n)
@@ -395,8 +403,8 @@ def test_metric_rows_from_the_run_memo_match_rows_without_it(name, metric, n, se
     views = [PopulationView.of(samples[:end]), PopulationView.of(samples[start:])]
     outside = [problem.random_genotype(rng) for _ in range(3)]
     for view in views:
-        shared = ResolvedMetric(problem, view, metric, ledger)
-        alone = ResolvedMetric(problem, view, metric)
+        shared = ResolvedMetric(problem, view, lam, ledger)
+        alone = ResolvedMetric(problem, view, lam)
         for g in [s.genotype for s in view.samples] + outside:
             for a, b in zip(shared.neighbors(g), alone.neighbors(g)):
                 assert a.tobytes() == b.tobytes()
@@ -584,22 +592,12 @@ BLOCK_PROBLEMS = {
     "sphere": lambda: Sphere(dim=10),
     "symreg": lambda: make_problem("symreg"),
 }
-block_metrics = st.one_of(
-    st.sampled_from(
-        [
-            DistanceMetric.genotypic(),
-            DistanceMetric.phenotypic(),
-            DistanceMetric.blended(0.0),
-            DistanceMetric.blended(1.0),
-        ]
-    ),
-    st.floats(0.0, 1.0).map(DistanceMetric.blended),
-)
 
 
-def reference_rows(problem, view, metric, queries):
+def reference_rows(problem, view, lam, queries):
     """Each query's distances to the view and their stable order, built
-    one row at a time from ``geno_distances`` and the behavior vectors."""
+    one row at a time from ``geno_distances`` and the behavior vectors;
+    at lam = 1 and lam = 0 a row is the pure genotypic or behavior row."""
     genos = [s.genotype for s in view.samples]
     stacked = problem.stack(genos)
     behaviors = np.array([problem.behavior(g) for g in genos], dtype=float)
@@ -609,9 +607,7 @@ def reference_rows(problem, view, metric, queries):
         dp = np.linalg.norm(behaviors - problem.behavior(x)[None, :], axis=1)
         return dg, dp
 
-    kind, lam = metric.kind, metric.lam
-    if kind == "blended" and lam in (0.0, 1.0):
-        kind = "genotypic" if lam == 1.0 else "phenotypic"
+    kind = "genotypic" if lam == 1.0 else "phenotypic" if lam == 0.0 else "blended"
     geno_scale = pheno_scale = 1.0
     n = len(genos)
     if kind == "blended" and n >= 2:
@@ -643,18 +639,18 @@ def reference_rows(problem, view, metric, queries):
 @settings(max_examples=60, deadline=None)
 @given(
     st.sampled_from(sorted(BLOCK_PROBLEMS)),
-    block_metrics,
+    lams,
     st.integers(1, 50),  # past 46 samples the scales sample their pairs
     st.integers(0, 2**32 - 1),
 )
-def test_metric_blocks_match_rows_built_one_at_a_time(name, metric, n, seed):
+def test_metric_blocks_match_rows_built_one_at_a_time(name, lam, n, seed):
     problem = BLOCK_PROBLEMS[name]()
     rng = np.random.default_rng(seed)
     ledger = EvaluationLedger(budget=n)
     for _ in range(n):
         evaluate(problem.random_genotype(rng), problem, ledger)
     view = view_of(ledger)
-    rm = ResolvedMetric(problem, view, metric, ledger)
+    rm = ResolvedMetric(problem, view, lam, ledger)
     genos = [s.genotype for s in view.samples]
     # offspring: new genotypes, one of them twice, and a view sample
     offspring = [problem.random_genotype(rng) for _ in range(4)]
@@ -663,7 +659,7 @@ def test_metric_blocks_match_rows_built_one_at_a_time(name, metric, n, seed):
     rm.add_genotypic_rows(offspring)
     assert ledger.objective_calls == calls
     queries = genos + offspring
-    for x, (row, order) in zip(queries, reference_rows(problem, view, metric, queries)):
+    for x, (row, order) in zip(queries, reference_rows(problem, view, lam, queries)):
         dists, got = rm.neighbors(x)
         assert dists.tobytes() == row.tobytes()
         assert got.tobytes() == order.tobytes()

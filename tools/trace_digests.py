@@ -3,8 +3,11 @@
 Usage: python3 tools/trace_digests.py [CHECKOUT]
 
 CHECKOUT is a source tree of this project (default: the one this file
-is in); its ``src`` is imported, and only ``infoevo.cli.execute_run``
-and ``RunConfig`` are used, so any checkout that has both can be run.
+is in); its ``src`` is imported. Each run is given as ``info-evo run``
+flags, which the checkout's own ``cli.build_parser`` and
+``build_run_config`` turn into its run settings, and is run by its
+``cli.execute_run``; so any checkout that has these three and the flags
+used can be run, whatever its settings are called inside.
 For each run the script prints its name, the SHA-256 of its trace lines
 as ``info-evo run`` writes them (the digest ``perfbench/checks.py``
 takes), ``eval_count``, ``objective_calls`` and ``evals_to_target``.
@@ -23,51 +26,36 @@ from __future__ import annotations
 import argparse
 import sys
 import tempfile
-from dataclasses import replace
 from pathlib import Path
 
 HERE = Path(__file__).resolve().parents[1]
 
-ONEMAX = (("problem", "onemax"), ("problem_params", {"bits": 50}))
-
-
 def runs(dataset: str):
-    """(name, mode, seed, settings) of every run; a setting is a dotted
-    RunConfig field path and its value."""
-    symreg = (
-        ("problem", "symreg"),
-        ("problem_params", {"dataset": dataset}),
-        ("budget", 2000),
-        ("evolution.population_cap", 64),
-    )
-    sphere = (("problem", "sphere"), ("problem_params", {"dim": 10}))
-    trap = (("problem", "trap5"), ("problem_params", {"bits": 30}), ("budget", 3000))
-    genotypic = (("policy.metric.kind", "genotypic"),)
-    phenotypic = (("policy.metric.kind", "phenotypic"),)
+    """(name, flags) of every run; a run is guided unless its flags say
+    ``--mode baseline``."""
+    onemax = ["--problem", "onemax", "--bits", "50"]
+    symreg = ["--problem", "symreg", "--dataset", dataset, "--budget", "2000"]
+    symreg += ["--population-cap", "64"]
+    sphere = ["--problem", "sphere", "--dim", "10"]
+    trap = ["--problem", "trap5", "--bits", "30", "--budget", "3000"]
+    genotypic = ["--lambda", "1"]
+    phenotypic = ["--lambda", "0"]
     return (
-        ("onemax50-guided-s1", "info_evo", 1, ONEMAX),
-        ("onemax50-guided-s2", "info_evo", 2, ONEMAX),
-        ("onemax50-guided-s3", "info_evo", 3, ONEMAX),
-        ("onemax50-baseline-s1", "baseline", 1, ONEMAX),
-        ("symreg-cubic-cap64-s3", "info_evo", 3, symreg),
-        ("symreg-cubic-cap64-s5", "info_evo", 5, symreg),
-        ("sphere10-s1", "info_evo", 1, sphere),
-        ("trap5-30-b3000-s1", "info_evo", 1, trap),
-        ("onemax50-genotypic-s1", "info_evo", 1, ONEMAX + genotypic),
-        ("onemax50-phenotypic-s1", "info_evo", 1, ONEMAX + phenotypic),
-        ("onemax50-projection-s1", "info_evo", 1, ONEMAX + (("omega", "projection"),)),
-        ("onemax50-filter-k12-s1", "info_evo", 1, ONEMAX + (("policy.k", 12),)),
-        ("onemax50-demes2-s1", "info_evo", 1, ONEMAX + (("deme_count", 2),)),
-        ("symreg-cubic-cap64-genotypic-s3", "info_evo", 3, symreg + genotypic),
+        ("onemax50-guided-s1", onemax + ["--seed", "1"]),
+        ("onemax50-guided-s2", onemax + ["--seed", "2"]),
+        ("onemax50-guided-s3", onemax + ["--seed", "3"]),
+        ("onemax50-baseline-s1", onemax + ["--mode", "baseline", "--seed", "1"]),
+        ("symreg-cubic-cap64-s3", symreg + ["--seed", "3"]),
+        ("symreg-cubic-cap64-s5", symreg + ["--seed", "5"]),
+        ("sphere10-s1", sphere + ["--seed", "1"]),
+        ("trap5-30-b3000-s1", trap + ["--seed", "1"]),
+        ("onemax50-genotypic-s1", onemax + genotypic + ["--seed", "1"]),
+        ("onemax50-phenotypic-s1", onemax + phenotypic + ["--seed", "1"]),
+        ("onemax50-projection-s1", onemax + ["--omega", "projection", "--seed", "1"]),
+        ("onemax50-filter-k12-s1", onemax + ["--filter-k", "12", "--seed", "1"]),
+        ("onemax50-demes2-s1", onemax + ["--deme-count", "2", "--seed", "1"]),
+        ("symreg-cubic-cap64-genotypic-s3", symreg + genotypic + ["--seed", "3"]),
     )
-
-
-def with_setting(obj, path: str, value):
-    """A copy of the dataclass ``obj`` with the field at ``path`` set."""
-    head, _, rest = path.partition(".")
-    if rest:
-        value = with_setting(getattr(obj, head), rest, value)
-    return replace(obj, **{head: value})
 
 
 def main(argv=None) -> int:
@@ -79,16 +67,14 @@ def main(argv=None) -> int:
     from make_dataset import write_dataset
 
     sys.path.insert(0, str(Path(args.checkout).resolve() / "src"))
-    from infoevo.cli import RunConfig, execute_run
+    from infoevo.cli import build_parser, build_run_config, execute_run
 
     with tempfile.TemporaryDirectory() as tmp:
         dataset = str(write_dataset(Path(tmp) / "cubic.csv"))
         print("run sha256 eval_count objective_calls evals_to_target")
-        for name, mode, seed, settings in runs(dataset):
-            cfg = RunConfig()
-            for path, value in settings:
-                cfg = with_setting(cfg, path, value)
-            record = execute_run(cfg, mode, seed)
+        for name, flags in runs(dataset):
+            cfg = build_run_config(build_parser().parse_args(["run", *flags]))
+            record = execute_run(cfg, cfg.mode, cfg.seed)
             print(
                 name,
                 trace_digest(record["trace"]),
