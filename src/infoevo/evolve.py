@@ -367,12 +367,12 @@ def _next_generation(parents, fitness, new_samples, fitness_of, config):
     elites = []
     elite_ids = set()
     for s, f in pool:
+        if len(elites) >= config.elitism:
+            break
         if s.id in elite_ids:
             continue
         elite_ids.add(s.id)
         elites.append((s, f))
-        if len(elites) >= config.elitism:
-            break
     nxt = elites + [
         (s, f) for s, f in zip(new_samples, new_fit) if s.id not in elite_ids
     ]

@@ -3,7 +3,7 @@
 Search runs in a low-dimensional chart anchored at the current promise
 distribution: geodesic normal coordinates along a promise-ascent
 direction plus random orthonormal directions. Within the chart, shortest
-paths are found with Dijkstra on a lazily materialized lattice and
+paths are found with Dijkstra on a lattice built in array blocks and
 tightened by hierarchical midpoint refinement. Every ray starts at the
 chart base, so one search from the base serves all of a chart's rays.
 The closed-form geometry in :mod:`infoevo.manifold` provides both the
@@ -43,11 +43,15 @@ class Chart:
         return len(self.directions)
 
     def tangent(self, coords) -> TangentVector:
+        return TangentVector(self._tangent_rows(coords), self.base)
+
+    def _tangent_rows(self, coords) -> np.ndarray:
+        """Tangent f of each row of chart coordinates (last axis)."""
         coords = np.asarray(coords, dtype=float)
-        f = np.zeros(self.base.n)
-        for c, u in zip(coords, self.directions):
-            f = f + c * u.f
-        return TangentVector(f, self.base)
+        f = np.zeros(coords.shape[:-1] + (self.base.n,))
+        for j, u in enumerate(self.directions):
+            f = f + coords[..., j, np.newaxis] * u.f
+        return f
 
     def point(self, coords) -> LogDistribution:
         """Map chart coordinates to the distribution space.
@@ -60,6 +64,11 @@ class Chart:
         if r == 0.0:
             return self.base
         return manifold.exp_map(self.base, self.tangent(coords), 1.0)
+
+    def point_rows(self, coords) -> np.ndarray:
+        """phi of ``point`` at each row of nonzero chart coordinates,
+        with the bits of ``point`` at that row alone."""
+        return manifold.exp_map_rows(self.base, self._tangent_rows(coords), 1.0)
 
 
 @dataclass(frozen=True)
@@ -155,57 +164,84 @@ def build_chart(
     )
 
 
-class _LazyGrid:
-    """Lattice nodes in chart coordinates, mapped to distributions on demand."""
+class _Lattice:
+    """Every node of a chart's lattice, with its point and edge lengths.
+
+    Nodes are the integer keys k with ||k|| * spacing <= radius +
+    spacing / 2, which for integers is k.k <= resolution**2 + resolution.
+    Node i has key ``keys[i]`` and the point chart.point(keys[i] *
+    spacing), whose phi is ``phi[i]``. ``neighbors[i, j]`` is the node at
+    key keys[i] + offsets[j] (-1 when out of bounds), and
+    ``lengths[i, j]`` is the geodesic distance of that edge. Points and
+    lengths are computed in blocks of at most BLOCK_ROWS rows.
+    """
+
+    BLOCK_ROWS = 256
 
     def __init__(self, chart: Chart, resolution: int):
+        dim = chart.dim
         self.chart = chart
         self.spacing = chart.radius / resolution
-        self.limit = chart.radius + 0.5 * self.spacing
-        self._points: dict[tuple, LogDistribution] = {}
-        self._inside: dict[tuple, bool] = {}
-        self._offsets = [
-            o
-            for o in itertools.product((-1, 0, 1), repeat=chart.dim)
-            if any(o)
+        self.offsets = [
+            o for o in itertools.product((-1, 0, 1), repeat=dim) if any(o)
         ]
+        axis = np.arange(-resolution, resolution + 1)
+        grid = np.meshgrid(*[axis] * dim, indexing="ij")
+        keys = np.stack(grid, axis=-1).reshape(-1, dim)
+        self.keys = keys[np.sum(keys * keys, axis=1) <= resolution * (resolution + 1)]
+        count = len(self.keys)
+        # node index of every key, padded by one so that each neighbour
+        # and cell-corner key of an in-bounds point indexes it
+        self._shift = resolution + 1
+        self._index = np.full((2 * resolution + 3,) * dim, -1, dtype=np.int32)
+        self._index[self._at(self.keys)] = np.arange(count)
+        self.origin = int(self._index[(self._shift,) * dim])
+        self.neighbors = np.stack(
+            [self._index[self._at(self.keys + o)] for o in self.offsets], axis=1
+        )
 
-    def coords(self, key: tuple) -> np.ndarray:
-        return np.array(key, dtype=float) * self.spacing
+        self.phi = np.empty((count, chart.base.n))
+        self.phi[self.origin] = chart.base.phi
+        rows = np.flatnonzero(np.any(self.keys, axis=1))
+        for r in self._blocks(rows):
+            self.phi[r] = chart.point_rows(self.keys[r] * self.spacing)
 
-    def in_bounds(self, key: tuple) -> bool:
-        inside = self._inside.get(key)
-        if inside is None:
-            inside = float(np.linalg.norm(self.coords(key))) <= self.limit
-            self._inside[key] = inside
-        return inside
+        # offsets[-1 - j] is -offsets[j], and a distance's bits do not
+        # depend on the order of its two points
+        self.lengths = np.full(self.neighbors.shape, np.inf)
+        for j in range(len(self.offsets) // 2):
+            for a in self._blocks(np.arange(count)):
+                b = self.neighbors[a, j]
+                a, b = a[b >= 0], b[b >= 0]
+                w = manifold.geodesic_distance_rows(self.phi[a], self.phi[b])
+                self.lengths[a, j] = w
+                self.lengths[b, -1 - j] = w
 
-    def point(self, key: tuple) -> LogDistribution:
-        pt = self._points.get(key)
-        if pt is None:
-            pt = self.chart.point(self.coords(key))
-            self._points[key] = pt
-        return pt
+    def _at(self, keys: np.ndarray) -> tuple:
+        return tuple((keys + self._shift).T)
 
-    def neighbors(self, key: tuple):
-        for o in self._offsets:
-            nk = tuple(a + b for a, b in zip(key, o))
-            if self.in_bounds(nk):
-                yield nk
+    def _blocks(self, rows: np.ndarray):
+        for s in range(0, len(rows), self.BLOCK_ROWS):
+            yield rows[s : s + self.BLOCK_ROWS]
 
-    def cell_corners(self, coords: np.ndarray) -> list[tuple]:
-        """Lattice nodes surrounding an off-lattice point."""
+    def point(self, node: int) -> LogDistribution:
+        if node == self.origin:
+            return self.chart.base
+        return LogDistribution(self.phi[node])
+
+    def cell_corners(self, coords: np.ndarray) -> list[int]:
+        """Nodes at the in-bounds corners of the lattice cell holding a
+        chart point, in key order.
+
+        For a point within the chart radius, the corner nearest zero has
+        |k_i| <= |c_i| / spacing in every axis, so it is always one.
+        """
         lo = np.floor(coords / self.spacing).astype(int)
-        corners = set()
-        for o in itertools.product((0, 1), repeat=self.chart.dim):
-            key = tuple(int(a + b) for a, b in zip(lo, o))
-            if self.in_bounds(key):
-                corners.add(key)
-        if not corners:
-            # off-grid point hugging the boundary: snap to nearest node
-            key = tuple(int(round(c / self.spacing)) for c in coords)
-            corners.add(key)
-        return sorted(corners)
+        nodes = [
+            int(self._index[self._at(lo + o)])
+            for o in itertools.product((0, 1), repeat=self.chart.dim)
+        ]
+        return [i for i in nodes if i >= 0]
 
 
 def dijkstra_geodesic(
@@ -223,7 +259,8 @@ def dijkstra_geodesic(
     settled. Each goal is a sink of its own, entered from the corners of
     its cell and never expanded, so the lattice nodes are settled in the
     same order as in a search for that goal alone, and each goal's path
-    is the one such a search returns.
+    is the one such a search returns. A node relaxes its neighbours in
+    offset order and then its sinks; ties go to the earlier push.
     """
     start_coords = np.asarray(start_coords, dtype=float)
     goals = [np.asarray(g, dtype=float) for g in goals]
@@ -232,71 +269,81 @@ def dijkstra_geodesic(
             raise GoalOutsideChart(f"{name} point lies outside the chart radius")
     start_pt = chart.point(start_coords)
     paths: list[GeodesicPolyline | None] = [None] * len(goals)
-    START = ("S",)
-    sink_points: dict[tuple, LogDistribution] = {}  # ("G", goal index) -> point
-    sinks_entered: dict[tuple, list[tuple]] = {}  # lattice node -> its sinks
-    grid = _LazyGrid(chart, resolution)
+    searched = []
     for i, goal in enumerate(goals):
         if np.allclose(start_coords, goal):
             paths[i] = GeodesicPolyline((start_pt,), 0.0)
-            continue
-        sink = ("G", i)
-        sink_points[sink] = chart.point(goal)
-        for corner in grid.cell_corners(goal):
-            sinks_entered.setdefault(corner, []).append(sink)
-    if not sink_points:
+        else:
+            searched.append(i)
+    if not searched:
         return paths
 
-    def node_point(key: tuple) -> LogDistribution:
-        if key == START:
+    lattice = _Lattice(chart, resolution)
+    # search nodes: lattice nodes, then the start, then goal i's sink
+    start = len(lattice.keys)
+    sink_points: dict[int, LogDistribution] = {}
+    sinks_entered: dict[int, list[int]] = {}  # lattice node -> its sinks
+    for i in searched:
+        sink_points[start + 1 + i] = chart.point(goals[i])
+        for corner in lattice.cell_corners(goals[i]):
+            sinks_entered.setdefault(corner, []).append(start + 1 + i)
+
+    def node_point(node: int) -> LogDistribution:
+        if node == start:
             return start_pt
-        pt = sink_points.get(key)
-        return grid.point(key) if pt is None else pt
+        return sink_points[node] if node > start else lattice.point(node)
 
-    def expand(key: tuple):
-        if key == START:
-            return grid.cell_corners(start_coords)
-        return itertools.chain(grid.neighbors(key), sinks_entered.get(key, ()))
-
-    dist: dict[tuple, float] = {START: 0.0}
-    prev: dict[tuple, tuple] = {}
-    counter = itertools.count()  # heap tiebreaker; node keys are not comparable
-    heap: list[tuple[float, int, tuple]] = [(0.0, next(counter), START)]
-    done: set[tuple] = set()
+    dist = [np.inf] * (start + 1 + len(goals))
+    prev = [-1] * len(dist)
+    done = bytearray(len(dist))
+    dist[start] = 0.0
+    counter = itertools.count()  # heap tiebreaker
+    heap: list[tuple[float, int, int]] = [(0.0, next(counter), start)]
     unsettled = len(sink_points)
     while heap and unsettled:
-        d, _, key = heapq.heappop(heap)
-        if key in done:
+        d, _, node = heapq.heappop(heap)
+        if done[node]:
             continue
-        done.add(key)
-        if key in sink_points:
+        done[node] = 1
+        if node > start:
             unsettled -= 1
             continue
-        pt = node_point(key)
-        for nk in expand(key):
-            if nk in done:
+        # (next node, edge length); None for an edge off the lattice
+        if node == start:
+            steps = [(c, None) for c in lattice.cell_corners(start_coords)]
+        else:
+            steps = [
+                (nxt, w)
+                for nxt, w in zip(
+                    lattice.neighbors[node].tolist(), lattice.lengths[node].tolist()
+                )
+                if nxt >= 0
+            ]
+            steps += [(sink, None) for sink in sinks_entered.get(node, ())]
+        for nxt, w in steps:
+            if done[nxt]:
                 continue
-            w = manifold.geodesic_distance_exact(pt, node_point(nk))
+            if w is None:
+                w = manifold.geodesic_distance_exact(node_point(node), node_point(nxt))
             nd = d + w
-            if nd < dist.get(nk, np.inf):
-                dist[nk] = nd
-                prev[nk] = key
-                heapq.heappush(heap, (nd, next(counter), nk))
+            if nd < dist[nxt]:
+                dist[nxt] = nd
+                prev[nxt] = node
+                heapq.heappush(heap, (nd, next(counter), nxt))
     if unsettled:
         raise NoPath("no lattice route from start to goal")
 
     for sink in sink_points:
-        path_keys = [sink]
-        while path_keys[-1] != START:
-            path_keys.append(prev[path_keys[-1]])
-        path_keys.reverse()
-        points = [node_point(k) for k in path_keys]
+        path = [sink]
+        while path[-1] != start:
+            path.append(prev[path[-1]])
+        points = [node_point(node) for node in reversed(path)]
         # drop coincident consecutive points (start/goal may sit on a node)
         deduped = [points[0]]
         for pt in points[1:]:
             if manifold.geodesic_distance_exact(deduped[-1], pt) > 1e-14:
                 deduped.append(pt)
-        paths[sink[1]] = GeodesicPolyline.of(deduped)
+        paths[sink - start - 1] = GeodesicPolyline.of(deduped)
     return paths
 
 

@@ -128,8 +128,16 @@ def project_tangent(base: LogDistribution, f) -> TangentVector:
 def geodesic_distance_exact(a: LogDistribution, b: LogDistribution) -> float:
     """Closed-form geodesic distance 2*arccos(sum sqrt(p_i q_i))."""
     _check_lengths(a.phi, b.phi)
-    bc = float(np.sum(np.exp(0.5 * (a.phi + b.phi))))
-    return 2.0 * float(np.arccos(np.clip(bc, 0.0, 1.0)))
+    return float(geodesic_distance_rows(a.phi, b.phi))
+
+
+def geodesic_distance_rows(phi_a, phi_b) -> np.ndarray:
+    """geodesic_distance_exact between paired rows of two phi blocks.
+
+    Each entry has the bits of the distance of that one pair.
+    """
+    bc = np.sum(np.exp(0.5 * (phi_a + phi_b)), axis=-1)
+    return 2.0 * np.arccos(np.clip(bc, 0.0, 1.0))
 
 
 def exp_map(base: LogDistribution, v: TangentVector, t: float = 1.0) -> LogDistribution:
@@ -145,14 +153,25 @@ def exp_map(base: LogDistribution, v: TangentVector, t: float = 1.0) -> LogDistr
         if t > 0 and speed == 0:
             raise ZeroTangent("cannot advance along a zero tangent vector")
         return base
+    return LogDistribution(exp_map_rows(base, v.f[np.newaxis], t)[0])
+
+
+def exp_map_rows(base: LogDistribution, f, t: float = 1.0) -> np.ndarray:
+    """phi of exp_map(base, TangentVector(row, base), t) for each row of f.
+
+    Each row must be nonzero; its result has the bits of exp_map for
+    that row alone (each row's sphere norm is its own dot product, as
+    np.linalg.norm takes it for one vector).
+    """
+    speed = np.sqrt(np.sum(f * f * base.p, axis=-1, keepdims=True))
     q = 2.0 * base.sqrt_p
-    w = base.sqrt_p * v.f  # pushforward to the sphere chart
-    w_norm = float(np.linalg.norm(w))
+    w = base.sqrt_p * f  # pushforward to the sphere chart
+    w_norm = np.sqrt([[row.dot(row)] for row in w])
     theta = t * speed / 2.0
     q_new = np.cos(theta) * q + 2.0 * np.sin(theta) * (w / w_norm)
     p_new = np.maximum((q_new / 2.0) ** 2, _EXP_CLIP)
-    p_new = p_new / p_new.sum()
-    return LogDistribution(np.log(p_new))
+    p_new = p_new / p_new.sum(axis=-1, keepdims=True)
+    return np.log(p_new)
 
 
 def log_map(base: LogDistribution, target: LogDistribution) -> TangentVector:

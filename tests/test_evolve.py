@@ -4,12 +4,13 @@ import numpy as np
 import pytest
 
 from infoevo import guidance
-from infoevo.core import EvaluationLedger, evaluate, view_of
+from infoevo.core import EvaluationLedger, ScoredSample, evaluate, view_of
 from infoevo.domains import OneMax, Sphere
 from infoevo.evolve import (
     EvolutionConfig,
     RunConfig,
     RunState,
+    _next_generation,
     info_evo_loop,
     run_subpopulation,
     vary,
@@ -106,6 +107,22 @@ def test_vary_eda_degenerate_marginal(rng):
 def test_vary_requires_parents(rng):
     with pytest.raises(ValueError):
         vary([], [], small_config(), OneMax(4), rng)
+
+
+@pytest.mark.parametrize(
+    "elitism, expected",
+    [(0, [3, 4]), (1, [2, 3, 4]), (2, [2, 1, 3, 4])],
+)
+def test_next_generation_keeps_exactly_elitism_elites(elitism, expected):
+    # parents scored 10-12, new samples scored 0 and 1
+    parents = [ScoredSample(i, float(i), 10.0 + i) for i in range(3)]
+    new = [ScoredSample(3 + i, float(i), float(i)) for i in range(2)]
+    fitness = [p.score for p in parents]
+    nxt, nxt_fitness = _next_generation(
+        parents, fitness, new, lambda s: s.score, small_config(elitism=elitism)
+    )
+    assert [s.id for s in nxt] == expected
+    assert nxt_fitness == [s.score for s in nxt]
 
 
 # --- subpopulation bursts ---

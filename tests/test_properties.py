@@ -3,6 +3,9 @@ cases, EDA sampling, the run memo, the lattice search, the genotype
 distance blocks, the metric's blocks and the exact per-candidate
 arithmetic."""
 
+import heapq
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
@@ -27,14 +30,16 @@ from infoevo.domains.symreg import OPS, _depth_profile, tree_labels
 from infoevo.errors import GammaExceedsRay
 from infoevo.evolve import EvolutionConfig, _eda_model, _sample_eda, vary
 from infoevo.geodesic_search import (
+    GeodesicPolyline,
     GeodesicRay,
+    _Lattice,
     build_chart,
     dijkstra_geodesic,
     sample_exact_ray,
     step_along,
 )
 from infoevo.guidance import _ascending_median, omega_knn
-from infoevo.manifold import _EXP_CLIP
+from infoevo.manifold import _EXP_CLIP, LogDistribution
 from infoevo.promise import PromiseWeights, local_max_prob, promise_vector
 
 from conftest import ScalarProblem, make_scalar_ledger
@@ -458,6 +463,263 @@ def test_one_search_gives_each_goal_its_own_path(dim, extra, resolution, seed, d
         assert len(poly.points) == len(alone.points)
         for a, b in zip(poly.points, alone.points):
             assert np.array_equal(a.phi, b.phi)
+
+
+# --- the lattice in blocks against one node and one edge at a time ---
+
+
+def one_vector_exp_map(base, f, t=1.0):
+    """exp_map written out for one tangent vector alone, the reference its
+    row form must match bit for bit; the sphere norm is np.linalg.norm's,
+    a dot product."""
+    speed = float(np.sqrt(float(np.sum(f * f * base.p))))
+    q = 2.0 * base.sqrt_p
+    w = base.sqrt_p * f
+    w_norm = float(np.linalg.norm(w))
+    theta = t * speed / 2.0
+    q_new = np.cos(theta) * q + 2.0 * np.sin(theta) * (w / w_norm)
+    p_new = np.maximum((q_new / 2.0) ** 2, _EXP_CLIP)
+    return LogDistribution(np.log(p_new / p_new.sum()))
+
+
+def one_pair_distance(a, b):
+    """geodesic_distance_exact written out for one pair alone."""
+    bc = float(np.sum(np.exp(0.5 * (a.phi + b.phi))))
+    return 2.0 * float(np.arccos(np.clip(bc, 0.0, 1.0)))
+
+
+def one_node_point(chart, coords):
+    """chart.point one node at a time, with the one-vector arithmetic."""
+    if float(np.linalg.norm(coords)) == 0.0:
+        return chart.base
+    f = np.zeros(chart.base.n)
+    for c, u in zip(coords, chart.directions):
+        f = f + c * u.f
+    return one_vector_exp_map(chart.base, f)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(2, 70),
+    st.floats(0.01, 3.0),
+    st.booleans(),  # some masses exactly zero (eps_floor=0)
+    st.integers(0, 2**32 - 1),
+)
+def test_row_forms_keep_the_one_vector_arithmetic(n, t, zeros, seed):
+    rng = np.random.default_rng(seed)
+    weights = rng.uniform(0.0, 1.0, size=n)
+    if zeros:
+        weights[rng.integers(0, n, size=n // 3)] = 0.0
+    assume(weights.sum() > 0)
+    base = manifold.from_weights(weights, eps_floor=0.0 if zeros else 1e-9)
+    other = manifold.from_weights(rng.uniform(0.0, 1.0, size=n))
+    v = manifold.project_tangent(base, rng.standard_normal(n))
+    assume(v.norm > 0)
+    got = manifold.exp_map(base, v, t)
+    assert got.phi.tobytes() == one_vector_exp_map(base, v.f, t).phi.tobytes()
+    assert manifold.geodesic_distance_exact(base, other) == one_pair_distance(base, other)
+    assert manifold.geodesic_distance_exact(got, other) == one_pair_distance(got, other)
+
+
+def reference_lattice_paths(chart, start_coords, goals, resolution):
+    """The lattice search one node and one edge at a time: nodes are
+    tuple keys tested in bounds in floating point, and each node's point
+    and each edge's length is computed on its own with the one-vector
+    arithmetic."""
+    spacing = chart.radius / resolution
+    limit = chart.radius + 0.5 * spacing
+    offsets = [o for o in itertools.product((-1, 0, 1), repeat=chart.dim) if any(o)]
+    points = {}
+
+    def coords(key):
+        return np.array(key, dtype=float) * spacing
+
+    def in_bounds(key):
+        return float(np.linalg.norm(coords(key))) <= limit
+
+    def cell_corners(c):
+        lo = np.floor(c / spacing).astype(int)
+        cell = itertools.product((0, 1), repeat=chart.dim)
+        keys = (tuple(int(a + b) for a, b in zip(lo, o)) for o in cell)
+        return sorted(k for k in keys if in_bounds(k))
+
+    start_coords = np.asarray(start_coords, dtype=float)
+    goals = [np.asarray(g, dtype=float) for g in goals]
+    start_pt = one_node_point(chart, start_coords)
+    paths = [None] * len(goals)
+    START = ("S",)
+    sink_points, sinks_entered = {}, {}
+    for i, goal in enumerate(goals):
+        if np.allclose(start_coords, goal):
+            paths[i] = GeodesicPolyline((start_pt,), 0.0)
+            continue
+        sink_points[("G", i)] = one_node_point(chart, goal)
+        for corner in cell_corners(goal):
+            sinks_entered.setdefault(corner, []).append(("G", i))
+
+    def node_point(key):
+        if key == START:
+            return start_pt
+        if key in sink_points:
+            return sink_points[key]
+        if key not in points:
+            points[key] = one_node_point(chart, coords(key))
+        return points[key]
+
+    def expand(key):
+        if key == START:
+            return cell_corners(start_coords)
+        nbrs = [tuple(a + b for a, b in zip(key, o)) for o in offsets]
+        return [k for k in nbrs if in_bounds(k)] + sinks_entered.get(key, [])
+
+    dist, prev, done = {START: 0.0}, {}, set()
+    counter = itertools.count()
+    heap = [(0.0, next(counter), START)]
+    unsettled = len(sink_points)
+    while heap and unsettled:
+        d, _, key = heapq.heappop(heap)
+        if key in done:
+            continue
+        done.add(key)
+        if key in sink_points:
+            unsettled -= 1
+            continue
+        for nk in expand(key):
+            if nk in done:
+                continue
+            nd = d + one_pair_distance(node_point(key), node_point(nk))
+            if nd < dist.get(nk, np.inf):
+                dist[nk] = nd
+                prev[nk] = key
+                heapq.heappush(heap, (nd, next(counter), nk))
+    for sink in sink_points:
+        keys = [sink]
+        while keys[-1] != START:
+            keys.append(prev[keys[-1]])
+        deduped = []
+        for pt in (node_point(k) for k in reversed(keys)):
+            if not deduped or one_pair_distance(deduped[-1], pt) > 1e-14:
+                deduped.append(pt)
+        length = sum(one_pair_distance(a, b) for a, b in zip(deduped, deduped[1:]))
+        paths[sink[1]] = GeodesicPolyline(tuple(deduped), length)
+    return paths
+
+
+# chart dimension, distribution size past dim + 1, resolution, radius, seed
+lattice_charts = st.tuples(
+    st.integers(1, 3),
+    st.integers(0, 66),
+    st.integers(1, 8),
+    st.floats(0.05, 1.5),
+    st.integers(0, 2**32 - 1),
+)
+
+
+def lattice_chart(dim, extra, radius, seed):
+    rng = np.random.default_rng(seed)
+    n = dim + 1 + extra
+    base = manifold.from_weights(rng.uniform(0.05, 1.0, size=n))
+    return build_chart(base, rng.uniform(0.0, 1.0, size=n), dim, rng, radius=radius)
+
+
+@settings(max_examples=40, deadline=None)
+@given(lattice_charts)
+def test_lattice_nodes_are_the_float_in_bounds_keys(drawn):
+    dim, _, resolution, radius, seed = drawn
+    lattice = _Lattice(lattice_chart(dim, 0, radius, seed), resolution)
+    spacing = radius / resolution
+    span = range(-resolution - 1, resolution + 2)
+    inside = {
+        key
+        for key in itertools.product(span, repeat=dim)
+        if float(np.linalg.norm(np.array(key, dtype=float) * spacing))
+        <= radius + 0.5 * spacing
+    }
+    keys = [tuple(k) for k in lattice.keys.tolist()]
+    assert len(set(keys)) == len(keys)
+    assert set(keys) == inside
+    assert keys[lattice.origin] == (0,) * dim
+
+
+@settings(max_examples=25, deadline=None)
+@given(lattice_charts)
+def test_lattice_node_rows_are_chart_points(drawn):
+    dim, extra, resolution, radius, seed = drawn
+    chart = lattice_chart(dim, extra, radius, seed)
+    lattice = _Lattice(chart, resolution)
+    for key, phi in zip(lattice.keys, lattice.phi):
+        point = one_node_point(chart, key * lattice.spacing)
+        assert phi.tobytes() == point.phi.tobytes()
+    assert lattice.point(lattice.origin) is chart.base
+
+
+@settings(max_examples=25, deadline=None)
+@given(lattice_charts)
+def test_lattice_edge_lengths_are_pairwise_distances(drawn):
+    dim, extra, resolution, radius, seed = drawn
+    chart = lattice_chart(dim, extra, radius, seed)
+    lattice = _Lattice(chart, resolution)
+    index = {tuple(k): i for i, k in enumerate(lattice.keys.tolist())}
+    points = [one_node_point(chart, k * lattice.spacing) for k in lattice.keys]
+    for i, key in enumerate(lattice.keys.tolist()):
+        for j, offset in enumerate(lattice.offsets):
+            other = index.get(tuple(a + b for a, b in zip(key, offset)), -1)
+            assert lattice.neighbors[i, j] == other
+            if other >= 0:
+                exact = one_pair_distance(points[i], points[other])
+                assert lattice.lengths[i, j] == exact
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(1, 3),
+    st.integers(1, 8),
+    st.floats(0.05, 1.5),
+    st.lists(st.floats(-1.0, 1.0), min_size=3, max_size=3),
+    # on the rim, up to the slack dijkstra_geodesic allows, or inside
+    st.one_of(st.sampled_from((1 + 1e-9, 1.0)), st.floats(0.0, 1.0)),
+)
+def test_cell_corner_nearest_zero_is_a_node(dim, resolution, radius, u, scale):
+    u = np.array(u[:dim])
+    norm = float(np.linalg.norm(u))
+    assume(norm > 0)
+    point = u / norm * radius * scale
+    assume(float(np.linalg.norm(point)) <= radius * (1 + 1e-9))
+    lattice = _Lattice(lattice_chart(dim, 0, radius, 0), resolution)
+    spacing = radius / resolution
+    lo = np.floor(point / spacing).astype(int)
+    corners = [tuple(lattice.keys[i].tolist()) for i in lattice.cell_corners(point)]
+    nearest_zero = tuple(int(k) if k >= 0 else int(k) + 1 for k in lo)
+    assert nearest_zero in corners
+    offsets = itertools.product((0, 1), repeat=dim)
+    cell = (tuple(int(k) for k in lo + o) for o in offsets)
+    limit = radius + 0.5 * spacing
+    assert corners == sorted(
+        key
+        for key in cell
+        if float(np.linalg.norm(np.array(key, dtype=float) * spacing)) <= limit
+    )
+
+
+@settings(max_examples=30, deadline=None)
+@given(lattice_charts, st.data())
+def test_lattice_paths_equal_the_per_edge_reference(drawn, data):
+    dim, extra, resolution, radius, seed = drawn
+    chart = lattice_chart(dim, extra, radius, seed)
+    spacing = radius / resolution
+    start = np.zeros(dim)
+    if data.draw(st.booleans(), label="start away from the origin"):
+        start = data.draw(chart_point(dim, radius / 2, spacing, start))
+    goals = data.draw(
+        st.lists(chart_point(dim, radius, spacing, start), min_size=1, max_size=4)
+    )
+    blocks = dijkstra_geodesic(chart, start, goals, resolution)
+    reference = reference_lattice_paths(chart, start, goals, resolution)
+    for poly, ref in zip(blocks, reference):
+        assert poly.length == ref.length
+        assert len(poly.points) == len(ref.points)
+        for a, b in zip(poly.points, ref.points):
+            assert a.phi.tobytes() == b.phi.tobytes()
 
 
 # --- genotype distance blocks ---
