@@ -49,8 +49,6 @@ SETTINGS = (
     ("--seed", None, "seed", int),
     ("--budget", None, "budget", int),
     ("--mode", None, "mode", str),
-    ("--omega", None, "omega", str),
-    ("--h", None, "h_kind", str),
     ("--deme-count", None, "deme_count", int),
     ("--bits", "problem_params", "bits", int),
     ("--dim", "problem_params", "dim", int),

@@ -74,6 +74,18 @@ class EvaluationLedger:
             self.objective_calls += 1
         return value
 
+    def score_memo(self, key) -> float | None:
+        """The memoized objective value of canonical key ``key``, or None
+        if the run has not computed it."""
+        return self._scores.get(key)
+
+    def has_behavior(self, problem, key) -> bool:
+        """Whether ``behavior_of`` would answer for ``key`` from the memo,
+        without an objective call."""
+        if type(problem).behavior is Problem.behavior:
+            return key in self._scores
+        return key in self._behaviors
+
     def behavior_of(self, genotype, problem, key) -> np.ndarray:
         """The behavior vector of genotype, from the memo.
 
@@ -197,17 +209,19 @@ class ResolvedMetric:
     and computes its distance table once, at construction, as one n-by-n
     block: one genotypic block from a single ``geno_distances`` call, one
     behavior block, their blend, and one stable argsort of every row, so
-    no distance is computed or sorted twice. Each sample's row and order
-    are read-only views of those blocks. Behavior vectors come from
-    ``memo``, the run's ledger, and new ones are added to it, so none is
-    computed twice in a run; without a memo the metric keeps a private
-    one. A genotype outside the view gets its row on its first query;
-    later queries of the same genotype (equal canonical key) reuse it.
-    ``add_genotypic_rows`` computes the genotypic part of such rows for a
-    batch of genotypes in one block beforehand; a single query's part
-    comes from the same block code. Strictly between the extremes,
-    median scales over a deterministic sample of view pairs, read from
-    the two blocks, make the genotypic and phenotypic terms comparable.
+    no distance is computed or sorted twice. ``view_rows`` and
+    ``view_orders`` are those blocks, row i being view sample i's, and
+    each sample's row and order are read-only views of them. Behavior
+    vectors come from ``memo``, the run's ledger, and new ones are added
+    to it, so none is computed twice in a run; without a memo the metric
+    keeps a private one. Genotypes outside the view get their rows on
+    their first query, ``rows_of`` building those of a list of genotypes
+    in one block and ``neighbors`` that of one; later queries of the same
+    genotype (equal canonical key) reuse it. ``add_genotypic_rows``
+    computes the genotypic part of such rows for a batch of genotypes in
+    one block beforehand. Strictly between the extremes, median scales
+    over a deterministic sample of view pairs, read from the two blocks,
+    make the genotypic and phenotypic terms comparable.
     """
 
     def __init__(
@@ -245,6 +259,7 @@ class ResolvedMetric:
         orders = np.argsort(rows, axis=-1, kind="stable")
         # shared by every query of a view sample
         rows.flags.writeable = orders.flags.writeable = False
+        self.view_rows, self.view_orders = rows, orders
         self._rows = dict(zip(keys, zip(rows, orders)))
         # genotypic rows of genotypes outside the view, not yet queried
         self._pending: dict = {}
@@ -282,7 +297,7 @@ class ResolvedMetric:
         this metric holds no row for yet.
 
         Calls no objective: the behavior part of each row, and its order,
-        are still computed on the genotype's first query.
+        are computed on the genotype's first query.
         """
         if self._kind == "phenotypic":
             return
@@ -301,26 +316,59 @@ class ResolvedMetric:
             block = self.problem.geno_distances(xs, self._stacked)
             self._pending.update(zip(fresh, block))
 
+    def row_calls_objective(self, key) -> bool:
+        """Whether the first query of the genotype with canonical key
+        ``key`` calls the objective: the metric holds no row for it, reads
+        behaviors, and the memo holds none for it."""
+        return (
+            self._behaviors is not None
+            and key not in self._rows
+            and not self._memo.has_behavior(self.problem, key)
+        )
+
+    def _add_rows(self, fresh: dict) -> None:
+        """The rows and orders, in one block, of the genotypes that
+        ``fresh`` maps their canonical keys to, none of which has a row:
+        their behaviors through the memo, in order, one m-by-n behavior
+        block, their genotypic rows, one blend and one stable argsort."""
+        dg = dp = None
+        if self._behaviors is not None:
+            bx = np.array(
+                [self._memo.behavior_of(g, self.problem, key) for key, g in fresh.items()],
+                dtype=float,
+            )
+            dp = np.linalg.norm(self._behaviors[None] - bx[:, None], axis=-1)
+        if self._kind != "phenotypic":
+            self._add_pending({k: g for k, g in fresh.items() if k not in self._pending})
+            dg = np.array([self._pending.pop(key) for key in fresh])
+        rows = self._blend(dg, dp)
+        orders = np.argsort(rows, axis=-1, kind="stable")
+        # shared by every query of these genotypes
+        rows.flags.writeable = orders.flags.writeable = False
+        self._rows.update(zip(fresh, zip(rows, orders)))
+
+    def rows_of(self, genotypes) -> tuple[np.ndarray, np.ndarray]:
+        """The rows and orders of ``genotypes`` (a nonempty list), stacked
+        m by n: each genotype's distances to the view and the view
+        positions by ascending distance, as ``neighbors`` gives them. The
+        rows not built yet are built in one block."""
+        keys = [self.problem.canonical_key(g) for g in genotypes]
+        fresh = {}
+        for key, g in zip(keys, genotypes):
+            if key not in self._rows:
+                fresh.setdefault(key, g)
+        if fresh:
+            self._add_rows(fresh)
+        found = [self._rows[key] for key in keys]
+        return np.array([row for row, _ in found]), np.array([order for _, order in found])
+
     def neighbors(self, x) -> tuple[np.ndarray, np.ndarray]:
         """Distances from genotype x to every sample in the view, and the
         view positions by ascending distance, ties toward the earlier."""
         key = self.problem.canonical_key(x)
-        found = self._rows.get(key)
-        if found is None:
-            dg = dp = None
-            if self._behaviors is not None:
-                bx = self._memo.behavior_of(x, self.problem, key)
-                dp = np.linalg.norm(self._behaviors - bx[None, :], axis=1)
-            if self._kind != "phenotypic":
-                if key not in self._pending:
-                    self._add_pending({key: x})
-                dg = self._pending.pop(key)
-            row = self._blend(dg, dp)
-            order = np.argsort(row, kind="stable")
-            # shared by every query of x
-            row.flags.writeable = order.flags.writeable = False
-            found = self._rows[key] = row, order
-        return found
+        if key not in self._rows:
+            self._add_rows({key: x})
+        return self._rows[key]
 
 
 def knn(x, rm: ResolvedMetric, k: int) -> tuple[np.ndarray, np.ndarray]:

@@ -45,10 +45,6 @@ class GammaExceedsRay(InfoEvoError):
     """Step distance is longer than the ray's polyline."""
 
 
-class DegenerateLine(InfoEvoError):
-    """Projection direction is undefined because base and target coincide."""
-
-
 class NonFiniteOutput(InfoEvoError):
     """A program produced a non-finite output on a probe input."""
 

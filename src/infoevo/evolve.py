@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -26,7 +26,7 @@ from .core import (
 from .domains import make_problem
 from .errors import ConfigError
 from .geodesic_search import StepParams
-from .guidance import H_KINDS, OMEGA_KINDS, FilterPolicy, ModifiedPromise
+from .guidance import FilterPolicy, ModifiedPromise
 from .promise import PromiseWeights, promise_vector
 
 logger = logging.getLogger(__name__)
@@ -83,8 +83,6 @@ class RunConfig:
     step: StepParams = field(default_factory=StepParams)
     evolution: EvolutionConfig = field(default_factory=EvolutionConfig)
     policy: FilterPolicy = field(default_factory=FilterPolicy)
-    omega: str = "knn_mass"  # one of OMEGA_KINDS; its k is policy.k
-    h_kind: str = "product"  # one of H_KINDS
     deme_count: int = 1
 
     def validate(self):
@@ -97,10 +95,6 @@ class RunConfig:
             raise ConfigError("mode", f"unknown mode {self.mode!r}")
         if self.deme_count < 1:
             raise ConfigError("deme_count", "must be at least 1")
-        if self.omega not in OMEGA_KINDS:
-            raise ConfigError("omega", f"unknown omega kind {self.omega!r}")
-        if self.h_kind not in H_KINDS:
-            raise ConfigError("h_kind", f"unknown h kind {self.h_kind!r}")
         make_problem(self.problem, **self.problem_params)
 
 
@@ -143,15 +137,16 @@ class RoundReport:
 class RunState:
     """One run: its ledger, random stream, schedule and rounds.
 
-    The loop's schedule (step size, round index and the counters of
-    rounds without improvement and without new evaluations) lives here, so a
-    loop called for a few rounds at a time continues where it stopped.
-    ``reports`` holds every round the state ran, and ``trace`` one row per
-    new evaluation. ``stop_reason`` says why the run ended: ``"target"``
-    (an evaluation reached the problem's target), ``"budget"`` (the budget
-    is spent) or ``"stall"`` (three rounds in a row added nothing to the
-    ledger, or the ledger is empty, so no round can run); it is None while
-    the run can go on. A deme is one RunState.
+    The loop's schedule (step size, the filter's quantile in force, round
+    index and the counters of rounds without improvement and of stalled
+    rounds) lives here, so a loop called for a few rounds at a time
+    continues where it stopped. ``reports`` holds every round the state
+    ran, and ``trace`` one row per new evaluation. ``stop_reason`` says
+    why the run ended: ``"target"`` (an evaluation reached the problem's
+    target), ``"budget"`` (the budget is spent) or ``"stall"`` (three
+    rounds that neither added to the ledger nor skipped a candidate, with
+    none between them that added to it, or an empty ledger, so no round
+    can run); it is None while the run can go on. A deme is one RunState.
     """
 
     ledger: EvaluationLedger
@@ -163,6 +158,8 @@ class RunState:
     skipped_total: int = 0
     stop_reason: str | None = None
     gamma: float | None = None  # the step size; None until the first round
+    # the filter's quantile in force; None until the first round
+    threshold_quantile: float | None = None
     round_index: int = 0
     no_improve: int = 0
     stalled_rounds: int = 0
@@ -278,6 +275,41 @@ def vary(parents, fitness, config: EvolutionConfig, problem, rng) -> list:
     return offspring
 
 
+def _chunk_end(offspring, start: int, rm: ResolvedMetric, state: RunState) -> int:
+    """Where the chunk of ``offspring`` that starts at ``start``, a
+    candidate the burst screens, ends; the chunk is screened in one block.
+
+    The burst screens candidates in order until one ends it (see
+    ``run_subpopulation``) and makes no objective call for the candidates
+    after that one, so neither may the block. The chunk therefore stops
+    before a candidate whose row calls the objective once the burst could
+    end before it: after a new genotype (one the ledger lacks) whose
+    score, with its row built, is missing or reaches the target, or at a
+    new genotype that comes after as many new ones as the budget has
+    left. The behaviors the chunk's rows need are computed here, in
+    order, so that the rule knows the score of each new genotype whose
+    behavior is its score.
+    """
+    ledger, problem = state.ledger, state.problem
+    target = problem.target
+    new_keys: set = set()
+    may_end = False
+    for end in range(start, len(offspring)):
+        child = offspring[end]
+        key = problem.canonical_key(child)
+        new = ledger.lookup(key) is None and key not in new_keys
+        may_end = may_end or (new and len(new_keys) >= ledger.remaining)
+        if rm.row_calls_objective(key):
+            if may_end:
+                return end
+            ledger.behavior_of(child, problem, key)
+        if new:
+            new_keys.add(key)
+            score = ledger.score_memo(key)
+            may_end = may_end or score is None or (target is not None and score >= target)
+    return len(offspring)
+
+
 def run_subpopulation(
     view_fitness,
     mp: ModifiedPromise | None,
@@ -295,7 +327,11 @@ def run_subpopulation(
     read the view through it. ``view_fitness`` is the fitness of each
     view sample: its score when unguided, its ledger modified fitness
     under ``mp`` when guided. The subpop_size fittest view samples seed
-    the parents; new evaluations append to the shared ledger.
+    the parents; new evaluations append to the shared ledger. Each
+    generation's offspring are screened in order, and the burst ends at
+    the first that reaches the target or that the spent budget cannot
+    take. The filter's rows and estimates are built a chunk of offspring
+    at a time, in one block (see ``_chunk_end``).
     """
     problem, rng = state.problem, state.rng
     rm = source if mp is not None else None
@@ -306,6 +342,7 @@ def run_subpopulation(
     parents = [view.samples[i] for i in seed_idx]
     fitness = [view_fitness[i] for i in seed_idx]
     filtering = mp is not None and policy.threshold_quantile > 0
+    estimating = filtering and policy.warm(len(view))
     if filtering:
         threshold = float(np.quantile(view_fitness, policy.threshold_quantile))
     if mp is not None:
@@ -327,7 +364,8 @@ def run_subpopulation(
             rm.add_genotypic_rows(offspring)
         new_samples: list[ScoredSample] = []
         out_of_budget = False
-        for child in offspring:
+        chunk_start = chunk_end = 0
+        for i, child in enumerate(offspring):
             if state.stop:
                 break
             # once the budget is spent only a genotype the ledger holds can
@@ -340,9 +378,16 @@ def run_subpopulation(
                 break
             report.candidates_generated += 1
             if filtering:
-                ok, _est = guidance.should_evaluate(
-                    child, policy, rm, view_fitness, threshold
-                )
+                estimate = float("nan")
+                if estimating:
+                    if i >= chunk_end:
+                        chunk_start, chunk_end = i, _chunk_end(offspring, i, rm, state)
+                        rows, orders = rm.rows_of(offspring[chunk_start:chunk_end])
+                        estimates = guidance.filter_estimates(
+                            rows, orders, policy.k, view_fitness
+                        )
+                    estimate = estimates[i - chunk_start]
+                ok, _est = guidance.should_evaluate(child, estimate, threshold)
                 if not ok:
                     report.candidates_skipped += 1
                     state.skipped_total += 1
@@ -393,8 +438,12 @@ def info_evo_loop(
     Reads the run's settings from ``cfg``. Seeds the ledger with a random
     initial population, then repeats promise estimation, ray stepping,
     ray ranking, and one guided subpopulation per kept ray until the
-    budget is spent, the problem's target is reached or three rounds in
-    a row add nothing to the ledger (``state.stop_reason`` says which).
+    budget is spent, the problem's target is reached or the loop stalls
+    (``state.stop_reason`` says which; see ``RunState``). A round that
+    adds nothing to the ledger while its filter skipped candidates halves
+    the filter's quantile for the rounds after it, down to zero, which
+    filters nothing, so the filter cannot stall a run; the quantile is
+    the policy's again after a round that adds to the ledger.
     Without ``state`` the run gets a ledger of ``cfg.budget`` evaluations
     and a stream seeded by ``cfg.seed``. With ``max_rounds``, returns
     after that many rounds; calling it again with the same ``state``
@@ -429,6 +478,8 @@ def info_evo_loop(
     rounds_run = 0
     if state.gamma is None:
         state.gamma = step_params.gamma
+    if state.threshold_quantile is None:
+        state.threshold_quantile = policy.threshold_quantile
     kept_count = math.ceil(step_params.ray_count / 2)
 
     while not state.stop and ledger.remaining > 0 and ledger.eval_count > 0:
@@ -436,6 +487,7 @@ def info_evo_loop(
             break
         evals_before = ledger.eval_count
         gamma = state.gamma
+        round_policy = replace(policy, threshold_quantile=state.threshold_quantile)
         report = RoundReport(round_index=state.round_index, gamma_used=gamma)
         report.best_score_before = best_sample(ledger).score
         view = view_of(ledger, config.population_cap)
@@ -469,20 +521,14 @@ def info_evo_loop(
                 if manifold.geodesic_distance_exact(base, target_dist) < 1e-12:
                     # degenerate step: fall back to the base distribution
                     continue
-                mp = ModifiedPromise(
-                    base=base,
-                    target=target_dist,
-                    omega=cfg.omega,
-                    k=policy.k,
-                    h_kind=cfg.h_kind,
-                )
+                mp = ModifiedPromise(base=base, target=target_dist, k=policy.k)
                 frag = run_subpopulation(
                     guidance.ledger_modified_fitness(mp, rm),
                     mp,
                     config,
                     state,
                     rm,
-                    policy,
+                    round_policy,
                     ray_index=ray_index,
                 )
                 report.subdemes.append(frag)
@@ -502,16 +548,20 @@ def info_evo_loop(
             if state.no_improve >= 2:
                 state.gamma = max(gamma / 2.0, GAMMA_FLOOR)
                 state.no_improve = 0
-        # a round that added nothing to the ledger (it drew only genotypes
-        # already scored) made no progress; bail out after a few in a row
-        # rather than spinning forever
-        if ledger.eval_count == evals_before:
+        if ledger.eval_count > evals_before:
+            state.stalled_rounds = 0
+            state.threshold_quantile = policy.threshold_quantile
+        elif report.candidates_skipped:
+            # the filter held back every candidate that could have grown
+            # the ledger; loosen it rather than count the round as stalled
+            state.threshold_quantile /= 2
+        else:
+            # a round that drew only genotypes already scored made no
+            # progress; bail out after a few rather than spinning forever
             state.stalled_rounds += 1
             if state.stalled_rounds >= 3:
                 logger.warning("three rounds without new evaluations; stopping early")
                 state.stop_reason = "stall"
-        else:
-            state.stalled_rounds = 0
     if not state.stop and ledger.remaining <= 0:
         state.stop_reason = "budget"
     elif not state.stop and ledger.eval_count == 0:

@@ -1,12 +1,17 @@
 """Modified promise fitness, kNN fitness estimation, and candidate filtering.
 
 Each stepped distribution becomes a guide: a candidate's directionality
-measure omega (kNN probability mass or projection magnitude) is combined
-with its normalized score through a monotone map h, and candidates whose
-estimated guided fitness falls below a ledger quantile are skipped
-before any expensive evaluation. Every function here reads the round's
-view through its ``ResolvedMetric``; neighbor queries answer in view
-positions, which index distributions and per-sample arrays directly.
+measure omega, the probability mass the distribution puts on its k
+nearest view samples, is combined with its normalized score through the
+monotone map h, and candidates whose estimated guided fitness falls
+below a ledger quantile are skipped before any expensive evaluation.
+Every function here reads the round's view through its
+``ResolvedMetric``; neighbor queries answer in view positions, which
+index distributions and per-sample arrays directly. The block forms
+(``omega_block``, ``ledger_modified_fitness``, ``filter_estimates``) read
+stacked rows and orders and give, bit for bit, what the one-candidate
+forms (``omega_knn``, ``modified_fitness``, ``estimate_fitness``) give
+each row.
 """
 
 from __future__ import annotations
@@ -15,15 +20,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import manifold
 from .core import ResolvedMetric, knn, normalize_scores
-from .errors import DegenerateLine
 from .manifold import LogDistribution
 
 OMEGA_BASELINE = 0.05  # keeps the product form from annihilating zero-omega candidates
-H_ALPHA = 0.5  # weight of the normalized score in the weighted-sum form of h
-H_KINDS = ("product", "weighted_sum")
-OMEGA_KINDS = ("knn_mass", "projection")
 
 
 @dataclass(frozen=True)
@@ -32,24 +32,17 @@ class ModifiedPromise:
 
     base: LogDistribution
     target: LogDistribution
-    omega: str = "knn_mass"  # one of OMEGA_KINDS
     k: int = 7  # neighbors omega looks at
-    h_kind: str = "product"  # one of H_KINDS
 
     def __post_init__(self):
         if self.base.n != self.target.n:
             raise ValueError("base and target must share a population")
-        if self.omega not in OMEGA_KINDS:
-            raise ValueError(f"unknown omega kind {self.omega!r}")
         if self.k < 1:
             raise ValueError("k must be positive")
-        if self.h_kind not in H_KINDS:
-            raise ValueError(f"unknown h kind {self.h_kind!r}")
 
-    def h(self, zeta_norm: float, omega_val: float) -> float:
-        if self.h_kind == "product":
-            return zeta_norm * (omega_val + OMEGA_BASELINE)
-        return H_ALPHA * zeta_norm + (1 - H_ALPHA) * omega_val
+    def h(self, zeta_norm, omega_val):
+        """zeta_norm * (omega_val + OMEGA_BASELINE), elementwise on arrays."""
+        return zeta_norm * (omega_val + OMEGA_BASELINE)
 
 
 @dataclass(frozen=True)
@@ -69,6 +62,12 @@ class FilterPolicy:
         if not 0.0 <= self.lam <= 1.0:
             raise ValueError("lam must lie in [0, 1]")
 
+    def warm(self, view_size: int) -> bool:
+        """Whether a view of ``view_size`` samples holds the 2k the filter
+        needs to estimate a candidate; on a smaller (cold) view every
+        candidate is evaluated."""
+        return view_size >= 2 * self.k
+
 
 def omega_knn(x, dist: LogDistribution, k: int, rm: ResolvedMetric) -> float:
     """Probability mass the distribution puts on x's k nearest neighbors."""
@@ -76,6 +75,17 @@ def omega_knn(x, dist: LogDistribution, k: int, rm: ResolvedMetric) -> float:
     # a sequential sum, in neighbor order: np.sum adds 8 or more terms
     # in another order
     return float(sum(dist.p[idx].tolist()))
+
+
+def omega_block(orders: np.ndarray, dist: LogDistribution, k: int) -> np.ndarray:
+    """``omega_knn`` of each row of a nonempty order block: the mass
+    ``dist`` puts on the row's k nearest view samples."""
+    masses = dist.p[orders[:, :k]]
+    # column by column: the sequential sum omega_knn takes
+    total = masses[:, 0].copy()
+    for j in range(1, masses.shape[1]):
+        total += masses[:, j]
+    return total
 
 
 def _ascending_median(values) -> float:
@@ -94,38 +104,6 @@ def _inverse_distance_weights(x, k: int, rm: ResolvedMetric):
     return idx, 1.0 / (dists + delta)
 
 
-def embed_candidate(x, k: int, rm: ResolvedMetric) -> LogDistribution:
-    """Represent a genotype as a distribution on its k nearest samples.
-
-    Mass is proportional to inverse distance, so an exact ledger match
-    is a near-point-mass.
-    """
-    idx, weights = _inverse_distance_weights(x, k, rm)
-    w = np.zeros(len(rm.view))
-    w[idx] = weights
-    return manifold.from_weights(w)
-
-
-def omega_projection(x, mp: ModifiedPromise, k: int, rm: ResolvedMetric) -> float:
-    """Projection of x's embedding onto the base-to-target direction.
-
-    Negative projections clamp to zero so h stays monotone-compatible.
-    """
-    u = manifold.log_map(mp.base, mp.target)
-    u_norm = u.norm
-    if u_norm < 1e-12:
-        raise DegenerateLine("base and target distributions coincide")
-    e = manifold.log_map(mp.base, embed_candidate(x, k, rm))
-    proj = manifold.inner(mp.base, e.f, u.f) / u_norm
-    return max(0.0, float(proj))
-
-
-def omega_value(x, mp: ModifiedPromise, rm: ResolvedMetric) -> float:
-    if mp.omega == "knn_mass":
-        return omega_knn(x, mp.target, mp.k, rm)
-    return omega_projection(x, mp, mp.k, rm)
-
-
 def modified_fitness(
     x, zeta_value: float, mp: ModifiedPromise, rm: ResolvedMetric
 ) -> float:
@@ -134,19 +112,15 @@ def modified_fitness(
     ``zeta_value`` is the normalized score under the view's min-max
     convention.
     """
-    return mp.h(zeta_value, omega_value(x, mp, rm))
+    return mp.h(zeta_value, omega_knn(x, mp.target, mp.k, rm))
 
 
 def ledger_modified_fitness(mp: ModifiedPromise, rm: ResolvedMetric) -> np.ndarray:
-    """Modified fitness of every sample in rm's view."""
+    """Modified fitness of every sample in rm's view, read from the
+    view's order block."""
     view = rm.view
     norm = normalize_scores(view.scores, view)
-    return np.array(
-        [
-            mp.h(norm[i], omega_value(s.genotype, mp, rm))
-            for i, s in enumerate(view.samples)
-        ]
-    )
+    return mp.h(norm, omega_block(rm.view_orders, mp.target, mp.k))
 
 
 def estimate_fitness(
@@ -164,22 +138,35 @@ def estimate_fitness(
     return float(np.sum(weights * ledger_mf[idx]) / np.sum(weights))
 
 
-def should_evaluate(
-    x,
-    policy: FilterPolicy,
-    rm: ResolvedMetric,
-    ledger_mf: np.ndarray,
-    threshold: float,
-) -> tuple[bool, float]:
-    """Decide whether a candidate is worth an expensive evaluation.
+def filter_estimates(
+    rows: np.ndarray, orders: np.ndarray, k: int, ledger_mf: np.ndarray
+) -> np.ndarray:
+    """``estimate_fitness`` of each row of a nonempty block of rows and
+    their orders (as ``ResolvedMetric.rows_of`` stacks them)."""
+    idx = orders[:, :k]
+    dists = rows[np.arange(len(idx))[:, None], idx]
+    # the median of each row's ascending distances, as _ascending_median
+    mid = idx.shape[1] // 2
+    if idx.shape[1] % 2:
+        median = dists[:, mid]
+    else:
+        median = (dists[:, mid - 1] + dists[:, mid]) / 2
+    delta = 1e-9 * (median + 1e-30)
+    weights = 1.0 / (dists + delta[:, None])
+    return (weights * ledger_mf[idx]).sum(axis=1) / weights.sum(axis=1)
 
-    Returns (evaluate?, estimate). Cold start (fewer than 2k view
-    samples) always evaluates.
+
+def should_evaluate(x, estimate: float, threshold: float) -> tuple[bool, float]:
+    """Decide whether candidate x, whose filter estimate is ``estimate``,
+    is worth an expensive evaluation.
+
+    Returns (evaluate?, estimate). A NaN estimate, which a cold view
+    gives (see ``FilterPolicy.warm``), always evaluates.
     """
-    if len(rm.view) < 2 * policy.k:
-        return True, float("nan")
-    est = estimate_fitness(x, policy, rm, ledger_mf)
-    return est >= threshold, est
+    estimate = float(estimate)
+    if np.isnan(estimate):
+        return True, estimate
+    return estimate >= threshold, estimate
 
 
 def rank_rays(candidates, promise) -> list[int]:

@@ -50,6 +50,21 @@ def local_max_prob(
     return float(norm[i] / denom)
 
 
+def local_max_ratios(orders: np.ndarray, norm: np.ndarray, k_local: int) -> np.ndarray:
+    """``local_max_prob`` of every view sample at once, from the view's
+    order block ``orders`` (row i is sample i's) and normalized scores."""
+    n = len(norm)
+    idx = orders[:, : k_local + 1]
+    others = idx != np.arange(n)[:, None]
+    # a sample's neighborhood: the first k_local of its k_local + 1
+    # nearest other than itself
+    hood = others & (np.cumsum(others, axis=1) <= k_local)
+    denom = np.maximum(norm, np.where(hood, norm[idx], -np.inf).max(axis=1))
+    ratios = np.ones(n)
+    np.divide(norm, denom, out=ratios, where=denom > 0)
+    return ratios
+
+
 def promise_vector(weights: PromiseWeights, rm: ResolvedMetric) -> np.ndarray:
     """Weighted blend of normalized score and the local-max ratio.
 
@@ -61,9 +76,9 @@ def promise_vector(weights: PromiseWeights, rm: ResolvedMetric) -> np.ndarray:
     norm = normalize_scores(view.scores, view)
     values = weights.w_zeta * norm
     if weights.w_lm > 0:
-        lm = np.array(
-            [local_max_prob(i, weights.k_local, rm, norm) for i in range(len(view))]
-        )
+        if len(view) < 2:
+            raise LedgerTooSmall("the local-max ratio needs at least 2 samples")
+        lm = local_max_ratios(rm.view_orders, norm, weights.k_local)
         values = values + weights.w_lm * lm
     values.flags.writeable = False
     return values

@@ -160,8 +160,6 @@ SAMPLES = {
     "evolution.tournament_size": 4,
     "problem": "sphere",
     "mode": "baseline",
-    "omega": "projection",
-    "h_kind": "weighted_sum",
     "problem_params.dataset": "data.csv",
 }
 
@@ -194,9 +192,9 @@ def test_setting_by_flag_equals_setting_by_file_key(tmp_path, flag, section, nam
     "argv,data,field",
     [
         (["--gamma", "5"], None, "step"),
-        (["--omega", "bogus"], None, "omega"),
-        (["--h", "bogus"], None, "h_kind"),
-        (["--mode", "baseline", "--h", "bogus"], None, "h_kind"),
+        ([], {"omega": "knn_mass"}, "omega"),  # a deleted setting
+        ([], {"h_kind": "product"}, "h_kind"),  # a deleted setting
+        (["--mode", "baseline"], {"h_kind": "product"}, "h_kind"),
         (["--subpop-size", "0"], None, "evolution"),
         (["--threshold-quantile", "1.5"], None, "policy"),
         (["--lambda", "2"], None, "policy"),
@@ -359,10 +357,12 @@ DEME_RUN = dict(
 )
 
 
-def test_deme_run_honours_h_kind():
-    product = execute_run(RunConfig(**DEME_RUN, h_kind="product"), "info_evo", 1)
-    summed = execute_run(RunConfig(**DEME_RUN, h_kind="weighted_sum"), "info_evo", 1)
-    assert product["trace"] != summed["trace"]
+def test_deme_run_honours_lambda():
+    blended = execute_run(RunConfig(**DEME_RUN), "info_evo", 1)
+    genotypic = execute_run(
+        RunConfig(**DEME_RUN, policy=FilterPolicy(lam=1.0)), "info_evo", 1
+    )
+    assert blended["trace"] != genotypic["trace"]
 
 
 def test_deme_run_evals_to_target_in_global_order(monkeypatch):
@@ -477,7 +477,7 @@ def test_run_json_holds_only_the_seed_that_ran(tmp_path):
 
 def test_run_json_config_is_a_config_file_of_the_run(tmp_path):
     out = tmp_path / "out"
-    argv = FAST_RUN + ["--lambda", "0.3", "--filter-k", "5", "--omega", "projection"]
+    argv = FAST_RUN + ["--lambda", "0.3", "--filter-k", "5", "--deme-count", "2"]
     assert run_cli(["run", "--out", str(out)] + argv) == 0
     record = json.loads((out / "run.json").read_text())
     path = file_with(tmp_path, record["config"])

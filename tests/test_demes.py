@@ -17,7 +17,6 @@ def deme_config(budget, deme_count=1, evolution=None, **kw):
         weights=PromiseWeights(),
         step=StepParams(ray_count=3, grid_resolution=8, refinement_levels=1),
         policy=FilterPolicy(k=3),
-        h_kind="product",
     )
     base.update(kw)
     return RunConfig(

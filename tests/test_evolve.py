@@ -5,7 +5,7 @@ import pytest
 
 from infoevo import guidance
 from infoevo.core import EvaluationLedger, ScoredSample, evaluate, view_of
-from infoevo.domains import OneMax, Sphere
+from infoevo.domains import OneMax, Sphere, make_problem
 from infoevo.evolve import (
     EvolutionConfig,
     RunConfig,
@@ -229,6 +229,22 @@ def test_loop_baseline_one_objective_call_per_evaluation():
     assert len(calls) == result.ledger.eval_count
 
 
+def record_skips(problem, monkeypatch) -> set:
+    """The canonical keys of the candidates the filter skips in the runs
+    that follow, as ``guidance.should_evaluate`` decides them."""
+    skipped = set()
+    should_evaluate = guidance.should_evaluate
+
+    def recording(x, *args):
+        ok, est = should_evaluate(x, *args)
+        if not ok:
+            skipped.add(problem.canonical_key(x))
+        return ok, est
+
+    monkeypatch.setattr(guidance, "should_evaluate", recording)
+    return skipped
+
+
 @pytest.mark.parametrize(
     "make, budget, stop",
     [
@@ -243,16 +259,7 @@ def test_guided_loop_scores_each_genotype_once(make, budget, stop, monkeypatch):
     # run ended by its budget screens no candidate once the budget is spent
     problem = make()
     calls = count_objective_calls(problem)
-    skipped = set()
-    should_evaluate = guidance.should_evaluate
-
-    def recording(x, *args):
-        ok, est = should_evaluate(x, *args)
-        if not ok:
-            skipped.add(problem.canonical_key(x))
-        return ok, est
-
-    monkeypatch.setattr(guidance, "should_evaluate", recording)
+    skipped = record_skips(problem, monkeypatch)
     config = EvolutionConfig(subpop_size=20, generations_per_round=4, init_population=40)
     result = info_evo_loop(problem, run_config(config, seed=3, budget=budget))
     ledger = result.ledger
@@ -260,6 +267,62 @@ def test_guided_loop_scores_each_genotype_once(make, budget, stop, monkeypatch):
     never_evaluated = [key for key in skipped if ledger.lookup(key) is None]
     assert len(calls) == ledger.eval_count + len(never_evaluated)
     assert ledger.objective_calls == len(calls)
+
+
+@pytest.mark.parametrize(
+    "name, params, budget, stop",
+    [
+        pytest.param("onemax", {"bits": 50}, 20000, "target", id="onemax-50-target"),
+        pytest.param("trap5", {"bits": 30}, 3000, "budget", id="trap5-30-budget-3000"),
+    ],
+)
+def test_screening_in_blocks_makes_no_speculative_objective_call(
+    name, params, budget, stop, monkeypatch
+):
+    # each run ends mid-generation, at an offspring that reaches the target
+    # or that the spent budget cannot take; the blocks that screened that
+    # generation computed no objective value for the offspring after it
+    problem = make_problem(name, **params)
+    calls = count_objective_calls(problem)
+    skipped = record_skips(problem, monkeypatch)
+    cfg = RunConfig(problem=name, problem_params=params, budget=budget, seed=1)
+    result = info_evo_loop(problem, cfg)
+    ledger = result.ledger
+    assert result.stop_reason == stop and result.skipped_total > 0
+    last = result.reports[-1].subdemes[-1]
+    per_generation = cfg.evolution.subpop_size - cfg.evolution.elitism
+    assert last.candidates_generated % per_generation != 0
+    never_evaluated = [key for key in skipped if ledger.lookup(key) is None]
+    assert len(calls) == ledger.eval_count + len(never_evaluated)
+
+
+def test_filter_that_skips_a_whole_round_is_loosened_not_stalled():
+    # trap5-20 with one ray per round draws rounds whose every new
+    # candidate the filter skips; each halves the quantile in force, a
+    # round that adds to the ledger restores the policy's, and the run
+    # goes on to its budget instead of stopping as stalled
+    cfg = RunConfig(
+        problem="trap5",
+        problem_params={"bits": 20},
+        budget=3000,
+        seed=1,
+        step=StepParams(ray_count=1),
+    )
+    problem = make_problem("trap5", bits=20)
+    state = None
+    halved = 0
+    while state is None or not state.stop:
+        evals = 0 if state is None else state.ledger.eval_count
+        quantile = None if state is None else state.threshold_quantile
+        state = info_evo_loop(problem, cfg, state=state, max_rounds=1)
+        round_ = state.reports[-1]
+        if state.ledger.eval_count > evals:
+            assert state.threshold_quantile == cfg.policy.threshold_quantile
+        elif round_.candidates_skipped:
+            assert state.threshold_quantile == quantile / 2
+            halved += 1
+    assert halved > 0
+    assert state.stop_reason == "budget"
 
 
 @pytest.mark.parametrize("mode", ["info_evo", "baseline"])

@@ -10,16 +10,14 @@ from infoevo.core import (
     view_of,
 )
 from infoevo.domains import OneMax
-from infoevo.errors import DegenerateLine, EmptyLedger
+from infoevo.errors import EmptyLedger
 from infoevo.guidance import (
     FilterPolicy,
     ModifiedPromise,
-    embed_candidate,
     estimate_fitness,
     ledger_modified_fitness,
     modified_fitness,
     omega_knn,
-    omega_projection,
     rank_rays,
     should_evaluate,
 )
@@ -95,100 +93,35 @@ def test_omega_knn_empty():
         omega_knn(1.0, manifold.uniform(1), 1, rm)
 
 
-# --- candidate embedding ---
-
-
-def test_embed_candidate_exact_match_is_near_point_mass():
-    view, rm = scalar_setup([0.0, 5.0, 10.0])
-    emb = embed_candidate(5.0, 3, rm)
-    assert int(np.argmax(emb.p)) == 1
-    assert emb.p[1] > 0.999
-
-
-def test_embed_candidate_inverse_distance_ratio():
-    view, rm = scalar_setup([0.0, 3.0])
-    # distances 1 and 2: weights 1 and 0.5, so masses 2/3 and 1/3
-    emb = embed_candidate(1.0, 2, rm)
-    assert emb.p[0] == pytest.approx(2 / 3, rel=1e-6)
-    assert emb.p[1] == pytest.approx(1 / 3, rel=1e-6)
-
-
-def test_embed_candidate_restricted_to_k_neighbors():
-    view, rm = scalar_setup([0.0, 1.0, 50.0])
-    emb = embed_candidate(0.4, 2, rm)
-    # the far sample gets only the floor mass
-    assert emb.p[2] < 1e-6
-
-
-# --- omega: projection ---
-
-
-def test_omega_projection_target_embedding_full_length():
-    view, rm = scalar_setup([0.0, 5.0, 10.0])
-    base = manifold.uniform(3)
-    target = point_mass(2, 3)
-    mp = ModifiedPromise(base, target, omega="projection", k=3)
-    # candidate at 10.0 embeds as (near) the target point mass, so its
-    # projection is (near) the full base-to-target distance
-    d = manifold.geodesic_distance_exact(base, target)
-    assert omega_projection(10.0, mp, 3, rm) == pytest.approx(d, rel=1e-3)
-
-
-def test_omega_projection_opposite_clamps_to_zero():
-    view, rm = scalar_setup([0.0, 5.0, 10.0])
-    base = manifold.uniform(3)
-    target = point_mass(2, 3)
-    mp = ModifiedPromise(base, target, omega="projection", k=1)
-    # candidate embedding sits at sample 0: moving toward that corner
-    # moves away from the target, so the projection clamps at zero
-    assert omega_projection(0.0, mp, 1, rm) == 0.0
-
-
-def test_omega_projection_degenerate_line():
-    view, rm = scalar_setup([0.0, 5.0, 10.0])
-    base = manifold.uniform(3)
-    mp = ModifiedPromise(base, base, omega="projection")
-    with pytest.raises(DegenerateLine):
-        omega_projection(5.0, mp, 2, rm)
-
-
 # --- modified fitness ---
 
 
 def test_h_product_form():
     base = manifold.uniform(3)
     target = point_mass(0, 3)
-    mp = ModifiedPromise(base, target, h_kind="product")
+    mp = ModifiedPromise(base, target)
     assert mp.h(0.8, 0.5) == pytest.approx(0.8 * 0.55)
     assert mp.h(0.0, 1.0) == 0.0
     # the baseline keeps zero-omega candidates alive
     assert mp.h(1.0, 0.0) == pytest.approx(0.05)
 
 
-def test_h_weighted_sum_form():
-    base = manifold.uniform(3)
-    target = point_mass(0, 3)
-    mp = ModifiedPromise(base, target, h_kind="weighted_sum")
-    assert mp.h(0.8, 0.4) == pytest.approx(0.5 * 0.8 + 0.5 * 0.4)
-
-
 def test_h_monotone_in_both_arguments(rng):
     base = manifold.uniform(4)
     target = point_mass(1, 4)
-    for kind in ("product", "weighted_sum"):
-        mp = ModifiedPromise(base, target, h_kind=kind)
-        for _ in range(200):
-            z, w = rng.uniform(0, 1, 2)
-            dz, dw = rng.uniform(0, 0.5, 2)
-            assert mp.h(z + dz, w) >= mp.h(z, w) - 1e-12
-            assert mp.h(z, w + dw) >= mp.h(z, w) - 1e-12
+    mp = ModifiedPromise(base, target)
+    for _ in range(200):
+        z, w = rng.uniform(0, 1, 2)
+        dz, dw = rng.uniform(0, 0.5, 2)
+        assert mp.h(z + dz, w) >= mp.h(z, w) - 1e-12
+        assert mp.h(z, w + dw) >= mp.h(z, w) - 1e-12
 
 
 def test_modified_fitness_prefers_near_target():
     view, rm = scalar_setup([0.0, 5.0, 10.0])
     base = manifold.uniform(3)
     target = point_mass(2, 3)
-    mp = ModifiedPromise(base, target, omega="knn_mass", k=1)
+    mp = ModifiedPromise(base, target, k=1)
     high = modified_fitness(9.8, 1.0, mp, rm)
     low = modified_fitness(0.2, 1.0, mp, rm)
     assert high > low
@@ -198,10 +131,6 @@ def test_modified_promise_validation():
     base = manifold.uniform(3)
     with pytest.raises(ValueError):
         ModifiedPromise(base, manifold.uniform(4))
-    with pytest.raises(ValueError):
-        ModifiedPromise(base, base, h_kind="nope")
-    with pytest.raises(ValueError):
-        ModifiedPromise(base, base, omega="bogus")
     with pytest.raises(ValueError):
         ModifiedPromise(base, base, k=0)
 
@@ -243,7 +172,10 @@ def test_should_evaluate_cold_start():
     mp = ModifiedPromise(manifold.uniform(2), point_mass(1, 2))
     ledger_mf = ledger_modified_fitness(mp, rm)
     thr = float(np.quantile(ledger_mf, 0.25))
-    ok, est = should_evaluate(3.0, FilterPolicy(k=7), rm, ledger_mf, thr)
+    # a view of fewer than 2k samples gives no estimate, and its
+    # candidates are evaluated
+    assert not FilterPolicy(k=7).warm(len(view)) and FilterPolicy(k=1).warm(len(view))
+    ok, est = should_evaluate(3.0, float("nan"), thr)
     assert ok
     assert np.isnan(est)
 
@@ -260,7 +192,8 @@ def test_should_evaluate_quantile_zero_accepts_all(rng):
     ledger_mf = ledger_modified_fitness(mp, rm)
     thr = float(np.quantile(ledger_mf, 0.0))
     for x in rng.uniform(0, 10, 30):
-        ok, est = should_evaluate(float(x), policy, rm, ledger_mf, thr)
+        est = estimate_fitness(float(x), policy, rm, ledger_mf)
+        ok, _ = should_evaluate(float(x), est, thr)
         # only candidates estimated below the ledger minimum can be skipped
         assert ok or est < thr
 
@@ -275,8 +208,9 @@ def test_should_evaluate_threshold_behavior(rng):
     ledger_mf = ledger_modified_fitness(mp, rm)
     thr = float(np.quantile(ledger_mf, 0.25))
     for x in rng.uniform(0, 10, 50):
-        ok, est = should_evaluate(float(x), policy, rm, ledger_mf, thr)
-        assert ok == (est >= thr)
+        est = estimate_fitness(float(x), policy, rm, ledger_mf)
+        ok, got = should_evaluate(float(x), est, thr)
+        assert ok == (est >= thr) and got == est
 
 
 def test_screened_then_evaluated_candidate_costs_one_objective_call(rng):
@@ -291,7 +225,8 @@ def test_screened_then_evaluated_candidate_costs_one_objective_call(rng):
     while ledger.lookup(problem.canonical_key(x)) is not None:
         x = problem.random_genotype(rng)
     policy = FilterPolicy(k=3)
-    ok, _ = should_evaluate(x, policy, rm, view.scores, float("-inf"))
+    est = estimate_fitness(x, policy, rm, view.scores)
+    ok, _ = should_evaluate(x, est, float("-inf"))
     assert ok and calls == ["score"]
     sample = evaluate(x, problem, ledger)
     assert calls == ["score"]

@@ -1,7 +1,7 @@
 """Property tests: neighbor queries, the promise vector, manifold edge
 cases, EDA sampling, the run memo, the lattice search, the genotype
-distance blocks, the metric's blocks and the exact per-candidate
-arithmetic."""
+distance blocks, the metric's blocks, the exact per-candidate
+arithmetic and the block forms of the guidance layer."""
 
 import heapq
 import itertools
@@ -38,9 +38,24 @@ from infoevo.geodesic_search import (
     sample_exact_ray,
     step_along,
 )
-from infoevo.guidance import _ascending_median, omega_knn
+from infoevo.guidance import (
+    FilterPolicy,
+    ModifiedPromise,
+    _ascending_median,
+    estimate_fitness,
+    filter_estimates,
+    ledger_modified_fitness,
+    modified_fitness,
+    omega_block,
+    omega_knn,
+)
 from infoevo.manifold import _EXP_CLIP, LogDistribution
-from infoevo.promise import PromiseWeights, local_max_prob, promise_vector
+from infoevo.promise import (
+    PromiseWeights,
+    local_max_prob,
+    local_max_ratios,
+    promise_vector,
+)
 
 from conftest import ScalarProblem, make_scalar_ledger
 
@@ -952,3 +967,91 @@ def test_omega_knn_matches_generator_sum(k, values, data):
     x = float(data.draw(st.integers(-3, 33)))
     idx, _ = knn(x, rm, k)
     assert omega_knn(x, dist, k, rm) == float(sum(dist.p[j] for j in idx))
+
+
+# --- block forms of the guidance layer, against the one-candidate forms ---
+
+
+def same_doubles(got, expected) -> bool:
+    return np.asarray(got, dtype=float).tobytes() == np.asarray(expected, dtype=float).tobytes()
+
+
+# k up to 32: numpy's pairwise sum takes 8 terms at a time from 8 terms on
+@pytest.mark.parametrize("k", range(1, 33))
+@settings(max_examples=10, deadline=None)
+@given(
+    st.sampled_from(sorted(MEMO_PROBLEMS)),
+    st.sampled_from([0.0, 0.5, 1.0]),
+    st.integers(1, 40),  # view size, often at most k + 1
+    st.integers(0, 2**32 - 1),
+)
+def test_guidance_blocks_match_the_one_candidate_forms(k, name, lam, n, seed):
+    problem = MEMO_PROBLEMS[name]
+    rng = np.random.default_rng(seed)
+    ledger = EvaluationLedger(budget=n)
+    while ledger.eval_count < n:
+        evaluate(problem.random_genotype(rng), problem, ledger)
+    view = view_of(ledger)
+    block = ResolvedMetric(problem, view, lam, ledger)
+    single = ResolvedMetric(problem, view, lam, ledger)
+    genos = [s.genotype for s in view.samples]
+    # candidates: new genotypes, one twice, and view samples, which sit at
+    # distance zero from a sample (OneMax-10 ties often besides)
+    candidates = [problem.random_genotype(rng) for _ in range(5)]
+    candidates += [candidates[0], genos[0], genos[-1]]
+    rows, orders = block.rows_of(candidates)
+    for x, row, order in zip(candidates, rows, orders):
+        dists, got = single.neighbors(x)
+        assert same_doubles(row, dists) and order.tobytes() == got.tobytes()
+
+    ledger_mf = rng.uniform(0.0, 2.0, size=n)
+    estimates = filter_estimates(rows, orders, k, ledger_mf)
+    policy = FilterPolicy(k=k)
+    for x, est in zip(candidates, estimates):
+        assert same_doubles(est, estimate_fitness(x, policy, single, ledger_mf))
+
+    dist = manifold.from_weights(rng.uniform(0.0, 1.0, size=n))
+    omegas = omega_block(orders, dist, k)
+    for x, omega in zip(candidates, omegas):
+        assert same_doubles(omega, omega_knn(x, dist, k, single))
+
+    mp = ModifiedPromise(manifold.uniform(n), dist, k=k)
+    norm = normalize_scores(view.scores, view)
+    expected = [modified_fitness(g, norm[i], mp, single) for i, g in enumerate(genos)]
+    assert same_doubles(ledger_modified_fitness(mp, block), expected)
+
+    if n >= 2:
+        expected = [local_max_prob(i, k, single, norm) for i in range(n)]
+        assert same_doubles(local_max_ratios(block.view_orders, norm, k), expected)
+
+
+@settings(max_examples=100, deadline=None)
+@given(scored_views(), st.integers(1, 14), st.data())
+def test_local_max_ratios_match_local_max_prob_with_ties(case, k_local, data):
+    # scores on a few shared levels, so neighborhoods hold many equal values
+    view, rm = case
+    norm = normalize_scores(view.scores, view)
+    expected = [local_max_prob(i, k_local, rm, norm) for i in range(len(view))]
+    assert same_doubles(local_max_ratios(rm.view_orders, norm, k_local), expected)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.integers(0, 6), min_size=2, max_size=12), st.integers(1, 14))
+def test_local_max_ratios_where_samples_sit_at_distance_zero(labels, k_local):
+    # scalar genotypes scored as themselves whose behaviors (their integer
+    # parts, halved and rounded down) are shared, so that under the
+    # phenotypic metric samples of different scores sit at distance zero
+    # from a sample, some before it in its order
+    class Floored(ScalarProblem):
+        def behavior(self, genotype):
+            return np.array([float(int(genotype) // 2)])
+
+    problem = Floored()
+    ledger = EvaluationLedger(len(labels))
+    for i, label in enumerate(labels):
+        evaluate(label + i / 100, problem, ledger)
+    view = view_of(ledger)
+    rm = ResolvedMetric(problem, view, 0.0, ledger)
+    norm = normalize_scores(view.scores, view)
+    expected = [local_max_prob(i, k_local, rm, norm) for i in range(len(view))]
+    assert same_doubles(local_max_ratios(rm.view_orders, norm, k_local), expected)

@@ -17,8 +17,9 @@ the same order at the same cost.
 The runs are the benchmark's seeds (guided and baseline OneMax-50,
 guided symreg on the cubic dataset at cap 64), guided sphere-10 and
 trap5-30, guided OneMax-50 and symreg with one setting changed, guided
-symreg on a 3-d chart, and guided symreg with depth-1 programs, whose
-view holds six samples.
+symreg on a 3-d chart, guided symreg with depth-1 programs, whose view
+holds six samples, and guided trap5-20 with one ray per round, which
+has rounds whose filter skips every new candidate.
 The cubic dataset is written with ``perfbench/make_dataset.py`` to a
 temporary directory.
 """
@@ -44,6 +45,7 @@ def runs(dataset: str):
     phenotypic = ["--lambda", "0"]
     chart3 = ["--chart-dim", "3", "--resolution", "8"]
     tiny = symreg[:4] + ["--max-depth", "1", "--budget", "100"]  # a 6-sample view
+    one_ray = ["--problem", "trap5", "--bits", "20", "--ray-count", "1", "--budget", "3000"]
     return (
         ("onemax50-guided-s1", onemax + ["--seed", "1"]),
         ("onemax50-guided-s2", onemax + ["--seed", "2"]),
@@ -55,12 +57,12 @@ def runs(dataset: str):
         ("trap5-30-b3000-s1", trap + ["--seed", "1"]),
         ("onemax50-genotypic-s1", onemax + genotypic + ["--seed", "1"]),
         ("onemax50-phenotypic-s1", onemax + phenotypic + ["--seed", "1"]),
-        ("onemax50-projection-s1", onemax + ["--omega", "projection", "--seed", "1"]),
         ("onemax50-filter-k12-s1", onemax + ["--filter-k", "12", "--seed", "1"]),
         ("onemax50-demes2-s1", onemax + ["--deme-count", "2", "--seed", "1"]),
         ("symreg-cubic-cap64-genotypic-s3", symreg + genotypic + ["--seed", "3"]),
         ("symreg-cubic-cap64-chartdim3-res8-s6", symreg + chart3 + ["--seed", "6"]),
         ("symreg-maxdepth1-b100-s1", tiny + ["--seed", "1"]),
+        ("trap5-20-rays1-b3000-s1", one_ray + ["--seed", "1"]),
     )
 
 
