@@ -76,6 +76,14 @@ SETTINGS = (
     ("--threshold-quantile", "policy", "threshold_quantile", float),
     ("--lambda", "policy", "lam", float),
 )
+# Removed settings: flag, top-level config key and what took their place.
+# Their flags stay as hidden options so that an old command line exits 2
+# naming the setting; without its own entry, `--h` would be taken as an
+# abbreviation of `--help`, print the help and exit 0 without running.
+REMOVED_SETTINGS = (
+    ("--omega", "omega", "omega is always the kNN mass"),
+    ("--h", "h_kind", "h is always the product form"),
+)
 SECTIONS = ("problem_params", "weights", "step", "evolution", "policy")
 JSON_TYPES = {str: str, int: int, float: (int, float)}  # accepted per setting type
 
@@ -269,6 +277,7 @@ def _read_config(path: str, given: dict):
     if not isinstance(data, dict):
         raise ConfigError("config", f"{path} must hold a JSON object")
     kinds = {(section, name): kind for _, section, name, kind in SETTINGS}
+    removed = {name: why for _, name, why in REMOVED_SETTINGS}
     for top_name, top_value in data.items():
         if top_name in SECTIONS:
             if not isinstance(top_value, dict):
@@ -278,6 +287,8 @@ def _read_config(path: str, given: dict):
             section, values = None, {top_name: top_value}
         for name, value in values.items():
             kind = kinds.get((section, name))
+            if section is None and name in removed:
+                raise ConfigError(name, f"removed: {removed[name]}")
             if kind is None:
                 raise ConfigError(_key(section, name), "unknown config key")
             # JSON true/false would pass as int; an int is a valid float
@@ -303,6 +314,9 @@ def build_run_config(args) -> RunConfig:
     Each settings dataclass is built only from the values given, so a
     setting given nowhere takes its dataclass default.
     """
+    for flag, name, why in REMOVED_SETTINGS:
+        if getattr(args, _dest(flag)) is not None:
+            raise ConfigError(name, f"removed: {why}")
     given: dict = {section: {} for section in (None, *SECTIONS)}
     if args.config:
         _read_config(args.config, given)
@@ -331,6 +345,8 @@ def _dest(flag: str) -> str:
 def _add_setting_flags(p: argparse.ArgumentParser):
     for flag, section, name, kind in SETTINGS:
         p.add_argument(flag, dest=_dest(flag), metavar=_key(section, name), type=kind)
+    for flag, _, _ in REMOVED_SETTINGS:
+        p.add_argument(flag, dest=_dest(flag), help=argparse.SUPPRESS)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -192,9 +192,9 @@ def test_setting_by_flag_equals_setting_by_file_key(tmp_path, flag, section, nam
     "argv,data,field",
     [
         (["--gamma", "5"], None, "step"),
-        ([], {"omega": "knn_mass"}, "omega"),  # a deleted setting
-        ([], {"h_kind": "product"}, "h_kind"),  # a deleted setting
-        (["--mode", "baseline"], {"h_kind": "product"}, "h_kind"),
+        (["--omega", "bogus"], None, "omega"),  # a removed setting
+        (["--h", "bogus"], None, "h_kind"),  # not taken as --help
+        (["--mode", "baseline", "--h", "bogus"], None, "h_kind"),
         (["--subpop-size", "0"], None, "evolution"),
         (["--threshold-quantile", "1.5"], None, "policy"),
         (["--lambda", "2"], None, "policy"),
@@ -226,6 +226,9 @@ def test_setting_by_flag_equals_setting_by_file_key(tmp_path, flag, section, nam
         (["--init-population", "-3"], None, "evolution"),
         ([], {"policy": {"metric": "genotypic"}}, "policy.metric"),  # deleted
         ([], {"policy": {"lambda": 0.5}}, "policy.lambda"),  # now policy.lam
+        ([], {"omega": "knn_mass"}, "omega"),  # a removed setting
+        ([], {"h_kind": "product"}, "h_kind"),  # a removed setting
+        (["--mode", "baseline"], {"h_kind": "product"}, "h_kind"),
     ],
 )
 def test_invalid_setting_exits_2(tmp_path, capsys, argv, data, field):
