@@ -9,7 +9,8 @@ from .core import (
     knn,
     view_of,
 )
-from .evolve import EvolutionConfig, RunConfig, info_evo_loop
+from .demes import run_demes
+from .evolve import EvolutionConfig, RunConfig
 from .geodesic_search import StepParams
 from .guidance import FilterPolicy, ModifiedPromise
 from .manifold import LogDistribution, TangentVector
@@ -27,7 +28,7 @@ __all__ = [
     "view_of",
     "EvolutionConfig",
     "RunConfig",
-    "info_evo_loop",
+    "run_demes",
     "StepParams",
     "FilterPolicy",
     "ModifiedPromise",

@@ -182,11 +182,12 @@ def cmd_compare(cfg: RunConfig, repeats: int, out_dir: Path) -> int:
         for row in rows:
             writer.writerow(row)
         for mode in ("info_evo", "baseline"):
-            group = per_mode[mode]
             median = {"seed": "median", "mode": mode}
-            median.update(
-                (c, float(np.median([r[c] for r in group]))) for c in COMPARE_COLUMNS
-            )
+            for c in COMPARE_COLUMNS:
+                # a run that evaluates nothing has no best score; the cell
+                # is the median of the runs that have one, empty if none
+                values = [r[c] for r in per_mode[mode] if r[c] is not None]
+                median[c] = float(np.median(values)) if values else None
             writer.writerow(median)
     print(f"wrote {csv_path}")
     return 0

@@ -1,9 +1,10 @@
-"""Evolutionary engine and the top-level guided optimization loop.
+"""Evolutionary engine and one round of the guided optimization loop.
 
-Each loop iteration estimates a promise distribution over the evaluated
+Each round estimates a promise distribution over the evaluated
 population, steps along geodesic rays to get candidate direction
 distributions, and runs one guided subpopulation per kept ray; newly
-evaluated genotypes feed the next iteration's population.
+evaluated genotypes feed the next round's population. ``demes.run_demes``
+runs the rounds.
 """
 
 from __future__ import annotations
@@ -139,9 +140,9 @@ class RunState:
 
     The loop's schedule (step size, the filter's quantile in force, round
     index and the counters of rounds without improvement and of stalled
-    rounds) lives here, so a loop called for a few rounds at a time
-    continues where it stopped. ``reports`` holds every round the state
-    ran, and ``trace`` one row per new evaluation. ``stop_reason`` says
+    rounds) lives here, so each ``run_round`` continues where the last
+    one stopped. ``reports`` holds every round the state ran, and
+    ``trace`` one row per new evaluation. ``stop_reason`` says
     why the run ended: ``"target"`` (an evaluation reached the problem's
     target), ``"budget"`` (the budget is spent) or ``"stall"`` (three
     rounds that neither added to the ledger nor skipped a candidate, with
@@ -152,14 +153,13 @@ class RunState:
     ledger: EvaluationLedger
     problem: object
     rng: np.random.Generator = field(repr=False)
+    gamma: float  # the step size
+    threshold_quantile: float  # the filter's quantile in force
     deme_id: int = 0
     trace: list[dict] = field(default_factory=list)
     reports: list[RoundReport] = field(default_factory=list)
     skipped_total: int = 0
     stop_reason: str | None = None
-    gamma: float | None = None  # the step size; None until the first round
-    # the filter's quantile in force; None until the first round
-    threshold_quantile: float | None = None
     round_index: int = 0
     no_improve: int = 0
     stalled_rounds: int = 0
@@ -426,41 +426,23 @@ def _next_generation(parents, fitness, new_samples, fitness_of, config):
     return parents, fitness
 
 
-def info_evo_loop(
-    problem,
-    cfg: RunConfig,
-    *,
-    state: RunState | None = None,
-    max_rounds: int | None = None,
-) -> RunState:
-    """Run the full guided loop (or the unguided baseline) to budget.
+def run_round(state: RunState, cfg: RunConfig) -> None:
+    """Run one round of ``state``'s guided loop (or unguided baseline).
 
-    Reads the run's settings from ``cfg``. Seeds the ledger with a random
-    initial population, then repeats promise estimation, ray stepping,
-    ray ranking, and one guided subpopulation per kept ray until the
-    budget is spent, the problem's target is reached or the loop stalls
-    (``state.stop_reason`` says which; see ``RunState``). A round that
-    adds nothing to the ledger while its filter skipped candidates halves
-    the filter's quantile for the rounds after it, down to zero, which
-    filters nothing, so the filter cannot stall a run; the quantile is
-    the policy's again after a round that adds to the ledger.
-    Without ``state`` the run gets a ledger of ``cfg.budget`` evaluations
-    and a stream seeded by ``cfg.seed``. With ``max_rounds``, returns
-    after that many rounds; calling it again with the same ``state``
-    continues the run, and one round per call gives the same run as a
-    single call. Returns the state it advanced.
+    Reads the run's settings from ``cfg`` and its problem from ``state``.
+    A state's first round first seeds its ledger with a random initial
+    population. A round estimates the promise, steps along geodesic
+    rays, ranks them, and runs one guided subpopulation per kept ray
+    (one unguided subpopulation in baseline mode, or while the view
+    holds fewer than three samples). A round that adds nothing to the
+    ledger while its filter skipped candidates halves the filter's
+    quantile for the rounds after it, down to zero, which filters
+    nothing, so the filter cannot stall a run; the quantile is the
+    policy's again after a round that adds to the ledger. A stopped
+    state runs no round and draws nothing; ``state.stop_reason`` says
+    why it stopped (see ``RunState``).
     """
-    if cfg.mode not in ("info_evo", "baseline"):
-        raise ValueError(f"unknown mode {cfg.mode!r}")
-    if state is None:
-        if cfg.seed is None:
-            raise ValueError("a fresh run needs cfg.seed")
-        state = RunState(
-            ledger=EvaluationLedger(cfg.budget),
-            problem=problem,
-            rng=np.random.default_rng(cfg.seed),
-        )
-    ledger, rng = state.ledger, state.rng
+    problem, ledger, rng = state.problem, state.ledger, state.rng
     config, step_params, policy = cfg.evolution, cfg.step, cfg.policy
 
     if state.round_index == 0:
@@ -475,16 +457,7 @@ def info_evo_loop(
             attempts += 1
             state.record(problem.random_genotype(rng))
 
-    rounds_run = 0
-    if state.gamma is None:
-        state.gamma = step_params.gamma
-    if state.threshold_quantile is None:
-        state.threshold_quantile = policy.threshold_quantile
-    kept_count = math.ceil(step_params.ray_count / 2)
-
-    while not state.stop and ledger.remaining > 0 and ledger.eval_count > 0:
-        if max_rounds is not None and rounds_run >= max_rounds:
-            break
+    if not state.stop and ledger.remaining > 0 and ledger.eval_count > 0:
         evals_before = ledger.eval_count
         gamma = state.gamma
         round_policy = replace(policy, threshold_quantile=state.threshold_quantile)
@@ -512,7 +485,7 @@ def info_evo_loop(
                 for r in rays
             ]
             order = guidance.rank_rays(stepped, pv)
-            kept = order[:kept_count]
+            kept = order[: math.ceil(step_params.ray_count / 2)]
             report.rays_used = len(kept)
             for ray_index in kept:
                 if state.stop or ledger.remaining <= 0:
@@ -539,7 +512,6 @@ def info_evo_loop(
         report.best_score_after = best_sample(ledger).score
         state.reports.append(report)
         state.round_index += 1
-        rounds_run += 1
 
         if report.best_score_after > report.best_score_before:
             state.no_improve = 0
@@ -566,4 +538,3 @@ def info_evo_loop(
         state.stop_reason = "budget"
     elif not state.stop and ledger.eval_count == 0:
         state.stop_reason = "stall"  # no initial population to start from
-    return state

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from infoevo.core import EvaluationLedger, evaluate
+from infoevo.demes import run_demes
 from infoevo.domains.base import Problem
 
 
@@ -54,6 +55,13 @@ def count_objective_calls(problem):
     if type(problem).behavior is not Problem.behavior:
         problem.behavior = counting("behavior")
     return calls
+
+
+def run_one(problem, cfg):
+    """The state of a one-deme run of ``cfg`` on ``problem``, seeded by
+    ``cfg.seed``, as ``info-evo run`` runs it."""
+    (state,), _ = run_demes(problem, cfg, np.random.default_rng(cfg.seed))
+    return state
 
 
 @pytest.fixture

@@ -162,17 +162,17 @@ def test_criterion_5_guidance_monotonicity_and_filter_soundness(capsys):
         manifold.from_weights(rng.uniform(0.1, 1.0, 30)),
         k=3,
     )
+    policy2 = FilterPolicy(k=3, threshold_quantile=0.5)
     state = RunState(
-        ledger=seed_ledger, problem=problem2, rng=np.random.default_rng(0)
+        ledger=seed_ledger,
+        problem=problem2,
+        rng=np.random.default_rng(0),
+        gamma=0.25,
+        threshold_quantile=policy2.threshold_quantile,
     )
     config = EvolutionConfig(subpop_size=20, generations_per_round=5, elitism=2)
     rep = run_subpopulation(
-        ledger_modified_fitness(mp2, rm2),
-        mp2,
-        config,
-        state,
-        rm2,
-        FilterPolicy(k=3, threshold_quantile=0.5),
+        ledger_modified_fitness(mp2, rm2), mp2, config, state, rm2, policy2
     )
     ok &= rep.candidates_evaluated + rep.candidates_skipped == rep.candidates_generated
     ok &= rep.candidates_skipped == state.skipped_total
@@ -277,7 +277,8 @@ def test_criterion_7_desk_scale_runs(capsys, tmp_path):
 
 
 def test_criterion_8_resource_factor(capsys):
-    from infoevo.evolve import RunConfig, info_evo_loop
+    from infoevo.demes import spawn_demes
+    from infoevo.evolve import RunConfig, run_round
     from infoevo.geodesic_search import StepParams
 
     problem = OneMax(bits=30)
@@ -294,7 +295,9 @@ def test_criterion_8_resource_factor(capsys):
         evolution=config,
         policy=FilterPolicy(k=3, threshold_quantile=0.0),  # filtering disabled
     )
-    result = info_evo_loop(problem, cfg, max_rounds=3)
+    (result,) = spawn_demes(problem, cfg, np.random.default_rng(cfg.seed))
+    for _ in range(3):
+        run_round(result, cfg)
     ok = len(result.reports) == 3
     kept = -(-params.ray_count // 2)  # ceil(5/2) = 3
     for rep in result.reports:

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from infoevo import cli, demes, evolve
+from infoevo import cli, evolve
 from infoevo.cli import (
     SETTINGS,
     RunConfig,
@@ -16,10 +16,7 @@ from infoevo.cli import (
     geodesic_check,
     main,
 )
-from infoevo.domains import make_problem
 from infoevo.errors import ConfigError
-from infoevo.evolve import EvolutionConfig, info_evo_loop
-from infoevo.geodesic_search import StepParams
 from infoevo.guidance import FilterPolicy
 
 from conftest import count_objective_calls
@@ -286,6 +283,22 @@ def test_compare_csv_row_accounting(tmp_path):
         assert int(r["objective_calls"]) >= int(r["evals_to_target"])
 
 
+def test_compare_median_skips_runs_without_a_best_score(tmp_path):
+    # with no initial population no run evaluates anything, so no run has
+    # a best score; the median row leaves that cell empty
+    out = tmp_path / "out"
+    argv = ["--problem", "onemax", "--bits", "10", "--budget", "50", "--seed", "1"]
+    argv += ["--repeats", "2", "--init-population", "0"]
+    assert run_cli(["compare", "--out", str(out)] + argv) == 0
+    with open(out / "compare.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == 6
+    assert all(r["best_score"] == "" for r in rows)
+    medians = [r for r in rows if r["seed"] == "median"]
+    assert [r["evals_to_target"] for r in medians] == ["50.0", "50.0"]
+    assert [r["objective_calls"] for r in medians] == ["0.0", "0.0"]
+
+
 def test_compare_invalid_repeats_exits_2(tmp_path):
     code = run_cli(
         ["compare", "--repeats", "0", "--out", str(tmp_path)] + FAST_RUN
@@ -385,66 +398,6 @@ def test_deme_run_evals_to_target_in_global_order(monkeypatch):
     assert [row["score"] for row in record["trace"]] == new_scores
     first = next(i for i, score in enumerate(new_scores) if score >= 30.0)
     assert record["evals_to_target"] == first + 1
-
-
-def test_deme_run_hands_the_loop_the_single_run_config(monkeypatch):
-    given = []
-
-    def recording(loop):
-        def wrapper(problem, cfg, **kw):
-            given.append(cfg)
-            return loop(problem, cfg, **kw)
-
-        return wrapper
-
-    monkeypatch.setattr(demes, "info_evo_loop", recording(demes.info_evo_loop))
-    cfg = RunConfig(**{**DEME_RUN, "budget": 200, "seed": None})
-    execute_run(replace(cfg, deme_count=1), "baseline", 3)
-    assert given
-    assert all(c == replace(cfg, deme_count=1, mode="baseline", seed=3) for c in given)
-    given.clear()
-    execute_run(cfg, "baseline", 3)
-    assert len(given) > 1
-    assert all(c == replace(cfg, mode="baseline", seed=3) for c in given)
-
-
-TINY_SPACE = dict(
-    problem="onemax",
-    problem_params={"bits": 3},
-    budget=200,
-    step=StepParams(ray_count=3, grid_resolution=8, refinement_levels=1),
-    evolution=EvolutionConfig(
-        subpop_size=10, generations_per_round=2, elitism=2, init_population=15
-    ),
-    policy=FilterPolicy(k=3),
-)
-
-
-@pytest.mark.parametrize(
-    "settings, target",
-    [
-        pytest.param({**DEME_RUN, "deme_count": 1}, None, id="onemax-30"),
-        # 8 genotypes and an unreachable target: every round redraws the
-        # initial population unless only the run's first call draws it
-        pytest.param(TINY_SPACE, 4.0, id="onemax-3-unreachable"),
-    ],
-)
-@pytest.mark.parametrize("mode", ["info_evo", "baseline"])
-def test_single_run_is_a_one_deme_run(settings, target, mode, monkeypatch):
-    def make(name, **params):
-        problem = make_problem(name, **params)
-        if target is not None:
-            problem.target = target
-        return problem
-
-    monkeypatch.setattr(cli, "make_problem", make)
-    cfg = RunConfig(**{**settings, "mode": mode, "seed": 2})
-    record = execute_run(cfg, mode, 2)
-    state = info_evo_loop(make(cfg.problem, **cfg.problem_params), cfg)
-    assert record["trace"] == state.trace
-    assert record["rounds"] == [r.as_dict() for r in state.reports]
-    assert record["objective_calls"] == state.ledger.objective_calls
-    assert record["stop_reason"] == state.stop_reason
 
 
 def test_deme_run_keeps_the_ray_count(tmp_path):

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -6,7 +8,7 @@ from infoevo.demes import run_demes, spawn_demes
 from infoevo.domains import OneMax
 from infoevo.domains.symreg import behavior_to_distribution, program_fisher_distance
 from infoevo.errors import NonFiniteOutput
-from infoevo.evolve import EvolutionConfig, RunConfig, info_evo_loop
+from infoevo.evolve import EvolutionConfig, RunConfig, run_round
 from infoevo.geodesic_search import StepParams
 from infoevo.guidance import FilterPolicy
 from infoevo.promise import PromiseWeights
@@ -44,17 +46,23 @@ def small_config(**kw):
 
 def test_spawn_demes_count_and_subsets():
     problem = OneMax(bits=8)
-    states = spawn_demes(problem, 4, np.random.default_rng(1), 200)
+    cfg = deme_config(200, deme_count=4)
+    states = spawn_demes(problem, cfg, np.random.default_rng(1))
     assert len(states) == 4
     for i, st in enumerate(states):
         assert st.deme_id == i
         assert st.problem is problem
         assert st.ledger.budget == 50
         assert not st.stop and st.round_index == 0 and st.reports == []
+        # each deme starts at the run's schedule
+        assert st.gamma == cfg.step.gamma
+        assert st.threshold_quantile == cfg.policy.threshold_quantile
 
 
 def test_spawn_demes_split_the_whole_budget():
-    states = spawn_demes(OneMax(bits=8), 7, np.random.default_rng(1), 1500)
+    states = spawn_demes(
+        OneMax(bits=8), deme_config(1500, deme_count=7), np.random.default_rng(1)
+    )
     budgets = [st.ledger.budget for st in states]
     assert sum(budgets) == 1500
     assert max(budgets) - min(budgets) <= 1
@@ -62,8 +70,8 @@ def test_spawn_demes_split_the_whole_budget():
 
 def test_spawn_demes_deterministic():
     problem = OneMax(bits=8)
-    a = spawn_demes(problem, 3, np.random.default_rng(7), 60)
-    b = spawn_demes(problem, 3, np.random.default_rng(7), 60)
+    a = spawn_demes(problem, deme_config(60, deme_count=3), np.random.default_rng(7))
+    b = spawn_demes(problem, deme_config(60, deme_count=3), np.random.default_rng(7))
     for da, db in zip(a, b):
         assert da.ledger.budget == db.ledger.budget
         assert np.array_equal(da.rng.integers(2**63, size=4), db.rng.integers(2**63, size=4))
@@ -71,7 +79,7 @@ def test_spawn_demes_deterministic():
     assert len(set(streams)) == 3  # each deme draws its own stream
     # deme 0 continues the stream it was given, so one deme is a single run
     rng = np.random.default_rng(7)
-    (only,) = spawn_demes(problem, 1, rng, 60)
+    (only,) = spawn_demes(problem, deme_config(60), rng)
     assert only.rng is rng
     assert np.array_equal(
         only.rng.integers(2**63, size=4),
@@ -80,10 +88,14 @@ def test_spawn_demes_deterministic():
 
 
 def test_spawn_demes_validation():
-    with pytest.raises(ValueError):
-        spawn_demes(OneMax(bits=8), 0, np.random.default_rng(0), 10)
-    with pytest.raises(ValueError):
-        spawn_demes(OneMax(bits=8), 1, np.random.default_rng(0), 0)
+    for cfg in (
+        deme_config(10, deme_count=0),
+        deme_config(0),
+        deme_config(10, mode="turbo"),
+        deme_config(10, mode="paired"),  # two runs, which the CLI makes
+    ):
+        with pytest.raises(ValueError):
+            spawn_demes(OneMax(bits=8), cfg, np.random.default_rng(0))
 
 
 # --- rounds ---
@@ -93,8 +105,8 @@ def test_run_deme_round_budget_and_subdeme_count():
     problem = OneMax(bits=16)
     problem.target = 17.0  # unreachable: the round runs to plan
     cfg = deme_config(200)
-    (state,) = spawn_demes(problem, 1, np.random.default_rng(3), cfg.budget)
-    info_evo_loop(problem, cfg, state=state, max_rounds=1)
+    (state,) = spawn_demes(problem, cfg, np.random.default_rng(3))
+    run_round(state, cfg)
     assert state.ledger.eval_count <= 200
     assert len(state.reports) == 1
     for report in state.reports:
@@ -106,13 +118,14 @@ def test_run_deme_round_budget_and_subdeme_count():
 def test_run_deme_round_marks_exhausted():
     problem = OneMax(bits=8)  # tiny: target reachable fast
     cfg = deme_config(400)
-    (state,) = spawn_demes(problem, 1, np.random.default_rng(5), cfg.budget)
-    info_evo_loop(problem, cfg, state=state, max_rounds=50)
+    (state,) = spawn_demes(problem, cfg, np.random.default_rng(5))
+    for _ in range(50):
+        run_round(state, cfg)
     assert state.stop
     # a stopped deme runs no further round and draws nothing
     rounds, evals = len(state.reports), state.ledger.eval_count
     draws = state.rng.bit_generator.state
-    info_evo_loop(problem, cfg, state=state)
+    run_round(state, cfg)
     assert len(state.reports) == rounds and state.ledger.eval_count == evals
     assert state.rng.bit_generator.state == draws
 
@@ -147,10 +160,10 @@ def test_run_deme_round_stalled_loop_exhausts_deme():
     problem.target = 13.0
     # no round evaluates
     cfg = deme_config(200, evolution=small_config(generations_per_round=0))
-    (state,) = spawn_demes(problem, 1, np.random.default_rng(1), cfg.budget)
+    (state,) = spawn_demes(problem, cfg, np.random.default_rng(1))
     for _ in range(3):
         assert not state.stop
-        info_evo_loop(problem, cfg, state=state, max_rounds=1)
+        run_round(state, cfg)
     assert state.stop_reason == "stall" and state.round_index == 3
 
 
@@ -165,6 +178,41 @@ def test_run_demes_end_when_no_deme_can_grow_its_ledger():
     assert all(st.ledger.eval_count <= 8 for st in states)
     assert len(trace) == sum(st.ledger.eval_count for st in states)
     assert all(st.reports for st in states)
+
+
+@pytest.mark.parametrize("mode", ["info_evo", "baseline"])
+def test_run_draws_its_initial_population_once(mode):
+    # 8 genotypes and an unreachable target: the first round draws until
+    # its attempts run out, and a round after it that drew the initial
+    # population again would draw as many more
+    problem = OneMax(bits=3)
+    problem.target = 4.0
+    draws = []
+    random_genotype = problem.random_genotype
+    problem.random_genotype = lambda rng: draws.append(1) or random_genotype(rng)
+    cfg = deme_config(200, mode=mode, evolution=small_config(init_population=15))
+    (state,), trace = run_demes(problem, cfg, np.random.default_rng(2))
+    assert len(draws) == 50 * 15
+    assert state.stop_reason == "stall" and len(state.reports) >= 3
+    assert len(trace) == state.ledger.eval_count <= 8
+
+
+def test_run_demes_with_more_demes_than_budget():
+    # demes 3 and 4 have no budget: each stops on its first turn, draws
+    # nothing from its stream and adds no trace row
+    problem = OneMax(bits=12)
+    cfg = deme_config(3, deme_count=5)
+    states, trace = run_demes(problem, cfg, np.random.default_rng(2))
+    fresh = spawn_demes(problem, cfg, np.random.default_rng(2))
+    assert [st.ledger.budget for st in states] == [1, 1, 1, 0, 0]
+    assert [st.stop_reason for st in states] == ["budget"] * 5
+    for st, unrun in zip(states[3:], fresh[3:]):
+        assert st.reports == [] and st.trace == []
+        assert st.rng.bit_generator.state == unrun.rng.bit_generator.state
+    assert sum(st.ledger.eval_count for st in states) == len(trace) == 3
+    cfg = replace(cfg, problem="onemax", problem_params={"bits": 12})
+    record = execute_run(cfg, "info_evo", 2)
+    assert record["eval_count"] == 3 and len(record["trace"]) == 3
 
 
 def test_run_demes_end_when_no_deme_has_an_initial_population():
@@ -182,7 +230,8 @@ def test_aggregate_best_across_demes():
     )
     for st in states:
         assert st.best.score == max(s.score for s in st.ledger.samples)
-    assert spawn_demes(problem, 1, np.random.default_rng(4), 10)[0].best is None
+    (unrun,) = spawn_demes(problem, deme_config(10), np.random.default_rng(4))
+    assert unrun.best is None
     # a run's best is the best of its demes; at this seed deme 1 holds it
     cfg = RunConfig(
         problem="sphere", problem_params={"dim": 5}, budget=120, deme_count=2

@@ -5,13 +5,14 @@ import pytest
 
 from infoevo import guidance
 from infoevo.core import EvaluationLedger, ScoredSample, evaluate, view_of
+from infoevo.demes import run_demes, spawn_demes
 from infoevo.domains import OneMax, Sphere, make_problem
 from infoevo.evolve import (
     EvolutionConfig,
     RunConfig,
     RunState,
     _next_generation,
-    info_evo_loop,
+    run_round,
     run_subpopulation,
     vary,
 )
@@ -19,7 +20,12 @@ from infoevo.geodesic_search import StepParams
 from infoevo.guidance import FilterPolicy
 from infoevo.promise import PromiseWeights
 
-from conftest import ScalarProblem, count_objective_calls
+from conftest import ScalarProblem, count_objective_calls, run_one
+
+# the schedule a run starts from, for bursts run outside a run
+SCHEDULE = dict(
+    gamma=StepParams().gamma, threshold_quantile=FilterPolicy().threshold_quantile
+)
 
 
 def run_config(evolution, seed=0, **kw):
@@ -134,7 +140,7 @@ def test_run_subpopulation_budget_zero(rng):
     for v in (1.0, 2.0, 3.0):
         evaluate(float(v), problem, ledger)
     view = view_of(ledger)
-    state = RunState(ledger=ledger, problem=problem, rng=rng)
+    state = RunState(ledger=ledger, problem=problem, rng=rng, **SCHEDULE)
     config = small_config()
     report = run_subpopulation(view.scores, None, config, state, view, FilterPolicy())
     assert report.candidates_evaluated == 0
@@ -147,7 +153,7 @@ def test_run_subpopulation_unguided_accounting(rng):
     for v in (1.0, 2.0, 3.0, 4.0):
         evaluate(float(v), problem, ledger)
     view = view_of(ledger)
-    state = RunState(ledger=ledger, problem=problem, rng=rng)
+    state = RunState(ledger=ledger, problem=problem, rng=rng, **SCHEDULE)
     config = small_config(generations_per_round=3)
     report = run_subpopulation(view.scores, None, config, state, view, FilterPolicy())
     assert report.generations_run == 3
@@ -162,7 +168,7 @@ def test_run_subpopulation_improves_best(rng):
     parents = [evaluate(problem.random_genotype(rng), problem, ledger) for _ in range(12)]
     before = max(p.score for p in parents)
     view = view_of(ledger)
-    state = RunState(ledger=ledger, problem=problem, rng=rng)
+    state = RunState(ledger=ledger, problem=problem, rng=rng, **SCHEDULE)
     config = small_config(subpop_size=20, generations_per_round=6)
     run_subpopulation(view.scores, None, config, state, view, FilterPolicy())
     after = max(s.score for s in ledger.samples)
@@ -175,7 +181,7 @@ def test_run_subpopulation_improves_best(rng):
 def test_loop_target_reached_during_init():
     problem = ScalarProblem(target=0.0)  # any genotype scores >= 0
     config = small_config(init_population=5)
-    result = info_evo_loop(problem, run_config(config, budget=50))
+    result = run_one(problem, run_config(config, budget=50))
     assert result.success
     assert result.ledger.eval_count == 1  # stops on the first evaluation
     assert result.best is not None
@@ -185,7 +191,7 @@ def test_loop_respects_budget():
     problem = OneMax(bits=40)
     problem.target = 41.0  # unreachable target
     config = small_config(init_population=15)
-    result = info_evo_loop(problem, run_config(config, budget=120))
+    result = run_one(problem, run_config(config, budget=120))
     assert result.ledger.eval_count <= 120
     assert not result.success
 
@@ -195,7 +201,7 @@ def test_loop_reaches_onemax_optimum():
     config = EvolutionConfig(
         subpop_size=20, generations_per_round=4, init_population=40
     )
-    result = info_evo_loop(problem, run_config(config, seed=3, budget=4000))
+    result = run_one(problem, run_config(config, seed=3, budget=4000))
     assert result.success
     assert result.best.score == 20
 
@@ -205,7 +211,7 @@ def test_loop_baseline_mode():
     config = EvolutionConfig(
         subpop_size=20, generations_per_round=4, init_population=40
     )
-    result = info_evo_loop(
+    result = run_one(
         problem, run_config(config, seed=3, budget=4000, mode="baseline")
     )
     assert result.success
@@ -222,7 +228,7 @@ def test_loop_baseline_one_objective_call_per_evaluation():
     config = EvolutionConfig(
         subpop_size=20, generations_per_round=4, init_population=40
     )
-    result = info_evo_loop(
+    result = run_one(
         problem, run_config(config, seed=3, budget=600, mode="baseline")
     )
     assert len(result.reports) > 0
@@ -261,7 +267,7 @@ def test_guided_loop_scores_each_genotype_once(make, budget, stop, monkeypatch):
     calls = count_objective_calls(problem)
     skipped = record_skips(problem, monkeypatch)
     config = EvolutionConfig(subpop_size=20, generations_per_round=4, init_population=40)
-    result = info_evo_loop(problem, run_config(config, seed=3, budget=budget))
+    result = run_one(problem, run_config(config, seed=3, budget=budget))
     ledger = result.ledger
     assert result.stop_reason == stop and result.skipped_total > 0
     never_evaluated = [key for key in skipped if ledger.lookup(key) is None]
@@ -286,7 +292,7 @@ def test_screening_in_blocks_makes_no_speculative_objective_call(
     calls = count_objective_calls(problem)
     skipped = record_skips(problem, monkeypatch)
     cfg = RunConfig(problem=name, problem_params=params, budget=budget, seed=1)
-    result = info_evo_loop(problem, cfg)
+    result = run_one(problem, cfg)
     ledger = result.ledger
     assert result.stop_reason == stop and result.skipped_total > 0
     last = result.reports[-1].subdemes[-1]
@@ -309,12 +315,11 @@ def test_filter_that_skips_a_whole_round_is_loosened_not_stalled():
         step=StepParams(ray_count=1),
     )
     problem = make_problem("trap5", bits=20)
-    state = None
+    (state,) = spawn_demes(problem, cfg, np.random.default_rng(cfg.seed))
     halved = 0
-    while state is None or not state.stop:
-        evals = 0 if state is None else state.ledger.eval_count
-        quantile = None if state is None else state.threshold_quantile
-        state = info_evo_loop(problem, cfg, state=state, max_rounds=1)
+    while not state.stop:
+        evals, quantile = state.ledger.eval_count, state.threshold_quantile
+        run_round(state, cfg)
         round_ = state.reports[-1]
         if state.ledger.eval_count > evals:
             assert state.threshold_quantile == cfg.policy.threshold_quantile
@@ -329,7 +334,7 @@ def test_filter_that_skips_a_whole_round_is_loosened_not_stalled():
 def test_budget_ended_run_counts_every_candidate(mode):
     # the last round's burst ends before a candidate the spent budget
     # cannot take is counted, so every count adds up to the end
-    result = info_evo_loop(
+    result = run_one(
         OneMax(bits=50), RunConfig(budget=500, seed=1, mode=mode)
     )
     assert result.stop_reason == "budget"
@@ -344,28 +349,24 @@ def test_budget_ended_run_counts_every_candidate(mode):
 def test_loop_without_initial_population_stalls():
     problem = OneMax(bits=12)
     cfg = run_config(small_config(init_population=0), budget=100)
-    result = info_evo_loop(problem, cfg)
+    result = run_one(problem, cfg)
     assert result.stop_reason == "stall"
     assert result.reports == [] and result.trace == []
     assert result.best is None and not result.success
 
 
 def test_loop_unknown_mode():
+    cfg = run_config(small_config(), budget=10, mode="turbo")
     with pytest.raises(ValueError):
-        info_evo_loop(OneMax(8), run_config(small_config(), budget=10, mode="turbo"))
-
-
-def test_loop_requires_a_seed():
-    with pytest.raises(ValueError):
-        info_evo_loop(OneMax(8), run_config(small_config(), seed=None))
+        run_demes(OneMax(8), cfg, np.random.default_rng(0))
 
 
 def test_loop_reproducible():
     problem = OneMax(bits=24)
     problem.target = 25.0
     cfg = run_config(small_config(init_population=30), seed=9, budget=300)
-    a = info_evo_loop(problem, cfg)
-    b = info_evo_loop(problem, cfg)
+    a = run_one(problem, cfg)
+    b = run_one(problem, cfg)
     assert a.trace == b.trace
     assert a.best.score == b.best.score
     assert a.skipped_total == b.skipped_total
@@ -375,7 +376,7 @@ def test_loop_trace_contract():
     problem = OneMax(bits=16)
     problem.target = 17.0
     config = small_config(init_population=20)
-    result = info_evo_loop(problem, run_config(config, budget=100))
+    result = run_one(problem, run_config(config, budget=100))
     assert len(result.trace) == result.ledger.eval_count
     orders = [row["eval_order"] for row in result.trace]
     assert orders == list(range(len(orders)))
@@ -390,7 +391,7 @@ def test_loop_round_accounting():
     problem = OneMax(bits=24)
     problem.target = 25.0
     cfg = run_config(small_config(init_population=30), budget=400)
-    result = info_evo_loop(problem, cfg)
+    result = run_one(problem, cfg)
     kept = -(-cfg.step.ray_count // 2)
     total_evals = sum(r.candidates_evaluated for r in result.reports)
     # memoized duplicates count as evaluated candidates but spend no budget
@@ -406,7 +407,7 @@ def test_loop_filter_disabled_evaluates_everything():
     problem.target = 25.0
     config = small_config(init_population=30)
     policy = FilterPolicy(k=3, threshold_quantile=0.0)
-    result = info_evo_loop(problem, run_config(config, budget=400, policy=policy))
+    result = run_one(problem, run_config(config, budget=400, policy=policy))
     assert result.skipped_total == 0
     for report in result.reports:
         assert report.candidates_skipped == 0
@@ -421,7 +422,9 @@ def test_loop_gamma_halves_after_stall():
 
     problem = CappedScalar()
     cfg = run_config(small_config(init_population=20), seed=2, budget=200)
-    result = info_evo_loop(problem, cfg, max_rounds=6)
+    (result,) = spawn_demes(problem, cfg, np.random.default_rng(cfg.seed))
+    for _ in range(6):
+        run_round(result, cfg)
     gammas = [r.gamma_used for r in result.reports]
     assert gammas[0] == cfg.step.gamma
     # the score saturates, so gamma must shrink over non-improving rounds
@@ -433,7 +436,7 @@ def test_loop_continuous_domain_progress():
     config = EvolutionConfig(
         subpop_size=20, generations_per_round=4, init_population=40
     )
-    result = info_evo_loop(problem, run_config(config, seed=1, budget=2500))
+    result = run_one(problem, run_config(config, seed=1, budget=2500))
     assert result.best.score > -0.5  # started from uniform in [-5, 5]^4
 
 
@@ -442,8 +445,8 @@ def test_loop_paired_modes_share_init():
     problem = OneMax(bits=30)
     problem.target = 31.0
     cfg = run_config(small_config(init_population=25), seed=17, budget=60)
-    a = info_evo_loop(problem, cfg)
-    b = info_evo_loop(problem, replace(cfg, mode="baseline"))
+    a = run_one(problem, cfg)
+    b = run_one(problem, replace(cfg, mode="baseline"))
     init_a = [row["score"] for row in a.trace[:25]]
     init_b = [row["score"] for row in b.trace[:25]]
     assert init_a == init_b
