@@ -5,7 +5,9 @@ distribution: geodesic normal coordinates along a promise-ascent
 direction plus random orthonormal directions. Within the chart, shortest
 paths are found with Dijkstra on a lattice built in array blocks and
 tightened by hierarchical midpoint refinement. Every ray starts at the
-chart base, so one search from the base serves all of a chart's rays.
+chart base, so one search from the base serves all of a chart's rays,
+and a chart's rays are then refined together, one row block per
+refinement step.
 The closed-form geometry in :mod:`infoevo.manifold` provides both the
 fast path and the oracle.
 """
@@ -20,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import manifold
-from .errors import GammaExceedsRay, GoalOutsideChart, NoPath
+from .errors import GammaExceedsRay, GoalOutsideChart, NoPath, ZeroTangent
 from .manifold import LogDistribution, TangentVector
 
 logger = logging.getLogger(__name__)
@@ -356,40 +358,65 @@ def _downsample(pts: list, keep: int) -> list:
 
 
 def refine_polyline(
-    polyline: GeodesicPolyline,
+    polylines,
     levels: int,
     relax_passes: int = 3,
     coarse_points: int = 5,
-) -> GeodesicPolyline:
-    """Hierarchical coarse-to-fine tightening of an approximate geodesic.
+) -> list[GeodesicPolyline]:
+    """Hierarchical coarse-to-fine tightening of approximate geodesics.
 
-    The raw lattice path is first thinned to a coarse polyline (dropping
-    points never increases length), then each level inserts geodesic
-    midpoints between consecutive points and relaxes every interior
-    point to the geodesic midpoint of its neighbors, the minimizer of
-    the local two-segment length. Relaxing at coarse resolution first
-    removes the low-frequency bowing a lattice path carries, which
-    plain fine-level relaxation is slow to shed.
+    Each raw lattice path is first thinned to a coarse polyline
+    (dropping points never increases length), then each level inserts
+    geodesic midpoints between consecutive points and relaxes every
+    interior point to the geodesic midpoint of its neighbors, the
+    minimizer of the local two-segment length. Relaxing at coarse
+    resolution first removes the low-frequency bowing a lattice path
+    carries, which plain fine-level relaxation is slow to shed.
+
+    Polylines of the same coarse point count are refined together as
+    one (polylines, points, n) phi block: a relaxation sweep sets
+    interior point i of every polyline in one row operation, after
+    point i - 1 of that polyline, so each polyline has the bits it has
+    when refined alone. A polyline that refinement would lengthen, that
+    has fewer than 2 points, or any polyline when ``levels`` is 0, comes
+    back as the same object; a refined one keeps its endpoint objects.
     """
-    if len(polyline.points) < 2 or levels == 0:
-        return polyline
-    pts = _downsample(list(polyline.points), coarse_points)
-    for _ in range(levels):
-        for _ in range(relax_passes):
-            for i in range(1, len(pts) - 1):
-                pts[i] = manifold.geodesic_midpoint(pts[i - 1], pts[i + 1])
-        subdivided = [pts[0]]
-        for a, b in zip(pts, pts[1:]):
-            subdivided.append(manifold.geodesic_midpoint(a, b))
-            subdivided.append(b)
-        pts = subdivided
-    for _ in range(relax_passes):
-        for i in range(1, len(pts) - 1):
-            pts[i] = manifold.geodesic_midpoint(pts[i - 1], pts[i + 1])
-    refined = GeodesicPolyline.of(pts)
-    if refined.length > polyline.length + 1e-12:
-        return polyline
+    refined = list(polylines)
+    if levels == 0:
+        return refined
+    groups: dict[int, list[int]] = {}  # coarse point count -> polylines
+    coarse = {}
+    for i, poly in enumerate(refined):
+        if len(poly.points) >= 2:
+            coarse[i] = _downsample(list(poly.points), coarse_points)
+            groups.setdefault(len(coarse[i]), []).append(i)
+    for members in groups.values():
+        phi = np.array([[pt.phi for pt in coarse[i]] for i in members])
+        for _ in range(levels):
+            _relax(phi, relax_passes)
+            mids = manifold.geodesic_point_rows(phi[:, :-1], phi[:, 1:], 0.5)
+            subdivided = np.empty((len(members), 2 * phi.shape[1] - 1, phi.shape[2]))
+            subdivided[:, ::2] = phi
+            subdivided[:, 1::2] = mids
+            phi = subdivided
+        _relax(phi, relax_passes)
+        segments = manifold.geodesic_distance_rows(phi[:, :-1], phi[:, 1:])
+        for i, rows, lengths in zip(members, phi, segments):
+            length = sum(lengths.tolist())  # as GeodesicPolyline.of sums
+            if length > refined[i].length + 1e-12:
+                continue
+            first, last = coarse[i][0], coarse[i][-1]
+            interior = (LogDistribution(row) for row in rows[1:-1])
+            refined[i] = GeodesicPolyline((first, *interior, last), length)
     return refined
+
+
+def _relax(phi: np.ndarray, passes: int) -> None:
+    """Gauss-Seidel sweeps over a (polylines, points, n) block in place:
+    each interior point becomes the midpoint of its neighbours."""
+    for _ in range(passes):
+        for i in range(1, phi.shape[1] - 1):
+            phi[:, i] = manifold.geodesic_point_rows(phi[:, i - 1], phi[:, i + 1], 0.5)
 
 
 def sample_exact_ray(
@@ -398,9 +425,21 @@ def sample_exact_ray(
     length: float,
     segments: int = 8,
 ) -> GeodesicPolyline:
-    """Closed-form geodesic polyline of the given arc length."""
+    """Closed-form geodesic polyline of the given arc length: the points
+    exp_map(base, direction, t) at evenly spaced t, in one row block."""
+    if length < 0:
+        raise ValueError("length must be nonnegative")
     ts = np.linspace(0.0, length, segments + 1)
-    points = [base] + [manifold.exp_map(base, direction, t) for t in ts[1:]]
+    points = [base] * len(ts)
+    moving = np.flatnonzero(ts)  # time 0 is the base itself
+    if len(moving):
+        if direction.norm == 0:
+            raise ZeroTangent("cannot advance along a zero tangent vector")
+        rows = manifold.exp_map_rows(
+            base, direction.f[np.newaxis], ts[moving, np.newaxis]
+        )
+        for i, phi in zip(moving, rows):
+            points[i] = LogDistribution(phi)
     return GeodesicPolyline.of(points)
 
 
@@ -429,9 +468,10 @@ def geodesic_rays(
     """Rays from the chart base covering the promise-ascent cone.
 
     In exact mode the polylines come from the closed-form flow; otherwise
-    each ray is a refined Dijkstra path to a boundary goal, and one
-    search from the chart base finds every ray's path. By default the
-    closed form is used above EXACT_RAYS_THRESHOLD samples.
+    each ray is a refined Dijkstra path to a boundary goal: one search
+    from the chart base finds every ray's path, and one refinement call
+    tightens them all. By default the closed form is used above
+    EXACT_RAYS_THRESHOLD samples.
     """
     if exact is None:
         exact = chart.base.n > EXACT_RAYS_THRESHOLD
@@ -447,7 +487,7 @@ def geodesic_rays(
             [length * cdir for cdir in cdirs],
             params.grid_resolution,
         )
-        polys = [refine_polyline(raw, params.refinement_levels) for raw in raws]
+        polys = refine_polyline(raws, params.refinement_levels)
     return [
         GeodesicRay(origin=chart.base, initial_direction=u, polyline=poly)
         for u, poly in zip(directions, polys)

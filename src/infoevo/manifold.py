@@ -156,45 +156,66 @@ def exp_map(base: LogDistribution, v: TangentVector, t: float = 1.0) -> LogDistr
     return LogDistribution(exp_map_rows(base, v.f[np.newaxis], t)[0])
 
 
-def exp_map_rows(base: LogDistribution, f, t: float = 1.0) -> np.ndarray:
+def exp_map_rows(base: LogDistribution, f, t=1.0) -> np.ndarray:
     """phi of exp_map(base, TangentVector(row, base), t) for each row of f.
 
-    Each row must be nonzero; its result has the bits of exp_map for
-    that row alone (each row's sphere norm is its own dot product, as
-    np.linalg.norm takes it for one vector).
+    ``t`` is one time or a column of per-row times. Each row must be
+    nonzero; its result has the bits of exp_map for that row alone.
     """
-    speed = np.sqrt(np.sum(f * f * base.p, axis=-1, keepdims=True))
-    q = 2.0 * base.sqrt_p
-    w = base.sqrt_p * f  # pushforward to the sphere chart
-    w_norm = np.sqrt([[row.dot(row)] for row in w])
+    return _exp_rows(base.phi, f, t)[0]
+
+
+def _row_norms(w: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each row (last axis), kept as a column.
+
+    Each norm is that row's own dot product, as np.linalg.norm takes it
+    for one vector, so a row's norm does not depend on its block.
+    """
+    rows = w.reshape(-1, w.shape[-1])
+    return np.sqrt([row.dot(row) for row in rows]).reshape(w.shape[:-1] + (1,))
+
+
+def _nonzero(norms: np.ndarray) -> np.ndarray:
+    """Norms with each zero replaced by 1, to divide a zero row by."""
+    return np.where(norms == 0.0, 1.0, norms)
+
+
+def _exp_rows(phi, f, t):
+    """(phi, speed) of exp_map at base ``phi`` for each row of f at time
+    t; ``phi`` is one base row, or one base per row of f. A zero row
+    comes back at its base, renormalised."""
+    sqrt_p = np.exp(0.5 * phi)
+    speed = np.sqrt(np.sum(f * f * np.exp(phi), axis=-1, keepdims=True))
+    q = 2.0 * sqrt_p
+    w = sqrt_p * f  # pushforward to the sphere chart
     theta = t * speed / 2.0
-    q_new = np.cos(theta) * q + 2.0 * np.sin(theta) * (w / w_norm)
+    q_new = np.cos(theta) * q + 2.0 * np.sin(theta) * (w / _nonzero(_row_norms(w)))
     p_new = np.maximum((q_new / 2.0) ** 2, _EXP_CLIP)
     p_new = p_new / p_new.sum(axis=-1, keepdims=True)
-    return np.log(p_new)
+    return np.log(p_new), speed
 
 
 def log_map(base: LogDistribution, target: LogDistribution) -> TangentVector:
     """Inverse of exp_map: exp_map(base, log_map(base, target), 1) = target."""
     _check_lengths(base.phi, target.phi)
-    d = geodesic_distance_exact(base, target)
-    if d == 0.0:
-        return TangentVector(np.zeros(base.n), base)
-    q1 = 2.0 * base.sqrt_p
-    q2 = 2.0 * target.sqrt_p
-    cos_theta = np.cos(d / 2.0)
-    w = q2 - cos_theta * q1
-    w_norm = float(np.linalg.norm(w))
-    if w_norm == 0.0:
-        return TangentVector(np.zeros(base.n), base)
-    w_sphere = d * (w / w_norm)
-    # pull back: dq_i = sqrt(p_i) f_i
-    f = w_sphere / base.sqrt_p
-    return TangentVector(f, base)
+    f, zero = _log_rows(base.phi[np.newaxis], target.phi[np.newaxis])
+    return TangentVector(np.zeros(base.n) if zero[0, 0] else f[0], base)
 
 
-def geodesic_midpoint(a: LogDistribution, b: LogDistribution) -> LogDistribution:
-    return geodesic_point(a, b, 0.5)
+def _log_rows(phi_a, phi_b):
+    """(f, zero) of log_map for paired rows of two phi blocks: f is the
+    tangent at a toward b, and ``zero`` marks the rows whose distance or
+    sphere direction is zero, where log_map gives the zero tangent."""
+    d = geodesic_distance_rows(phi_a, phi_b)[..., np.newaxis]
+    sqrt_p = np.exp(0.5 * phi_a)
+    w = 2.0 * np.exp(0.5 * phi_b) - np.cos(d / 2.0) * (2.0 * sqrt_p)
+    w_norm = _row_norms(w)
+    zero = (d == 0.0) | (w_norm == 0.0)
+    # pull back, dq_i = sqrt(p_i) f_i, on the other rows only, so that a
+    # zero row divides nothing, as log_map returns before dividing
+    w_sphere = d * (w / _nonzero(w_norm))
+    f = np.divide(w_sphere, sqrt_p, out=np.zeros_like(w_sphere), where=~zero)
+    return f, zero
 
 
 def geodesic_point(a: LogDistribution, b: LogDistribution, frac: float) -> LogDistribution:
@@ -204,7 +225,19 @@ def geodesic_point(a: LogDistribution, b: LogDistribution, frac: float) -> LogDi
         return a
     if frac >= 1:
         return b
-    try:
-        return exp_map(a, log_map(a, b), frac)
-    except ZeroTangent:
-        return a
+    _check_lengths(a.phi, b.phi)
+    phi = geodesic_point_rows(a.phi[np.newaxis], b.phi[np.newaxis], frac)[0]
+    return a if phi.tobytes() == a.phi.tobytes() else LogDistribution(phi)
+
+
+def geodesic_point_rows(phi_a, phi_b, frac: float) -> np.ndarray:
+    """phi of geodesic_point(a, b, frac) between paired rows of two phi
+    blocks, for 0 < frac < 1: exp_map(a, log_map(a, b), frac).
+
+    Each row has the bits of that one pair. A degenerate row, whose
+    distance, sphere direction or speed is zero, is a's row, where
+    log_map gives the zero tangent or exp_map cannot advance.
+    """
+    f, zero = _log_rows(phi_a, phi_b)
+    phi, speed = _exp_rows(phi_a, f, frac)
+    return np.where(zero | (speed == 0.0), phi_a, phi)

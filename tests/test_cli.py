@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from infoevo import cli, evolve
+from infoevo import cli, evolve, geodesic_search
 from infoevo.cli import (
     SETTINGS,
     RunConfig,
@@ -318,6 +318,25 @@ def test_geodesic_check_function_accuracy():
     for exact, refined in results:
         assert 0.2 <= exact <= 0.8
         assert abs(refined - exact) / exact <= 0.02
+
+
+def test_geodesic_check_fails_a_refined_path_too_short(monkeypatch, capsys):
+    # criterion 2 bounds the absolute error: a refined path 10% shorter
+    # than the closed form fails as one 10% longer does
+    refine = geodesic_search.refine_polyline
+
+    def too_short(polylines, levels):
+        return [
+            geodesic_search.GeodesicPolyline(p.points, 0.9 * p.length)
+            for p in refine(polylines, levels)
+        ]
+
+    monkeypatch.setattr(geodesic_search, "refine_polyline", too_short)
+    max_err, _ = geodesic_check(3, trials=2, resolution=16, seed=1, verbose=False)
+    assert max_err > 0.05
+    argv = ["geodesic-check", "--n", "3", "--trials", "2", "--resolution", "16"]
+    assert run_cli(argv + ["--quiet"]) == 1
+    assert "overall max relative error" in capsys.readouterr().out
 
 
 def test_geodesic_check_validation():

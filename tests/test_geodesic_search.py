@@ -104,7 +104,7 @@ def test_dijkstra_matches_exact_distance_n3(rng):
     (poly,) = dijkstra_geodesic(chart, [0.0, 0.0], [coords], 32)
     assert poly.length <= exact * (1 + grid_slack(32))
     assert poly.length >= exact - 1e-9
-    refined = refine_polyline(poly, 3)
+    (refined,) = refine_polyline([poly], 3)
     assert abs(refined.length - exact) / exact < 0.02
 
 
@@ -159,7 +159,7 @@ def test_refine_never_lengthens(rng):
     base = random_distribution(rng, 6)
     chart = build_chart(base, rng.uniform(0, 1, 6), 2, rng, radius=0.7)
     (raw,) = dijkstra_geodesic(chart, [0.0, 0.0], [[0.4, 0.5]], 16)
-    refined = refine_polyline(raw, 3)
+    (refined,) = refine_polyline([raw], 3)
     assert refined.length <= raw.length + 1e-12
 
 
@@ -167,7 +167,7 @@ def test_refine_monotone_across_levels(rng):
     base = random_distribution(rng, 6)
     chart = build_chart(base, rng.uniform(0, 1, 6), 2, rng, radius=0.7)
     (raw,) = dijkstra_geodesic(chart, [0.0, 0.0], [[0.35, 0.55]], 16)
-    lengths = [refine_polyline(raw, lv).length for lv in (0, 1, 2, 3)]
+    lengths = [refine_polyline([raw], lv)[0].length for lv in (0, 1, 2, 3)]
     for a, b in zip(lengths, lengths[1:]):
         assert b <= a + 1e-12
 
@@ -178,7 +178,7 @@ def test_refine_exact_geodesic_is_fixed_point(rng):
     b = random_distribution(rng, 5)
     pts = [manifold.geodesic_point(a, b, t) for t in np.linspace(0, 1, 9)]
     poly = GeodesicPolyline.of(pts)
-    refined = refine_polyline(poly, 2)
+    (refined,) = refine_polyline([poly], 2)
     assert refined.length == pytest.approx(poly.length, abs=1e-10)
     assert poly.length == pytest.approx(
         manifold.geodesic_distance_exact(a, b), abs=1e-9
@@ -189,7 +189,7 @@ def test_refine_preserves_endpoints(rng):
     base = random_distribution(rng, 6)
     chart = build_chart(base, rng.uniform(0, 1, 6), 2, rng, radius=0.6)
     (raw,) = dijkstra_geodesic(chart, [0.0, 0.0], [[0.3, 0.3]], 12)
-    refined = refine_polyline(raw, 3)
+    (refined,) = refine_polyline([raw], 3)
     assert np.array_equal(refined.points[0].phi, raw.points[0].phi)
     assert np.array_equal(refined.points[-1].phi, raw.points[-1].phi)
 
@@ -197,9 +197,9 @@ def test_refine_preserves_endpoints(rng):
 def test_refine_trivial_polylines():
     d = manifold.uniform(4)
     single = GeodesicPolyline((d,), 0.0)
-    assert refine_polyline(single, 3) is single
+    assert refine_polyline([single], 3)[0] is single
     two = GeodesicPolyline.of([d, manifold.from_weights([1, 2, 3, 4])])
-    assert refine_polyline(two, 0) is two
+    assert refine_polyline([two], 0)[0] is two
 
 
 # --- rays ---

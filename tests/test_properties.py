@@ -1,7 +1,8 @@
 """Property tests: neighbor queries, the promise vector, manifold edge
-cases, EDA sampling, the run memo, the lattice search, the genotype
-distance blocks, the metric's blocks, the exact per-candidate
-arithmetic and the block forms of the guidance layer."""
+cases, EDA sampling, the run memo, the lattice search, refinement and
+exact rays in blocks, the genotype distance blocks, the metric's blocks,
+the exact per-candidate arithmetic and the block forms of the guidance
+layer."""
 
 import heapq
 import itertools
@@ -27,14 +28,16 @@ from infoevo.domains import PROBLEMS, OneMax, Sphere, SymbolicRegression, make_p
 from infoevo.domains.bitstrings import BitstringProblem
 from infoevo.domains.realvec import RealVectorProblem
 from infoevo.domains.symreg import OPS, _depth_profile, tree_labels
-from infoevo.errors import GammaExceedsRay
+from infoevo.errors import GammaExceedsRay, ZeroTangent
 from infoevo.evolve import EvolutionConfig, _eda_model, _sample_eda, vary
 from infoevo.geodesic_search import (
     GeodesicPolyline,
     GeodesicRay,
+    _downsample,
     _Lattice,
     build_chart,
     dijkstra_geodesic,
+    refine_polyline,
     sample_exact_ray,
     step_along,
 )
@@ -735,6 +738,190 @@ def test_lattice_paths_equal_the_per_edge_reference(drawn, data):
         assert len(poly.points) == len(ref.points)
         for a, b in zip(poly.points, ref.points):
             assert a.phi.tobytes() == b.phi.tobytes()
+
+
+# --- refinement and exact rays in blocks, against one pair at a time ---
+
+
+def one_pair_log(a, b):
+    """log_map written out for one pair; None where it gives the zero
+    tangent."""
+    d = one_pair_distance(a, b)
+    if d == 0.0:
+        return None
+    w = 2.0 * b.sqrt_p - np.cos(d / 2.0) * (2.0 * a.sqrt_p)
+    w_norm = float(np.linalg.norm(w))
+    if w_norm == 0.0:
+        return None
+    return d * (w / w_norm) / a.sqrt_p
+
+
+def one_pair_point(a, b, frac):
+    """geodesic_point written out for one pair: log_map, then exp_map,
+    and a itself where log_map gives the zero tangent or exp_map cannot
+    advance along it."""
+    f = one_pair_log(a, b)
+    if f is None or float(np.sqrt(float(np.sum(f * f * a.p)))) == 0.0:
+        return a
+    return one_vector_exp_map(a, f, frac)
+
+
+def one_polyline_refinement(poly, levels, relax_passes=3, coarse_points=5):
+    """refine_polyline for one polyline, one midpoint at a time."""
+    if len(poly.points) < 2 or levels == 0:
+        return poly
+    pts = _downsample(list(poly.points), coarse_points)
+
+    def relax():
+        for _ in range(relax_passes):
+            for i in range(1, len(pts) - 1):
+                pts[i] = one_pair_point(pts[i - 1], pts[i + 1], 0.5)
+
+    for _ in range(levels):
+        relax()
+        subdivided = [pts[0]]
+        for a, b in zip(pts, pts[1:]):
+            subdivided += [one_pair_point(a, b, 0.5), b]
+        pts[:] = subdivided
+    relax()
+    length = sum(one_pair_distance(a, b) for a, b in zip(pts, pts[1:]))
+    if length > poly.length + 1e-12:
+        return poly
+    return GeodesicPolyline(tuple(pts), length)
+
+
+@st.composite
+def chart_polylines(draw, chart):
+    """A polyline of chart points: 1, 2, 3-4 or 5 or more of them, some
+    repeating the point before, and a length that is its own or one that
+    any refinement would exceed."""
+    count = draw(st.sampled_from((1, 2, 3, 4, 5, 6, 9, 12)))
+    points = []
+    for _ in range(count):
+        if points and draw(st.integers(0, 3)) == 0:
+            points.append(points[-1])  # coincident consecutive points
+            continue
+        u = draw(st.lists(st.floats(-1.0, 1.0), min_size=chart.dim, max_size=chart.dim))
+        u = np.array(u)
+        points.append(chart.point(u / max(1.0, float(np.linalg.norm(u))) * chart.radius))
+    poly = GeodesicPolyline.of(points)
+    if draw(st.booleans()):
+        return poly
+    return GeodesicPolyline(poly.points, 0.0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(lattice_charts, st.integers(0, 3), st.data())
+def test_block_refinement_equals_one_polyline_at_a_time(drawn, levels, data):
+    dim, extra, resolution, radius, seed = drawn
+    chart = lattice_chart(dim, extra, radius, seed)
+    polys = data.draw(st.lists(chart_polylines(chart), min_size=1, max_size=5))
+    goals = data.draw(
+        st.lists(chart_point(dim, radius, radius / resolution, np.zeros(dim)), max_size=3)
+    )
+    polys += dijkstra_geodesic(chart, np.zeros(dim), goals, resolution)
+    refined = refine_polyline(polys, levels)
+    assert len(refined) == len(polys)
+    for poly, got in zip(polys, refined):
+        ref = one_polyline_refinement(poly, levels)
+        if ref is poly:
+            assert got is poly
+            continue
+        assert got.points[0] is poly.points[0]
+        assert got.points[-1] is poly.points[-1]
+        assert got.length == ref.length
+        assert len(got.points) == len(ref.points)
+        for a, b in zip(got.points, ref.points):
+            assert a.phi.tobytes() == b.phi.tobytes()
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(2, 70),
+    st.integers(1, 6),  # rows in the block
+    st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+    st.integers(0, 2**32 - 1),
+    st.data(),
+)
+def test_row_midpoints_equal_the_one_pair_form(n, rows, frac, seed, data):
+    rng = np.random.default_rng(seed)
+    pairs = []
+    for _ in range(rows):
+        a = manifold.from_weights(rng.uniform(0.0, 1.0, size=n))
+        kind = data.draw(st.sampled_from(("apart", "near", "same")))
+        if kind == "same":
+            b = a
+        else:
+            b = manifold.from_weights(rng.uniform(0.0, 1.0, size=n))
+            if kind == "near":
+                b = one_vector_exp_map(a, one_pair_log(a, b), 1e-6)
+        pairs.append((a, b))
+    block = manifold.geodesic_point_rows(
+        np.array([a.phi for a, _ in pairs]), np.array([b.phi for _, b in pairs]), frac
+    )
+    for (a, b), row in zip(pairs, block):
+        assert row.tobytes() == one_pair_point(a, b, frac).phi.tobytes()
+
+
+# one pair for each way the one-pair form gives up: the distance rounds
+# to 0; the distance does not, but the sphere direction is 0; and the
+# tangent is not 0 but its speed is, each of its nonzero coordinates at
+# a mass that underflows
+DEGENERATE_PAIRS = {
+    "distance": (manifold.from_weights([0.0, 1e-5]).phi,) * 2,
+    "direction": ([0.0, -800.0], [-(2.0**-50), -800.0]),
+    "speed": ([0.0, -745.2, -745.2, -745.2], [-(2.0**-52), -744.0, -744.0, -744.0]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(DEGENERATE_PAIRS))
+def test_degenerate_row_midpoint_is_a(case):
+    phi_a, phi_b = (np.array(phi, dtype=float) for phi in DEGENERATE_PAIRS[case])
+    a, b = LogDistribution(phi_a), LogDistribution(phi_b)
+    assert (one_pair_distance(a, b) == 0.0) == (case == "distance")
+    assert (one_pair_log(a, b) is None) == (case != "speed")
+    if case == "speed":
+        with pytest.raises(ZeroTangent):
+            manifold.exp_map(a, manifold.log_map(a, b), 0.5)
+    assert one_pair_point(a, b, 0.5) is a
+    assert manifold.geodesic_point(a, b, 0.5) is a
+    # beside a row that moves, in one block
+    other = manifold.from_weights(np.arange(1.0, a.n + 1.0))
+    block = manifold.geodesic_point_rows(
+        np.array([a.phi, other.phi]), np.array([b.phi, a.phi]), 0.5
+    )
+    assert block[0].tobytes() == a.phi.tobytes()
+    assert block[1].tobytes() == one_pair_point(other, a, 0.5).phi.tobytes()
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(2, 70),
+    st.one_of(st.just(0.0), st.floats(0.0, 3.0)),
+    st.integers(1, 10),
+    st.integers(0, 2**32 - 1),
+)
+def test_exact_ray_points_equal_one_exp_map_each(n, length, segments, seed):
+    rng = np.random.default_rng(seed)
+    base = manifold.from_weights(rng.uniform(0.0, 1.0, size=n))
+    direction = manifold.project_tangent(base, rng.standard_normal(n))
+    assume(direction.norm > 0)
+    poly = sample_exact_ray(base, direction, length, segments)
+    ts = np.linspace(0.0, length, segments + 1)
+    expected = [manifold.exp_map(base, direction, t) for t in ts]
+    assert poly.points[0] is base
+    assert len(poly.points) == len(expected)
+    for got, ref in zip(poly.points, expected):
+        if ref is base:
+            assert got is base
+        assert got.phi.tobytes() == ref.phi.tobytes()
+    assert poly.length == GeodesicPolyline.of(expected).length
+    zero = manifold.TangentVector(np.zeros(n), base)
+    if length > 0:
+        with pytest.raises(ZeroTangent):
+            sample_exact_ray(base, zero, length, segments)
+    else:
+        assert all(pt is base for pt in sample_exact_ray(base, zero, 0.0).points)
 
 
 # --- genotype distance blocks ---

@@ -17,9 +17,11 @@ the same order at the same cost.
 The runs are the benchmark's seeds (guided and baseline OneMax-50,
 guided symreg on the cubic dataset at cap 64), guided sphere-10 and
 trap5-30, guided OneMax-50 and symreg with one setting changed, guided
-symreg on a 3-d chart, guided symreg with depth-1 programs, whose view
-holds six samples, and guided trap5-20 with one ray per round, which
-has rounds whose filter skips every new candidate.
+symreg on a 3-d chart and on a 1-d chart, whose cone rays coincide with
++-e1 and are refined as a block of duplicate rays, guided symreg with
+depth-1 programs, whose view holds six samples, and guided trap5-20 with
+one ray per round, which has rounds whose filter skips every new
+candidate.
 The cubic dataset is written with ``perfbench/make_dataset.py`` to a
 temporary directory.
 """
@@ -44,6 +46,7 @@ def runs(dataset: str):
     genotypic = ["--lambda", "1"]
     phenotypic = ["--lambda", "0"]
     chart3 = ["--chart-dim", "3", "--resolution", "8"]
+    chart1 = ["--chart-dim", "1"]
     tiny = symreg[:4] + ["--max-depth", "1", "--budget", "100"]  # a 6-sample view
     one_ray = ["--problem", "trap5", "--bits", "20", "--ray-count", "1", "--budget", "3000"]
     return (
@@ -61,6 +64,7 @@ def runs(dataset: str):
         ("onemax50-demes2-s1", onemax + ["--deme-count", "2", "--seed", "1"]),
         ("symreg-cubic-cap64-genotypic-s3", symreg + genotypic + ["--seed", "3"]),
         ("symreg-cubic-cap64-chartdim3-res8-s6", symreg + chart3 + ["--seed", "6"]),
+        ("symreg-cubic-cap64-chartdim1-s3", symreg + chart1 + ["--seed", "3"]),
         ("symreg-maxdepth1-b100-s1", tiny + ["--seed", "1"]),
         ("trap5-20-rays1-b3000-s1", one_ray + ["--seed", "1"]),
     )
