@@ -23,6 +23,9 @@ from .domains.base import Problem
 from .errors import BudgetExhausted, EmptyLedger
 
 PAIR_SAMPLE_LIMIT = 1000  # pairs sampled when scaling the blended metric
+# blocks of fewer entries take the sliced full sort, which costs less
+# there than the selection's fixed overhead
+TOP_K_SELECT_MIN = 3072
 
 
 @dataclass(frozen=True)
@@ -198,6 +201,36 @@ def normalize_scores(scores, population) -> np.ndarray:
     return np.clip((scores - lo) / (hi - lo), 0.0, 1.0)
 
 
+def stable_top_k(rows: np.ndarray, k: int) -> np.ndarray:
+    """The first k columns of ``np.argsort(rows, axis=-1, kind="stable")``,
+    bit for bit: each row's k nearest positions, ties toward the earlier.
+
+    A block of at least TOP_K_SELECT_MIN entries selects rather than
+    sorts: each row's k-th smallest value by partition, then a stable
+    sort of only the columns at or below it, taken in column order, so
+    every tie at the boundary is kept and ordered as the full sort orders
+    it. A smaller or empty block, a block with a NaN, or k >= n takes
+    the full stable sort.
+    """
+    n = rows.shape[-1]
+    small = not len(rows) or rows.size < TOP_K_SELECT_MIN
+    if k >= n or small or np.isnan(rows).any():
+        return np.ascontiguousarray(np.argsort(rows, axis=-1, kind="stable")[..., :k])
+    m = len(rows)
+    kth = np.partition(rows, k - 1, axis=1)[:, k - 1]
+    r, c = np.nonzero(rows <= kth[:, None])  # row-major: columns in order
+    counts = np.bincount(r, minlength=m)
+    pos = np.arange(len(r)) - np.repeat(np.cumsum(counts) - counts, counts)
+    cols = np.zeros((m, counts.max()), dtype=np.intp)
+    # padding sorts after the kept values: a row with fewer than the
+    # widest row's count has a finite k-th value
+    vals = np.full(cols.shape, np.inf)
+    cols[r, pos] = c
+    vals[r, pos] = rows[r, c]
+    pick = np.argsort(vals, axis=1, kind="stable")[:, :k]
+    return np.take_along_axis(cols, pick, axis=1)
+
+
 class ResolvedMetric:
     """The filter's distance, bound to a problem and a population view.
 
@@ -205,12 +238,15 @@ class ResolvedMetric:
     distance, weight ``1 - lam``; ``lam = 1`` is the genotypic metric and
     ``lam = 0`` the phenotypic one, exactly, and each reads only its own
     distance. The view it was built from is ``view``; every neighbor
-    query answers in positions of that view. Stacks the view's genotypes
-    and computes its distance table once, at construction, as one n-by-n
-    block: one genotypic block from a single ``geno_distances`` call, one
-    behavior block, their blend, and one stable argsort of every row, so
-    no distance is computed or sorted twice. ``view_rows`` and
-    ``view_orders`` are those blocks, row i being view sample i's, and
+    query answers in positions of that view. Each row's order keeps only
+    its ``width`` nearest view positions, ``min(k, n)`` (every position
+    when ``k`` is None): the most neighbors any query of the run reads.
+    Stacks the view's genotypes and computes its distance table once, at
+    construction, as one n-by-n block: one genotypic block from a single
+    ``geno_distances`` call, one behavior block, their blend, and each
+    row's k nearest in one ``stable_top_k`` call, so no distance is
+    computed or ordered twice. ``view_rows`` (n by n) and ``view_orders``
+    (n by width) are those blocks, row i being view sample i's, and
     each sample's row and order are read-only views of them. Behavior
     vectors come from ``memo``, the run's ledger, and new ones are added
     to it, so none is computed twice in a run; without a memo the metric
@@ -230,10 +266,14 @@ class ResolvedMetric:
         view,
         lam: float,
         memo: EvaluationLedger | None = None,
+        k: int | None = None,
     ):
+        if k is not None and k < 1:
+            raise ValueError("k must be positive")
         self.problem = problem
         self.lam = lam
         self.view = view
+        self.width = len(view) if k is None else min(k, len(view))
         self._memo = EvaluationLedger(0) if memo is None else memo
         genos = [s.genotype for s in view.samples]
         keys = [problem.canonical_key(g) for g in genos]
@@ -256,7 +296,7 @@ class ResolvedMetric:
         if self._kind == "blended":
             self._geno_scale, self._pheno_scale = self._median_scales(dg, dp)
         rows = self._blend(dg, dp)
-        orders = np.argsort(rows, axis=-1, kind="stable")
+        orders = stable_top_k(rows, self.width)
         # shared by every query of a view sample
         rows.flags.writeable = orders.flags.writeable = False
         self.view_rows, self.view_orders = rows, orders
@@ -330,7 +370,7 @@ class ResolvedMetric:
         """The rows and orders, in one block, of the genotypes that
         ``fresh`` maps their canonical keys to, none of which has a row:
         their behaviors through the memo, in order, one m-by-n behavior
-        block, their genotypic rows, one blend and one stable argsort."""
+        block, their genotypic rows, one blend and one ``stable_top_k``."""
         dg = dp = None
         if self._behaviors is not None:
             bx = np.array(
@@ -342,16 +382,16 @@ class ResolvedMetric:
             self._add_pending({k: g for k, g in fresh.items() if k not in self._pending})
             dg = np.array([self._pending.pop(key) for key in fresh])
         rows = self._blend(dg, dp)
-        orders = np.argsort(rows, axis=-1, kind="stable")
+        orders = stable_top_k(rows, self.width)
         # shared by every query of these genotypes
         rows.flags.writeable = orders.flags.writeable = False
         self._rows.update(zip(fresh, zip(rows, orders)))
 
     def rows_of(self, genotypes) -> tuple[np.ndarray, np.ndarray]:
         """The rows and orders of ``genotypes`` (a nonempty list), stacked
-        m by n: each genotype's distances to the view and the view
-        positions by ascending distance, as ``neighbors`` gives them. The
-        rows not built yet are built in one block."""
+        m by n and m by width: each genotype's distances to the view and
+        its nearest view positions by ascending distance, as ``neighbors``
+        gives them. The rows not built yet are built in one block."""
         keys = [self.problem.canonical_key(g) for g in genotypes]
         fresh = {}
         for key, g in zip(keys, genotypes):
@@ -364,7 +404,8 @@ class ResolvedMetric:
 
     def neighbors(self, x) -> tuple[np.ndarray, np.ndarray]:
         """Distances from genotype x to every sample in the view, and the
-        view positions by ascending distance, ties toward the earlier."""
+        positions of its ``width`` nearest by ascending distance, ties
+        toward the earlier."""
         key = self.problem.canonical_key(x)
         if key not in self._rows:
             self._add_rows({key: x})
@@ -376,12 +417,17 @@ def knn(x, rm: ResolvedMetric, k: int) -> tuple[np.ndarray, np.ndarray]:
 
     Returns their view positions and their distances. Ties break toward
     the earlier position, which is the smaller id in a view from
-    ``view_of``.
+    ``view_of``. Raises ValueError when rm's orders hold fewer than
+    min(k, n) positions.
     """
     if len(rm.view) == 0:
         raise EmptyLedger("knn on empty ledger")
     if k < 1:
         raise ValueError("k must be positive")
+    if min(k, len(rm.view)) > rm.width:
+        raise ValueError(
+            f"knn asks for {k} neighbors, but the metric's orders hold {rm.width}"
+        )
     dists, order = rm.neighbors(x)
     idx = order[:k]
     return idx, dists[idx]

@@ -9,7 +9,7 @@ from .base import Problem
 
 
 def score_onemax(bits: np.ndarray) -> float:
-    return float(np.sum(bits))
+    return float(bits.sum())
 
 
 def score_trap(bits: np.ndarray, block: int = 5) -> float:
@@ -17,11 +17,9 @@ def score_trap(bits: np.ndarray, block: int = 5) -> float:
     block-1 minus the ones count (deceptive gradient toward all zeros)."""
     if len(bits) % block != 0:
         raise BadLength(f"bit length {len(bits)} not divisible by block {block}")
-    total = 0.0
-    for start in range(0, len(bits), block):
-        ones = int(np.sum(bits[start : start + block]))
-        total += block if ones == block else (block - 1) - ones
-    return total
+    # integer sums, exact, so the same double as a running float total
+    ones = bits.reshape(-1, block).sum(axis=1).tolist()
+    return float(sum(block if o == block else (block - 1) - o for o in ones))
 
 
 class BitstringProblem(Problem):
@@ -38,16 +36,14 @@ class BitstringProblem(Problem):
 
     def mutate(self, genotype, rate, rng):
         flips = rng.random(self.dimension) < rate
-        out = np.asarray(genotype, dtype=np.uint8).copy()
-        out[flips] ^= 1
-        return out
+        return np.asarray(genotype, dtype=np.uint8) ^ flips
 
     def crossover(self, a, b, rng):
         mask = rng.random(self.dimension) < 0.5
-        return np.where(mask, a, b).astype(np.uint8)
+        return np.where(mask, a, b).astype(np.uint8, copy=False)
 
     def loci(self, genotype):
-        return [int(v) for v in genotype]
+        return np.asarray(genotype, dtype=np.uint8).tolist()
 
     def from_loci(self, values, rng):
         return np.asarray(values, dtype=np.uint8)

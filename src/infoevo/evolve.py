@@ -242,7 +242,7 @@ def _sample_eda(model, problem, rng):
 
 def _tournament(parents, fitness, size, rng):
     idx = rng.integers(0, len(parents), size=size)
-    best = max(idx, key=lambda i: (fitness[i], -i))
+    best = max(idx.tolist(), key=lambda i: (fitness[i], -i))
     return parents[best]
 
 
@@ -256,7 +256,7 @@ def vary(parents, fitness, config: EvolutionConfig, problem, rng) -> list:
     """
     if not parents:
         raise ValueError("parents must be nonempty")
-    fitness = list(fitness)
+    fitness = [float(f) for f in fitness]
     count = config.subpop_size - config.elitism
     model = None
     if config.eda_fraction > 0 and len(parents) >= EDA_MIN_PARENT_POOL:
@@ -469,7 +469,10 @@ def run_round(state: RunState, cfg: RunConfig) -> None:
             frag = run_subpopulation(view.scores, None, config, state, view, policy)
             report.subdemes.append(frag)
         else:
-            rm = ResolvedMetric(problem, view, policy.lam, ledger)
+            # the most neighbors the round reads: the filter's and omega's
+            # k, and the promise's k_local nearest besides each sample
+            k = max(policy.k, cfg.weights.k_local + 1)
+            rm = ResolvedMetric(problem, view, policy.lam, ledger, k)
             pv = promise_vector(cfg.weights, rm)
             base = manifold.from_weights(pv)
             d = min(step_params.chart_dim, len(view) - 1)

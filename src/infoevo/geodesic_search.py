@@ -340,13 +340,29 @@ def dijkstra_geodesic(
         while path[-1] != start:
             path.append(prev[path[-1]])
         points = [node_point(node) for node in reversed(path)]
-        # drop coincident consecutive points (start/goal may sit on a node)
-        deduped = [points[0]]
-        for pt in points[1:]:
-            if manifold.geodesic_distance_exact(deduped[-1], pt) > 1e-14:
-                deduped.append(pt)
-        paths[sink - start - 1] = GeodesicPolyline.of(deduped)
+        paths[sink - start - 1] = _deduped_polyline(points)
     return paths
+
+
+def _deduped_polyline(points: list) -> GeodesicPolyline:
+    """``GeodesicPolyline.of`` the points, less each point that coincides
+    with the last one kept (a start or goal may sit on a lattice node).
+
+    Consecutive distances are computed in one row block; a point after a
+    dropped one is compared with the last kept point instead, on its
+    own. The length is the left-to-right sum ``of`` takes.
+    """
+    phi = np.array([pt.phi for pt in points])
+    steps = manifold.geodesic_distance_rows(phi[:-1], phi[1:]).tolist()
+    kept, segments = [0], []
+    for i in range(1, len(points)):
+        d = steps[i - 1]
+        if kept[-1] != i - 1:
+            d = manifold.geodesic_distance_exact(points[kept[-1]], points[i])
+        if d > 1e-14:
+            kept.append(i)
+            segments.append(d)
+    return GeodesicPolyline(tuple(points[i] for i in kept), sum(segments))
 
 
 def _downsample(pts: list, keep: int) -> list:

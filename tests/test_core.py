@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from infoevo import core
 from infoevo.core import (
     EvaluationLedger,
     PopulationView,
@@ -182,8 +183,8 @@ def test_resolved_metric_rows_match_direct_distances(rng):
     for _ in range(12):
         evaluate(problem.random_genotype(rng), problem, ledger)
     view = view_of(ledger)
-    geno = ResolvedMetric(problem, view, 1.0)
-    pheno = ResolvedMetric(problem, view, 0.0)
+    geno = ResolvedMetric(problem, view, 1.0, k=len(view))
+    pheno = ResolvedMetric(problem, view, 0.0, k=len(view))
     genos = [s.genotype for s in view.samples]
     behaviors = np.array([problem.behavior(g) for g in genos], dtype=float)
     stacked = problem.stack(genos)
@@ -195,6 +196,50 @@ def test_resolved_metric_rows_match_direct_distances(rng):
             assert np.array_equal(dists, row)
             assert np.array_equal(order, np.argsort(row, kind="stable"))
             assert not dists.flags.writeable and not order.flags.writeable
+
+
+def test_knn_refuses_more_neighbors_than_the_orders_hold():
+    problem, ledger = make_scalar_ledger([float(v) for v in range(8)])
+    view = view_of(ledger)
+    rm = ResolvedMetric(problem, view, 1.0, k=3)
+    assert rm.width == 3 and rm.view_orders.shape == (8, 3)
+    assert len(knn(2.5, rm, 3)[0]) == 3
+    for k in (4, 8, 20):  # 20 asks for all 8 samples
+        with pytest.raises(ValueError, match=f"{k} neighbors.* hold 3"):
+            knn(2.5, rm, k)
+    # orders as wide as the view answer any k
+    full = ResolvedMetric(problem, view, 1.0, k=20)
+    assert full.width == 8
+    assert len(knn(2.5, full, 20)[0]) == 8
+    with pytest.raises(ValueError):
+        ResolvedMetric(problem, view, 1.0, k=0)
+
+
+def test_resolved_metric_orders_are_the_same_by_selection_and_by_sort(rng, monkeypatch):
+    # 64 samples of OneMax-12 tie often; a 64-by-64 block is past
+    # TOP_K_SELECT_MIN, and a one-row chunk below it
+    problem = OneMax(bits=12)
+    ledger = EvaluationLedger(budget=64)
+    while ledger.eval_count < 64:
+        evaluate(problem.random_genotype(rng), problem, ledger)
+    view = view_of(ledger)
+    offspring = [problem.random_genotype(rng) for _ in range(60)]
+    assert 64 * 64 >= core.TOP_K_SELECT_MIN > 64
+    got = {}
+    for select_min in (core.TOP_K_SELECT_MIN, np.inf):
+        monkeypatch.setattr(core, "TOP_K_SELECT_MIN", select_min)
+        for lam in (0.0, 0.5, 1.0):
+            rm = ResolvedMetric(problem, view, lam, ledger, k=7)
+            rows, orders = rm.rows_of(offspring)  # one 60-row block
+            _, single = rm.neighbors(problem.random_genotype(np.random.default_rng(5)))
+            got[select_min, lam] = (rm.view_orders, orders, single)
+            for block, order in ((rm.view_rows, rm.view_orders), (rows, orders)):
+                expected = np.argsort(block, axis=-1, kind="stable")[:, :7]
+                assert order.tobytes() == expected.tobytes()
+    for lam in (0.0, 0.5, 1.0):
+        selected, sorted_ = got[core.TOP_K_SELECT_MIN, lam], got[np.inf, lam]
+        for a, b in zip(selected, sorted_):
+            assert a.tobytes() == b.tobytes()
 
 
 def test_resolved_metric_computes_one_distance_block_per_batch(rng):

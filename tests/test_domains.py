@@ -52,6 +52,31 @@ def test_score_trap_examples():
     assert score_trap(two_blocks) == 9.0
 
 
+def running_total_trap(bits, block=5) -> float:
+    """The trap score as a running float total, one block at a time."""
+    total = 0.0
+    for start in range(0, len(bits), block):
+        ones = int(np.sum(bits[start : start + block]))
+        total += block if ones == block else (block - 1) - ones
+    return total
+
+
+@pytest.mark.parametrize("fill", ["random", "zeros", "ones"])
+@pytest.mark.parametrize("blocks", [1, 2, 6, 40])
+def test_bitstring_scores_are_the_numpy_reduction_doubles(fill, blocks, rng):
+    for block in (3, 5):
+        for _ in range(20 if fill == "random" else 1):
+            if fill == "random":
+                bits = rng.integers(0, 2, size=block * blocks, dtype=np.uint8)
+            else:
+                bits = np.full(block * blocks, fill == "ones", dtype=np.uint8)
+            onemax, trap = score_onemax(bits), score_trap(bits, block)
+            assert type(onemax) is float and type(trap) is float
+            assert np.float64(onemax).tobytes() == np.float64(np.sum(bits)).tobytes()
+            expected = np.float64(running_total_trap(bits, block))
+            assert np.float64(trap).tobytes() == expected.tobytes()
+
+
 def test_score_trap_bad_length():
     with pytest.raises(BadLength):
         score_trap(np.ones(7, dtype=np.uint8))

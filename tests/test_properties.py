@@ -6,13 +6,14 @@ layer."""
 
 import heapq
 import itertools
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from infoevo import manifold
+from infoevo import core, manifold
 from infoevo.core import (
     PAIR_SAMPLE_LIMIT,
     EvaluationLedger,
@@ -22,17 +23,32 @@ from infoevo.core import (
     evaluate,
     knn,
     normalize_scores,
+    stable_top_k,
     view_of,
 )
-from infoevo.domains import PROBLEMS, OneMax, Sphere, SymbolicRegression, make_problem
+from infoevo.domains import (
+    PROBLEMS,
+    OneMax,
+    Sphere,
+    SymbolicRegression,
+    Trap5,
+    make_problem,
+)
 from infoevo.domains.bitstrings import BitstringProblem
 from infoevo.domains.realvec import RealVectorProblem
 from infoevo.domains.symreg import OPS, _depth_profile, tree_labels
 from infoevo.errors import GammaExceedsRay, ZeroTangent
-from infoevo.evolve import EvolutionConfig, _eda_model, _sample_eda, vary
+from infoevo.evolve import (
+    EDA_MIN_PARENT_POOL,
+    EvolutionConfig,
+    _eda_model,
+    _sample_eda,
+    vary,
+)
 from infoevo.geodesic_search import (
     GeodesicPolyline,
     GeodesicRay,
+    _deduped_polyline,
     _downsample,
     _Lattice,
     build_chart,
@@ -396,6 +412,115 @@ def test_vary_all_eda_matches_choice_per_locus(problem, n_parents, subpop, seed)
         assert np.array_equal(kid, problem.from_loci(values, ref))
     assert rng.bit_generator.state == ref.bit_generator.state
 
+# --- variation's random stream ---
+
+
+class ReferenceBits:
+    """A bitstring problem with its variation written out per offspring:
+    a copy and a fancy-index XOR per mutation, an ``astype`` copy per
+    crossover and one ``int`` per locus."""
+
+    def __init__(self, problem):
+        self.problem = problem
+
+    def __getattr__(self, name):
+        return getattr(self.problem, name)
+
+    def mutate(self, genotype, rate, rng):
+        flips = rng.random(self.problem.dimension) < rate
+        out = np.asarray(genotype, dtype=np.uint8).copy()
+        out[flips] ^= 1
+        return out
+
+    def crossover(self, a, b, rng):
+        mask = rng.random(self.problem.dimension) < 0.5
+        return np.where(mask, a, b).astype(np.uint8)
+
+    def loci(self, genotype):
+        return [int(v) for v in genotype]
+
+
+def reference_tournament(parents, fitness, size, rng):
+    idx = rng.integers(0, len(parents), size=size)
+    best = max(idx, key=lambda i: (fitness[i], -i))
+    return parents[best]
+
+
+def reference_vary(parents, fitness, config, problem, rng):
+    """``vary`` with fitness kept as given and numpy integer tournament
+    indices, one random draw for one draw of ``vary``."""
+    fitness = list(fitness)
+    count = config.subpop_size - config.elitism
+    model = None
+    if config.eda_fraction > 0 and len(parents) >= EDA_MIN_PARENT_POOL:
+        model = _eda_model(parents, fitness, problem, config.subpop_size)
+    offspring = []
+    for _ in range(count):
+        if model is not None and rng.random() < config.eda_fraction:
+            offspring.append(_sample_eda(model, problem, rng))
+            continue
+        a = reference_tournament(parents, fitness, config.tournament_size, rng)
+        child = a.genotype
+        if rng.random() < config.crossover_rate:
+            b = reference_tournament(parents, fitness, config.tournament_size, rng)
+            child = problem.crossover(a.genotype, b.genotype, rng)
+        offspring.append(problem.mutate(child, config.mutation_rate, rng))
+    return offspring
+
+
+def same_offspring(a, b) -> bool:
+    if isinstance(a, np.ndarray):
+        return (
+            isinstance(b, np.ndarray)
+            and a.dtype == b.dtype
+            and a.shape == b.shape
+            and a.tobytes() == b.tobytes()
+        )
+    return type(a) is type(b) and a == b
+
+
+VARY_PROBLEMS = {
+    "onemax": lambda: OneMax(bits=12),
+    "trap5": lambda: Trap5(bits=10),
+    "sphere": lambda: Sphere(dim=4),
+    "symreg": lambda: make_problem("symreg"),
+}
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    st.sampled_from(sorted(VARY_PROBLEMS)),
+    st.integers(1, 8),  # parents: few, so tournaments draw a parent twice
+    st.integers(1, 5),  # tournament size
+    st.integers(1, 3),  # fitness levels: few, so tournaments tie
+    st.sampled_from([0.0, 0.2, 1.0]),  # EDA share
+    st.integers(0, 2**32 - 1),
+)
+def test_vary_keeps_the_random_stream(name, n_parents, size, levels, eda, seed):
+    problem = VARY_PROBLEMS[name]()
+    reference = ReferenceBits(problem) if isinstance(problem, BitstringProblem) else problem
+    init = np.random.default_rng(seed)
+    ledger = EvaluationLedger(budget=n_parents)
+    while ledger.eval_count < n_parents:
+        evaluate(problem.random_genotype(init), problem, ledger)
+    parents = list(ledger.samples)
+    fitness = init.integers(0, levels, size=n_parents).astype(float)  # numpy doubles
+    config = EvolutionConfig(
+        subpop_size=12,
+        elitism=1,
+        eda_fraction=eda,
+        tournament_size=size,
+        mutation_rate=0.2,
+    )
+    rng, ref = np.random.default_rng(seed + 1), np.random.default_rng(seed + 1)
+    for _ in range(3):
+        got = vary(parents, fitness, config, problem, rng)
+        expected = reference_vary(parents, fitness, config, reference, ref)
+        assert len(got) == len(expected)
+        assert all(same_offspring(a, b) for a, b in zip(got, expected))
+        assert rng.bit_generator.state == ref.bit_generator.state
+
+
 # --- the run memo ---
 
 # OneMax keeps the default behavior (its score); symreg, on its built-in
@@ -738,6 +863,47 @@ def test_lattice_paths_equal_the_per_edge_reference(drawn, data):
         assert len(poly.points) == len(ref.points)
         for a, b in zip(poly.points, ref.points):
             assert a.phi.tobytes() == b.phi.tobytes()
+
+
+def one_pair_dedupe(points):
+    """A lattice path's polyline as first assembled: each point compared
+    with the last one kept, one pair at a time, then every kept segment
+    measured again, one pair at a time."""
+    deduped = [points[0]]
+    for pt in points[1:]:
+        if one_pair_distance(deduped[-1], pt) > 1e-14:
+            deduped.append(pt)
+    length = sum(one_pair_distance(a, b) for a, b in zip(deduped, deduped[1:]))
+    return GeodesicPolyline(tuple(deduped), length)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(2, 6),  # distribution size
+    st.lists(st.sampled_from(("new", "same", "nudged")), min_size=1, max_size=10),
+    st.integers(0, 2**32 - 1),
+)
+def test_deduped_polyline_matches_one_pair_dedupe(n, kinds, seed):
+    # "same" repeats the last point; "nudged" moves it by a few ulps, which
+    # can leave it at distance zero from the last point but not from the
+    # next, so a point after a dropped one must be measured again
+    rng = np.random.default_rng(seed)
+    points = [manifold.from_weights(rng.uniform(0.05, 1.0, size=n))]
+    for kind in kinds:
+        phi = points[-1].phi
+        if kind == "new":
+            points.append(manifold.from_weights(rng.uniform(0.05, 1.0, size=n)))
+        elif kind == "same":
+            points.append(LogDistribution(phi))
+        else:
+            nudged = phi.copy()
+            for _ in range(int(rng.integers(1, 4))):
+                nudged = np.nextafter(nudged, rng.choice([-np.inf, np.inf], size=n))
+            points.append(LogDistribution(nudged))
+    got, expected = _deduped_polyline(points), one_pair_dedupe(points)
+    assert np.float64(got.length).tobytes() == np.float64(expected.length).tobytes()
+    assert len(got.points) == len(expected.points)
+    assert all(a is b for a, b in zip(got.points, expected.points))
 
 
 # --- refinement and exact rays in blocks, against one pair at a time ---
@@ -1114,7 +1280,7 @@ def test_metric_blocks_match_rows_built_one_at_a_time(name, lam, n, seed):
     for _ in range(n):
         evaluate(problem.random_genotype(rng), problem, ledger)
     view = view_of(ledger)
-    rm = ResolvedMetric(problem, view, lam, ledger)
+    rm = ResolvedMetric(problem, view, lam, ledger, k=len(view))
     genos = [s.genotype for s in view.samples]
     # offspring: new genotypes, one of them twice, and a view sample
     offspring = [problem.random_genotype(rng) for _ in range(4)]
@@ -1128,6 +1294,49 @@ def test_metric_blocks_match_rows_built_one_at_a_time(name, lam, n, seed):
         assert dists.tobytes() == row.tobytes()
         assert got.tobytes() == order.tobytes()
         assert not dists.flags.writeable and not got.flags.writeable
+
+
+# --- each row's k nearest, by selection and by sort ---
+
+
+@st.composite
+def order_blocks(draw):
+    """A distance block, often tie-heavy: small integers, a blend of two
+    integer tables each divided by a scale, uniform doubles, or mostly
+    +inf; some with +inf, -0.0, 0.0 or NaN entries besides. Up to 60 by 80, so on
+    both sides of TOP_K_SELECT_MIN, and empty in either dimension."""
+    m = draw(st.integers(0, 60), label="rows")
+    n = draw(st.integers(0, 80), label="columns")
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(("integers", "blended", "uniform", "infinite")))
+    if kind == "integers":
+        rows = rng.integers(0, draw(st.integers(1, 12)), size=(m, n)).astype(float)
+    elif kind == "blended":
+        lam = draw(st.floats(0.0, 1.0))
+        dg, dp = rng.integers(0, 20, size=(m, n)), rng.integers(0, 6, size=(m, n))
+        rows = lam * dg / 7.0 + (1 - lam) * dp / 3.0
+    elif kind == "uniform":
+        rows = rng.uniform(0.0, 1.0, size=(m, n))
+    else:  # mostly +inf, so that some rows' k-th value is +inf
+        rows = np.where(rng.random((m, n)) < 0.8, np.inf, rng.integers(0, 3, size=(m, n)))
+    for value in draw(st.lists(st.sampled_from([np.inf, -0.0, 0.0, np.nan]), max_size=4)):
+        if rows.size:
+            rows[rng.integers(m), rng.integers(n)] = value
+    return rows
+
+
+@settings(max_examples=150, deadline=None)
+@given(order_blocks(), st.booleans())
+def test_top_k_orders_are_the_stable_argsort_prefix(rows, select_small):
+    m, n = rows.shape
+    expected = np.argsort(rows, axis=-1, kind="stable")
+    # selecting at every size as well runs the selection on small blocks
+    select_min = 0 if select_small else core.TOP_K_SELECT_MIN
+    with mock.patch.object(core, "TOP_K_SELECT_MIN", select_min):
+        for k in range(1, n + 3):
+            got = stable_top_k(rows, k)
+            assert got.shape == (m, min(k, n)) and got.dtype == expected.dtype
+            assert got.tobytes() == expected[:, :k].tobytes()
 
 
 # --- exact per-candidate arithmetic ---
@@ -1179,8 +1388,8 @@ def test_guidance_blocks_match_the_one_candidate_forms(k, name, lam, n, seed):
     while ledger.eval_count < n:
         evaluate(problem.random_genotype(rng), problem, ledger)
     view = view_of(ledger)
-    block = ResolvedMetric(problem, view, lam, ledger)
-    single = ResolvedMetric(problem, view, lam, ledger)
+    block = ResolvedMetric(problem, view, lam, ledger, k=len(view))
+    single = ResolvedMetric(problem, view, lam, ledger, k=len(view))
     genos = [s.genotype for s in view.samples]
     # candidates: new genotypes, one twice, and view samples, which sit at
     # distance zero from a sample (OneMax-10 ties often besides)

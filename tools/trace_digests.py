@@ -16,12 +16,13 @@ the same order at the same cost.
 
 The runs are the benchmark's seeds (guided and baseline OneMax-50,
 guided symreg on the cubic dataset at cap 64), guided sphere-10 and
-trap5-30, guided OneMax-50 and symreg with one setting changed, guided
-symreg on a 3-d chart and on a 1-d chart, whose cone rays coincide with
-+-e1 and are refined as a block of duplicate rays, guided symreg with
-depth-1 programs, whose view holds six samples, and guided trap5-20 with
-one ray per round, which has rounds whose filter skips every new
-candidate.
+trap5-30, guided OneMax-50 and symreg with one setting changed (among
+them a filter k and a promise k_local, each large enough to set how many
+neighbors the metric's orders keep), guided symreg on a 3-d chart and
+on a 1-d chart, whose cone rays coincide with +-e1 and are refined as a
+block of duplicate rays, guided symreg with depth-1 programs, whose
+view holds six samples, and guided trap5-20 with one ray per round,
+which has rounds whose filter skips every new candidate.
 The cubic dataset is written with ``perfbench/make_dataset.py`` to a
 temporary directory.
 """
@@ -61,6 +62,7 @@ def runs(dataset: str):
         ("onemax50-genotypic-s1", onemax + genotypic + ["--seed", "1"]),
         ("onemax50-phenotypic-s1", onemax + phenotypic + ["--seed", "1"]),
         ("onemax50-filter-k12-s1", onemax + ["--filter-k", "12", "--seed", "1"]),
+        ("onemax50-klocal9-s1", onemax + ["--k-local", "9", "--seed", "1"]),
         ("onemax50-demes2-s1", onemax + ["--deme-count", "2", "--seed", "1"]),
         ("symreg-cubic-cap64-genotypic-s3", symreg + genotypic + ["--seed", "3"]),
         ("symreg-cubic-cap64-chartdim3-res8-s6", symreg + chart3 + ["--seed", "6"]),
