@@ -12,7 +12,7 @@ from .core import (
 from .demes import run_demes
 from .evolve import EvolutionConfig, RunConfig
 from .geodesic_search import StepParams
-from .guidance import FilterPolicy, ModifiedPromise
+from .guidance import FilterPolicy
 from .manifold import LogDistribution, TangentVector
 from .promise import PromiseWeights
 
@@ -31,7 +31,6 @@ __all__ = [
     "run_demes",
     "StepParams",
     "FilterPolicy",
-    "ModifiedPromise",
     "LogDistribution",
     "TangentVector",
     "PromiseWeights",

@@ -341,16 +341,15 @@ def build_run_config(args) -> RunConfig:
     )
 
 
-def _add_common_flags(p: argparse.ArgumentParser):
-    p.add_argument("--config", default=None, help="JSON config file")
-    p.add_argument("--out", default="out", help="output directory")
-
-
 def _dest(flag: str) -> str:
     return flag[2:].replace("-", "_")
 
 
-def _add_setting_flags(p: argparse.ArgumentParser):
+def _add_run_flags(p: argparse.ArgumentParser):
+    """The flags of a command that builds a run: its config file, its
+    output directory and every setting."""
+    p.add_argument("--config", default=None, help="JSON config file")
+    p.add_argument("--out", default="out", help="output directory")
     for flag, section, name, kind in SETTINGS:
         p.add_argument(flag, dest=_dest(flag), metavar=_key(section, name), type=kind)
     for flag, _, _ in REMOVED_SETTINGS:
@@ -361,17 +360,13 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="info-evo")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_run = sub.add_parser("run", help="run one experiment")
-    _add_common_flags(p_run)
-    _add_setting_flags(p_run)
+    _add_run_flags(sub.add_parser("run", help="run one experiment"))
 
     p_cmp = sub.add_parser("compare", help="paired guided vs baseline runs")
-    _add_common_flags(p_cmp)
-    _add_setting_flags(p_cmp)
+    _add_run_flags(p_cmp)
     p_cmp.add_argument("--repeats", type=int, default=3)
 
     p_geo = sub.add_parser("geodesic-check", help="grid vs closed-form geodesics")
-    _add_common_flags(p_geo)
     p_geo.add_argument("--seed", type=int, default=0)
     p_geo.add_argument("--n", type=int, nargs="+", default=[3, 5, 10])
     p_geo.add_argument("--trials", type=int, default=50)
@@ -381,8 +376,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_geo.add_argument("--quiet", action="store_true")
 
-    p_list = sub.add_parser("list-problems", help="show registered problems")
-    _add_common_flags(p_list)
+    sub.add_parser("list-problems", help="show registered problems")
     return parser
 
 

@@ -198,7 +198,9 @@ def normalize_scores(scores, population) -> np.ndarray:
     scores = np.asarray(scores, dtype=float)
     if hi == lo:
         return np.ones_like(scores)
-    return np.clip((scores - lo) / (hi - lo), 0.0, 1.0)
+    # a score far outside a tiny range overflows to +-inf, which clamps
+    with np.errstate(over="ignore"):
+        return np.clip((scores - lo) / (hi - lo), 0.0, 1.0)
 
 
 def stable_top_k(rows: np.ndarray, k: int) -> np.ndarray:

@@ -20,6 +20,7 @@ class Problem(ABC):
     name: str = "problem"
     dimension: int = 0
     target: float | None = None
+    alphabet: tuple = ()  # every value a locus can take; () without loci
 
     @abstractmethod
     def score(self, genotype) -> float: ...
@@ -40,18 +41,13 @@ class Problem(ABC):
         """Discrete locus values for EDA marginals; None if unsupported.
 
         A domain that returns a list here gives every genotype the same
-        number of loci, each value drawn from ``locus_alphabet`` of its
-        locus, and defines ``from_loci`` and ``locus_alphabet`` too.
+        number of loci, each value drawn from ``alphabet``, which it
+        sets, and defines ``from_loci`` too.
         """
         return None
 
     def from_loci(self, values, rng: np.random.Generator):
         """A genotype whose loci are ``values`` (one per locus, an array)."""
-        raise NotImplementedError
-
-    def locus_alphabet(self, locus: int):
-        """Every value a locus can take, as a tuple; all loci's tuples
-        have one length."""
         raise NotImplementedError
 
     def behavior(self, genotype) -> np.ndarray:

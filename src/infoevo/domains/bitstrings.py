@@ -23,6 +23,8 @@ def score_trap(bits: np.ndarray, block: int = 5) -> float:
 
 
 class BitstringProblem(Problem):
+    alphabet = (0, 1)
+
     def __init__(self, bits: int):
         if bits < 1:
             raise BadLength("bit length must be positive")
@@ -47,9 +49,6 @@ class BitstringProblem(Problem):
 
     def from_loci(self, values, rng):
         return np.asarray(values, dtype=np.uint8)
-
-    def locus_alphabet(self, locus):
-        return (0, 1)
 
     def stack(self, genotypes) -> np.ndarray:
         """An (n, dimension) bit matrix, one row per genotype."""

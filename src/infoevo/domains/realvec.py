@@ -22,6 +22,8 @@ def score_rosenbrock(x: np.ndarray) -> float:
 
 
 class RealVectorProblem(Problem):
+    alphabet = tuple(range(EDA_BINS))
+
     def __init__(self, dim: int, sigma: float = 0.3):
         if dim < 1:
             raise ValueError("dimension must be positive")
@@ -55,9 +57,6 @@ class RealVectorProblem(Problem):
     def from_loci(self, values, rng):
         lo = BOX_LO + np.asarray(values, dtype=float) * self._bin_width
         return lo + rng.random(self.dimension) * self._bin_width
-
-    def locus_alphabet(self, locus):
-        return tuple(range(EDA_BINS))
 
     def stack(self, genotypes) -> np.ndarray:
         """An (n, dimension) float matrix, one row per genotype."""

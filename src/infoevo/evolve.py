@@ -18,16 +18,19 @@ import numpy as np
 from . import geodesic_search, guidance, manifold
 from .core import (
     EvaluationLedger,
+    PopulationView,
     ResolvedMetric,
     ScoredSample,
     best_sample,
     evaluate,
+    normalize_scores,
     view_of,
 )
 from .domains import make_problem
 from .errors import ConfigError
 from .geodesic_search import StepParams
-from .guidance import FilterPolicy, ModifiedPromise
+from .guidance import FilterPolicy
+from .manifold import LogDistribution
 from .promise import PromiseWeights, promise_vector
 
 logger = logging.getLogger(__name__)
@@ -198,10 +201,11 @@ class RunState:
 def _eda_model(parents, fitness, problem, m: int):
     """Per-locus marginals of the top-quartile parents, Laplace smoothed.
 
-    Returns the (loci x alphabet) table of locus values and each row's
-    cumulative distribution, normalised as ``Generator.choice`` normalises
-    ``p``; None when the domain defines no loci. Raises ValueError, as
-    ``choice`` would at each draw, unless every row is a distribution.
+    Returns the domain's alphabet, as an array, and each locus's
+    cumulative distribution over it, normalised as ``Generator.choice``
+    normalises ``p``; None when the domain defines no loci. Raises
+    ValueError, as ``choice`` would at each draw, unless every row is a
+    distribution.
     """
     order = sorted(range(len(parents)), key=lambda i: (-fitness[i], i))
     q = max(1, math.ceil(len(parents) / 4))
@@ -209,11 +213,11 @@ def _eda_model(parents, fitness, problem, m: int):
     if loci[0] is None:
         return None
     top = np.array(loci)
-    alphabet = np.array([problem.locus_alphabet(j) for j in range(top.shape[1])])
-    counts = (top[:, :, None] == alphabet[None, :, :]).sum(axis=0).astype(float)
+    alphabet = np.array(problem.alphabet)
+    counts = (top[:, :, None] == alphabet).sum(axis=0).astype(float)
     probs = counts / counts.sum(axis=1, keepdims=True)
     eps = 1.0 / m
-    probs = (1.0 - alphabet.shape[1] * eps) * probs + eps
+    probs = (1.0 - len(alphabet) * eps) * probs + eps
     probs = np.maximum(probs, 0.0)
     probs /= probs.sum(axis=1, keepdims=True)
     # choice's checks of p; the clamp above keeps every entry non-negative
@@ -237,7 +241,7 @@ def _sample_eda(model, problem, rng):
     alphabet, cdf = model
     u = rng.random(cdf.shape[0])
     idx = (cdf <= u[:, None]).sum(axis=1)
-    return problem.from_loci(alphabet[np.arange(cdf.shape[0]), idx], rng)
+    return problem.from_loci(alphabet[idx], rng)
 
 
 def _tournament(parents, fitness, size, rng):
@@ -311,49 +315,43 @@ def _chunk_end(offspring, start: int, rm: ResolvedMetric, state: RunState) -> in
 
 
 def run_subpopulation(
-    view_fitness,
-    mp: ModifiedPromise | None,
+    view: PopulationView,
     config: EvolutionConfig,
     state: RunState,
-    source,
     policy: FilterPolicy,
+    rm: ResolvedMetric | None = None,
+    target: LogDistribution | None = None,
     ray_index: int = 0,
 ) -> SubdemeReport:
-    """One guided (or unguided, mp=None) evolutionary burst of ``state``'s
-    run, drawing from its random stream.
+    """One evolutionary burst of ``state``'s run from the round's
+    population ``view``, drawing from its random stream.
 
-    ``source`` is the round's population view when unguided, and the
-    view's ResolvedMetric when guided: candidate filtering and fitness
-    read the view through it. ``view_fitness`` is the fitness of each
-    view sample: its score when unguided, its ledger modified fitness
-    under ``mp`` when guided. The subpop_size fittest view samples seed
-    the parents; new evaluations append to the shared ledger. Each
+    The burst is guided exactly when ``target``, a ray's stepped
+    distribution, is given. A sample's fitness is then its modified
+    fitness under ``target``, and candidate filtering and fitness read
+    the view through ``rm``, its ResolvedMetric; unguided, a sample's
+    fitness is its score. The subpop_size fittest view samples seed the
+    parents; new evaluations append to the shared ledger. Each
     generation's offspring are screened in order, and the burst ends at
     the first that reaches the target or that the spent budget cannot
     take. The filter's rows and estimates are built a chunk of offspring
     at a time, in one block (see ``_chunk_end``).
     """
     problem, rng = state.problem, state.rng
-    rm = source if mp is not None else None
-    view = source if rm is None else rm.view
+    guided = target is not None
+    if guided:
+        view_fitness = guidance.ledger_modified_fitness(target, policy.k, rm)
+    else:
+        view_fitness = view.scores
     report = SubdemeReport(ray_index=ray_index)
     seed_idx = sorted(range(len(view)), key=lambda i: (-view_fitness[i], i))
     seed_idx = seed_idx[: config.subpop_size]
     parents = [view.samples[i] for i in seed_idx]
     fitness = [view_fitness[i] for i in seed_idx]
-    filtering = mp is not None and policy.threshold_quantile > 0
+    filtering = guided and policy.threshold_quantile > 0
     estimating = filtering and policy.warm(len(view))
     if filtering:
         threshold = float(np.quantile(view_fitness, policy.threshold_quantile))
-    if mp is not None:
-        # normalize_scores against the view, one scalar at a time
-        lo, hi = float(view.scores.min()), float(view.scores.max())
-
-    def fitness_of(sample: ScoredSample) -> float:
-        if mp is None:
-            return sample.score
-        zn = 1.0 if hi == lo else min(max((sample.score - lo) / (hi - lo), 0.0), 1.0)
-        return guidance.modified_fitness(sample.genotype, zn, mp, rm)
 
     for _ in range(config.generations_per_round):
         if state.stop or state.ledger.remaining <= 0:
@@ -387,7 +385,7 @@ def run_subpopulation(
                             rows, orders, policy.k, view_fitness
                         )
                     estimate = estimates[i - chunk_start]
-                ok, _est = guidance.should_evaluate(child, estimate, threshold)
+                ok, _est = guidance.should_evaluate(estimate, threshold)
                 if not ok:
                     report.candidates_skipped += 1
                     state.skipped_total += 1
@@ -399,15 +397,29 @@ def run_subpopulation(
             report.early_stop = out_of_budget
             break
         if new_samples:
+            if guided:
+                new_fitness = _guided_fitness(new_samples, target, policy.k, rm)
+            else:
+                new_fitness = [s.score for s in new_samples]
             parents, fitness = _next_generation(
-                parents, fitness, new_samples, fitness_of, config
+                parents, fitness, new_samples, new_fitness, config
             )
     return report
 
 
-def _next_generation(parents, fitness, new_samples, fitness_of, config):
-    new_fit = [fitness_of(s) for s in new_samples]
-    pool = list(zip(parents, fitness)) + list(zip(new_samples, new_fit))
+def _guided_fitness(samples, target: LogDistribution, k: int, rm: ResolvedMetric):
+    """The modified fitness under ``target`` of each of ``samples``: their
+    scores normalized against rm's view in one call, then each sample's
+    omega, one sample at a time and in order."""
+    zeta = normalize_scores([s.score for s in samples], rm.view).tolist()
+    return [
+        guidance.modified_fitness(s.genotype, z, target, k, rm)
+        for s, z in zip(samples, zeta)
+    ]
+
+
+def _next_generation(parents, fitness, new_samples, new_fitness, config):
+    pool = list(zip(parents, fitness)) + list(zip(new_samples, new_fitness))
     pool.sort(key=lambda t: -t[1])
     elites = []
     elite_ids = set()
@@ -419,7 +431,7 @@ def _next_generation(parents, fitness, new_samples, fitness_of, config):
         elite_ids.add(s.id)
         elites.append((s, f))
     nxt = elites + [
-        (s, f) for s, f in zip(new_samples, new_fit) if s.id not in elite_ids
+        (s, f) for s, f in zip(new_samples, new_fitness) if s.id not in elite_ids
     ]
     parents = [s for s, _ in nxt]
     fitness = [f for _, f in nxt]
@@ -466,7 +478,7 @@ def run_round(state: RunState, cfg: RunConfig) -> None:
         view = view_of(ledger, config.population_cap)
 
         if cfg.mode == "baseline" or len(view) < 3:
-            frag = run_subpopulation(view.scores, None, config, state, view, policy)
+            frag = run_subpopulation(view, config, state, policy)
             report.subdemes.append(frag)
         else:
             # the most neighbors the round reads: the filter's and omega's
@@ -493,19 +505,12 @@ def run_round(state: RunState, cfg: RunConfig) -> None:
             for ray_index in kept:
                 if state.stop or ledger.remaining <= 0:
                     break
-                target_dist = stepped[ray_index]
-                if manifold.geodesic_distance_exact(base, target_dist) < 1e-12:
+                target = stepped[ray_index]
+                if manifold.geodesic_distance_exact(base, target) < 1e-12:
                     # degenerate step: fall back to the base distribution
                     continue
-                mp = ModifiedPromise(base=base, target=target_dist, k=policy.k)
                 frag = run_subpopulation(
-                    guidance.ledger_modified_fitness(mp, rm),
-                    mp,
-                    config,
-                    state,
-                    rm,
-                    round_policy,
-                    ray_index=ray_index,
+                    view, config, state, round_policy, rm, target, ray_index
                 )
                 report.subdemes.append(frag)
 

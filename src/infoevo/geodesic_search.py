@@ -91,7 +91,6 @@ class GeodesicPolyline:
 @dataclass(frozen=True)
 class GeodesicRay:
     origin: LogDistribution
-    initial_direction: TangentVector
     polyline: GeodesicPolyline
 
 
@@ -114,11 +113,6 @@ class StepParams:
             raise ValueError("refinement_levels must be nonnegative")
         if not 1 <= self.chart_dim <= 3:
             raise ValueError("chart_dim must be 1, 2 or 3")
-
-
-def grid_slack(resolution: int) -> float:
-    """Relative length error allowed for a raw lattice shortest path."""
-    return 2.0 / resolution
 
 
 def build_chart(
@@ -493,9 +487,11 @@ def geodesic_rays(
         exact = chart.base.n > EXACT_RAYS_THRESHOLD
     length = chart.radius
     cdirs = _ray_coord_directions(chart.dim, params.ray_count, rng)
-    directions = [chart.tangent(cdir) for cdir in cdirs]
     if exact:
-        polys = [sample_exact_ray(chart.base, u, length) for u in directions]
+        polys = [
+            sample_exact_ray(chart.base, chart.tangent(cdir), length)
+            for cdir in cdirs
+        ]
     else:
         raws = dijkstra_geodesic(
             chart,
@@ -504,10 +500,7 @@ def geodesic_rays(
             params.grid_resolution,
         )
         polys = refine_polyline(raws, params.refinement_levels)
-    return [
-        GeodesicRay(origin=chart.base, initial_direction=u, polyline=poly)
-        for u, poly in zip(directions, polys)
-    ]
+    return [GeodesicRay(origin=chart.base, polyline=poly) for poly in polys]
 
 
 def step_along(ray: GeodesicRay, gamma: float) -> LogDistribution:

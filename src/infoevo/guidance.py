@@ -1,9 +1,9 @@
 """Modified promise fitness, kNN fitness estimation, and candidate filtering.
 
-Each stepped distribution becomes a guide: a candidate's directionality
-measure omega, the probability mass the distribution puts on its k
+Each ray's stepped distribution is a guide: a candidate's directionality
+measure omega, the probability mass that distribution puts on its k
 nearest view samples, is combined with its normalized score through the
-monotone map h, and candidates whose estimated guided fitness falls
+monotone map ``h``, and candidates whose estimated guided fitness falls
 below a ledger quantile are skipped before any expensive evaluation.
 Every function here reads the round's view through its
 ``ResolvedMetric``; neighbor queries answer in view positions, which
@@ -26,23 +26,10 @@ from .manifold import LogDistribution
 OMEGA_BASELINE = 0.05  # keeps the product form from annihilating zero-omega candidates
 
 
-@dataclass(frozen=True)
-class ModifiedPromise:
-    """A guided fitness h(zeta, omega) anchored between two distributions."""
-
-    base: LogDistribution
-    target: LogDistribution
-    k: int = 7  # neighbors omega looks at
-
-    def __post_init__(self):
-        if self.base.n != self.target.n:
-            raise ValueError("base and target must share a population")
-        if self.k < 1:
-            raise ValueError("k must be positive")
-
-    def h(self, zeta_norm, omega_val):
-        """zeta_norm * (omega_val + OMEGA_BASELINE), elementwise on arrays."""
-        return zeta_norm * (omega_val + OMEGA_BASELINE)
+def h(zeta_norm, omega_val):
+    """The guided fitness of a normalized score and an omega:
+    zeta_norm * (omega_val + OMEGA_BASELINE), elementwise on arrays."""
+    return zeta_norm * (omega_val + OMEGA_BASELINE)
 
 
 @dataclass(frozen=True)
@@ -105,22 +92,25 @@ def _inverse_distance_weights(x, k: int, rm: ResolvedMetric):
 
 
 def modified_fitness(
-    x, zeta_value: float, mp: ModifiedPromise, rm: ResolvedMetric
+    x, zeta_value: float, target: LogDistribution, k: int, rm: ResolvedMetric
 ) -> float:
-    """Guided fitness h(zeta_norm, omega) for a genotype with known score.
+    """Guided fitness h(zeta_norm, omega) for a genotype with known score,
+    omega being the mass ``target`` puts on its k nearest view samples.
 
     ``zeta_value`` is the normalized score under the view's min-max
     convention.
     """
-    return mp.h(zeta_value, omega_knn(x, mp.target, mp.k, rm))
+    return h(zeta_value, omega_knn(x, target, k, rm))
 
 
-def ledger_modified_fitness(mp: ModifiedPromise, rm: ResolvedMetric) -> np.ndarray:
-    """Modified fitness of every sample in rm's view, read from the
-    view's order block."""
+def ledger_modified_fitness(
+    target: LogDistribution, k: int, rm: ResolvedMetric
+) -> np.ndarray:
+    """Modified fitness under ``target`` of every sample in rm's view,
+    read from the view's order block."""
     view = rm.view
     norm = normalize_scores(view.scores, view)
-    return mp.h(norm, omega_block(rm.view_orders, mp.target, mp.k))
+    return h(norm, omega_block(rm.view_orders, target, k))
 
 
 def estimate_fitness(
@@ -156,8 +146,8 @@ def filter_estimates(
     return (weights * ledger_mf[idx]).sum(axis=1) / weights.sum(axis=1)
 
 
-def should_evaluate(x, estimate: float, threshold: float) -> tuple[bool, float]:
-    """Decide whether candidate x, whose filter estimate is ``estimate``,
+def should_evaluate(estimate: float, threshold: float) -> tuple[bool, float]:
+    """Decide whether a candidate whose filter estimate is ``estimate``
     is worth an expensive evaluation.
 
     Returns (evaluate?, estimate). A NaN estimate, which a cold view

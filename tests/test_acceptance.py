@@ -18,8 +18,8 @@ from infoevo.domains.symreg import behavior_to_distribution, program_fisher_dist
 from infoevo.evolve import EvolutionConfig, RunState, run_subpopulation
 from infoevo.guidance import (
     FilterPolicy,
-    ModifiedPromise,
     estimate_fitness,
+    h,
     ledger_modified_fitness,
     should_evaluate,
 )
@@ -118,14 +118,11 @@ def test_criterion_5_guidance_monotonicity_and_filter_soundness(capsys):
     ok = True
 
     # h monotone in both arguments over 10^4 random inputs
-    base = manifold.uniform(4)
-    target = manifold.from_weights([4.0, 2.0, 1.0, 1.0])
-    mp = ModifiedPromise(base, target)
     for _ in range(10000):
         z, w = rng.uniform(0, 1, 2)
         dz, dw = rng.uniform(0, 1, 2)
-        ok &= mp.h(z + dz, w) >= mp.h(z, w)
-        ok &= mp.h(z, w + dw) >= mp.h(z, w)
+        ok &= h(z + dz, w) >= h(z, w)
+        ok &= h(z, w + dw) >= h(z, w)
 
     # threshold_quantile = 0 accepts every candidate
     values = list(rng.uniform(0, 10, 30))
@@ -133,21 +130,17 @@ def test_criterion_5_guidance_monotonicity_and_filter_soundness(capsys):
     view = view_of(ledger)
     rm = ResolvedMetric(problem, view, 1.0)
     n = len(view.samples)
-    mp = ModifiedPromise(
-        manifold.uniform(n),
-        manifold.from_weights(rng.uniform(0.1, 1.0, n)),
-        k=3,
-    )
+    target = manifold.from_weights(rng.uniform(0.1, 1.0, n))
     policy0 = FilterPolicy(k=3, threshold_quantile=0.0)
-    mf = ledger_modified_fitness(mp, rm)
+    mf = ledger_modified_fitness(target, policy0.k, rm)
     thr0 = float(np.quantile(mf, 0.0))
     for x in rng.uniform(0, 10, 200):
         est = estimate_fitness(float(x), policy0, rm, mf)
-        accepted, _ = should_evaluate(float(x), est, thr0)
+        accepted, _ = should_evaluate(est, thr0)
         ok &= accepted or est < thr0
     # on this ledger, estimates interpolate ledger values >= the minimum
     accepted_all = all(
-        should_evaluate(float(x), estimate_fitness(float(x), policy0, rm, mf), thr0)[0]
+        should_evaluate(estimate_fitness(float(x), policy0, rm, mf), thr0)[0]
         for x in rng.uniform(0, 10, 200)
     )
     ok &= accepted_all
@@ -157,11 +150,7 @@ def test_criterion_5_guidance_monotonicity_and_filter_soundness(capsys):
     problem2, seed_ledger = make_scalar_ledger(list(rng.uniform(0, 10, 30)), budget=10000)
     view2 = view_of(seed_ledger)
     rm2 = ResolvedMetric(problem2, view2, 1.0)
-    mp2 = ModifiedPromise(
-        manifold.uniform(30),
-        manifold.from_weights(rng.uniform(0.1, 1.0, 30)),
-        k=3,
-    )
+    target2 = manifold.from_weights(rng.uniform(0.1, 1.0, 30))
     policy2 = FilterPolicy(k=3, threshold_quantile=0.5)
     state = RunState(
         ledger=seed_ledger,
@@ -171,9 +160,7 @@ def test_criterion_5_guidance_monotonicity_and_filter_soundness(capsys):
         threshold_quantile=policy2.threshold_quantile,
     )
     config = EvolutionConfig(subpop_size=20, generations_per_round=5, elitism=2)
-    rep = run_subpopulation(
-        ledger_modified_fitness(mp2, rm2), mp2, config, state, rm2, policy2
-    )
+    rep = run_subpopulation(view2, config, state, policy2, rm2, target2)
     ok &= rep.candidates_evaluated + rep.candidates_skipped == rep.candidates_generated
     ok &= rep.candidates_skipped == state.skipped_total
     report(capsys, 5, "h monotone; quantile-0 accepts all; skip accounting exact", ok)

@@ -387,6 +387,18 @@ def test_list_problems(capsys):
     assert out == ["onemax", "trap5", "sphere", "rosenbrock", "symreg"]
 
 
+@pytest.mark.parametrize("flag", ["--config", "--out"])
+@pytest.mark.parametrize(
+    "command", [["list-problems"], ["geodesic-check", "--n", "3", "--trials", "1"]]
+)
+def test_run_flags_are_unrecognised_by_commands_that_run_nothing(command, flag, capsys):
+    # only run and compare read a config file or write an output directory
+    with pytest.raises(SystemExit) as exc:
+        run_cli(command + [flag, "x"])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag} x" in capsys.readouterr().err
+
+
 DEME_RUN = dict(
     problem="onemax", problem_params={"bits": 30}, budget=1500, seed=1, deme_count=2
 )

@@ -113,7 +113,7 @@ def test_bitstring_eda_plumbing():
     problem = OneMax(bits=4)
     g = np.array([1, 0, 1, 0], dtype=np.uint8)
     assert problem.loci(g) == [1, 0, 1, 0]
-    assert problem.locus_alphabet(0) == (0, 1)
+    assert problem.alphabet == (0, 1)
     back = problem.from_loci([1, 0, 1, 0], np.random.default_rng(0))
     assert np.array_equal(back, g)
 
@@ -135,18 +135,16 @@ def test_loci_lie_in_alphabets_of_one_length(name, rng):
     genotypes = [problem.random_genotype(rng) for _ in range(20)]
     genotypes += [problem.mutate(g, 1.0, rng) for g in genotypes]
     n_loci = len(problem.loci(genotypes[0]))
-    alphabets = [problem.locus_alphabet(j) for j in range(n_loci)]
-    assert len({len(a) for a in alphabets}) == 1
+    assert isinstance(problem.alphabet, tuple) and len(problem.alphabet) >= 2
     for g in genotypes:
         loci = problem.loci(g)
         assert len(loci) == n_loci
-        assert all(v in alphabets[j] for j, v in enumerate(loci))
+        assert all(v in problem.alphabet for v in loci)
 
 
 def test_base_problem_defines_no_loci(scalar_problem):
     assert scalar_problem.loci(1.0) is None
-    with pytest.raises(NotImplementedError):
-        scalar_problem.locus_alphabet(0)
+    assert scalar_problem.alphabet == ()
     with pytest.raises(NotImplementedError):
         scalar_problem.from_loci([0], np.random.default_rng(0))
 

@@ -3,7 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from infoevo import guidance
+from infoevo import evolve, guidance
 from infoevo.core import EvaluationLedger, ScoredSample, evaluate, view_of
 from infoevo.demes import run_demes, spawn_demes
 from infoevo.domains import OneMax, Sphere, make_problem
@@ -125,7 +125,7 @@ def test_next_generation_keeps_exactly_elitism_elites(elitism, expected):
     new = [ScoredSample(3 + i, float(i), float(i)) for i in range(2)]
     fitness = [p.score for p in parents]
     nxt, nxt_fitness = _next_generation(
-        parents, fitness, new, lambda s: s.score, small_config(elitism=elitism)
+        parents, fitness, new, [s.score for s in new], small_config(elitism=elitism)
     )
     assert [s.id for s in nxt] == expected
     assert nxt_fitness == [s.score for s in nxt]
@@ -142,7 +142,7 @@ def test_run_subpopulation_budget_zero(rng):
     view = view_of(ledger)
     state = RunState(ledger=ledger, problem=problem, rng=rng, **SCHEDULE)
     config = small_config()
-    report = run_subpopulation(view.scores, None, config, state, view, FilterPolicy())
+    report = run_subpopulation(view, config, state, FilterPolicy())
     assert report.candidates_evaluated == 0
     assert report.early_stop
 
@@ -155,7 +155,7 @@ def test_run_subpopulation_unguided_accounting(rng):
     view = view_of(ledger)
     state = RunState(ledger=ledger, problem=problem, rng=rng, **SCHEDULE)
     config = small_config(generations_per_round=3)
-    report = run_subpopulation(view.scores, None, config, state, view, FilterPolicy())
+    report = run_subpopulation(view, config, state, FilterPolicy())
     assert report.generations_run == 3
     assert report.candidates_generated == 3 * (config.subpop_size - config.elitism)
     assert report.candidates_skipped == 0  # unguided runs never filter
@@ -170,7 +170,7 @@ def test_run_subpopulation_improves_best(rng):
     view = view_of(ledger)
     state = RunState(ledger=ledger, problem=problem, rng=rng, **SCHEDULE)
     config = small_config(subpop_size=20, generations_per_round=6)
-    run_subpopulation(view.scores, None, config, state, view, FilterPolicy())
+    run_subpopulation(view, config, state, FilterPolicy())
     after = max(s.score for s in ledger.samples)
     assert after >= before
 
@@ -237,16 +237,27 @@ def test_loop_baseline_one_objective_call_per_evaluation():
 
 def record_skips(problem, monkeypatch) -> set:
     """The canonical keys of the candidates the filter skips in the runs
-    that follow, as ``guidance.should_evaluate`` decides them."""
+    that follow, as ``guidance.should_evaluate`` decides them. A burst
+    screens a generation's offspring in order, one call each, so the
+    n-th call after a ``vary`` decides the n-th offspring it returned."""
     skipped = set()
-    should_evaluate = guidance.should_evaluate
+    generation = {"offspring": [], "screened": 0}
+    vary, should_evaluate = evolve.vary, guidance.should_evaluate
 
-    def recording(x, *args):
-        ok, est = should_evaluate(x, *args)
+    def recording_vary(*args):
+        generation["offspring"] = vary(*args)
+        generation["screened"] = 0
+        return generation["offspring"]
+
+    def recording(*args):
+        ok, est = should_evaluate(*args)
+        x = generation["offspring"][generation["screened"]]
+        generation["screened"] += 1
         if not ok:
             skipped.add(problem.canonical_key(x))
         return ok, est
 
+    monkeypatch.setattr(evolve, "vary", recording_vary)
     monkeypatch.setattr(guidance, "should_evaluate", recording)
     return skipped
 

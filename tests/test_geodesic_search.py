@@ -9,7 +9,6 @@ from infoevo.geodesic_search import (
     build_chart,
     dijkstra_geodesic,
     geodesic_rays,
-    grid_slack,
     refine_polyline,
     sample_exact_ray,
     step_along,
@@ -18,6 +17,11 @@ from infoevo.geodesic_search import (
 
 def random_distribution(rng, n):
     return manifold.from_weights(rng.uniform(0.0, 1.0, size=n) + 1e-6)
+
+
+def grid_slack(resolution: int) -> float:
+    """Relative length error allowed for a raw lattice shortest path."""
+    return 2.0 / resolution
 
 
 # --- chart construction ---
@@ -229,7 +233,10 @@ def test_geodesic_rays_first_is_promise_ascent(rng):
     promise = rng.uniform(0, 1, 10)
     chart = build_chart(base, promise, 2, rng, radius=0.4)
     rays = geodesic_rays(chart, StepParams(ray_count=3), rng, exact=True)
-    assert np.allclose(rays[0].initial_direction.f, chart.directions[0].f)
+    ascent = sample_exact_ray(base, chart.directions[0], chart.radius)
+    assert len(rays[0].polyline.points) == len(ascent.points)
+    for got, want in zip(rays[0].polyline.points, ascent.points):
+        assert np.allclose(got.p, want.p)
 
 
 def test_geodesic_rays_grid_mode_close_to_exact(rng):
@@ -281,7 +288,7 @@ def test_step_along_zero_and_full(rng):
     unit = manifold.TangentVector(v.f / v.norm, base)
     from infoevo.geodesic_search import GeodesicRay
 
-    ray = GeodesicRay(base, unit, sample_exact_ray(base, unit, 0.5))
+    ray = GeodesicRay(base, sample_exact_ray(base, unit, 0.5))
     assert step_along(ray, 0.0) is base
     end = step_along(ray, 0.5)
     assert manifold.geodesic_distance_exact(base, end) == pytest.approx(
@@ -295,7 +302,7 @@ def test_step_along_interior_distance(rng):
     unit = manifold.TangentVector(v.f / v.norm, base)
     from infoevo.geodesic_search import GeodesicRay
 
-    ray = GeodesicRay(base, unit, sample_exact_ray(base, unit, 0.8))
+    ray = GeodesicRay(base, sample_exact_ray(base, unit, 0.8))
     for gamma in (0.1, 0.33, 0.61):
         pt = step_along(ray, gamma)
         assert manifold.geodesic_distance_exact(base, pt) == pytest.approx(
@@ -309,7 +316,7 @@ def test_step_along_matches_exp_map(rng):
     unit = manifold.TangentVector(v.f / v.norm, base)
     from infoevo.geodesic_search import GeodesicRay
 
-    ray = GeodesicRay(base, unit, sample_exact_ray(base, unit, 0.7))
+    ray = GeodesicRay(base, sample_exact_ray(base, unit, 0.7))
     pt = step_along(ray, 0.35)
     direct = manifold.exp_map(base, unit, 0.35)
     assert np.max(np.abs(pt.phi - direct.phi)) < 1e-9
@@ -321,7 +328,7 @@ def test_step_along_gamma_exceeds_ray(rng):
     unit = manifold.TangentVector(v.f / v.norm, base)
     from infoevo.geodesic_search import GeodesicRay
 
-    ray = GeodesicRay(base, unit, sample_exact_ray(base, unit, 0.2))
+    ray = GeodesicRay(base, sample_exact_ray(base, unit, 0.2))
     with pytest.raises(GammaExceedsRay):
         step_along(ray, 0.5)
 
@@ -335,8 +342,3 @@ def test_step_params_validation():
         StepParams(ray_count=0)
     with pytest.raises(ValueError):
         StepParams(chart_dim=4)
-
-
-def test_grid_slack_values():
-    assert grid_slack(32) == pytest.approx(0.0625)
-    assert grid_slack(2) == 1.0

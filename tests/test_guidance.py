@@ -13,8 +13,8 @@ from infoevo.domains import OneMax
 from infoevo.errors import EmptyLedger
 from infoevo.guidance import (
     FilterPolicy,
-    ModifiedPromise,
     estimate_fitness,
+    h,
     ledger_modified_fitness,
     modified_fitness,
     omega_knn,
@@ -97,42 +97,28 @@ def test_omega_knn_empty():
 
 
 def test_h_product_form():
-    base = manifold.uniform(3)
-    target = point_mass(0, 3)
-    mp = ModifiedPromise(base, target)
-    assert mp.h(0.8, 0.5) == pytest.approx(0.8 * 0.55)
-    assert mp.h(0.0, 1.0) == 0.0
+    assert h(0.8, 0.5) == pytest.approx(0.8 * 0.55)
+    assert h(0.0, 1.0) == 0.0
     # the baseline keeps zero-omega candidates alive
-    assert mp.h(1.0, 0.0) == pytest.approx(0.05)
+    assert h(1.0, 0.0) == pytest.approx(0.05)
+    # elementwise on arrays
+    assert np.allclose(h(np.array([0.8, 1.0]), np.array([0.5, 0.0])), [0.44, 0.05])
 
 
 def test_h_monotone_in_both_arguments(rng):
-    base = manifold.uniform(4)
-    target = point_mass(1, 4)
-    mp = ModifiedPromise(base, target)
     for _ in range(200):
         z, w = rng.uniform(0, 1, 2)
         dz, dw = rng.uniform(0, 0.5, 2)
-        assert mp.h(z + dz, w) >= mp.h(z, w) - 1e-12
-        assert mp.h(z, w + dw) >= mp.h(z, w) - 1e-12
+        assert h(z + dz, w) >= h(z, w) - 1e-12
+        assert h(z, w + dw) >= h(z, w) - 1e-12
 
 
 def test_modified_fitness_prefers_near_target():
     view, rm = scalar_setup([0.0, 5.0, 10.0])
-    base = manifold.uniform(3)
     target = point_mass(2, 3)
-    mp = ModifiedPromise(base, target, k=1)
-    high = modified_fitness(9.8, 1.0, mp, rm)
-    low = modified_fitness(0.2, 1.0, mp, rm)
+    high = modified_fitness(9.8, 1.0, target, 1, rm)
+    low = modified_fitness(0.2, 1.0, target, 1, rm)
     assert high > low
-
-
-def test_modified_promise_validation():
-    base = manifold.uniform(3)
-    with pytest.raises(ValueError):
-        ModifiedPromise(base, manifold.uniform(4))
-    with pytest.raises(ValueError):
-        ModifiedPromise(base, base, k=0)
 
 
 # --- estimation and filtering ---
@@ -140,19 +126,16 @@ def test_modified_promise_validation():
 
 def test_ledger_modified_fitness_matches_pointwise():
     view, rm = scalar_setup([0.0, 5.0, 10.0])
-    mp = ModifiedPromise(manifold.uniform(3), point_mass(2, 3), k=2)
-    batch = ledger_modified_fitness(mp, rm)
+    target = point_mass(2, 3)
+    batch = ledger_modified_fitness(target, 2, rm)
     for i, s in enumerate(view.samples):
         zn = normalize_scores(s.score, view)
-        assert batch[i] == pytest.approx(
-            modified_fitness(s.genotype, zn, mp, rm)
-        )
+        assert batch[i] == pytest.approx(modified_fitness(s.genotype, zn, target, 2, rm))
 
 
 def test_estimate_fitness_exact_match_recovers_sample_value():
     view, rm = scalar_setup([0.0, 5.0, 10.0])
-    mp = ModifiedPromise(manifold.uniform(3), point_mass(2, 3), k=2)
-    ledger_mf = ledger_modified_fitness(mp, rm)
+    ledger_mf = ledger_modified_fitness(point_mass(2, 3), 2, rm)
     est = estimate_fitness(10.0, FilterPolicy(k=2), rm, ledger_mf)
     # a candidate sitting on a ledger sample is dominated by that sample
     assert est == pytest.approx(ledger_mf[2], rel=1e-6)
@@ -160,8 +143,7 @@ def test_estimate_fitness_exact_match_recovers_sample_value():
 
 def test_estimate_fitness_between_neighbors():
     view, rm = scalar_setup([0.0, 10.0])
-    mp = ModifiedPromise(manifold.uniform(2), point_mass(1, 2), k=1)
-    ledger_mf = ledger_modified_fitness(mp, rm)
+    ledger_mf = ledger_modified_fitness(point_mass(1, 2), 1, rm)
     est = estimate_fitness(5.0, FilterPolicy(k=2), rm, ledger_mf)
     lo, hi = sorted(ledger_mf)
     assert lo - 1e-12 <= est <= hi + 1e-12
@@ -169,13 +151,12 @@ def test_estimate_fitness_between_neighbors():
 
 def test_should_evaluate_cold_start():
     view, rm = scalar_setup([0.0, 5.0])
-    mp = ModifiedPromise(manifold.uniform(2), point_mass(1, 2))
-    ledger_mf = ledger_modified_fitness(mp, rm)
+    ledger_mf = ledger_modified_fitness(point_mass(1, 2), 7, rm)
     thr = float(np.quantile(ledger_mf, 0.25))
     # a view of fewer than 2k samples gives no estimate, and its
     # candidates are evaluated
     assert not FilterPolicy(k=7).warm(len(view)) and FilterPolicy(k=1).warm(len(view))
-    ok, est = should_evaluate(3.0, float("nan"), thr)
+    ok, est = should_evaluate(float("nan"), thr)
     assert ok
     assert np.isnan(est)
 
@@ -183,17 +164,12 @@ def test_should_evaluate_cold_start():
 def test_should_evaluate_quantile_zero_accepts_all(rng):
     values = list(rng.uniform(0, 10, 20))
     view, rm = scalar_setup(values)
-    mp = ModifiedPromise(
-        manifold.uniform(len(view.samples)),
-        point_mass(0, len(view.samples)),
-        k=3,
-    )
     policy = FilterPolicy(k=3, threshold_quantile=0.0)
-    ledger_mf = ledger_modified_fitness(mp, rm)
+    ledger_mf = ledger_modified_fitness(point_mass(0, len(view.samples)), 3, rm)
     thr = float(np.quantile(ledger_mf, 0.0))
     for x in rng.uniform(0, 10, 30):
         est = estimate_fitness(float(x), policy, rm, ledger_mf)
-        ok, _ = should_evaluate(float(x), est, thr)
+        ok, _ = should_evaluate(est, thr)
         # only candidates estimated below the ledger minimum can be skipped
         assert ok or est < thr
 
@@ -203,13 +179,12 @@ def test_should_evaluate_threshold_behavior(rng):
     view, rm = scalar_setup(values)
     n = len(view.samples)
     best = int(np.argmax(view.scores))
-    mp = ModifiedPromise(manifold.uniform(n), point_mass(best, n), k=3)
     policy = FilterPolicy(k=3, threshold_quantile=0.25)
-    ledger_mf = ledger_modified_fitness(mp, rm)
+    ledger_mf = ledger_modified_fitness(point_mass(best, n), 3, rm)
     thr = float(np.quantile(ledger_mf, 0.25))
     for x in rng.uniform(0, 10, 50):
         est = estimate_fitness(float(x), policy, rm, ledger_mf)
-        ok, got = should_evaluate(float(x), est, thr)
+        ok, got = should_evaluate(est, thr)
         assert ok == (est >= thr) and got == est
 
 
@@ -226,7 +201,7 @@ def test_screened_then_evaluated_candidate_costs_one_objective_call(rng):
         x = problem.random_genotype(rng)
     policy = FilterPolicy(k=3)
     est = estimate_fitness(x, policy, rm, view.scores)
-    ok, _ = should_evaluate(x, est, float("-inf"))
+    ok, _ = should_evaluate(est, float("-inf"))
     assert ok and calls == ["score"]
     sample = evaluate(x, problem, ledger)
     assert calls == ["score"]

@@ -42,6 +42,7 @@ from infoevo.evolve import (
     EDA_MIN_PARENT_POOL,
     EvolutionConfig,
     _eda_model,
+    _guided_fitness,
     _sample_eda,
     vary,
 )
@@ -59,7 +60,6 @@ from infoevo.geodesic_search import (
 )
 from infoevo.guidance import (
     FilterPolicy,
-    ModifiedPromise,
     _ascending_median,
     estimate_fitness,
     filter_estimates,
@@ -274,7 +274,7 @@ def test_step_along_a_ray_shorter_than_gamma(w, data, length, over):
     )
     v = manifold.project_tangent(base, f)
     unit = manifold.TangentVector(v.f / v.norm, base)
-    ray = GeodesicRay(base, unit, sample_exact_ray(base, unit, length))
+    ray = GeodesicRay(base, sample_exact_ray(base, unit, length))
     short = ray.polyline.length
     gamma = short * over + 2e-9
     with pytest.raises(GammaExceedsRay):
@@ -346,9 +346,6 @@ class Loci:
     def loci(self, genotype):
         return list(genotype)
 
-    def locus_alphabet(self, locus):
-        return self.alphabet
-
     def from_loci(self, values, rng):
         return [int(v) for v in values]
 
@@ -405,7 +402,7 @@ def test_vary_all_eda_matches_choice_per_locus(problem, n_parents, subpop, seed)
     rng, ref = np.random.default_rng(seed + 1), np.random.default_rng(seed + 1)
     kids = vary(parents, fitness, config, problem, rng)
     top = [problem.loci(parents[i].genotype) for i in top_quartile(fitness)]
-    alphabets = [problem.locus_alphabet(j) for j in range(len(top[0]))]
+    alphabets = [problem.alphabet] * len(top[0])
     for kid in kids:
         assert ref.random() < 1.0  # vary's EDA-or-tournament draw
         values = choice_per_locus(top, alphabets, subpop, ref)
@@ -1372,6 +1369,54 @@ def same_doubles(got, expected) -> bool:
     return np.asarray(got, dtype=float).tobytes() == np.asarray(expected, dtype=float).tobytes()
 
 
+def reference_zeta(score: float, view) -> float:
+    """One score normalized against the view, as a scalar clamp."""
+    lo, hi = float(view.scores.min()), float(view.scores.max())
+    if hi == lo:
+        return 1.0
+    return min(max((score - lo) / (hi - lo), 0.0), 1.0)
+
+
+@st.composite
+def new_parent_cases(draw):
+    """A view of 1 to 10 samples, its scores all equal or not, and new
+    samples scored inside its range, above its maximum or below its
+    minimum."""
+    positions = draw(st.lists(st.integers(-20, 20), min_size=1, max_size=10, unique=True))
+    n = len(positions)
+    if draw(st.booleans()):
+        scores = [draw(st.floats(-1e3, 1e3))] * n
+    else:
+        scores = draw(st.lists(st.floats(-1e3, 1e3), min_size=n, max_size=n))
+    view, rm = table_view(positions, scores)
+    lo, hi = min(scores), max(scores)
+    score = st.one_of(
+        st.sampled_from(scores),
+        st.floats(lo, hi),
+        st.floats(hi, hi + 1e3, exclude_min=True),
+        st.floats(lo - 1e3, lo, exclude_max=True),
+    )
+    count = draw(st.integers(1, 8))
+    samples = [
+        ScoredSample(n + i, float(draw(st.integers(-25, 25))), draw(score))
+        for i in range(count)
+    ]
+    target = manifold.from_weights(draw(st.lists(st.floats(0.01, 1.0), min_size=n, max_size=n)))
+    k = draw(st.integers(1, n))
+    return view, rm, samples, target, k
+
+
+@settings(max_examples=200, deadline=None)
+@given(new_parent_cases())
+def test_guided_fitness_matches_the_per_sample_reference(case):
+    view, rm, samples, target, k = case
+    zeta = [reference_zeta(s.score, view) for s in samples]
+    if view.scores.min() == view.scores.max():
+        assert zeta == [1.0] * len(samples)
+    expected = [modified_fitness(s.genotype, z, target, k, rm) for s, z in zip(samples, zeta)]
+    assert same_doubles(_guided_fitness(samples, target, k, rm), expected)
+
+
 # k up to 32: numpy's pairwise sum takes 8 terms at a time from 8 terms on
 @pytest.mark.parametrize("k", range(1, 33))
 @settings(max_examples=10, deadline=None)
@@ -1411,10 +1456,9 @@ def test_guidance_blocks_match_the_one_candidate_forms(k, name, lam, n, seed):
     for x, omega in zip(candidates, omegas):
         assert same_doubles(omega, omega_knn(x, dist, k, single))
 
-    mp = ModifiedPromise(manifold.uniform(n), dist, k=k)
     norm = normalize_scores(view.scores, view)
-    expected = [modified_fitness(g, norm[i], mp, single) for i, g in enumerate(genos)]
-    assert same_doubles(ledger_modified_fitness(mp, block), expected)
+    expected = [modified_fitness(g, norm[i], dist, k, single) for i, g in enumerate(genos)]
+    assert same_doubles(ledger_modified_fitness(dist, k, block), expected)
 
     if n >= 2:
         expected = [local_max_prob(i, k, single, norm) for i in range(n)]

@@ -50,6 +50,9 @@ def runs(dataset: str):
     chart1 = ["--chart-dim", "1"]
     tiny = symreg[:4] + ["--max-depth", "1", "--budget", "100"]  # a 6-sample view
     one_ray = ["--problem", "trap5", "--bits", "20", "--ray-count", "1", "--budget", "3000"]
+    unfiltered = ["--threshold-quantile", "0"]
+    # six parents, fewer than the 8 bins of a sphere locus
+    subpop6 = ["--budget", "2000", "--subpop-size", "6", "--elitism", "1"]
     return (
         ("onemax50-guided-s1", onemax + ["--seed", "1"]),
         ("onemax50-guided-s2", onemax + ["--seed", "2"]),
@@ -69,6 +72,8 @@ def runs(dataset: str):
         ("symreg-cubic-cap64-chartdim1-s3", symreg + chart1 + ["--seed", "3"]),
         ("symreg-maxdepth1-b100-s1", tiny + ["--seed", "1"]),
         ("trap5-20-rays1-b3000-s1", one_ray + ["--seed", "1"]),
+        ("symreg-cubic-cap64-nofilter-s3", symreg + unfiltered + ["--seed", "3"]),
+        ("sphere10-subpop6-s1", sphere + subpop6 + ["--seed", "1"]),
     )
 
 
