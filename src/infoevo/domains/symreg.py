@@ -8,6 +8,7 @@ Programs also have a behavior distance, ``program_fisher_distance``.
 from __future__ import annotations
 
 import csv
+import math
 from pathlib import Path
 
 import numpy as np
@@ -25,23 +26,52 @@ DEFAULT_OUTPUTS = (0.0, 0.0, 2.0, 6.0)  # f(x) = x^2 + x
 BEHAVIOR_EPS = 1e-6  # relative uniform mass mixed into behavior distributions
 
 
-def eval_tree(node, inputs) -> float:
+def _input_columns(probes) -> tuple[np.ndarray, ...]:
+    """The probes as read-only float64 input columns, one per input."""
+    cols = np.ascontiguousarray(np.array(probes, dtype=float).T)
+    cols.flags.writeable = False
+    return tuple(cols)
+
+
+def _node_values(node, columns):
+    """A node's outputs over the rows of ``columns``: an array, or a
+    Python float when the subtree reads no input."""
     tag = node[0]
     if tag == "x":
-        return float(inputs[node[1]])
+        return columns[node[1]]
     if tag == "c":
         return float(node[1])
-    a = eval_tree(node[1], inputs)
-    b = eval_tree(node[2], inputs)
+    a = _node_values(node[1], columns)
+    b = _node_values(node[2], columns)
     if tag == "+":
         return a + b
     if tag == "-":
         return a - b
     if tag == "*":
         return a * b
-    if abs(b) < DIV_GUARD:
-        return 1.0
-    return a / b
+    if isinstance(b, float):
+        return 1.0 if abs(b) < DIV_GUARD else a / b
+    return np.where(np.abs(b) < DIV_GUARD, 1.0, a / b)
+
+
+def eval_columns(node, columns, rows: int) -> np.ndarray:
+    """The tree's output on each of ``rows`` rows of the input columns,
+    one array operation per node; each entry has the bits of the
+    one-row arithmetic. The result is a new array, never a column.
+
+    Overflow to +-inf and nan pass through silently, as in Python
+    float arithmetic.
+    """
+    with np.errstate(all="ignore"):
+        out = _node_values(node, columns)
+    if isinstance(out, float):
+        return np.full(rows, out)
+    return out.copy() if node[0] == "x" else out
+
+
+def eval_tree(node, inputs) -> float:
+    """The tree's output on one row of inputs."""
+    return float(eval_columns(node, _input_columns([inputs]), 1)[0])
 
 
 def tree_depth(node) -> int:
@@ -100,8 +130,9 @@ def program_fisher_distance(a, b, probes, problem, eps_b: float = BEHAVIOR_EPS) 
     ``probes`` get distance zero even if syntactically distinct; the
     distance reads no setting of ``problem``, the programs' domain.
     """
-    da = behavior_to_distribution([eval_tree(a, p) for p in probes], eps_b)
-    db = behavior_to_distribution([eval_tree(b, p) for p in probes], eps_b)
+    columns = _input_columns(probes)
+    da = behavior_to_distribution(eval_columns(a, columns, len(probes)), eps_b)
+    db = behavior_to_distribution(eval_columns(b, columns, len(probes)), eps_b)
     return manifold.geodesic_distance_exact(da, db)
 
 
@@ -141,7 +172,12 @@ def _replace_subtree(node, pos, repl):
 
 
 def load_dataset(path) -> tuple[tuple[tuple[float, ...], ...], tuple[float, ...]]:
-    """Read a CSV with header row: input columns then one output column."""
+    """Read a CSV with header row: input columns then one output column.
+
+    A row with another value count than the first, a row without an
+    input column and a value that is not a finite number raise
+    ``ValueError``.
+    """
     probes, outputs = [], []
     with open(Path(path), newline="") as fh:
         reader = csv.reader(fh)
@@ -150,6 +186,15 @@ def load_dataset(path) -> tuple[tuple[tuple[float, ...], ...], tuple[float, ...]
             if not row:
                 continue
             vals = [float(v) for v in row]
+            where = f"line {reader.line_num}"
+            if len(vals) < 2:
+                raise ValueError(f"{where} has no input column")
+            if probes and len(vals) != len(probes[0]) + 1:
+                raise ValueError(
+                    f"{where} has {len(vals)} values, the first row {len(probes[0]) + 1}"
+                )
+            if not all(math.isfinite(v) for v in vals):
+                raise ValueError(f"{where} has a value that is not finite")
             probes.append(tuple(vals[:-1]))
             outputs.append(vals[-1])
     return tuple(probes), tuple(outputs)
@@ -160,7 +205,6 @@ class SymbolicRegression(Problem):
         self,
         probes=DEFAULT_PROBES,
         outputs=DEFAULT_OUTPUTS,
-        n_vars: int | None = None,
         max_depth: int = 5,
         target: float | None = -1e-9,
     ):
@@ -168,9 +212,17 @@ class SymbolicRegression(Problem):
             raise ValueError("dataset must be nonempty")
         if max_depth < 1:
             raise ValueError("max_depth must be at least 1")
-        self.probes = tuple(tuple(p) for p in probes)
+        if len({len(p) for p in probes}) > 1:
+            raise ValueError("dataset rows have different input counts")
+        if len(probes[0]) == 0:
+            raise ValueError("dataset has no input column")
+        if len(outputs) != len(probes):
+            raise ValueError(f"dataset has {len(probes)} input rows and {len(outputs)} outputs")
+        self._columns = _input_columns(probes)
         self.outputs = np.asarray(outputs, dtype=float)
-        self.n_vars = n_vars if n_vars is not None else len(self.probes[0])
+        if not (np.isfinite(self._columns).all() and np.isfinite(self.outputs).all()):
+            raise ValueError("dataset values must be finite")
+        self.n_vars = len(self._columns)
         self.max_depth = max_depth
         self.dimension = self.n_vars
         self.name = f"symreg-d{max_depth}"
@@ -193,7 +245,7 @@ class SymbolicRegression(Problem):
         return self._grow(rng, self.max_depth)
 
     def score(self, genotype) -> float:
-        outs = np.array([eval_tree(genotype, p) for p in self.probes])
+        outs = eval_columns(genotype, self._columns, len(self.outputs))
         if not np.all(np.isfinite(outs)):
             return OVERFLOW_SCORE
         return float(-np.mean((outs - self.outputs) ** 2))
@@ -202,7 +254,7 @@ class SymbolicRegression(Problem):
         return tree_str(genotype)
 
     def behavior(self, genotype) -> np.ndarray:
-        outs = np.array([eval_tree(genotype, p) for p in self.probes])
+        outs = eval_columns(genotype, self._columns, len(self.outputs))
         return np.clip(np.nan_to_num(outs, nan=1e6, posinf=1e6, neginf=-1e6), -1e6, 1e6)
 
     def mutate(self, genotype, rate, rng):

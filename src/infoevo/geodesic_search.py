@@ -384,12 +384,13 @@ def refine_polyline(
     carries, which plain fine-level relaxation is slow to shed.
 
     Polylines of the same coarse point count are refined together as
-    one (polylines, points, n) phi block: a relaxation sweep sets
-    interior point i of every polyline in one row operation, after
-    point i - 1 of that polyline, so each polyline has the bits it has
-    when refined alone. A polyline that refinement would lengthen, that
-    has fewer than 2 points, or any polyline when ``levels`` is 0, comes
-    back as the same object; a refined one keeps its endpoint objects.
+    one (polylines, points, n) phi block: each step of the relaxation
+    sets a strided set of interior points of every polyline in one row
+    operation (see ``_relax``), so each polyline has the bits it has
+    when refined alone, one point at a time. A polyline that refinement
+    would lengthen, that has fewer than 2 points, or any polyline when
+    ``levels`` is 0, comes back as the same object; a refined one keeps
+    its endpoint objects.
     """
     refined = list(polylines)
     if levels == 0:
@@ -423,10 +424,21 @@ def refine_polyline(
 
 def _relax(phi: np.ndarray, passes: int) -> None:
     """Gauss-Seidel sweeps over a (polylines, points, n) block in place:
-    each interior point becomes the midpoint of its neighbours."""
-    for _ in range(passes):
-        for i in range(1, phi.shape[1] - 1):
-            phi[:, i] = manifold.geodesic_point_rows(phi[:, i - 1], phi[:, i + 1], 0.5)
+    each interior point becomes the midpoint of its neighbours.
+
+    Pass p sets point i after point i - 1 of pass p and after point
+    i + 1 of pass p - 1, so the sweeps advance on a wavefront: step t
+    sets every point i = t - 2p at once, each from points set at step
+    t - 1, and each point gets the bits of the sequential sweeps.
+    """
+    last = phi.shape[1] - 2  # the last interior point
+    for t in range(1, last + 2 * passes - 1):
+        lo = max(t - 2 * (passes - 1), 2 - t % 2)  # the parity of t
+        hi = min(t, last)
+        if lo <= hi:
+            phi[:, lo : hi + 1 : 2] = manifold.geodesic_point_rows(
+                phi[:, lo - 1 : hi : 2], phi[:, lo + 1 : hi + 2 : 2], 0.5
+            )
 
 
 def sample_exact_ray(

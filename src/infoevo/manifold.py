@@ -169,10 +169,13 @@ def _row_norms(w: np.ndarray) -> np.ndarray:
     """Euclidean norm of each row (last axis), kept as a column.
 
     Each norm is that row's own dot product, as np.linalg.norm takes it
-    for one vector, so a row's norm does not depend on its block.
+    for one contiguous vector, so a row's norm does not depend on its
+    block: the stacked 1 x n by n x 1 products of a contiguous copy go
+    to the dot that ``row.dot(row)`` calls.
     """
-    rows = w.reshape(-1, w.shape[-1])
-    return np.sqrt([row.dot(row) for row in rows]).reshape(w.shape[:-1] + (1,))
+    rows = np.ascontiguousarray(w.reshape(-1, w.shape[-1]))
+    dots = np.matmul(rows[:, None, :], rows[:, :, None])
+    return np.sqrt(dots).reshape(w.shape[:-1] + (1,))
 
 
 def _nonzero(norms: np.ndarray) -> np.ndarray:

@@ -237,7 +237,23 @@ def test_invalid_setting_exits_2(tmp_path, capsys, argv, data, field):
     assert not (tmp_path / "out").exists()
 
 
-README = Path(__file__).resolve().parents[1] / "README.md"
+@pytest.mark.parametrize(
+    "text",
+    [
+        "x0,x1,y\n0,1,2\n1,2\n",  # ragged: the second row has no x1
+        "y\n1\n2\n",  # no input column
+        "x0,y\n0,nan\n1,2\n",  # a non-finite output
+    ],
+    ids=["ragged", "no-input", "nan-output"],
+)
+def test_malformed_dataset_exits_2(tmp_path, capsys, text):
+    path = tmp_path / "data.csv"
+    path.write_text(text)
+    argv = ["--problem", "symreg", "--dataset", str(path), "--budget", "200"]
+    test_invalid_setting_exits_2(tmp_path, capsys, argv, None, "problem_params.dataset")
+
+
+README =Path(__file__).resolve().parents[1] / "README.md"
 
 
 def test_readme_examples_are_the_defaults(tmp_path):

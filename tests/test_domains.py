@@ -290,6 +290,40 @@ def test_load_dataset_roundtrip(tmp_path):
     assert problem.score(("+", ("*", x, x), x)) == 0.0
 
 
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        ("x0,x1,y\n0,1,2\n1,2\n", "line 3 has 2 values"),
+        ("x0,y\n0,1\n1,2,3\n", "line 3 has 3 values"),
+        ("y\n1\n2\n", "line 2 has no input column"),
+        ("x0,y\n0,nan\n", "not finite"),
+        ("x0,y\n0,1\ninf,2\n", "line 3 has a value that is not finite"),
+    ],
+    ids=["short-row", "long-row", "no-input", "nan-output", "inf-input"],
+)
+def test_load_dataset_rejects_a_malformed_file(tmp_path, text, message):
+    path = tmp_path / "data.csv"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=message):
+        load_dataset(path)
+
+
+@pytest.mark.parametrize(
+    "probes,outputs,message",
+    [
+        (((0.0, 1.0), (1.0,)), (0.0, 1.0), "different input counts"),
+        (((), ()), (0.0, 1.0), "no input column"),
+        (((0.0,), (1.0,)), (0.0,), "2 input rows and 1 outputs"),
+        (((0.0,), (np.inf,)), (0.0, 1.0), "finite"),
+        (((0.0,), (1.0,)), (0.0, np.nan), "finite"),
+    ],
+    ids=["ragged", "no-input", "row-count", "inf-input", "nan-output"],
+)
+def test_symreg_rejects_a_malformed_dataset(probes, outputs, message):
+    with pytest.raises(ValueError, match=message):
+        SymbolicRegression(probes=probes, outputs=outputs)
+
+
 # --- registry ---
 
 

@@ -1,8 +1,9 @@
 """Property tests: neighbor queries, the promise vector, manifold edge
-cases, EDA sampling, the run memo, the lattice search, refinement and
-exact rays in blocks, the genotype distance blocks, the metric's blocks,
-the exact per-candidate arithmetic and the block forms of the guidance
-layer."""
+cases, EDA sampling, the run memo, the lattice search, refinement,
+relaxation sweeps, row norms and exact rays in blocks, the genotype
+distance blocks, program outputs over the dataset's columns, the
+metric's blocks, the exact per-candidate arithmetic and the block forms
+of the guidance layer."""
 
 import heapq
 import itertools
@@ -36,7 +37,16 @@ from infoevo.domains import (
 )
 from infoevo.domains.bitstrings import BitstringProblem
 from infoevo.domains.realvec import RealVectorProblem
-from infoevo.domains.symreg import OPS, _depth_profile, tree_labels
+from infoevo.domains.symreg import (
+    DIV_GUARD,
+    OPS,
+    OVERFLOW_SCORE,
+    _depth_profile,
+    _input_columns,
+    eval_columns,
+    eval_tree,
+    tree_labels,
+)
 from infoevo.errors import GammaExceedsRay, ZeroTangent
 from infoevo.evolve import (
     EDA_MIN_PARENT_POOL,
@@ -52,6 +62,7 @@ from infoevo.geodesic_search import (
     _deduped_polyline,
     _downsample,
     _Lattice,
+    _relax,
     build_chart,
     dijkstra_geodesic,
     refine_polyline,
@@ -1057,6 +1068,58 @@ def test_degenerate_row_midpoint_is_a(case):
     assert block[1].tobytes() == one_pair_point(other, a, 0.5).phi.tobytes()
 
 
+def sequential_relax(phi, passes):
+    """The relaxation sweeps one interior point at a time, in order."""
+    for _ in range(passes):
+        for i in range(1, phi.shape[1] - 1):
+            phi[:, i] = manifold.geodesic_point_rows(phi[:, i - 1], phi[:, i + 1], 0.5)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(1, 5),  # polylines
+    st.integers(2, 40),  # points
+    st.integers(0, 4),  # passes
+    st.integers(2, 6),
+    st.integers(0, 2**32 - 1),
+)
+def test_wavefront_relaxation_equals_the_sequential_sweeps(polylines, points, passes, n, seed):
+    rng = np.random.default_rng(seed)
+    w = rng.uniform(0.01, 1.0, size=(polylines, points, n))
+    phi = np.log(w / w.sum(axis=-1, keepdims=True))
+    for i in np.flatnonzero(rng.random(points) < 0.2)[1:]:
+        phi[:, i] = phi[:, i - 1]  # coincident points: degenerate midpoints
+    expected = phi.copy()
+    sequential_relax(expected, passes)
+    _relax(phi, passes)
+    assert phi.tobytes() == expected.tobytes()
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(1, 300),
+    st.sampled_from(("rows", "block", "fancy", "strided", "columns")),
+    st.integers(0, 2**32 - 1),
+)
+def test_row_norms_are_each_rows_own_dot(width, layout, seed):
+    rng = np.random.default_rng(seed)
+    phi = rng.standard_normal((3, 7, 2 * width))
+    phi[rng.random((3, 7)) < 0.2] = 0.0  # zero rows
+    w = {
+        "rows": phi[..., :width].reshape(-1, width),
+        "block": phi[..., :width],
+        "fancy": phi[:, [4, 0, 2], :width],
+        "strided": phi[:, ::2, :width],
+        "columns": phi[..., ::2],  # each row strided in memory
+    }[layout]
+    # a row's dot product of its values laid out as one contiguous vector
+    rows = [np.array(w[i]) for i in np.ndindex(w.shape[:-1])]
+    expected = np.sqrt([row.dot(row) for row in rows])
+    got = manifold._row_norms(w)
+    assert got.shape == w.shape[:-1] + (1,)
+    assert got.ravel().tobytes() == expected.tobytes()
+
+
 @settings(max_examples=100, deadline=None)
 @given(
     st.integers(2, 70),
@@ -1119,14 +1182,15 @@ def per_pair_distance(problem, a, b) -> float:
 
 
 @st.composite
-def trees(draw, depth: int):
-    """Trees up to ``depth`` over two inputs, constants from anywhere."""
+def trees(draw, depth: int, inputs: int = 2, values=st.floats(-1e6, 1e6)):
+    """Trees up to ``depth`` over ``inputs`` inputs (none: constant-only
+    trees), constants from ``values``."""
     if depth == 1 or draw(st.booleans()):
-        if draw(st.booleans()):
-            return ("x", draw(st.integers(0, 1)))
-        return ("c", draw(st.floats(-1e6, 1e6)))
+        if inputs and draw(st.booleans()):
+            return ("x", draw(st.integers(0, inputs - 1)))
+        return ("c", draw(values))
     op = draw(st.sampled_from(OPS))
-    return (op, draw(trees(depth - 1)), draw(trees(depth - 1)))
+    return (op, draw(trees(depth - 1, inputs, values)), draw(trees(depth - 1, inputs, values)))
 
 
 def genotypes(problem):
@@ -1209,6 +1273,87 @@ def test_tree_distance_rows_match_per_pair_distances(max_depth, data):
     assert_rows_match(problem, x, gs + [late])
     empty = row_of(problem, x, problem.stack([]))
     assert empty.dtype == float and empty.shape == (0,)
+
+
+# --- program outputs over the dataset's columns ---
+
+
+def one_row_value(node, inputs) -> float:
+    """A tree's output on one row, in Python float arithmetic."""
+    tag = node[0]
+    if tag == "x":
+        return float(inputs[node[1]])
+    if tag == "c":
+        return float(node[1])
+    a = one_row_value(node[1], inputs)
+    b = one_row_value(node[2], inputs)
+    if tag == "+":
+        return a + b
+    if tag == "-":
+        return a - b
+    if tag == "*":
+        return a * b
+    if abs(b) < DIV_GUARD:
+        return 1.0
+    return a / b
+
+
+# divisors on both sides of the guard, signed zeros, nan, and magnitudes
+# whose sums and products overflow to +-inf (then inf - inf is nan)
+EDGE_VALUES = (
+    0.0,
+    -0.0,
+    1.0,
+    -2.0,
+    DIV_GUARD,
+    -DIV_GUARD,
+    float(np.nextafter(DIV_GUARD, 0.0)),
+    float(np.nextafter(-DIV_GUARD, 0.0)),
+    1e200,
+    -1e200,
+    1.7e308,
+    float("inf"),
+    float("-inf"),
+    float("nan"),
+)
+edge_floats = st.one_of(st.sampled_from(EDGE_VALUES), st.floats())
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 3), st.booleans(), st.integers(1, 6), st.data())
+def test_column_evaluation_equals_the_one_row_recursion(inputs, constant_only, rows, data):
+    tree = data.draw(trees(5, 0 if constant_only else inputs, edge_floats))
+    probes = data.draw(
+        st.lists(st.tuples(*[edge_floats] * inputs), min_size=rows, max_size=rows)
+    )
+    columns = _input_columns(probes)
+    got = eval_columns(tree, columns, rows)
+    expected = np.array([one_row_value(tree, p) for p in probes], dtype=float)
+    assert got.dtype == float and got.shape == (rows,)
+    assert got.tobytes() == expected.tobytes()
+    assert not any(np.shares_memory(got, c) for c in columns)
+    for p, value in zip(probes, expected):
+        assert np.float64(eval_tree(tree, p)).tobytes() == value.tobytes()
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 3), st.integers(1, 6), st.data())
+def test_score_and_behavior_read_the_one_row_outputs(inputs, rows, data):
+    values = st.one_of(st.sampled_from(EDGE_VALUES[:10]), st.floats(-1e3, 1e3))
+    probes = data.draw(st.lists(st.tuples(*[values] * inputs), min_size=rows, max_size=rows))
+    outputs = data.draw(st.lists(values, min_size=rows, max_size=rows))
+    tree = data.draw(trees(5, inputs, values))
+    problem = SymbolicRegression(probes=probes, outputs=outputs)
+    outs = np.array([one_row_value(tree, p) for p in probes], dtype=float)
+    behavior = np.clip(np.nan_to_num(outs, nan=1e6, posinf=1e6, neginf=-1e6), -1e6, 1e6)
+    assert problem.behavior(tree).tobytes() == behavior.tobytes()
+    # the squared error of a large finite output may overflow
+    with np.errstate(over="ignore"):
+        score = float(-np.mean((outs - np.array(outputs)) ** 2))
+        got = problem.score(tree)
+    if not np.all(np.isfinite(outs)):
+        score = OVERFLOW_SCORE
+    assert np.float64(got).tobytes() == np.float64(score).tobytes()
 
 
 # --- the metric's distance blocks ---

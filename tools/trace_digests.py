@@ -21,8 +21,10 @@ them a filter k and a promise k_local, each large enough to set how many
 neighbors the metric's orders keep), guided symreg on a 3-d chart and
 on a 1-d chart, whose cone rays coincide with +-e1 and are refined as a
 block of duplicate rays, guided symreg with depth-1 programs, whose
-view holds six samples, and guided trap5-20 with one ray per round,
-which has rounds whose filter skips every new candidate.
+view holds six samples, guided trap5-20 with one ray per round,
+which has rounds whose filter skips every new candidate, guided symreg
+on the built-in 4-point dataset, and unguided symreg on the cubic
+dataset, whose runs read program scores only.
 The cubic dataset is written with ``perfbench/make_dataset.py`` to a
 temporary directory.
 """
@@ -53,6 +55,7 @@ def runs(dataset: str):
     unfiltered = ["--threshold-quantile", "0"]
     # six parents, fewer than the 8 bins of a sphere locus
     subpop6 = ["--budget", "2000", "--subpop-size", "6", "--elitism", "1"]
+    builtin = ["--problem", "symreg", "--budget", "1000"]  # the 4-point dataset
     return (
         ("onemax50-guided-s1", onemax + ["--seed", "1"]),
         ("onemax50-guided-s2", onemax + ["--seed", "2"]),
@@ -74,6 +77,8 @@ def runs(dataset: str):
         ("trap5-20-rays1-b3000-s1", one_ray + ["--seed", "1"]),
         ("symreg-cubic-cap64-nofilter-s3", symreg + unfiltered + ["--seed", "3"]),
         ("sphere10-subpop6-s1", sphere + subpop6 + ["--seed", "1"]),
+        ("symreg-builtin-b1000-s2", builtin + ["--seed", "2"]),
+        ("symreg-cubic-cap64-baseline-s3", symreg + ["--mode", "baseline", "--seed", "3"]),
     )
 
 
