@@ -44,7 +44,9 @@ class EvaluationLedger:
     Also the run's memo, keyed by canonical key, of every objective value
     and behavior vector the run has computed, charged or not.
     ``objective_calls`` counts the ``score`` and ``behavior`` calls the
-    memo made, one per miss.
+    memo made, one per miss. ``keys[i]`` is sample i's canonical key, and
+    ``best`` the sample of highest score, the earliest of equal ones
+    (None while the ledger is empty).
     """
 
     def __init__(self, budget: int):
@@ -52,6 +54,8 @@ class EvaluationLedger:
             raise ValueError("budget must be nonnegative")
         self.budget = budget
         self.samples: list[ScoredSample] = []
+        self.keys: list = []
+        self.best: ScoredSample | None = None
         self._by_key: dict[Any, ScoredSample] = {}
         self._scores: dict[Any, float] = {}
         self._behaviors: dict[Any, np.ndarray] = {}
@@ -67,6 +71,15 @@ class EvaluationLedger:
 
     def lookup(self, key: Any) -> ScoredSample | None:
         return self._by_key.get(key)
+
+    def _append(self, sample: ScoredSample, key) -> None:
+        self.samples.append(sample)
+        self.keys.append(key)
+        self._by_key[key] = sample
+        # only a strictly greater score replaces the best, so ties keep
+        # the earliest sample, as max by (score, -id) does
+        if self.best is None or sample.score > self.best.score:
+            self.best = sample
 
     def score_of(self, genotype, problem, key) -> float:
         """The objective value of genotype (canonical key ``key``), from the
@@ -85,7 +98,7 @@ class EvaluationLedger:
     def has_behavior(self, problem, key) -> bool:
         """Whether ``behavior_of`` would answer for ``key`` from the memo,
         without an objective call."""
-        if type(problem).behavior is Problem.behavior:
+        if behavior_is_score(problem):
             return key in self._scores
         return key in self._behaviors
 
@@ -95,7 +108,7 @@ class EvaluationLedger:
         A domain that keeps the default ``Problem.behavior`` (the score
         itself) gets its memoized score, so no second objective call.
         """
-        if type(problem).behavior is Problem.behavior:
+        if behavior_is_score(problem):
             return np.array([self.score_of(genotype, problem, key)], dtype=float)
         value = self._behaviors.get(key)
         if value is None:
@@ -105,8 +118,27 @@ class EvaluationLedger:
             self.objective_calls += 1
         return value
 
+    def behaviors_of(self, genotypes, problem, keys) -> np.ndarray:
+        """The behavior vectors of ``genotypes`` (canonical keys ``keys``),
+        from the memo in order, stacked one row per genotype: the rows of
+        ``behavior_of``. A domain whose behavior is its score gets the
+        column of its memoized scores."""
+        if behavior_is_score(problem):
+            scores = [self.score_of(g, problem, key) for g, key in zip(genotypes, keys)]
+            return np.array(scores, dtype=float)[:, None]
+        return np.array(
+            [self.behavior_of(g, problem, key) for g, key in zip(genotypes, keys)],
+            dtype=float,
+        )
+
     def __len__(self) -> int:
         return len(self.samples)
+
+
+def behavior_is_score(problem) -> bool:
+    """Whether ``problem`` keeps the default ``Problem.behavior``, the
+    one-entry vector of its score."""
+    return type(problem).behavior is Problem.behavior
 
 
 @dataclass(frozen=True)
@@ -167,8 +199,7 @@ def evaluate(genotype, problem, ledger: EvaluationLedger) -> ScoredSample:
         genotype=genotype,
         score=ledger.score_of(genotype, problem, key),
     )
-    ledger.samples.append(sample)
-    ledger._by_key[key] = sample
+    ledger._append(sample, key)
     return sample
 
 
@@ -179,10 +210,11 @@ def best_score(population) -> float:
     return max(s.score for s in population.samples)
 
 
-def best_sample(population) -> ScoredSample:
-    if len(population.samples) == 0:
+def best_sample(ledger: EvaluationLedger) -> ScoredSample:
+    """The ledger's sample of highest score, the earliest of equal ones."""
+    if ledger.best is None:
         raise EmptyLedger("best_sample on empty ledger")
-    return max(population.samples, key=lambda s: (s.score, -s.id))
+    return ledger.best
 
 
 def normalize_scores(scores, population) -> np.ndarray:
@@ -250,9 +282,12 @@ class ResolvedMetric:
     computed or ordered twice. ``view_rows`` (n by n) and ``view_orders``
     (n by width) are those blocks, row i being view sample i's, and
     each sample's row and order are read-only views of them. Behavior
-    vectors come from ``memo``, the run's ledger, and new ones are added
-    to it, so none is computed twice in a run; without a memo the metric
-    keeps a private one. Genotypes outside the view get their rows on
+    vectors come from ``memo``, the run's ledger the view was taken from,
+    and new ones are added to it, so none is computed twice in a run;
+    the view samples' canonical keys are the memo's ``keys``. Without a
+    memo the metric keeps a private one and keys the view itself. A
+    domain whose behavior is its score reads the view's scores as its
+    behavior column. Genotypes outside the view get their rows on
     their first query, ``rows_of`` building those of a list of genotypes
     in one block and ``neighbors`` that of one; later queries of the same
     genotype (equal canonical key) reuse it. ``add_genotypic_rows``
@@ -276,19 +311,24 @@ class ResolvedMetric:
         self.lam = lam
         self.view = view
         self.width = len(view) if k is None else min(k, len(view))
-        self._memo = EvaluationLedger(0) if memo is None else memo
         genos = [s.genotype for s in view.samples]
-        keys = [problem.canonical_key(g) for g in genos]
+        if memo is None:
+            self._memo = EvaluationLedger(0)
+            keys = [problem.canonical_key(g) for g in genos]
+        else:
+            self._memo = memo
+            keys = [memo.keys[s.id] for s in view.samples]
         # blend extremes must reduce to the pure metrics exactly
         self._kind = {1.0: "genotypic", 0.0: "phenotypic"}.get(lam, "blended")
         dg = dp = self._behaviors = None
         if self._kind != "genotypic":
-            self._behaviors = b = np.array(
-                [self._memo.behavior_of(g, problem, key) for g, key in zip(genos, keys)],
-                dtype=float,
-            )
+            if behavior_is_score(problem):
+                b = view.scores[:, None]
+            else:
+                b = self._memo.behaviors_of(genos, problem, keys)
+            self._behaviors = b
             # over the last axis, so that an empty view, whose behaviors
-            # stack to shape (0,), gives empty blocks
+            # may stack to shape (0,), gives empty blocks
             dp = np.linalg.norm(b[None] - b[:, None], axis=-1)
         if self._kind != "phenotypic":
             self._stacked = problem.stack(genos)
@@ -334,9 +374,16 @@ class ResolvedMetric:
         lam = self.lam
         return lam * dg / self._geno_scale + (1 - lam) * dp / self._pheno_scale
 
-    def add_genotypic_rows(self, genotypes) -> None:
+    def _keys(self, genotypes, keys) -> list:
+        """The canonical keys of ``genotypes``: ``keys`` when given."""
+        if keys is None:
+            return [self.problem.canonical_key(g) for g in genotypes]
+        return keys
+
+    def add_genotypic_rows(self, genotypes, keys=None) -> None:
         """Compute, in one block, the genotypic rows of those ``genotypes``
-        this metric holds no row for yet.
+        (canonical keys ``keys``, computed when omitted) this metric holds
+        no row for yet.
 
         Calls no objective: the behavior part of each row, and its order,
         are computed on the genotype's first query.
@@ -344,8 +391,7 @@ class ResolvedMetric:
         if self._kind == "phenotypic":
             return
         fresh = {}
-        for g in genotypes:
-            key = self.problem.canonical_key(g)
+        for key, g in zip(self._keys(genotypes, keys), genotypes):
             if key not in self._rows and key not in self._pending:
                 fresh.setdefault(key, g)
         self._add_pending(fresh)
@@ -375,10 +421,7 @@ class ResolvedMetric:
         block, their genotypic rows, one blend and one ``stable_top_k``."""
         dg = dp = None
         if self._behaviors is not None:
-            bx = np.array(
-                [self._memo.behavior_of(g, self.problem, key) for key, g in fresh.items()],
-                dtype=float,
-            )
+            bx = self._memo.behaviors_of(fresh.values(), self.problem, fresh)
             dp = np.linalg.norm(self._behaviors[None] - bx[:, None], axis=-1)
         if self._kind != "phenotypic":
             self._add_pending({k: g for k, g in fresh.items() if k not in self._pending})
@@ -389,12 +432,13 @@ class ResolvedMetric:
         rows.flags.writeable = orders.flags.writeable = False
         self._rows.update(zip(fresh, zip(rows, orders)))
 
-    def rows_of(self, genotypes) -> tuple[np.ndarray, np.ndarray]:
-        """The rows and orders of ``genotypes`` (a nonempty list), stacked
-        m by n and m by width: each genotype's distances to the view and
-        its nearest view positions by ascending distance, as ``neighbors``
-        gives them. The rows not built yet are built in one block."""
-        keys = [self.problem.canonical_key(g) for g in genotypes]
+    def rows_of(self, genotypes, keys=None) -> tuple[np.ndarray, np.ndarray]:
+        """The rows and orders of ``genotypes`` (a nonempty list; canonical
+        keys ``keys``, computed when omitted), stacked m by n and m by
+        width: each genotype's distances to the view and its nearest view
+        positions by ascending distance, as ``neighbors`` gives them. The
+        rows not built yet are built in one block."""
+        keys = self._keys(genotypes, keys)
         fresh = {}
         for key, g in zip(keys, genotypes):
             if key not in self._rows:
@@ -414,13 +458,17 @@ class ResolvedMetric:
         return self._rows[key]
 
 
-def knn(x, rm: ResolvedMetric, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """The min(k, n) nearest samples of rm's view to x, ascending by distance.
+def knn(xs, rm: ResolvedMetric, k: int, keys=None) -> tuple[np.ndarray, np.ndarray]:
+    """The min(k, n) nearest samples of rm's view to each genotype of
+    ``xs`` (a nonempty list; canonical keys ``keys``, computed when
+    omitted), ascending by distance; one genotype's query is ``[x]``.
 
-    Returns their view positions and their distances. Ties break toward
+    Returns two m by min(k, n) blocks: row i holds the view positions of
+    genotype i's nearest samples and their distances. Ties break toward
     the earlier position, which is the smaller id in a view from
-    ``view_of``. Raises ValueError when rm's orders hold fewer than
-    min(k, n) positions.
+    ``view_of``. The rows not built yet are built in one block (see
+    ``ResolvedMetric.rows_of``). Raises ValueError when rm's orders hold
+    fewer than min(k, n) positions.
     """
     if len(rm.view) == 0:
         raise EmptyLedger("knn on empty ledger")
@@ -430,6 +478,6 @@ def knn(x, rm: ResolvedMetric, k: int) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError(
             f"knn asks for {k} neighbors, but the metric's orders hold {rm.width}"
         )
-    dists, order = rm.neighbors(x)
-    idx = order[:k]
-    return idx, dists[idx]
+    rows, orders = rm.rows_of(xs, keys)
+    idx = orders[:, :k]
+    return idx, np.take_along_axis(rows, idx, axis=1)

@@ -245,10 +245,17 @@ class SymbolicRegression(Problem):
         return self._grow(rng, self.max_depth)
 
     def score(self, genotype) -> float:
+        """Minus the mean squared error; OVERFLOW_SCORE for a program
+        whose outputs, or whose error, are not finite."""
         outs = eval_columns(genotype, self._columns, len(self.outputs))
         if not np.all(np.isfinite(outs)):
             return OVERFLOW_SCORE
-        return float(-np.mean((outs - self.outputs) ** 2))
+        # the squared error of a large finite output may overflow
+        with np.errstate(over="ignore"):
+            mse = np.mean((outs - self.outputs) ** 2)
+        if not np.isfinite(mse):
+            return OVERFLOW_SCORE
+        return float(-mse)
 
     def canonical_key(self, genotype) -> str:
         return tree_str(genotype)

@@ -173,33 +173,38 @@ class RunState:
 
     @property
     def best(self) -> ScoredSample | None:
-        return best_sample(self.ledger) if self.ledger.eval_count else None
+        return self.ledger.best
 
     @property
     def success(self) -> bool:
         best, target = self.best, self.problem.target
         return best is not None and target is not None and best.score >= target
 
-    def record(self, genotype) -> ScoredSample:
-        before = self.ledger.eval_count
+    def record(self, genotype, key) -> ScoredSample:
+        """Charge ``genotype``, whose canonical key is ``key``, to the
+        ledger: the ledger's sample of that key when it holds one, else a
+        new evaluation, which gets a trace row."""
+        cached = self.ledger.lookup(key)
+        if cached is not None:
+            return cached
         sample = evaluate(genotype, self.problem, self.ledger)
-        if self.ledger.eval_count > before:
-            self.trace.append(
-                {
-                    "eval_order": sample.id,
-                    "score": sample.score,
-                    "deme_id": self.deme_id,
-                    "skipped": self.skipped_total,
-                }
-            )
-            target = self.problem.target
-            if target is not None and sample.score >= target:
-                self.stop_reason = "target"
+        self.trace.append(
+            {
+                "eval_order": sample.id,
+                "score": sample.score,
+                "deme_id": self.deme_id,
+                "skipped": self.skipped_total,
+            }
+        )
+        target = self.problem.target
+        if target is not None and sample.score >= target:
+            self.stop_reason = "target"
         return sample
 
 
-def _eda_model(parents, fitness, problem, m: int):
-    """Per-locus marginals of the top-quartile parents, Laplace smoothed.
+def _eda_model(parents, order, problem, m: int):
+    """Per-locus marginals of the top-quartile parents, Laplace smoothed;
+    ``order`` ranks the parents, fittest first.
 
     Returns the domain's alphabet, as an array, and each locus's
     cumulative distribution over it, normalised as ``Generator.choice``
@@ -207,7 +212,6 @@ def _eda_model(parents, fitness, problem, m: int):
     ValueError, as ``choice`` would at each draw, unless every row is a
     distribution.
     """
-    order = sorted(range(len(parents)), key=lambda i: (-fitness[i], i))
     q = max(1, math.ceil(len(parents) / 4))
     loci = [problem.loci(parents[i].genotype) for i in order[:q]]
     if loci[0] is None:
@@ -244,10 +248,22 @@ def _sample_eda(model, problem, rng):
     return problem.from_loci(alphabet[idx], rng)
 
 
-def _tournament(parents, fitness, size, rng):
+def _ranking(fitness) -> tuple[list[int], list[int]]:
+    """(order, rank) of the parents: ``order`` lists them fittest first,
+    ties to the earlier, and ``rank[i]`` is parent i's place in it."""
+    order = sorted(range(len(fitness)), key=lambda i: (-fitness[i], i))
+    rank = [0] * len(order)
+    for place, i in enumerate(order):
+        rank[i] = place
+    return order, rank
+
+
+def _tournament(parents, order, rank, size, rng):
+    """The winner of ``size`` parents drawn with replacement: the one of
+    least rank (see ``_ranking``), which is the one of greatest
+    ``(fitness, -index)``."""
     idx = rng.integers(0, len(parents), size=size)
-    best = max(idx.tolist(), key=lambda i: (fitness[i], -i))
-    return parents[best]
+    return parents[order[min(map(rank.__getitem__, idx.tolist()))]]
 
 
 def vary(parents, fitness, config: EvolutionConfig, problem, rng) -> list:
@@ -255,33 +271,36 @@ def vary(parents, fitness, config: EvolutionConfig, problem, rng) -> list:
 
     Tournament selection with crossover+mutation; an eda_fraction share
     is sampled from smoothed per-locus marginals of the top quartile
-    instead, when the domain defines loci. The marginals' CDFs are built
-    once per call, and each EDA offspring takes one uniform per locus.
+    instead, when the domain defines loci. The parents are ranked once
+    per call, the marginals' CDFs are built once per call, and each EDA
+    offspring takes one uniform per locus.
     """
     if not parents:
         raise ValueError("parents must be nonempty")
-    fitness = [float(f) for f in fitness]
     count = config.subpop_size - config.elitism
+    order, rank = _ranking(fitness)
     model = None
     if config.eda_fraction > 0 and len(parents) >= EDA_MIN_PARENT_POOL:
-        model = _eda_model(parents, fitness, problem, config.subpop_size)
+        model = _eda_model(parents, order, problem, config.subpop_size)
+    size = config.tournament_size
     offspring = []
     for _ in range(count):
         if model is not None and rng.random() < config.eda_fraction:
             offspring.append(_sample_eda(model, problem, rng))
             continue
-        a = _tournament(parents, fitness, config.tournament_size, rng)
+        a = _tournament(parents, order, rank, size, rng)
         child = a.genotype
         if rng.random() < config.crossover_rate:
-            b = _tournament(parents, fitness, config.tournament_size, rng)
+            b = _tournament(parents, order, rank, size, rng)
             child = problem.crossover(a.genotype, b.genotype, rng)
         offspring.append(problem.mutate(child, config.mutation_rate, rng))
     return offspring
 
 
-def _chunk_end(offspring, start: int, rm: ResolvedMetric, state: RunState) -> int:
-    """Where the chunk of ``offspring`` that starts at ``start``, a
-    candidate the burst screens, ends; the chunk is screened in one block.
+def _chunk_end(offspring, keys, start: int, rm: ResolvedMetric, state: RunState) -> int:
+    """Where the chunk of ``offspring`` (canonical keys ``keys``) that
+    starts at ``start``, a candidate the burst screens, ends; the chunk
+    is screened in one block.
 
     The burst screens candidates in order until one ends it (see
     ``run_subpopulation``) and makes no objective call for the candidates
@@ -299,8 +318,7 @@ def _chunk_end(offspring, start: int, rm: ResolvedMetric, state: RunState) -> in
     new_keys: set = set()
     may_end = False
     for end in range(start, len(offspring)):
-        child = offspring[end]
-        key = problem.canonical_key(child)
+        child, key = offspring[end], keys[end]
         new = ledger.lookup(key) is None and key not in new_keys
         may_end = may_end or (new and len(new_keys) >= ledger.remaining)
         if rm.row_calls_objective(key):
@@ -358,20 +376,20 @@ def run_subpopulation(
             report.early_stop = True
             break
         offspring = vary(parents, fitness, config, problem, rng)
+        keys = [problem.canonical_key(child) for child in offspring]
         if filtering:
-            rm.add_genotypic_rows(offspring)
+            rm.add_genotypic_rows(offspring, keys)
         new_samples: list[ScoredSample] = []
+        sample_keys = []  # new_samples' canonical keys
         out_of_budget = False
         chunk_start = chunk_end = 0
-        for i, child in enumerate(offspring):
+        for i, (child, key) in enumerate(zip(offspring, keys)):
             if state.stop:
                 break
             # once the budget is spent only a genotype the ledger holds can
             # be recorded; any other ends the burst before it is counted
             # or screened
-            if state.ledger.remaining <= 0 and (
-                state.ledger.lookup(problem.canonical_key(child)) is None
-            ):
+            if state.ledger.remaining <= 0 and state.ledger.lookup(key) is None:
                 out_of_budget = True
                 break
             report.candidates_generated += 1
@@ -379,8 +397,10 @@ def run_subpopulation(
                 estimate = float("nan")
                 if estimating:
                     if i >= chunk_end:
-                        chunk_start, chunk_end = i, _chunk_end(offspring, i, rm, state)
-                        rows, orders = rm.rows_of(offspring[chunk_start:chunk_end])
+                        chunk_start, chunk_end = i, _chunk_end(offspring, keys, i, rm, state)
+                        rows, orders = rm.rows_of(
+                            offspring[chunk_start:chunk_end], keys[chunk_start:chunk_end]
+                        )
                         estimates = guidance.filter_estimates(
                             rows, orders, policy.k, view_fitness
                         )
@@ -390,7 +410,8 @@ def run_subpopulation(
                     report.candidates_skipped += 1
                     state.skipped_total += 1
                     continue
-            new_samples.append(state.record(child))
+            new_samples.append(state.record(child, key))
+            sample_keys.append(key)
             report.candidates_evaluated += 1
         report.generations_run += 1
         if out_of_budget or state.stop:
@@ -398,7 +419,7 @@ def run_subpopulation(
             break
         if new_samples:
             if guided:
-                new_fitness = _guided_fitness(new_samples, target, policy.k, rm)
+                new_fitness = _guided_fitness(new_samples, target, policy.k, rm, sample_keys)
             else:
                 new_fitness = [s.score for s in new_samples]
             parents, fitness = _next_generation(
@@ -407,15 +428,14 @@ def run_subpopulation(
     return report
 
 
-def _guided_fitness(samples, target: LogDistribution, k: int, rm: ResolvedMetric):
-    """The modified fitness under ``target`` of each of ``samples``: their
-    scores normalized against rm's view in one call, then each sample's
-    omega, one sample at a time and in order."""
-    zeta = normalize_scores([s.score for s in samples], rm.view).tolist()
-    return [
-        guidance.modified_fitness(s.genotype, z, target, k, rm)
-        for s, z in zip(samples, zeta)
-    ]
+def _guided_fitness(samples, target: LogDistribution, k: int, rm: ResolvedMetric, keys=None):
+    """The modified fitness under ``target`` of each of ``samples``
+    (canonical keys ``keys``, computed when omitted) in one block: their
+    scores normalized against rm's view, and their omegas from one
+    neighbor query."""
+    zeta = normalize_scores([s.score for s in samples], rm.view)
+    genotypes = [s.genotype for s in samples]
+    return guidance.modified_fitness(genotypes, zeta, target, k, rm, keys).tolist()
 
 
 def _next_generation(parents, fitness, new_samples, new_fitness, config):
@@ -467,7 +487,8 @@ def run_round(state: RunState, cfg: RunConfig) -> None:
             and not state.stop
         ):
             attempts += 1
-            state.record(problem.random_genotype(rng))
+            genotype = problem.random_genotype(rng)
+            state.record(genotype, problem.canonical_key(genotype))
 
     if not state.stop and ledger.remaining > 0 and ledger.eval_count > 0:
         evals_before = ledger.eval_count

@@ -75,17 +75,28 @@ class Chart:
 
 @dataclass(frozen=True)
 class GeodesicPolyline:
+    """Points joined by geodesic segments. ``segments[i]`` is the
+    distance from point i to point i + 1, computed from the consecutive
+    pairs when not given, and ``length`` their left-to-right sum."""
+
     points: tuple[LogDistribution, ...]
     length: float
+    segments: tuple[float, ...] | None = None
+
+    def __post_init__(self):
+        if self.segments is None:
+            object.__setattr__(self, "segments", _segment_lengths(self.points))
 
     @staticmethod
     def of(points) -> "GeodesicPolyline":
         points = tuple(points)
-        length = sum(
-            manifold.geodesic_distance_exact(a, b)
-            for a, b in zip(points, points[1:])
-        )
-        return GeodesicPolyline(points, length)
+        segments = _segment_lengths(points)
+        return GeodesicPolyline(points, sum(segments), segments)
+
+
+def _segment_lengths(points) -> tuple[float, ...]:
+    """The one-pair geodesic distance of each two consecutive points."""
+    return tuple(manifold.geodesic_distance_exact(a, b) for a, b in zip(points, points[1:]))
 
 
 @dataclass(frozen=True)
@@ -268,7 +279,7 @@ def dijkstra_geodesic(
     searched = []
     for i, goal in enumerate(goals):
         if np.allclose(start_coords, goal):
-            paths[i] = GeodesicPolyline((start_pt,), 0.0)
+            paths[i] = GeodesicPolyline((start_pt,), 0.0, ())
         else:
             searched.append(i)
     if not searched:
@@ -356,7 +367,7 @@ def _deduped_polyline(points: list) -> GeodesicPolyline:
         if d > 1e-14:
             kept.append(i)
             segments.append(d)
-    return GeodesicPolyline(tuple(points[i] for i in kept), sum(segments))
+    return GeodesicPolyline(tuple(points[i] for i in kept), sum(segments), tuple(segments))
 
 
 def _downsample(pts: list, keep: int) -> list:
@@ -412,13 +423,13 @@ def refine_polyline(
             phi = subdivided
         _relax(phi, relax_passes)
         segments = manifold.geodesic_distance_rows(phi[:, :-1], phi[:, 1:])
-        for i, rows, lengths in zip(members, phi, segments):
-            length = sum(lengths.tolist())  # as GeodesicPolyline.of sums
+        for i, rows, lengths in zip(members, phi, segments.tolist()):
+            length = sum(lengths)  # as GeodesicPolyline.of sums
             if length > refined[i].length + 1e-12:
                 continue
             first, last = coarse[i][0], coarse[i][-1]
             interior = (LogDistribution(row) for row in rows[1:-1])
-            refined[i] = GeodesicPolyline((first, *interior, last), length)
+            refined[i] = GeodesicPolyline((first, *interior, last), length, tuple(lengths))
     return refined
 
 
@@ -449,20 +460,34 @@ def sample_exact_ray(
 ) -> GeodesicPolyline:
     """Closed-form geodesic polyline of the given arc length: the points
     exp_map(base, direction, t) at evenly spaced t, in one row block."""
+    return _exact_rays(base, direction.f[np.newaxis], length, segments)[0]
+
+
+def _exact_rays(base: LogDistribution, f: np.ndarray, length: float, segments: int = 8):
+    """``sample_exact_ray`` along each row of tangents ``f``, bit for bit:
+    every ray's moving points are one ``exp_map_rows`` block, and every
+    segment's length comes from one ``geodesic_distance_rows`` block."""
     if length < 0:
         raise ValueError("length must be nonnegative")
     ts = np.linspace(0.0, length, segments + 1)
-    points = [base] * len(ts)
     moving = np.flatnonzero(ts)  # time 0 is the base itself
+    phi = np.broadcast_to(base.phi, (len(f), len(ts), base.n)).copy()
     if len(moving):
-        if direction.norm == 0:
+        # a zero speed, as TangentVector.norm takes it: a sum of
+        # nonnegative terms is zero exactly when each term is
+        if np.any(np.sum(f * f * base.p, axis=-1) == 0):
             raise ZeroTangent("cannot advance along a zero tangent vector")
+        # one row per ray and moving time, each with its own time
         rows = manifold.exp_map_rows(
-            base, direction.f[np.newaxis], ts[moving, np.newaxis]
+            base, np.repeat(f, len(moving), axis=0), np.tile(ts[moving], len(f))[:, None]
         )
-        for i, phi in zip(moving, rows):
-            points[i] = LogDistribution(phi)
-    return GeodesicPolyline.of(points)
+        phi[:, moving] = rows.reshape(len(f), len(moving), base.n)
+    lengths = manifold.geodesic_distance_rows(phi[:, :-1], phi[:, 1:]).tolist()
+    polys = []
+    for rows, segs in zip(phi, lengths):
+        points = [base if t == 0 else LogDistribution(row) for t, row in zip(ts, rows)]
+        polys.append(GeodesicPolyline(tuple(points), sum(segs), tuple(segs)))
+    return polys
 
 
 def _ray_coord_directions(dim: int, count: int, rng: np.random.Generator):
@@ -500,10 +525,7 @@ def geodesic_rays(
     length = chart.radius
     cdirs = _ray_coord_directions(chart.dim, params.ray_count, rng)
     if exact:
-        polys = [
-            sample_exact_ray(chart.base, chart.tangent(cdir), length)
-            for cdir in cdirs
-        ]
+        polys = _exact_rays(chart.base, chart._tangent_rows(np.array(cdirs)), length)
     else:
         raws = dijkstra_geodesic(
             chart,
@@ -527,8 +549,7 @@ def step_along(ray: GeodesicRay, gamma: float) -> LogDistribution:
             f"gamma {gamma} exceeds polyline length {ray.polyline.length}"
         )
     walked = 0.0
-    for a, b in zip(pts, pts[1:]):
-        seg = manifold.geodesic_distance_exact(a, b)
+    for a, b, seg in zip(pts, pts[1:], ray.polyline.segments):
         if walked + seg >= gamma - 1e-12:
             frac = 0.0 if seg == 0 else (gamma - walked) / seg
             return manifold.geodesic_point(a, b, min(max(frac, 0.0), 1.0))

@@ -8,10 +8,10 @@ below a ledger quantile are skipped before any expensive evaluation.
 Every function here reads the round's view through its
 ``ResolvedMetric``; neighbor queries answer in view positions, which
 index distributions and per-sample arrays directly. The block forms
-(``omega_block``, ``ledger_modified_fitness``, ``filter_estimates``) read
-stacked rows and orders and give, bit for bit, what the one-candidate
-forms (``omega_knn``, ``modified_fitness``, ``estimate_fitness``) give
-each row.
+(``omega_block``, ``modified_fitness``, ``ledger_modified_fitness``,
+``filter_estimates``) read stacked rows and orders and give, bit for
+bit, what the one-candidate forms (``omega_knn``, ``estimate_fitness``)
+give each row.
 """
 
 from __future__ import annotations
@@ -58,7 +58,7 @@ class FilterPolicy:
 
 def omega_knn(x, dist: LogDistribution, k: int, rm: ResolvedMetric) -> float:
     """Probability mass the distribution puts on x's k nearest neighbors."""
-    idx, _ = knn(x, rm, k)
+    idx = knn([x], rm, k)[0][0]
     # a sequential sum, in neighbor order: np.sum adds 8 or more terms
     # in another order
     return float(sum(dist.p[idx].tolist()))
@@ -86,21 +86,24 @@ def _ascending_median(values) -> float:
 
 def _inverse_distance_weights(x, k: int, rm: ResolvedMetric):
     """x's k nearest view positions and their inverse-distance weights."""
-    idx, dists = knn(x, rm, k)
+    idx, dists = (block[0] for block in knn([x], rm, k))
     delta = 1e-9 * (_ascending_median(dists) + 1e-30)
     return idx, 1.0 / (dists + delta)
 
 
 def modified_fitness(
-    x, zeta_value: float, target: LogDistribution, k: int, rm: ResolvedMetric
-) -> float:
-    """Guided fitness h(zeta_norm, omega) for a genotype with known score,
-    omega being the mass ``target`` puts on its k nearest view samples.
+    xs, zeta: np.ndarray, target: LogDistribution, k: int, rm: ResolvedMetric, keys=None
+) -> np.ndarray:
+    """Guided fitness h(zeta_norm, omega) of each genotype of ``xs`` (a
+    nonempty list of scored genotypes; canonical keys ``keys``, computed
+    when omitted), omega being the mass ``target`` puts on its k nearest
+    view samples: one neighbor query for the block, then ``omega_block``.
 
-    ``zeta_value`` is the normalized score under the view's min-max
+    ``zeta`` holds their normalized scores under the view's min-max
     convention.
     """
-    return h(zeta_value, omega_knn(x, target, k, rm))
+    idx, _ = knn(xs, rm, k, keys)
+    return h(zeta, omega_block(idx, target, k))
 
 
 def ledger_modified_fitness(

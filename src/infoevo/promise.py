@@ -42,7 +42,7 @@ def local_max_prob(
     """
     if len(rm.view) < 2:
         raise LedgerTooSmall("local_max_prob needs at least 2 samples")
-    idx, _ = knn(rm.view.samples[i].genotype, rm, k_local + 1)
+    idx = knn([rm.view.samples[i].genotype], rm, k_local + 1)[0][0]
     hood = [norm[j] for j in idx if j != i][:k_local]
     denom = max([norm[i]] + hood)
     if denom <= 0:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from infoevo.core import EvaluationLedger, evaluate
+from infoevo.core import EvaluationLedger, evaluate, knn
 from infoevo.demes import run_demes
 from infoevo.domains.base import Problem
 
@@ -55,6 +55,13 @@ def count_objective_calls(problem):
     if type(problem).behavior is not Problem.behavior:
         problem.behavior = counting("behavior")
     return calls
+
+
+def knn_one(x, rm, k):
+    """One genotype's neighbor query: the row of ``knn([x], rm, k)``,
+    x's nearest view positions and their distances."""
+    idx, dists = knn([x], rm, k)
+    return idx[0], dists[0]
 
 
 def run_one(problem, cfg):

@@ -14,7 +14,7 @@ from infoevo.core import (
 from infoevo.domains import OneMax, make_problem
 from infoevo.errors import BudgetExhausted, EmptyLedger
 
-from conftest import ScalarProblem, count_objective_calls, make_scalar_ledger
+from conftest import ScalarProblem, count_objective_calls, knn_one, make_scalar_ledger
 
 
 def test_evaluate_onemax_all_ones():
@@ -58,7 +58,7 @@ def test_knn_self_distance_zero():
     problem, ledger = make_scalar_ledger([1.0, 4.0, 9.0])
     view = view_of(ledger)
     rm = ResolvedMetric(problem, view, 1.0)
-    idx, dists = knn(4.0, rm, 1)
+    idx, dists = knn_one(4.0, rm, 1)
     assert len(idx) == 1
     assert view.samples[idx[0]].genotype == 4.0
     assert dists[0] == 0.0
@@ -71,7 +71,7 @@ def test_knn_one_bit_example():
     evaluate(np.array([1], dtype=np.uint8), problem, ledger)
     view = view_of(ledger)
     rm = ResolvedMetric(problem, view, 1.0)
-    _, dists = knn(np.array([0], dtype=np.uint8), rm, 2)
+    _, dists = knn_one(np.array([0], dtype=np.uint8), rm, 2)
     assert list(dists) == [0.0, 1.0]
 
 
@@ -79,7 +79,7 @@ def test_knn_clamps_to_population_size():
     problem, ledger = make_scalar_ledger([1.0, 2.0, 3.0, 4.0, 5.0])
     view = view_of(ledger)
     rm = ResolvedMetric(problem, view, 1.0)
-    idx, dists = knn(0.0, rm, 10)
+    idx, dists = knn_one(0.0, rm, 10)
     assert len(idx) == len(dists) == 5
 
 
@@ -87,7 +87,7 @@ def test_knn_distances_nondecreasing(rng):
     problem, ledger = make_scalar_ledger(list(rng.uniform(0, 10, 20)))
     view = view_of(ledger)
     rm = ResolvedMetric(problem, view, 1.0)
-    dists = list(knn(3.3, rm, 20)[1])
+    dists = list(knn_one(3.3, rm, 20)[1])
     assert dists == sorted(dists)
 
 
@@ -95,7 +95,7 @@ def test_knn_ties_break_by_smaller_id():
     problem, ledger = make_scalar_ledger([2.0, 6.0])  # both distance 2 from 4
     view = view_of(ledger)
     rm = ResolvedMetric(problem, view, 1.0)
-    idx, _ = knn(4.0, rm, 2)
+    idx, _ = knn_one(4.0, rm, 2)
     assert [view.samples[i].id for i in idx] == [0, 1]
 
 
@@ -103,7 +103,7 @@ def test_knn_empty_ledger():
     problem = ScalarProblem()
     view = PopulationView.of([])
     with pytest.raises(EmptyLedger):
-        knn(1.0, ResolvedMetric(problem, view, 1.0), 1)
+        knn_one(1.0, ResolvedMetric(problem, view, 1.0), 1)
 
 
 def test_best_score_cases():
@@ -152,11 +152,11 @@ def test_resolved_metric_computes_each_behavior_once(rng):
     calls = count_objective_calls(problem)
     rm = ResolvedMetric(problem, view, 0.5, ledger)
     for s in view.samples:
-        knn(s.genotype, rm, 3)
+        knn_one(s.genotype, rm, 3)
     assert calls == []
     outside = problem.random_genotype(rng)
-    first = knn(outside, rm, 3)
-    again = knn(outside, rm, 3)
+    first = knn_one(outside, rm, 3)
+    again = knn_one(outside, rm, 3)
     assert all(np.array_equal(a, b) for a, b in zip(again, first))
     assert calls == ["score"]
     assert ledger.objective_calls == 12 + 1
@@ -173,7 +173,7 @@ def test_resolved_metric_computes_each_behavior_once(rng):
     for view in (first, second):
         rm = ResolvedMetric(problem, view, 0.0, ledger)
         for s in view.samples:
-            knn(s.genotype, rm, 3)
+            knn_one(s.genotype, rm, 3)
     assert calls == ["behavior"] * len(ledger)
 
 
@@ -203,14 +203,14 @@ def test_knn_refuses_more_neighbors_than_the_orders_hold():
     view = view_of(ledger)
     rm = ResolvedMetric(problem, view, 1.0, k=3)
     assert rm.width == 3 and rm.view_orders.shape == (8, 3)
-    assert len(knn(2.5, rm, 3)[0]) == 3
+    assert len(knn_one(2.5, rm, 3)[0]) == 3
     for k in (4, 8, 20):  # 20 asks for all 8 samples
         with pytest.raises(ValueError, match=f"{k} neighbors.* hold 3"):
-            knn(2.5, rm, k)
+            knn_one(2.5, rm, k)
     # orders as wide as the view answer any k
     full = ResolvedMetric(problem, view, 1.0, k=20)
     assert full.width == 8
-    assert len(knn(2.5, full, 20)[0]) == 8
+    assert len(knn_one(2.5, full, 20)[0]) == 8
     with pytest.raises(ValueError):
         ResolvedMetric(problem, view, 1.0, k=0)
 
@@ -267,10 +267,10 @@ def test_resolved_metric_computes_one_distance_block_per_batch(rng):
     assert fresh and shapes[1:] == [(len(fresh), len(view))]
     rm.add_genotypic_rows(offspring)  # every row is held already
     for g in offspring:
-        knn(g, rm, 3)
+        knn_one(g, rm, 3)
     assert len(shapes) == 2
     # a genotype never added gets its own one-row block on its query
-    knn(("-", ("c", 123.0), ("x", 0)), rm, 3)
+    knn_one(("-", ("c", 123.0), ("x", 0)), rm, 3)
     assert shapes[2:] == [(1, len(view))]
 
 

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from infoevo.core import EvaluationLedger, evaluate, normalize_scores, view_of
 from infoevo.domains import (
     PROBLEMS,
     OneMax,
@@ -237,6 +238,20 @@ def test_symreg_overflow_sentinel():
     big = ("c", 1e300)
     blowup = ("*", big, big)
     assert problem.score(blowup) == OVERFLOW_SCORE
+
+
+def test_symreg_overflowed_error_scores_the_sentinel():
+    # finite outputs whose squared error overflows: the sentinel, with no
+    # overflow warning (pytest turns warnings into errors)
+    problem = SymbolicRegression()
+    assert problem.score(("c", 1e200)) == OVERFLOW_SCORE
+    assert problem.score(("c", -1e200)) == OVERFLOW_SCORE
+    # so a view holding it normalizes to finite values
+    ledger = EvaluationLedger(budget=3)
+    for tree in (("c", 1e200), ("c", 0.0), ("c", 1.0)):
+        evaluate(tree, problem, ledger)
+    view = view_of(ledger)
+    assert np.isfinite(normalize_scores(view.scores, view)).all()
 
 
 def test_symreg_operators_respect_depth(rng):

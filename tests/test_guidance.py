@@ -116,8 +116,7 @@ def test_h_monotone_in_both_arguments(rng):
 def test_modified_fitness_prefers_near_target():
     view, rm = scalar_setup([0.0, 5.0, 10.0])
     target = point_mass(2, 3)
-    high = modified_fitness(9.8, 1.0, target, 1, rm)
-    low = modified_fitness(0.2, 1.0, target, 1, rm)
+    high, low = modified_fitness([9.8, 0.2], np.array([1.0, 1.0]), target, 1, rm)
     assert high > low
 
 
@@ -130,7 +129,7 @@ def test_ledger_modified_fitness_matches_pointwise():
     batch = ledger_modified_fitness(target, 2, rm)
     for i, s in enumerate(view.samples):
         zn = normalize_scores(s.score, view)
-        assert batch[i] == pytest.approx(modified_fitness(s.genotype, zn, target, 2, rm))
+        assert batch[i] == pytest.approx(modified_fitness([s.genotype], zn, target, 2, rm)[0])
 
 
 def test_estimate_fitness_exact_match_recovers_sample_value():

@@ -21,6 +21,7 @@ from infoevo.core import (
     PopulationView,
     ResolvedMetric,
     ScoredSample,
+    best_sample,
     evaluate,
     knn,
     normalize_scores,
@@ -47,24 +48,30 @@ from infoevo.domains.symreg import (
     eval_tree,
     tree_labels,
 )
-from infoevo.errors import GammaExceedsRay, ZeroTangent
+from infoevo.errors import EmptyLedger, GammaExceedsRay, ZeroTangent
 from infoevo.evolve import (
     EDA_MIN_PARENT_POOL,
     EvolutionConfig,
+    RunState,
     _eda_model,
     _guided_fitness,
+    _ranking,
     _sample_eda,
+    _tournament,
     vary,
 )
 from infoevo.geodesic_search import (
     GeodesicPolyline,
     GeodesicRay,
+    StepParams,
     _deduped_polyline,
     _downsample,
     _Lattice,
+    _ray_coord_directions,
     _relax,
     build_chart,
     dijkstra_geodesic,
+    geodesic_rays,
     refine_polyline,
     sample_exact_ray,
     step_along,
@@ -74,6 +81,7 @@ from infoevo.guidance import (
     _ascending_median,
     estimate_fitness,
     filter_estimates,
+    h,
     ledger_modified_fitness,
     modified_fitness,
     omega_block,
@@ -87,7 +95,7 @@ from infoevo.promise import (
     promise_vector,
 )
 
-from conftest import ScalarProblem, make_scalar_ledger
+from conftest import ScalarProblem, knn_one, make_scalar_ledger
 
 # small integer genotypes, so that many samples tie in distance to a query
 scalar_views = st.tuples(
@@ -118,7 +126,7 @@ def brute_force_knn(view, x, k):
 def test_knn_matches_brute_force_sort(case):
     values, x, k, cap = case
     view, rm = scalar_view(values, cap)
-    idx, dists = knn(float(x), rm, k)
+    idx, dists = knn_one(float(x), rm, k)
     expected = brute_force_knn(view, x, k)
     assert list(idx) == expected
     assert len(idx) == min(k, len(view))
@@ -329,9 +337,13 @@ def test_from_weights_without_floor(w):
 # --- EDA sampling ---
 
 
+def fitness_order(fitness):
+    """Parent positions, fittest first, ties to the earlier."""
+    return sorted(range(len(fitness)), key=lambda i: (-fitness[i], i))
+
+
 def top_quartile(fitness):
-    order = sorted(range(len(fitness)), key=lambda i: (-fitness[i], i))
-    return order[: max(1, -(-len(fitness) // 4))]
+    return fitness_order(fitness)[: max(1, -(-len(fitness) // 4))]
 
 
 def choice_per_locus(top_loci, alphabets, m, rng):
@@ -387,7 +399,7 @@ def test_eda_sampler_matches_choice_per_locus(case, draws, seed):
     alphabet, genotypes, fitness, m = case
     problem = Loci(alphabet)
     parents = [ScoredSample(i, g, 0.0) for i, g in enumerate(genotypes)]
-    model = _eda_model(parents, fitness, problem, m)
+    model = _eda_model(parents, fitness_order(fitness), problem, m)
     top = [genotypes[i] for i in top_quartile(fitness)]
     rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
     for _ in range(draws):
@@ -461,7 +473,7 @@ def reference_vary(parents, fitness, config, problem, rng):
     count = config.subpop_size - config.elitism
     model = None
     if config.eda_fraction > 0 and len(parents) >= EDA_MIN_PARENT_POOL:
-        model = _eda_model(parents, fitness, problem, config.subpop_size)
+        model = _eda_model(parents, fitness_order(fitness), problem, config.subpop_size)
     offspring = []
     for _ in range(count):
         if model is not None and rng.random() < config.eda_fraction:
@@ -1347,11 +1359,11 @@ def test_score_and_behavior_read_the_one_row_outputs(inputs, rows, data):
     outs = np.array([one_row_value(tree, p) for p in probes], dtype=float)
     behavior = np.clip(np.nan_to_num(outs, nan=1e6, posinf=1e6, neginf=-1e6), -1e6, 1e6)
     assert problem.behavior(tree).tobytes() == behavior.tobytes()
+    got = problem.score(tree)  # warns of no overflow, which -W error would raise
     # the squared error of a large finite output may overflow
     with np.errstate(over="ignore"):
         score = float(-np.mean((outs - np.array(outputs)) ** 2))
-        got = problem.score(tree)
-    if not np.all(np.isfinite(outs)):
+    if not np.all(np.isfinite(outs)) or not np.isfinite(score):
         score = OVERFLOW_SCORE
     assert np.float64(got).tobytes() == np.float64(score).tobytes()
 
@@ -1503,7 +1515,7 @@ def test_omega_knn_matches_generator_sum(k, values, data):
     weights = data.draw(st.lists(st.floats(1e-6, 1.0), min_size=len(view), max_size=len(view)))
     dist = manifold.from_weights(weights)
     x = float(data.draw(st.integers(-3, 33)))
-    idx, _ = knn(x, rm, k)
+    idx, _ = knn_one(x, rm, k)
     assert omega_knn(x, dist, k, rm) == float(sum(dist.p[j] for j in idx))
 
 
@@ -1512,6 +1524,14 @@ def test_omega_knn_matches_generator_sum(k, values, data):
 
 def same_doubles(got, expected) -> bool:
     return np.asarray(got, dtype=float).tobytes() == np.asarray(expected, dtype=float).tobytes()
+
+
+def reference_modified_fitness(x, zeta_value: float, target, k: int, rm) -> float:
+    """One genotype's modified fitness, as the program took it before it
+    took a block: x's own row and order from ``neighbors``, the masses of
+    its k nearest summed one at a time in order, then h."""
+    _, order = rm.neighbors(x)
+    return h(zeta_value, float(sum(target.p[order[:k]].tolist())))
 
 
 def reference_zeta(score: float, view) -> float:
@@ -1558,7 +1578,9 @@ def test_guided_fitness_matches_the_per_sample_reference(case):
     zeta = [reference_zeta(s.score, view) for s in samples]
     if view.scores.min() == view.scores.max():
         assert zeta == [1.0] * len(samples)
-    expected = [modified_fitness(s.genotype, z, target, k, rm) for s, z in zip(samples, zeta)]
+    expected = [
+        reference_modified_fitness(s.genotype, z, target, k, rm) for s, z in zip(samples, zeta)
+    ]
     assert same_doubles(_guided_fitness(samples, target, k, rm), expected)
 
 
@@ -1602,7 +1624,9 @@ def test_guidance_blocks_match_the_one_candidate_forms(k, name, lam, n, seed):
         assert same_doubles(omega, omega_knn(x, dist, k, single))
 
     norm = normalize_scores(view.scores, view)
-    expected = [modified_fitness(g, norm[i], dist, k, single) for i, g in enumerate(genos)]
+    expected = [
+        reference_modified_fitness(g, norm[i], dist, k, single) for i, g in enumerate(genos)
+    ]
     assert same_doubles(ledger_modified_fitness(dist, k, block), expected)
 
     if n >= 2:
@@ -1640,3 +1664,231 @@ def test_local_max_ratios_where_samples_sit_at_distance_zero(labels, k_local):
     norm = normalize_scores(view.scores, view)
     expected = [local_max_prob(i, k_local, rm, norm) for i in range(len(view))]
     assert same_doubles(local_max_ratios(rm.view_orders, norm, k_local), expected)
+
+
+# --- per-genotype facts computed once: keys, behaviors, rows, segments ---
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.sampled_from(sorted(BLOCK_PROBLEMS)),
+    lams,
+    st.integers(1, 30),  # view size
+    st.integers(1, 12),  # k, often past the view size
+    st.booleans(),  # keys given or computed
+    st.integers(0, 2**32 - 1),
+)
+def test_block_knn_equals_the_one_genotype_query(name, lam, n, k, keyed, seed):
+    problem = BLOCK_PROBLEMS[name]()
+    rng = np.random.default_rng(seed)
+    ledger = EvaluationLedger(budget=n)
+    while ledger.eval_count < n:
+        evaluate(problem.random_genotype(rng), problem, ledger)
+    view = view_of(ledger)
+    block = ResolvedMetric(problem, view, lam, ledger, k=k)
+    single = ResolvedMetric(problem, view, lam, ledger, k=k)
+    genos = [s.genotype for s in view.samples]
+    candidates = [problem.random_genotype(rng) for _ in range(4)]
+    candidates += [candidates[0], genos[0], genos[-1]]
+    keys = [problem.canonical_key(g) for g in candidates] if keyed else None
+    idx, dists = knn(candidates, block, k, keys)
+    assert idx.shape == dists.shape == (len(candidates), min(k, n))
+    for x, row_idx, row_dists in zip(candidates, idx, dists):
+        one_idx, one_dists = knn_one(x, single, k)
+        assert row_idx.tobytes() == one_idx.tobytes()
+        assert same_doubles(row_dists, one_dists)
+        # the stored row and order the one-genotype query reads
+        row, order = single.neighbors(x)
+        assert row_idx.tobytes() == order[:k].tobytes()
+        assert same_doubles(row_dists, row[order[:k]])
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.sampled_from(sorted(MEMO_PROBLEMS)),
+    lams,
+    st.integers(1, 30),  # view size
+    st.integers(1, 12),  # omega's k
+    st.integers(1, 8),  # new parents
+    st.integers(0, 2**32 - 1),
+    st.data(),
+)
+def test_block_omega_of_new_parents_matches_the_per_sample_reference(
+    name, lam, n, k, m, seed, data
+):
+    problem = MEMO_PROBLEMS[name]
+    rng = np.random.default_rng(seed)
+    ledger = EvaluationLedger(budget=n + m)
+    while ledger.eval_count < n:
+        evaluate(problem.random_genotype(rng), problem, ledger)
+    view = view_of(ledger)
+    # new parents, charged after the view was taken: new genotypes, one
+    # of them twice, and a view sample
+    new = [evaluate(problem.random_genotype(rng), problem, ledger) for _ in range(m)]
+    new += [new[0], view.samples[-1]]
+    keys = [problem.canonical_key(s.genotype) for s in new]
+    target = manifold.from_weights(rng.uniform(0.0, 1.0, size=n))
+    zeta = normalize_scores([s.score for s in new], view)
+    reference = ResolvedMetric(problem, view, lam, ledger, k=k)
+    expected = [
+        reference_modified_fitness(s.genotype, z, target, k, reference)
+        for s, z in zip(new, zeta.tolist())
+    ]
+    rm = ResolvedMetric(problem, view, lam, ledger, k=k)
+    # some parents' rows already built, as a screened chunk builds them
+    built = data.draw(st.lists(st.sampled_from(new), max_size=3))
+    if built:
+        rm.rows_of([s.genotype for s in built])
+    got = modified_fitness([s.genotype for s in new], zeta, target, k, rm, keys)
+    assert same_doubles(got, expected)
+    assert same_doubles(_guided_fitness(new, target, k, rm, keys), expected)
+    assert same_doubles(_guided_fitness(new, target, k, rm), expected)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(st.sampled_from([OVERFLOW_SCORE, -2.0, -0.0, 0.0, 1.5]), min_size=1, max_size=10),
+    st.booleans(),  # numpy doubles or Python floats
+    st.integers(1, 6),  # tournament size
+    st.integers(0, 2**32 - 1),
+)
+def test_ranked_tournament_picks_the_fitness_max(fitness, numpy_doubles, size, seed):
+    if numpy_doubles:
+        fitness = np.array(fitness)
+    parents = [ScoredSample(i, float(i), 0.0) for i in range(len(fitness))]
+    order, rank = _ranking(fitness)
+    assert order == fitness_order(fitness)
+    rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+    for _ in range(20):
+        got = _tournament(parents, order, rank, size, rng)
+        assert got is reference_tournament(parents, fitness, size, ref)
+    assert rng.bit_generator.state == ref.bit_generator.state
+
+
+def reference_exact_ray(base, direction, length: float, segments: int = 8):
+    """A closed-form ray as the program took it one ray at a time: its
+    moving points in one exp_map_rows call, then one-pair distances
+    summed left to right. Returns (points, segment lengths, length)."""
+    ts = np.linspace(0.0, length, segments + 1)
+    points = [base] * len(ts)
+    moving = np.flatnonzero(ts)
+    if len(moving):
+        rows = manifold.exp_map_rows(base, direction.f[np.newaxis], ts[moving, np.newaxis])
+        for i, phi in zip(moving, rows):
+            points[i] = LogDistribution(phi)
+    lengths = [manifold.geodesic_distance_exact(a, b) for a, b in zip(points, points[1:])]
+    return points, lengths, sum(lengths)
+
+
+def reference_step_along(ray, gamma: float):
+    """``step_along`` with each segment's one-pair distance recomputed."""
+    if gamma == 0:
+        return ray.origin
+    pts = ray.polyline.points
+    walked = 0.0
+    for a, b in zip(pts, pts[1:]):
+        seg = manifold.geodesic_distance_exact(a, b)
+        if walked + seg >= gamma - 1e-12:
+            frac = 0.0 if seg == 0 else (gamma - walked) / seg
+            return manifold.geodesic_point(a, b, min(max(frac, 0.0), 1.0))
+        walked += seg
+    return pts[-1]
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(1, 3),  # chart dimension
+    st.integers(0, 20),  # extra view samples
+    st.integers(1, 7),  # rays
+    st.one_of(st.just(0.0), st.floats(0.01, 1.5)),  # ray length, the chart radius
+    st.integers(0, 2**32 - 1),
+    st.data(),
+)
+def test_block_exact_rays_equal_the_one_ray_reference(dim, extra, count, radius, seed, data):
+    rng = np.random.default_rng(seed)
+    n = dim + 1 + extra
+    base = manifold.from_weights(rng.uniform(0.05, 1.0, size=n))
+    chart = build_chart(base, rng.uniform(0.0, 1.0, size=n), dim, rng, radius=radius)
+    params = StepParams(ray_count=count, chart_dim=dim)
+    rays = geodesic_rays(chart, params, np.random.default_rng(seed), exact=True)
+    cdirs = _ray_coord_directions(dim, count, np.random.default_rng(seed))
+    assert len(rays) == count
+    for ray, cdir in zip(rays, cdirs):
+        direction = chart.tangent(cdir)
+        points, lengths, length = reference_exact_ray(base, direction, radius)
+        for poly in (ray.polyline, sample_exact_ray(base, direction, radius)):
+            assert poly.points[0] is base
+            assert len(poly.points) == len(points)
+            for got, expected in zip(poly.points, points):
+                assert got.phi.tobytes() == expected.phi.tobytes()
+                assert (got is base) == (expected is base)
+            assert same_doubles(poly.segments, lengths)
+            assert same_doubles(poly.length, length)
+            assert same_doubles(GeodesicPolyline.of(poly.points).segments, lengths)
+        gamma = data.draw(st.floats(0.0, ray.polyline.length))
+        got = step_along(ray, gamma)
+        assert got.phi.tobytes() == reference_step_along(ray, gamma).phi.tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from(["onemax", "sphere", "scalar", "symreg"]),
+    st.integers(1, 12),  # view size
+    st.integers(0, 2**32 - 1),
+)
+def test_behavior_column_equals_the_stacked_behavior_of(name, n, seed):
+    problem = {
+        "onemax": lambda: OneMax(bits=10),
+        "sphere": lambda: Sphere(dim=3),
+        "scalar": ScalarProblem,
+        "symreg": lambda: make_problem("symreg"),
+    }[name]()
+    rng = np.random.default_rng(seed)
+    ledger = EvaluationLedger(budget=n)
+    while ledger.eval_count < n:
+        evaluate(problem.random_genotype(rng), problem, ledger)
+    view = view_of(ledger)
+    # view samples, and genotypes the ledger has not scored
+    genos = [s.genotype for s in view.samples]
+    genos += [problem.random_genotype(rng) for _ in range(3)]
+    keys = [problem.canonical_key(g) for g in genos]
+    fresh = EvaluationLedger(budget=0)  # a memo of its own
+    stacked = np.array([fresh.behavior_of(g, problem, key) for g, key in zip(genos, keys)])
+    got = ledger.behaviors_of(genos, problem, keys)
+    assert got.shape == stacked.shape and same_doubles(got, stacked)
+    # the phenotypic view rows read the same column
+    rows = ResolvedMetric(problem, view, 0.0, ledger).view_rows
+    behaviors = stacked[:n]
+    expected = np.linalg.norm(behaviors[None] - behaviors[:, None], axis=-1)
+    assert same_doubles(rows, expected)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(
+        st.sampled_from([OVERFLOW_SCORE, -3.0, -0.0, 0.0, 1.0, 2.5]), min_size=1, max_size=30
+    ),
+    st.lists(st.integers(0, 29), max_size=10),  # genotypes recorded again
+)
+def test_running_best_equals_a_scan(scores, again):
+    problem = TableScore({float(i): score for i, score in enumerate(scores)})
+    ledger = EvaluationLedger(len(scores))
+    state = RunState(
+        ledger=ledger,
+        problem=problem,
+        rng=np.random.default_rng(0),
+        gamma=0.25,
+        threshold_quantile=0.25,
+    )
+    assert state.best is None
+    with pytest.raises(EmptyLedger):
+        best_sample(ledger)
+    for i in range(len(scores)):
+        state.record(float(i), float(i))
+        for j in again:
+            if j <= i:  # a genotype the ledger holds: no new sample
+                state.record(float(j), float(j))
+        expected = max(ledger.samples, key=lambda s: (s.score, -s.id))
+        assert ledger.best is expected
+        assert best_sample(ledger) is expected and state.best is expected
+    assert ledger.keys == [float(i) for i in range(len(scores))]

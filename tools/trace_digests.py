@@ -22,9 +22,11 @@ neighbors the metric's orders keep), guided symreg on a 3-d chart and
 on a 1-d chart, whose cone rays coincide with +-e1 and are refined as a
 block of duplicate rays, guided symreg with depth-1 programs, whose
 view holds six samples, guided trap5-20 with one ray per round,
-which has rounds whose filter skips every new candidate, guided symreg
-on the built-in 4-point dataset, and unguided symreg on the cubic
-dataset, whose runs read program scores only.
+which has rounds whose filter skips every new candidate, guided OneMax-50
+with the filter off, whose new parents' rows are built by their own
+neighbor query since no chunk is screened, guided symreg on the
+built-in 4-point dataset, and unguided symreg on the cubic dataset,
+whose runs read program scores only.
 The cubic dataset is written with ``perfbench/make_dataset.py`` to a
 temporary directory.
 """
@@ -70,6 +72,7 @@ def runs(dataset: str):
         ("onemax50-filter-k12-s1", onemax + ["--filter-k", "12", "--seed", "1"]),
         ("onemax50-klocal9-s1", onemax + ["--k-local", "9", "--seed", "1"]),
         ("onemax50-demes2-s1", onemax + ["--deme-count", "2", "--seed", "1"]),
+        ("onemax50-nofilter-s1", onemax + unfiltered + ["--seed", "1"]),
         ("symreg-cubic-cap64-genotypic-s3", symreg + genotypic + ["--seed", "3"]),
         ("symreg-cubic-cap64-chartdim3-res8-s6", symreg + chart3 + ["--seed", "6"]),
         ("symreg-cubic-cap64-chartdim1-s3", symreg + chart1 + ["--seed", "3"]),
