@@ -36,19 +36,36 @@ class BitstringProblem(Problem):
     def random_genotype(self, rng):
         return rng.integers(0, 2, size=self.dimension, dtype=np.uint8)
 
+    # Variation in row form: each operator takes a block of genotype rows
+    # and one uniform per bit, so that a generation can be varied in one
+    # block from uniforms drawn ahead (see ``evolve.vary``); a 1-d genotype
+    # is one row, and the one-offspring operators below are such calls.
+
+    def mutate_rows(self, rows, rate, u):
+        """``rows`` with each bit flipped whose uniform in ``u`` is below
+        ``rate``."""
+        return np.asarray(rows, dtype=np.uint8) ^ (u < rate)
+
+    def crossover_rows(self, a, b, u):
+        """Uniform crossover of rows ``a`` and ``b``: each bit from ``a``
+        where its uniform in ``u`` is below 0.5, else from ``b``."""
+        return np.where(u < 0.5, a, b).astype(np.uint8, copy=False)
+
+    def from_loci_rows(self, values):
+        """The genotypes whose loci are the rows of ``values``."""
+        return np.asarray(values, dtype=np.uint8)
+
     def mutate(self, genotype, rate, rng):
-        flips = rng.random(self.dimension) < rate
-        return np.asarray(genotype, dtype=np.uint8) ^ flips
+        return self.mutate_rows(genotype, rate, rng.random(self.dimension))
 
     def crossover(self, a, b, rng):
-        mask = rng.random(self.dimension) < 0.5
-        return np.where(mask, a, b).astype(np.uint8, copy=False)
+        return self.crossover_rows(a, b, rng.random(self.dimension))
 
     def loci(self, genotype):
         return np.asarray(genotype, dtype=np.uint8).tolist()
 
     def from_loci(self, values, rng):
-        return np.asarray(values, dtype=np.uint8)
+        return self.from_loci_rows(values)
 
     def stack(self, genotypes) -> np.ndarray:
         """An (n, dimension) bit matrix, one row per genotype."""

@@ -21,6 +21,7 @@ from .core import (
     PopulationView,
     ResolvedMetric,
     ScoredSample,
+    behavior_is_score,
     best_sample,
     evaluate,
     normalize_scores,
@@ -234,18 +235,23 @@ def _eda_model(parents, order, problem, m: int):
     return alphabet, cdf
 
 
-def _sample_eda(model, problem, rng):
-    """One offspring: one uniform per locus against its row of the CDF.
+def _eda_values(model, u):
+    """The locus values that uniforms ``u`` (one per locus along the last
+    axis) pick from the loci's CDFs.
 
     ``(cdf <= u).sum()`` is ``searchsorted(u, side="right")`` on a
     non-decreasing row, which is how ``rng.choice(len(alphabet), p=probs)``
-    turns its one uniform into an index; drawing all loci at once keeps
+    turns its one uniform into an index, so one uniform per locus keeps
     the random stream of one ``choice`` call per locus.
     """
     alphabet, cdf = model
-    u = rng.random(cdf.shape[0])
-    idx = (cdf <= u[:, None]).sum(axis=1)
-    return problem.from_loci(alphabet[idx], rng)
+    return alphabet[(cdf <= u[..., None]).sum(axis=-1)]
+
+
+def _sample_eda(model, problem, rng):
+    """One offspring: one uniform per locus against its row of the CDF."""
+    u = rng.random(model[1].shape[0])
+    return problem.from_loci(_eda_values(model, u), rng)
 
 
 def _ranking(fitness) -> tuple[list[int], list[int]]:
@@ -258,12 +264,114 @@ def _ranking(fitness) -> tuple[list[int], list[int]]:
     return order, rank
 
 
+def _winner(order, rank, drawn) -> int:
+    """The index of a tournament's winner among the parent indices
+    ``drawn``: the one of least rank (see ``_ranking``), which is the one
+    of greatest ``(fitness, -index)``."""
+    return order[min(map(rank.__getitem__, drawn))]
+
+
 def _tournament(parents, order, rank, size, rng):
-    """The winner of ``size`` parents drawn with replacement: the one of
-    least rank (see ``_ranking``), which is the one of greatest
-    ``(fitness, -index)``."""
-    idx = rng.integers(0, len(parents), size=size)
-    return parents[order[min(map(rank.__getitem__, idx.tolist()))]]
+    """The winner of ``size`` parents drawn with replacement."""
+    drawn = rng.integers(0, len(parents), size=size).tolist()
+    return parents[_winner(order, rank, drawn)]
+
+
+# Generator.random's double of a raw word w: (w >> 11) * 2**-53
+_DOUBLE_UNIT = 1.0 / 9007199254740992.0
+_LOW_HALF = 0xFFFFFFFF
+
+
+class WordReplay:
+    """Draws of numpy's ``Generator`` on a PCG64 bit generator, replayed
+    bit for bit from one block of its raw 64-bit words.
+
+    ``Generator.random`` makes a double of one word w,
+    ``(w >> 11) * 2**-53``. ``Generator.integers(0, n)`` with
+    ``n < 2**32`` reads 32-bit halves: the low half of a new word, whose
+    high half the bit generator keeps (``has_uint32`` and ``uinteger`` in
+    its state) for its next 32-bit draw; doubles leave that half waiting.
+    A half x gives ``m = x * n``, and while ``m mod 2**32`` is below
+    ``(2**32 - n) % n`` a new half replaces x (Lemire's rule); the draw is
+    ``m >> 32``, and ``n == 1`` reads nothing.
+
+    The replay draws ``size`` words ahead, and more when its draws run
+    past them. ``close`` moves the bit generator back to just after the
+    words the draws used and gives it the half they left waiting: the
+    state the same draws made through the generator leave.
+    """
+
+    def __init__(self, bit_generator: np.random.PCG64, size: int):
+        state = bit_generator.state
+        self._bit_generator = bit_generator
+        self._has_half = state["has_uint32"]
+        self._half = state["uinteger"]
+        self._words = bit_generator.random_raw(size)
+        self._used = 0
+
+    def _grow(self, end: int) -> None:
+        """Draw words on, at least up to position ``end``."""
+        more = max(end - len(self._words), len(self._words))
+        self._words = np.concatenate((self._words, self._bit_generator.random_raw(more)))
+
+    def take(self, count: int) -> int:
+        """Position of the next ``count`` words, taken as that many
+        doubles, which ``doubles`` reads."""
+        start = self._used
+        self._used += count
+        if self._used > len(self._words):
+            self._grow(self._used)
+        return start
+
+    def double(self) -> float:
+        """``Generator.random()``."""
+        at = self._used
+        if at == len(self._words):
+            self._grow(at + 1)
+        self._used = at + 1
+        return (self._words.item(at) >> 11) * _DOUBLE_UNIT
+
+    def doubles(self, starts, count: int) -> np.ndarray:
+        """The doubles of the ``count`` words from each of ``starts``
+        (positions ``take`` gave), one row per start."""
+        at = np.asarray(starts, dtype=np.intp)[:, None] + np.arange(count)
+        return (self._words[at] >> np.uint64(11)) * _DOUBLE_UNIT
+
+    def integers(self, n: int, size: int) -> list[int]:
+        """``Generator.integers(0, n, size=size).tolist()`` for
+        ``1 <= n < 2**32``."""
+        if n == 1:
+            return [0] * size
+        # numpy tests a draw against the threshold only when m's low half
+        # is below n; the threshold is below n, so testing every draw
+        # rejects the same ones
+        threshold = ((1 << 32) - n) % n
+        has_half, half, at = self._has_half, self._half, self._used
+        drawn = []
+        for _ in range(size):
+            while True:
+                if has_half:
+                    has_half, m = 0, half * n
+                else:
+                    if at == len(self._words):
+                        self._grow(at + 1)
+                    word = self._words.item(at)
+                    at += 1
+                    has_half, half = 1, word >> 32
+                    m = (word & _LOW_HALF) * n
+                if m & _LOW_HALF >= threshold:
+                    break
+            drawn.append(m >> 32)
+        self._has_half, self._half, self._used = has_half, half, at
+        return drawn
+
+    def close(self) -> None:
+        """Leave the bit generator where the replayed draws leave it."""
+        bit_generator = self._bit_generator
+        bit_generator.advance(self._used - len(self._words))
+        state = bit_generator.state  # advance drops the waiting half
+        state["has_uint32"], state["uinteger"] = self._has_half, self._half
+        bit_generator.state = state
 
 
 def vary(parents, fitness, config: EvolutionConfig, problem, rng) -> list:
@@ -274,6 +382,11 @@ def vary(parents, fitness, config: EvolutionConfig, problem, rng) -> list:
     instead, when the domain defines loci. The parents are ranked once
     per call, the marginals' CDFs are built once per call, and each EDA
     offspring takes one uniform per locus.
+
+    A domain whose variation has row forms fed uniforms (bitstrings) on
+    numpy's PCG64 stream, the one ``default_rng`` gives, is varied in one
+    block (see ``_vary_rows``); any other goes offspring by offspring,
+    and both draw the same offspring from the same stream.
     """
     if not parents:
         raise ValueError("parents must be nonempty")
@@ -282,6 +395,8 @@ def vary(parents, fitness, config: EvolutionConfig, problem, rng) -> list:
     model = None
     if config.eda_fraction > 0 and len(parents) >= EDA_MIN_PARENT_POOL:
         model = _eda_model(parents, order, problem, config.subpop_size)
+    if hasattr(problem, "mutate_rows") and type(rng.bit_generator) is np.random.PCG64:
+        return _vary_rows(parents, order, rank, model, config, problem, rng)
     size = config.tournament_size
     offspring = []
     for _ in range(count):
@@ -297,6 +412,58 @@ def vary(parents, fitness, config: EvolutionConfig, problem, rng) -> list:
     return offspring
 
 
+def _vary_rows(parents, order, rank, model, config: EvolutionConfig, problem, rng) -> list:
+    """``vary``'s offspring from one block of the PCG64 stream's words.
+
+    A plain schedule over the offspring makes ``vary``'s choices in its
+    order (EDA or tournament, each tournament's draws, crossover or not)
+    from a ``WordReplay`` and notes where each offspring's per-locus or
+    per-bit uniforms lie; the domain's row operators then sample, cross
+    and mutate every offspring at once from those uniforms.
+    """
+    count = config.subpop_size - config.elitism
+    n, dim, size = len(parents), problem.dimension, config.tournament_size
+    loci = 0 if model is None else model[1].shape[0]
+    # every word an offspring can read, unless Lemire's rule rejects a half
+    replay = WordReplay(rng.bit_generator, count * (2 + size + max(loci, 2 * dim)))
+    double, integers, take = replay.double, replay.integers, replay.take
+    eda_slots, eda_at = [], []  # EDA offspring, and their uniforms
+    slots, firsts, mutate_at = [], [], []  # tournament offspring
+    crossed, seconds, cross_at = [], [], []  # and those crossed over
+    for slot in range(count):
+        if model is not None and double() < config.eda_fraction:
+            eda_slots.append(slot)
+            eda_at.append(take(loci))
+            continue
+        slots.append(slot)
+        firsts.append(_winner(order, rank, integers(n, size)))
+        if double() < config.crossover_rate:
+            crossed.append(len(slots) - 1)
+            seconds.append(_winner(order, rank, integers(n, size)))
+            cross_at.append(take(dim))
+        mutate_at.append(take(dim))
+    replay.close()
+
+    offspring = [None] * count
+    if slots:
+        stack = problem.stack([p.genotype for p in parents])
+        children = stack[firsts]
+        if crossed:
+            children[crossed] = problem.crossover_rows(
+                children[crossed], stack[seconds], replay.doubles(cross_at, dim)
+            )
+        rows = problem.mutate_rows(
+            children, config.mutation_rate, replay.doubles(mutate_at, dim)
+        )
+        for slot, row in zip(slots, rows):
+            offspring[slot] = row
+    if eda_slots:
+        values = _eda_values(model, replay.doubles(eda_at, loci))
+        for slot, row in zip(eda_slots, problem.from_loci_rows(values)):
+            offspring[slot] = row
+    return offspring
+
+
 def _chunk_end(offspring, keys, start: int, rm: ResolvedMetric, state: RunState) -> int:
     """Where the chunk of ``offspring`` (canonical keys ``keys``) that
     starts at ``start``, a candidate the burst screens, ends; the chunk
@@ -309,12 +476,14 @@ def _chunk_end(offspring, keys, start: int, rm: ResolvedMetric, state: RunState)
     end before it: after a new genotype (one the ledger lacks) whose
     score, with its row built, is missing or reaches the target, or at a
     new genotype that comes after as many new ones as the budget has
-    left. The behaviors the chunk's rows need are computed here, in
-    order, so that the rule knows the score of each new genotype whose
+    left. The behaviors the chunk's rows need are memoized here, in
+    order (the score itself for a domain whose behavior is its score),
+    so that the rule knows the score of each new genotype whose
     behavior is its score.
     """
     ledger, problem = state.ledger, state.problem
     target = problem.target
+    memoize = ledger.score_of if behavior_is_score(problem) else ledger.behavior_of
     new_keys: set = set()
     may_end = False
     for end in range(start, len(offspring)):
@@ -324,7 +493,7 @@ def _chunk_end(offspring, keys, start: int, rm: ResolvedMetric, state: RunState)
         if rm.row_calls_objective(key):
             if may_end:
                 return end
-            ledger.behavior_of(child, problem, key)
+            memoize(child, problem, key)
         if new:
             new_keys.add(key)
             score = ledger.score_memo(key)

@@ -7,11 +7,10 @@ monotone map ``h``, and candidates whose estimated guided fitness falls
 below a ledger quantile are skipped before any expensive evaluation.
 Every function here reads the round's view through its
 ``ResolvedMetric``; neighbor queries answer in view positions, which
-index distributions and per-sample arrays directly. The block forms
-(``omega_block``, ``modified_fitness``, ``ledger_modified_fitness``,
-``filter_estimates``) read stacked rows and orders and give, bit for
-bit, what the one-candidate forms (``omega_knn``, ``estimate_fitness``)
-give each row.
+index distributions and per-sample arrays directly. ``omega_block``,
+``modified_fitness``, ``ledger_modified_fitness`` and
+``filter_estimates`` read stacked rows and orders, a block of candidates
+at a time.
 """
 
 from __future__ import annotations
@@ -56,39 +55,16 @@ class FilterPolicy:
         return view_size >= 2 * self.k
 
 
-def omega_knn(x, dist: LogDistribution, k: int, rm: ResolvedMetric) -> float:
-    """Probability mass the distribution puts on x's k nearest neighbors."""
-    idx = knn([x], rm, k)[0][0]
-    # a sequential sum, in neighbor order: np.sum adds 8 or more terms
-    # in another order
-    return float(sum(dist.p[idx].tolist()))
-
-
 def omega_block(orders: np.ndarray, dist: LogDistribution, k: int) -> np.ndarray:
-    """``omega_knn`` of each row of a nonempty order block: the mass
-    ``dist`` puts on the row's k nearest view samples."""
+    """Omega of each row of a nonempty order block: the mass ``dist``
+    puts on the row's k nearest view samples, summed in neighbor order."""
     masses = dist.p[orders[:, :k]]
-    # column by column: the sequential sum omega_knn takes
+    # column by column: each row's sum runs left to right, as a sequential
+    # sum does; np.sum adds 8 or more terms in another order
     total = masses[:, 0].copy()
     for j in range(1, masses.shape[1]):
         total += masses[:, j]
     return total
-
-
-def _ascending_median(values) -> float:
-    """The median of nonempty ascending values: the middle one, or the
-    mean of the middle two, the same double numpy's median gives."""
-    mid = len(values) // 2
-    if len(values) % 2:
-        return float(values[mid])
-    return float((values[mid - 1] + values[mid]) / 2)
-
-
-def _inverse_distance_weights(x, k: int, rm: ResolvedMetric):
-    """x's k nearest view positions and their inverse-distance weights."""
-    idx, dists = (block[0] for block in knn([x], rm, k))
-    delta = 1e-9 * (_ascending_median(dists) + 1e-30)
-    return idx, 1.0 / (dists + delta)
 
 
 def modified_fitness(
@@ -116,29 +92,19 @@ def ledger_modified_fitness(
     return h(norm, omega_block(rm.view_orders, target, k))
 
 
-def estimate_fitness(
-    x,
-    policy: FilterPolicy,
-    rm: ResolvedMetric,
-    ledger_mf: np.ndarray,
-) -> float:
-    """Distance-weighted average of neighbors' modified fitness.
-
-    ``ledger_mf`` is the view's per-sample modified fitness, computed
-    once for a whole batch of candidates.
-    """
-    idx, weights = _inverse_distance_weights(x, policy.k, rm)
-    return float(np.sum(weights * ledger_mf[idx]) / np.sum(weights))
-
-
 def filter_estimates(
     rows: np.ndarray, orders: np.ndarray, k: int, ledger_mf: np.ndarray
 ) -> np.ndarray:
-    """``estimate_fitness`` of each row of a nonempty block of rows and
-    their orders (as ``ResolvedMetric.rows_of`` stacks them)."""
+    """The filter's estimate of each row of a nonempty block of rows and
+    their orders (as ``ResolvedMetric.rows_of`` stacks them): the mean of
+    ``ledger_mf``, the view's per-sample modified fitness, over the row's
+    k nearest view samples, weighted by inverse distance. Each distance
+    is offset by 1e-9 times (the median of the k, plus 1e-30), so that a
+    sample at distance zero weighs most without dividing by zero."""
     idx = orders[:, :k]
     dists = rows[np.arange(len(idx))[:, None], idx]
-    # the median of each row's ascending distances, as _ascending_median
+    # the median of each row's ascending distances: the middle one, or the
+    # mean of the middle two, the same double numpy's median gives
     mid = idx.shape[1] // 2
     if idx.shape[1] % 2:
         median = dists[:, mid]

@@ -64,6 +64,44 @@ def knn_one(x, rm, k):
     return idx[0], dists[0]
 
 
+# One-candidate forms of the guidance layer, each a candidate's own
+# neighbor query and Python-level arithmetic: the references that
+# ``guidance.omega_block`` and ``guidance.filter_estimates`` are held to,
+# bit for bit.
+
+
+def omega_knn(x, dist, k, rm) -> float:
+    """Probability mass the distribution puts on x's k nearest neighbors."""
+    idx, _ = knn_one(x, rm, k)
+    # a sequential sum, in neighbor order: np.sum adds 8 or more terms
+    # in another order
+    return float(sum(dist.p[idx].tolist()))
+
+
+def ascending_median(values) -> float:
+    """The median of nonempty ascending values: the middle one, or the
+    mean of the middle two, the same double numpy's median gives."""
+    mid = len(values) // 2
+    if len(values) % 2:
+        return float(values[mid])
+    return float((values[mid - 1] + values[mid]) / 2)
+
+
+def inverse_distance_weights(x, k, rm):
+    """x's k nearest view positions and their inverse-distance weights."""
+    idx, dists = knn_one(x, rm, k)
+    delta = 1e-9 * (ascending_median(dists) + 1e-30)
+    return idx, 1.0 / (dists + delta)
+
+
+def estimate_fitness(x, policy, rm, ledger_mf) -> float:
+    """The filter's estimate of x: the distance-weighted average of its
+    neighbors' modified fitness ``ledger_mf`` (one value per view
+    sample)."""
+    idx, weights = inverse_distance_weights(x, policy.k, rm)
+    return float(np.sum(weights * ledger_mf[idx]) / np.sum(weights))
+
+
 def run_one(problem, cfg):
     """The state of a one-deme run of ``cfg`` on ``problem``, seeded by
     ``cfg.seed``, as ``info-evo run`` runs it."""

@@ -18,7 +18,7 @@ from infoevo.domains.symreg import behavior_to_distribution, program_fisher_dist
 from infoevo.evolve import EvolutionConfig, RunState, run_subpopulation
 from infoevo.guidance import (
     FilterPolicy,
-    estimate_fitness,
+    filter_estimates,
     h,
     ledger_modified_fitness,
     should_evaluate,
@@ -32,6 +32,12 @@ def report(capsys, num: int, desc: str, ok: bool):
     tag = "PASS" if ok else "FAIL"
     with capsys.disabled():
         print(f"\n[{tag}] criterion {num}: {desc}")
+
+
+def estimates(xs, k, rm, ledger_mf):
+    """The filter's estimates of the candidates ``xs``, in one block."""
+    rows, orders = rm.rows_of([float(x) for x in xs])
+    return filter_estimates(rows, orders, k, ledger_mf).tolist()
 
 
 def random_distribution(rng, n):
@@ -134,14 +140,13 @@ def test_criterion_5_guidance_monotonicity_and_filter_soundness(capsys):
     policy0 = FilterPolicy(k=3, threshold_quantile=0.0)
     mf = ledger_modified_fitness(target, policy0.k, rm)
     thr0 = float(np.quantile(mf, 0.0))
-    for x in rng.uniform(0, 10, 200):
-        est = estimate_fitness(float(x), policy0, rm, mf)
+    for est in estimates(rng.uniform(0, 10, 200), policy0.k, rm, mf):
         accepted, _ = should_evaluate(est, thr0)
         ok &= accepted or est < thr0
     # on this ledger, estimates interpolate ledger values >= the minimum
     accepted_all = all(
-        should_evaluate(estimate_fitness(float(x), policy0, rm, mf), thr0)[0]
-        for x in rng.uniform(0, 10, 200)
+        should_evaluate(est, thr0)[0]
+        for est in estimates(rng.uniform(0, 10, 200), policy0.k, rm, mf)
     )
     ok &= accepted_all
 

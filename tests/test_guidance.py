@@ -6,6 +6,7 @@ from infoevo.core import (
     EvaluationLedger,
     ResolvedMetric,
     evaluate,
+    knn,
     normalize_scores,
     view_of,
 )
@@ -13,11 +14,11 @@ from infoevo.domains import OneMax
 from infoevo.errors import EmptyLedger
 from infoevo.guidance import (
     FilterPolicy,
-    estimate_fitness,
+    filter_estimates,
     h,
     ledger_modified_fitness,
     modified_fitness,
-    omega_knn,
+    omega_block,
     rank_rays,
     should_evaluate,
 )
@@ -30,6 +31,18 @@ def scalar_setup(values):
     view = view_of(ledger)
     rm = ResolvedMetric(problem, view, 1.0)
     return view, rm
+
+
+def omega_of(x, dist, k, rm) -> float:
+    """Omega of one candidate: a one-row block of its neighbor order."""
+    idx, _ = knn([x], rm, k)
+    return float(omega_block(idx, dist, k)[0])
+
+
+def estimate_of(x, k, rm, ledger_mf) -> float:
+    """The filter's estimate of one candidate: a one-row block."""
+    rows, orders = rm.rows_of([x])
+    return float(filter_estimates(rows, orders, k, ledger_mf)[0])
 
 
 def point_mass(index, n):
@@ -64,15 +77,15 @@ def test_omega_knn_point_mass_on_neighbor():
     view, rm = scalar_setup([0.0, 5.0, 10.0])
     dist = point_mass(0, 3)
     # nearest 1 neighbor of 0.2 is sample 0, which carries ~all mass
-    assert omega_knn(0.2, dist, 1, rm) == pytest.approx(1.0, abs=1e-6)
+    assert omega_of(0.2, dist, 1, rm) == pytest.approx(1.0, abs=1e-6)
     # nearest neighbor of 9.9 is sample 2, which carries ~no mass
-    assert omega_knn(9.9, dist, 1, rm) == pytest.approx(0.0, abs=1e-6)
+    assert omega_of(9.9, dist, 1, rm) == pytest.approx(0.0, abs=1e-6)
 
 
 def test_omega_knn_monotone_in_k():
     view, rm = scalar_setup([0.0, 2.0, 4.0, 6.0, 8.0])
     dist = manifold.uniform(5)
-    vals = [omega_knn(3.0, dist, k, rm) for k in (1, 2, 3, 4, 5)]
+    vals = [omega_of(3.0, dist, k, rm) for k in (1, 2, 3, 4, 5)]
     for a, b in zip(vals, vals[1:]):
         assert b >= a - 1e-12
     assert vals[-1] == pytest.approx(1.0)
@@ -81,7 +94,7 @@ def test_omega_knn_monotone_in_k():
 def test_omega_knn_uniform_mass_fraction():
     view, rm = scalar_setup([0.0, 2.0, 4.0, 6.0])
     dist = manifold.uniform(4)
-    assert omega_knn(0.1, dist, 2, rm) == pytest.approx(0.5)
+    assert omega_of(0.1, dist, 2, rm) == pytest.approx(0.5)
 
 
 def test_omega_knn_empty():
@@ -90,7 +103,7 @@ def test_omega_knn_empty():
     empty = PopulationView.of([])
     rm = ResolvedMetric(ScalarProblem(), empty, 1.0)
     with pytest.raises(EmptyLedger):
-        omega_knn(1.0, manifold.uniform(1), 1, rm)
+        omega_of(1.0, manifold.uniform(1), 1, rm)
 
 
 # --- modified fitness ---
@@ -135,7 +148,7 @@ def test_ledger_modified_fitness_matches_pointwise():
 def test_estimate_fitness_exact_match_recovers_sample_value():
     view, rm = scalar_setup([0.0, 5.0, 10.0])
     ledger_mf = ledger_modified_fitness(point_mass(2, 3), 2, rm)
-    est = estimate_fitness(10.0, FilterPolicy(k=2), rm, ledger_mf)
+    est = estimate_of(10.0, 2, rm, ledger_mf)
     # a candidate sitting on a ledger sample is dominated by that sample
     assert est == pytest.approx(ledger_mf[2], rel=1e-6)
 
@@ -143,7 +156,7 @@ def test_estimate_fitness_exact_match_recovers_sample_value():
 def test_estimate_fitness_between_neighbors():
     view, rm = scalar_setup([0.0, 10.0])
     ledger_mf = ledger_modified_fitness(point_mass(1, 2), 1, rm)
-    est = estimate_fitness(5.0, FilterPolicy(k=2), rm, ledger_mf)
+    est = estimate_of(5.0, 2, rm, ledger_mf)
     lo, hi = sorted(ledger_mf)
     assert lo - 1e-12 <= est <= hi + 1e-12
 
@@ -167,7 +180,7 @@ def test_should_evaluate_quantile_zero_accepts_all(rng):
     ledger_mf = ledger_modified_fitness(point_mass(0, len(view.samples)), 3, rm)
     thr = float(np.quantile(ledger_mf, 0.0))
     for x in rng.uniform(0, 10, 30):
-        est = estimate_fitness(float(x), policy, rm, ledger_mf)
+        est = estimate_of(float(x), policy.k, rm, ledger_mf)
         ok, _ = should_evaluate(est, thr)
         # only candidates estimated below the ledger minimum can be skipped
         assert ok or est < thr
@@ -182,7 +195,7 @@ def test_should_evaluate_threshold_behavior(rng):
     ledger_mf = ledger_modified_fitness(point_mass(best, n), 3, rm)
     thr = float(np.quantile(ledger_mf, 0.25))
     for x in rng.uniform(0, 10, 50):
-        est = estimate_fitness(float(x), policy, rm, ledger_mf)
+        est = estimate_of(float(x), policy.k, rm, ledger_mf)
         ok, got = should_evaluate(est, thr)
         assert ok == (est >= thr) and got == est
 
@@ -199,7 +212,7 @@ def test_screened_then_evaluated_candidate_costs_one_objective_call(rng):
     while ledger.lookup(problem.canonical_key(x)) is not None:
         x = problem.random_genotype(rng)
     policy = FilterPolicy(k=3)
-    est = estimate_fitness(x, policy, rm, view.scores)
+    est = estimate_of(x, policy.k, rm, view.scores)
     ok, _ = should_evaluate(est, float("-inf"))
     assert ok and calls == ["score"]
     sample = evaluate(x, problem, ledger)

@@ -53,6 +53,7 @@ from infoevo.evolve import (
     EDA_MIN_PARENT_POOL,
     EvolutionConfig,
     RunState,
+    WordReplay,
     _eda_model,
     _guided_fitness,
     _ranking,
@@ -78,14 +79,11 @@ from infoevo.geodesic_search import (
 )
 from infoevo.guidance import (
     FilterPolicy,
-    _ascending_median,
-    estimate_fitness,
     filter_estimates,
     h,
     ledger_modified_fitness,
     modified_fitness,
     omega_block,
-    omega_knn,
 )
 from infoevo.manifold import _EXP_CLIP, LogDistribution
 from infoevo.promise import (
@@ -95,7 +93,14 @@ from infoevo.promise import (
     promise_vector,
 )
 
-from conftest import ScalarProblem, knn_one, make_scalar_ledger
+from conftest import (
+    ScalarProblem,
+    ascending_median,
+    estimate_fitness,
+    knn_one,
+    make_scalar_ledger,
+    omega_knn,
+)
 
 # small integer genotypes, so that many samples tie in distance to a query
 scalar_views = st.tuples(
@@ -149,7 +154,8 @@ def test_omega_knn_is_sequential_sum_over_neighbors(case, data):
     expected = 0
     for i in brute_force_knn(view, x, k):
         expected += dist.p[i]
-    assert omega_knn(float(x), dist, k, rm) == float(expected)
+    idx, _ = knn([float(x)], rm, k)
+    assert omega_block(idx, dist, k)[0] == float(expected)
 
 
 # distributions with some coordinates at the from_weights floor: the
@@ -507,16 +513,34 @@ VARY_PROBLEMS = {
 }
 
 
-@settings(max_examples=120, deadline=None)
+class LoopPCG64(np.random.PCG64):
+    """PCG64 under another type: the same stream, on which ``vary`` takes
+    its offspring-by-offspring loop."""
+
+
+def stream_state(rng) -> tuple:
+    """Where a generator's stream stands: its PCG64 state and waiting
+    32-bit half, whatever the bit generator's type is called."""
+    state = rng.bit_generator.state
+    return state["state"], state["has_uint32"], state["uinteger"]
+
+
+@settings(max_examples=150, deadline=None)
 @given(
     st.sampled_from(sorted(VARY_PROBLEMS)),
     st.integers(1, 8),  # parents: few, so tournaments draw a parent twice
     st.integers(1, 5),  # tournament size
     st.integers(1, 3),  # fitness levels: few, so tournaments tie
     st.sampled_from([0.0, 0.2, 1.0]),  # EDA share
+    st.sampled_from([0.0, 0.7, 1.0]),  # crossover rate
+    st.sampled_from([0.2, 1.0]),  # mutation rate
+    st.booleans(),  # a 32-bit half waiting in the generator before the call
     st.integers(0, 2**32 - 1),
 )
-def test_vary_keeps_the_random_stream(name, n_parents, size, levels, eda, seed):
+@example("onemax", 1, 3, 1, 0.0, 0.7, 0.2, True, 0)  # one parent
+def test_vary_keeps_the_random_stream(
+    name, n_parents, size, levels, eda, crossover, mutation, waiting, seed
+):
     problem = VARY_PROBLEMS[name]()
     reference = ReferenceBits(problem) if isinstance(problem, BitstringProblem) else problem
     init = np.random.default_rng(seed)
@@ -530,15 +554,129 @@ def test_vary_keeps_the_random_stream(name, n_parents, size, levels, eda, seed):
         elitism=1,
         eda_fraction=eda,
         tournament_size=size,
-        mutation_rate=0.2,
+        crossover_rate=crossover,
+        mutation_rate=mutation,
     )
     rng, ref = np.random.default_rng(seed + 1), np.random.default_rng(seed + 1)
+    loop = np.random.Generator(LoopPCG64(seed + 1))
+    if waiting:
+        for g in (rng, ref, loop):
+            g.integers(0, 3, size=1)  # leaves the word's upper half waiting
     for _ in range(3):
         got = vary(parents, fitness, config, problem, rng)
         expected = reference_vary(parents, fitness, config, reference, ref)
         assert len(got) == len(expected)
         assert all(same_offspring(a, b) for a, b in zip(got, expected))
         assert rng.bit_generator.state == ref.bit_generator.state
+        # a bitstring generation is drawn in one block on PCG64; the
+        # offspring-by-offspring loop draws the same from the same stream
+        looped = vary(parents, fitness, config, problem, loop)
+        assert all(same_offspring(a, b) for a, b in zip(looped, got))
+        assert stream_state(loop) == stream_state(rng)
+    assert rng.random() == ref.random()
+
+
+# numpy's bounded draws below n: n = 1 draws nothing, a small n is almost
+# never rejected, and above 2**31 Lemire's rule rejects about half the draws
+bounds = st.one_of(st.just(1), st.integers(2, 64), st.integers(2**31 + 1, 2**32 - 1))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    bounds,
+    st.integers(1, 30),  # draws
+    st.booleans(),  # a 32-bit half waiting in the generator
+    st.integers(1, 8),  # words drawn ahead: few, so the replay draws on
+    st.integers(0, 2**32 - 1),
+)
+def test_word_replay_draws_numpys_bounded_integers(n, k, waiting, ahead, seed):
+    rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+    if waiting:
+        rng.integers(0, 3, size=1)
+        ref.integers(0, 3, size=1)
+    replay = WordReplay(rng.bit_generator, ahead)
+    got = replay.integers(n, k)
+    replay.close()
+    assert got == ref.integers(0, n, size=k).tolist()
+    assert rng.bit_generator.state == ref.bit_generator.state
+    assert rng.random() == ref.random()
+
+
+replay_steps = st.one_of(
+    st.tuples(st.just("double")),
+    st.tuples(st.just("take"), st.integers(0, 5)),
+    st.tuples(st.just("integers"), bounds, st.integers(1, 4)),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(replay_steps, max_size=12),
+    st.booleans(),  # a 32-bit half waiting in the generator
+    st.integers(1, 8),  # words drawn ahead
+    st.integers(0, 2**32 - 1),
+)
+def test_word_replay_interleaves_doubles_and_halves_as_numpy(steps, waiting, ahead, seed):
+    """Doubles take whole words and leave a waiting half for the next
+    bounded draw, as the generator does."""
+    rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+    if waiting:
+        rng.integers(0, 3, size=1)
+        ref.integers(0, 3, size=1)
+    replay = WordReplay(rng.bit_generator, ahead)
+    got, expected, blocks = [], [], []
+    for step in steps:
+        if step[0] == "double":
+            got.append(replay.double())
+            expected.append(ref.random())
+        elif step[0] == "take":
+            blocks.append((replay.take(step[1]), step[1], ref.random(step[1])))
+        else:
+            got.append(replay.integers(step[1], step[2]))
+            expected.append(ref.integers(0, step[1], size=step[2]).tolist())
+    replay.close()
+    assert got == expected
+    for start, count, doubles in blocks:
+        assert replay.doubles([start], count)[0].tobytes() == doubles.tobytes()
+    assert rng.bit_generator.state == ref.bit_generator.state
+    assert rng.random() == ref.random()
+
+
+def at_next_word(bit_generator, word: int, waiting: int | None = None):
+    """Set ``bit_generator`` so that its next raw word is ``word``, with
+    the 32-bit half ``waiting`` in its cache, or none. PCG64 steps, then
+    outputs its state's 64-bit halves xor-ed and rotated by the top six
+    bits: a state whose upper half is 0 outputs its lower half."""
+    state = bit_generator.state
+    state["state"]["state"] = word
+    bit_generator.state = state
+    bit_generator.advance(-1)
+    state = bit_generator.state
+    state["has_uint32"], state["uinteger"] = (0, 0) if waiting is None else (1, waiting)
+    bit_generator.state = state
+
+
+@pytest.mark.parametrize("n", [3, 7, 63, 2**31 + 1, 3_000_000_001, 2**32 - 1])
+@pytest.mark.parametrize("below", [0, 1])  # the half at Lemire's threshold, or just below
+@pytest.mark.parametrize("waiting", [False, True])
+def test_word_replay_at_lemires_threshold(n, below, waiting):
+    """A draw whose low 32 bits of ``half * n`` equal ``(2**32 - n) % n``
+    is kept, and one just below it is drawn again."""
+    threshold = ((1 << 32) - n) % n
+    half = (threshold - below) * pow(n, -1, 1 << 32) % (1 << 32)
+    assert half * n % (1 << 32) == threshold - below
+    rng, ref = np.random.default_rng(5), np.random.default_rng(5)
+    for g in (rng, ref):
+        if waiting:  # the half waits, and the next word follows it
+            at_next_word(g.bit_generator, 0x9E3779B97F4A7C15, waiting=half)
+        else:
+            at_next_word(g.bit_generator, (0x9E3779B9 << 32) | half)
+    replay = WordReplay(rng.bit_generator, 1)
+    got = replay.integers(n, 3)
+    replay.close()
+    assert got == ref.integers(0, n, size=3).tolist()
+    assert rng.bit_generator.state == ref.bit_generator.state
+    assert rng.random() == ref.random()
 
 
 # --- the run memo ---
@@ -1503,7 +1641,7 @@ distances = st.one_of(st.sampled_from([0.0, 0.5, 1.0, 3.0]), st.floats(0.0, 1e6)
 @given(st.data())
 def test_middle_of_sorted_distances_is_np_median(k, data):
     values = np.array(data.draw(st.lists(distances, min_size=k, max_size=k)))
-    got = _ascending_median(np.sort(values))
+    got = ascending_median(np.sort(values))
     assert np.float64(got).tobytes() == np.float64(np.median(values)).tobytes()
 
 
@@ -1515,8 +1653,8 @@ def test_omega_knn_matches_generator_sum(k, values, data):
     weights = data.draw(st.lists(st.floats(1e-6, 1.0), min_size=len(view), max_size=len(view)))
     dist = manifold.from_weights(weights)
     x = float(data.draw(st.integers(-3, 33)))
-    idx, _ = knn_one(x, rm, k)
-    assert omega_knn(x, dist, k, rm) == float(sum(dist.p[j] for j in idx))
+    idx, _ = knn([x], rm, k)
+    assert omega_block(idx, dist, k)[0] == float(sum(dist.p[j] for j in idx[0]))
 
 
 # --- block forms of the guidance layer, against the one-candidate forms ---

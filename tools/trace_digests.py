@@ -25,8 +25,12 @@ view holds six samples, guided trap5-20 with one ray per round,
 which has rounds whose filter skips every new candidate, guided OneMax-50
 with the filter off, whose new parents' rows are built by their own
 neighbor query since no chunk is screened, guided symreg on the
-built-in 4-point dataset, and unguided symreg on the cubic dataset,
-whose runs read program scores only.
+built-in 4-point dataset, unguided symreg on the cubic dataset,
+whose runs read program scores only, and runs through each branch of a
+bitstring generation drawn as one block: unguided trap5-30, guided
+OneMax-50 whose every offspring is EDA-sampled, guided OneMax-50 with
+no crossover and tournaments of one, and unguided OneMax-50 that
+always crosses over and flips every bit.
 The cubic dataset is written with ``perfbench/make_dataset.py`` to a
 temporary directory.
 """
@@ -58,6 +62,9 @@ def runs(dataset: str):
     # six parents, fewer than the 8 bins of a sphere locus
     subpop6 = ["--budget", "2000", "--subpop-size", "6", "--elitism", "1"]
     builtin = ["--problem", "symreg", "--budget", "1000"]  # the 4-point dataset
+    eda_only = ["--eda-fraction", "1"]
+    mutation_only = ["--crossover-rate", "0", "--tournament-size", "1"]
+    cross_flip = ["--mode", "baseline", "--crossover-rate", "1", "--mutation-rate", "1"]
     return (
         ("onemax50-guided-s1", onemax + ["--seed", "1"]),
         ("onemax50-guided-s2", onemax + ["--seed", "2"]),
@@ -82,6 +89,13 @@ def runs(dataset: str):
         ("sphere10-subpop6-s1", sphere + subpop6 + ["--seed", "1"]),
         ("symreg-builtin-b1000-s2", builtin + ["--seed", "2"]),
         ("symreg-cubic-cap64-baseline-s3", symreg + ["--mode", "baseline", "--seed", "3"]),
+        ("trap5-30-baseline-b3000-s1", trap + ["--mode", "baseline", "--seed", "1"]),
+        ("onemax50-eda1-s1", onemax + eda_only + ["--seed", "1"]),
+        ("onemax50-cx0-t1-s1", onemax + mutation_only + ["--seed", "1"]),
+        (
+            "onemax50-baseline-cx1-mut1-b2000-s2",
+            onemax + cross_flip + ["--budget", "2000", "--seed", "2"],
+        ),
     )
 
 
