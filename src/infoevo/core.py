@@ -273,8 +273,8 @@ class ResolvedMetric:
     ``lam = 0`` the phenotypic one, exactly, and each reads only its own
     distance. The view it was built from is ``view``; every neighbor
     query answers in positions of that view. Each row's order keeps only
-    its ``width`` nearest view positions, ``min(k, n)`` (every position
-    when ``k`` is None): the most neighbors any query of the run reads.
+    its ``width`` nearest view positions, ``min(k, n)``: the most
+    neighbors any query of the run reads.
     Stacks the view's genotypes and computes its distance table once, at
     construction, as one n-by-n block: one genotypic block from a single
     ``geno_distances`` call, one behavior block, their blend, and each
@@ -284,40 +284,28 @@ class ResolvedMetric:
     each sample's row and order are read-only views of them. Behavior
     vectors come from ``memo``, the run's ledger the view was taken from,
     and new ones are added to it, so none is computed twice in a run;
-    the view samples' canonical keys are the memo's ``keys``. Without a
-    memo the metric keeps a private one and keys the view itself. A
-    domain whose behavior is its score reads the view's scores as its
-    behavior column. Genotypes outside the view get their rows on
-    their first query, ``rows_of`` building those of a list of genotypes
-    in one block and ``neighbors`` that of one; later queries of the same
-    genotype (equal canonical key) reuse it. ``add_genotypic_rows``
-    computes the genotypic part of such rows for a batch of genotypes in
-    one block beforehand. Strictly between the extremes, median scales
-    over a deterministic sample of view pairs, read from the two blocks,
-    make the genotypic and phenotypic terms comparable.
+    the view samples' canonical keys are the memo's ``keys``. A domain
+    whose behavior is its score reads the view's scores as its behavior
+    column. Genotypes outside the view get their rows on their first
+    query, ``rows_of`` building those of a list of genotypes in one
+    block; later queries of the same genotype (equal canonical key)
+    reuse it. ``add_genotypic_rows`` computes the genotypic part of such
+    rows for a batch of genotypes in one block beforehand. Strictly
+    between the extremes, median scales over a deterministic sample of
+    view pairs, read from the two blocks, make the genotypic and
+    phenotypic terms comparable.
     """
 
-    def __init__(
-        self,
-        problem,
-        view,
-        lam: float,
-        memo: EvaluationLedger | None = None,
-        k: int | None = None,
-    ):
-        if k is not None and k < 1:
+    def __init__(self, problem, view, lam: float, memo: EvaluationLedger, k: int):
+        if k < 1:
             raise ValueError("k must be positive")
         self.problem = problem
         self.lam = lam
         self.view = view
-        self.width = len(view) if k is None else min(k, len(view))
+        self.width = min(k, len(view))
+        self._memo = memo
         genos = [s.genotype for s in view.samples]
-        if memo is None:
-            self._memo = EvaluationLedger(0)
-            keys = [problem.canonical_key(g) for g in genos]
-        else:
-            self._memo = memo
-            keys = [memo.keys[s.id] for s in view.samples]
+        keys = [memo.keys[s.id] for s in view.samples]
         # blend extremes must reduce to the pure metrics exactly
         self._kind = {1.0: "genotypic", 0.0: "phenotypic"}.get(lam, "blended")
         dg = dp = self._behaviors = None
@@ -435,9 +423,9 @@ class ResolvedMetric:
     def rows_of(self, genotypes, keys=None) -> tuple[np.ndarray, np.ndarray]:
         """The rows and orders of ``genotypes`` (a nonempty list; canonical
         keys ``keys``, computed when omitted), stacked m by n and m by
-        width: each genotype's distances to the view and its nearest view
-        positions by ascending distance, as ``neighbors`` gives them. The
-        rows not built yet are built in one block."""
+        width: each genotype's distances to the view and its ``width``
+        nearest view positions by ascending distance, ties toward the
+        earlier. The rows not built yet are built in one block."""
         keys = self._keys(genotypes, keys)
         fresh = {}
         for key, g in zip(keys, genotypes):
@@ -447,15 +435,6 @@ class ResolvedMetric:
             self._add_rows(fresh)
         found = [self._rows[key] for key in keys]
         return np.array([row for row, _ in found]), np.array([order for _, order in found])
-
-    def neighbors(self, x) -> tuple[np.ndarray, np.ndarray]:
-        """Distances from genotype x to every sample in the view, and the
-        positions of its ``width`` nearest by ascending distance, ties
-        toward the earlier."""
-        key = self.problem.canonical_key(x)
-        if key not in self._rows:
-            self._add_rows({key: x})
-        return self._rows[key]
 
 
 def knn(xs, rm: ResolvedMetric, k: int, keys=None) -> tuple[np.ndarray, np.ndarray]:

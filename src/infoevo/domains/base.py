@@ -40,8 +40,8 @@ class Problem(ABC):
     def loci(self, genotype):
         """Discrete locus values for EDA marginals; None if unsupported.
 
-        A domain that returns a list here gives every genotype the same
-        number of loci, each value drawn from ``alphabet``, which it
+        A domain that returns a sequence here gives every genotype the
+        same number of loci, each value drawn from ``alphabet``, which it
         sets, and defines ``from_loci`` too.
         """
         return None

@@ -7,14 +7,18 @@ import numpy as np
 from ..errors import BadLength
 from .base import Problem
 
+TRAP_BLOCK = 5  # bits per deceptive trap block
+
 
 def score_onemax(bits: np.ndarray) -> float:
     return float(bits.sum())
 
 
-def score_trap(bits: np.ndarray, block: int = 5) -> float:
-    """Per block: full block of ones scores the block size, else it scores
-    block-1 minus the ones count (deceptive gradient toward all zeros)."""
+def score_trap(bits: np.ndarray) -> float:
+    """Per block of TRAP_BLOCK bits: a full block of ones scores the block
+    size, else it scores block-1 minus the ones count (deceptive gradient
+    toward all zeros)."""
+    block = TRAP_BLOCK
     if len(bits) % block != 0:
         raise BadLength(f"bit length {len(bits)} not divisible by block {block}")
     # integer sums, exact, so the same double as a running float total
@@ -62,7 +66,7 @@ class BitstringProblem(Problem):
         return self.crossover_rows(a, b, rng.random(self.dimension))
 
     def loci(self, genotype):
-        return np.asarray(genotype, dtype=np.uint8).tolist()
+        return np.asarray(genotype, dtype=np.uint8)
 
     def from_loci(self, values, rng):
         return self.from_loci_rows(values)
@@ -95,13 +99,12 @@ class OneMax(BitstringProblem):
 
 
 class Trap5(BitstringProblem):
-    def __init__(self, bits: int = 30, block: int = 5):
-        if bits % block != 0:
-            raise BadLength(f"bit length {bits} not divisible by block {block}")
+    def __init__(self, bits: int = 30):
+        if bits % TRAP_BLOCK != 0:
+            raise BadLength(f"bit length {bits} not divisible by block {TRAP_BLOCK}")
         super().__init__(bits)
-        self.block = block
-        self.name = f"trap{block}-{bits}"
+        self.name = f"trap{TRAP_BLOCK}-{bits}"
         self.target = float(bits)
 
     def score(self, genotype) -> float:
-        return score_trap(np.asarray(genotype), self.block)
+        return score_trap(np.asarray(genotype))

@@ -8,6 +8,7 @@ from .base import Problem
 
 BOX_LO, BOX_HI = -5.0, 5.0
 EDA_BINS = 8  # per-coordinate discretization for EDA marginals
+SIGMA = 0.3  # mutation step, relative to a point's RMS coordinate
 
 
 def score_sphere(x: np.ndarray) -> float:
@@ -24,11 +25,10 @@ def score_rosenbrock(x: np.ndarray) -> float:
 class RealVectorProblem(Problem):
     alphabet = tuple(range(EDA_BINS))
 
-    def __init__(self, dim: int, sigma: float = 0.3):
+    def __init__(self, dim: int):
         if dim < 1:
             raise ValueError("dimension must be positive")
         self.dimension = dim
-        self.sigma = sigma
         self._bin_width = (BOX_HI - BOX_LO) / EDA_BINS
 
     def canonical_key(self, genotype) -> bytes:
@@ -42,7 +42,7 @@ class RealVectorProblem(Problem):
         hit = rng.random(self.dimension) < max(rate, 1.0 / self.dimension)
         # scale perturbations down as points approach the optimum so the
         # search can resolve fine differences late in a run
-        scale = self.sigma * max(np.sqrt(np.sum(out**2)) / np.sqrt(self.dimension), 1e-4)
+        scale = SIGMA * max(np.sqrt(np.sum(out**2)) / np.sqrt(self.dimension), 1e-4)
         out[hit] += rng.normal(0.0, scale, size=int(np.sum(hit)))
         return np.clip(out, BOX_LO, BOX_HI)
 

@@ -123,12 +123,11 @@ def behavior_to_distribution(outputs, eps_b: float = BEHAVIOR_EPS):
     return manifold.from_weights(shifted)
 
 
-def program_fisher_distance(a, b, probes, problem, eps_b: float = BEHAVIOR_EPS) -> float:
+def program_fisher_distance(a, b, probes, eps_b: float = BEHAVIOR_EPS) -> float:
     """Geodesic distance between two programs' behavior distributions.
 
     A pseudometric on behavior space: programs with identical outputs on
-    ``probes`` get distance zero even if syntactically distinct; the
-    distance reads no setting of ``problem``, the programs' domain.
+    ``probes`` get distance zero even if syntactically distinct.
     """
     columns = _input_columns(probes)
     da = behavior_to_distribution(eval_columns(a, columns, len(probes)), eps_b)

@@ -29,6 +29,9 @@ logger = logging.getLogger(__name__)
 
 DEGENERATE_NORM = 1e-12
 EXACT_RAYS_THRESHOLD = 64  # above this population size, skip the grid
+RAY_SEGMENTS = 8  # geodesic segments of a closed-form ray
+COARSE_POINTS = 5  # points a lattice path is thinned to before refinement
+RELAX_PASSES = 3  # relaxation sweeps before each subdivision and after the last
 
 
 @dataclass(frozen=True)
@@ -131,7 +134,7 @@ def build_chart(
     promise_values,
     d: int,
     rng: np.random.Generator,
-    radius: float = 1.0,
+    radius: float,
 ) -> Chart:
     """Frame the search: promise-ascent first, random orthonormal rest.
 
@@ -378,21 +381,17 @@ def _downsample(pts: list, keep: int) -> list:
     return [pts[i] for i in idx]
 
 
-def refine_polyline(
-    polylines,
-    levels: int,
-    relax_passes: int = 3,
-    coarse_points: int = 5,
-) -> list[GeodesicPolyline]:
+def refine_polyline(polylines, levels: int) -> list[GeodesicPolyline]:
     """Hierarchical coarse-to-fine tightening of approximate geodesics.
 
-    Each raw lattice path is first thinned to a coarse polyline
-    (dropping points never increases length), then each level inserts
-    geodesic midpoints between consecutive points and relaxes every
-    interior point to the geodesic midpoint of its neighbors, the
-    minimizer of the local two-segment length. Relaxing at coarse
-    resolution first removes the low-frequency bowing a lattice path
-    carries, which plain fine-level relaxation is slow to shed.
+    Each raw lattice path is first thinned to a coarse polyline of at
+    most COARSE_POINTS points (dropping points never increases length),
+    then each level inserts geodesic midpoints between consecutive points
+    and relaxes every interior point to the geodesic midpoint of its
+    neighbors, the minimizer of the local two-segment length, in
+    RELAX_PASSES sweeps (before each level and after the last). Relaxing
+    at coarse resolution first removes the low-frequency bowing a lattice
+    path carries, which plain fine-level relaxation is slow to shed.
 
     Polylines of the same coarse point count are refined together as
     one (polylines, points, n) phi block: each step of the relaxation
@@ -410,18 +409,18 @@ def refine_polyline(
     coarse = {}
     for i, poly in enumerate(refined):
         if len(poly.points) >= 2:
-            coarse[i] = _downsample(list(poly.points), coarse_points)
+            coarse[i] = _downsample(list(poly.points), COARSE_POINTS)
             groups.setdefault(len(coarse[i]), []).append(i)
     for members in groups.values():
         phi = np.array([[pt.phi for pt in coarse[i]] for i in members])
         for _ in range(levels):
-            _relax(phi, relax_passes)
+            _relax(phi, RELAX_PASSES)
             mids = manifold.geodesic_point_rows(phi[:, :-1], phi[:, 1:], 0.5)
             subdivided = np.empty((len(members), 2 * phi.shape[1] - 1, phi.shape[2]))
             subdivided[:, ::2] = phi
             subdivided[:, 1::2] = mids
             phi = subdivided
-        _relax(phi, relax_passes)
+        _relax(phi, RELAX_PASSES)
         segments = manifold.geodesic_distance_rows(phi[:, :-1], phi[:, 1:])
         for i, rows, lengths in zip(members, phi, segments.tolist()):
             length = sum(lengths)  # as GeodesicPolyline.of sums
@@ -453,23 +452,21 @@ def _relax(phi: np.ndarray, passes: int) -> None:
 
 
 def sample_exact_ray(
-    base: LogDistribution,
-    direction: TangentVector,
-    length: float,
-    segments: int = 8,
+    base: LogDistribution, direction: TangentVector, length: float
 ) -> GeodesicPolyline:
     """Closed-form geodesic polyline of the given arc length: the points
-    exp_map(base, direction, t) at evenly spaced t, in one row block."""
-    return _exact_rays(base, direction.f[np.newaxis], length, segments)[0]
+    exp_map(base, direction, t) at RAY_SEGMENTS + 1 evenly spaced t, in
+    one row block."""
+    return _exact_rays(base, direction.f[np.newaxis], length)[0]
 
 
-def _exact_rays(base: LogDistribution, f: np.ndarray, length: float, segments: int = 8):
+def _exact_rays(base: LogDistribution, f: np.ndarray, length: float):
     """``sample_exact_ray`` along each row of tangents ``f``, bit for bit:
     every ray's moving points are one ``exp_map_rows`` block, and every
     segment's length comes from one ``geodesic_distance_rows`` block."""
     if length < 0:
         raise ValueError("length must be nonnegative")
-    ts = np.linspace(0.0, length, segments + 1)
+    ts = np.linspace(0.0, length, RAY_SEGMENTS + 1)
     moving = np.flatnonzero(ts)  # time 0 is the base itself
     phi = np.broadcast_to(base.phi, (len(f), len(ts), base.n)).copy()
     if len(moving):
@@ -507,24 +504,18 @@ def _ray_coord_directions(dim: int, count: int, rng: np.random.Generator):
 
 
 def geodesic_rays(
-    chart: Chart,
-    params: StepParams,
-    rng: np.random.Generator,
-    exact: bool | None = None,
+    chart: Chart, params: StepParams, rng: np.random.Generator
 ) -> list[GeodesicRay]:
     """Rays from the chart base covering the promise-ascent cone.
 
-    In exact mode the polylines come from the closed-form flow; otherwise
-    each ray is a refined Dijkstra path to a boundary goal: one search
-    from the chart base finds every ray's path, and one refinement call
-    tightens them all. By default the closed form is used above
-    EXACT_RAYS_THRESHOLD samples.
+    Above EXACT_RAYS_THRESHOLD samples the polylines come from the
+    closed-form flow; otherwise each ray is a refined Dijkstra path to a
+    boundary goal: one search from the chart base finds every ray's
+    path, and one refinement call tightens them all.
     """
-    if exact is None:
-        exact = chart.base.n > EXACT_RAYS_THRESHOLD
     length = chart.radius
     cdirs = _ray_coord_directions(chart.dim, params.ray_count, rng)
-    if exact:
+    if chart.base.n > EXACT_RAYS_THRESHOLD:
         polys = _exact_rays(chart.base, chart._tangent_rows(np.array(cdirs)), length)
     else:
         raws = dijkstra_geodesic(

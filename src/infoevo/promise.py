@@ -10,7 +10,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ResolvedMetric, knn, normalize_scores
+# no function here calls knn; perfbench/layers.py wraps ``promise.knn``
+# by name, so the name stays until the benchmark's layer list drops it
+from .core import ResolvedMetric, knn, normalize_scores  # noqa: F401
 from .errors import LedgerTooSmall
 
 
@@ -29,30 +31,14 @@ class PromiseWeights:
             raise ValueError("k_local must be positive")
 
 
-def local_max_prob(
-    i: int,
-    k_local: int,
-    rm: ResolvedMetric,
-    norm: np.ndarray,
-) -> float:
-    """How close view sample i comes to dominating its k nearest neighbors.
-
-    The ratio of its normalized score ``norm[i]`` to the max over the
-    neighborhood including itself; 1 iff it ties or beats every neighbor.
-    """
-    if len(rm.view) < 2:
-        raise LedgerTooSmall("local_max_prob needs at least 2 samples")
-    idx = knn([rm.view.samples[i].genotype], rm, k_local + 1)[0][0]
-    hood = [norm[j] for j in idx if j != i][:k_local]
-    denom = max([norm[i]] + hood)
-    if denom <= 0:
-        return 1.0
-    return float(norm[i] / denom)
-
-
 def local_max_ratios(orders: np.ndarray, norm: np.ndarray, k_local: int) -> np.ndarray:
-    """``local_max_prob`` of every view sample at once, from the view's
-    order block ``orders`` (row i is sample i's) and normalized scores."""
+    """How close each view sample comes to dominating its ``k_local``
+    nearest neighbors, from the view's order block ``orders`` (row i is
+    sample i's) and normalized scores ``norm``.
+
+    Sample i's ratio is ``norm[i]`` over the max of ``norm`` on its
+    neighborhood, itself included: 1 iff it ties or beats every neighbor
+    (or that max is not positive)."""
     n = len(norm)
     idx = orders[:, : k_local + 1]
     others = idx != np.arange(n)[:, None]

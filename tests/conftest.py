@@ -4,6 +4,7 @@ import pytest
 from infoevo.core import EvaluationLedger, evaluate, knn
 from infoevo.demes import run_demes
 from infoevo.domains.base import Problem
+from infoevo.errors import LedgerTooSmall
 
 
 class ScalarProblem(Problem):
@@ -64,10 +65,17 @@ def knn_one(x, rm, k):
     return idx[0], dists[0]
 
 
-# One-candidate forms of the guidance layer, each a candidate's own
-# neighbor query and Python-level arithmetic: the references that
-# ``guidance.omega_block`` and ``guidance.filter_estimates`` are held to,
-# bit for bit.
+def metric_row(rm, x):
+    """Genotype x's row and order: the one row of ``rm.rows_of([x])``,
+    its distances to every view sample and its nearest view positions."""
+    rows, orders = rm.rows_of([x])
+    return rows[0], orders[0]
+
+
+# One-candidate forms of the guidance and promise layers, each a
+# candidate's own neighbor query and Python-level arithmetic: the
+# references that ``guidance.omega_block``, ``guidance.filter_estimates``
+# and ``promise.local_max_ratios`` are held to, bit for bit.
 
 
 def omega_knn(x, dist, k, rm) -> float:
@@ -100,6 +108,22 @@ def estimate_fitness(x, policy, rm, ledger_mf) -> float:
     sample)."""
     idx, weights = inverse_distance_weights(x, policy.k, rm)
     return float(np.sum(weights * ledger_mf[idx]) / np.sum(weights))
+
+
+def local_max_prob(i, k_local, rm, norm) -> float:
+    """How close view sample i comes to dominating its k nearest neighbors.
+
+    The ratio of its normalized score ``norm[i]`` to the max over the
+    neighborhood including itself; 1 iff it ties or beats every neighbor.
+    """
+    if len(rm.view) < 2:
+        raise LedgerTooSmall("local_max_prob needs at least 2 samples")
+    idx = knn([rm.view.samples[i].genotype], rm, k_local + 1)[0][0]
+    hood = [norm[j] for j in idx if j != i][:k_local]
+    denom = max([norm[i]] + hood)
+    if denom <= 0:
+        return 1.0
+    return float(norm[i] / denom)
 
 
 def run_one(problem, cfg):

@@ -13,7 +13,7 @@ import numpy as np
 from infoevo import manifold
 from infoevo.cli import geodesic_check, main as cli_main
 from infoevo.core import ResolvedMetric, view_of
-from infoevo.domains import OneMax, SymbolicRegression
+from infoevo.domains import OneMax
 from infoevo.domains.symreg import behavior_to_distribution, program_fisher_distance
 from infoevo.evolve import EvolutionConfig, RunState, run_subpopulation
 from infoevo.guidance import (
@@ -112,7 +112,7 @@ def test_criterion_4_promise_reduction(capsys):
         values = list(rng.uniform(-10, 10, size=int(rng.integers(3, 15))))
         problem, ledger = make_scalar_ledger(values)
         view = view_of(ledger)
-        rm = ResolvedMetric(problem, view, 1.0)
+        rm = ResolvedMetric(problem, view, 1.0, ledger, len(view))
         pv = promise_vector(weights, rm)
         ok &= int(np.argmax(pv)) == int(np.argmax(view.scores))
     report(capsys, 4, "score-only promise argmax matches raw scores on 100 ledgers", ok)
@@ -134,7 +134,7 @@ def test_criterion_5_guidance_monotonicity_and_filter_soundness(capsys):
     values = list(rng.uniform(0, 10, 30))
     problem, ledger = make_scalar_ledger(values)
     view = view_of(ledger)
-    rm = ResolvedMetric(problem, view, 1.0)
+    rm = ResolvedMetric(problem, view, 1.0, ledger, len(view))
     n = len(view.samples)
     target = manifold.from_weights(rng.uniform(0.1, 1.0, n))
     policy0 = FilterPolicy(k=3, threshold_quantile=0.0)
@@ -154,7 +154,7 @@ def test_criterion_5_guidance_monotonicity_and_filter_soundness(capsys):
     # generation (the evaluated/skipped/generated accounting is exact)
     problem2, seed_ledger = make_scalar_ledger(list(rng.uniform(0, 10, 30)), budget=10000)
     view2 = view_of(seed_ledger)
-    rm2 = ResolvedMetric(problem2, view2, 1.0)
+    rm2 = ResolvedMetric(problem2, view2, 1.0, seed_ledger, len(view2))
     target2 = manifold.from_weights(rng.uniform(0.1, 1.0, 30))
     policy2 = FilterPolicy(k=3, threshold_quantile=0.5)
     state = RunState(
@@ -307,18 +307,17 @@ def test_criterion_8_resource_factor(capsys):
 
 def test_criterion_9_program_fisher_distance(capsys):
     rng = np.random.default_rng(109)
-    problem = SymbolicRegression()
     x = ("x", 0)
     ok = True
 
     # identical programs: exactly zero
     t = ("+", ("*", x, x), x)
-    ok &= program_fisher_distance(t, t, [(0.0,), (1.0,)], problem) == 0.0
+    ok &= program_fisher_distance(t, t, [(0.0,), (1.0,)]) == 0.0
 
     # outputs (1,3) vs (3,1): pi/3 within 1e-6 as eps_b -> 0
     a = ("+", ("*", ("c", 2.0), x), ("c", 1.0))  # 2x + 1
     b = ("-", ("c", 3.0), ("*", ("c", 2.0), x))  # 3 - 2x
-    d = program_fisher_distance(a, b, [(0.0,), (1.0,)], problem, eps_b=0.0)
+    d = program_fisher_distance(a, b, [(0.0,), (1.0,)], eps_b=0.0)
     ok &= abs(d - np.pi / 3) < 1e-6
 
     # symmetry exact and triangle inequality on 1000 random behavior triples

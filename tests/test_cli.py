@@ -516,9 +516,21 @@ UNREACHABLE = ["--problem", "sphere", "--dim", "3", "--target", "1"] + FAST_SETT
         ["--problem", "sphere", "--dim", "3"] + FAST_SETTINGS,
         ["--problem", "symreg"] + FAST_SETTINGS + ["--budget", "150"],
         FAST_RUN + ["--mode", "baseline"],
+        ["--problem", "trap5", "--bits", "20", "--mode", "baseline"] + FAST_SETTINGS,
+        ["--problem", "sphere", "--dim", "3", "--mode", "baseline"] + FAST_SETTINGS,
+        ["--problem", "symreg", "--mode", "baseline"] + FAST_SETTINGS + ["--budget", "150"],
         FAST_RUN + ["--deme-count", "2"],
     ],
-    ids=["onemax", "sphere", "symreg", "onemax-baseline", "onemax-demes"],
+    ids=[
+        "onemax",
+        "sphere",
+        "symreg",
+        "onemax-baseline",
+        "trap5-baseline",
+        "sphere-baseline",
+        "symreg-baseline",
+        "onemax-demes",
+    ],
 )
 def test_run_reports_its_objective_calls(argv, monkeypatch):
     calls = []
@@ -533,6 +545,9 @@ def test_run_reports_its_objective_calls(argv, monkeypatch):
     cfg = build_run_config(build_parser().parse_args(["run", "--out", "unused"] + argv))
     record = execute_run(cfg, cfg.mode, cfg.seed)
     assert record["objective_calls"] == len(calls[0]) >= record["eval_count"]
+    if cfg.mode == "baseline":
+        # no metric and no filter: each evaluation is the one objective call
+        assert record["objective_calls"] == record["eval_count"] > 0
 
 
 def test_run_reports_why_it_stopped(tmp_path):

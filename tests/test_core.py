@@ -14,7 +14,13 @@ from infoevo.core import (
 from infoevo.domains import OneMax, make_problem
 from infoevo.errors import BudgetExhausted, EmptyLedger
 
-from conftest import ScalarProblem, count_objective_calls, knn_one, make_scalar_ledger
+from conftest import (
+    ScalarProblem,
+    count_objective_calls,
+    knn_one,
+    make_scalar_ledger,
+    metric_row,
+)
 
 
 def test_evaluate_onemax_all_ones():
@@ -57,7 +63,7 @@ def test_memoization_counts_distinct_genotypes(rng):
 def test_knn_self_distance_zero():
     problem, ledger = make_scalar_ledger([1.0, 4.0, 9.0])
     view = view_of(ledger)
-    rm = ResolvedMetric(problem, view, 1.0)
+    rm = ResolvedMetric(problem, view, 1.0, ledger, len(view))
     idx, dists = knn_one(4.0, rm, 1)
     assert len(idx) == 1
     assert view.samples[idx[0]].genotype == 4.0
@@ -70,7 +76,7 @@ def test_knn_one_bit_example():
     evaluate(np.array([0], dtype=np.uint8), problem, ledger)
     evaluate(np.array([1], dtype=np.uint8), problem, ledger)
     view = view_of(ledger)
-    rm = ResolvedMetric(problem, view, 1.0)
+    rm = ResolvedMetric(problem, view, 1.0, ledger, len(view))
     _, dists = knn_one(np.array([0], dtype=np.uint8), rm, 2)
     assert list(dists) == [0.0, 1.0]
 
@@ -78,7 +84,7 @@ def test_knn_one_bit_example():
 def test_knn_clamps_to_population_size():
     problem, ledger = make_scalar_ledger([1.0, 2.0, 3.0, 4.0, 5.0])
     view = view_of(ledger)
-    rm = ResolvedMetric(problem, view, 1.0)
+    rm = ResolvedMetric(problem, view, 1.0, ledger, len(view))
     idx, dists = knn_one(0.0, rm, 10)
     assert len(idx) == len(dists) == 5
 
@@ -86,7 +92,7 @@ def test_knn_clamps_to_population_size():
 def test_knn_distances_nondecreasing(rng):
     problem, ledger = make_scalar_ledger(list(rng.uniform(0, 10, 20)))
     view = view_of(ledger)
-    rm = ResolvedMetric(problem, view, 1.0)
+    rm = ResolvedMetric(problem, view, 1.0, ledger, len(view))
     dists = list(knn_one(3.3, rm, 20)[1])
     assert dists == sorted(dists)
 
@@ -94,7 +100,7 @@ def test_knn_distances_nondecreasing(rng):
 def test_knn_ties_break_by_smaller_id():
     problem, ledger = make_scalar_ledger([2.0, 6.0])  # both distance 2 from 4
     view = view_of(ledger)
-    rm = ResolvedMetric(problem, view, 1.0)
+    rm = ResolvedMetric(problem, view, 1.0, ledger, len(view))
     idx, _ = knn_one(4.0, rm, 2)
     assert [view.samples[i].id for i in idx] == [0, 1]
 
@@ -103,7 +109,7 @@ def test_knn_empty_ledger():
     problem = ScalarProblem()
     view = PopulationView.of([])
     with pytest.raises(EmptyLedger):
-        knn_one(1.0, ResolvedMetric(problem, view, 1.0), 1)
+        knn_one(1.0, ResolvedMetric(problem, view, 1.0, EvaluationLedger(0), 1), 1)
 
 
 def test_best_score_cases():
@@ -132,12 +138,12 @@ def test_blended_metric_extremes_match_pure_metrics(rng):
     dp = np.linalg.norm(behaviors - problem.behavior(x)[None, :], axis=1)
     calls = count_objective_calls(problem)
     for lam in (1.0, 1):
-        dists, _ = ResolvedMetric(problem, view, lam).neighbors(x)
+        dists, _ = metric_row(ResolvedMetric(problem, view, lam, ledger, len(view)), x)
         assert dists.tobytes() == dg.tobytes()
     assert calls == []
     problem.geno_distances = None  # lam = 0 must not call it
     for lam in (0.0, 0):
-        dists, _ = ResolvedMetric(problem, view, lam).neighbors(x)
+        dists, _ = metric_row(ResolvedMetric(problem, view, lam, ledger, len(view)), x)
         assert dists.tobytes() == dp.tobytes()
 
 
@@ -150,7 +156,7 @@ def test_resolved_metric_computes_each_behavior_once(rng):
         evaluate(problem.random_genotype(rng), problem, ledger)
     view = view_of(ledger)
     calls = count_objective_calls(problem)
-    rm = ResolvedMetric(problem, view, 0.5, ledger)
+    rm = ResolvedMetric(problem, view, 0.5, ledger, len(view))
     for s in view.samples:
         knn_one(s.genotype, rm, 3)
     assert calls == []
@@ -171,7 +177,7 @@ def test_resolved_metric_computes_each_behavior_once(rng):
     first = PopulationView.of(ledger.samples[:8])
     second = PopulationView.of(ledger.samples[4:])
     for view in (first, second):
-        rm = ResolvedMetric(problem, view, 0.0, ledger)
+        rm = ResolvedMetric(problem, view, 0.0, ledger, len(view))
         for s in view.samples:
             knn_one(s.genotype, rm, 3)
     assert calls == ["behavior"] * len(ledger)
@@ -183,8 +189,8 @@ def test_resolved_metric_rows_match_direct_distances(rng):
     for _ in range(12):
         evaluate(problem.random_genotype(rng), problem, ledger)
     view = view_of(ledger)
-    geno = ResolvedMetric(problem, view, 1.0, k=len(view))
-    pheno = ResolvedMetric(problem, view, 0.0, k=len(view))
+    geno = ResolvedMetric(problem, view, 1.0, ledger, len(view))
+    pheno = ResolvedMetric(problem, view, 0.0, ledger, len(view))
     genos = [s.genotype for s in view.samples]
     behaviors = np.array([problem.behavior(g) for g in genos], dtype=float)
     stacked = problem.stack(genos)
@@ -192,27 +198,28 @@ def test_resolved_metric_rows_match_direct_distances(rng):
         dp = np.linalg.norm(behaviors - problem.behavior(g)[None, :], axis=1)
         dg = problem.geno_distances(problem.stack([g]), stacked)[0]
         for rm, row in ((geno, dg), (pheno, dp)):
-            dists, order = rm.neighbors(g)
+            dists, order = metric_row(rm, g)
             assert np.array_equal(dists, row)
             assert np.array_equal(order, np.argsort(row, kind="stable"))
-            assert not dists.flags.writeable and not order.flags.writeable
+            stored = rm._rows[problem.canonical_key(g)]  # shared by every query
+            assert not any(a.flags.writeable for a in stored)
 
 
 def test_knn_refuses_more_neighbors_than_the_orders_hold():
     problem, ledger = make_scalar_ledger([float(v) for v in range(8)])
     view = view_of(ledger)
-    rm = ResolvedMetric(problem, view, 1.0, k=3)
+    rm = ResolvedMetric(problem, view, 1.0, ledger, 3)
     assert rm.width == 3 and rm.view_orders.shape == (8, 3)
     assert len(knn_one(2.5, rm, 3)[0]) == 3
     for k in (4, 8, 20):  # 20 asks for all 8 samples
         with pytest.raises(ValueError, match=f"{k} neighbors.* hold 3"):
             knn_one(2.5, rm, k)
     # orders as wide as the view answer any k
-    full = ResolvedMetric(problem, view, 1.0, k=20)
+    full = ResolvedMetric(problem, view, 1.0, ledger, 20)
     assert full.width == 8
     assert len(knn_one(2.5, full, 20)[0]) == 8
     with pytest.raises(ValueError):
-        ResolvedMetric(problem, view, 1.0, k=0)
+        ResolvedMetric(problem, view, 1.0, ledger, 0)
 
 
 def test_resolved_metric_orders_are_the_same_by_selection_and_by_sort(rng, monkeypatch):
@@ -229,9 +236,9 @@ def test_resolved_metric_orders_are_the_same_by_selection_and_by_sort(rng, monke
     for select_min in (core.TOP_K_SELECT_MIN, np.inf):
         monkeypatch.setattr(core, "TOP_K_SELECT_MIN", select_min)
         for lam in (0.0, 0.5, 1.0):
-            rm = ResolvedMetric(problem, view, lam, ledger, k=7)
+            rm = ResolvedMetric(problem, view, lam, ledger, 7)
             rows, orders = rm.rows_of(offspring)  # one 60-row block
-            _, single = rm.neighbors(problem.random_genotype(np.random.default_rng(5)))
+            _, single = metric_row(rm, problem.random_genotype(np.random.default_rng(5)))
             got[select_min, lam] = (rm.view_orders, orders, single)
             for block, order in ((rm.view_rows, rm.view_orders), (rows, orders)):
                 expected = np.argsort(block, axis=-1, kind="stable")[:, :7]
@@ -256,7 +263,7 @@ def test_resolved_metric_computes_one_distance_block_per_batch(rng):
         return geno_distances(xs, stacked)
 
     problem.geno_distances = counting
-    rm = ResolvedMetric(problem, view, 0.5, ledger)
+    rm = ResolvedMetric(problem, view, 0.5, ledger, len(view))
     assert shapes == [(len(view), len(view))]
     offspring = [problem.random_genotype(rng) for _ in range(5)]
     fresh = {problem.canonical_key(g) for g in offspring}

@@ -270,20 +270,14 @@ def test_behavior_to_distribution_nonfinite():
         behavior_to_distribution([np.nan, 0.0])
 
 
-def program_distance(a, b, probes):
-    from infoevo.domains.symreg import SymbolicRegression
-
-    problem = SymbolicRegression()
-    return program_fisher_distance(a, b, probes, problem)
-
-
 def test_program_fisher_distance_identical_outputs_zero():
     # x+1 and (x+0.5)+0.5 differ syntactically but agree on every probe
     x = ("x", 0)
     a = ("+", x, ("c", 1.0))
     b = ("+", ("+", x, ("c", 0.5)), ("c", 0.5))
-    assert program_distance(a, a, [(0.0,), (1.0,), (2.0,)]) == 0.0
-    assert program_distance(a, b, [(0.0,), (1.0,), (2.0,)]) == pytest.approx(0.0, abs=1e-6)
+    probes = [(0.0,), (1.0,), (2.0,)]
+    assert program_fisher_distance(a, a, probes) == 0.0
+    assert program_fisher_distance(a, b, probes) == pytest.approx(0.0, abs=1e-6)
 
 
 def test_program_fisher_distance_known_value():
@@ -292,7 +286,7 @@ def test_program_fisher_distance_known_value():
     x = ("x", 0)
     two_x_plus_1 = ("+", ("*", ("c", 2.0), x), ("c", 1.0))
     three_minus_2x = ("-", ("c", 3.0), ("*", ("c", 2.0), x))
-    d = program_distance(two_x_plus_1, three_minus_2x, [(0.0,), (1.0,)])
+    d = program_fisher_distance(two_x_plus_1, three_minus_2x, [(0.0,), (1.0,)])
     assert d == pytest.approx(np.pi / 3, abs=1e-4)
 
 
@@ -306,7 +300,7 @@ def test_program_fisher_distance_symmetry_and_triangle(rng):
     for i, a in enumerate(trees):
         for j, b in enumerate(trees):
             try:
-                ds[i, j] = program_fisher_distance(a, b, probes, problem)
+                ds[i, j] = program_fisher_distance(a, b, probes)
             except NonFiniteOutput:
                 pytest.skip("random tree overflowed on the probes")
     for i in range(6):

@@ -30,7 +30,7 @@ def grid_slack(resolution: int) -> float:
 def test_chart_frame_orthonormal(rng):
     base = random_distribution(rng, 12)
     promise = rng.uniform(0, 1, 12)
-    chart = build_chart(base, promise, 3, rng)
+    chart = build_chart(base, promise, 3, rng, radius=1.0)
     assert chart.dim == 3
     for i, u in enumerate(chart.directions):
         for j, v in enumerate(chart.directions):
@@ -43,7 +43,7 @@ def test_chart_frame_orthonormal(rng):
 def test_chart_first_direction_is_promise_ascent(rng):
     base = random_distribution(rng, 8)
     promise = rng.uniform(0, 1, 8)
-    chart = build_chart(base, promise, 2, rng)
+    chart = build_chart(base, promise, 2, rng, radius=1.0)
     ascent = manifold.project_tangent(base, promise)
     aligned = manifold.inner(base, chart.directions[0].f, ascent.f)
     assert aligned == pytest.approx(ascent.norm, rel=1e-9)
@@ -52,7 +52,7 @@ def test_chart_first_direction_is_promise_ascent(rng):
 
 def test_chart_degenerate_promise_falls_back_to_random(rng):
     base = manifold.uniform(6)
-    chart = build_chart(base, np.full(6, 0.7), 2, rng)
+    chart = build_chart(base, np.full(6, 0.7), 2, rng, radius=1.0)
     assert chart.degenerate_ascent
     assert chart.dim == 2
 
@@ -60,8 +60,8 @@ def test_chart_degenerate_promise_falls_back_to_random(rng):
 def test_chart_deterministic_given_seed():
     base = manifold.uniform(9)
     promise = np.arange(9, dtype=float)
-    a = build_chart(base, promise, 2, np.random.default_rng(5))
-    b = build_chart(base, promise, 2, np.random.default_rng(5))
+    a = build_chart(base, promise, 2, np.random.default_rng(5), radius=1.0)
+    b = build_chart(base, promise, 2, np.random.default_rng(5), radius=1.0)
     for u, v in zip(a.directions, b.directions):
         assert np.array_equal(u.f, v.f)
 
@@ -69,13 +69,13 @@ def test_chart_deterministic_given_seed():
 def test_chart_dim_exceeds_manifold():
     base = manifold.uniform(3)
     with pytest.raises(ValueError):
-        build_chart(base, [1.0, 2.0, 3.0], 3, np.random.default_rng(0))
+        build_chart(base, [1.0, 2.0, 3.0], 3, np.random.default_rng(0), radius=1.0)
 
 
 def test_chart_point_normal_coordinates(rng):
     # distance from base equals euclidean norm of chart coordinates
     base = random_distribution(rng, 10)
-    chart = build_chart(base, rng.uniform(0, 1, 10), 2, rng)
+    chart = build_chart(base, rng.uniform(0, 1, 10), 2, rng, radius=1.0)
     for coords in ([0.3, 0.0], [0.1, 0.2], [-0.25, 0.15]):
         pt = chart.point(coords)
         assert manifold.geodesic_distance_exact(base, pt) == pytest.approx(
@@ -219,9 +219,10 @@ def test_sample_exact_ray_length(rng):
 
 
 def test_geodesic_rays_count_and_length(rng):
-    base = random_distribution(rng, 10)
-    chart = build_chart(base, rng.uniform(0, 1, 10), 2, rng, radius=0.5)
-    rays = geodesic_rays(chart, StepParams(ray_count=5, grid_resolution=8), rng, exact=True)
+    # 100 samples, past EXACT_RAYS_THRESHOLD: closed-form rays
+    base = random_distribution(rng, 100)
+    chart = build_chart(base, rng.uniform(0, 1, 100), 2, rng, radius=0.5)
+    rays = geodesic_rays(chart, StepParams(ray_count=5, grid_resolution=8), rng)
     assert len(rays) == 5
     for ray in rays:
         assert ray.origin is base
@@ -229,10 +230,10 @@ def test_geodesic_rays_count_and_length(rng):
 
 
 def test_geodesic_rays_first_is_promise_ascent(rng):
-    base = random_distribution(rng, 10)
-    promise = rng.uniform(0, 1, 10)
+    base = random_distribution(rng, 100)  # closed-form rays
+    promise = rng.uniform(0, 1, 100)
     chart = build_chart(base, promise, 2, rng, radius=0.4)
-    rays = geodesic_rays(chart, StepParams(ray_count=3), rng, exact=True)
+    rays = geodesic_rays(chart, StepParams(ray_count=3), rng)
     ascent = sample_exact_ray(base, chart.directions[0], chart.radius)
     assert len(rays[0].polyline.points) == len(ascent.points)
     for got, want in zip(rays[0].polyline.points, ascent.points):
@@ -246,7 +247,6 @@ def test_geodesic_rays_grid_mode_close_to_exact(rng):
         chart,
         StepParams(ray_count=2, grid_resolution=16, refinement_levels=3),
         np.random.default_rng(3),
-        exact=False,
     )
     for ray in grid_rays:
         # each ray targets a boundary point: exact distance is the radius
@@ -266,7 +266,7 @@ def test_geodesic_rays_one_lattice_search_per_chart(rng, monkeypatch):
     base = random_distribution(rng, 8)
     chart = build_chart(base, rng.uniform(0, 1, 8), 2, rng, radius=0.5)
     params = StepParams(ray_count=5, grid_resolution=8, refinement_levels=1)
-    rays = geodesic_rays(chart, params, rng, exact=False)
+    rays = geodesic_rays(chart, params, rng)
     assert searches == [5]
     assert len(rays) == 5
 

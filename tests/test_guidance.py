@@ -29,7 +29,7 @@ from conftest import ScalarProblem, count_objective_calls, make_scalar_ledger
 def scalar_setup(values):
     problem, ledger = make_scalar_ledger(values)
     view = view_of(ledger)
-    rm = ResolvedMetric(problem, view, 1.0)
+    rm = ResolvedMetric(problem, view, 1.0, ledger, len(view))
     return view, rm
 
 
@@ -101,7 +101,7 @@ def test_omega_knn_empty():
     from infoevo.core import PopulationView
 
     empty = PopulationView.of([])
-    rm = ResolvedMetric(ScalarProblem(), empty, 1.0)
+    rm = ResolvedMetric(ScalarProblem(), empty, 1.0, EvaluationLedger(0), 1)
     with pytest.raises(EmptyLedger):
         omega_of(1.0, manifold.uniform(1), 1, rm)
 
@@ -206,7 +206,7 @@ def test_screened_then_evaluated_candidate_costs_one_objective_call(rng):
     for _ in range(12):
         evaluate(problem.random_genotype(rng), problem, ledger)
     view = view_of(ledger)
-    rm = ResolvedMetric(problem, view, 0.5, ledger)
+    rm = ResolvedMetric(problem, view, 0.5, ledger, len(view))
     calls = count_objective_calls(problem)
     x = problem.random_genotype(rng)
     while ledger.lookup(problem.canonical_key(x)) is not None:

@@ -3,20 +3,15 @@ import pytest
 
 from infoevo.core import ResolvedMetric, view_of
 from infoevo.errors import EmptyLedger, LedgerTooSmall
-from infoevo.promise import (
-    PromiseWeights,
-    local_max_prob,
-    normalize_scores,
-    promise_vector,
-)
+from infoevo.promise import PromiseWeights, normalize_scores, promise_vector
 
-from conftest import make_scalar_ledger
+from conftest import local_max_prob, make_scalar_ledger
 
 
 def scalar_setup(values):
     problem, ledger = make_scalar_ledger(values)
     view = view_of(ledger)
-    rm = ResolvedMetric(problem, view, 1.0)
+    rm = ResolvedMetric(problem, view, 1.0, ledger, len(view))
     return view, rm
 
 
@@ -85,7 +80,7 @@ def test_local_max_prob_all_equal():
     for v in (0.0, 1.0, 2.0):
         evaluate(v, problem, ledger)
     view = view_of(ledger)
-    rm = ResolvedMetric(problem, view, 1.0)
+    rm = ResolvedMetric(problem, view, 1.0, ledger, len(view))
     norm = normalize_scores(view.scores, view)
     for i in range(3):
         assert local_max_prob(i, 2, rm, norm) == 1.0

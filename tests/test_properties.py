@@ -62,6 +62,7 @@ from infoevo.evolve import (
     vary,
 )
 from infoevo.geodesic_search import (
+    EXACT_RAYS_THRESHOLD,
     GeodesicPolyline,
     GeodesicRay,
     StepParams,
@@ -86,19 +87,16 @@ from infoevo.guidance import (
     omega_block,
 )
 from infoevo.manifold import _EXP_CLIP, LogDistribution
-from infoevo.promise import (
-    PromiseWeights,
-    local_max_prob,
-    local_max_ratios,
-    promise_vector,
-)
+from infoevo.promise import PromiseWeights, local_max_ratios, promise_vector
 
 from conftest import (
     ScalarProblem,
     ascending_median,
     estimate_fitness,
     knn_one,
+    local_max_prob,
     make_scalar_ledger,
+    metric_row,
     omega_knn,
 )
 
@@ -114,7 +112,7 @@ scalar_views = st.tuples(
 def scalar_view(values, cap):
     problem, ledger = make_scalar_ledger([float(v) for v in values])
     view = view_of(ledger, cap)
-    return view, ResolvedMetric(problem, view, 1.0)
+    return view, ResolvedMetric(problem, view, 1.0, ledger, len(view))
 
 
 def brute_force_knn(view, x, k):
@@ -185,7 +183,7 @@ def table_view(positions, scores):
     for g in problem.table:
         evaluate(g, problem, ledger)
     view = view_of(ledger)
-    return view, ResolvedMetric(problem, view, 1.0)
+    return view, ResolvedMetric(problem, view, 1.0, ledger, len(view))
 
 
 @st.composite
@@ -709,10 +707,11 @@ def test_metric_rows_from_the_run_memo_match_rows_without_it(name, lam, n, seed,
     views = [PopulationView.of(samples[:end]), PopulationView.of(samples[start:])]
     outside = [problem.random_genotype(rng) for _ in range(3)]
     for view in views:
-        shared = ResolvedMetric(problem, view, lam, ledger)
-        alone = ResolvedMetric(problem, view, lam)
-        for g in [s.genotype for s in view.samples] + outside:
-            for a, b in zip(shared.neighbors(g), alone.neighbors(g)):
+        rm = ResolvedMetric(problem, view, lam, ledger, len(view))
+        queries = [s.genotype for s in view.samples] + outside
+        # the rows built straight from the problem, without the memo
+        for x, expected in zip(queries, reference_rows(problem, view, lam, queries)):
+            for a, b in zip(metric_row(rm, x), expected):
                 assert a.tobytes() == b.tobytes()
 
 
@@ -1090,14 +1089,15 @@ def one_pair_point(a, b, frac):
     return one_vector_exp_map(a, f, frac)
 
 
-def one_polyline_refinement(poly, levels, relax_passes=3, coarse_points=5):
-    """refine_polyline for one polyline, one midpoint at a time."""
+def one_polyline_refinement(poly, levels):
+    """refine_polyline for one polyline, one midpoint at a time: 5 coarse
+    points, 3 relaxation sweeps."""
     if len(poly.points) < 2 or levels == 0:
         return poly
-    pts = _downsample(list(poly.points), coarse_points)
+    pts = _downsample(list(poly.points), 5)
 
     def relax():
-        for _ in range(relax_passes):
+        for _ in range(3):
             for i in range(1, len(pts) - 1):
                 pts[i] = one_pair_point(pts[i - 1], pts[i + 1], 0.5)
 
@@ -1274,16 +1274,15 @@ def test_row_norms_are_each_rows_own_dot(width, layout, seed):
 @given(
     st.integers(2, 70),
     st.one_of(st.just(0.0), st.floats(0.0, 3.0)),
-    st.integers(1, 10),
     st.integers(0, 2**32 - 1),
 )
-def test_exact_ray_points_equal_one_exp_map_each(n, length, segments, seed):
+def test_exact_ray_points_equal_one_exp_map_each(n, length, seed):
     rng = np.random.default_rng(seed)
     base = manifold.from_weights(rng.uniform(0.0, 1.0, size=n))
     direction = manifold.project_tangent(base, rng.standard_normal(n))
     assume(direction.norm > 0)
-    poly = sample_exact_ray(base, direction, length, segments)
-    ts = np.linspace(0.0, length, segments + 1)
+    poly = sample_exact_ray(base, direction, length)
+    ts = np.linspace(0.0, length, 9)  # 8 segments
     expected = [manifold.exp_map(base, direction, t) for t in ts]
     assert poly.points[0] is base
     assert len(poly.points) == len(expected)
@@ -1295,7 +1294,7 @@ def test_exact_ray_points_equal_one_exp_map_each(n, length, segments, seed):
     zero = manifold.TangentVector(np.zeros(n), base)
     if length > 0:
         with pytest.raises(ZeroTangent):
-            sample_exact_ray(base, zero, length, segments)
+            sample_exact_ray(base, zero, length)
     else:
         assert all(pt is base for pt in sample_exact_ray(base, zero, 0.0).points)
 
@@ -1582,10 +1581,11 @@ def test_metric_blocks_match_rows_built_one_at_a_time(name, lam, n, seed):
     assert ledger.objective_calls == calls
     queries = genos + offspring
     for x, (row, order) in zip(queries, reference_rows(problem, view, lam, queries)):
-        dists, got = rm.neighbors(x)
+        dists, got = metric_row(rm, x)
         assert dists.tobytes() == row.tobytes()
         assert got.tobytes() == order.tobytes()
-        assert not dists.flags.writeable and not got.flags.writeable
+        stored = rm._rows[problem.canonical_key(x)]  # shared by every query
+        assert not any(a.flags.writeable for a in stored)
 
 
 # --- each row's k nearest, by selection and by sort ---
@@ -1666,9 +1666,9 @@ def same_doubles(got, expected) -> bool:
 
 def reference_modified_fitness(x, zeta_value: float, target, k: int, rm) -> float:
     """One genotype's modified fitness, as the program took it before it
-    took a block: x's own row and order from ``neighbors``, the masses of
-    its k nearest summed one at a time in order, then h."""
-    _, order = rm.neighbors(x)
+    took a block: x's own row and order, the masses of its k nearest
+    summed one at a time in order, then h."""
+    _, order = metric_row(rm, x)
     return h(zeta_value, float(sum(target.p[order[:k]].tolist())))
 
 
@@ -1747,7 +1747,7 @@ def test_guidance_blocks_match_the_one_candidate_forms(k, name, lam, n, seed):
     candidates += [candidates[0], genos[0], genos[-1]]
     rows, orders = block.rows_of(candidates)
     for x, row, order in zip(candidates, rows, orders):
-        dists, got = single.neighbors(x)
+        dists, got = metric_row(single, x)
         assert same_doubles(row, dists) and order.tobytes() == got.tobytes()
 
     ledger_mf = rng.uniform(0.0, 2.0, size=n)
@@ -1798,7 +1798,7 @@ def test_local_max_ratios_where_samples_sit_at_distance_zero(labels, k_local):
     for i, label in enumerate(labels):
         evaluate(label + i / 100, problem, ledger)
     view = view_of(ledger)
-    rm = ResolvedMetric(problem, view, 0.0, ledger)
+    rm = ResolvedMetric(problem, view, 0.0, ledger, len(view))
     norm = normalize_scores(view.scores, view)
     expected = [local_max_prob(i, k_local, rm, norm) for i in range(len(view))]
     assert same_doubles(local_max_ratios(rm.view_orders, norm, k_local), expected)
@@ -1836,7 +1836,7 @@ def test_block_knn_equals_the_one_genotype_query(name, lam, n, k, keyed, seed):
         assert row_idx.tobytes() == one_idx.tobytes()
         assert same_doubles(row_dists, one_dists)
         # the stored row and order the one-genotype query reads
-        row, order = single.neighbors(x)
+        row, order = metric_row(single, x)
         assert row_idx.tobytes() == order[:k].tobytes()
         assert same_doubles(row_dists, row[order[:k]])
 
@@ -1903,11 +1903,12 @@ def test_ranked_tournament_picks_the_fitness_max(fitness, numpy_doubles, size, s
     assert rng.bit_generator.state == ref.bit_generator.state
 
 
-def reference_exact_ray(base, direction, length: float, segments: int = 8):
-    """A closed-form ray as the program took it one ray at a time: its
-    moving points in one exp_map_rows call, then one-pair distances
-    summed left to right. Returns (points, segment lengths, length)."""
-    ts = np.linspace(0.0, length, segments + 1)
+def reference_exact_ray(base, direction, length: float):
+    """A closed-form ray of 8 segments as the program took it one ray at a
+    time: its moving points in one exp_map_rows call, then one-pair
+    distances summed left to right. Returns (points, segment lengths,
+    length)."""
+    ts = np.linspace(0.0, length, 9)
     points = [base] * len(ts)
     moving = np.flatnonzero(ts)
     if len(moving):
@@ -1944,11 +1945,11 @@ def reference_step_along(ray, gamma: float):
 )
 def test_block_exact_rays_equal_the_one_ray_reference(dim, extra, count, radius, seed, data):
     rng = np.random.default_rng(seed)
-    n = dim + 1 + extra
+    n = EXACT_RAYS_THRESHOLD + 1 + extra  # closed-form rays
     base = manifold.from_weights(rng.uniform(0.05, 1.0, size=n))
     chart = build_chart(base, rng.uniform(0.0, 1.0, size=n), dim, rng, radius=radius)
     params = StepParams(ray_count=count, chart_dim=dim)
-    rays = geodesic_rays(chart, params, np.random.default_rng(seed), exact=True)
+    rays = geodesic_rays(chart, params, np.random.default_rng(seed))
     cdirs = _ray_coord_directions(dim, count, np.random.default_rng(seed))
     assert len(rays) == count
     for ray, cdir in zip(rays, cdirs):
@@ -1995,7 +1996,7 @@ def test_behavior_column_equals_the_stacked_behavior_of(name, n, seed):
     got = ledger.behaviors_of(genos, problem, keys)
     assert got.shape == stacked.shape and same_doubles(got, stacked)
     # the phenotypic view rows read the same column
-    rows = ResolvedMetric(problem, view, 0.0, ledger).view_rows
+    rows = ResolvedMetric(problem, view, 0.0, ledger, len(view)).view_rows
     behaviors = stacked[:n]
     expected = np.linalg.norm(behaviors[None] - behaviors[:, None], axis=-1)
     assert same_doubles(rows, expected)

@@ -15,22 +15,23 @@ Two checkouts that print the same lines made the same evaluations in
 the same order at the same cost.
 
 The runs are the benchmark's seeds (guided and baseline OneMax-50,
-guided symreg on the cubic dataset at cap 64), guided sphere-10 and
-trap5-30, guided OneMax-50 and symreg with one setting changed (among
-them a filter k and a promise k_local, each large enough to set how many
-neighbors the metric's orders keep), guided symreg on a 3-d chart and
-on a 1-d chart, whose cone rays coincide with +-e1 and are refined as a
-block of duplicate rays, guided symreg with depth-1 programs, whose
-view holds six samples, guided trap5-20 with one ray per round,
-which has rounds whose filter skips every new candidate, guided OneMax-50
-with the filter off, whose new parents' rows are built by their own
-neighbor query since no chunk is screened, guided symreg on the
-built-in 4-point dataset, unguided symreg on the cubic dataset,
-whose runs read program scores only, and runs through each branch of a
-bitstring generation drawn as one block: unguided trap5-30, guided
-OneMax-50 whose every offspring is EDA-sampled, guided OneMax-50 with
-no crossover and tournaments of one, and unguided OneMax-50 that
-always crosses over and flips every bit.
+guided symreg on the cubic dataset at cap 64), guided and unguided
+sphere-10, guided rosenbrock-5 and trap5-30 (so both real-vector
+problems pin the mutation scale ``SIGMA``), guided OneMax-50 and symreg
+with one setting changed (among them a filter k and a promise k_local,
+each large enough to set how many neighbors the metric's orders keep),
+guided symreg on a 3-d chart and on a 1-d chart, whose cone rays
+coincide with +-e1 and are refined as a block of duplicate rays, guided
+symreg with depth-1 programs, whose view holds six samples, guided
+trap5-20 with one ray per round, which has rounds whose filter skips
+every new candidate, guided OneMax-50 with the filter off, whose new
+parents' rows are built by their own neighbor query since no chunk is
+screened, guided symreg on the built-in 4-point dataset, unguided symreg
+on the cubic dataset, whose runs read program scores only, and runs
+through each branch of a bitstring generation drawn as one block:
+unguided trap5-30, guided OneMax-50 whose every offspring is
+EDA-sampled, guided OneMax-50 with no crossover and tournaments of one, and
+unguided OneMax-50 that always crosses over and flips every bit.
 The cubic dataset is written with ``perfbench/make_dataset.py`` to a
 temporary directory.
 """
@@ -51,6 +52,7 @@ def runs(dataset: str):
     symreg = ["--problem", "symreg", "--dataset", dataset, "--budget", "2000"]
     symreg += ["--population-cap", "64"]
     sphere = ["--problem", "sphere", "--dim", "10"]
+    rosenbrock = ["--problem", "rosenbrock", "--dim", "5", "--budget", "2000"]
     trap = ["--problem", "trap5", "--bits", "30", "--budget", "3000"]
     genotypic = ["--lambda", "1"]
     phenotypic = ["--lambda", "0"]
@@ -73,6 +75,8 @@ def runs(dataset: str):
         ("symreg-cubic-cap64-s3", symreg + ["--seed", "3"]),
         ("symreg-cubic-cap64-s5", symreg + ["--seed", "5"]),
         ("sphere10-s1", sphere + ["--seed", "1"]),
+        ("sphere10-baseline-s1", sphere + ["--mode", "baseline", "--seed", "1"]),
+        ("rosenbrock5-b2000-s1", rosenbrock + ["--seed", "1"]),
         ("trap5-30-b3000-s1", trap + ["--seed", "1"]),
         ("onemax50-genotypic-s1", onemax + genotypic + ["--seed", "1"]),
         ("onemax50-phenotypic-s1", onemax + phenotypic + ["--seed", "1"]),
