@@ -3,18 +3,18 @@
 Search runs in a low-dimensional chart anchored at the current promise
 distribution: geodesic normal coordinates along a promise-ascent
 direction plus random orthonormal directions. Within the chart, shortest
-paths are found with Dijkstra on a lattice built in array blocks and
-tightened by hierarchical midpoint refinement. Every ray starts at the
-chart base, so one search from the base serves all of a chart's rays,
-and a chart's rays are then refined together, one row block per
-refinement step.
+paths on a lattice built in array blocks are found by array relaxation,
+which returns the paths of a Dijkstra heap search with ties going to the
+earlier push (``lattice_predecessors``), and are tightened by
+hierarchical midpoint refinement. Every ray starts at the chart base, so
+one search from the base serves all of a chart's rays, and a chart's
+rays are then refined together, one row block per refinement step.
 The closed-form geometry in :mod:`infoevo.manifold` provides both the
 fast path and the oracle.
 """
 
 from __future__ import annotations
 
-import heapq
 import itertools
 import logging
 from dataclasses import dataclass
@@ -213,14 +213,14 @@ class _Lattice:
         self.phi = np.empty((count, chart.base.n))
         self.phi[self.origin] = chart.base.phi
         rows = np.flatnonzero(np.any(self.keys, axis=1))
-        for r in self._blocks(rows):
+        for r in _blocks(rows):
             self.phi[r] = chart.point_rows(self.keys[r] * self.spacing)
 
         # offsets[-1 - j] is -offsets[j], and a distance's bits do not
         # depend on the order of its two points
         self.lengths = np.full(self.neighbors.shape, np.inf)
         for j in range(len(self.offsets) // 2):
-            for a in self._blocks(np.arange(count)):
+            for a in _blocks(np.arange(count)):
                 b = self.neighbors[a, j]
                 a, b = a[b >= 0], b[b >= 0]
                 w = manifold.geodesic_distance_rows(self.phi[a], self.phi[b])
@@ -229,10 +229,6 @@ class _Lattice:
 
     def _at(self, keys: np.ndarray) -> tuple:
         return tuple((keys + self._shift).T)
-
-    def _blocks(self, rows: np.ndarray):
-        for s in range(0, len(rows), self.BLOCK_ROWS):
-            yield rows[s : s + self.BLOCK_ROWS]
 
     def point(self, node: int) -> LogDistribution:
         if node == self.origin:
@@ -254,6 +250,11 @@ class _Lattice:
         return [i for i in nodes if i >= 0]
 
 
+def _blocks(rows: np.ndarray):
+    for s in range(0, len(rows), _Lattice.BLOCK_ROWS):
+        yield rows[s : s + _Lattice.BLOCK_ROWS]
+
+
 def dijkstra_geodesic(
     chart: Chart,
     start_coords,
@@ -264,13 +265,18 @@ def dijkstra_geodesic(
 
     The lattice is a uniform grid in chart coordinates (8-connected in
     2-d, 26-connected in 3-d) with edge weights given by the exact
-    pairwise geodesic distance of the mapped distributions. One
-    single-source search serves every goal and stops once all are
-    settled. Each goal is a sink of its own, entered from the corners of
-    its cell and never expanded, so the lattice nodes are settled in the
-    same order as in a search for that goal alone, and each goal's path
-    is the one such a search returns. A node relaxes its neighbours in
-    offset order and then its sinks; ties go to the earlier push.
+    pairwise geodesic distance of the mapped distributions. The start
+    enters the corners of its cell. Each goal is a sink of its own,
+    entered from the corners of its cell and never left, so one search
+    serves every goal and each goal's path is the one a search for that
+    goal alone returns.
+
+    The paths are those of a Dijkstra heap search that relaxes a node's
+    neighbours in offset order and then its sinks, ties going to the
+    earlier push; ``lattice_predecessors`` finds them by array
+    relaxation and states the tie rule. The function keeps its name
+    because the benchmark's layer probes (``perfbench/layers.py``) wrap
+    and count it by name.
     """
     start_coords = np.asarray(start_coords, dtype=float)
     goals = [np.asarray(g, dtype=float) for g in goals]
@@ -289,67 +295,174 @@ def dijkstra_geodesic(
         return paths
 
     lattice = _Lattice(chart, resolution)
-    # search nodes: lattice nodes, then the start, then goal i's sink
+
+    def edges(corners: list[int], point: LogDistribution) -> list[tuple[int, float]]:
+        lengths = manifold.geodesic_distance_rows(lattice.phi[corners], point.phi)
+        return list(zip(corners, lengths.tolist()))
+
+    sink_points = [chart.point(goals[i]) for i in searched]
+    prev = lattice_predecessors(
+        lattice.neighbors,
+        lattice.lengths,
+        edges(lattice.cell_corners(start_coords), start_pt),
+        [edges(lattice.cell_corners(goals[i]), pt) for i, pt in zip(searched, sink_points)],
+    )
+    # search nodes: lattice nodes, then the start, then each sink
     start = len(lattice.keys)
-    sink_points: dict[int, LogDistribution] = {}
-    sinks_entered: dict[int, list[int]] = {}  # lattice node -> its sinks
-    for i in searched:
-        sink_points[start + 1 + i] = chart.point(goals[i])
-        for corner in lattice.cell_corners(goals[i]):
-            sinks_entered.setdefault(corner, []).append(start + 1 + i)
-
-    def node_point(node: int) -> LogDistribution:
-        if node == start:
-            return start_pt
-        return sink_points[node] if node > start else lattice.point(node)
-
-    dist = [np.inf] * (start + 1 + len(goals))
-    prev = [-1] * len(dist)
-    done = bytearray(len(dist))
-    dist[start] = 0.0
-    counter = itertools.count()  # heap tiebreaker
-    heap: list[tuple[float, int, int]] = [(0.0, next(counter), start)]
-    unsettled = len(sink_points)
-    while heap and unsettled:
-        d, _, node = heapq.heappop(heap)
-        if done[node]:
-            continue
-        done[node] = 1
-        if node > start:
-            unsettled -= 1
-            continue
-        # (next node, edge length); None for an edge off the lattice
-        if node == start:
-            steps = [(c, None) for c in lattice.cell_corners(start_coords)]
-        else:
-            steps = [
-                (nxt, w)
-                for nxt, w in zip(
-                    lattice.neighbors[node].tolist(), lattice.lengths[node].tolist()
-                )
-                if nxt >= 0
-            ]
-            steps += [(sink, None) for sink in sinks_entered.get(node, ())]
-        for nxt, w in steps:
-            if done[nxt]:
-                continue
-            if w is None:
-                w = manifold.geodesic_distance_exact(node_point(node), node_point(nxt))
-            nd = d + w
-            if nd < dist[nxt]:
-                dist[nxt] = nd
-                prev[nxt] = node
-                heapq.heappush(heap, (nd, next(counter), nxt))
-    if unsettled:
-        raise NoPath("no lattice route from start to goal")
-
-    for sink in sink_points:
-        path = [sink]
+    for sink, i in enumerate(searched, start + 1):
+        path = [prev[sink]]
         while path[-1] != start:
             path.append(prev[path[-1]])
-        points = [node_point(node) for node in reversed(path)]
-        paths[sink - start - 1] = _deduped_polyline(points)
+        points = [start_pt, *(lattice.point(node) for node in reversed(path[:-1]))]
+        paths[i] = _deduped_polyline(points + [sink_points[sink - start - 1]])
     return paths
+
+
+def lattice_predecessors(neighbors, lengths, start_edges, sink_edges) -> list[int]:
+    """Each node's predecessor on the shortest paths of a heap search.
+
+    Nodes 0 .. count - 1 are lattice nodes, node count is the start and
+    node count + 1 + s is sink s. Lattice node i's j-th edge leads to
+    ``neighbors[i, j]`` (-1 for none) and is ``lengths[i, j]`` long;
+    edges come in pairs, ``neighbors[neighbors[i, j], width - 1 - j]``
+    being i at the same length. ``start_edges`` lists the start's
+    (lattice node, length) edges and ``sink_edges[s]`` the (lattice
+    node, length) edges that enter sink s, which no edge leaves.
+
+    The result is the ``prev`` of Dijkstra with a heap ordered by
+    (distance, push counter): it relaxes the start's edges in list
+    order, then settles nodes, each relaxing its edges in j order and
+    then the sinks it enters in sink order; a strictly shorter distance
+    pushes, and the search stops when every sink is settled. Entries
+    off the sinks' paths are unspecified. Raises NoPath when a sink
+    cannot be reached.
+
+    Distances. Seeded with the start's edges, each sweep pulls
+    min(D[v], D[u] + lengths[v, j]) into the nodes next to those whose
+    distance fell in the last sweep, until none falls. Float addition
+    is monotone, so this least fixed point is the heap's distances, bit
+    for bit. A node farther than every sink's tentative distance pushes
+    no further, as the heap stops before settling it.
+
+    Predecessors. The heap's last push of a node comes from its
+    predecessor u, at the node's place in u's relaxation list, so nodes
+    settle in the order of (D, rank of u, place), and ``prev[v]`` is the
+    first settled u with D[u] + len == D[v]. Sorting by D settles all
+    but nodes of equal D; within such a group, nodes entered from an
+    earlier group go first in (rank, place) order, and the rest follow
+    breadth first along the group's own edges (see ``_settle_order``).
+    """
+    count, width = neighbors.shape
+    # dist[-1] stays inf: the entry every -1 neighbour reads
+    dist = np.full(count + 1, np.inf)
+    start_lengths = np.full(count + 1, np.inf)
+    start_nodes = np.array([node for node, _ in start_edges], dtype=np.intp)
+    start_lengths[start_nodes] = [length for _, length in start_edges]
+    dist[start_nodes] = 0.0 + start_lengths[start_nodes]
+    entries = max(map(len, sink_edges))
+    sink_nodes = np.full((len(sink_edges), entries), -1)
+    sink_lengths = np.full((len(sink_edges), entries), np.inf)
+    for s, sink in enumerate(sink_edges):
+        sink_nodes[s, : len(sink)] = [node for node, _ in sink]
+        sink_lengths[s, : len(sink)] = [length for _, length in sink]
+
+    frontier = start_nodes
+    while True:
+        sink_dist = np.min(dist[sink_nodes] + sink_lengths, axis=1)
+        frontier = frontier[dist[frontier] <= sink_dist.max()]
+        if not len(frontier):
+            break
+        reached = np.zeros(count + 1, dtype=bool)
+        reached[neighbors[frontier]] = True
+        fell = np.zeros(count, dtype=bool)
+        for rows in _blocks(np.flatnonzero(reached[:count])):
+            pulled = np.min(dist[neighbors[rows]] + lengths[rows], axis=1)
+            down = pulled < dist[rows]
+            dist[rows[down]] = pulled[down]
+            fell[rows[down]] = True
+        frontier = np.flatnonzero(fell)
+    if not np.all(np.isfinite(sink_dist)):
+        raise NoPath("no lattice route from start to goal")
+
+    # a settled node's predecessor is the first settled of its shortest
+    # edges in: the start if it is one, else the one of least distance,
+    # and among several at that distance the one the settle order puts first
+    settled = np.flatnonzero(dist[:count] <= sink_dist.max())
+    prev = np.full(count + 1 + len(sink_edges), -1)
+    several = []
+    for rows in _blocks(settled):
+        nbrs = neighbors[rows]
+        tight = dist[nbrs] + lengths[rows] == dist[rows, np.newaxis]
+        before = np.where(tight, dist[nbrs], np.inf)
+        nearest = np.argmin(before, axis=1)
+        from_start = 0.0 + start_lengths[rows] == dist[rows]
+        prev[rows] = np.where(from_start, count, nbrs[np.arange(len(rows)), nearest])
+        ties = np.sum(before == np.min(before, axis=1, keepdims=True), axis=1) > 1
+        several.append(rows[ties & ~from_start])
+    several = np.concatenate(several)
+    entered = []
+    for s, sink in enumerate(sink_edges):
+        nodes = [node for node, length in sink if dist[node] + length == sink_dist[s]]
+        entered.append(sorted(nodes, key=lambda node: dist[node]))
+    if len(several) or any(len(e) > 1 and dist[e[0]] == dist[e[1]] for e in entered):
+        rank = _settle_ranks(dist, settled, neighbors, lengths, start_edges)
+        nbrs = neighbors[several]
+        tight = dist[nbrs] + lengths[several] == dist[several, np.newaxis]
+        first = np.argmin(np.where(tight, rank[nbrs], count + 1), axis=1)
+        prev[several] = nbrs[np.arange(len(several)), first]
+        entered = [sorted(nodes, key=lambda node: rank[node]) for nodes in entered]
+    prev[count + 1 :] = [nodes[0] for nodes in entered]
+    return prev.tolist()
+
+
+def _settle_ranks(dist, settled, neighbors, lengths, start_edges) -> np.ndarray:
+    """Each settled lattice node's place in the heap's settle order (the
+    start is 0), and len(dist) for the others: the order of distance,
+    then within each group of equal distance ``_settle_order``."""
+    order = settled[np.argsort(dist[settled], kind="stable")]
+    rank = np.full(len(dist), len(dist))
+    rank[order] = np.arange(1, len(order) + 1)
+    tied = np.concatenate(([False], dist[order][1:] == dist[order][:-1], [False]))
+    starts = np.flatnonzero(~tied[:-1] & tied[1:])
+    ends = np.flatnonzero(tied[:-1] & ~tied[1:]) + 1
+    for lo, hi in zip(starts, ends):
+        group = _settle_order(order[lo:hi], dist, rank, neighbors, lengths, start_edges)
+        rank[group] = np.arange(lo + 1, hi + 1)
+    return rank
+
+
+def _settle_order(group, dist, rank, neighbors, lengths, start_edges) -> list[int]:
+    """The heap's settle order of lattice nodes of one equal distance d.
+
+    A node with a shortest edge from the start (rank 0) or from a node
+    of smaller distance already holds d when the group's first node
+    settles, keyed by its first such predecessor's rank and its place in
+    that predecessor's list; those nodes settle first in key order. Each
+    of the others is pushed when the first group node with a
+    zero-effect edge to it (d + length == d) settles, so with a key
+    above every earlier one, and the group continues breadth first.
+    """
+    width = neighbors.shape[1]
+    d = float(dist[group[0]])
+    start_place = {node: place for place, (node, _) in enumerate(start_edges)}
+    start_length = dict(start_edges)
+    members = set(group.tolist())
+    keyed = []
+    for v in group.tolist():
+        keys = [(0, start_place[v])] if v in start_length and 0.0 + start_length[v] == d else []
+        for j, (u, length) in enumerate(zip(neighbors[v].tolist(), lengths[v].tolist())):
+            if u >= 0 and dist[u] < d and dist[u] + length == d:
+                keys.append((int(rank[u]), width - 1 - j))
+        if keys:
+            keyed.append((min(keys), v))
+    queue = [v for _, v in sorted(keyed)]
+    pushed = set(queue)
+    for u in queue:  # grows as nodes are pushed
+        for v, length in zip(neighbors[u].tolist(), lengths[u].tolist()):
+            if v in members and v not in pushed and d + length == d:
+                pushed.add(v)
+                queue.append(v)
+    return queue
 
 
 def _deduped_polyline(points: list) -> GeodesicPolyline:
@@ -509,7 +622,7 @@ def geodesic_rays(
     """Rays from the chart base covering the promise-ascent cone.
 
     Above EXACT_RAYS_THRESHOLD samples the polylines come from the
-    closed-form flow; otherwise each ray is a refined Dijkstra path to a
+    closed-form flow; otherwise each ray is a refined lattice path to a
     boundary goal: one search from the chart base finds every ray's
     path, and one refinement call tightens them all.
     """

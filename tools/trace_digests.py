@@ -32,16 +32,27 @@ through each branch of a bitstring generation drawn as one block:
 unguided trap5-30, guided OneMax-50 whose every offspring is
 EDA-sampled, guided OneMax-50 with no crossover and tournaments of one, and
 unguided OneMax-50 that always crosses over and flips every bit.
+Guided trap5-20 at cap 48 keeps every view small enough for the lattice
+search, so it runs that search on a bitstring domain with tied scores.
 The cubic dataset is written with ``perfbench/make_dataset.py`` to a
 temporary directory.
+
+The last line covers the lattice search outside a run: the SHA-256 of
+the float64 bytes of the (exact, refined) lengths that
+``cli.geodesic_check(n, 50, 32, verbose=False)`` returns for n = 3, 5
+and 10, as ``info-evo geodesic-check --n 3 5 10 --trials 50
+--resolution 32`` checks them, with ``-`` in the count columns.
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
 import sys
 import tempfile
 from pathlib import Path
+
+import numpy as np
 
 HERE = Path(__file__).resolve().parents[1]
 
@@ -67,6 +78,8 @@ def runs(dataset: str):
     eda_only = ["--eda-fraction", "1"]
     mutation_only = ["--crossover-rate", "0", "--tournament-size", "1"]
     cross_flip = ["--mode", "baseline", "--crossover-rate", "1", "--mutation-rate", "1"]
+    trap5_cap48 = ["--problem", "trap5", "--bits", "20", "--population-cap", "48"]
+    trap5_cap48 += ["--budget", "2000"]  # every view under the lattice threshold
     return (
         ("onemax50-guided-s1", onemax + ["--seed", "1"]),
         ("onemax50-guided-s2", onemax + ["--seed", "2"]),
@@ -100,6 +113,7 @@ def runs(dataset: str):
             "onemax50-baseline-cx1-mut1-b2000-s2",
             onemax + cross_flip + ["--budget", "2000", "--seed", "2"],
         ),
+        ("trap5-20-cap48-b2000-s1", trap5_cap48 + ["--seed", "1"]),
     )
 
 
@@ -112,7 +126,7 @@ def main(argv=None) -> int:
     from make_dataset import write_dataset
 
     sys.path.insert(0, str(Path(args.checkout).resolve() / "src"))
-    from infoevo.cli import build_parser, build_run_config, execute_run
+    from infoevo.cli import build_parser, build_run_config, execute_run, geodesic_check
 
     with tempfile.TemporaryDirectory() as tmp:
         dataset = str(write_dataset(Path(tmp) / "cubic.csv"))
@@ -128,6 +142,11 @@ def main(argv=None) -> int:
                 record["evals_to_target"],
                 flush=True,
             )
+    lengths = hashlib.sha256()
+    for n in (3, 5, 10):
+        _, results = geodesic_check(n, 50, 32, verbose=False)
+        lengths.update(np.array(results, dtype=np.float64).tobytes())
+    print("geodesic-check-n3-5-10-t50-r32", lengths.hexdigest(), "- - -")
     return 0
 
 
