@@ -44,9 +44,9 @@ class EvaluationLedger:
     Also the run's memo, keyed by canonical key, of every objective value
     and behavior vector the run has computed, charged or not.
     ``objective_calls`` counts the ``score`` and ``behavior`` calls the
-    memo made, one per miss. ``keys[i]`` is sample i's canonical key, and
-    ``best`` the sample of highest score, the earliest of equal ones
-    (None while the ledger is empty).
+    memo made, one per miss. ``keys[i]`` and ``scores[i]`` are sample
+    i's canonical key and score, and ``best`` the sample of highest
+    score, the earliest of equal ones (None while the ledger is empty).
     """
 
     def __init__(self, budget: int):
@@ -55,6 +55,7 @@ class EvaluationLedger:
         self.budget = budget
         self.samples: list[ScoredSample] = []
         self.keys: list = []
+        self.scores: list[float] = []
         self.best: ScoredSample | None = None
         self._by_key: dict[Any, ScoredSample] = {}
         self._scores: dict[Any, float] = {}
@@ -75,6 +76,7 @@ class EvaluationLedger:
     def _append(self, sample: ScoredSample, key) -> None:
         self.samples.append(sample)
         self.keys.append(key)
+        self.scores.append(sample.score)
         self._by_key[key] = sample
         # only a strictly greater score replaces the best, so ties keep
         # the earliest sample, as max by (score, -id) does
@@ -95,12 +97,10 @@ class EvaluationLedger:
         if the run has not computed it."""
         return self._scores.get(key)
 
-    def has_behavior(self, problem, key) -> bool:
-        """Whether ``behavior_of`` would answer for ``key`` from the memo,
-        without an objective call."""
-        if behavior_is_score(problem):
-            return key in self._scores
-        return key in self._behaviors
+    def behavior_memo(self, problem) -> dict:
+        """The memo ``behavior_of`` answers from for ``problem``, keyed by
+        canonical key: a key it holds costs no objective call."""
+        return self._scores if behavior_is_score(problem) else self._behaviors
 
     def behavior_of(self, genotype, problem, key) -> np.ndarray:
         """The behavior vector of genotype, from the memo.
@@ -166,16 +166,33 @@ class PopulationView:
         return scores
 
 
+def fittest_first(fitness) -> np.ndarray:
+    """Positions of ``fitness`` (a sequence of floats, none NaN), fittest
+    first, ties to the earlier: one stable argsort of the negated values,
+    the order of a sort by the key ``(-fitness[i], i)``.
+
+    The two orders differ only where a value is NaN, and none is: every
+    domain maps a non-finite objective value to a finite score, and a
+    guided fitness h = zeta * (omega + OMEGA_BASELINE) is built from
+    finite terms.
+    """
+    return np.argsort(-np.asarray(fitness, dtype=float), kind="stable")
+
+
 def view_of(ledger: EvaluationLedger, cap: int | None = None) -> PopulationView:
-    """Snapshot the ledger, keeping at most ``cap`` best-scoring samples.
+    """Snapshot the ledger, keeping at most ``cap`` best-scoring samples,
+    the earliest of equal scores first.
 
     The kept samples are ordered by ascending id so coordinates are
-    stable for a given membership set.
+    stable for a given membership set. They are ranked by
+    ``fittest_first`` of the ledger's scores: sample i has id i, so that
+    orders them by ``(-score, id)``, as a sort by that key does.
     """
     samples = ledger.samples
     if cap is not None and len(samples) > cap:
-        ranked = sorted(samples, key=lambda s: (-s.score, s.id))[:cap]
-        samples = sorted(ranked, key=lambda s: s.id)
+        ranked = fittest_first(ledger.scores)[:cap]
+        ranked.sort()
+        samples = [samples[i] for i in ranked.tolist()]
     return PopulationView.of(samples)
 
 
@@ -265,6 +282,27 @@ def stable_top_k(rows: np.ndarray, k: int) -> np.ndarray:
     return np.take_along_axis(cols, pick, axis=1)
 
 
+def behavior_distances(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """Euclidean distances between two stacks of behavior vectors: an
+    m-by-n block whose entry ``[i, j]`` is the distance from row i of
+    ``xs`` to row j of ``ys``, the same doubles as
+    ``np.linalg.norm(ys[None] - xs[:, None], axis=-1)``.
+
+    One-entry vectors (a domain whose behavior is its score) skip the
+    norm's reduction: the norm is ``sqrt(add.reduce(d * d))`` over the
+    last axis, and reducing one entry returns that entry, so
+    ``sqrt(d * d)`` of the plain differences gives the same doubles,
+    whatever ``d * d`` underflows or overflows to. Wider vectors, and
+    an empty stack that stacks to shape (0,), take the norm over the last
+    axis.
+    """
+    if xs.ndim == ys.ndim == 2 and xs.shape[1] == ys.shape[1] == 1:
+        d = ys[None, :, 0] - xs[:, 0, None]
+        np.multiply(d, d, out=d)
+        return np.sqrt(d, out=d)
+    return np.linalg.norm(ys[None] - xs[:, None], axis=-1)
+
+
 class ResolvedMetric:
     """The filter's distance, bound to a problem and a population view.
 
@@ -304,6 +342,8 @@ class ResolvedMetric:
         self.view = view
         self.width = min(k, len(view))
         self._memo = memo
+        # the memo holding the behaviors that cost no objective call
+        self._behavior_memo = memo.behavior_memo(problem)
         genos = [s.genotype for s in view.samples]
         keys = [memo.keys[s.id] for s in view.samples]
         # blend extremes must reduce to the pure metrics exactly
@@ -315,9 +355,7 @@ class ResolvedMetric:
             else:
                 b = self._memo.behaviors_of(genos, problem, keys)
             self._behaviors = b
-            # over the last axis, so that an empty view, whose behaviors
-            # may stack to shape (0,), gives empty blocks
-            dp = np.linalg.norm(b[None] - b[:, None], axis=-1)
+            dp = behavior_distances(b, b)
         if self._kind != "phenotypic":
             self._stacked = problem.stack(genos)
             dg = problem.geno_distances(self._stacked, self._stacked)
@@ -354,13 +392,21 @@ class ResolvedMetric:
 
     def _blend(self, dg, dp) -> np.ndarray:
         """The metric's distances from genotypic distances ``dg`` and
-        behavior distances ``dp`` (either None where lam omits it)."""
+        behavior distances ``dp`` (either None where lam omits it). A
+        blend overwrites ``dp``."""
         if self._kind == "genotypic":
             return dg
         if self._kind == "phenotypic":
             return dp
         lam = self.lam
-        return lam * dg / self._geno_scale + (1 - lam) * dp / self._pheno_scale
+        # lam * dg / geno_scale + (1 - lam) * dp / pheno_scale, in that
+        # operation order, in place after the first product
+        out = lam * dg
+        out /= self._geno_scale
+        np.multiply(1 - lam, dp, out=dp)
+        dp /= self._pheno_scale
+        out += dp
+        return out
 
     def _keys(self, genotypes, keys) -> list:
         """The canonical keys of ``genotypes``: ``keys`` when given."""
@@ -399,7 +445,7 @@ class ResolvedMetric:
         return (
             self._behaviors is not None
             and key not in self._rows
-            and not self._memo.has_behavior(self.problem, key)
+            and key not in self._behavior_memo
         )
 
     def _add_rows(self, fresh: dict) -> None:
@@ -410,7 +456,7 @@ class ResolvedMetric:
         dg = dp = None
         if self._behaviors is not None:
             bx = self._memo.behaviors_of(fresh.values(), self.problem, fresh)
-            dp = np.linalg.norm(self._behaviors[None] - bx[:, None], axis=-1)
+            dp = behavior_distances(bx, self._behaviors)
         if self._kind != "phenotypic":
             self._add_pending({k: g for k, g in fresh.items() if k not in self._pending})
             dg = np.array([self._pending.pop(key) for key in fresh])

@@ -26,6 +26,15 @@ def score_trap(bits: np.ndarray) -> float:
     return float(sum(block if o == block else (block - 1) - o for o in ones))
 
 
+def _packed_words(rows) -> np.ndarray:
+    """The 0/1 rows of a bit matrix packed into 64-bit words, zero padded:
+    an (n, ceil(bits / 64)) ``uint64`` block."""
+    packed = np.packbits(np.asarray(rows, dtype=np.uint8), axis=1)
+    words = np.zeros((len(packed), -(-packed.shape[1] // 8) * 8), dtype=np.uint8)
+    words[:, : packed.shape[1]] = packed
+    return words.view(np.uint64)
+
+
 class BitstringProblem(Problem):
     alphabet = (0, 1)
 
@@ -77,12 +86,17 @@ class BitstringProblem(Problem):
         return mat.reshape(len(genotypes), self.dimension)
 
     def geno_distances(self, xs, stacked) -> np.ndarray:
-        """Hamming distances as ``|a| + |b| - 2 a.b``: every term is an
-        integer of at most ``dimension``, so the float64 block is exact
-        in any summation order, and no (m, n, bits) temporary is built."""
-        a = np.asarray(xs, dtype=float)
-        b = np.asarray(stacked, dtype=float)
-        return a.sum(axis=1)[:, None] + b.sum(axis=1)[None, :] - 2.0 * (a @ b.T)
+        """Hamming distances as popcounts: each stack's rows packed into
+        64-bit words, and the bit counts of each pair's XORed words summed
+        word by word into a float64 block. Every count is an exact integer
+        of at most ``dimension``, the same doubles as
+        ``|a| + |b| - 2 a.b`` of the 0/1 rows, and no (m, n, bits)
+        temporary is built."""
+        a, b = _packed_words(xs), _packed_words(stacked)
+        dist = np.bitwise_count(a[:, None, 0] ^ b[None, :, 0]).astype(float)
+        for w in range(1, a.shape[1]):
+            dist += np.bitwise_count(a[:, None, w] ^ b[None, :, w])
+        return dist
 
     def render(self, genotype) -> str:
         return "".join(str(int(b)) for b in genotype)

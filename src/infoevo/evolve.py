@@ -24,6 +24,7 @@ from .core import (
     behavior_is_score,
     best_sample,
     evaluate,
+    fittest_first,
     normalize_scores,
     view_of,
 )
@@ -257,11 +258,10 @@ def _sample_eda(model, problem, rng):
 def _ranking(fitness) -> tuple[list[int], list[int]]:
     """(order, rank) of the parents: ``order`` lists them fittest first,
     ties to the earlier, and ``rank[i]`` is parent i's place in it."""
-    order = sorted(range(len(fitness)), key=lambda i: (-fitness[i], i))
-    rank = [0] * len(order)
-    for place, i in enumerate(order):
-        rank[i] = place
-    return order, rank
+    order = fittest_first(fitness)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    return order.tolist(), rank.tolist()
 
 
 def _winner(order, rank, drawn) -> int:
@@ -484,12 +484,13 @@ def _chunk_end(offspring, keys, start: int, rm: ResolvedMetric, state: RunState)
     ledger, problem = state.ledger, state.problem
     target = problem.target
     memoize = ledger.score_of if behavior_is_score(problem) else ledger.behavior_of
+    remaining = ledger.remaining  # memoizing charges nothing
     new_keys: set = set()
     may_end = False
     for end in range(start, len(offspring)):
         child, key = offspring[end], keys[end]
         new = ledger.lookup(key) is None and key not in new_keys
-        may_end = may_end or (new and len(new_keys) >= ledger.remaining)
+        may_end = may_end or (new and len(new_keys) >= remaining)
         if rm.row_calls_objective(key):
             if may_end:
                 return end
@@ -531,10 +532,9 @@ def run_subpopulation(
     else:
         view_fitness = view.scores
     report = SubdemeReport(ray_index=ray_index)
-    seed_idx = sorted(range(len(view)), key=lambda i: (-view_fitness[i], i))
-    seed_idx = seed_idx[: config.subpop_size]
-    parents = [view.samples[i] for i in seed_idx]
-    fitness = [view_fitness[i] for i in seed_idx]
+    seed_idx = fittest_first(view_fitness)[: config.subpop_size]
+    parents = [view.samples[i] for i in seed_idx.tolist()]
+    fitness = view_fitness[seed_idx].tolist()
     filtering = guided and policy.threshold_quantile > 0
     estimating = filtering and policy.warm(len(view))
     if filtering:
@@ -572,7 +572,7 @@ def run_subpopulation(
                         )
                         estimates = guidance.filter_estimates(
                             rows, orders, policy.k, view_fitness
-                        )
+                        ).tolist()
                     estimate = estimates[i - chunk_start]
                 ok, _est = guidance.should_evaluate(estimate, threshold)
                 if not ok:
@@ -608,17 +608,21 @@ def _guided_fitness(samples, target: LogDistribution, k: int, rm: ResolvedMetric
 
 
 def _next_generation(parents, fitness, new_samples, new_fitness, config):
-    pool = list(zip(parents, fitness)) + list(zip(new_samples, new_fitness))
-    pool.sort(key=lambda t: -t[1])
+    """The next generation's parents and their fitness: the ``elitism``
+    fittest distinct samples of the parents and the new samples (ties to
+    the earlier, parents first), then every other new sample, in order."""
+    pool = [*parents, *new_samples]
+    pool_fitness = [*fitness, *new_fitness]
     elites = []
     elite_ids = set()
-    for s, f in pool:
+    for i in fittest_first(pool_fitness).tolist():
         if len(elites) >= config.elitism:
             break
+        s = pool[i]
         if s.id in elite_ids:
             continue
         elite_ids.add(s.id)
-        elites.append((s, f))
+        elites.append((s, pool_fitness[i]))
     nxt = elites + [
         (s, f) for s, f in zip(new_samples, new_fitness) if s.id not in elite_ids
     ]

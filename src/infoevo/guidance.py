@@ -15,6 +15,7 @@ at a time.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -123,7 +124,7 @@ def should_evaluate(estimate: float, threshold: float) -> tuple[bool, float]:
     gives (see ``FilterPolicy.warm``), always evaluates.
     """
     estimate = float(estimate)
-    if np.isnan(estimate):
+    if math.isnan(estimate):
         return True, estimate
     return estimate >= threshold, estimate
 

@@ -126,6 +126,59 @@ def local_max_prob(i, k_local, rm, norm) -> float:
     return float(norm[i] / denom)
 
 
+# Key-sort and dot-product forms of the rankings and distance kernels: the
+# references that ``core.view_of``, ``core.fittest_first`` (the seed
+# order and ``_ranking``), ``evolve._next_generation``,
+# ``BitstringProblem.geno_distances`` and ``core.behavior_distances`` are
+# held to, bit for bit.
+
+
+def fitness_order(fitness) -> list[int]:
+    """Positions of ``fitness``, fittest first, ties to the earlier: a
+    sort by the key ``(-fitness[i], i)``."""
+    return sorted(range(len(fitness)), key=lambda i: (-fitness[i], i))
+
+
+def key_sorted_view(ledger, cap):
+    """The samples ``view_of(ledger, cap)`` keeps, by two key sorts: the
+    ``cap`` best by ``(-score, id)``, then by id."""
+    samples = ledger.samples
+    if cap is not None and len(samples) > cap:
+        ranked = sorted(samples, key=lambda s: (-s.score, s.id))[:cap]
+        samples = sorted(ranked, key=lambda s: s.id)
+    return tuple(samples)
+
+
+def key_sorted_next_generation(parents, fitness, new_samples, new_fitness, elitism):
+    """The next generation's parents and fitness, its pool ordered by a
+    stable sort with the key ``-fitness``."""
+    pool = list(zip(parents, fitness)) + list(zip(new_samples, new_fitness))
+    pool.sort(key=lambda t: -t[1])
+    elites, elite_ids = [], set()
+    for s, f in pool:
+        if len(elites) >= elitism:
+            break
+        if s.id not in elite_ids:
+            elite_ids.add(s.id)
+            elites.append((s, f))
+    nxt = elites + [(s, f) for s, f in zip(new_samples, new_fitness) if s.id not in elite_ids]
+    return [s for s, _ in nxt], [f for _, f in nxt]
+
+
+def dot_hamming(xs, stacked) -> np.ndarray:
+    """Hamming distances between two 0/1 bit matrices as
+    ``|a| + |b| - 2 a.b`` in float64."""
+    a = np.asarray(xs, dtype=float)
+    b = np.asarray(stacked, dtype=float)
+    return a.sum(axis=1)[:, None] + b.sum(axis=1)[None, :] - 2.0 * (a @ b.T)
+
+
+def norm_behavior_distances(xs, ys) -> np.ndarray:
+    """Distances between two stacks of behavior vectors by the norm over
+    the last axis of their differences."""
+    return np.linalg.norm(ys[None] - xs[:, None], axis=-1)
+
+
 def run_one(problem, cfg):
     """The state of a one-deme run of ``cfg`` on ``problem``, seeded by
     ``cfg.seed``, as ``info-evo run`` runs it."""

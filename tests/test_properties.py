@@ -1,9 +1,10 @@
 """Property tests: neighbor queries, the promise vector, manifold edge
 cases, EDA sampling, the run memo, the lattice search, refinement,
 relaxation sweeps, row norms and exact rays in blocks, the genotype
-distance blocks, program outputs over the dataset's columns, the
-metric's blocks, the exact per-candidate arithmetic and the block forms
-of the guidance layer."""
+distance blocks and their popcount and one-column kernels, program
+outputs over the dataset's columns, the metric's blocks, the exact
+per-candidate arithmetic, the block forms of the guidance layer and the
+rankings by stable argsort."""
 
 import heapq
 import itertools
@@ -21,8 +22,10 @@ from infoevo.core import (
     PopulationView,
     ResolvedMetric,
     ScoredSample,
+    behavior_distances,
     best_sample,
     evaluate,
+    fittest_first,
     knn,
     normalize_scores,
     stable_top_k,
@@ -56,6 +59,7 @@ from infoevo.evolve import (
     WordReplay,
     _eda_model,
     _guided_fitness,
+    _next_generation,
     _ranking,
     _sample_eda,
     _tournament,
@@ -93,11 +97,16 @@ from infoevo.promise import PromiseWeights, local_max_ratios, promise_vector
 from conftest import (
     ScalarProblem,
     ascending_median,
+    dot_hamming,
     estimate_fitness,
+    fitness_order,
+    key_sorted_next_generation,
+    key_sorted_view,
     knn_one,
     local_max_prob,
     make_scalar_ledger,
     metric_row,
+    norm_behavior_distances,
     omega_knn,
 )
 
@@ -340,11 +349,6 @@ def test_from_weights_without_floor(w):
 
 
 # --- EDA sampling ---
-
-
-def fitness_order(fitness):
-    """Parent positions, fittest first, ties to the earlier."""
-    return sorted(range(len(fitness)), key=lambda i: (-fitness[i], i))
 
 
 def top_quartile(fitness):
@@ -2030,6 +2034,114 @@ def test_ranked_tournament_picks_the_fitness_max(fitness, numpy_doubles, size, s
         got = _tournament(parents, order, rank, size, rng)
         assert got is reference_tournament(parents, fitness, size, ref)
     assert rng.bit_generator.state == ref.bit_generator.state
+
+
+# --- rankings by stable argsort, against the key sorts they replace ---
+
+RANKED_SCORES = [OVERFLOW_SCORE, -2.0, -0.0, 0.0, 1.5, 3.0]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.sampled_from(RANKED_SCORES), max_size=30),
+    st.one_of(st.none(), st.integers(1, 32)),
+)
+def test_view_of_ranks_as_the_key_sort(scores, cap):
+    problem = TableScore({float(i): score for i, score in enumerate(scores)})
+    ledger = EvaluationLedger(len(scores))
+    for i in range(len(scores)):
+        evaluate(float(i), problem, ledger)
+    assert ledger.scores == [s.score for s in ledger.samples]
+    got = view_of(ledger, cap).samples
+    expected = key_sorted_view(ledger, cap)
+    assert len(got) == len(expected)
+    assert all(a is b for a, b in zip(got, expected))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.sampled_from(RANKED_SCORES), max_size=40),
+    st.booleans(),  # numpy doubles or Python floats
+    st.integers(1, 45),  # the subpopulation size the seed order keeps
+)
+def test_fittest_first_is_the_key_sort(fitness, numpy_doubles, subpop):
+    if numpy_doubles:
+        fitness = np.array(fitness, dtype=float)
+    order = fittest_first(fitness)
+    assert order.tolist() == fitness_order(fitness)
+    # the seed order of a burst's parents
+    assert order[:subpop].tolist() == fitness_order(fitness)[:subpop]
+    ranked, rank = _ranking(fitness)
+    assert ranked == fitness_order(fitness)
+    assert [ranked[place] for place in rank] == list(range(len(fitness)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.tuples(st.integers(0, 9), st.sampled_from(RANKED_SCORES)), min_size=1, max_size=12),
+    st.lists(st.tuples(st.integers(0, 14), st.sampled_from(RANKED_SCORES)), max_size=12),
+    st.integers(0, 4),
+)
+def test_next_generation_pool_ranks_as_the_key_sort(parents, new, elitism):
+    # ids repeat within and across the two lists, as a sample recorded
+    # again or already a parent does
+    samples = {i: ScoredSample(i, float(i), 0.0) for i in range(15)}
+    ps, fitness = [samples[i] for i, _ in parents], [f for _, f in parents]
+    ns, new_fitness = [samples[i] for i, _ in new], [f for _, f in new]
+    config = EvolutionConfig(subpop_size=5, elitism=elitism)
+    got, got_fitness = _next_generation(ps, fitness, ns, new_fitness, config)
+    expected, expected_fitness = key_sorted_next_generation(
+        ps, fitness, ns, new_fitness, elitism
+    )
+    assert len(got) == len(expected) and all(a is b for a, b in zip(got, expected))
+    assert same_doubles(got_fitness, expected_fitness)
+
+
+# --- popcount and one-column distance kernels, against their old forms ---
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([1, 63, 64, 65, 130]), st.integers(1, 5), st.integers(1, 6), st.data())
+def test_popcount_distances_equal_the_dot_product_form(bits, m, n, data):
+    problem = OneMax(bits)
+    rows = st.lists(
+        st.lists(st.integers(0, 1), min_size=bits, max_size=bits), min_size=1, max_size=3
+    )
+    # rows drawn from a few distinct ones, so that ties and zero distances occur
+    pool = data.draw(rows)
+    xs = problem.stack([np.array(data.draw(st.sampled_from(pool)), dtype=np.uint8) for _ in range(m)])
+    gs = problem.stack([np.array(data.draw(st.sampled_from(pool)), dtype=np.uint8) for _ in range(n)])
+    for left, right in ((xs, gs), (gs, xs), (xs[:1], gs), (xs, gs[:1]), (xs, xs)):
+        got = problem.geno_distances(left, right)
+        assert got.dtype == float and got.shape == (len(left), len(right))
+        assert got.tobytes() == dot_hamming(left, right).tobytes()
+
+
+def differences():
+    """Doubles whose differences and squares reach every special case:
+    squares that underflow (below 1e-154) or overflow (above 1.4e154),
+    +-0, +-inf and NaN."""
+    special = st.sampled_from(
+        [0.0, -0.0, 1e-160, -3e-170, 1e-154, 1.5e154, -2e154, 1e300, np.inf, -np.inf, np.nan]
+    )
+    return st.one_of(special, st.floats(allow_nan=True, allow_infinity=True))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(differences(), min_size=1, max_size=5),
+    st.lists(differences(), min_size=1, max_size=6),
+    st.integers(1, 3),
+)
+def test_behavior_distances_equal_the_norm(xs, ys, width):
+    with np.errstate(all="ignore"):
+        # one column, then wider stacks (which take the norm) built from it
+        a = np.array(xs, dtype=float)[:, None] * np.arange(1, width + 1)
+        b = np.repeat(np.array(ys, dtype=float)[:, None], width, axis=1)
+        for left, right in ((a, b), (b, a), (a[:1], b), (a, b[:1]), (a, a)):
+            got = behavior_distances(left, right)
+            assert got.shape == (len(left), len(right))
+            assert got.tobytes() == norm_behavior_distances(left, right).tobytes()
 
 
 def reference_exact_ray(base, direction, length: float):

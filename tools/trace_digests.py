@@ -34,6 +34,9 @@ EDA-sampled, guided OneMax-50 with no crossover and tournaments of one, and
 unguided OneMax-50 that always crosses over and flips every bit.
 Guided trap5-20 at cap 48 keeps every view small enough for the lattice
 search, so it runs that search on a bitstring domain with tied scores.
+Guided OneMax-100 packs each genotype into two 64-bit words, so its
+Hamming distances sum popcounts over more than one word, as no other
+bitstring run here (at most 50 bits, one word) does.
 The cubic dataset is written with ``perfbench/make_dataset.py`` to a
 temporary directory.
 
@@ -80,6 +83,7 @@ def runs(dataset: str):
     cross_flip = ["--mode", "baseline", "--crossover-rate", "1", "--mutation-rate", "1"]
     trap5_cap48 = ["--problem", "trap5", "--bits", "20", "--population-cap", "48"]
     trap5_cap48 += ["--budget", "2000"]  # every view under the lattice threshold
+    onemax100 = ["--problem", "onemax", "--bits", "100", "--budget", "2000"]  # two words
     return (
         ("onemax50-guided-s1", onemax + ["--seed", "1"]),
         ("onemax50-guided-s2", onemax + ["--seed", "2"]),
@@ -114,6 +118,7 @@ def runs(dataset: str):
             onemax + cross_flip + ["--budget", "2000", "--seed", "2"],
         ),
         ("trap5-20-cap48-b2000-s1", trap5_cap48 + ["--seed", "1"]),
+        ("onemax100-b2000-s1", onemax100 + ["--seed", "1"]),
     )
 
 
