@@ -3,12 +3,13 @@
 Search runs in a low-dimensional chart anchored at the current promise
 distribution: geodesic normal coordinates along a promise-ascent
 direction plus random orthonormal directions. Within the chart, shortest
-paths on a lattice built in array blocks are found by array relaxation,
-which returns the paths of a Dijkstra heap search with ties going to the
-earlier push (``lattice_predecessors``), and are tightened by
-hierarchical midpoint refinement. Every ray starts at the chart base, so
-one search from the base serves all of a chart's rays, and a chart's
-rays are then refined together, one row block per refinement step.
+paths on a lattice built in array blocks are found by array relaxation
+(``lattice_predecessors``: the least fixed point of the distances, each
+predecessor set where a distance falls, and each goal entered from its
+nearest corner on a shortest edge) and are tightened by hierarchical
+midpoint refinement. Every ray starts at the chart base, so one search
+from the base serves all of a chart's rays, and a chart's rays are then
+refined together, one row block per refinement step.
 The closed-form geometry in :mod:`infoevo.manifold` provides both the
 fast path and the oracle.
 """
@@ -79,27 +80,22 @@ class Chart:
 @dataclass(frozen=True)
 class GeodesicPolyline:
     """Points joined by geodesic segments. ``segments[i]`` is the
-    distance from point i to point i + 1, computed from the consecutive
-    pairs when not given, and ``length`` their left-to-right sum."""
+    distance from point i to point i + 1 and ``length`` their
+    left-to-right sum."""
 
     points: tuple[LogDistribution, ...]
     length: float
-    segments: tuple[float, ...] | None = None
-
-    def __post_init__(self):
-        if self.segments is None:
-            object.__setattr__(self, "segments", _segment_lengths(self.points))
+    segments: tuple[float, ...]
 
     @staticmethod
     def of(points) -> "GeodesicPolyline":
+        """The polyline through the points, each segment measured by the
+        one-pair geodesic distance."""
         points = tuple(points)
-        segments = _segment_lengths(points)
+        segments = tuple(
+            manifold.geodesic_distance_exact(a, b) for a, b in zip(points, points[1:])
+        )
         return GeodesicPolyline(points, sum(segments), segments)
-
-
-def _segment_lengths(points) -> tuple[float, ...]:
-    """The one-pair geodesic distance of each two consecutive points."""
-    return tuple(manifold.geodesic_distance_exact(a, b) for a, b in zip(points, points[1:]))
 
 
 @dataclass(frozen=True)
@@ -268,15 +264,14 @@ def dijkstra_geodesic(
     pairwise geodesic distance of the mapped distributions. The start
     enters the corners of its cell. Each goal is a sink of its own,
     entered from the corners of its cell and never left, so one search
-    serves every goal and each goal's path is the one a search for that
-    goal alone returns.
+    serves every goal with a shortest lattice path to it.
 
-    The paths are those of a Dijkstra heap search that relaxes a node's
-    neighbours in offset order and then its sinks, ties going to the
-    earlier push; ``lattice_predecessors`` finds them by array
-    relaxation and states the tie rule. The function keeps its name
-    because the benchmark's layer probes (``perfbench/layers.py``) wrap
-    and count it by name.
+    ``lattice_predecessors`` finds the paths by array relaxation: the
+    distances are the least fixed point, bit for bit those of a Dijkstra
+    search, a node's predecessor is set where its distance falls, and a
+    goal is entered from the nearest of its corners on a shortest edge.
+    The function keeps its name because the benchmark's layer probes
+    (``perfbench/layers.py``) wrap and count it by name.
     """
     start_coords = np.asarray(start_coords, dtype=float)
     goals = [np.asarray(g, dtype=float) for g in goals]
@@ -319,7 +314,7 @@ def dijkstra_geodesic(
 
 
 def lattice_predecessors(neighbors, lengths, start_edges, sink_edges) -> list[int]:
-    """Each node's predecessor on the shortest paths of a heap search.
+    """Each node's predecessor on a shortest path from the start.
 
     Nodes 0 .. count - 1 are lattice nodes, node count is the start and
     node count + 1 + s is sink s. Lattice node i's j-th edge leads to
@@ -328,37 +323,28 @@ def lattice_predecessors(neighbors, lengths, start_edges, sink_edges) -> list[in
     being i at the same length. ``start_edges`` lists the start's
     (lattice node, length) edges and ``sink_edges[s]`` the (lattice
     node, length) edges that enter sink s, which no edge leaves.
+    Entries off the sinks' paths are unspecified. Raises NoPath when a
+    sink cannot be reached.
 
-    The result is the ``prev`` of Dijkstra with a heap ordered by
-    (distance, push counter): it relaxes the start's edges in list
-    order, then settles nodes, each relaxing its edges in j order and
-    then the sinks it enters in sink order; a strictly shorter distance
-    pushes, and the search stops when every sink is settled. Entries
-    off the sinks' paths are unspecified. Raises NoPath when a sink
-    cannot be reached.
-
-    Distances. Seeded with the start's edges, each sweep pulls
-    min(D[v], D[u] + lengths[v, j]) into the nodes next to those whose
-    distance fell in the last sweep, until none falls. Float addition
-    is monotone, so this least fixed point is the heap's distances, bit
-    for bit. A node farther than every sink's tentative distance pushes
-    no further, as the heap stops before settling it.
-
-    Predecessors. The heap's last push of a node comes from its
-    predecessor u, at the node's place in u's relaxation list, so nodes
-    settle in the order of (D, rank of u, place), and ``prev[v]`` is the
-    first settled u with D[u] + len == D[v]. Sorting by D settles all
-    but nodes of equal D; within such a group, nodes entered from an
-    earlier group go first in (rank, place) order, and the rest follow
-    breadth first along the group's own edges (see ``_settle_order``).
+    Seeded with the start's edges, each sweep pulls min(D[v], D[u] +
+    lengths[v, j]) into the nodes next to those whose distance fell in
+    the last sweep, until none falls. Float addition is monotone, so
+    this least fixed point is the distances of a Dijkstra search, bit
+    for bit, and a node farther than every sink's tentative distance
+    need not pull further. ``prev[v]`` is set to u where D[v] falls to
+    D[u] + length: lengths are nonnegative, so these edges form no
+    cycle (Bellman-Ford's predecessor graph is a tree), and on each
+    sink's path every distance is its predecessor's plus the edge. A
+    sink is entered from the nearest of its tight entries, the first
+    in list order among equals.
     """
-    count, width = neighbors.shape
+    count = len(neighbors)
     # dist[-1] stays inf: the entry every -1 neighbour reads
     dist = np.full(count + 1, np.inf)
-    start_lengths = np.full(count + 1, np.inf)
+    prev = np.full(count + 1 + len(sink_edges), -1)
     start_nodes = np.array([node for node, _ in start_edges], dtype=np.intp)
-    start_lengths[start_nodes] = [length for _, length in start_edges]
-    dist[start_nodes] = 0.0 + start_lengths[start_nodes]
+    dist[start_nodes] = [length for _, length in start_edges]
+    prev[start_nodes] = count
     entries = max(map(len, sink_edges))
     sink_nodes = np.full((len(sink_edges), entries), -1)
     sink_lengths = np.full((len(sink_edges), entries), np.inf)
@@ -376,93 +362,22 @@ def lattice_predecessors(neighbors, lengths, start_edges, sink_edges) -> list[in
         reached[neighbors[frontier]] = True
         fell = np.zeros(count, dtype=bool)
         for rows in _blocks(np.flatnonzero(reached[:count])):
-            pulled = np.min(dist[neighbors[rows]] + lengths[rows], axis=1)
+            nbrs = neighbors[rows]
+            through = dist[nbrs] + lengths[rows]
+            j = np.argmin(through, axis=1)
+            pulled = through[np.arange(len(rows)), j]
             down = pulled < dist[rows]
-            dist[rows[down]] = pulled[down]
-            fell[rows[down]] = True
+            fallen = rows[down]
+            dist[fallen] = pulled[down]
+            prev[fallen] = nbrs[down, j[down]]
+            fell[fallen] = True
         frontier = np.flatnonzero(fell)
     if not np.all(np.isfinite(sink_dist)):
         raise NoPath("no lattice route from start to goal")
-
-    # a settled node's predecessor is the first settled of its shortest
-    # edges in: the start if it is one, else the one of least distance,
-    # and among several at that distance the one the settle order puts first
-    settled = np.flatnonzero(dist[:count] <= sink_dist.max())
-    prev = np.full(count + 1 + len(sink_edges), -1)
-    several = []
-    for rows in _blocks(settled):
-        nbrs = neighbors[rows]
-        tight = dist[nbrs] + lengths[rows] == dist[rows, np.newaxis]
-        before = np.where(tight, dist[nbrs], np.inf)
-        nearest = np.argmin(before, axis=1)
-        from_start = 0.0 + start_lengths[rows] == dist[rows]
-        prev[rows] = np.where(from_start, count, nbrs[np.arange(len(rows)), nearest])
-        ties = np.sum(before == np.min(before, axis=1, keepdims=True), axis=1) > 1
-        several.append(rows[ties & ~from_start])
-    several = np.concatenate(several)
-    entered = []
-    for s, sink in enumerate(sink_edges):
-        nodes = [node for node, length in sink if dist[node] + length == sink_dist[s]]
-        entered.append(sorted(nodes, key=lambda node: dist[node]))
-    if len(several) or any(len(e) > 1 and dist[e[0]] == dist[e[1]] for e in entered):
-        rank = _settle_ranks(dist, settled, neighbors, lengths, start_edges)
-        nbrs = neighbors[several]
-        tight = dist[nbrs] + lengths[several] == dist[several, np.newaxis]
-        first = np.argmin(np.where(tight, rank[nbrs], count + 1), axis=1)
-        prev[several] = nbrs[np.arange(len(several)), first]
-        entered = [sorted(nodes, key=lambda node: rank[node]) for nodes in entered]
-    prev[count + 1 :] = [nodes[0] for nodes in entered]
+    tight = dist[sink_nodes] + sink_lengths == sink_dist[:, np.newaxis]
+    nearest = np.argmin(np.where(tight, dist[sink_nodes], np.inf), axis=1)
+    prev[count + 1 :] = sink_nodes[np.arange(len(sink_edges)), nearest]
     return prev.tolist()
-
-
-def _settle_ranks(dist, settled, neighbors, lengths, start_edges) -> np.ndarray:
-    """Each settled lattice node's place in the heap's settle order (the
-    start is 0), and len(dist) for the others: the order of distance,
-    then within each group of equal distance ``_settle_order``."""
-    order = settled[np.argsort(dist[settled], kind="stable")]
-    rank = np.full(len(dist), len(dist))
-    rank[order] = np.arange(1, len(order) + 1)
-    tied = np.concatenate(([False], dist[order][1:] == dist[order][:-1], [False]))
-    starts = np.flatnonzero(~tied[:-1] & tied[1:])
-    ends = np.flatnonzero(tied[:-1] & ~tied[1:]) + 1
-    for lo, hi in zip(starts, ends):
-        group = _settle_order(order[lo:hi], dist, rank, neighbors, lengths, start_edges)
-        rank[group] = np.arange(lo + 1, hi + 1)
-    return rank
-
-
-def _settle_order(group, dist, rank, neighbors, lengths, start_edges) -> list[int]:
-    """The heap's settle order of lattice nodes of one equal distance d.
-
-    A node with a shortest edge from the start (rank 0) or from a node
-    of smaller distance already holds d when the group's first node
-    settles, keyed by its first such predecessor's rank and its place in
-    that predecessor's list; those nodes settle first in key order. Each
-    of the others is pushed when the first group node with a
-    zero-effect edge to it (d + length == d) settles, so with a key
-    above every earlier one, and the group continues breadth first.
-    """
-    width = neighbors.shape[1]
-    d = float(dist[group[0]])
-    start_place = {node: place for place, (node, _) in enumerate(start_edges)}
-    start_length = dict(start_edges)
-    members = set(group.tolist())
-    keyed = []
-    for v in group.tolist():
-        keys = [(0, start_place[v])] if v in start_length and 0.0 + start_length[v] == d else []
-        for j, (u, length) in enumerate(zip(neighbors[v].tolist(), lengths[v].tolist())):
-            if u >= 0 and dist[u] < d and dist[u] + length == d:
-                keys.append((int(rank[u]), width - 1 - j))
-        if keys:
-            keyed.append((min(keys), v))
-    queue = [v for _, v in sorted(keyed)]
-    pushed = set(queue)
-    for u in queue:  # grows as nodes are pushed
-        for v, length in zip(neighbors[u].tolist(), lengths[u].tolist()):
-            if v in members and v not in pushed and d + length == d:
-                pushed.add(v)
-                queue.append(v)
-    return queue
 
 
 def _deduped_polyline(points: list) -> GeodesicPolyline:

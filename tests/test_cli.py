@@ -343,7 +343,7 @@ def test_geodesic_check_fails_a_refined_path_too_short(monkeypatch, capsys):
 
     def too_short(polylines, levels):
         return [
-            geodesic_search.GeodesicPolyline(p.points, 0.9 * p.length)
+            geodesic_search.GeodesicPolyline(p.points, 0.9 * p.length, p.segments)
             for p in refine(polylines, levels)
         ]
 

@@ -200,7 +200,7 @@ def test_refine_preserves_endpoints(rng):
 
 def test_refine_trivial_polylines():
     d = manifold.uniform(4)
-    single = GeodesicPolyline((d,), 0.0)
+    single = GeodesicPolyline((d,), 0.0, ())
     assert refine_polyline([single], 3)[0] is single
     two = GeodesicPolyline.of([d, manifold.from_weights([1, 2, 3, 4])])
     assert refine_polyline([two], 0)[0] is two

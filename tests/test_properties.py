@@ -67,6 +67,7 @@ from infoevo.evolve import (
 )
 from infoevo.geodesic_search import (
     EXACT_RAYS_THRESHOLD,
+    Chart,
     GeodesicPolyline,
     GeodesicRay,
     StepParams,
@@ -91,7 +92,7 @@ from infoevo.guidance import (
     modified_fitness,
     omega_block,
 )
-from infoevo.manifold import _EXP_CLIP, LogDistribution
+from infoevo.manifold import _EXP_CLIP, LogDistribution, TangentVector
 from infoevo.promise import PromiseWeights, local_max_ratios, promise_vector
 
 from conftest import (
@@ -793,6 +794,12 @@ def one_pair_distance(a, b):
     return 2.0 * float(np.arccos(np.clip(bc, 0.0, 1.0)))
 
 
+def one_pair_polyline(points):
+    """GeodesicPolyline.of with each segment measured one pair alone."""
+    segments = tuple(one_pair_distance(a, b) for a, b in zip(points, points[1:]))
+    return GeodesicPolyline(tuple(points), sum(segments), segments)
+
+
 def one_node_point(chart, coords):
     """chart.point one node at a time, with the one-vector arithmetic."""
     if float(np.linalg.norm(coords)) == 0.0:
@@ -856,7 +863,7 @@ def reference_lattice_paths(chart, start_coords, goals, resolution):
     sink_points, sinks_entered = {}, {}
     for i, goal in enumerate(goals):
         if np.allclose(start_coords, goal):
-            paths[i] = GeodesicPolyline((start_pt,), 0.0)
+            paths[i] = GeodesicPolyline((start_pt,), 0.0, ())
             continue
         sink_points[("G", i)] = one_node_point(chart, goal)
         for corner in cell_corners(goal):
@@ -905,8 +912,7 @@ def reference_lattice_paths(chart, start_coords, goals, resolution):
         for pt in (node_point(k) for k in reversed(keys)):
             if not deduped or one_pair_distance(deduped[-1], pt) > 1e-14:
                 deduped.append(pt)
-        length = sum(one_pair_distance(a, b) for a, b in zip(deduped, deduped[1:]))
-        paths[sink[1]] = GeodesicPolyline(tuple(deduped), length)
+        paths[sink[1]] = one_pair_polyline(deduped)
     return paths
 
 
@@ -1006,6 +1012,13 @@ def test_cell_corner_nearest_zero_is_a_node(dim, resolution, radius, u, scale):
     )
 
 
+def same_polylines(got, expected):
+    assert np.float64(got.length).tobytes() == np.float64(expected.length).tobytes()
+    assert len(got.points) == len(expected.points)
+    for a, b in zip(got.points, expected.points):
+        assert a.phi.tobytes() == b.phi.tobytes()
+
+
 @settings(max_examples=30, deadline=None)
 @given(lattice_charts, st.data())
 def test_lattice_paths_equal_the_per_edge_reference(drawn, data):
@@ -1021,10 +1034,7 @@ def test_lattice_paths_equal_the_per_edge_reference(drawn, data):
     blocks = dijkstra_geodesic(chart, start, goals, resolution)
     reference = reference_lattice_paths(chart, start, goals, resolution)
     for poly, ref in zip(blocks, reference):
-        assert poly.length == ref.length
-        assert len(poly.points) == len(ref.points)
-        for a, b in zip(poly.points, ref.points):
-            assert a.phi.tobytes() == b.phi.tobytes()
+        same_polylines(poly, ref)
 
 
 # --- the lattice relaxation against a heap search, where ties are everywhere ---
@@ -1132,9 +1142,28 @@ def tied_lattice_graphs(draw):
     return neighbors, lengths, start_edges, sink_edges
 
 
+def path_length(graph, path):
+    """The length of a path of ``lattice_predecessors``' nodes, summed
+    from its first node; each step must be an edge of the graph."""
+    neighbors, lengths, start_edges, sink_edges = graph
+    count = len(neighbors)
+    total = 0.0
+    for u, v in zip(path, path[1:]):
+        if u == count:
+            out = dict(start_edges)
+        else:
+            out = dict(zip(neighbors[u].tolist(), lengths[u].tolist()))
+            out.pop(-1, None)
+            for s, sink in enumerate(sink_edges):
+                out.update((count + 1 + s, length) for node, length in sink if node == u)
+        assert v in out
+        total += out[v]
+    return total
+
+
 @settings(max_examples=400, deadline=None)
 @given(tied_lattice_graphs())
-def test_relaxation_settles_ties_as_the_heap_does(graph):
+def test_relaxation_finds_shortest_paths(graph):
     neighbors, lengths, start_edges, sink_edges = graph
     try:
         expected = heap_predecessors(*graph)
@@ -1144,7 +1173,66 @@ def test_relaxation_settles_ties_as_the_heap_does(graph):
         return
     got = lattice_predecessors(*graph)
     count, sinks = len(neighbors), len(sink_edges)
-    assert sink_paths(got, count, sinks) == sink_paths(expected, count, sinks)
+    heap_paths = sink_paths(expected, count, sinks)
+    for path, heap_path in zip(sink_paths(got, count, sinks), heap_paths):
+        assert path[-1] == count  # the start is reached, so the path has no cycle
+        # sums of nonnegative lengths from 0.0: equal floats have equal bits
+        assert path_length(graph, path[::-1]) == path_length(graph, heap_path[::-1])
+
+
+@pytest.mark.parametrize(
+    "dim, extra, radius, seed, resolution, goal",
+    [
+        (1, 0, 0.5, 1, 1, [-0.5]),
+        # a lattice round's first ray: radius 2 * gamma, goal on +e1
+        (2, 40, 0.5, 7, 32, [0.5, 0.0]),
+        # -0.43 is an ulp off the node at key -5, and at geodesic distance 0
+        (1, 0, 0.43, 13, 5, [-0.43]),
+    ],
+)
+def test_goal_on_a_lattice_node_is_entered_from_the_nearest_entry(
+    dim, extra, radius, seed, resolution, goal
+):
+    # the goal's node is the first of its cell corners and enters it at
+    # length 0; where the corner the node is reached from enters it on a
+    # shortest edge too, the search enters from that nearer corner, as a
+    # heap search does
+    chart = lattice_chart(dim, extra, radius, seed)
+    start = np.zeros(dim)
+    (got,) = dijkstra_geodesic(chart, start, [goal], resolution)
+    (expected,) = reference_lattice_paths(chart, start, [goal], resolution)
+    same_polylines(got, expected)
+
+
+def test_zero_length_lattice_edges_give_shortest_paths():
+    # exp_map returns to the base after arc length 2 pi, so at resolution
+    # 2 every lattice node is the base and every edge has length 0
+    base = manifold.from_weights([1.0, 2.0, 3.0])
+    u = manifold.project_tangent(base, np.array([1.0, -0.5, 0.2]))
+    chart = Chart(base, (TangentVector(u.f / u.norm, base),), 4 * np.pi)
+    goals = [[4 * np.pi], [-2 * np.pi], [np.pi]]
+    for resolution in (2, 4, 8):
+        lattice = _Lattice(chart, resolution)
+        if resolution == 2:
+            assert np.all(lattice.lengths[lattice.neighbors >= 0] == 0.0)
+
+        def edges(coords):
+            corners = lattice.cell_corners(np.array(coords))
+            point = chart.point(coords)
+            rows = manifold.geodesic_distance_rows(lattice.phi[corners], point.phi)
+            return list(zip(corners, rows.tolist()))
+
+        prev = lattice_predecessors(
+            lattice.neighbors, lattice.lengths, edges([0.0]), [edges(g) for g in goals]
+        )
+        count = len(lattice.keys)
+        for path in sink_paths(prev, count, len(goals)):
+            assert path[-1] == count  # a cycle would never end the path walk
+        paths = dijkstra_geodesic(chart, [0.0], goals, resolution)
+        reference = reference_lattice_paths(chart, [0.0], goals, resolution)
+        assert [p.length for p in paths] == [p.length for p in reference]
+        if resolution == 2:
+            assert [p.length for p in paths][:2] == [0.0, 0.0]
 
 
 def one_pair_dedupe(points):
@@ -1155,8 +1243,7 @@ def one_pair_dedupe(points):
     for pt in points[1:]:
         if one_pair_distance(deduped[-1], pt) > 1e-14:
             deduped.append(pt)
-    length = sum(one_pair_distance(a, b) for a, b in zip(deduped, deduped[1:]))
-    return GeodesicPolyline(tuple(deduped), length)
+    return one_pair_polyline(deduped)
 
 
 @settings(max_examples=200, deadline=None)
@@ -1233,10 +1320,10 @@ def one_polyline_refinement(poly, levels):
             subdivided += [one_pair_point(a, b, 0.5), b]
         pts[:] = subdivided
     relax()
-    length = sum(one_pair_distance(a, b) for a, b in zip(pts, pts[1:]))
-    if length > poly.length + 1e-12:
+    refined = one_pair_polyline(pts)
+    if refined.length > poly.length + 1e-12:
         return poly
-    return GeodesicPolyline(tuple(pts), length)
+    return refined
 
 
 @st.composite
@@ -1256,7 +1343,7 @@ def chart_polylines(draw, chart):
     poly = GeodesicPolyline.of(points)
     if draw(st.booleans()):
         return poly
-    return GeodesicPolyline(poly.points, 0.0)
+    return GeodesicPolyline(poly.points, 0.0, poly.segments)
 
 
 @settings(max_examples=40, deadline=None)
