@@ -4,7 +4,6 @@ from .core import (
     EvaluationLedger,
     PopulationView,
     ScoredSample,
-    best_score,
     evaluate,
     knn,
     view_of,
@@ -22,7 +21,6 @@ __all__ = [
     "EvaluationLedger",
     "PopulationView",
     "ScoredSample",
-    "best_score",
     "evaluate",
     "knn",
     "view_of",

@@ -119,7 +119,7 @@ def execute_run(cfg: RunConfig, mode: str, seed: int) -> dict:
         "objective_calls": sum(st.ledger.objective_calls for st in states),
         "candidates_skipped": sum(st.skipped_total for st in states),
         "evals_to_target": evals_to_target,
-        "rounds": [r.as_dict() for st in states for r in st.reports],
+        "rounds": [asdict(r) for st in states for r in st.reports],
         "wall_time_s": wall,
         "trace": trace,
     }
@@ -393,6 +393,9 @@ def main(argv=None) -> int:
         if args.command == "run":
             return cmd_run(cfg, out_dir)
         if args.command == "compare":
+            # a config file's mode is accepted, as run.json's config holds one
+            if args.mode is not None:
+                raise ConfigError("mode", "compare runs both modes")
             return cmd_compare(cfg, args.repeats, out_dir)
         raise ConfigError("command", f"unknown command {args.command!r}")
     except ConfigError as e:

@@ -220,20 +220,6 @@ def evaluate(genotype, problem, ledger: EvaluationLedger) -> ScoredSample:
     return sample
 
 
-def best_score(population) -> float:
-    """Maximum score over the ledger or view."""
-    if len(population.samples) == 0:
-        raise EmptyLedger("best_score on empty ledger")
-    return max(s.score for s in population.samples)
-
-
-def best_sample(ledger: EvaluationLedger) -> ScoredSample:
-    """The ledger's sample of highest score, the earliest of equal ones."""
-    if ledger.best is None:
-        raise EmptyLedger("best_sample on empty ledger")
-    return ledger.best
-
-
 def normalize_scores(scores, population) -> np.ndarray:
     """Min-max rescale scores against the population's score range.
 
@@ -322,13 +308,12 @@ class ResolvedMetric:
     each sample's row and order are read-only views of them. Behavior
     vectors come from ``memo``, the run's ledger the view was taken from,
     and new ones are added to it, so none is computed twice in a run;
-    the view samples' canonical keys are the memo's ``keys``. A domain
-    whose behavior is its score reads the view's scores as its behavior
-    column. Genotypes outside the view get their rows on their first
-    query, ``rows_of`` building those of a list of genotypes in one
-    block; later queries of the same genotype (equal canonical key)
-    reuse it. ``add_genotypic_rows`` computes the genotypic part of such
-    rows for a batch of genotypes in one block beforehand. Strictly
+    the view samples' canonical keys are the memo's ``keys``. Genotypes
+    outside the view get their rows on their first query, ``rows_of``
+    building those of a list of genotypes in one block; later queries of
+    the same genotype (equal canonical key) reuse it.
+    ``add_genotypic_rows`` computes the genotypic part of such rows for a
+    batch of genotypes in one block beforehand. Strictly
     between the extremes, median scales over a deterministic sample of
     view pairs, read from the two blocks, make the genotypic and
     phenotypic terms comparable.
@@ -350,11 +335,7 @@ class ResolvedMetric:
         self._kind = {1.0: "genotypic", 0.0: "phenotypic"}.get(lam, "blended")
         dg = dp = self._behaviors = None
         if self._kind != "genotypic":
-            if behavior_is_score(problem):
-                b = view.scores[:, None]
-            else:
-                b = self._memo.behaviors_of(genos, problem, keys)
-            self._behaviors = b
+            b = self._behaviors = memo.behaviors_of(genos, problem, keys)
             dp = behavior_distances(b, b)
         if self._kind != "phenotypic":
             self._stacked = problem.stack(genos)

@@ -22,7 +22,6 @@ from .core import (
     ResolvedMetric,
     ScoredSample,
     behavior_is_score,
-    best_sample,
     evaluate,
     fittest_first,
     normalize_scores,
@@ -39,8 +38,6 @@ logger = logging.getLogger(__name__)
 
 GAMMA_FLOOR = 0.01
 EDA_MIN_PARENT_POOL = 4
-# the tolerance Generator.choice allows on the sum of p
-_CHOICE_ATOL = math.sqrt(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
@@ -116,9 +113,6 @@ class SubdemeReport:
     candidates_evaluated: int = 0
     early_stop: bool = False
 
-    def as_dict(self) -> dict:
-        return dict(self.__dict__)
-
 
 @dataclass
 class RoundReport:
@@ -132,11 +126,6 @@ class RoundReport:
     best_score_after: float = float("-inf")
     gamma_used: float = 0.0
     subdemes: list[SubdemeReport] = field(default_factory=list)
-
-    def as_dict(self) -> dict:
-        d = dict(self.__dict__)
-        d["subdemes"] = [s.as_dict() for s in self.subdemes]
-        return d
 
 
 @dataclass
@@ -210,9 +199,7 @@ def _eda_model(parents, order, problem, m: int):
 
     Returns the domain's alphabet, as an array, and each locus's
     cumulative distribution over it, normalised as ``Generator.choice``
-    normalises ``p``; None when the domain defines no loci. Raises
-    ValueError, as ``choice`` would at each draw, unless every row is a
-    distribution.
+    normalises ``p``; None when the domain defines no loci.
     """
     q = max(1, math.ceil(len(parents) / 4))
     loci = [problem.loci(parents[i].genotype) for i in order[:q]]
@@ -226,11 +213,6 @@ def _eda_model(parents, order, problem, m: int):
     probs = (1.0 - len(alphabet) * eps) * probs + eps
     probs = np.maximum(probs, 0.0)
     probs /= probs.sum(axis=1, keepdims=True)
-    # choice's checks of p; the clamp above keeps every entry non-negative
-    if not np.all(np.isfinite(probs)) or np.any(
-        np.abs(probs.sum(axis=1) - 1.0) > _CHOICE_ATOL
-    ):
-        raise ValueError("EDA marginals are not probability distributions")
     cdf = probs.cumsum(axis=1)
     cdf /= cdf[:, -1:]
     return alphabet, cdf
@@ -668,7 +650,7 @@ def run_round(state: RunState, cfg: RunConfig) -> None:
         gamma = state.gamma
         round_policy = replace(policy, threshold_quantile=state.threshold_quantile)
         report = RoundReport(round_index=state.round_index, gamma_used=gamma)
-        report.best_score_before = best_sample(ledger).score
+        report.best_score_before = ledger.best.score
         view = view_of(ledger, config.population_cap)
 
         if cfg.mode == "baseline" or len(view) < 3:
@@ -711,7 +693,7 @@ def run_round(state: RunState, cfg: RunConfig) -> None:
         report.candidates_generated = sum(f.candidates_generated for f in report.subdemes)
         report.candidates_skipped = sum(f.candidates_skipped for f in report.subdemes)
         report.candidates_evaluated = sum(f.candidates_evaluated for f in report.subdemes)
-        report.best_score_after = best_sample(ledger).score
+        report.best_score_after = ledger.best.score
         state.reports.append(report)
         state.round_index += 1
 

@@ -87,16 +87,6 @@ class GeodesicPolyline:
     length: float
     segments: tuple[float, ...]
 
-    @staticmethod
-    def of(points) -> "GeodesicPolyline":
-        """The polyline through the points, each segment measured by the
-        one-pair geodesic distance."""
-        points = tuple(points)
-        segments = tuple(
-            manifold.geodesic_distance_exact(a, b) for a, b in zip(points, points[1:])
-        )
-        return GeodesicPolyline(points, sum(segments), segments)
-
 
 @dataclass(frozen=True)
 class GeodesicRay:
@@ -381,12 +371,13 @@ def lattice_predecessors(neighbors, lengths, start_edges, sink_edges) -> list[in
 
 
 def _deduped_polyline(points: list) -> GeodesicPolyline:
-    """``GeodesicPolyline.of`` the points, less each point that coincides
+    """The polyline through the points, less each point that coincides
     with the last one kept (a start or goal may sit on a lattice node).
 
     Consecutive distances are computed in one row block; a point after a
     dropped one is compared with the last kept point instead, on its
-    own. The length is the left-to-right sum ``of`` takes.
+    own. The length is the segments' left-to-right sum, a float also for
+    a path that dedupes to one point.
     """
     phi = np.array([pt.phi for pt in points])
     steps = manifold.geodesic_distance_rows(phi[:-1], phi[1:]).tolist()
@@ -398,7 +389,7 @@ def _deduped_polyline(points: list) -> GeodesicPolyline:
         if d > 1e-14:
             kept.append(i)
             segments.append(d)
-    return GeodesicPolyline(tuple(points[i] for i in kept), sum(segments), tuple(segments))
+    return GeodesicPolyline(tuple(points[i] for i in kept), sum(segments, 0.0), tuple(segments))
 
 
 def _downsample(pts: list, keep: int) -> list:
@@ -451,7 +442,7 @@ def refine_polyline(polylines, levels: int) -> list[GeodesicPolyline]:
         _relax(phi, RELAX_PASSES)
         segments = manifold.geodesic_distance_rows(phi[:, :-1], phi[:, 1:])
         for i, rows, lengths in zip(members, phi, segments.tolist()):
-            length = sum(lengths)  # as GeodesicPolyline.of sums
+            length = sum(lengths)
             if length > refined[i].length + 1e-12:
                 continue
             first, last = coarse[i][0], coarse[i][-1]
@@ -479,19 +470,13 @@ def _relax(phi: np.ndarray, passes: int) -> None:
             )
 
 
-def sample_exact_ray(
-    base: LogDistribution, direction: TangentVector, length: float
-) -> GeodesicPolyline:
-    """Closed-form geodesic polyline of the given arc length: the points
-    exp_map(base, direction, t) at RAY_SEGMENTS + 1 evenly spaced t, in
-    one row block."""
-    return _exact_rays(base, direction.f[np.newaxis], length)[0]
-
-
 def _exact_rays(base: LogDistribution, f: np.ndarray, length: float):
-    """``sample_exact_ray`` along each row of tangents ``f``, bit for bit:
-    every ray's moving points are one ``exp_map_rows`` block, and every
-    segment's length comes from one ``geodesic_distance_rows`` block."""
+    """Closed-form geodesic polylines of the given arc length, one along
+    each row of tangents ``f``: the points exp_map(base, row, t) at
+    RAY_SEGMENTS + 1 evenly spaced t, each with the bits of that one
+    ``exp_map`` call. Every ray's moving points are one ``exp_map_rows``
+    block, and every segment's length comes from one
+    ``geodesic_distance_rows`` block."""
     if length < 0:
         raise ValueError("length must be nonnegative")
     ts = np.linspace(0.0, length, RAY_SEGMENTS + 1)

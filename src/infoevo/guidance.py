@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ResolvedMetric, knn, normalize_scores
+from .core import ResolvedMetric, fittest_first, knn, normalize_scores
 from .manifold import LogDistribution
 
 OMEGA_BASELINE = 0.05  # keeps the product form from annihilating zero-omega candidates
@@ -135,4 +135,4 @@ def rank_rays(candidates, promise) -> list[int]:
     Returns indices into ``candidates``; ties keep the original order.
     """
     gains = [float(np.sum(c.p * promise)) for c in candidates]
-    return sorted(range(len(candidates)), key=lambda i: (-gains[i], i))
+    return fittest_first(gains).tolist()

@@ -39,10 +39,6 @@ class LogDistribution:
     def p(self) -> np.ndarray:
         return np.exp(self.phi)
 
-    @property
-    def sqrt_p(self) -> np.ndarray:
-        return np.exp(0.5 * self.phi)
-
 
 @dataclass(frozen=True)
 class TangentVector:

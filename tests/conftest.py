@@ -5,6 +5,7 @@ from infoevo.core import EvaluationLedger, evaluate, knn
 from infoevo.demes import run_demes
 from infoevo.domains.base import Problem
 from infoevo.errors import LedgerTooSmall
+from infoevo.geodesic_search import GeodesicPolyline
 
 
 class ScalarProblem(Problem):
@@ -177,6 +178,19 @@ def norm_behavior_distances(xs, ys) -> np.ndarray:
     """Distances between two stacks of behavior vectors by the norm over
     the last axis of their differences."""
     return np.linalg.norm(ys[None] - xs[:, None], axis=-1)
+
+
+def one_pair_distance(a, b):
+    """geodesic_distance_exact written out for one pair alone."""
+    bc = float(np.sum(np.exp(0.5 * (a.phi + b.phi))))
+    return 2.0 * float(np.arccos(np.clip(bc, 0.0, 1.0)))
+
+
+def one_pair_polyline(points):
+    """The polyline through the points, each segment measured one pair
+    alone and the length their left-to-right sum."""
+    segments = tuple(one_pair_distance(a, b) for a, b in zip(points, points[1:]))
+    return GeodesicPolyline(tuple(points), sum(segments), segments)
 
 
 def run_one(problem, cfg):

@@ -322,6 +322,22 @@ def test_compare_invalid_repeats_exits_2(tmp_path):
     assert code == 2
 
 
+def test_compare_mode_flag_exits_2_and_a_config_files_mode_is_accepted(tmp_path, capsys):
+    out = tmp_path / "out"
+    argv = ["compare", "--repeats", "1", "--out", str(out)] + FAST_RUN
+    assert run_cli(argv + ["--mode", "baseline"]) == 2
+    err = capsys.readouterr().err
+    assert "error: config field 'mode': compare runs both modes" in err
+    assert not out.exists()
+    # run.json's config always holds a mode; compare runs both modes anyway
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"mode": "baseline"}))
+    assert run_cli(argv + ["--config", str(config)]) == 0
+    with open(out / "compare.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [r["mode"] for r in rows] == ["info_evo", "baseline"] * 2
+
+
 # --- geodesic check ---
 
 

@@ -6,7 +6,6 @@ from infoevo.core import (
     EvaluationLedger,
     PopulationView,
     ResolvedMetric,
-    best_score,
     evaluate,
     knn,
     view_of,
@@ -110,17 +109,6 @@ def test_knn_empty_ledger():
     view = PopulationView.of([])
     with pytest.raises(EmptyLedger):
         knn_one(1.0, ResolvedMetric(problem, view, 1.0, EvaluationLedger(0), 1), 1)
-
-
-def test_best_score_cases():
-    _, ledger = make_scalar_ledger([1.0, 5.0, 3.0])
-    assert best_score(ledger) == 5.0
-    _, single = make_scalar_ledger([-2.0])
-    assert best_score(single) == -2.0
-    _, equal = make_scalar_ledger([7.0])
-    assert best_score(equal) == 7.0
-    with pytest.raises(EmptyLedger):
-        best_score(EvaluationLedger(budget=1))
 
 
 def test_blended_metric_extremes_match_pure_metrics(rng):

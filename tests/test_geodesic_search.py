@@ -6,13 +6,15 @@ from infoevo.errors import GammaExceedsRay, GoalOutsideChart
 from infoevo.geodesic_search import (
     GeodesicPolyline,
     StepParams,
+    _exact_rays,
     build_chart,
     dijkstra_geodesic,
     geodesic_rays,
     refine_polyline,
-    sample_exact_ray,
     step_along,
 )
+
+from conftest import one_pair_polyline
 
 
 def random_distribution(rng, n):
@@ -181,7 +183,7 @@ def test_refine_exact_geodesic_is_fixed_point(rng):
     a = random_distribution(rng, 5)
     b = random_distribution(rng, 5)
     pts = [manifold.geodesic_point(a, b, t) for t in np.linspace(0, 1, 9)]
-    poly = GeodesicPolyline.of(pts)
+    poly = one_pair_polyline(pts)
     (refined,) = refine_polyline([poly], 2)
     assert refined.length == pytest.approx(poly.length, abs=1e-10)
     assert poly.length == pytest.approx(
@@ -202,7 +204,7 @@ def test_refine_trivial_polylines():
     d = manifold.uniform(4)
     single = GeodesicPolyline((d,), 0.0, ())
     assert refine_polyline([single], 3)[0] is single
-    two = GeodesicPolyline.of([d, manifold.from_weights([1, 2, 3, 4])])
+    two = one_pair_polyline([d, manifold.from_weights([1, 2, 3, 4])])
     assert refine_polyline([two], 0)[0] is two
 
 
@@ -213,7 +215,7 @@ def test_sample_exact_ray_length(rng):
     base = random_distribution(rng, 8)
     v = manifold.project_tangent(base, rng.standard_normal(8))
     unit = manifold.TangentVector(v.f / v.norm, base)
-    poly = sample_exact_ray(base, unit, 0.6)
+    (poly,) = _exact_rays(base, unit.f[np.newaxis], 0.6)
     assert poly.length == pytest.approx(0.6, abs=1e-9)
     assert poly.points[0] is base
 
@@ -234,7 +236,7 @@ def test_geodesic_rays_first_is_promise_ascent(rng):
     promise = rng.uniform(0, 1, 100)
     chart = build_chart(base, promise, 2, rng, radius=0.4)
     rays = geodesic_rays(chart, StepParams(ray_count=3), rng)
-    ascent = sample_exact_ray(base, chart.directions[0], chart.radius)
+    (ascent,) = _exact_rays(base, chart.directions[0].f[np.newaxis], chart.radius)
     assert len(rays[0].polyline.points) == len(ascent.points)
     for got, want in zip(rays[0].polyline.points, ascent.points):
         assert np.allclose(got.p, want.p)
@@ -288,7 +290,7 @@ def test_step_along_zero_and_full(rng):
     unit = manifold.TangentVector(v.f / v.norm, base)
     from infoevo.geodesic_search import GeodesicRay
 
-    ray = GeodesicRay(base, sample_exact_ray(base, unit, 0.5))
+    ray = GeodesicRay(base, _exact_rays(base, unit.f[np.newaxis], 0.5)[0])
     assert step_along(ray, 0.0) is base
     end = step_along(ray, 0.5)
     assert manifold.geodesic_distance_exact(base, end) == pytest.approx(
@@ -302,7 +304,7 @@ def test_step_along_interior_distance(rng):
     unit = manifold.TangentVector(v.f / v.norm, base)
     from infoevo.geodesic_search import GeodesicRay
 
-    ray = GeodesicRay(base, sample_exact_ray(base, unit, 0.8))
+    ray = GeodesicRay(base, _exact_rays(base, unit.f[np.newaxis], 0.8)[0])
     for gamma in (0.1, 0.33, 0.61):
         pt = step_along(ray, gamma)
         assert manifold.geodesic_distance_exact(base, pt) == pytest.approx(
@@ -316,7 +318,7 @@ def test_step_along_matches_exp_map(rng):
     unit = manifold.TangentVector(v.f / v.norm, base)
     from infoevo.geodesic_search import GeodesicRay
 
-    ray = GeodesicRay(base, sample_exact_ray(base, unit, 0.7))
+    ray = GeodesicRay(base, _exact_rays(base, unit.f[np.newaxis], 0.7)[0])
     pt = step_along(ray, 0.35)
     direct = manifold.exp_map(base, unit, 0.35)
     assert np.max(np.abs(pt.phi - direct.phi)) < 1e-9
@@ -328,7 +330,7 @@ def test_step_along_gamma_exceeds_ray(rng):
     unit = manifold.TangentVector(v.f / v.norm, base)
     from infoevo.geodesic_search import GeodesicRay
 
-    ray = GeodesicRay(base, sample_exact_ray(base, unit, 0.2))
+    ray = GeodesicRay(base, _exact_rays(base, unit.f[np.newaxis], 0.2)[0])
     with pytest.raises(GammaExceedsRay):
         step_along(ray, 0.5)
 
