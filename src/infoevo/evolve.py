@@ -246,17 +246,12 @@ def _ranking(fitness) -> tuple[list[int], list[int]]:
     return order.tolist(), rank.tolist()
 
 
-def _winner(order, rank, drawn) -> int:
-    """The index of a tournament's winner among the parent indices
-    ``drawn``: the one of least rank (see ``_ranking``), which is the one
-    of greatest ``(fitness, -index)``."""
-    return order[min(map(rank.__getitem__, drawn))]
-
-
 def _tournament(parents, order, rank, size, rng):
-    """The winner of ``size`` parents drawn with replacement."""
+    """The winner of ``size`` parents drawn with replacement: the one of
+    least rank (see ``_ranking``), which is the one of greatest
+    ``(fitness, -index)``."""
     drawn = rng.integers(0, len(parents), size=size).tolist()
-    return parents[_winner(order, rank, drawn)]
+    return parents[order[min(map(rank.__getitem__, drawn))]]
 
 
 # Generator.random's double of a raw word w: (w >> 11) * 2**-53
@@ -277,75 +272,109 @@ class WordReplay:
     ``(2**32 - n) % n`` a new half replaces x (Lemire's rule); the draw is
     ``m >> 32``, and ``n == 1`` reads nothing.
 
-    The replay draws ``size`` words ahead, and more when its draws run
-    past them. ``close`` moves the bit generator back to just after the
-    words the draws used and gives it the half they left waiting: the
+    ``schedule`` replays one generation of ``vary``'s draws. It draws
+    the words its draws can read ahead, and more when Lemire's rule runs
+    them past those. ``close`` moves the bit generator back to just after
+    the words the draws used and gives it the half they left waiting: the
     state the same draws made through the generator leave.
     """
 
-    def __init__(self, bit_generator: np.random.PCG64, size: int):
+    def __init__(self, bit_generator: np.random.PCG64):
         state = bit_generator.state
         self._bit_generator = bit_generator
         self._has_half = state["has_uint32"]
         self._half = state["uinteger"]
-        self._words = bit_generator.random_raw(size)
+        self._words = bit_generator.random_raw(0)
         self._used = 0
 
-    def _grow(self, end: int) -> None:
-        """Draw words on, at least up to position ``end``."""
-        more = max(end - len(self._words), len(self._words))
-        self._words = np.concatenate((self._words, self._bit_generator.random_raw(more)))
+    def _reserve(self, end: int):
+        """Draw words on, if the block ends before position ``end``; the
+        block's bound ``item``."""
+        words = self._words
+        if end > len(words):
+            more = self._bit_generator.random_raw(max(end - len(words), len(words)))
+            words = self._words = np.concatenate((words, more)) if len(words) else more
+        return words.item
 
-    def take(self, count: int) -> int:
-        """Position of the next ``count`` words, taken as that many
-        doubles, which ``doubles`` reads."""
-        start = self._used
-        self._used += count
-        if self._used > len(self._words):
-            self._grow(self._used)
-        return start
+    def schedule(self, order, rank, config: EvolutionConfig, dim: int, loci: int | None):
+        """The choices ``vary``'s loop makes for one generation, in its
+        draw order, for parents ranked by ``order`` and ``rank`` (see
+        ``_ranking``). Each offspring draws a double against the EDA share
+        when ``loci`` (the EDA model's locus count) is given, and then
+        either ``loci`` uniforms, or a tournament, a double against the
+        crossover rate, a second tournament and ``dim`` uniforms if it
+        crosses over, and ``dim`` uniforms to mutate. A tournament draws
+        ``config.tournament_size`` parents with replacement, and its
+        winner is the one of least rank.
 
-    def double(self) -> float:
-        """``Generator.random()``."""
-        at = self._used
-        if at == len(self._words):
-            self._grow(at + 1)
-        self._used = at + 1
-        return (self._words.item(at) >> 11) * _DOUBLE_UNIT
-
-    def doubles(self, starts, count: int) -> np.ndarray:
-        """The doubles of the ``count`` words from each of ``starts``
-        (positions ``take`` gave), one row per start."""
-        at = np.asarray(starts, dtype=np.intp)[:, None] + np.arange(count)
-        return (self._words[at] >> np.uint64(11)) * _DOUBLE_UNIT
-
-    def integers(self, n: int, size: int) -> list[int]:
-        """``Generator.integers(0, n, size=size).tolist()`` for
-        ``1 <= n < 2**32``."""
-        if n == 1:
-            return [0] * size
+        Returns eight lists: the slots of the EDA offspring and where their
+        uniforms start; the slots of the tournament offspring, their first
+        winners and where their mutation uniforms start; and, for those
+        that cross over, their places among the tournament offspring, their
+        second winners and where their crossover uniforms start. ``doubles``
+        reads the uniforms.
+        """
+        count = config.subpop_size - config.elitism
+        n, size = len(order), config.tournament_size
+        eda, crossover = config.eda_fraction, config.crossover_rate
+        # every word an offspring reads, unless Lemire's rule rejects a half
+        per = 2 + size + max(loci or 0, 2 * dim)
         # numpy tests a draw against the threshold only when m's low half
         # is below n; the threshold is below n, so testing every draw
         # rejects the same ones
         threshold = ((1 << 32) - n) % n
-        has_half, half, at = self._has_half, self._half, self._used
-        drawn = []
-        for _ in range(size):
-            while True:
-                if has_half:
-                    has_half, m = 0, half * n
-                else:
-                    if at == len(self._words):
-                        self._grow(at + 1)
-                    word = self._words.item(at)
-                    at += 1
-                    has_half, half = 1, word >> 32
-                    m = (word & _LOW_HALF) * n
-                if m & _LOW_HALF >= threshold:
+        draws = range(size if n > 1 else 0)
+        at, has_half, half = self._used, self._has_half, self._half
+        item = self._reserve(at + count * per)
+        eda_slots, eda_at = [], []
+        slots, firsts, mutate_at = [], [], []
+        crossed, seconds, cross_at = [], [], []
+        for slot in range(count):
+            if loci is not None:
+                at += 1
+                if (item(at - 1) >> 11) * _DOUBLE_UNIT < eda:
+                    eda_slots.append(slot)
+                    eda_at.append(at)
+                    at += loci
+                    continue
+            slots.append(slot)
+            for winners in (firsts, seconds):
+                best = n - 1  # no rank is greater
+                for _ in draws:
+                    while True:
+                        if has_half:
+                            has_half, m = 0, half * n
+                        else:
+                            word = item(at)
+                            at += 1
+                            has_half, half = 1, word >> 32
+                            m = (word & _LOW_HALF) * n
+                        if m & _LOW_HALF >= threshold:
+                            break
+                        # a rejected half: room for the rest of the generation
+                        item = self._reserve(at + (count - slot) * per)
+                    drawn = rank[m >> 32]
+                    if drawn < best:
+                        best = drawn
+                winners.append(order[best])
+                if winners is seconds:
+                    cross_at.append(at)
+                    at += dim
                     break
-            drawn.append(m >> 32)
-        self._has_half, self._half, self._used = has_half, half, at
-        return drawn
+                at += 1
+                if (item(at - 1) >> 11) * _DOUBLE_UNIT >= crossover:
+                    break
+                crossed.append(len(slots) - 1)
+            mutate_at.append(at)
+            at += dim
+        self._used, self._has_half, self._half = at, has_half, half
+        return eda_slots, eda_at, slots, firsts, mutate_at, crossed, seconds, cross_at
+
+    def doubles(self, starts, count: int) -> np.ndarray:
+        """The doubles of the ``count`` words from each of ``starts``
+        (positions ``schedule`` gave), one row per start."""
+        at = np.asarray(starts, dtype=np.intp)[:, None] + np.arange(count)
+        return (self._words[at] >> np.uint64(11)) * _DOUBLE_UNIT
 
     def close(self) -> None:
         """Leave the bit generator where the replayed draws leave it."""
@@ -397,33 +426,19 @@ def vary(parents, fitness, config: EvolutionConfig, problem, rng) -> list:
 def _vary_rows(parents, order, rank, model, config: EvolutionConfig, problem, rng) -> list:
     """``vary``'s offspring from one block of the PCG64 stream's words.
 
-    A plain schedule over the offspring makes ``vary``'s choices in its
-    order (EDA or tournament, each tournament's draws, crossover or not)
-    from a ``WordReplay`` and notes where each offspring's per-locus or
-    per-bit uniforms lie; the domain's row operators then sample, cross
-    and mutate every offspring at once from those uniforms.
+    ``WordReplay.schedule`` makes ``vary``'s choices in its order (EDA
+    or tournament, each tournament's draws, crossover or not) in one
+    loop and notes where each offspring's per-locus or per-bit uniforms
+    lie; the domain's row operators then sample, cross and mutate every
+    offspring at once from those uniforms.
     """
     count = config.subpop_size - config.elitism
-    n, dim, size = len(parents), problem.dimension, config.tournament_size
-    loci = 0 if model is None else model[1].shape[0]
-    # every word an offspring can read, unless Lemire's rule rejects a half
-    replay = WordReplay(rng.bit_generator, count * (2 + size + max(loci, 2 * dim)))
-    double, integers, take = replay.double, replay.integers, replay.take
-    eda_slots, eda_at = [], []  # EDA offspring, and their uniforms
-    slots, firsts, mutate_at = [], [], []  # tournament offspring
-    crossed, seconds, cross_at = [], [], []  # and those crossed over
-    for slot in range(count):
-        if model is not None and double() < config.eda_fraction:
-            eda_slots.append(slot)
-            eda_at.append(take(loci))
-            continue
-        slots.append(slot)
-        firsts.append(_winner(order, rank, integers(n, size)))
-        if double() < config.crossover_rate:
-            crossed.append(len(slots) - 1)
-            seconds.append(_winner(order, rank, integers(n, size)))
-            cross_at.append(take(dim))
-        mutate_at.append(take(dim))
+    dim = problem.dimension
+    replay = WordReplay(rng.bit_generator)
+    loci = None if model is None else model[1].shape[0]
+    eda_slots, eda_at, slots, firsts, mutate_at, crossed, seconds, cross_at = replay.schedule(
+        order, rank, config, dim, loci
+    )
     replay.close()
 
     offspring = [None] * count

@@ -587,63 +587,103 @@ def test_vary_keeps_the_random_stream(
 bounds = st.one_of(st.just(1), st.integers(2, 64), st.integers(2**31 + 1, 2**32 - 1))
 
 
+def schedule_config(count, size, crossover=0.0, eda=0.0) -> EvolutionConfig:
+    """Settings of a generation of ``count`` offspring."""
+    return EvolutionConfig(
+        subpop_size=count + 1,
+        elitism=1,
+        tournament_size=size,
+        crossover_rate=crossover,
+        eda_fraction=eda,
+    )
+
+
+def reference_schedule(order, rank, config, dim, loci, rng):
+    """``WordReplay.schedule``'s choices, made by ``vary``'s loop's calls
+    on the Generator ``rng``, with each offspring's uniforms in place of
+    where they start."""
+    count, size, n = config.subpop_size - config.elitism, config.tournament_size, len(order)
+    eda_slots, eda_u, slots, firsts, mutate_u, crossed, seconds, cross_u = ([] for _ in range(8))
+    for slot in range(count):
+        if loci is not None and rng.random() < config.eda_fraction:
+            eda_slots.append(slot)
+            eda_u.append(rng.random(loci))
+            continue
+        slots.append(slot)
+        firsts.append(order[min(rank[i] for i in rng.integers(0, n, size=size).tolist())])
+        if rng.random() < config.crossover_rate:
+            crossed.append(len(slots) - 1)
+            seconds.append(order[min(rank[i] for i in rng.integers(0, n, size=size).tolist())])
+            cross_u.append(rng.random(dim))
+        mutate_u.append(rng.random(dim))
+    return eda_slots, eda_u, slots, firsts, mutate_u, crossed, seconds, cross_u
+
+
+def replayed_schedule(rng, n, config, dim=0, loci=None):
+    """``WordReplay.schedule`` on ``rng``'s bit generator, closed, for n
+    parents ranked in index order (``range(n)`` is both order and rank),
+    so a tournament's winner is its least draw; with the uniforms read in
+    place of where they start."""
+    replay = WordReplay(rng.bit_generator)
+    got = list(replay.schedule(range(n), range(n), config, dim, loci))
+    replay.close()
+    for i, width in ((1, loci), (4, dim), (7, dim)):
+        got[i] = list(replay.doubles(got[i], width)) if got[i] else []
+    return got
+
+
+def assert_same_schedule(got, expected):
+    for a, b in zip(got, expected):
+        assert [np.asarray(x).tobytes() for x in a] == [np.asarray(x).tobytes() for x in b]
+
+
 @settings(max_examples=200, deadline=None)
 @given(
     bounds,
-    st.integers(1, 30),  # draws
+    st.integers(1, 12),  # offspring
+    st.integers(1, 4),  # tournament size: one keeps every draw
+    st.sampled_from([0.0, 1.0]),  # crossover rate: two tournaments or one
     st.booleans(),  # a 32-bit half waiting in the generator
-    st.integers(1, 8),  # words drawn ahead: few, so the replay draws on
     st.integers(0, 2**32 - 1),
 )
-def test_word_replay_draws_numpys_bounded_integers(n, k, waiting, ahead, seed):
+def test_word_replay_draws_numpys_bounded_integers(n, count, size, crossover, waiting, seed):
     rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
     if waiting:
         rng.integers(0, 3, size=1)
         ref.integers(0, 3, size=1)
-    replay = WordReplay(rng.bit_generator, ahead)
-    got = replay.integers(n, k)
-    replay.close()
-    assert got == ref.integers(0, n, size=k).tolist()
+    config = schedule_config(count, size, crossover)
+    got = replayed_schedule(rng, n, config)
+    expected = reference_schedule(range(n), range(n), config, 0, None, ref)
+    assert_same_schedule(got, expected)
+    assert len(got[6]) == (count if crossover else 0)
     assert rng.bit_generator.state == ref.bit_generator.state
     assert rng.random() == ref.random()
 
 
-replay_steps = st.one_of(
-    st.tuples(st.just("double")),
-    st.tuples(st.just("take"), st.integers(0, 5)),
-    st.tuples(st.just("integers"), bounds, st.integers(1, 4)),
-)
-
-
 @settings(max_examples=200, deadline=None)
 @given(
-    st.lists(replay_steps, max_size=12),
+    bounds,
+    st.integers(1, 10),  # offspring
+    st.integers(1, 3),  # tournament size
+    st.sampled_from([0.0, 0.5, 1.0]),  # crossover rate
+    st.sampled_from([0.0, 0.5, 1.0]),  # EDA share
+    st.one_of(st.none(), st.integers(1, 5)),  # EDA loci, or no EDA model
+    st.integers(0, 5),  # uniforms per mutation and crossover
     st.booleans(),  # a 32-bit half waiting in the generator
-    st.integers(1, 8),  # words drawn ahead
     st.integers(0, 2**32 - 1),
 )
-def test_word_replay_interleaves_doubles_and_halves_as_numpy(steps, waiting, ahead, seed):
+def test_word_replay_interleaves_doubles_and_halves_as_numpy(
+    n, count, size, crossover, eda, loci, dim, waiting, seed
+):
     """Doubles take whole words and leave a waiting half for the next
     bounded draw, as the generator does."""
     rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
     if waiting:
         rng.integers(0, 3, size=1)
         ref.integers(0, 3, size=1)
-    replay = WordReplay(rng.bit_generator, ahead)
-    got, expected, blocks = [], [], []
-    for step in steps:
-        if step[0] == "double":
-            got.append(replay.double())
-            expected.append(ref.random())
-        elif step[0] == "take":
-            blocks.append((replay.take(step[1]), step[1], ref.random(step[1])))
-        else:
-            got.append(replay.integers(step[1], step[2]))
-            expected.append(ref.integers(0, step[1], size=step[2]).tolist())
-    replay.close()
-    assert got == expected
-    for start, count, doubles in blocks:
-        assert replay.doubles([start], count)[0].tobytes() == doubles.tobytes()
+    config = schedule_config(count, size, crossover, eda)
+    got = replayed_schedule(rng, n, config, dim, loci)
+    assert_same_schedule(got, reference_schedule(range(n), range(n), config, dim, loci, ref))
     assert rng.bit_generator.state == ref.bit_generator.state
     assert rng.random() == ref.random()
 
@@ -677,10 +717,12 @@ def test_word_replay_at_lemires_threshold(n, below, waiting):
             at_next_word(g.bit_generator, 0x9E3779B97F4A7C15, waiting=half)
         else:
             at_next_word(g.bit_generator, (0x9E3779B9 << 32) | half)
-    replay = WordReplay(rng.bit_generator, 1)
-    got = replay.integers(n, 3)
-    replay.close()
-    assert got == ref.integers(0, n, size=3).tolist()
+    # three one-draw tournaments, the first of which reads the half
+    config = schedule_config(3, 1)
+    got = replayed_schedule(rng, n, config)
+    assert_same_schedule(got, reference_schedule(range(n), range(n), config, 0, None, ref))
+    if not below:
+        assert got[3][0] == half * n >> 32
     assert rng.bit_generator.state == ref.bit_generator.state
     assert rng.random() == ref.random()
 

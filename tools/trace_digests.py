@@ -37,6 +37,8 @@ search, so it runs that search on a bitstring domain with tied scores.
 Guided OneMax-100 packs each genotype into two 64-bit words, so its
 Hamming distances sum popcounts over more than one word, as no other
 bitstring run here (at most 50 bits, one word) does.
+Guided OneMax-20 with a subpopulation of one and no elitism varies
+generations of one parent, whose tournaments read no random words.
 The cubic dataset is written with ``perfbench/make_dataset.py`` to a
 temporary directory.
 
@@ -84,6 +86,8 @@ def runs(dataset: str):
     trap5_cap48 = ["--problem", "trap5", "--bits", "20", "--population-cap", "48"]
     trap5_cap48 += ["--budget", "2000"]  # every view under the lattice threshold
     onemax100 = ["--problem", "onemax", "--bits", "100", "--budget", "2000"]  # two words
+    one_parent = ["--problem", "onemax", "--bits", "20", "--budget", "300"]
+    one_parent += ["--subpop-size", "1", "--elitism", "0"]
     return (
         ("onemax50-guided-s1", onemax + ["--seed", "1"]),
         ("onemax50-guided-s2", onemax + ["--seed", "2"]),
@@ -119,6 +123,7 @@ def runs(dataset: str):
         ),
         ("trap5-20-cap48-b2000-s1", trap5_cap48 + ["--seed", "1"]),
         ("onemax100-b2000-s1", onemax100 + ["--seed", "1"]),
+        ("onemax20-subpop1-b300-s1", one_parent + ["--seed", "1"]),
     )
 
 
