@@ -50,9 +50,10 @@ class BitstringProblem(Problem):
         return rng.integers(0, 2, size=self.dimension, dtype=np.uint8)
 
     # Variation in row form: each operator takes a block of genotype rows
-    # and one uniform per bit, so that a generation can be varied in one
-    # block from uniforms drawn ahead (see ``evolve.vary``); a 1-d genotype
-    # is one row, and the one-offspring operators below are such calls.
+    # and one uniform per bit, so that a generation is varied in one block
+    # from block draws of uniforms (see ``evolve._vary_rows``); a 1-d
+    # genotype is one row, and the one-offspring operators below are such
+    # calls.
 
     def mutate_rows(self, rows, rate, u):
         """``rows`` with each bit flipped whose uniform in ``u`` is below

@@ -254,137 +254,6 @@ def _tournament(parents, order, rank, size, rng):
     return parents[order[min(map(rank.__getitem__, drawn))]]
 
 
-# Generator.random's double of a raw word w: (w >> 11) * 2**-53
-_DOUBLE_UNIT = 1.0 / 9007199254740992.0
-_LOW_HALF = 0xFFFFFFFF
-
-
-class WordReplay:
-    """Draws of numpy's ``Generator`` on a PCG64 bit generator, replayed
-    bit for bit from one block of its raw 64-bit words.
-
-    ``Generator.random`` makes a double of one word w,
-    ``(w >> 11) * 2**-53``. ``Generator.integers(0, n)`` with
-    ``n < 2**32`` reads 32-bit halves: the low half of a new word, whose
-    high half the bit generator keeps (``has_uint32`` and ``uinteger`` in
-    its state) for its next 32-bit draw; doubles leave that half waiting.
-    A half x gives ``m = x * n``, and while ``m mod 2**32`` is below
-    ``(2**32 - n) % n`` a new half replaces x (Lemire's rule); the draw is
-    ``m >> 32``, and ``n == 1`` reads nothing.
-
-    ``schedule`` replays one generation of ``vary``'s draws. It draws
-    the words its draws can read ahead, and more when Lemire's rule runs
-    them past those. ``close`` moves the bit generator back to just after
-    the words the draws used and gives it the half they left waiting: the
-    state the same draws made through the generator leave.
-    """
-
-    def __init__(self, bit_generator: np.random.PCG64):
-        state = bit_generator.state
-        self._bit_generator = bit_generator
-        self._has_half = state["has_uint32"]
-        self._half = state["uinteger"]
-        self._words = bit_generator.random_raw(0)
-        self._used = 0
-
-    def _reserve(self, end: int):
-        """Draw words on, if the block ends before position ``end``; the
-        block's bound ``item``."""
-        words = self._words
-        if end > len(words):
-            more = self._bit_generator.random_raw(max(end - len(words), len(words)))
-            words = self._words = np.concatenate((words, more)) if len(words) else more
-        return words.item
-
-    def schedule(self, order, rank, config: EvolutionConfig, dim: int, loci: int | None):
-        """The choices ``vary``'s loop makes for one generation, in its
-        draw order, for parents ranked by ``order`` and ``rank`` (see
-        ``_ranking``). Each offspring draws a double against the EDA share
-        when ``loci`` (the EDA model's locus count) is given, and then
-        either ``loci`` uniforms, or a tournament, a double against the
-        crossover rate, a second tournament and ``dim`` uniforms if it
-        crosses over, and ``dim`` uniforms to mutate. A tournament draws
-        ``config.tournament_size`` parents with replacement, and its
-        winner is the one of least rank.
-
-        Returns eight lists: the slots of the EDA offspring and where their
-        uniforms start; the slots of the tournament offspring, their first
-        winners and where their mutation uniforms start; and, for those
-        that cross over, their places among the tournament offspring, their
-        second winners and where their crossover uniforms start. ``doubles``
-        reads the uniforms.
-        """
-        count = config.subpop_size - config.elitism
-        n, size = len(order), config.tournament_size
-        eda, crossover = config.eda_fraction, config.crossover_rate
-        # every word an offspring reads, unless Lemire's rule rejects a half
-        per = 2 + size + max(loci or 0, 2 * dim)
-        # numpy tests a draw against the threshold only when m's low half
-        # is below n; the threshold is below n, so testing every draw
-        # rejects the same ones
-        threshold = ((1 << 32) - n) % n
-        draws = range(size if n > 1 else 0)
-        at, has_half, half = self._used, self._has_half, self._half
-        item = self._reserve(at + count * per)
-        eda_slots, eda_at = [], []
-        slots, firsts, mutate_at = [], [], []
-        crossed, seconds, cross_at = [], [], []
-        for slot in range(count):
-            if loci is not None:
-                at += 1
-                if (item(at - 1) >> 11) * _DOUBLE_UNIT < eda:
-                    eda_slots.append(slot)
-                    eda_at.append(at)
-                    at += loci
-                    continue
-            slots.append(slot)
-            for winners in (firsts, seconds):
-                best = n - 1  # no rank is greater
-                for _ in draws:
-                    while True:
-                        if has_half:
-                            has_half, m = 0, half * n
-                        else:
-                            word = item(at)
-                            at += 1
-                            has_half, half = 1, word >> 32
-                            m = (word & _LOW_HALF) * n
-                        if m & _LOW_HALF >= threshold:
-                            break
-                        # a rejected half: room for the rest of the generation
-                        item = self._reserve(at + (count - slot) * per)
-                    drawn = rank[m >> 32]
-                    if drawn < best:
-                        best = drawn
-                winners.append(order[best])
-                if winners is seconds:
-                    cross_at.append(at)
-                    at += dim
-                    break
-                at += 1
-                if (item(at - 1) >> 11) * _DOUBLE_UNIT >= crossover:
-                    break
-                crossed.append(len(slots) - 1)
-            mutate_at.append(at)
-            at += dim
-        self._used, self._has_half, self._half = at, has_half, half
-        return eda_slots, eda_at, slots, firsts, mutate_at, crossed, seconds, cross_at
-
-    def doubles(self, starts, count: int) -> np.ndarray:
-        """The doubles of the ``count`` words from each of ``starts``
-        (positions ``schedule`` gave), one row per start."""
-        at = np.asarray(starts, dtype=np.intp)[:, None] + np.arange(count)
-        return (self._words[at] >> np.uint64(11)) * _DOUBLE_UNIT
-
-    def close(self) -> None:
-        """Leave the bit generator where the replayed draws leave it."""
-        bit_generator = self._bit_generator
-        bit_generator.advance(self._used - len(self._words))
-        state = bit_generator.state  # advance drops the waiting half
-        state["has_uint32"], state["uinteger"] = self._has_half, self._half
-        bit_generator.state = state
-
-
 def vary(parents, fitness, config: EvolutionConfig, problem, rng) -> list:
     """Produce subpop_size - elitism offspring genotypes.
 
@@ -394,10 +263,10 @@ def vary(parents, fitness, config: EvolutionConfig, problem, rng) -> list:
     per call, the marginals' CDFs are built once per call, and each EDA
     offspring takes one uniform per locus.
 
-    A domain whose variation has row forms fed uniforms (bitstrings) on
-    numpy's PCG64 stream, the one ``default_rng`` gives, is varied in one
-    block (see ``_vary_rows``); any other goes offspring by offspring,
-    and both draw the same offspring from the same stream.
+    A domain whose variation has row forms fed uniforms (bitstrings) is
+    varied from a few block draws (see ``_vary_rows``); any other goes
+    offspring by offspring. Each offspring has the same distribution on
+    either path; only which draws make which choice differs.
     """
     if not parents:
         raise ValueError("parents must be nonempty")
@@ -406,7 +275,7 @@ def vary(parents, fitness, config: EvolutionConfig, problem, rng) -> list:
     model = None
     if config.eda_fraction > 0 and len(parents) >= EDA_MIN_PARENT_POOL:
         model = _eda_model(parents, order, problem, config.subpop_size)
-    if hasattr(problem, "mutate_rows") and type(rng.bit_generator) is np.random.PCG64:
+    if hasattr(problem, "mutate_rows"):
         return _vary_rows(parents, order, rank, model, config, problem, rng)
     size = config.tournament_size
     offspring = []
@@ -424,39 +293,45 @@ def vary(parents, fitness, config: EvolutionConfig, problem, rng) -> list:
 
 
 def _vary_rows(parents, order, rank, model, config: EvolutionConfig, problem, rng) -> list:
-    """``vary``'s offspring from one block of the PCG64 stream's words.
-
-    ``WordReplay.schedule`` makes ``vary``'s choices in its order (EDA
-    or tournament, each tournament's draws, crossover or not) in one
-    loop and notes where each offspring's per-locus or per-bit uniforms
-    lie; the domain's row operators then sample, cross and mutate every
-    offspring at once from those uniforms.
+    """``vary``'s offspring from seven block draws, in this order: one
+    uniform per offspring against the EDA share, only when there is an
+    EDA model; ``tournament_size`` parent draws per other offspring, in
+    slot order, each row won by its parent of least rank (see
+    ``_ranking``); one uniform per tournament offspring against the
+    crossover rate; the second tournaments of those that cross over;
+    their per-bit crossover uniforms; every tournament offspring's
+    per-bit mutation uniforms; and the EDA offspring's per-locus
+    uniforms. The domain's row operators then cross, mutate (a crossed
+    offspring after crossover) and sample every offspring at once.
     """
     count = config.subpop_size - config.elitism
-    dim = problem.dimension
-    replay = WordReplay(rng.bit_generator)
-    loci = None if model is None else model[1].shape[0]
-    eda_slots, eda_at, slots, firsts, mutate_at, crossed, seconds, cross_at = replay.schedule(
-        order, rank, config, dim, loci
-    )
-    replay.close()
+    n, size, dim = len(order), config.tournament_size, problem.dimension
+    order, rank = np.asarray(order), np.asarray(rank)
+    eda = np.zeros(count, dtype=bool)
+    if model is not None:
+        eda = rng.random(count) < config.eda_fraction
+    slots = np.flatnonzero(~eda)
+    firsts = order[rank[rng.integers(0, n, size=(len(slots), size))].min(axis=1)]
+    crossed = np.flatnonzero(rng.random(len(slots)) < config.crossover_rate)
+    seconds = order[rank[rng.integers(0, n, size=(len(crossed), size))].min(axis=1)]
 
     offspring = [None] * count
-    if slots:
+    if len(slots):
         stack = problem.stack([p.genotype for p in parents])
         children = stack[firsts]
-        if crossed:
+        if len(crossed):
             children[crossed] = problem.crossover_rows(
-                children[crossed], stack[seconds], replay.doubles(cross_at, dim)
+                children[crossed], stack[seconds], rng.random((len(crossed), dim))
             )
         rows = problem.mutate_rows(
-            children, config.mutation_rate, replay.doubles(mutate_at, dim)
+            children, config.mutation_rate, rng.random((len(slots), dim))
         )
-        for slot, row in zip(slots, rows):
+        for slot, row in zip(slots.tolist(), rows):
             offspring[slot] = row
-    if eda_slots:
-        values = _eda_values(model, replay.doubles(eda_at, loci))
-        for slot, row in zip(eda_slots, problem.from_loci_rows(values)):
+    eda_slots = np.flatnonzero(eda)
+    if len(eda_slots):
+        values = _eda_values(model, rng.random((len(eda_slots), model[1].shape[0])))
+        for slot, row in zip(eda_slots.tolist(), problem.from_loci_rows(values)):
             offspring[slot] = row
     return offspring
 
@@ -517,10 +392,12 @@ def run_subpopulation(
     the view through ``rm``, its ResolvedMetric; unguided, a sample's
     fitness is its score. The subpop_size fittest view samples seed the
     parents; new evaluations append to the shared ledger. Each
-    generation's offspring are screened in order, and the burst ends at
+    generation's offspring are taken in order, and the burst ends at
     the first that reaches the target or that the spent budget cannot
-    take. The filter's rows and estimates are built a chunk of offspring
-    at a time, in one block (see ``_chunk_end``).
+    take. A guided burst with a positive quantile filters them, unless
+    its view is too small to estimate a candidate (see
+    ``FilterPolicy.warm``); the filter's rows and estimates are built a
+    chunk of offspring at a time, in one block (see ``_chunk_end``).
     """
     problem, rng = state.problem, state.rng
     guided = target is not None
@@ -532,8 +409,7 @@ def run_subpopulation(
     seed_idx = fittest_first(view_fitness)[: config.subpop_size]
     parents = [view.samples[i] for i in seed_idx.tolist()]
     fitness = view_fitness[seed_idx].tolist()
-    filtering = guided and policy.threshold_quantile > 0
-    estimating = filtering and policy.warm(len(view))
+    filtering = guided and policy.threshold_quantile > 0 and policy.warm(len(view))
     if filtering:
         threshold = float(np.quantile(view_fitness, policy.threshold_quantile))
 
@@ -560,18 +436,15 @@ def run_subpopulation(
                 break
             report.candidates_generated += 1
             if filtering:
-                estimate = float("nan")
-                if estimating:
-                    if i >= chunk_end:
-                        chunk_start, chunk_end = i, _chunk_end(offspring, keys, i, rm, state)
-                        rows, orders = rm.rows_of(
-                            offspring[chunk_start:chunk_end], keys[chunk_start:chunk_end]
-                        )
-                        estimates = guidance.filter_estimates(
-                            rows, orders, policy.k, view_fitness
-                        ).tolist()
-                    estimate = estimates[i - chunk_start]
-                ok, _est = guidance.should_evaluate(estimate, threshold)
+                if i >= chunk_end:
+                    chunk_start, chunk_end = i, _chunk_end(offspring, keys, i, rm, state)
+                    rows, orders = rm.rows_of(
+                        offspring[chunk_start:chunk_end], keys[chunk_start:chunk_end]
+                    )
+                    estimates = guidance.filter_estimates(
+                        rows, orders, policy.k, view_fitness
+                    ).tolist()
+                ok, _est = guidance.should_evaluate(estimates[i - chunk_start], threshold)
                 if not ok:
                     report.candidates_skipped += 1
                     state.skipped_total += 1

@@ -15,7 +15,6 @@ at a time.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -120,12 +119,9 @@ def should_evaluate(estimate: float, threshold: float) -> tuple[bool, float]:
     """Decide whether a candidate whose filter estimate is ``estimate``
     is worth an expensive evaluation.
 
-    Returns (evaluate?, estimate). A NaN estimate, which a cold view
-    gives (see ``FilterPolicy.warm``), always evaluates.
+    Returns (evaluate?, estimate).
     """
     estimate = float(estimate)
-    if math.isnan(estimate):
-        return True, estimate
     return estimate >= threshold, estimate
 
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from infoevo import manifold
+from infoevo import guidance, manifold
 from infoevo.core import (
     EvaluationLedger,
     ResolvedMetric,
@@ -12,6 +12,7 @@ from infoevo.core import (
 )
 from infoevo.domains import OneMax
 from infoevo.errors import EmptyLedger
+from infoevo.evolve import EvolutionConfig, RunState, run_subpopulation
 from infoevo.guidance import (
     FilterPolicy,
     filter_estimates,
@@ -161,16 +162,32 @@ def test_estimate_fitness_between_neighbors():
     assert lo - 1e-12 <= est <= hi + 1e-12
 
 
-def test_should_evaluate_cold_start():
-    view, rm = scalar_setup([0.0, 5.0])
-    ledger_mf = ledger_modified_fitness(point_mass(1, 2), 7, rm)
-    thr = float(np.quantile(ledger_mf, 0.25))
-    # a view of fewer than 2k samples gives no estimate, and its
-    # candidates are evaluated
-    assert not FilterPolicy(k=7).warm(len(view)) and FilterPolicy(k=1).warm(len(view))
-    ok, est = should_evaluate(float("nan"), thr)
-    assert ok
-    assert np.isnan(est)
+def test_should_evaluate_cold_start(monkeypatch):
+    # a guided burst on a view of fewer than 2k samples cannot estimate a
+    # candidate, so it screens none and evaluates every one
+    problem, ledger = make_scalar_ledger([0.0, 5.0, 9.0], budget=100)
+    view = view_of(ledger)
+    policy = FilterPolicy(k=7, threshold_quantile=0.5)
+    assert not policy.warm(len(view)) and FilterPolicy(k=1).warm(len(view))
+    rm = ResolvedMetric(problem, view, 1.0, ledger, len(view))
+    screened = []
+
+    def recording(*args):
+        screened.append(args)
+        return should_evaluate(*args)
+
+    monkeypatch.setattr(guidance, "should_evaluate", recording)
+    state = RunState(
+        ledger=ledger,
+        problem=problem,
+        rng=np.random.default_rng(0),
+        gamma=0.25,
+        threshold_quantile=policy.threshold_quantile,
+    )
+    config = EvolutionConfig(subpop_size=3, generations_per_round=3, elitism=1)
+    report = run_subpopulation(view, config, state, policy, rm, point_mass(2, 3))
+    assert report.candidates_generated > 0 and not screened
+    assert report.candidates_evaluated == report.candidates_generated
 
 
 def test_should_evaluate_quantile_zero_accepts_all(rng):

@@ -8,6 +8,7 @@ rankings by stable argsort."""
 
 import heapq
 import itertools
+import math
 from unittest import mock
 
 import numpy as np
@@ -55,7 +56,6 @@ from infoevo.evolve import (
     EDA_MIN_PARENT_POOL,
     EvolutionConfig,
     RunState,
-    WordReplay,
     _eda_model,
     _guided_fitness,
     _next_generation,
@@ -438,8 +438,14 @@ def test_vary_all_eda_matches_choice_per_locus(problem, n_parents, subpop, seed)
     kids = vary(parents, fitness, config, problem, rng)
     top = [problem.loci(parents[i].genotype) for i in top_quartile(fitness)]
     alphabets = [problem.alphabet] * len(top[0])
+    block = isinstance(problem, BitstringProblem)
+    if block:
+        # a bitstring generation reads its EDA mask block, then its locus
+        # block, one double per locus, as one choice per locus reads it
+        assert (ref.random(len(kids)) < 1.0).all()
     for kid in kids:
-        assert ref.random() < 1.0  # vary's EDA-or-tournament draw
+        if not block:
+            assert ref.random() < 1.0  # vary's EDA-or-tournament draw
         values = choice_per_locus(top, alphabets, subpop, ref)
         assert np.array_equal(kid, problem.from_loci(values, ref))
     assert rng.bit_generator.state == ref.bit_generator.state
@@ -519,16 +525,55 @@ VARY_PROBLEMS = {
 }
 
 
-class LoopPCG64(np.random.PCG64):
-    """PCG64 under another type: the same stream, on which ``vary`` takes
-    its offspring-by-offspring loop."""
+class Drawn:
+    """A stand-in generator whose ``random`` returns uniforms drawn ahead."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def random(self, size=None):
+        return self.u
 
 
-def stream_state(rng) -> tuple:
-    """Where a generator's stream stands: its PCG64 state and waiting
-    32-bit half, whatever the bit generator's type is called."""
-    state = rng.bit_generator.state
-    return state["state"], state["has_uint32"], state["uinteger"]
+def reference_block_vary(parents, fitness, config, problem, rng):
+    """A bitstring generation as ``vary`` draws it, in seven blocks: the
+    EDA mask (only with an EDA model), the first tournaments, the
+    crossover mask, the second tournaments, the crossover uniforms, the
+    mutation uniforms and the EDA offspring's locus uniforms; then each
+    offspring built on its own, in slot order. A tournament is won by its
+    draw of least rank, ranks taken fittest first, ties to the earlier."""
+    fitness = list(fitness)
+    count = config.subpop_size - config.elitism
+    n, size, dim = len(parents), config.tournament_size, problem.dimension
+    order = fitness_order(fitness)
+    rank = {i: r for r, i in enumerate(order)}
+    model = None
+    if config.eda_fraction > 0 and len(parents) >= EDA_MIN_PARENT_POOL:
+        model = _eda_model(parents, order, problem, config.subpop_size)
+    eda = [False] * count
+    if model is not None:
+        eda = [u < config.eda_fraction for u in rng.random(count)]
+    slots = [i for i in range(count) if not eda[i]]
+
+    def winners(draws):
+        return [parents[order[min(rank[int(i)] for i in row)]] for row in draws]
+
+    firsts = winners(rng.integers(0, n, size=(len(slots), size)))
+    crossing = [u < config.crossover_rate for u in rng.random(len(slots))]
+    seconds = iter(winners(rng.integers(0, n, size=(sum(crossing), size))))
+    cross_u = iter(rng.random((sum(crossing), dim)))
+    mutate_u = rng.random((len(slots), dim))
+    offspring = [None] * count
+    for j, slot in enumerate(slots):
+        child = firsts[j].genotype
+        if crossing[j]:
+            child = problem.crossover(child, next(seconds).genotype, Drawn(next(cross_u)))
+        offspring[slot] = problem.mutate(child, config.mutation_rate, Drawn(mutate_u[j]))
+    locus_u = iter(rng.random((count - len(slots), dim)))
+    for slot in range(count):
+        if eda[slot]:
+            offspring[slot] = _sample_eda(model, problem, Drawn(next(locus_u)))
+    return offspring
 
 
 @settings(max_examples=150, deadline=None)
@@ -548,7 +593,9 @@ def test_vary_keeps_the_random_stream(
     name, n_parents, size, levels, eda, crossover, mutation, waiting, seed
 ):
     problem = VARY_PROBLEMS[name]()
-    reference = ReferenceBits(problem) if isinstance(problem, BitstringProblem) else problem
+    block = isinstance(problem, BitstringProblem)
+    reference = ReferenceBits(problem) if block else problem
+    reference_draws = reference_block_vary if block else reference_vary
     init = np.random.default_rng(seed)
     ledger = EvaluationLedger(budget=n_parents)
     while ledger.eval_count < n_parents:
@@ -564,167 +611,89 @@ def test_vary_keeps_the_random_stream(
         mutation_rate=mutation,
     )
     rng, ref = np.random.default_rng(seed + 1), np.random.default_rng(seed + 1)
-    loop = np.random.Generator(LoopPCG64(seed + 1))
     if waiting:
-        for g in (rng, ref, loop):
+        for g in (rng, ref):
             g.integers(0, 3, size=1)  # leaves the word's upper half waiting
     for _ in range(3):
         got = vary(parents, fitness, config, problem, rng)
-        expected = reference_vary(parents, fitness, config, reference, ref)
+        expected = reference_draws(parents, fitness, config, reference, ref)
         assert len(got) == len(expected)
         assert all(same_offspring(a, b) for a, b in zip(got, expected))
         assert rng.bit_generator.state == ref.bit_generator.state
-        # a bitstring generation is drawn in one block on PCG64; the
-        # offspring-by-offspring loop draws the same from the same stream
-        looped = vary(parents, fitness, config, problem, loop)
-        assert all(same_offspring(a, b) for a, b in zip(looped, got))
-        assert stream_state(loop) == stream_state(rng)
     assert rng.random() == ref.random()
 
 
-# numpy's bounded draws below n: n = 1 draws nothing, a small n is almost
-# never rejected, and above 2**31 Lemire's rule rejects about half the draws
-bounds = st.one_of(st.just(1), st.integers(2, 64), st.integers(2**31 + 1, 2**32 - 1))
+class CountingOneMax(OneMax):
+    """OneMax whose row operators count what they are given: the parents
+    a crossover reads, by their rank, the crossovers, the mutated
+    offspring and their flipped bits, and the EDA offspring. Both of
+    ``vary``'s paths reach these operators, the loop through ``mutate``,
+    ``crossover`` and ``from_loci``."""
+
+    def __init__(self, bits, genotypes, rank):
+        super().__init__(bits)
+        self.parent_of = {bytes(g): i for i, g in enumerate(genotypes)}
+        self.rank = rank
+        self.winners = np.zeros(len(genotypes), dtype=int)
+        self.crossed = self.mutated = self.flips = self.eda = 0
+
+    def crossover_rows(self, a, b, u):
+        for row in (*np.atleast_2d(a), *np.atleast_2d(b)):
+            self.winners[self.rank[self.parent_of[row.tobytes()]]] += 1
+        self.crossed += len(np.atleast_2d(a))
+        return super().crossover_rows(a, b, u)
+
+    def mutate_rows(self, rows, rate, u):
+        self.mutated += len(np.atleast_2d(rows))
+        self.flips += int((u < rate).sum())
+        return super().mutate_rows(rows, rate, u)
+
+    def from_loci_rows(self, values):
+        self.eda += len(np.atleast_2d(values))
+        return super().from_loci_rows(values)
 
 
-def schedule_config(count, size, crossover=0.0, eda=0.0) -> EvolutionConfig:
-    """Settings of a generation of ``count`` offspring."""
-    return EvolutionConfig(
-        subpop_size=count + 1,
-        elitism=1,
-        tournament_size=size,
-        crossover_rate=crossover,
-        eda_fraction=eda,
+def within_3_standard_errors(hits_a, n_a, hits_b, n_b) -> bool:
+    """Whether two observed shares differ by at most 3 standard errors
+    of their difference."""
+    pa, pb = hits_a / n_a, hits_b / n_b
+    se = math.sqrt(pa * (1 - pa) / n_a + pb * (1 - pb) / n_b)
+    return abs(pa - pb) <= 3 * se
+
+
+def test_vary_block_draws_give_the_loops_distribution():
+    """A bitstring generation drawn in blocks and the offspring-by-offspring
+    loop are the same random process: over 2,000 generations of OneMax-8
+    from five parents on tied fitness levels, the winners' ranks, the
+    crossover and EDA shares and the per-bit flip rate agree within 3
+    standard errors."""
+    bits = 8
+    genotypes = [np.unpackbits(np.array([v], dtype=np.uint8)) for v in (3, 90, 17, 200, 64)]
+    fitness = [1.0, 2.0, 0.0, 2.0, 1.0]  # not in rank order: order is [1, 3, 0, 4, 2]
+    order = fitness_order(fitness)
+    rank = {i: r for r, i in enumerate(order)}
+    config = EvolutionConfig()
+    counts = []
+    for draw, seed in ((vary, 11), (reference_vary, 12)):
+        problem = CountingOneMax(bits, genotypes, rank)
+        ledger = EvaluationLedger(budget=len(genotypes))
+        parents = [evaluate(g, problem, ledger) for g in genotypes]
+        rng = np.random.default_rng(seed)
+        for _ in range(2000):
+            draw(parents, fitness, config, problem, rng)
+        counts.append(problem)
+    block, loop = counts
+    offspring = 2000 * (config.subpop_size - config.elitism)
+    assert block.winners.sum() > 50_000
+    for r in range(len(genotypes)):
+        assert within_3_standard_errors(
+            block.winners[r], block.winners.sum(), loop.winners[r], loop.winners.sum()
+        )
+    assert within_3_standard_errors(block.crossed, block.mutated, loop.crossed, loop.mutated)
+    assert within_3_standard_errors(block.eda, offspring, loop.eda, offspring)
+    assert within_3_standard_errors(
+        block.flips, block.mutated * bits, loop.flips, loop.mutated * bits
     )
-
-
-def reference_schedule(order, rank, config, dim, loci, rng):
-    """``WordReplay.schedule``'s choices, made by ``vary``'s loop's calls
-    on the Generator ``rng``, with each offspring's uniforms in place of
-    where they start."""
-    count, size, n = config.subpop_size - config.elitism, config.tournament_size, len(order)
-    eda_slots, eda_u, slots, firsts, mutate_u, crossed, seconds, cross_u = ([] for _ in range(8))
-    for slot in range(count):
-        if loci is not None and rng.random() < config.eda_fraction:
-            eda_slots.append(slot)
-            eda_u.append(rng.random(loci))
-            continue
-        slots.append(slot)
-        firsts.append(order[min(rank[i] for i in rng.integers(0, n, size=size).tolist())])
-        if rng.random() < config.crossover_rate:
-            crossed.append(len(slots) - 1)
-            seconds.append(order[min(rank[i] for i in rng.integers(0, n, size=size).tolist())])
-            cross_u.append(rng.random(dim))
-        mutate_u.append(rng.random(dim))
-    return eda_slots, eda_u, slots, firsts, mutate_u, crossed, seconds, cross_u
-
-
-def replayed_schedule(rng, n, config, dim=0, loci=None):
-    """``WordReplay.schedule`` on ``rng``'s bit generator, closed, for n
-    parents ranked in index order (``range(n)`` is both order and rank),
-    so a tournament's winner is its least draw; with the uniforms read in
-    place of where they start."""
-    replay = WordReplay(rng.bit_generator)
-    got = list(replay.schedule(range(n), range(n), config, dim, loci))
-    replay.close()
-    for i, width in ((1, loci), (4, dim), (7, dim)):
-        got[i] = list(replay.doubles(got[i], width)) if got[i] else []
-    return got
-
-
-def assert_same_schedule(got, expected):
-    for a, b in zip(got, expected):
-        assert [np.asarray(x).tobytes() for x in a] == [np.asarray(x).tobytes() for x in b]
-
-
-@settings(max_examples=200, deadline=None)
-@given(
-    bounds,
-    st.integers(1, 12),  # offspring
-    st.integers(1, 4),  # tournament size: one keeps every draw
-    st.sampled_from([0.0, 1.0]),  # crossover rate: two tournaments or one
-    st.booleans(),  # a 32-bit half waiting in the generator
-    st.integers(0, 2**32 - 1),
-)
-def test_word_replay_draws_numpys_bounded_integers(n, count, size, crossover, waiting, seed):
-    rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
-    if waiting:
-        rng.integers(0, 3, size=1)
-        ref.integers(0, 3, size=1)
-    config = schedule_config(count, size, crossover)
-    got = replayed_schedule(rng, n, config)
-    expected = reference_schedule(range(n), range(n), config, 0, None, ref)
-    assert_same_schedule(got, expected)
-    assert len(got[6]) == (count if crossover else 0)
-    assert rng.bit_generator.state == ref.bit_generator.state
-    assert rng.random() == ref.random()
-
-
-@settings(max_examples=200, deadline=None)
-@given(
-    bounds,
-    st.integers(1, 10),  # offspring
-    st.integers(1, 3),  # tournament size
-    st.sampled_from([0.0, 0.5, 1.0]),  # crossover rate
-    st.sampled_from([0.0, 0.5, 1.0]),  # EDA share
-    st.one_of(st.none(), st.integers(1, 5)),  # EDA loci, or no EDA model
-    st.integers(0, 5),  # uniforms per mutation and crossover
-    st.booleans(),  # a 32-bit half waiting in the generator
-    st.integers(0, 2**32 - 1),
-)
-def test_word_replay_interleaves_doubles_and_halves_as_numpy(
-    n, count, size, crossover, eda, loci, dim, waiting, seed
-):
-    """Doubles take whole words and leave a waiting half for the next
-    bounded draw, as the generator does."""
-    rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
-    if waiting:
-        rng.integers(0, 3, size=1)
-        ref.integers(0, 3, size=1)
-    config = schedule_config(count, size, crossover, eda)
-    got = replayed_schedule(rng, n, config, dim, loci)
-    assert_same_schedule(got, reference_schedule(range(n), range(n), config, dim, loci, ref))
-    assert rng.bit_generator.state == ref.bit_generator.state
-    assert rng.random() == ref.random()
-
-
-def at_next_word(bit_generator, word: int, waiting: int | None = None):
-    """Set ``bit_generator`` so that its next raw word is ``word``, with
-    the 32-bit half ``waiting`` in its cache, or none. PCG64 steps, then
-    outputs its state's 64-bit halves xor-ed and rotated by the top six
-    bits: a state whose upper half is 0 outputs its lower half."""
-    state = bit_generator.state
-    state["state"]["state"] = word
-    bit_generator.state = state
-    bit_generator.advance(-1)
-    state = bit_generator.state
-    state["has_uint32"], state["uinteger"] = (0, 0) if waiting is None else (1, waiting)
-    bit_generator.state = state
-
-
-@pytest.mark.parametrize("n", [3, 7, 63, 2**31 + 1, 3_000_000_001, 2**32 - 1])
-@pytest.mark.parametrize("below", [0, 1])  # the half at Lemire's threshold, or just below
-@pytest.mark.parametrize("waiting", [False, True])
-def test_word_replay_at_lemires_threshold(n, below, waiting):
-    """A draw whose low 32 bits of ``half * n`` equal ``(2**32 - n) % n``
-    is kept, and one just below it is drawn again."""
-    threshold = ((1 << 32) - n) % n
-    half = (threshold - below) * pow(n, -1, 1 << 32) % (1 << 32)
-    assert half * n % (1 << 32) == threshold - below
-    rng, ref = np.random.default_rng(5), np.random.default_rng(5)
-    for g in (rng, ref):
-        if waiting:  # the half waits, and the next word follows it
-            at_next_word(g.bit_generator, 0x9E3779B97F4A7C15, waiting=half)
-        else:
-            at_next_word(g.bit_generator, (0x9E3779B9 << 32) | half)
-    # three one-draw tournaments, the first of which reads the half
-    config = schedule_config(3, 1)
-    got = replayed_schedule(rng, n, config)
-    assert_same_schedule(got, reference_schedule(range(n), range(n), config, 0, None, ref))
-    if not below:
-        assert got[3][0] == half * n >> 32
-    assert rng.bit_generator.state == ref.bit_generator.state
-    assert rng.random() == ref.random()
 
 
 # --- the run memo ---

@@ -17,28 +17,28 @@ ROOT = Path(__file__).resolve().parents[1]
 
 PINS = {
     "onemax50-guided-s1": (
-        "535349594a780b0c6c8be78684e732fa5f97bbbe0a7433462d4eae15c8574442",
-        1515,
-        1548,
-        1515,
+        "463d409ec85576e30c455d23d66dbe9753b0b93af7bdf8cf7c02461e3dce20e4",
+        1225,
+        1245,
+        1225,
     ),
     "onemax50-guided-s2": (
-        "09cc3846afa5c15da53cfb9244a43afece3e6b7eddea8a241b2e196d3da62ecf",
-        1074,
-        1092,
-        1074,
+        "c6c14a6d43c9d3f43d42e0a33e4eecc312e5e5793933fc591a5f280d8464ebe7",
+        1298,
+        1314,
+        1298,
     ),
     "onemax50-guided-s3": (
-        "5ce2f7e670563b674e29f9d7c5efbe44d8279e1e4be3eef639a989596e5413f9",
-        1461,
-        1505,
-        1461,
+        "9327c87a01fac7fd0358d696c67737da141815e00b658b2e6b09057367698f6c",
+        1485,
+        1529,
+        1485,
     ),
     "onemax50-baseline-s1": (
-        "4b7ae804885c167c434e9628147fe06677d0dc725df1f37fbc0bacceda0602c6",
-        791,
-        791,
-        791,
+        "408472b08d969467896081e427ff65d89f55545be6ed642f40d08ff664f723b5",
+        858,
+        858,
+        858,
     ),
     "symreg-cubic-cap64-s5": (
         "39ef72d904f4f1cbb245c5a84a725d87decd1752a531bf3f08d48b6d90ce95e6",

@@ -22,13 +22,14 @@ with one setting changed (among them a filter k and a promise k_local,
 each large enough to set how many neighbors the metric's orders keep),
 guided symreg on a 3-d chart and on a 1-d chart, whose cone rays
 coincide with +-e1 and are refined as a block of duplicate rays, guided
-symreg with depth-1 programs, whose view holds six samples, guided
+symreg with depth-1 programs, whose view holds six samples, too few
+for the filter, so no candidate is screened, guided
 trap5-20 with one ray per round, which has rounds whose filter skips
 every new candidate, guided OneMax-50 with the filter off, whose new
 parents' rows are built by their own neighbor query since no chunk is
 screened, guided symreg on the built-in 4-point dataset, unguided symreg
 on the cubic dataset, whose runs read program scores only, and runs
-through each branch of a bitstring generation drawn as one block:
+through each branch of a bitstring generation drawn from block calls:
 unguided trap5-30, guided OneMax-50 whose every offspring is
 EDA-sampled, guided OneMax-50 with no crossover and tournaments of one, and
 unguided OneMax-50 that always crosses over and flips every bit.
@@ -38,7 +39,7 @@ Guided OneMax-100 packs each genotype into two 64-bit words, so its
 Hamming distances sum popcounts over more than one word, as no other
 bitstring run here (at most 50 bits, one word) does.
 Guided OneMax-20 with a subpopulation of one and no elitism varies
-generations of one parent, whose tournaments read no random words.
+generations of one parent, whose tournaments draw only index 0.
 The cubic dataset is written with ``perfbench/make_dataset.py`` to a
 temporary directory.
 
