@@ -14,7 +14,7 @@ through it and answer in view positions.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Any, Sequence
 
 import numpy as np
@@ -23,6 +23,7 @@ from .domains.base import Problem
 from .errors import BudgetExhausted, EmptyLedger
 
 PAIR_SAMPLE_LIMIT = 1000  # pairs sampled when scaling the blended metric
+SCALE_PAIR_SIZES = 16  # view sizes whose scale pairs are kept
 # blocks of fewer entries take the sliced full sort: timed against the
 # argmin passes at k = 7 on tie-heavy blocks 64, 96 and 256 columns wide,
 # the sort won below about 1,300 entries, the two were within about 10%
@@ -30,7 +31,7 @@ PAIR_SAMPLE_LIMIT = 1000  # pairs sampled when scaling the blended metric
 TOP_K_SELECT_MIN = 1536
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ScoredSample:
     """One evaluated genotype with its memoized score; ``id`` is its
     position in its ledger's evaluation order."""
@@ -206,18 +207,15 @@ def evaluate(genotype, problem, ledger: EvaluationLedger) -> ScoredSample:
     costs no second objective call.
     """
     key = problem.canonical_key(genotype)
-    cached = ledger.lookup(key)
+    cached = ledger._by_key.get(key)
     if cached is not None:
         return cached
-    if ledger.eval_count >= ledger.budget:
+    count = len(ledger.samples)
+    if count >= ledger.budget:
         raise BudgetExhausted(
             f"budget of {ledger.budget} evaluations exhausted"
         )
-    sample = ScoredSample(
-        id=len(ledger.samples),
-        genotype=genotype,
-        score=ledger.score_of(genotype, problem, key),
-    )
+    sample = ScoredSample(count, genotype, ledger.score_of(genotype, problem, key))
     ledger._append(sample, key)
     return sample
 
@@ -240,29 +238,35 @@ def normalize_scores(scores, population) -> np.ndarray:
         return np.clip((scores - lo) / (hi - lo), 0.0, 1.0)
 
 
-def stable_top_k(rows: np.ndarray, k: int) -> np.ndarray:
-    """The first k columns of ``np.argsort(rows, axis=-1, kind="stable")``,
-    bit for bit: each row's k nearest positions, ties toward the earlier.
+def nearest(block: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's min(k, n) nearest positions and their distances, two m
+    by min(k, n) blocks: the first k columns of
+    ``np.argsort(block, axis=-1, kind="stable")`` and the entries of
+    ``block`` there, bit for bit, so ties go to the earlier position.
 
-    A block of at least TOP_K_SELECT_MIN entries selects rather than
-    sorts: k passes of ``argmin`` over a copy of the block, each taking
-    every row's least entry, the first of equal ones, and setting it to
-    +inf, so the passes take the entries in the stable sort's order. A
-    smaller or empty block, a block with a non-finite entry (a +inf
-    there would tie with a taken entry, a NaN sorts last), or k >= n
-    takes the full stable sort.
+    A block of at least TOP_K_SELECT_MIN entries is selected in place:
+    k passes of ``argmin``, each taking every row's least entry, the
+    first of equal ones, recording it and setting it to +inf, so the
+    passes take the entries in the stable sort's order. ``block`` is
+    the caller's to give up: those passes overwrite it, and it is not
+    read again. A smaller or empty block, a block with a non-finite
+    entry (a +inf there would tie with a taken entry, a NaN sorts
+    last), or k >= n takes the full stable sort and is left as it was.
     """
-    m, n = rows.shape
-    small = not m or rows.size < TOP_K_SELECT_MIN
-    if k >= n or small or not rows.max() < np.inf:
-        return np.ascontiguousarray(np.argsort(rows, axis=1, kind="stable")[:, :k])
-    block = rows.copy()
+    m, n = block.shape
+    small = not m or block.size < TOP_K_SELECT_MIN
+    if k >= n or small or not block.max() < np.inf:
+        idx = np.ascontiguousarray(np.argsort(block, axis=1, kind="stable")[:, :k])
+        return idx, block[np.arange(m)[:, None], idx]
     taken = np.empty((k, m), dtype=np.intp)
+    dists = np.empty((k, m))
     flat = np.arange(0, m * n, n)  # each row's first entry in the flat block
     for j in range(k):
         block.argmin(axis=1, out=taken[j])
-        block.put(flat + taken[j], np.inf)
-    return np.ascontiguousarray(taken.T)
+        at = flat + taken[j]
+        block.take(at, out=dists[j])
+        block.put(at, np.inf)
+    return np.ascontiguousarray(taken.T), np.ascontiguousarray(dists.T)
 
 
 def behavior_distances(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
@@ -286,6 +290,26 @@ def behavior_distances(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
     return np.linalg.norm(ys[None] - xs[:, None], axis=-1)
 
 
+@lru_cache(maxsize=SCALE_PAIR_SIZES)
+def _scale_pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The view pairs (i, j), i != j, whose median distances scale a
+    blended metric on a view of n >= 2 samples, as two read-only index
+    arrays: every pair i < j when there are at most PAIR_SAMPLE_LIMIT,
+    else the first PAIR_SAMPLE_LIMIT distinct pairs of a fixed draw. The
+    same n gives the same pairs, so each n's are drawn once."""
+    if n * (n - 1) // 2 <= PAIR_SAMPLE_LIMIT:
+        ii, jj = np.triu_indices(n, 1)
+    else:
+        rng = np.random.default_rng(0xC0FFEE)
+        ii = rng.integers(0, n, size=2 * PAIR_SAMPLE_LIMIT)
+        jj = rng.integers(0, n, size=2 * PAIR_SAMPLE_LIMIT)
+        distinct = ii != jj
+        ii = ii[distinct][:PAIR_SAMPLE_LIMIT]
+        jj = jj[distinct][:PAIR_SAMPLE_LIMIT]
+    ii.flags.writeable = jj.flags.writeable = False
+    return ii, jj
+
+
 class ResolvedMetric:
     """The filter's distance, bound to a problem and a population view.
 
@@ -293,27 +317,29 @@ class ResolvedMetric:
     distance, weight ``1 - lam``; ``lam = 1`` is the genotypic metric and
     ``lam = 0`` the phenotypic one, exactly, and each reads only its own
     distance. The view it was built from is ``view``; every neighbor
-    query answers in positions of that view. Each row's order keeps only
-    its ``width`` nearest view positions, ``min(k, n)``: the most
-    neighbors any query of the run reads.
+    query answers in positions of that view. Each genotype's row keeps
+    only its ``width`` nearest view positions, ``min(k, n)``: the most
+    neighbors any query of the run reads, and its distances to them.
     Stacks the view's genotypes and computes its distance table once, at
     construction, as one n-by-n block: one genotypic block from a single
     ``geno_distances`` call, one behavior block, their blend, and each
-    row's k nearest in one ``stable_top_k`` call, so no distance is
-    computed or ordered twice. ``view_rows`` (n by n) and ``view_orders``
-    (n by width) are those blocks, row i being view sample i's, and
-    each sample's row and order are read-only views of them. Behavior
+    row's width nearest selected from that block in place by one
+    ``nearest`` call, so no distance is computed or ordered twice, and
+    the n-by-n blocks are dropped. ``view_orders`` (n by width) and the
+    distances at those positions are what is kept, row i being view
+    sample i's, and each sample's row is two read-only views of them. Behavior
     vectors come from ``memo``, the run's ledger the view was taken from,
     and new ones are added to it, so none is computed twice in a run;
-    the view samples' canonical keys are the memo's ``keys``. Genotypes
+    the view samples' canonical keys are the memo's ``keys``, and a
+    domain whose behavior is its score reads the view's scores. Genotypes
     outside the view get their rows on their first query, ``rows_of``
     building those of a list of genotypes in one block; later queries of
     the same genotype (equal canonical key) reuse it.
-    ``add_genotypic_rows`` computes the genotypic part of such rows for a
-    batch of genotypes in one block beforehand. Strictly
-    between the extremes, median scales over a deterministic sample of
-    view pairs, read from the two blocks, make the genotypic and
-    phenotypic terms comparable.
+    ``add_genotypic_rows`` computes the genotypic part of such rows, all
+    n distances each, for a batch of genotypes in one block beforehand.
+    Strictly between the extremes, median scales over a deterministic
+    sample of view pairs, read from the two blocks, make the genotypic
+    and phenotypic terms comparable.
     """
 
     def __init__(self, problem, view, lam: float, memo: EvaluationLedger, k: int):
@@ -332,59 +358,49 @@ class ResolvedMetric:
         self._kind = {1.0: "genotypic", 0.0: "phenotypic"}.get(lam, "blended")
         dg = dp = self._behaviors = None
         if self._kind != "genotypic":
-            b = self._behaviors = memo.behaviors_of(genos, problem, keys)
+            if behavior_is_score(problem):
+                # the memo's scores of the view samples, the same doubles
+                b = view.scores[:, None]
+            else:
+                b = memo.behaviors_of(genos, problem, keys)
+            self._behaviors = b
             dp = behavior_distances(b, b)
         if self._kind != "phenotypic":
             self._stacked = problem.stack(genos)
             dg = problem.geno_distances(self._stacked, self._stacked)
         self._geno_scale = 1.0
         self._pheno_scale = 1.0
-        if self._kind == "blended":
-            self._geno_scale, self._pheno_scale = self._median_scales(dg, dp)
-        rows = self._blend(dg, dp)
-        orders = stable_top_k(rows, self.width)
+        if self._kind == "blended" and len(view) >= 2:
+            ii, jj = _scale_pairs(len(view))
+            mg = float(np.median(dg[ii, jj]))
+            mp = float(np.median(dp[ii, jj]))
+            self._geno_scale = mg if mg > 0 else 1.0
+            self._pheno_scale = mp if mp > 0 else 1.0
+        orders, dists = nearest(self._blend(dg, dp), self.width)
         # shared by every query of a view sample
-        rows.flags.writeable = orders.flags.writeable = False
-        self.view_rows, self.view_orders = rows, orders
-        self._rows = dict(zip(keys, zip(rows, orders)))
+        orders.flags.writeable = dists.flags.writeable = False
+        self.view_orders = orders
+        self._rows = dict(zip(keys, zip(dists, orders)))
         # genotypic rows of genotypes outside the view, not yet queried
         self._pending: dict = {}
-
-    @staticmethod
-    def _median_scales(dg, dp) -> tuple[float, float]:
-        n = len(dg)
-        if n < 2:
-            return 1.0, 1.0
-        if n * (n - 1) // 2 <= PAIR_SAMPLE_LIMIT:
-            ii, jj = np.triu_indices(n, 1)
-        else:
-            rng = np.random.default_rng(0xC0FFEE)
-            ii = rng.integers(0, n, size=2 * PAIR_SAMPLE_LIMIT)
-            jj = rng.integers(0, n, size=2 * PAIR_SAMPLE_LIMIT)
-            distinct = ii != jj
-            ii = ii[distinct][:PAIR_SAMPLE_LIMIT]
-            jj = jj[distinct][:PAIR_SAMPLE_LIMIT]
-        mg = float(np.median(dg[ii, jj]))
-        mp = float(np.median(dp[ii, jj]))
-        return (mg if mg > 0 else 1.0), (mp if mp > 0 else 1.0)
 
     def _blend(self, dg, dp) -> np.ndarray:
         """The metric's distances from genotypic distances ``dg`` and
         behavior distances ``dp`` (either None where lam omits it). A
-        blend overwrites ``dp``."""
+        blend overwrites both."""
         if self._kind == "genotypic":
             return dg
         if self._kind == "phenotypic":
             return dp
         lam = self.lam
         # lam * dg / geno_scale + (1 - lam) * dp / pheno_scale, in that
-        # operation order, in place after the first product
-        out = lam * dg
-        out /= self._geno_scale
+        # operation order, in place
+        np.multiply(lam, dg, out=dg)
+        dg /= self._geno_scale
         np.multiply(1 - lam, dp, out=dp)
         dp /= self._pheno_scale
-        out += dp
-        return out
+        dg += dp
+        return dg
 
     def _keys(self, genotypes, keys) -> list:
         """The canonical keys of ``genotypes``: ``keys`` when given."""
@@ -397,8 +413,8 @@ class ResolvedMetric:
         (canonical keys ``keys``, computed when omitted) this metric holds
         no row for yet.
 
-        Calls no objective: the behavior part of each row, and its order,
-        are computed on the genotype's first query.
+        Calls no objective: the behavior part of each row, and its
+        nearest positions, are computed on the genotype's first query.
         """
         if self._kind == "phenotypic":
             return
@@ -427,10 +443,10 @@ class ResolvedMetric:
         )
 
     def _add_rows(self, fresh: dict) -> None:
-        """The rows and orders, in one block, of the genotypes that
-        ``fresh`` maps their canonical keys to, none of which has a row:
-        their behaviors through the memo, in order, one m-by-n behavior
-        block, their genotypic rows, one blend and one ``stable_top_k``."""
+        """The rows, in one block, of the genotypes that ``fresh`` maps
+        their canonical keys to, none of which has a row: their behaviors
+        through the memo, in order, one m-by-n behavior block, their
+        genotypic rows, one blend and one ``nearest``."""
         dg = dp = None
         if self._behaviors is not None:
             bx = self._memo.behaviors_of(fresh.values(), self.problem, fresh)
@@ -438,27 +454,27 @@ class ResolvedMetric:
         if self._kind != "phenotypic":
             self._add_pending({k: g for k, g in fresh.items() if k not in self._pending})
             dg = np.array([self._pending.pop(key) for key in fresh])
-        rows = self._blend(dg, dp)
-        orders = stable_top_k(rows, self.width)
+        orders, dists = nearest(self._blend(dg, dp), self.width)
         # shared by every query of these genotypes
-        rows.flags.writeable = orders.flags.writeable = False
-        self._rows.update(zip(fresh, zip(rows, orders)))
+        orders.flags.writeable = dists.flags.writeable = False
+        self._rows.update(zip(fresh, zip(dists, orders)))
 
     def rows_of(self, genotypes, keys=None) -> tuple[np.ndarray, np.ndarray]:
-        """The rows and orders of ``genotypes`` (a nonempty list; canonical
-        keys ``keys``, computed when omitted), stacked m by n and m by
-        width: each genotype's distances to the view and its ``width``
-        nearest view positions by ascending distance, ties toward the
-        earlier. The rows not built yet are built in one block."""
+        """The rows of ``genotypes`` (a nonempty list; canonical keys
+        ``keys``, computed when omitted), as two m-by-width blocks: each
+        genotype's distances to its ``width`` nearest view positions,
+        ascending, ties toward the earlier position, and those positions.
+        The rows not built yet are built in one block."""
         keys = self._keys(genotypes, keys)
+        rows = self._rows
         fresh = {}
         for key, g in zip(keys, genotypes):
-            if key not in self._rows:
+            if key not in rows:
                 fresh.setdefault(key, g)
         if fresh:
             self._add_rows(fresh)
-        found = [self._rows[key] for key in keys]
-        return np.array([row for row, _ in found]), np.array([order for _, order in found])
+        found = [rows[key] for key in keys]
+        return np.array([d for d, _ in found]), np.array([o for _, o in found])
 
 
 def knn(xs, rm: ResolvedMetric, k: int, keys=None) -> tuple[np.ndarray, np.ndarray]:
@@ -470,7 +486,7 @@ def knn(xs, rm: ResolvedMetric, k: int, keys=None) -> tuple[np.ndarray, np.ndarr
     genotype i's nearest samples and their distances. Ties break toward
     the earlier position, which is the smaller id in a view from
     ``view_of``. The rows not built yet are built in one block (see
-    ``ResolvedMetric.rows_of``). Raises ValueError when rm's orders hold
+    ``ResolvedMetric.rows_of``). Raises ValueError when rm's rows hold
     fewer than min(k, n) positions.
     """
     if len(rm.view) == 0:
@@ -481,6 +497,5 @@ def knn(xs, rm: ResolvedMetric, k: int, keys=None) -> tuple[np.ndarray, np.ndarr
         raise ValueError(
             f"knn asks for {k} neighbors, but the metric's orders hold {rm.width}"
         )
-    rows, orders = rm.rows_of(xs, keys)
-    idx = orders[:, :k]
-    return idx, np.take_along_axis(rows, idx, axis=1)
+    dists, orders = rm.rows_of(xs, keys)
+    return orders[:, :k], dists[:, :k]

@@ -63,8 +63,9 @@ class Problem(ABC):
     def geno_distances(self, xs, stacked) -> np.ndarray:
         """Genotypic distances between two stacks: a float block of shape
         ``(len(xs), len(stacked))`` whose entry ``[i, j]`` is the distance
-        from genotype i of ``xs`` to genotype j of ``stacked``. One
-        genotype's row is ``geno_distances(stack([x]), stacked)[0]``."""
+        from genotype i of ``xs`` to genotype j of ``stacked``, a new
+        array the caller may overwrite. One genotype's row is
+        ``geno_distances(stack([x]), stacked)[0]``."""
 
     def render(self, genotype) -> str:
         return str(genotype)

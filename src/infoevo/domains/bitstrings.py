@@ -26,15 +26,6 @@ def score_trap(bits: np.ndarray) -> float:
     return float(sum(block if o == block else (block - 1) - o for o in ones))
 
 
-def _packed_words(rows) -> np.ndarray:
-    """The 0/1 rows of a bit matrix packed into 64-bit words, zero padded:
-    an (n, ceil(bits / 64)) ``uint64`` block."""
-    packed = np.packbits(np.asarray(rows, dtype=np.uint8), axis=1)
-    words = np.zeros((len(packed), -(-packed.shape[1] // 8) * 8), dtype=np.uint8)
-    words[:, : packed.shape[1]] = packed
-    return words.view(np.uint64)
-
-
 class BitstringProblem(Problem):
     alphabet = (0, 1)
 
@@ -82,21 +73,30 @@ class BitstringProblem(Problem):
         return self.from_loci_rows(values)
 
     def stack(self, genotypes) -> np.ndarray:
-        """An (n, dimension) bit matrix, one row per genotype."""
-        mat = np.asarray(genotypes, dtype=np.uint8)
-        return mat.reshape(len(genotypes), self.dimension)
+        """The genotypes' bits packed into 64-bit words, zero padded: an
+        (n, ceil(dimension / 64)) ``uint64`` block, one row per
+        genotype."""
+        bits = np.asarray(genotypes, dtype=np.uint8).reshape(len(genotypes), self.dimension)
+        packed = np.packbits(bits, axis=1)
+        words = np.zeros((len(packed), -(-packed.shape[1] // 8) * 8), dtype=np.uint8)
+        words[:, : packed.shape[1]] = packed
+        return words.view(np.uint64)
 
     def geno_distances(self, xs, stacked) -> np.ndarray:
-        """Hamming distances as popcounts: each stack's rows packed into
-        64-bit words, and the bit counts of each pair's XORed words summed
-        word by word into a float64 block. Every count is an exact integer
-        of at most ``dimension``, the same doubles as
+        """Hamming distances as popcounts of two stacks of packed words:
+        the bit counts of each pair's XORed words, summed word by word
+        into a float64 block. The first word's XOR is written into the
+        block's own memory and counted in place. Every count is an exact
+        integer of at most ``dimension``, the same doubles as
         ``|a| + |b| - 2 a.b`` of the 0/1 rows, and no (m, n, bits)
         temporary is built."""
-        a, b = _packed_words(xs), _packed_words(stacked)
-        dist = np.bitwise_count(a[:, None, 0] ^ b[None, :, 0]).astype(float)
-        for w in range(1, a.shape[1]):
-            dist += np.bitwise_count(a[:, None, w] ^ b[None, :, w])
+        words = np.bitwise_xor(xs[:, None, 0], stacked[None, :, 0])
+        dist = np.bitwise_count(words, out=words.view(float))
+        if xs.shape[1] > 1:
+            words = np.empty_like(words)
+            for w in range(1, xs.shape[1]):
+                np.bitwise_xor(xs[:, None, w], stacked[None, :, w], out=words)
+                dist += np.bitwise_count(words)
         return dist
 
     def render(self, genotype) -> str:

@@ -317,11 +317,11 @@ def _vary_rows(parents, order, rank, model, config: EvolutionConfig, problem, rn
 
     offspring = [None] * count
     if len(slots):
-        stack = problem.stack([p.genotype for p in parents])
-        children = stack[firsts]
+        bits = np.asarray([p.genotype for p in parents])
+        children = bits[firsts]
         if len(crossed):
             children[crossed] = problem.crossover_rows(
-                children[crossed], stack[seconds], rng.random((len(crossed), dim))
+                children[crossed], bits[seconds], rng.random((len(crossed), dim))
             )
         rows = problem.mutate_rows(
             children, config.mutation_rate, rng.random((len(slots), dim))
@@ -356,20 +356,22 @@ def _chunk_end(offspring, keys, start: int, rm: ResolvedMetric, state: RunState)
     ledger, problem = state.ledger, state.problem
     target = problem.target
     memoize = ledger.score_of if behavior_is_score(problem) else ledger.behavior_of
+    lookup, score_memo = ledger.lookup, ledger.score_memo
+    row_calls_objective = rm.row_calls_objective
     remaining = ledger.remaining  # memoizing charges nothing
     new_keys: set = set()
     may_end = False
     for end in range(start, len(offspring)):
-        child, key = offspring[end], keys[end]
-        new = ledger.lookup(key) is None and key not in new_keys
+        key = keys[end]
+        new = lookup(key) is None and key not in new_keys
         may_end = may_end or (new and len(new_keys) >= remaining)
-        if rm.row_calls_objective(key):
+        if row_calls_objective(key):
             if may_end:
                 return end
-            memoize(child, problem, key)
+            memoize(offspring[end], problem, key)
         if new:
             new_keys.add(key)
-            score = ledger.score_memo(key)
+            score = score_memo(key)
             may_end = may_end or score is None or (target is not None and score >= target)
     return len(offspring)
 
@@ -438,11 +440,11 @@ def run_subpopulation(
             if filtering:
                 if i >= chunk_end:
                     chunk_start, chunk_end = i, _chunk_end(offspring, keys, i, rm, state)
-                    rows, orders = rm.rows_of(
+                    dists, orders = rm.rows_of(
                         offspring[chunk_start:chunk_end], keys[chunk_start:chunk_end]
                     )
                     estimates = guidance.filter_estimates(
-                        rows, orders, policy.k, view_fitness
+                        dists, orders, policy.k, view_fitness
                     ).tolist()
                 ok, _est = guidance.should_evaluate(estimates[i - chunk_start], threshold)
                 if not ok:

@@ -9,8 +9,8 @@ Every function here reads the round's view through its
 ``ResolvedMetric``; neighbor queries answer in view positions, which
 index distributions and per-sample arrays directly. ``omega_block``,
 ``modified_fitness``, ``ledger_modified_fitness`` and
-``filter_estimates`` read stacked rows and orders, a block of candidates
-at a time.
+``filter_estimates`` read stacked orders (and distances), a block of
+candidates at a time.
 """
 
 from __future__ import annotations
@@ -93,16 +93,16 @@ def ledger_modified_fitness(
 
 
 def filter_estimates(
-    rows: np.ndarray, orders: np.ndarray, k: int, ledger_mf: np.ndarray
+    dists: np.ndarray, orders: np.ndarray, k: int, ledger_mf: np.ndarray
 ) -> np.ndarray:
-    """The filter's estimate of each row of a nonempty block of rows and
-    their orders (as ``ResolvedMetric.rows_of`` stacks them): the mean of
+    """The filter's estimate of each row of a nonempty block of rows (as
+    ``ResolvedMetric.rows_of`` stacks them: each row's distances to its
+    nearest view samples, ascending, and their positions): the mean of
     ``ledger_mf``, the view's per-sample modified fitness, over the row's
     k nearest view samples, weighted by inverse distance. Each distance
     is offset by 1e-9 times (the median of the k, plus 1e-30), so that a
     sample at distance zero weighs most without dividing by zero."""
-    idx = orders[:, :k]
-    dists = rows[np.arange(len(idx))[:, None], idx]
+    idx, dists = orders[:, :k], dists[:, :k]
     # the median of each row's ascending distances: the middle one, or the
     # mean of the middle two, the same double numpy's median gives
     mid = idx.shape[1] // 2

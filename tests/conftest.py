@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from infoevo.core import EvaluationLedger, evaluate, knn
+from infoevo.core import PAIR_SAMPLE_LIMIT, EvaluationLedger, evaluate, knn
 from infoevo.demes import run_demes
 from infoevo.domains.base import Problem
 from infoevo.errors import LedgerTooSmall
@@ -67,10 +67,60 @@ def knn_one(x, rm, k):
 
 
 def metric_row(rm, x):
-    """Genotype x's row and order: the one row of ``rm.rows_of([x])``,
-    its distances to every view sample and its nearest view positions."""
-    rows, orders = rm.rows_of([x])
-    return rows[0], orders[0]
+    """Genotype x's row: the one row of ``rm.rows_of([x])``, its
+    distances to its ``rm.width`` nearest view samples, ascending, and
+    their view positions."""
+    dists, orders = rm.rows_of([x])
+    return dists[0], orders[0]
+
+
+def reference_nearest(row, width):
+    """What a metric keeps of a full distance row: the distances at its
+    ``width`` nearest positions, by a stable sort of the row, and those
+    positions."""
+    order = np.argsort(row, kind="stable")[:width]
+    return row[order], order
+
+
+def reference_rows(problem, view, lam, queries):
+    """Each query's distances to every view sample, built one row at a
+    time from ``geno_distances`` and the behavior vectors; at lam = 1
+    and lam = 0 a row is the pure genotypic or behavior row."""
+    genos = [s.genotype for s in view.samples]
+    stacked = problem.stack(genos)
+    behaviors = np.array([problem.behavior(g) for g in genos], dtype=float)
+
+    def parts(x):
+        dg = problem.geno_distances(problem.stack([x]), stacked)[0]
+        dp = np.linalg.norm(behaviors - problem.behavior(x)[None, :], axis=1)
+        return dg, dp
+
+    kind = "genotypic" if lam == 1.0 else "phenotypic" if lam == 0.0 else "blended"
+    geno_scale = pheno_scale = 1.0
+    n = len(genos)
+    if kind == "blended" and n >= 2:
+        rows = [parts(g) for g in genos]
+        if n * (n - 1) // 2 <= PAIR_SAMPLE_LIMIT:
+            pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        else:
+            rng = np.random.default_rng(0xC0FFEE)
+            ii = rng.integers(0, n, size=2 * PAIR_SAMPLE_LIMIT)
+            jj = rng.integers(0, n, size=2 * PAIR_SAMPLE_LIMIT)
+            pairs = [(i, j) for i, j in zip(ii, jj) if i != j][:PAIR_SAMPLE_LIMIT]
+        mg = float(np.median([rows[i][0][j] for i, j in pairs]))
+        mp = float(np.median([rows[i][1][j] for i, j in pairs]))
+        geno_scale = mg if mg > 0 else 1.0
+        pheno_scale = mp if mp > 0 else 1.0
+    out = []
+    for x in queries:
+        dg, dp = parts(x)
+        if kind == "genotypic":
+            out.append(dg)
+        elif kind == "phenotypic":
+            out.append(dp)
+        else:
+            out.append(lam * dg / geno_scale + (1 - lam) * dp / pheno_scale)
+    return out
 
 
 # One-candidate forms of the guidance and promise layers, each a

@@ -1,0 +1,67 @@
+"""The summary that ``tools/bench_pairs.py`` prints of alternating
+benchmark pairs."""
+
+import importlib.util
+import json
+import statistics
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+_spec = importlib.util.spec_from_file_location("bench_pairs", ROOT / "tools" / "bench_pairs.py")
+bench_pairs = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(bench_pairs)
+
+
+def result(values, correct=True):
+    """A ``perfbench/run.py`` result with the given metric values."""
+    metrics = {key: {"value": value, "unit": "-"} for key, value in values.items()}
+    return {"correct": correct, "attempted": 3, "failed": 0, "metrics": metrics}
+
+
+DIRECTIONS = {"wall_ref": "lower", "objective_calls": "lower", "rate": "higher"}
+
+
+def test_summary_gives_quartiles_and_strict_wins_per_direction():
+    parent_wall = [5.0, 5.2, 4.9, 5.1, 5.3]
+    change_wall = [4.5, 5.2, 4.4, 4.6, 4.5]  # the second pair ties
+    parent_rate = [1.0, 2.0, 3.0, 4.0, 5.0]
+    change_rate = [2.0, 1.0, 4.0, 5.0, 5.0]
+    pairs = [
+        (
+            result({"w/wall_ref": pw, "w/objective_calls": 10, "w/rate": pr, "w/other": 1.0}),
+            result({"w/wall_ref": cw, "w/objective_calls": 10, "w/rate": cr, "w/other": 0.0}),
+        )
+        for pw, cw, pr, cr in zip(parent_wall, change_wall, parent_rate, change_rate)
+    ]
+    summary = bench_pairs.summarize(pairs, DIRECTIONS)
+    assert summary["correct"] is True
+    # metrics BENCHMARK.json does not name as end to end are left out
+    assert list(summary["metrics"]) == ["w/wall_ref", "w/objective_calls", "w/rate"]
+    wall = summary["metrics"]["w/wall_ref"]
+    q1, q2, q3 = statistics.quantiles(parent_wall, n=4, method="inclusive")
+    assert wall["parent"] == (q1, q2, q3) and q2 == statistics.median(parent_wall)
+    assert wall["change"][1] == statistics.median(change_wall)
+    assert (wall["better"], wall["wins"], wall["pairs"]) == ("lower", 4, 5)
+    assert summary["metrics"]["w/objective_calls"]["wins"] == 0  # equal is no win
+    rate = summary["metrics"]["w/rate"]
+    assert (rate["better"], rate["wins"]) == ("higher", 3)
+    lines = bench_pairs.format_summary(summary)
+    assert len(lines) == 5 and lines[-1] == "every run correct: True"
+    assert lines[1].startswith("w/wall_ref") and lines[1].endswith("4/5")
+    json.dumps(summary)  # the tool prints it as its last line
+
+
+def test_summary_of_one_workload_one_pair_and_a_failed_run():
+    pairs = [(result({"wall_ref": 2.0}), result({"wall_ref": 1.5}, correct=False))]
+    summary = bench_pairs.summarize(pairs, DIRECTIONS)
+    assert summary["correct"] is False
+    wall = summary["metrics"]["wall_ref"]
+    assert wall["parent"] == (2.0, 2.0, 2.0) and wall["change"] == (1.5, 1.5, 1.5)
+    assert wall["wins"] == 1
+
+
+def test_directions_are_read_from_the_benchmark_spec():
+    directions = bench_pairs.end_to_end_directions(ROOT)
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    assert directions == {m["name"]: m["better"] for m in spec["end_to_end"]}
+    assert directions["wall_ref"] == "lower"

@@ -19,7 +19,15 @@ from conftest import (
     knn_one,
     make_scalar_ledger,
     metric_row,
+    reference_nearest,
+    reference_rows,
 )
+
+
+def hamming_row(x, genos) -> np.ndarray:
+    """Hamming distances from bitstring x to each of ``genos``, one pair
+    at a time."""
+    return np.array([np.count_nonzero(x != g) for g in genos], dtype=float)
 
 
 def test_evaluate_onemax_all_ones():
@@ -121,18 +129,20 @@ def test_blended_metric_extremes_match_pure_metrics(rng):
     view = view_of(ledger)
     genos = [s.genotype for s in view.samples]
     x = problem.random_genotype(rng)
-    dg = problem.geno_distances(problem.stack([x]), problem.stack(genos))[0]
+    dg = hamming_row(x, genos)
     behaviors = np.array([problem.behavior(g) for g in genos], dtype=float)
     dp = np.linalg.norm(behaviors - problem.behavior(x)[None, :], axis=1)
     calls = count_objective_calls(problem)
     for lam in (1.0, 1):
-        dists, _ = metric_row(ResolvedMetric(problem, view, lam, ledger, len(view)), x)
-        assert dists.tobytes() == dg.tobytes()
+        got = metric_row(ResolvedMetric(problem, view, lam, ledger, len(view)), x)
+        for a, b in zip(got, reference_nearest(dg, len(view))):
+            assert a.tobytes() == b.tobytes()
     assert calls == []
     problem.geno_distances = None  # lam = 0 must not call it
     for lam in (0.0, 0):
-        dists, _ = metric_row(ResolvedMetric(problem, view, lam, ledger, len(view)), x)
-        assert dists.tobytes() == dp.tobytes()
+        got = metric_row(ResolvedMetric(problem, view, lam, ledger, len(view)), x)
+        for a, b in zip(got, reference_nearest(dp, len(view))):
+            assert a.tobytes() == b.tobytes()
 
 
 def test_resolved_metric_computes_each_behavior_once(rng):
@@ -181,16 +191,42 @@ def test_resolved_metric_rows_match_direct_distances(rng):
     pheno = ResolvedMetric(problem, view, 0.0, ledger, len(view))
     genos = [s.genotype for s in view.samples]
     behaviors = np.array([problem.behavior(g) for g in genos], dtype=float)
-    stacked = problem.stack(genos)
     for g in genos + [problem.random_genotype(rng)]:
         dp = np.linalg.norm(behaviors - problem.behavior(g)[None, :], axis=1)
-        dg = problem.geno_distances(problem.stack([g]), stacked)[0]
+        dg = hamming_row(g, genos)
         for rm, row in ((geno, dg), (pheno, dp)):
             dists, order = metric_row(rm, g)
-            assert np.array_equal(dists, row)
+            assert np.array_equal(dists, row[order])
             assert np.array_equal(order, np.argsort(row, kind="stable"))
             stored = rm._rows[problem.canonical_key(g)]  # shared by every query
             assert not any(a.flags.writeable for a in stored)
+
+
+@pytest.mark.parametrize("lam", [0.0, 0.5, 1.0])
+def test_resolved_metric_keeps_only_each_rows_nearest(rng, lam):
+    # 12 samples queried for at most 3 neighbors: every stored row, of a
+    # view sample or of a genotype outside the view, is 3 positions and
+    # their 3 distances, the first 3 of the full row's stable order
+    problem = OneMax(bits=16)
+    ledger = EvaluationLedger(budget=30)
+    while ledger.eval_count < 12:
+        evaluate(problem.random_genotype(rng), problem, ledger)
+    view = view_of(ledger)
+    rm = ResolvedMetric(problem, view, lam, ledger, 3)
+    assert rm.width == 3 and rm.view_orders.shape == (12, 3)
+    assert not hasattr(rm, "view_rows")
+    genos = [s.genotype for s in view.samples]
+    outside = [problem.random_genotype(rng) for _ in range(4)]
+    for xs in (genos, outside):
+        dists, orders = rm.rows_of(xs)
+        assert dists.shape == orders.shape == (len(xs), 3)
+    queries = genos + outside
+    for x, row in zip(queries, reference_rows(problem, view, lam, queries)):
+        stored = rm._rows[problem.canonical_key(x)]
+        assert [a.shape for a in stored] == [(3,), (3,)]
+        assert not any(a.flags.writeable for a in stored)
+        for a, b in zip(stored, reference_nearest(row, 3)):
+            assert a.tobytes() == b.tobytes()
 
 
 def test_knn_refuses_more_neighbors_than_the_orders_hold():
@@ -219,18 +255,24 @@ def test_resolved_metric_orders_are_the_same_by_selection_and_by_sort(rng, monke
         evaluate(problem.random_genotype(rng), problem, ledger)
     view = view_of(ledger)
     offspring = [problem.random_genotype(rng) for _ in range(60)]
+    extra = problem.random_genotype(np.random.default_rng(5))
     assert 64 * 64 >= core.TOP_K_SELECT_MIN > 64
+    genos = [s.genotype for s in view.samples]
     got = {}
     for select_min in (core.TOP_K_SELECT_MIN, np.inf):
         monkeypatch.setattr(core, "TOP_K_SELECT_MIN", select_min)
         for lam in (0.0, 0.5, 1.0):
             rm = ResolvedMetric(problem, view, lam, ledger, 7)
-            rows, orders = rm.rows_of(offspring)  # one 60-row block
-            _, single = metric_row(rm, problem.random_genotype(np.random.default_rng(5)))
-            got[select_min, lam] = (rm.view_orders, orders, single)
-            for block, order in ((rm.view_rows, rm.view_orders), (rows, orders)):
-                expected = np.argsort(block, axis=-1, kind="stable")[:, :7]
-                assert order.tobytes() == expected.tobytes()
+            dists, orders = rm.rows_of(offspring)  # one 60-row block
+            single = metric_row(rm, extra)
+            view_dists, view_orders = rm.rows_of(genos)  # the 64-row view block's
+            got[select_min, lam] = (view_dists, view_orders, dists, orders, *single)
+            queries = genos + offspring
+            kept = zip(np.concatenate([view_dists, dists]), np.concatenate([view_orders, orders]))
+            for (d, o), row in zip(kept, reference_rows(problem, view, lam, queries)):
+                expected_dists, expected_order = reference_nearest(row, 7)
+                assert o.tobytes() == expected_order.tobytes()
+                assert d.tobytes() == expected_dists.tobytes()
     for lam in (0.0, 0.5, 1.0):
         selected, sorted_ = got[core.TOP_K_SELECT_MIN, lam], got[np.inf, lam]
         for a, b in zip(selected, sorted_):

@@ -105,9 +105,30 @@ def test_bitstring_distances(rng):
     assert distance(problem, a, b) == 8.0
     c = problem.mutate(a, 0.5, rng)
     stacked = problem.stack([a, b, c])
-    assert stacked.shape == (3, 8) and len(stacked) == 3
+    # 8 bits pack into one 64-bit word per genotype
+    assert stacked.shape == (3, 1) and stacked.dtype == np.uint64 and len(stacked) == 3
     batch = row(problem, a, stacked)
     assert batch.tolist() == [0.0, 8.0, float(np.sum(c != a))]
+
+
+@pytest.mark.parametrize("bits, words", [(50, 1), (100, 2)])
+def test_bitstring_stack_packs_the_words_the_distances_read(bits, words, rng):
+    problem = OneMax(bits=bits)
+    genos = [problem.random_genotype(rng) for _ in range(6)]
+    genos += [np.zeros(bits, dtype=np.uint8), np.ones(bits, dtype=np.uint8), genos[0]]
+    stacked = problem.stack(genos)
+    assert stacked.dtype == np.uint64 and stacked.shape == (len(genos), words)
+    # the words hold each genotype's bits in order, first bit highest in
+    # the first byte, then zeros
+    unpacked = np.unpackbits(stacked.view(np.uint8), axis=1)
+    assert np.array_equal(unpacked[:, :bits], np.array(genos))
+    assert not unpacked[:, bits:].any()
+    # Hamming distances, pair by pair, from the bits
+    expected = np.array([[np.count_nonzero(a != b) for b in genos] for a in genos], dtype=float)
+    got = problem.geno_distances(stacked, stacked)
+    assert got.dtype == float and got.tobytes() == expected.tobytes()
+    got = problem.geno_distances(problem.stack(genos[:2]), stacked)
+    assert got.tobytes() == expected[:2].tobytes()
 
 
 def test_bitstring_eda_plumbing():

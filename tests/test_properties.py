@@ -18,7 +18,6 @@ from hypothesis import strategies as st
 
 from infoevo import core, manifold
 from infoevo.core import (
-    PAIR_SAMPLE_LIMIT,
     EvaluationLedger,
     PopulationView,
     ResolvedMetric,
@@ -27,8 +26,8 @@ from infoevo.core import (
     evaluate,
     fittest_first,
     knn,
+    nearest,
     normalize_scores,
-    stable_top_k,
     view_of,
 )
 from infoevo.domains import (
@@ -110,6 +109,8 @@ from conftest import (
     omega_knn,
     one_pair_distance,
     one_pair_polyline,
+    reference_nearest,
+    reference_rows,
 )
 
 # small integer genotypes, so that many samples tie in distance to a query
@@ -729,8 +730,8 @@ def test_metric_rows_from_the_run_memo_match_rows_without_it(name, lam, n, seed,
         rm = ResolvedMetric(problem, view, lam, ledger, len(view))
         queries = [s.genotype for s in view.samples] + outside
         # the rows built straight from the problem, without the memo
-        for x, expected in zip(queries, reference_rows(problem, view, lam, queries)):
-            for a, b in zip(metric_row(rm, x), expected):
+        for x, row in zip(queries, reference_rows(problem, view, lam, queries)):
+            for a, b in zip(metric_row(rm, x), reference_nearest(row, rm.width)):
                 assert a.tobytes() == b.tobytes()
 
 
@@ -1739,48 +1740,6 @@ BLOCK_PROBLEMS = {
 }
 
 
-def reference_rows(problem, view, lam, queries):
-    """Each query's distances to the view and their stable order, built
-    one row at a time from ``geno_distances`` and the behavior vectors;
-    at lam = 1 and lam = 0 a row is the pure genotypic or behavior row."""
-    genos = [s.genotype for s in view.samples]
-    stacked = problem.stack(genos)
-    behaviors = np.array([problem.behavior(g) for g in genos], dtype=float)
-
-    def parts(x):
-        dg = problem.geno_distances(problem.stack([x]), stacked)[0]
-        dp = np.linalg.norm(behaviors - problem.behavior(x)[None, :], axis=1)
-        return dg, dp
-
-    kind = "genotypic" if lam == 1.0 else "phenotypic" if lam == 0.0 else "blended"
-    geno_scale = pheno_scale = 1.0
-    n = len(genos)
-    if kind == "blended" and n >= 2:
-        rows = [parts(g) for g in genos]
-        if n * (n - 1) // 2 <= PAIR_SAMPLE_LIMIT:
-            pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-        else:
-            rng = np.random.default_rng(0xC0FFEE)
-            ii = rng.integers(0, n, size=2 * PAIR_SAMPLE_LIMIT)
-            jj = rng.integers(0, n, size=2 * PAIR_SAMPLE_LIMIT)
-            pairs = [(i, j) for i, j in zip(ii, jj) if i != j][:PAIR_SAMPLE_LIMIT]
-        mg = float(np.median([rows[i][0][j] for i, j in pairs]))
-        mp = float(np.median([rows[i][1][j] for i, j in pairs]))
-        geno_scale = mg if mg > 0 else 1.0
-        pheno_scale = mp if mp > 0 else 1.0
-    out = []
-    for x in queries:
-        dg, dp = parts(x)
-        if kind == "genotypic":
-            row = dg
-        elif kind == "phenotypic":
-            row = dp
-        else:
-            row = lam * dg / geno_scale + (1 - lam) * dp / pheno_scale
-        out.append((row, np.argsort(row, kind="stable")))
-    return out
-
-
 @settings(max_examples=60, deadline=None)
 @given(
     st.sampled_from(sorted(BLOCK_PROBLEMS)),
@@ -1804,9 +1763,10 @@ def test_metric_blocks_match_rows_built_one_at_a_time(name, lam, n, seed):
     rm.add_genotypic_rows(offspring)
     assert ledger.objective_calls == calls
     queries = genos + offspring
-    for x, (row, order) in zip(queries, reference_rows(problem, view, lam, queries)):
+    for x, row in zip(queries, reference_rows(problem, view, lam, queries)):
         dists, got = metric_row(rm, x)
-        assert dists.tobytes() == row.tobytes()
+        expected_dists, order = reference_nearest(row, rm.width)
+        assert dists.tobytes() == expected_dists.tobytes()
         assert got.tobytes() == order.tobytes()
         stored = rm._rows[problem.canonical_key(x)]  # shared by every query
         assert not any(a.flags.writeable for a in stored)
@@ -1844,15 +1804,28 @@ def order_blocks(draw):
 @settings(max_examples=150, deadline=None)
 @given(order_blocks(), st.booleans())
 def test_top_k_orders_are_the_stable_argsort_prefix(rows, select_small):
+    # nearest gives each row's first k positions of the stable argsort and
+    # the distances there; it may overwrite the block it is given, and
+    # only as its selection passes do, by setting each taken entry to +inf
     m, n = rows.shape
     expected = np.argsort(rows, axis=-1, kind="stable")
     # selecting at every size as well runs the selection on small blocks
     select_min = 0 if select_small else core.TOP_K_SELECT_MIN
+    below_inf = rows.size and rows.max() < np.inf  # no +inf, no NaN
     with mock.patch.object(core, "TOP_K_SELECT_MIN", select_min):
-        for k in range(1, n + 3):
-            got = stable_top_k(rows, k)
-            assert got.shape == (m, min(k, n)) and got.dtype == expected.dtype
-            assert got.tobytes() == expected[:, :k].tobytes()
+        for k in range(0, n + 3):
+            block = rows.copy()
+            idx, dists = nearest(block, k)
+            assert idx.shape == dists.shape == (m, min(k, n))
+            assert idx.dtype == expected.dtype and dists.dtype == float
+            assert idx.tobytes() == expected[:, :k].tobytes()
+            taken = np.take_along_axis(rows, expected[:, :k], axis=1)
+            assert dists.tobytes() == taken.tobytes()
+            assert not np.shares_memory(idx, block) and not np.shares_memory(dists, block)
+            left = rows.copy()
+            if k < n and below_inf and rows.size >= select_min:
+                np.put_along_axis(left, idx, np.inf, axis=1)
+            assert block.tobytes() == left.tobytes()
 
 
 # --- exact per-candidate arithmetic ---
@@ -2059,10 +2032,10 @@ def test_block_knn_equals_the_one_genotype_query(name, lam, n, k, keyed, seed):
         one_idx, one_dists = knn_one(x, single, k)
         assert row_idx.tobytes() == one_idx.tobytes()
         assert same_doubles(row_dists, one_dists)
-        # the stored row and order the one-genotype query reads
-        row, order = metric_row(single, x)
+        # the stored row the one-genotype query reads
+        stored_dists, order = metric_row(single, x)
         assert row_idx.tobytes() == order[:k].tobytes()
-        assert same_doubles(row_dists, row[order[:k]])
+        assert same_doubles(row_dists, stored_dists[:k])
 
 
 @settings(max_examples=80, deadline=None)
@@ -2200,10 +2173,11 @@ def test_popcount_distances_equal_the_dot_product_form(bits, m, n, data):
     )
     # rows drawn from a few distinct ones, so that ties and zero distances occur
     pool = data.draw(rows)
-    xs = problem.stack([np.array(data.draw(st.sampled_from(pool)), dtype=np.uint8) for _ in range(m)])
-    gs = problem.stack([np.array(data.draw(st.sampled_from(pool)), dtype=np.uint8) for _ in range(n)])
+    xs = np.array([data.draw(st.sampled_from(pool)) for _ in range(m)], dtype=np.uint8)
+    gs = np.array([data.draw(st.sampled_from(pool)) for _ in range(n)], dtype=np.uint8)
     for left, right in ((xs, gs), (gs, xs), (xs[:1], gs), (xs, gs[:1]), (xs, xs)):
-        got = problem.geno_distances(left, right)
+        # the distances read the stacks' packed words; the reference, the bits
+        got = problem.geno_distances(problem.stack(left), problem.stack(right))
         assert got.dtype == float and got.shape == (len(left), len(right))
         assert got.tobytes() == dot_hamming(left, right).tobytes()
 
@@ -2328,10 +2302,13 @@ def test_behavior_column_equals_the_stacked_behavior_of(name, n, seed):
     got = ledger.behaviors_of(genos, problem, keys)
     assert got.shape == stacked.shape and same_doubles(got, stacked)
     # the phenotypic view rows read the same column
-    rows = ResolvedMetric(problem, view, 0.0, ledger, len(view)).view_rows
+    rm = ResolvedMetric(problem, view, 0.0, ledger, len(view))
     behaviors = stacked[:n]
     expected = np.linalg.norm(behaviors[None] - behaviors[:, None], axis=-1)
-    assert same_doubles(rows, expected)
+    for dists, order, row in zip(*rm.rows_of(genos[:n]), expected):
+        expected_dists, expected_order = reference_nearest(row, n)
+        assert same_doubles(dists, expected_dists)
+        assert order.tobytes() == expected_order.tobytes()
 
 
 @settings(max_examples=150, deadline=None)

@@ -1,0 +1,137 @@
+"""Alternating benchmark pairs of a parent checkout and this one.
+
+Usage: python3 tools/bench_pairs.py PARENT_CHECKOUT [--workload W]
+       [--pairs N] [--seconds S]
+
+Runs ``perfbench/run.py --trace 0`` of PARENT_CHECKOUT and of the
+checkout this file is in (the change), each run a process of its own,
+N times each. Pair i runs both sides one after the other, and the side
+that goes first swaps from one pair to the next, so that neither side
+always meets the machine in the same state. Each run reads its own
+checkout's sources (see ``perfbench/prepare.py``).
+
+It then prints, for every end-to-end metric that ``BENCHMARK.json``
+names, each side's median and quartiles over its runs, the pairs the
+change won (strictly better, in the metric's direction), and whether
+every run of both sides reported ``"correct": true``. The last line is
+the same summary as one JSON object.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+HERE = Path(__file__).resolve().parents[1]
+SIDES = ("parent", "change")
+
+
+def end_to_end_directions(checkout: Path) -> dict[str, str]:
+    """Each end-to-end metric of a checkout's ``BENCHMARK.json`` and the
+    direction, ``"lower"`` or ``"higher"``, that is better."""
+    spec = json.loads((checkout / "BENCHMARK.json").read_text())
+    return {m["name"]: m["better"] for m in spec["end_to_end"]}
+
+
+def run_bench(checkout: Path, workload: str, seconds: float) -> dict:
+    """One ``perfbench/run.py`` process of ``checkout``; its result, the
+    JSON object on its last line of output."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    argv = [sys.executable, str(checkout / "perfbench" / "run.py")]
+    argv += ["--workload", workload, "--seconds", str(seconds), "--trace", "0"]
+    child = subprocess.run(argv, stdout=subprocess.PIPE, text=True, env=env)
+    lines = child.stdout.splitlines() or [""]
+    try:
+        return json.loads(lines[-1])
+    except json.JSONDecodeError:
+        raise SystemExit(f"error: {checkout} ended with code {child.returncode} and no result")
+
+
+def quartiles(values) -> tuple[float, float, float]:
+    """The lower quartile, median and upper quartile of nonempty values,
+    as ``statistics.quantiles(..., method="inclusive")`` gives them."""
+    if len(values) == 1:
+        return values[0], values[0], values[0]
+    q1, q2, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return q1, q2, q3
+
+
+def summarize(pairs, directions: dict[str, str]) -> dict:
+    """The summary of ``pairs``, a nonempty list of (parent result,
+    change result) of ``perfbench/run.py``, over the end-to-end metrics
+    of ``directions`` (name -> better direction).
+
+    A result's metric keys are the metric's name, or ``workload/name``
+    from ``--workload all``. For each key both sides report, the summary
+    holds each side's quartiles and the number of pairs whose change
+    value is strictly better than its parent value. ``correct`` is
+    whether every result reported ``"correct": true``.
+    """
+    keys = [
+        key
+        for key in pairs[0][1]["metrics"]
+        if key.rsplit("/", 1)[-1] in directions and key in pairs[0][0]["metrics"]
+    ]
+    metrics = {}
+    for key in keys:
+        lower = directions[key.rsplit("/", 1)[-1]] == "lower"
+        values = {
+            side: [pair[i]["metrics"][key]["value"] for pair in pairs]
+            for i, side in enumerate(SIDES)
+        }
+        wins = sum(
+            (c < p) if lower else (c > p) for p, c in zip(values["parent"], values["change"])
+        )
+        metrics[key] = {
+            "better": "lower" if lower else "higher",
+            **{side: quartiles(values[side]) for side in SIDES},
+            "wins": wins,
+            "pairs": len(pairs),
+        }
+    correct = all(run["correct"] for pair in pairs for run in pair)
+    return {"correct": correct, "metrics": metrics}
+
+
+def format_summary(summary: dict) -> list[str]:
+    """The summary as text lines, one per metric, then the verdict on
+    correctness."""
+    heads = [f"{side} q1 / median / q3" for side in SIDES]
+    lines = [f"{'metric':44s} {heads[0]:>30s} {heads[1]:>30s} wins"]
+    for key, m in summary["metrics"].items():
+        sides = ["{:9.4f} {:9.4f} {:9.4f}".format(*m[side]) for side in SIDES]
+        lines.append(f"{key:44s} {sides[0]:>30s} {sides[1]:>30s} {m['wins']}/{m['pairs']}")
+    lines.append(f"every run correct: {summary['correct']}")
+    return lines
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("parent", help="the parent checkout's root directory")
+    parser.add_argument("--workload", default="all")
+    parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--seconds", type=float, default=20.0)
+    args = parser.parse_args(argv)
+    if args.pairs < 1:
+        parser.error("--pairs must be positive")
+    checkouts = {"parent": Path(args.parent).resolve(), "change": HERE}
+    pairs = []
+    for i in range(args.pairs):
+        order = SIDES if i % 2 == 0 else SIDES[::-1]
+        result = {}
+        for side in order:
+            result[side] = run_bench(checkouts[side], args.workload, args.seconds)
+            print(f"pair {i + 1} {side}: correct {result[side]['correct']}", flush=True)
+        pairs.append((result["parent"], result["change"]))
+    summary = summarize(pairs, end_to_end_directions(HERE))
+    print("\n".join(format_summary(summary)))
+    print(json.dumps(summary))
+    return 0 if summary["correct"] else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())
