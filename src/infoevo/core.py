@@ -95,44 +95,25 @@ class EvaluationLedger:
             self.objective_calls += 1
         return value
 
-    def score_memo(self, key) -> float | None:
-        """The memoized objective value of canonical key ``key``, or None
-        if the run has not computed it."""
-        return self._scores.get(key)
-
-    def behavior_memo(self, problem) -> dict:
-        """The memo ``behavior_of`` answers from for ``problem``, keyed by
-        canonical key: a key it holds costs no objective call."""
-        return self._scores if behavior_is_score(problem) else self._behaviors
-
-    def behavior_of(self, genotype, problem, key) -> np.ndarray:
-        """The behavior vector of genotype, from the memo.
-
-        A domain that keeps the default ``Problem.behavior`` (the score
-        itself) gets its memoized score, so no second objective call.
-        """
-        if behavior_is_score(problem):
-            return np.array([self.score_of(genotype, problem, key)], dtype=float)
-        value = self._behaviors.get(key)
-        if value is None:
-            value = np.array(problem.behavior(genotype), dtype=float)
-            value.flags.writeable = False  # shared by every reader of key
-            self._behaviors[key] = value
-            self.objective_calls += 1
-        return value
-
     def behaviors_of(self, genotypes, problem, keys) -> np.ndarray:
         """The behavior vectors of ``genotypes`` (canonical keys ``keys``),
-        from the memo in order, stacked one row per genotype: the rows of
-        ``behavior_of``. A domain whose behavior is its score gets the
-        column of its memoized scores."""
+        from the memo in order, stacked one row per genotype; a miss calls
+        ``problem.behavior`` and stores its read-only row. A domain whose
+        behavior is its score gets the column of its memoized scores, so
+        no second objective call."""
         if behavior_is_score(problem):
             scores = [self.score_of(g, problem, key) for g, key in zip(genotypes, keys)]
             return np.array(scores, dtype=float)[:, None]
-        return np.array(
-            [self.behavior_of(g, problem, key) for g, key in zip(genotypes, keys)],
-            dtype=float,
-        )
+        rows = []
+        for g, key in zip(genotypes, keys):
+            value = self._behaviors.get(key)
+            if value is None:
+                value = np.array(problem.behavior(g), dtype=float)
+                value.flags.writeable = False  # shared by every reader of key
+                self._behaviors[key] = value
+                self.objective_calls += 1
+            rows.append(value)
+        return np.array(rows, dtype=float)
 
     def __len__(self) -> int:
         return len(self.samples)
@@ -334,9 +315,9 @@ class ResolvedMetric:
     domain whose behavior is its score reads the view's scores. Genotypes
     outside the view get their rows on their first query, ``rows_of``
     building those of a list of genotypes in one block; later queries of
-    the same genotype (equal canonical key) reuse it.
-    ``add_genotypic_rows`` computes the genotypic part of such rows, all
-    n distances each, for a batch of genotypes in one block beforehand.
+    the same genotype (equal canonical key) reuse it. ``screen_rows``
+    builds the rows of the chunk of candidates a burst screens in one
+    block, and decides where that chunk ends.
     Strictly between the extremes, median scales over a deterministic
     sample of view pairs, read from the two blocks, make the genotypic
     and phenotypic terms comparable.
@@ -350,8 +331,6 @@ class ResolvedMetric:
         self.view = view
         self.width = min(k, len(view))
         self._memo = memo
-        # the memo holding the behaviors that cost no objective call
-        self._behavior_memo = memo.behavior_memo(problem)
         genos = [s.genotype for s in view.samples]
         keys = [memo.keys[s.id] for s in view.samples]
         # blend extremes must reduce to the pure metrics exactly
@@ -408,22 +387,6 @@ class ResolvedMetric:
             return [self.problem.canonical_key(g) for g in genotypes]
         return keys
 
-    def add_genotypic_rows(self, genotypes, keys=None) -> None:
-        """Compute, in one block, the genotypic rows of those ``genotypes``
-        (canonical keys ``keys``, computed when omitted) this metric holds
-        no row for yet.
-
-        Calls no objective: the behavior part of each row, and its
-        nearest positions, are computed on the genotype's first query.
-        """
-        if self._kind == "phenotypic":
-            return
-        fresh = {}
-        for key, g in zip(self._keys(genotypes, keys), genotypes):
-            if key not in self._rows and key not in self._pending:
-                fresh.setdefault(key, g)
-        self._add_pending(fresh)
-
     def _add_pending(self, fresh: dict) -> None:
         """The genotypic rows, in one block, of the genotypes that
         ``fresh`` maps their canonical keys to."""
@@ -431,16 +394,6 @@ class ResolvedMetric:
             xs = self.problem.stack(list(fresh.values()))
             block = self.problem.geno_distances(xs, self._stacked)
             self._pending.update(zip(fresh, block))
-
-    def row_calls_objective(self, key) -> bool:
-        """Whether the first query of the genotype with canonical key
-        ``key`` calls the objective: the metric holds no row for it, reads
-        behaviors, and the memo holds none for it."""
-        return (
-            self._behaviors is not None
-            and key not in self._rows
-            and key not in self._behavior_memo
-        )
 
     def _add_rows(self, fresh: dict) -> None:
         """The rows, in one block, of the genotypes that ``fresh`` maps
@@ -475,6 +428,61 @@ class ResolvedMetric:
             self._add_rows(fresh)
         found = [rows[key] for key in keys]
         return np.array([d for d, _ in found]), np.array([o for _, o in found])
+
+    def screen_rows(self, genotypes, keys, start: int) -> tuple[int, np.ndarray, np.ndarray]:
+        """The chunk of ``genotypes`` (canonical keys ``keys``) that a burst
+        screens from ``start`` in one block: where it ends, and its rows
+        (see ``rows_of``). At ``start == 0`` the genotypic rows of every
+        genotype this metric holds no row for are first computed in one
+        block, calling no objective.
+
+        The burst screens candidates in order until one ends it (see
+        ``evolve.run_subpopulation``) and makes no objective call for the
+        candidates after that one, so neither may the block. The chunk
+        therefore stops before a candidate whose row calls the objective
+        (the metric holds no row for it, reads behaviors, and the memo
+        holds none for it) once the burst could end before it: after a
+        new genotype (one the ledger lacks) whose score, with its row
+        built, is missing or reaches the target, or at a new genotype
+        that comes after as many new ones as the budget has left. The
+        behaviors the chunk's rows need are memoized here, in order (the
+        score itself for a domain whose behavior is its score), so that
+        the rule knows the score of each new genotype whose behavior is
+        its score.
+        """
+        ledger, problem, rows = self._memo, self.problem, self._rows
+        if start == 0 and self._kind != "phenotypic":
+            fresh = {}
+            for key, g in zip(keys, genotypes):
+                if key not in rows and key not in self._pending:
+                    fresh.setdefault(key, g)
+            self._add_pending(fresh)
+        target = problem.target
+        by_score = behavior_is_score(problem)
+        held, scores = ledger._by_key, ledger._scores
+        memo = scores if by_score else ledger._behaviors
+        reads_behaviors = self._behaviors is not None
+        remaining = ledger.remaining  # memoizing charges nothing
+        new_keys: set = set()
+        may_end = False
+        end = len(genotypes)
+        for i in range(start, len(genotypes)):
+            key = keys[i]
+            new = key not in held and key not in new_keys
+            may_end = may_end or (new and len(new_keys) >= remaining)
+            if reads_behaviors and key not in rows and key not in memo:
+                if may_end:
+                    end = i
+                    break
+                if by_score:
+                    ledger.score_of(genotypes[i], problem, key)
+                else:
+                    ledger.behaviors_of([genotypes[i]], problem, [key])
+            if new:
+                new_keys.add(key)
+                score = scores.get(key)
+                may_end = may_end or score is None or (target is not None and score >= target)
+        return (end, *self.rows_of(genotypes[start:end], keys[start:end]))
 
 
 def knn(xs, rm: ResolvedMetric, k: int, keys=None) -> tuple[np.ndarray, np.ndarray]:

@@ -12,6 +12,10 @@ class Problem(ABC):
 
     Subclasses supply the scoring function, variation operators, the
     genotypic distance and, optionally, EDA loci and a behavior vector.
+    A domain supplies either the one-offspring operators ``mutate``,
+    ``crossover`` and ``from_loci`` or their row forms ``mutate_rows``,
+    ``crossover_rows`` and ``from_loci_rows``, which vary a generation
+    in one block (see ``evolve.vary``), not both.
     ``score`` and ``behavior`` must be pure and deterministic functions of
     the canonical key: a run memoizes both by that key and computes each
     at most once per genotype.
@@ -31,18 +35,20 @@ class Problem(ABC):
     @abstractmethod
     def random_genotype(self, rng: np.random.Generator): ...
 
-    @abstractmethod
-    def mutate(self, genotype, rate: float, rng: np.random.Generator): ...
+    def mutate(self, genotype, rate: float, rng: np.random.Generator):
+        """One mutant of genotype."""
+        raise NotImplementedError
 
-    @abstractmethod
-    def crossover(self, a, b, rng: np.random.Generator): ...
+    def crossover(self, a, b, rng: np.random.Generator):
+        """One offspring of parents a and b."""
+        raise NotImplementedError
 
     def loci(self, genotype):
         """Discrete locus values for EDA marginals; None if unsupported.
 
         A domain that returns a sequence here gives every genotype the
         same number of loci, each value drawn from ``alphabet``, which it
-        sets, and defines ``from_loci`` too.
+        sets, and defines ``from_loci`` (or ``from_loci_rows``) too.
         """
         return None
 

@@ -40,11 +40,9 @@ class BitstringProblem(Problem):
     def random_genotype(self, rng):
         return rng.integers(0, 2, size=self.dimension, dtype=np.uint8)
 
-    # Variation in row form: each operator takes a block of genotype rows
-    # and one uniform per bit, so that a generation is varied in one block
-    # from block draws of uniforms (see ``evolve._vary_rows``); a 1-d
-    # genotype is one row, and the one-offspring operators below are such
-    # calls.
+    # Variation in row form only: each operator takes a block of genotype
+    # rows and one uniform per bit, so that a generation is varied in one
+    # block from block draws of uniforms (see ``evolve._vary_rows``).
 
     def mutate_rows(self, rows, rate, u):
         """``rows`` with each bit flipped whose uniform in ``u`` is below
@@ -60,17 +58,8 @@ class BitstringProblem(Problem):
         """The genotypes whose loci are the rows of ``values``."""
         return np.asarray(values, dtype=np.uint8)
 
-    def mutate(self, genotype, rate, rng):
-        return self.mutate_rows(genotype, rate, rng.random(self.dimension))
-
-    def crossover(self, a, b, rng):
-        return self.crossover_rows(a, b, rng.random(self.dimension))
-
     def loci(self, genotype):
         return np.asarray(genotype, dtype=np.uint8)
-
-    def from_loci(self, values, rng):
-        return self.from_loci_rows(values)
 
     def stack(self, genotypes) -> np.ndarray:
         """The genotypes' bits packed into 64-bit words, zero padded: an

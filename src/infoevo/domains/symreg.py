@@ -265,14 +265,13 @@ class SymbolicRegression(Problem):
 
     def mutate(self, genotype, rate, rng):
         out = genotype
-        if rng.random() < max(rate * 4, 0.3):
-            positions = _subtree_positions(out)
-            pos = positions[rng.integers(len(positions))]
+        grow = rng.random() < max(rate * 4, 0.3)
+        positions = _subtree_positions(out)
+        pos = positions[rng.integers(len(positions))]
+        if grow:
             room = self.max_depth - len(pos)
             out = _replace_subtree(out, pos, self._grow(rng, max(room, 1)))
         else:
-            positions = _subtree_positions(out)
-            pos = positions[rng.integers(len(positions))]
             node = _get_subtree(out, pos)
             if node[0] in ("x", "c"):
                 out = _replace_subtree(out, pos, self._random_leaf(rng))
@@ -284,9 +283,9 @@ class SymbolicRegression(Problem):
         return out
 
     def crossover(self, a, b, rng):
+        pa = _subtree_positions(a)
+        pb = _subtree_positions(b)
         for _ in range(8):
-            pa = _subtree_positions(a)
-            pb = _subtree_positions(b)
             pos_a = pa[rng.integers(len(pa))]
             pos_b = pb[rng.integers(len(pb))]
             child = _replace_subtree(a, pos_a, _get_subtree(b, pos_b))

@@ -21,7 +21,6 @@ from .core import (
     PopulationView,
     ResolvedMetric,
     ScoredSample,
-    behavior_is_score,
     evaluate,
     fittest_first,
     normalize_scores,
@@ -336,46 +335,6 @@ def _vary_rows(parents, order, rank, model, config: EvolutionConfig, problem, rn
     return offspring
 
 
-def _chunk_end(offspring, keys, start: int, rm: ResolvedMetric, state: RunState) -> int:
-    """Where the chunk of ``offspring`` (canonical keys ``keys``) that
-    starts at ``start``, a candidate the burst screens, ends; the chunk
-    is screened in one block.
-
-    The burst screens candidates in order until one ends it (see
-    ``run_subpopulation``) and makes no objective call for the candidates
-    after that one, so neither may the block. The chunk therefore stops
-    before a candidate whose row calls the objective once the burst could
-    end before it: after a new genotype (one the ledger lacks) whose
-    score, with its row built, is missing or reaches the target, or at a
-    new genotype that comes after as many new ones as the budget has
-    left. The behaviors the chunk's rows need are memoized here, in
-    order (the score itself for a domain whose behavior is its score),
-    so that the rule knows the score of each new genotype whose
-    behavior is its score.
-    """
-    ledger, problem = state.ledger, state.problem
-    target = problem.target
-    memoize = ledger.score_of if behavior_is_score(problem) else ledger.behavior_of
-    lookup, score_memo = ledger.lookup, ledger.score_memo
-    row_calls_objective = rm.row_calls_objective
-    remaining = ledger.remaining  # memoizing charges nothing
-    new_keys: set = set()
-    may_end = False
-    for end in range(start, len(offspring)):
-        key = keys[end]
-        new = lookup(key) is None and key not in new_keys
-        may_end = may_end or (new and len(new_keys) >= remaining)
-        if row_calls_objective(key):
-            if may_end:
-                return end
-            memoize(offspring[end], problem, key)
-        if new:
-            new_keys.add(key)
-            score = score_memo(key)
-            may_end = may_end or score is None or (target is not None and score >= target)
-    return len(offspring)
-
-
 def run_subpopulation(
     view: PopulationView,
     config: EvolutionConfig,
@@ -399,7 +358,8 @@ def run_subpopulation(
     take. A guided burst with a positive quantile filters them, unless
     its view is too small to estimate a candidate (see
     ``FilterPolicy.warm``); the filter's rows and estimates are built a
-    chunk of offspring at a time, in one block (see ``_chunk_end``).
+    chunk of offspring at a time, in one block (see
+    ``ResolvedMetric.screen_rows``).
     """
     problem, rng = state.problem, state.rng
     guided = target is not None
@@ -421,8 +381,6 @@ def run_subpopulation(
             break
         offspring = vary(parents, fitness, config, problem, rng)
         keys = [problem.canonical_key(child) for child in offspring]
-        if filtering:
-            rm.add_genotypic_rows(offspring, keys)
         new_samples: list[ScoredSample] = []
         sample_keys = []  # new_samples' canonical keys
         out_of_budget = False
@@ -439,10 +397,8 @@ def run_subpopulation(
             report.candidates_generated += 1
             if filtering:
                 if i >= chunk_end:
-                    chunk_start, chunk_end = i, _chunk_end(offspring, keys, i, rm, state)
-                    dists, orders = rm.rows_of(
-                        offspring[chunk_start:chunk_end], keys[chunk_start:chunk_end]
-                    )
+                    chunk_start = i
+                    chunk_end, dists, orders = rm.screen_rows(offspring, keys, i)
                     estimates = guidance.filter_estimates(
                         dists, orders, policy.k, view_fitness
                     ).tolist()

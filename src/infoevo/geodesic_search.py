@@ -63,13 +63,13 @@ class Chart:
         """Map chart coordinates to the distribution space.
 
         Distance from the base equals the Euclidean norm of the
-        coordinates (geodesic normal coordinates).
+        coordinates (geodesic normal coordinates). Coordinates whose
+        tangent's length is 0, or underflows to 0, map to the base.
         """
-        coords = np.asarray(coords, dtype=float)
-        r = float(np.linalg.norm(coords))
-        if r == 0.0:
+        v = self.tangent(coords)
+        if v.norm == 0.0:
             return self.base
-        return manifold.exp_map(self.base, self.tangent(coords), 1.0)
+        return manifold.exp_map(self.base, v, 1.0)
 
     def point_rows(self, coords) -> np.ndarray:
         """phi of ``point`` at each row of nonzero chart coordinates,

@@ -38,6 +38,37 @@ class ScalarProblem(Problem):
         return np.abs(np.subtract.outer(xs, gs))
 
 
+class OneOffspringBits:
+    """A bitstring problem with the one-offspring operators rebuilt from
+    its row forms, each drawing what ``vary`` once drew per offspring:
+    one uniform per bit from ``rng.random(dimension)`` for ``mutate`` and
+    ``crossover``, none for ``from_loci``. Every other attribute is the
+    problem's."""
+
+    def __init__(self, problem):
+        self.problem = problem
+
+    def __getattr__(self, name):
+        return getattr(self.problem, name)
+
+    def mutate(self, genotype, rate, rng):
+        return self.problem.mutate_rows(genotype, rate, rng.random(self.problem.dimension))
+
+    def crossover(self, a, b, rng):
+        return self.problem.crossover_rows(a, b, rng.random(self.problem.dimension))
+
+    def from_loci(self, values, rng):
+        return self.problem.from_loci_rows(values)
+
+
+def one_offspring(problem):
+    """``problem`` with the one-offspring operators ``mutate``,
+    ``crossover`` and ``from_loci``: its own, or, for a domain that
+    varies in row form only (bitstrings), those rebuilt from the row
+    forms (see ``OneOffspringBits``)."""
+    return OneOffspringBits(problem) if hasattr(problem, "mutate_rows") else problem
+
+
 def count_objective_calls(problem):
     """Wrap the instance's ``score`` (and ``behavior``, where its class
     overrides the default) to count calls, as the benchmark's own

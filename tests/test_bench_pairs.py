@@ -6,6 +6,8 @@ import json
 import statistics
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parents[1]
 _spec = importlib.util.spec_from_file_location("bench_pairs", ROOT / "tools" / "bench_pairs.py")
 bench_pairs = importlib.util.module_from_spec(_spec)
@@ -18,7 +20,7 @@ def result(values, correct=True):
     return {"correct": correct, "attempted": 3, "failed": 0, "metrics": metrics}
 
 
-DIRECTIONS = {"wall_ref": "lower", "objective_calls": "lower", "rate": "higher"}
+RULES = {"wall_ref": ("lower", 0.2), "objective_calls": ("lower", 1e-5), "rate": ("higher", 0.5)}
 
 
 def test_summary_gives_quartiles_and_strict_wins_per_direction():
@@ -33,7 +35,7 @@ def test_summary_gives_quartiles_and_strict_wins_per_direction():
         )
         for pw, cw, pr, cr in zip(parent_wall, change_wall, parent_rate, change_rate)
     ]
-    summary = bench_pairs.summarize(pairs, DIRECTIONS)
+    summary = bench_pairs.summarize(pairs, RULES)
     assert summary["correct"] is True
     # metrics BENCHMARK.json does not name as end to end are left out
     assert list(summary["metrics"]) == ["w/wall_ref", "w/objective_calls", "w/rate"]
@@ -42,18 +44,19 @@ def test_summary_gives_quartiles_and_strict_wins_per_direction():
     assert wall["parent"] == (q1, q2, q3) and q2 == statistics.median(parent_wall)
     assert wall["change"][1] == statistics.median(change_wall)
     assert (wall["better"], wall["wins"], wall["pairs"]) == ("lower", 4, 5)
+    assert (wall["bound"], wall["verdict"]) == (0.2, "within bound")
     assert summary["metrics"]["w/objective_calls"]["wins"] == 0  # equal is no win
     rate = summary["metrics"]["w/rate"]
     assert (rate["better"], rate["wins"]) == ("higher", 3)
     lines = bench_pairs.format_summary(summary)
     assert len(lines) == 5 and lines[-1] == "every run correct: True"
-    assert lines[1].startswith("w/wall_ref") and lines[1].endswith("4/5")
+    assert lines[1].startswith("w/wall_ref") and lines[1].endswith("4/5 within bound")
     json.dumps(summary)  # the tool prints it as its last line
 
 
 def test_summary_of_one_workload_one_pair_and_a_failed_run():
     pairs = [(result({"wall_ref": 2.0}), result({"wall_ref": 1.5}, correct=False))]
-    summary = bench_pairs.summarize(pairs, DIRECTIONS)
+    summary = bench_pairs.summarize(pairs, RULES)
     assert summary["correct"] is False
     wall = summary["metrics"]["wall_ref"]
     assert wall["parent"] == (2.0, 2.0, 2.0) and wall["change"] == (1.5, 1.5, 1.5)
@@ -61,7 +64,37 @@ def test_summary_of_one_workload_one_pair_and_a_failed_run():
 
 
 def test_directions_are_read_from_the_benchmark_spec():
-    directions = bench_pairs.end_to_end_directions(ROOT)
+    rules = bench_pairs.end_to_end_metrics(ROOT)
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
-    assert directions == {m["name"]: m["better"] for m in spec["end_to_end"]}
-    assert directions["wall_ref"] == "lower"
+    assert rules == {m["name"]: (m["better"], m["bound"]) for m in spec["end_to_end"]}
+    assert rules["wall_ref"] == ("lower", 0.2) and rules["setup_s"] == ("lower", 0.25)
+
+
+@pytest.mark.parametrize(
+    "parent, change, expected",
+    [
+        # the change median 4.6 is worse than the parent median 3.0 by
+        # more than 20% of it
+        ([2.0, 3.0, 4.0], [4.5, 4.6, 4.7], "worse"),
+        # level medians, but the parent's IQR (1.0) is wider than 20% of
+        # its median (0.6), and a change run is slower than a parent run
+        ([2.0, 3.0, 4.0], [2.5, 3.0, 3.5], "unresolved"),
+        # the same wide parent, but every change run beats every parent run
+        ([2.0, 3.0, 4.0], [1.0, 1.5, 1.9], "within bound"),
+        # a narrow parent and a change median 10% worse
+        ([3.0, 3.0, 3.1], [3.3, 3.3, 3.3], "within bound"),
+    ],
+)
+def test_verdict_against_the_bound(parent, change, expected):
+    pairs = [(result({"wall_ref": p}), result({"wall_ref": c})) for p, c in zip(parent, change)]
+    wall = bench_pairs.summarize(pairs, RULES)["metrics"]["wall_ref"]
+    assert wall["verdict"] == expected
+    assert bench_pairs.format_summary({"correct": True, "metrics": {"wall_ref": wall}})[
+        1
+    ].endswith(expected)
+
+
+def test_verdict_of_a_metric_where_higher_is_better():
+    # rate, bound 50%: a median of 1.0 against 3.0 is worse by 2.0 > 1.5
+    assert bench_pairs.verdict([2.0, 3.0, 4.0], [0.5, 1.0, 1.5], False, 0.5) == "worse"
+    assert bench_pairs.verdict([2.0, 3.0, 4.0], [2.0, 2.5, 3.0], False, 0.5) == "within bound"

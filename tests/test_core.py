@@ -296,19 +296,126 @@ def test_resolved_metric_computes_one_distance_block_per_batch(rng):
     rm = ResolvedMetric(problem, view, 0.5, ledger, len(view))
     assert shapes == [(len(view), len(view))]
     offspring = [problem.random_genotype(rng) for _ in range(5)]
-    fresh = {problem.canonical_key(g) for g in offspring}
-    fresh -= {problem.canonical_key(s.genotype) for s in view.samples}
+    generation = offspring + [view.samples[0].genotype]
+    keys = [problem.canonical_key(g) for g in generation]
+    fresh = set(keys) - {problem.canonical_key(s.genotype) for s in view.samples}
+    # each objective call sees how many distance blocks came before it
+    blocks_at_call = []
+    behavior = problem.behavior
+
+    def behaving(genotype):
+        blocks_at_call.append(len(shapes))
+        return behavior(genotype)
+
+    problem.behavior = behaving
     calls = ledger.objective_calls
-    rm.add_genotypic_rows(offspring + [view.samples[0].genotype])
-    assert ledger.objective_calls == calls
+    start = 0
+    while start < len(generation):
+        end, _, _ = rm.screen_rows(generation, keys, start)
+        assert end > start
+        start = end
+    # the first chunk computed the generation's genotypic rows in one
+    # block, before the chunks' objective calls, one per new genotype
     assert fresh and shapes[1:] == [(len(fresh), len(view))]
-    rm.add_genotypic_rows(offspring)  # every row is held already
+    assert blocks_at_call == [2] * len(fresh)
+    assert ledger.objective_calls - calls == len(fresh)
+    rm.screen_rows(offspring, keys[:5], 0)  # every row is held already
     for g in offspring:
         knn_one(g, rm, 3)
     assert len(shapes) == 2
-    # a genotype never added gets its own one-row block on its query
+    # a genotype never screened gets its own one-row block on its query
     knn_one(("-", ("c", 123.0), ("x", 0)), rm, 3)
     assert shapes[2:] == [(1, len(view))]
+
+
+# --- where a screened chunk ends ---
+
+
+def new_genotypes(problem, count, rng, ledger) -> list:
+    """``count`` random genotypes of ``problem`` below its target, with
+    distinct canonical keys that ``ledger`` has not evaluated."""
+    found = {}
+    while len(found) < count:
+        g = problem.random_genotype(rng)
+        key = problem.canonical_key(g)
+        if key not in found and ledger.lookup(key) is None and problem.score(g) < problem.target:
+            found[key] = g
+    return list(found.values())
+
+
+def screening_metric(problem, rng, lam, remaining=100):
+    """A metric on a view of 20 random evaluations of ``problem``, in a
+    ledger with ``remaining`` evaluations left, and the ledger."""
+    ledger = EvaluationLedger(budget=20 + remaining)
+    for g in new_genotypes(problem, 20, rng, ledger):
+        evaluate(g, problem, ledger)
+    return ResolvedMetric(problem, view_of(ledger), lam, ledger, 5), ledger
+
+
+def screen(rm, generation, start=0):
+    """``rm.screen_rows`` of ``generation`` from ``start``, with the
+    objective calls it made; checks that its rows are ``rows_of``'s."""
+    keys = [rm.problem.canonical_key(g) for g in generation]
+    calls = rm._memo.objective_calls
+    end, dists, orders = rm.screen_rows(generation, keys, start)
+    expected = rm.rows_of(generation[start:end], keys[start:end])
+    assert dists.tobytes() == expected[0].tobytes()
+    assert orders.tobytes() == expected[1].tobytes()
+    return end, rm._memo.objective_calls - calls
+
+
+@pytest.mark.parametrize("k", [1, 3])
+def test_screen_rows_stops_after_the_new_candidate_that_reaches_the_target(rng, k):
+    problem = OneMax(bits=12)
+    rm, ledger = screening_metric(problem, rng, 0.5)
+    held = ledger.samples[3].genotype
+    new = new_genotypes(problem, 3, rng, ledger)
+    top = np.ones(12, dtype=np.uint8)
+    # a held genotype, then k new candidates, the k-th reaching the target
+    generation = [held, *new[: k - 1], top, *new[k - 1 :]]
+    end, calls = screen(rm, generation)
+    # the chunk stops before the next candidate whose row calls the
+    # objective, and scored exactly the new candidates up to the target
+    assert end == 1 + k and calls == k
+    # the rest is the next chunk
+    end, calls = screen(rm, generation, end)
+    assert end == len(generation) and calls == 3 - (k - 1)
+
+
+@pytest.mark.parametrize("scored", [False, True])
+def test_screen_rows_stops_where_the_budget_can_end_the_burst(rng, scored):
+    problem = OneMax(bits=12)
+    rm, ledger = screening_metric(problem, rng, 0.5, remaining=2)
+    held = ledger.samples[3].genotype
+    new = new_genotypes(problem, 4, rng, ledger)
+    if scored:
+        # a candidate the filter scored before: its row calls no objective
+        ledger.score_of(new[2], problem, problem.canonical_key(new[2]))
+    generation = [new[0], held, new[1], new[2], new[3]]
+    end, calls = screen(rm, generation)
+    # the third new genotype that needs an objective call ends the chunk
+    assert end == (4 if scored else 3) and calls == 2
+
+
+def test_screen_rows_stops_after_a_new_genotype_whose_behavior_is_not_its_score(rng):
+    problem = make_problem("symreg")
+    rm, ledger = screening_metric(problem, rng, 0.5)
+    held = [s.genotype for s in ledger.samples[:2]]
+    new = new_genotypes(problem, 2, rng, ledger)
+    generation = [held[0], new[0], held[1], new[1]]
+    end, calls = screen(rm, generation)
+    # new[0]'s score is unknown once its behavior is: the chunk ends at
+    # the next candidate that needs a call, past a held one
+    assert end == 3 and calls == 1
+    assert ledger.lookup(problem.canonical_key(new[0])) is None
+
+
+def test_screen_rows_on_the_genotypic_metric_is_one_chunk_without_calls(rng):
+    problem = OneMax(bits=12)
+    rm, ledger = screening_metric(problem, rng, 1.0, remaining=1)
+    new = new_genotypes(problem, 4, rng, ledger)
+    generation = [new[0], np.ones(12, dtype=np.uint8), *new[1:]]
+    assert screen(rm, generation) == (len(generation), 0)
 
 
 def test_view_of_caps_by_score():

@@ -23,6 +23,8 @@ from infoevo.domains.symreg import (
 )
 from infoevo.errors import BadLength
 
+from conftest import one_offspring
+
 
 def distance(problem, a, b) -> float:
     """The genotypic distance of one pair, through two one-row stacks."""
@@ -87,11 +89,12 @@ def test_score_trap_bad_length():
 
 def test_bitstring_operators_closure(rng):
     problem = OneMax(bits=32)
+    bits = one_offspring(problem)
     a = problem.random_genotype(rng)
     b = problem.random_genotype(rng)
     for _ in range(20):
-        child = problem.crossover(a, b, rng)
-        child = problem.mutate(child, 0.1, rng)
+        child = bits.crossover(a, b, rng)
+        child = bits.mutate(child, 0.1, rng)
         assert child.shape == (32,)
         assert child.dtype == np.uint8
         assert set(np.unique(child)) <= {0, 1}
@@ -103,7 +106,7 @@ def test_bitstring_distances(rng):
     b = np.ones(8, dtype=np.uint8)
     assert distance(problem, a, a) == 0.0
     assert distance(problem, a, b) == 8.0
-    c = problem.mutate(a, 0.5, rng)
+    c = one_offspring(problem).mutate(a, 0.5, rng)
     stacked = problem.stack([a, b, c])
     # 8 bits pack into one 64-bit word per genotype
     assert stacked.shape == (3, 1) and stacked.dtype == np.uint64 and len(stacked) == 3
@@ -136,7 +139,7 @@ def test_bitstring_eda_plumbing():
     g = np.array([1, 0, 1, 0], dtype=np.uint8)
     assert problem.loci(g).tolist() == [1, 0, 1, 0]
     assert problem.alphabet == (0, 1)
-    back = problem.from_loci([1, 0, 1, 0], np.random.default_rng(0))
+    back = one_offspring(problem).from_loci([1, 0, 1, 0], np.random.default_rng(0))
     assert np.array_equal(back, g)
 
 
@@ -155,7 +158,7 @@ def test_some_problems_define_loci():
 def test_loci_lie_in_alphabets_of_one_length(name, rng):
     problem = make_problem(name)
     genotypes = [problem.random_genotype(rng) for _ in range(20)]
-    genotypes += [problem.mutate(g, 1.0, rng) for g in genotypes]
+    genotypes += [one_offspring(problem).mutate(g, 1.0, rng) for g in genotypes]
     n_loci = len(problem.loci(genotypes[0]))
     assert isinstance(problem.alphabet, tuple) and len(problem.alphabet) >= 2
     for g in genotypes:
@@ -392,7 +395,7 @@ def test_geno_distance_correlates_with_score_gap(rng):
     base_score = problem.score(base)
     dists, gaps = [], []
     for rate in np.linspace(0.05, 0.5, 60):
-        g = problem.mutate(base, float(rate), rng)
+        g = one_offspring(problem).mutate(base, float(rate), rng)
         dists.append(distance(problem, base, g))
         gaps.append(abs(problem.score(g) - base_score))
     dr = np.argsort(np.argsort(dists)).astype(float)

@@ -84,6 +84,11 @@ def test_chart_point_normal_coordinates(rng):
             float(np.linalg.norm(coords)), abs=1e-9
         )
     assert chart.point([0.0, 0.0]) is base
+    # coordinates of nonzero norm so small that their tangent's length
+    # underflows to 0 are the base too
+    tiny = [2e-162, 0.0]
+    assert np.linalg.norm(tiny) > 0 and chart.tangent(tiny).norm == 0.0
+    assert chart.point(tiny) is base
 
 
 # --- lattice shortest paths ---

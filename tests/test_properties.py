@@ -94,6 +94,7 @@ from infoevo.manifold import _EXP_CLIP, LogDistribution, TangentVector
 from infoevo.promise import PromiseWeights, local_max_ratios, promise_vector
 
 from conftest import (
+    OneOffspringBits,
     ScalarProblem,
     ascending_median,
     dot_hamming,
@@ -107,6 +108,7 @@ from conftest import (
     metric_row,
     norm_behavior_distances,
     omega_knn,
+    one_offspring,
     one_pair_distance,
     one_pair_polyline,
     reference_nearest,
@@ -448,22 +450,16 @@ def test_vary_all_eda_matches_choice_per_locus(problem, n_parents, subpop, seed)
         if not block:
             assert ref.random() < 1.0  # vary's EDA-or-tournament draw
         values = choice_per_locus(top, alphabets, subpop, ref)
-        assert np.array_equal(kid, problem.from_loci(values, ref))
+        assert np.array_equal(kid, one_offspring(problem).from_loci(values, ref))
     assert rng.bit_generator.state == ref.bit_generator.state
 
 # --- variation's random stream ---
 
 
-class ReferenceBits:
+class ReferenceBits(OneOffspringBits):
     """A bitstring problem with its variation written out per offspring:
     a copy and a fancy-index XOR per mutation, an ``astype`` copy per
     crossover and one ``int`` per locus."""
-
-    def __init__(self, problem):
-        self.problem = problem
-
-    def __getattr__(self, name):
-        return getattr(self.problem, name)
 
     def mutate(self, genotype, rate, rng):
         flips = rng.random(self.problem.dimension) < rate
@@ -628,8 +624,8 @@ class CountingOneMax(OneMax):
     """OneMax whose row operators count what they are given: the parents
     a crossover reads, by their rank, the crossovers, the mutated
     offspring and their flipped bits, and the EDA offspring. Both of
-    ``vary``'s paths reach these operators, the loop through ``mutate``,
-    ``crossover`` and ``from_loci``."""
+    ``vary``'s paths reach these operators, the loop through the
+    one-offspring operators ``one_offspring`` rebuilds from them."""
 
     def __init__(self, bits, genotypes, rank):
         super().__init__(bits)
@@ -680,8 +676,9 @@ def test_vary_block_draws_give_the_loops_distribution():
         ledger = EvaluationLedger(budget=len(genotypes))
         parents = [evaluate(g, problem, ledger) for g in genotypes]
         rng = np.random.default_rng(seed)
+        varied = problem if draw is vary else one_offspring(problem)
         for _ in range(2000):
-            draw(parents, fitness, config, problem, rng)
+            draw(parents, fitness, config, varied, rng)
         counts.append(problem)
     block, loop = counts
     offspring = 2000 * (config.subpop_size - config.elitism)
@@ -1759,9 +1756,14 @@ def test_metric_blocks_match_rows_built_one_at_a_time(name, lam, n, seed):
     # offspring: new genotypes, one of them twice, and a view sample
     offspring = [problem.random_genotype(rng) for _ in range(4)]
     offspring += [offspring[0], genos[-1]]
+    keys = [problem.canonical_key(g) for g in offspring]
     calls = ledger.objective_calls
-    rm.add_genotypic_rows(offspring)
-    assert ledger.objective_calls == calls
+    # the first chunk of a generation adds every offspring's genotypic row
+    # in one block; only its own rows' behaviors call the objective
+    end, chunk_dists, chunk_orders = rm.screen_rows(offspring, keys, 0)
+    view_keys = {problem.canonical_key(g) for g in genos}
+    expected_calls = len(set(keys[:end]) - view_keys) if lam != 1.0 else 0
+    assert ledger.objective_calls - calls == expected_calls
     queries = genos + offspring
     for x, row in zip(queries, reference_rows(problem, view, lam, queries)):
         dists, got = metric_row(rm, x)
@@ -1770,6 +1772,9 @@ def test_metric_blocks_match_rows_built_one_at_a_time(name, lam, n, seed):
         assert got.tobytes() == order.tobytes()
         stored = rm._rows[problem.canonical_key(x)]  # shared by every query
         assert not any(a.flags.writeable for a in stored)
+    dists, orders = rm.rows_of(offspring[:end], keys[:end])
+    assert chunk_dists.tobytes() == dists.tobytes()
+    assert chunk_orders.tobytes() == orders.tobytes()
 
 
 # --- each row's k nearest, by selection and by sort ---
@@ -2297,8 +2302,8 @@ def test_behavior_column_equals_the_stacked_behavior_of(name, n, seed):
     genos = [s.genotype for s in view.samples]
     genos += [problem.random_genotype(rng) for _ in range(3)]
     keys = [problem.canonical_key(g) for g in genos]
-    fresh = EvaluationLedger(budget=0)  # a memo of its own
-    stacked = np.array([fresh.behavior_of(g, problem, key) for g, key in zip(genos, keys)])
+    # each genotype's own behavior, computed one at a time
+    stacked = np.array([np.array(problem.behavior(g), dtype=float) for g in genos])
     got = ledger.behaviors_of(genos, problem, keys)
     assert got.shape == stacked.shape and same_doubles(got, stacked)
     # the phenotypic view rows read the same column

@@ -5,8 +5,15 @@ The runs are the five benchmark-seed runs of ``tools/trace_digests.py``
 the cubic dataset of ``perfbench/make_dataset.py`` at cap 64, seed 5),
 made as that tool makes them. Each pin is the line the tool prints for
 the run: the SHA-256 of its trace, ``eval_count``, ``objective_calls``
-and ``evals_to_target``. A change that alters behaviour on purpose
-updates these pins and says why.
+and ``evals_to_target``. Four more runs of that tool are pinned, each
+through a branch of the rule that ends a screened chunk
+(``ResolvedMetric.screen_rows``): guided trap5-30 at budget 3000, which
+ends on its budget with candidates skipped; guided trap5-20 with one
+ray, which has rounds whose filter skips every new candidate; guided
+OneMax-50 at lambda = 1, whose rows call no objective; and guided
+symreg with depth-1 programs, whose view is too small for anything to
+be screened. A change that alters behaviour on purpose updates these
+pins and says why.
 """
 
 from pathlib import Path
@@ -48,8 +55,37 @@ PINS = {
     ),
 }
 
+CHUNK_RULE_PINS = {
+    "trap5-30-b3000-s1": (
+        "25dca6320dcbfb6c24c4b66c88d1b06516ad56599ba106452c22b153da019919",
+        3000,
+        3240,
+        3000,
+    ),
+    "trap5-20-rays1-b3000-s1": (
+        "0e0eb655ef42a2a3c0c8c2ad8776762b58de0670d0d209b9413e84e2ec8e42ef",
+        3000,
+        3610,
+        3000,
+    ),
+    "onemax50-genotypic-s1": (
+        "fe789f3e486bdafb55b281b9fd054be8d4b9cc22e3466981f294fddfd4586b10",
+        1474,
+        1474,
+        1474,
+    ),
+    "symreg-maxdepth1-b100-s1": (
+        "dc7891621f66e99404e5a5790ee2306a413c06d47274fd428cc8590b07780261",
+        6,
+        12,
+        100,
+    ),
+}
 
-def test_bench_seed_traces_match_their_pins(tmp_path, monkeypatch):
+
+def digest_lines(pins, tmp_path, monkeypatch) -> dict:
+    """The lines ``tools/trace_digests.py`` prints for the runs named in
+    ``pins``, as the tuples the pins hold."""
     monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
     monkeypatch.syspath_prepend(str(ROOT / "tools"))
     from checks import trace_digest
@@ -58,7 +94,7 @@ def test_bench_seed_traces_match_their_pins(tmp_path, monkeypatch):
 
     got = {}
     for name, flags in runs(str(write_dataset(tmp_path / "cubic.csv"))):
-        if name not in PINS:
+        if name not in pins:
             continue
         cfg = build_run_config(build_parser().parse_args(["run", *flags]))
         record = execute_run(cfg, cfg.mode, cfg.seed)
@@ -68,4 +104,12 @@ def test_bench_seed_traces_match_their_pins(tmp_path, monkeypatch):
             record["objective_calls"],
             record["evals_to_target"],
         )
-    assert got == PINS
+    return got
+
+
+def test_bench_seed_traces_match_their_pins(tmp_path, monkeypatch):
+    assert digest_lines(PINS, tmp_path, monkeypatch) == PINS
+
+
+def test_chunk_rule_branch_traces_match_their_pins(tmp_path, monkeypatch):
+    assert digest_lines(CHUNK_RULE_PINS, tmp_path, monkeypatch) == CHUNK_RULE_PINS

@@ -12,9 +12,10 @@ checkout's sources (see ``perfbench/prepare.py``).
 
 It then prints, for every end-to-end metric that ``BENCHMARK.json``
 names, each side's median and quartiles over its runs, the pairs the
-change won (strictly better, in the metric's direction), and whether
-every run of both sides reported ``"correct": true``. The last line is
-the same summary as one JSON object.
+change won (strictly better, in the metric's direction), a verdict
+against the metric's bound (see ``verdict``), and whether every run of
+both sides reported ``"correct": true``. The last line is the same
+summary as one JSON object.
 """
 
 from __future__ import annotations
@@ -31,11 +32,12 @@ HERE = Path(__file__).resolve().parents[1]
 SIDES = ("parent", "change")
 
 
-def end_to_end_directions(checkout: Path) -> dict[str, str]:
-    """Each end-to-end metric of a checkout's ``BENCHMARK.json`` and the
-    direction, ``"lower"`` or ``"higher"``, that is better."""
+def end_to_end_metrics(checkout: Path) -> dict[str, tuple[str, float]]:
+    """Each end-to-end metric of a checkout's ``BENCHMARK.json``: the
+    direction, ``"lower"`` or ``"higher"``, that is better, and its
+    bound, a share of the parent median."""
     spec = json.loads((checkout / "BENCHMARK.json").read_text())
-    return {m["name"]: m["better"] for m in spec["end_to_end"]}
+    return {m["name"]: (m["better"], m["bound"]) for m in spec["end_to_end"]}
 
 
 def run_bench(checkout: Path, workload: str, seconds: float) -> dict:
@@ -61,25 +63,45 @@ def quartiles(values) -> tuple[float, float, float]:
     return q1, q2, q3
 
 
-def summarize(pairs, directions: dict[str, str]) -> dict:
+def verdict(parent, change, lower: bool, bound: float) -> str:
+    """The change's verdict on one metric from each side's values:
+    ``"worse"`` when the change median is worse than the parent median by
+    more than ``bound`` times the parent median; else ``"unresolved"``
+    when the parent's interquartile range is wider than that and not
+    every change value beats every parent value; else ``"within
+    bound"``."""
+    q1, median, q3 = quartiles(parent)
+    allowed = bound * abs(median)
+    change_median = quartiles(change)[1]
+    if (change_median - median if lower else median - change_median) > allowed:
+        return "worse"
+    beats_all = max(change) < min(parent) if lower else min(change) > max(parent)
+    if q3 - q1 > allowed and not beats_all:
+        return "unresolved"
+    return "within bound"
+
+
+def summarize(pairs, rules: dict[str, tuple[str, float]]) -> dict:
     """The summary of ``pairs``, a nonempty list of (parent result,
     change result) of ``perfbench/run.py``, over the end-to-end metrics
-    of ``directions`` (name -> better direction).
+    of ``rules`` (name -> (better direction, bound)).
 
     A result's metric keys are the metric's name, or ``workload/name``
     from ``--workload all``. For each key both sides report, the summary
-    holds each side's quartiles and the number of pairs whose change
-    value is strictly better than its parent value. ``correct`` is
-    whether every result reported ``"correct": true``.
+    holds each side's quartiles, the number of pairs whose change value
+    is strictly better than its parent value, the bound and the
+    ``verdict``. ``correct`` is whether every result reported
+    ``"correct": true``.
     """
     keys = [
         key
         for key in pairs[0][1]["metrics"]
-        if key.rsplit("/", 1)[-1] in directions and key in pairs[0][0]["metrics"]
+        if key.rsplit("/", 1)[-1] in rules and key in pairs[0][0]["metrics"]
     ]
     metrics = {}
     for key in keys:
-        lower = directions[key.rsplit("/", 1)[-1]] == "lower"
+        better, bound = rules[key.rsplit("/", 1)[-1]]
+        lower = better == "lower"
         values = {
             side: [pair[i]["metrics"][key]["value"] for pair in pairs]
             for i, side in enumerate(SIDES)
@@ -92,6 +114,8 @@ def summarize(pairs, directions: dict[str, str]) -> dict:
             **{side: quartiles(values[side]) for side in SIDES},
             "wins": wins,
             "pairs": len(pairs),
+            "bound": bound,
+            "verdict": verdict(values["parent"], values["change"], lower, bound),
         }
     correct = all(run["correct"] for pair in pairs for run in pair)
     return {"correct": correct, "metrics": metrics}
@@ -101,10 +125,11 @@ def format_summary(summary: dict) -> list[str]:
     """The summary as text lines, one per metric, then the verdict on
     correctness."""
     heads = [f"{side} q1 / median / q3" for side in SIDES]
-    lines = [f"{'metric':44s} {heads[0]:>30s} {heads[1]:>30s} wins"]
+    lines = [f"{'metric':44s} {heads[0]:>30s} {heads[1]:>30s}  wins verdict"]
     for key, m in summary["metrics"].items():
         sides = ["{:9.4f} {:9.4f} {:9.4f}".format(*m[side]) for side in SIDES]
-        lines.append(f"{key:44s} {sides[0]:>30s} {sides[1]:>30s} {m['wins']}/{m['pairs']}")
+        wins = f"{m['wins']}/{m['pairs']}"
+        lines.append(f"{key:44s} {sides[0]:>30s} {sides[1]:>30s} {wins:>5s} {m['verdict']}")
     lines.append(f"every run correct: {summary['correct']}")
     return lines
 
@@ -127,7 +152,7 @@ def main(argv=None) -> int:
             result[side] = run_bench(checkouts[side], args.workload, args.seconds)
             print(f"pair {i + 1} {side}: correct {result[side]['correct']}", flush=True)
         pairs.append((result["parent"], result["change"]))
-    summary = summarize(pairs, end_to_end_directions(HERE))
+    summary = summarize(pairs, end_to_end_metrics(HERE))
     print("\n".join(format_summary(summary)))
     print(json.dumps(summary))
     return 0 if summary["correct"] else 1
