@@ -2,6 +2,7 @@
 
 Trees are nested tuples: ("x", i) for inputs, ("c", v) for constants,
 and (op, left, right) for the binary operators +, -, * and protected /.
+A tree is its own canonical key.
 Programs also have a behavior distance, ``program_fisher_distance``.
 """
 
@@ -80,21 +81,6 @@ def tree_depth(node) -> int:
     return 1 + max(tree_depth(node[1]), tree_depth(node[2]))
 
 
-def tree_labels(node, out=None) -> list[str]:
-    if out is None:
-        out = []
-    tag = node[0]
-    if tag == "x":
-        out.append(f"x{node[1]}")
-    elif tag == "c":
-        out.append(f"c:{node[1]!r}")
-    else:
-        out.append(tag)
-        tree_labels(node[1], out)
-        tree_labels(node[2], out)
-    return out
-
-
 def tree_str(node) -> str:
     tag = node[0]
     if tag == "x":
@@ -133,19 +119,6 @@ def program_fisher_distance(a, b, probes, eps_b: float = BEHAVIOR_EPS) -> float:
     da = behavior_to_distribution(eval_columns(a, columns, len(probes)), eps_b)
     db = behavior_to_distribution(eval_columns(b, columns, len(probes)), eps_b)
     return manifold.geodesic_distance_exact(da, db)
-
-
-def _depth_profile(node, max_depth: int) -> np.ndarray:
-    counts = np.zeros(max_depth, dtype=float)
-
-    def walk(nd, depth):
-        counts[min(depth, max_depth) - 1] += 1
-        if nd[0] not in ("x", "c"):
-            walk(nd[1], depth + 1)
-            walk(nd[2], depth + 1)
-
-    walk(node, 1)
-    return counts / counts.sum()
 
 
 def _subtree_positions(node, prefix=()) -> list[tuple]:
@@ -227,7 +200,6 @@ class SymbolicRegression(Problem):
         self.name = f"symreg-d{max_depth}"
         self.target = target
         self._vocabulary: dict[str, int] = {}  # label -> count-vector column
-        self._feature_cache: dict[str, tuple[np.ndarray, float, np.ndarray]] = {}
 
     def _random_leaf(self, rng):
         if rng.random() < 0.6:
@@ -256,70 +228,67 @@ class SymbolicRegression(Problem):
             return OVERFLOW_SCORE
         return float(-mse)
 
-    def canonical_key(self, genotype) -> str:
-        return tree_str(genotype)
+    def canonical_key(self, genotype) -> tuple:
+        """The tree itself: nested tuples hash and compare by structure."""
+        return genotype
 
     def behavior(self, genotype) -> np.ndarray:
         outs = eval_columns(genotype, self._columns, len(self.outputs))
         return np.clip(np.nan_to_num(outs, nan=1e6, posinf=1e6, neginf=-1e6), -1e6, 1e6)
 
     def mutate(self, genotype, rate, rng):
-        out = genotype
         grow = rng.random() < max(rate * 4, 0.3)
-        positions = _subtree_positions(out)
+        positions = _subtree_positions(genotype)
         pos = positions[rng.integers(len(positions))]
-        if grow:
-            room = self.max_depth - len(pos)
-            out = _replace_subtree(out, pos, self._grow(rng, max(room, 1)))
-        else:
-            node = _get_subtree(out, pos)
-            if node[0] in ("x", "c"):
-                out = _replace_subtree(out, pos, self._random_leaf(rng))
-            else:
-                op = OPS[rng.integers(len(OPS))]
-                out = _replace_subtree(out, pos, (op, node[1], node[2]))
-        if tree_depth(out) > self.max_depth:
-            return genotype
-        return out
+        if grow:  # a tree within max_depth leaves room of at least 1 at pos
+            return _replace_subtree(genotype, pos, self._grow(rng, self.max_depth - len(pos)))
+        node = _get_subtree(genotype, pos)
+        if node[0] in ("x", "c"):
+            return _replace_subtree(genotype, pos, self._random_leaf(rng))
+        op = OPS[rng.integers(len(OPS))]
+        return _replace_subtree(genotype, pos, (op, node[1], node[2]))
 
     def crossover(self, a, b, rng):
         pa = _subtree_positions(a)
         pb = _subtree_positions(b)
         for _ in range(8):
             pos_a = pa[rng.integers(len(pa))]
-            pos_b = pb[rng.integers(len(pb))]
-            child = _replace_subtree(a, pos_a, _get_subtree(b, pos_b))
-            if tree_depth(child) <= self.max_depth:
-                return child
+            graft = _get_subtree(b, pb[rng.integers(len(pb))])
+            if len(pos_a) + tree_depth(graft) <= self.max_depth:
+                return _replace_subtree(a, pos_a, graft)
         return a
-
-    def _features(self, tree) -> tuple[np.ndarray, float, np.ndarray]:
-        """Label counts, label total and depth profile, once per tree.
-
-        Counts are over a vocabulary that grows as labels first appear,
-        so a tree cached earlier has a shorter count vector. The cache is
-        keyed by the tree's repr: a label spells a constant by its repr,
-        which the canonical key rounds.
-        """
-        key = repr(tree)
-        feats = self._feature_cache.get(key)
-        if feats is None:
-            labels = tree_labels(tree)
-            vocab = self._vocabulary
-            cols = [vocab.setdefault(lbl, len(vocab)) for lbl in labels]
-            counts = np.bincount(cols, minlength=len(vocab)).astype(float)
-            feats = (counts, float(len(labels)), _depth_profile(tree, self.max_depth))
-            self._feature_cache[key] = feats
-        return feats
 
     def stack(self, genotypes) -> np.ndarray:
         """One row per tree: its depth profile, its label total, then its
-        label counts, one column per label seen so far."""
-        feats = [self._features(g) for g in genotypes]
-        d = self.max_depth
-        stacked = np.zeros((len(feats), d + 1 + len(self._vocabulary)))
-        for row, (counts, total, profile) in zip(stacked, feats):
-            row[:d], row[d], row[d + 1 : d + 1 + len(counts)] = profile, total, counts
+        label counts, one column per label seen so far, in the order one
+        pre-order walk per tree first meets them."""
+        d, vocab = self.max_depth, self._vocabulary
+        sizes, levels, labels = [], [], []  # nodes per tree; each node's level and label column
+        for tree in genotypes:
+            todo = [(tree, 0)]
+            before = len(levels)
+            while todo:
+                node, level = todo.pop()
+                tag = node[0]
+                if tag == "x":
+                    label = f"x{node[1]}"
+                elif tag == "c":
+                    label = f"c:{node[1]!r}"
+                else:
+                    label = tag
+                    todo += ((node[2], level + 1), (node[1], level + 1))
+                levels.append(level)
+                labels.append(vocab.setdefault(label, len(vocab)))
+            sizes.append(len(levels) - before)
+        m, width = len(sizes), d + 1 + len(vocab)
+        base = np.repeat(np.arange(m) * width, sizes)  # each node's row, flat
+        # per node, one count in its level's column (the last for nodes
+        # deeper than d) and one in its label's; empty lists give floats
+        cells = np.concatenate((base + np.minimum(levels, d - 1), base + np.add(labels, d + 1)))
+        stacked = np.bincount(cells.astype(np.intp), minlength=m * width).astype(float)
+        stacked = stacked.reshape(m, width)
+        stacked[:, d] = sizes
+        stacked[:, :d] /= stacked[:, d : d + 1]
         return stacked
 
     def geno_distances(self, xs, stacked) -> np.ndarray:

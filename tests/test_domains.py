@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from infoevo.core import EvaluationLedger, evaluate, normalize_scores, view_of
 from infoevo.domains import (
@@ -278,16 +280,18 @@ def test_symreg_overflowed_error_scores_the_sentinel():
     assert np.isfinite(normalize_scores(view.scores, view)).all()
 
 
-def test_symreg_operators_respect_depth(rng):
-    problem = SymbolicRegression(max_depth=4)
-    for _ in range(100):
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 6), st.integers(0, 2**32 - 1), st.floats(0.0, 1.0))
+def test_symreg_operators_respect_depth(max_depth, seed, rate):
+    # no operator checks its result's depth, so each must build within it
+    problem = SymbolicRegression(max_depth=max_depth)
+    rng = np.random.default_rng(seed)
+    for _ in range(10):
         a = problem.random_genotype(rng)
         b = problem.random_genotype(rng)
-        assert tree_depth(a) <= 4
-        child = problem.crossover(a, b, rng)
-        assert tree_depth(child) <= 4
-        mutant = problem.mutate(a, 0.1, rng)
-        assert tree_depth(mutant) <= 4
+        assert tree_depth(a) <= max_depth
+        assert tree_depth(problem.crossover(a, b, rng)) <= max_depth
+        assert tree_depth(problem.mutate(a, rate, rng)) <= max_depth
 
 
 def test_symreg_distances(rng):
@@ -299,14 +303,26 @@ def test_symreg_distances(rng):
     assert 0.0 <= distance(problem, a, b) <= 1.0
 
 
-def test_symreg_distance_tells_apart_constants_with_one_canonical_key():
-    # the canonical key prints constants with %g; the labels use repr
+def test_symreg_key_and_distance_tell_apart_nearby_constants():
+    # a tree is its own key; the labels spell constants by repr
     problem = SymbolicRegression()
     a, b = ("c", 1.0), ("c", 1.0000001)
-    assert problem.canonical_key(a) == problem.canonical_key(b)
+    assert problem.canonical_key(a) != problem.canonical_key(b)
     assert distance(problem, a, a) == 0.0
     assert distance(problem, a, b) == 0.5
     assert row(problem, b, problem.stack([a, b])).tolist() == [0.5, 0.0]
+
+
+def test_symreg_memo_charges_each_nearby_constant():
+    # outputs (0, 0, 2, 6): constant 1 has MSE (1+1+1+25)/4 = 7
+    problem = SymbolicRegression()
+    ledger = EvaluationLedger(budget=3)
+    near = evaluate(("c", 1.0000001), problem, ledger)
+    one = evaluate(("c", 1.0), problem, ledger)
+    assert one is not near and one.genotype == ("c", 1.0) and one.score == -7.0
+    assert ledger.eval_count == ledger.objective_calls == 2
+    assert evaluate(("c", 1.0), problem, ledger) is one
+    assert ledger.eval_count == ledger.objective_calls == 2
 
 
 def test_symreg_behavior_clipped():

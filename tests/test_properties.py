@@ -44,11 +44,9 @@ from infoevo.domains.symreg import (
     DIV_GUARD,
     OPS,
     OVERFLOW_SCORE,
-    _depth_profile,
     _input_columns,
     eval_columns,
     eval_tree,
-    tree_labels,
 )
 from infoevo.errors import GammaExceedsRay, NoPath, ZeroTangent
 from infoevo.evolve import (
@@ -1516,6 +1514,38 @@ def test_exact_ray_points_equal_one_exp_map_each(n, length, seed):
 # --- genotype distance blocks ---
 
 
+def tree_labels(node, out=None) -> list[str]:
+    """The tree's node labels in pre-order: ``x<i>`` for an input,
+    ``c:<repr>`` for a constant, the operator itself otherwise."""
+    if out is None:
+        out = []
+    tag = node[0]
+    if tag == "x":
+        out.append(f"x{node[1]}")
+    elif tag == "c":
+        out.append(f"c:{node[1]!r}")
+    else:
+        out.append(tag)
+        tree_labels(node[1], out)
+        tree_labels(node[2], out)
+    return out
+
+
+def depth_profile(node, max_depth: int) -> np.ndarray:
+    """The share of the tree's nodes at each depth 1..max_depth (deeper
+    nodes count at max_depth)."""
+    counts = np.zeros(max_depth, dtype=float)
+
+    def walk(nd, depth):
+        counts[min(depth, max_depth) - 1] += 1
+        if nd[0] not in ("x", "c"):
+            walk(nd[1], depth + 1)
+            walk(nd[2], depth + 1)
+
+    walk(node, 1)
+    return counts / counts.sum()
+
+
 def per_pair_tree_distance(problem, a, b) -> float:
     """The label-multiset and depth-profile distance, one pair at a time."""
     la, lb = tree_labels(a), tree_labels(b)
@@ -1527,8 +1557,8 @@ def per_pair_tree_distance(problem, a, b) -> float:
         cb[lbl] = cb.get(lbl, 0) + 1
     shared = sum(min(cnt, ca.get(lbl, 0)) for lbl, cnt in cb.items())
     label_term = 1.0 - shared / max(len(la), len(lb))
-    pa = _depth_profile(a, problem.max_depth)
-    pb = _depth_profile(b, problem.max_depth)
+    pa = depth_profile(a, problem.max_depth)
+    pb = depth_profile(b, problem.max_depth)
     depth_term = 0.5 * float(np.abs(pa - pb).sum())
     return 0.5 * (label_term + depth_term)
 
@@ -1626,6 +1656,9 @@ def test_tree_distance_rows_match_per_pair_distances(max_depth, data):
     x = data.draw(trees(max_depth))
     gs = data.draw(st.lists(trees(max_depth), max_size=8))
     older = problem.stack(gs)
+    # one column per label, in the order the pre-order walks first meet them
+    first_seen = dict.fromkeys(lbl for g in gs for lbl in tree_labels(g))
+    assert list(problem._vocabulary) == list(first_seen)
     assert_rows_match(problem, x, gs)
     # a label first seen after a stack was built: in the query tree
     # against that older stack, and in a row

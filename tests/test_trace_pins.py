@@ -12,8 +12,10 @@ ends on its budget with candidates skipped; guided trap5-20 with one
 ray, which has rounds whose filter skips every new candidate; guided
 OneMax-50 at lambda = 1, whose rows call no objective; and guided
 symreg with depth-1 programs, whose view is too small for anything to
-be screened. A change that alters behaviour on purpose updates these
-pins and says why.
+be screened. One more pins guided symreg on the cubic dataset at cap 64,
+seed 3, which runs two rounds, so its second round stacks trees with a
+label vocabulary that grew in the first. A change that alters behaviour
+on purpose updates these pins and says why.
 """
 
 from pathlib import Path
@@ -82,6 +84,15 @@ CHUNK_RULE_PINS = {
     ),
 }
 
+MULTI_ROUND_PINS = {
+    "symreg-cubic-cap64-s3": (
+        "5305c4551a307dda97b77357f50d60da10dab4159634484aae9eb224cb1c4679",
+        436,
+        862,
+        436,
+    ),
+}
+
 
 def digest_lines(pins, tmp_path, monkeypatch) -> dict:
     """The lines ``tools/trace_digests.py`` prints for the runs named in
@@ -113,3 +124,7 @@ def test_bench_seed_traces_match_their_pins(tmp_path, monkeypatch):
 
 def test_chunk_rule_branch_traces_match_their_pins(tmp_path, monkeypatch):
     assert digest_lines(CHUNK_RULE_PINS, tmp_path, monkeypatch) == CHUNK_RULE_PINS
+
+
+def test_multi_round_program_trace_matches_its_pin(tmp_path, monkeypatch):
+    assert digest_lines(MULTI_ROUND_PINS, tmp_path, monkeypatch) == MULTI_ROUND_PINS
