@@ -55,7 +55,6 @@ SETTINGS = (
     ("--max-depth", "problem_params", "max_depth", int),
     ("--dataset", "problem_params", "dataset", str),
     ("--target", "problem_params", "target", float),
-    ("--w-zeta", "weights", "w_zeta", float),
     ("--w-lm", "weights", "w_lm", float),
     ("--k-local", "weights", "k_local", int),
     ("--gamma", "step", "gamma", float),
@@ -75,14 +74,6 @@ SETTINGS = (
     ("--filter-k", "policy", "k", int),
     ("--threshold-quantile", "policy", "threshold_quantile", float),
     ("--lambda", "policy", "lam", float),
-)
-# Removed settings: flag, top-level config key and what took their place.
-# Their flags stay as hidden options so that an old command line exits 2
-# naming the setting; without its own entry, `--h` would be taken as an
-# abbreviation of `--help`, print the help and exit 0 without running.
-REMOVED_SETTINGS = (
-    ("--omega", "omega", "omega is always the kNN mass"),
-    ("--h", "h_kind", "h is always the product form"),
 )
 SECTIONS = ("problem_params", "weights", "step", "evolution", "policy")
 JSON_TYPES = {str: str, int: int, float: (int, float)}  # accepted per setting type
@@ -283,7 +274,6 @@ def _read_config(path: str, given: dict):
     if not isinstance(data, dict):
         raise ConfigError("config", f"{path} must hold a JSON object")
     kinds = {(section, name): kind for _, section, name, kind in SETTINGS}
-    removed = {name: why for _, name, why in REMOVED_SETTINGS}
     for top_name, top_value in data.items():
         if top_name in SECTIONS:
             if not isinstance(top_value, dict):
@@ -293,8 +283,6 @@ def _read_config(path: str, given: dict):
             section, values = None, {top_name: top_value}
         for name, value in values.items():
             kind = kinds.get((section, name))
-            if section is None and name in removed:
-                raise ConfigError(name, f"removed: {removed[name]}")
             if kind is None:
                 raise ConfigError(_key(section, name), "unknown config key")
             # JSON true/false would pass as int; an int is a valid float
@@ -320,9 +308,6 @@ def build_run_config(args) -> RunConfig:
     Each settings dataclass is built only from the values given, so a
     setting given nowhere takes its dataclass default.
     """
-    for flag, name, why in REMOVED_SETTINGS:
-        if getattr(args, _dest(flag)) is not None:
-            raise ConfigError(name, f"removed: {why}")
     given: dict = {section: {} for section in (None, *SECTIONS)}
     if args.config:
         _read_config(args.config, given)
@@ -350,21 +335,27 @@ def _add_run_flags(p: argparse.ArgumentParser):
     p.add_argument("--out", default="out", help="output directory")
     for flag, section, name, kind in SETTINGS:
         p.add_argument(flag, dest=_dest(flag), metavar=_key(section, name), type=kind)
-    for flag, _, _ in REMOVED_SETTINGS:
-        p.add_argument(flag, dest=_dest(flag), help=argparse.SUPPRESS)
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="info-evo")
+    """The command line. No parser takes an abbreviated flag, so a flag
+    that is not a setting's (``--h``, or a removed setting's) exits 2
+    rather than being read as a prefix of one that is."""
+    parser = argparse.ArgumentParser(prog="info-evo", allow_abbrev=False)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    _add_run_flags(sub.add_parser("run", help="run one experiment"))
+    p_run = sub.add_parser("run", help="run one experiment", allow_abbrev=False)
+    _add_run_flags(p_run)
 
-    p_cmp = sub.add_parser("compare", help="paired guided vs baseline runs")
+    p_cmp = sub.add_parser(
+        "compare", help="paired guided vs baseline runs", allow_abbrev=False
+    )
     _add_run_flags(p_cmp)
     p_cmp.add_argument("--repeats", type=int, default=3)
 
-    p_geo = sub.add_parser("geodesic-check", help="grid vs closed-form geodesics")
+    p_geo = sub.add_parser(
+        "geodesic-check", help="grid vs closed-form geodesics", allow_abbrev=False
+    )
     p_geo.add_argument("--seed", type=int, default=0)
     p_geo.add_argument("--n", type=int, nargs="+", default=[3, 5, 10])
     p_geo.add_argument("--trials", type=int, default=50)
@@ -374,7 +365,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_geo.add_argument("--quiet", action="store_true")
 
-    sub.add_parser("list-problems", help="show registered problems")
+    sub.add_parser("list-problems", help="show registered problems", allow_abbrev=False)
     return parser
 
 

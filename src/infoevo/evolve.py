@@ -103,7 +103,9 @@ class RunConfig:
 @dataclass
 class SubdemeReport:
     """One ray's burst. ``candidates_evaluated`` counts the candidates
-    passed to the ledger, duplicates that cost no budget included."""
+    passed to the ledger, duplicates that cost no budget included.
+    ``early_stop`` is True exactly when the burst ended because the
+    budget was spent, before all its generations ran."""
 
     ray_index: int
     generations_run: int = 0
@@ -131,16 +133,17 @@ class RoundReport:
 class RunState:
     """One run: its ledger, random stream, schedule and rounds.
 
-    The loop's schedule (step size, the filter's quantile in force, round
-    index and the counters of rounds without improvement and of stalled
-    rounds) lives here, so each ``run_round`` continues where the last
-    one stopped. ``reports`` holds every round the state ran, and
-    ``trace`` one row per new evaluation. ``stop_reason`` says
-    why the run ended: ``"target"`` (an evaluation reached the problem's
-    target), ``"budget"`` (the budget is spent) or ``"stall"`` (three
-    rounds that neither added to the ledger nor skipped a candidate, with
-    none between them that added to it, or an empty ledger, so no round
-    can run); it is None while the run can go on. A deme is one RunState.
+    The loop's schedule (step size, the filter's quantile in force and
+    the counters of rounds without improvement and of stalled rounds)
+    lives here, so each ``run_round`` continues where the last one
+    stopped. ``reports`` holds every round the state ran (so its length
+    is the next round's index) and ``trace`` one row per new evaluation.
+    ``stop_reason`` says why the run ended: ``"target"`` (an evaluation
+    reached the problem's target), ``"budget"`` (the budget is spent) or
+    ``"stall"`` (three rounds that neither added to the ledger nor
+    skipped a candidate, with none between them that added to it, or an
+    empty ledger, so no round can run); it is None while the run can go
+    on. A deme is one RunState.
     """
 
     ledger: EvaluationLedger
@@ -153,7 +156,6 @@ class RunState:
     reports: list[RoundReport] = field(default_factory=list)
     skipped_total: int = 0
     stop_reason: str | None = None
-    round_index: int = 0
     no_improve: int = 0
     stalled_rounds: int = 0
 
@@ -478,7 +480,7 @@ def run_round(state: RunState, cfg: RunConfig) -> None:
     problem, ledger, rng = state.problem, state.ledger, state.rng
     config, step_params, policy = cfg.evolution, cfg.step, cfg.policy
 
-    if state.round_index == 0:
+    if not state.reports:
         # random initial population; duplicates cost attempts but no budget
         init_goal = min(config.init_population, ledger.budget)
         attempts = 0
@@ -495,7 +497,7 @@ def run_round(state: RunState, cfg: RunConfig) -> None:
         evals_before = ledger.eval_count
         gamma = state.gamma
         round_policy = replace(policy, threshold_quantile=state.threshold_quantile)
-        report = RoundReport(round_index=state.round_index, gamma_used=gamma)
+        report = RoundReport(round_index=len(state.reports), gamma_used=gamma)
         report.best_score_before = ledger.best.score
         view = view_of(ledger, config.population_cap)
 
@@ -541,7 +543,6 @@ def run_round(state: RunState, cfg: RunConfig) -> None:
         report.candidates_evaluated = sum(f.candidates_evaluated for f in report.subdemes)
         report.best_score_after = ledger.best.score
         state.reports.append(report)
-        state.round_index += 1
 
         if report.best_score_after > report.best_score_before:
             state.no_improve = 0

@@ -15,18 +15,21 @@ import numpy as np
 from .core import ResolvedMetric, knn, normalize_scores  # noqa: F401
 from .errors import LedgerTooSmall
 
+# The normalized score's weight in the promise. A round reads the promise
+# only through its normalized distribution, the direction it ascends and
+# the order of rays, none of which a positive rescale changes, so only
+# ``w_lm``'s ratio to this weight acts.
+SCORE_WEIGHT = 1.5
+
 
 @dataclass(frozen=True)
 class PromiseWeights:
-    w_zeta: float = 1.5
     w_lm: float = 0.5
     k_local: int = 5
 
     def __post_init__(self):
-        if min(self.w_zeta, self.w_lm) < 0:
-            raise ValueError("promise weights must be nonnegative")
-        if self.w_zeta + self.w_lm <= 0:
-            raise ValueError("at least one promise weight must be positive")
+        if self.w_lm < 0:
+            raise ValueError("w_lm must be nonnegative")
         if self.k_local < 1:
             raise ValueError("k_local must be positive")
 
@@ -52,15 +55,16 @@ def local_max_ratios(orders: np.ndarray, norm: np.ndarray, k_local: int) -> np.n
 
 
 def promise_vector(weights: PromiseWeights, rm: ResolvedMetric) -> np.ndarray:
-    """Weighted blend of normalized score and the local-max ratio.
+    """Weighted blend of normalized score and the local-max ratio:
+    ``SCORE_WEIGHT * norm + w_lm * ratio``.
 
     A read-only array indexed like the view samples. The view's best
-    sample has promise ``w_zeta + w_lm > 0``. With ``w_lm > 0`` a view of
-    one sample raises ``LedgerTooSmall``.
+    sample has promise ``SCORE_WEIGHT + w_lm``. With ``w_lm > 0`` a view
+    of one sample raises ``LedgerTooSmall``.
     """
     view = rm.view
     norm = normalize_scores(view.scores, view)
-    values = weights.w_zeta * norm
+    values = SCORE_WEIGHT * norm
     if weights.w_lm > 0:
         if len(view) < 2:
             raise LedgerTooSmall("the local-max ratio needs at least 2 samples")

@@ -106,7 +106,7 @@ def test_criterion_3_exp_log_consistency(capsys):
 
 def test_criterion_4_promise_reduction(capsys):
     rng = np.random.default_rng(104)
-    weights = PromiseWeights(w_zeta=1.0, w_lm=0.0)
+    weights = PromiseWeights(w_lm=0.0)
     ok = True
     for _ in range(100):
         values = list(rng.uniform(-10, 10, size=int(rng.integers(3, 15))))

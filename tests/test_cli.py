@@ -1,7 +1,7 @@
 import csv
 import json
 import re
-from dataclasses import asdict, replace
+from dataclasses import asdict
 from pathlib import Path
 
 import pytest
@@ -189,9 +189,9 @@ def test_setting_by_flag_equals_setting_by_file_key(tmp_path, flag, section, nam
     "argv,data,field",
     [
         (["--gamma", "5"], None, "step"),
-        (["--omega", "bogus"], None, "omega"),  # a removed setting
-        (["--h", "bogus"], None, "h_kind"),  # not taken as --help
-        (["--mode", "baseline", "--h", "bogus"], None, "h_kind"),
+        (["--w-lm", "-1"], None, "weights"),
+        (["--k-local", "0"], None, "weights"),
+        ([], {"weights": {"w_zeta": 1.5}}, "weights.w_zeta"),  # a deleted setting
         (["--subpop-size", "0"], None, "evolution"),
         (["--threshold-quantile", "1.5"], None, "policy"),
         (["--lambda", "2"], None, "policy"),
@@ -237,6 +237,37 @@ def test_invalid_setting_exits_2(tmp_path, capsys, argv, data, field):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("key", ["weights.w_zeta", "omega", "h_kind"])
+def test_deleted_setting_is_an_unknown_config_key(tmp_path, capsys, key):
+    section, _, name = key.rpartition(".")
+    data = {section: {name: 1.0}} if section else {name: 1.0}
+    out = tmp_path / "out"
+    argv = ["--seed", "1", "--out", str(out), "--config", file_with(tmp_path, data)]
+    assert run_cli(["run", *argv]) == 2
+    assert f"error: config field '{key}': unknown config key" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--w-zeta", "1"],  # a deleted setting
+        ["--h", "bogus"],  # not taken as --help
+        ["--mode", "baseline", "--h", "bogus"],
+        ["--omega", "bogus"],  # a deleted setting
+        ["--lam", "1"],  # not taken as --lambda
+        ["--w", "0.3"],  # not taken as --w-lm
+    ],
+    ids=["w-zeta", "h", "mode-h", "omega", "lam", "w"],
+)
+def test_unrecognised_flag_exits_2_through_argparse(tmp_path, capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["run", "--seed", "1", "--out", str(tmp_path / "out")] + argv)
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {argv[-2]}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize(
     "text",
     [
@@ -257,15 +288,19 @@ README =Path(__file__).resolve().parents[1] / "README.md"
 
 
 def test_readme_examples_are_the_defaults(tmp_path):
+    # each JSON block of the README, the config file and run.json's config,
+    # names every setting at its default and loads as a config file, so a
+    # setting renamed or deleted but left in the README fails here
     file_example, record_example = re.findall(
         r"```json\n(.*?)```", README.read_text(), re.S
     )
-    path = tmp_path / "cfg.json"
-    path.write_text(file_example)
-    cfg = config_from(["--config", str(path)])
-    assert cfg == RunConfig(seed=1, problem_params={"bits": 50})
-    record = json.loads("{" + record_example + "}")
-    assert record["config"] == asdict(replace(cfg, mode="info_evo"))
+    default = RunConfig(seed=1, problem_params={"bits": 50})
+    file_config = json.loads(file_example)
+    record_config = json.loads("{" + record_example + "}")["config"]
+    assert file_config == {k: v for k, v in asdict(default).items() if k != "mode"}
+    assert record_config == asdict(default)
+    for data in (file_config, record_config):
+        assert config_from(["--config", file_with(tmp_path, data)]) == default
 
 
 def test_run_missing_config_file_exits_2(tmp_path):

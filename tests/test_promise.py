@@ -94,31 +94,31 @@ def test_local_max_prob_needs_two_samples():
 
 def test_promise_vector_score_only_reduction():
     view, rm = scalar_setup([3.0, 8.0, 1.0])
-    pv = promise_vector(PromiseWeights(w_zeta=1, w_lm=0), rm)
+    pv = promise_vector(PromiseWeights(w_lm=0), rm)
     assert not pv.flags.writeable
-    assert np.allclose(pv, normalize_scores(view.scores, view))
+    assert np.allclose(pv, 1.5 * normalize_scores(view.scores, view))
     assert int(np.argmax(pv)) == int(np.argmax(view.scores))
 
 
 def test_promise_vector_hand_derived():
-    # normalized scores (0, 0.5, 1); weights (2, 0):
-    # values = 2 * norm = (0, 1.0, 2.0)
+    # normalized scores (0, 0.5, 1); w_lm = 0, so only the score's
+    # weight 1.5 acts: values = 1.5 * norm = (0, 0.75, 1.5)
     view, rm = scalar_setup([0.0, 5.0, 10.0])
-    pv = promise_vector(PromiseWeights(w_zeta=2, w_lm=0), rm)
-    assert np.allclose(pv, [0.0, 1.0, 2.0])
+    pv = promise_vector(PromiseWeights(w_lm=0), rm)
+    assert np.allclose(pv, [0.0, 0.75, 1.5])
 
 
 def test_promise_argmax_invariance_random(rng):
     for _ in range(100):
         scores = rng.uniform(-5, 5, size=8)
         view, rm = scalar_setup(list(scores))
-        pv = promise_vector(PromiseWeights(w_zeta=2.5, w_lm=0), rm)
+        pv = promise_vector(PromiseWeights(w_lm=0), rm)
         assert int(np.argmax(pv)) == int(np.argmax(view.scores))
 
 
 def test_promise_monotone_in_own_score(rng):
     base_scores = [1.0, 4.0, 2.5, 3.0, 0.5]
-    weights = PromiseWeights(w_zeta=1.5, w_lm=0.5, k_local=2)
+    weights = PromiseWeights(w_lm=0.5, k_local=2)
     view, rm = scalar_setup(base_scores)
     before = promise_vector(weights, rm)[2]
     bumped = list(base_scores)
@@ -129,16 +129,17 @@ def test_promise_monotone_in_own_score(rng):
 
 
 def test_promise_values_bounded(rng):
-    weights = PromiseWeights(w_zeta=1.5, w_lm=0.5, k_local=3)
+    weights = PromiseWeights(w_lm=0.5, k_local=3)
     for _ in range(20):
         view, rm = scalar_setup(list(rng.uniform(-3, 3, size=10)))
         pv = promise_vector(weights, rm)
         assert np.all(pv >= 0)
-        assert np.all(pv <= weights.w_zeta + weights.w_lm + 1e-12)
+        assert np.all(pv <= 1.5 + weights.w_lm + 1e-12)
 
 
 def test_promise_weights_validation():
     with pytest.raises(ValueError):
-        PromiseWeights(w_zeta=0, w_lm=0)
+        PromiseWeights(w_lm=-1)
     with pytest.raises(ValueError):
-        PromiseWeights(w_zeta=-1)
+        PromiseWeights(k_local=0)
+    PromiseWeights(w_lm=0)  # the score's weight alone is a promise

@@ -89,7 +89,12 @@ from infoevo.guidance import (
     omega_block,
 )
 from infoevo.manifold import _EXP_CLIP, LogDistribution, TangentVector
-from infoevo.promise import PromiseWeights, local_max_ratios, promise_vector
+from infoevo.promise import (
+    SCORE_WEIGHT,
+    PromiseWeights,
+    local_max_ratios,
+    promise_vector,
+)
 
 from conftest import (
     OneOffspringBits,
@@ -212,20 +217,19 @@ def scored_views(draw):
 
 weight = st.one_of(st.just(0.0), st.floats(0.0, 10.0))
 promise_weights = st.builds(
-    lambda w, k: PromiseWeights(*w, k_local=k),
-    st.tuples(weight, weight).filter(lambda w: sum(w) > 0),  # (w_zeta, w_lm)
-    st.integers(1, 6),
+    lambda w, k: PromiseWeights(w_lm=w, k_local=k), weight, st.integers(1, 6)
 )
 
 
 @settings(max_examples=200, deadline=None)
 @given(scored_views(), promise_weights)
 def test_best_sample_promise_is_the_weight_sum(case, weights):
-    # the best sample's normalized score and local-max ratio are both 1
+    # the best sample's normalized score and local-max ratio are both 1,
+    # and the score's weight is 1.5
     view, rm = case
     pv = promise_vector(weights, rm)
     best = int(np.argmax(view.scores))
-    assert pv[best] == weights.w_zeta + weights.w_lm
+    assert pv[best] == 1.5 + weights.w_lm
     assert pv.max() == pv[best] > 0
 
 
@@ -237,13 +241,13 @@ def test_best_sample_promise_is_the_weight_sum(case, weights):
 def test_default_promise_is_the_three_term_blend(case):
     # the blend of normalized score (1), global-max ratio (0.5, which is
     # the normalized score again) and local-max ratio (0.5): the score
-    # terms are one weight, w_zeta = 1.5
+    # terms are one weight, SCORE_WEIGHT = 1.5
     view, rm = case
     weights = PromiseWeights()
-    assert (weights.w_zeta, weights.w_lm, weights.k_local) == (1.5, 0.5, 5)
+    assert (SCORE_WEIGHT, weights.w_lm, weights.k_local) == (1.5, 0.5, 5)
     norm = normalize_scores(view.scores, view)
     lm = np.array([local_max_prob(i, 5, rm, norm) for i in range(len(view))])
-    blend = weights.w_zeta * norm + weights.w_lm * lm
+    blend = 1.5 * norm + weights.w_lm * lm
     assert promise_vector(weights, rm).tobytes() == blend.tobytes()
 
 

@@ -19,7 +19,8 @@ guided symreg on the cubic dataset at cap 64), guided and unguided
 sphere-10, guided rosenbrock-5 and trap5-30 (so both real-vector
 problems pin the mutation scale ``SIGMA``), guided OneMax-50 and symreg
 with one setting changed (among them a filter k and a promise k_local,
-each large enough to set how many neighbors the metric's orders keep),
+each large enough to set how many neighbors the metric's orders keep,
+and a promise weight ``w_lm`` other than the default),
 guided symreg on a 3-d chart and on a 1-d chart, whose cone rays
 coincide with +-e1 and are refined as a block of duplicate rays, guided
 symreg with depth-1 programs, whose view holds six samples, too few
@@ -104,6 +105,7 @@ def runs(dataset: str):
         ("onemax50-phenotypic-s1", onemax + phenotypic + ["--seed", "1"]),
         ("onemax50-filter-k12-s1", onemax + ["--filter-k", "12", "--seed", "1"]),
         ("onemax50-klocal9-s1", onemax + ["--k-local", "9", "--seed", "1"]),
+        ("onemax50-wlm1-s1", onemax + ["--w-lm", "1", "--seed", "1"]),
         ("onemax50-demes2-s1", onemax + ["--deme-count", "2", "--seed", "1"]),
         ("onemax50-nofilter-s1", onemax + unfiltered + ["--seed", "1"]),
         ("symreg-cubic-cap64-genotypic-s3", symreg + genotypic + ["--seed", "3"]),
