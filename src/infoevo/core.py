@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Any, Sequence
+from typing import Any, NamedTuple, Sequence
 
 import numpy as np
 
@@ -23,6 +23,7 @@ from .domains.base import Problem
 from .errors import BudgetExhausted, EmptyLedger
 
 PAIR_SAMPLE_LIMIT = 1000  # pairs sampled when scaling the blended metric
+BLEND_ROWS = 16  # rows of behavior distances a blend adds at a time
 SCALE_PAIR_SIZES = 16  # view sizes whose scale pairs are kept
 # blocks of fewer entries take the sliced full sort: timed against the
 # argmin passes at k = 7 on tie-heavy blocks 64, 96 and 256 columns wide,
@@ -31,10 +32,10 @@ SCALE_PAIR_SIZES = 16  # view sizes whose scale pairs are kept
 TOP_K_SELECT_MIN = 1536
 
 
-@dataclass(frozen=True, slots=True)
-class ScoredSample:
+class ScoredSample(NamedTuple):
     """One evaluated genotype with its memoized score; ``id`` is its
-    position in its ledger's evaluation order."""
+    position in its ledger's evaluation order. An immutable record, a
+    tuple, which is cheaper to build than a frozen dataclass."""
 
     id: int
     genotype: Any
@@ -102,7 +103,11 @@ class EvaluationLedger:
         behavior is its score gets the column of its memoized scores, so
         no second objective call."""
         if behavior_is_score(problem):
-            scores = [self.score_of(g, problem, key) for g, key in zip(genotypes, keys)]
+            memo = self._scores
+            scores = []
+            for g, key in zip(genotypes, keys):
+                value = memo.get(key)
+                scores.append(self.score_of(g, problem, key) if value is None else value)
             return np.array(scores, dtype=float)[:, None]
         rows = []
         for g, key in zip(genotypes, keys):
@@ -184,8 +189,10 @@ def evaluate(genotype, problem, ledger: EvaluationLedger) -> ScoredSample:
     """Charge a genotype to the ledger, memoizing by canonical form.
 
     A cached genotype is returned without consuming budget. The score
-    comes from the ledger's memo, so a genotype the filter already scored
-    costs no second objective call.
+    comes from the ledger's score memo, read and, on a miss, written
+    here as ``EvaluationLedger.score_of`` would (the same float, one
+    ``objective_calls`` per ``problem.score`` call), so a genotype the
+    filter already scored costs no second objective call.
     """
     key = problem.canonical_key(genotype)
     cached = ledger._by_key.get(key)
@@ -196,7 +203,11 @@ def evaluate(genotype, problem, ledger: EvaluationLedger) -> ScoredSample:
         raise BudgetExhausted(
             f"budget of {ledger.budget} evaluations exhausted"
         )
-    sample = ScoredSample(count, genotype, ledger.score_of(genotype, problem, key))
+    score = ledger._scores.get(key)
+    if score is None:
+        score = ledger._scores[key] = float(problem.score(genotype))
+        ledger.objective_calls += 1
+    sample = ScoredSample(count, genotype, score)
     ledger._append(sample, key)
     return sample
 
@@ -271,6 +282,17 @@ def behavior_distances(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
     return np.linalg.norm(ys[None] - xs[:, None], axis=-1)
 
 
+def pair_behavior_distances(b: np.ndarray, ii: np.ndarray, jj: np.ndarray) -> np.ndarray:
+    """The entries ``[ii, jj]`` of ``behavior_distances(b, b)``, the same
+    doubles, computed for those pairs alone: ``sqrt(d * d)`` of the
+    plain differences for one-entry vectors, else the norm over the last
+    axis of the pairs' differences."""
+    if b.shape[1] == 1:
+        d = b[jj, 0] - b[ii, 0]
+        return np.sqrt(d * d)
+    return np.linalg.norm(b[jj] - b[ii], axis=-1)
+
+
 @lru_cache(maxsize=SCALE_PAIR_SIZES)
 def _scale_pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
     """The view pairs (i, j), i != j, whose median distances scale a
@@ -303,13 +325,14 @@ class ResolvedMetric:
     neighbors any query of the run reads, and its distances to them.
     Stacks the view's genotypes and computes its distance table once, at
     construction, as one n-by-n block: one genotypic block from a single
-    ``geno_distances`` call, one behavior block, their blend, and each
-    row's width nearest selected from that block in place by one
-    ``nearest`` call, so no distance is computed or ordered twice, and
-    the n-by-n blocks are dropped. ``view_orders`` (n by width) and the
-    distances at those positions are what is kept, row i being view
-    sample i's, and each sample's row is two read-only views of them. Behavior
-    vectors come from ``memo``, the run's ledger the view was taken from,
+    ``geno_distances`` call, into which a blend adds the behavior
+    distances a few rows at a time (``BLEND_ROWS``), so no second n-by-n
+    block is made, and each row's width nearest selected from that block
+    in place by one ``nearest`` call, so no distance is computed or
+    ordered twice, and the block is dropped. ``view_orders`` (n by
+    width) and the distances at those positions are what is kept, row i
+    being view sample i's, and each sample's row is two read-only views
+    of them. Behavior vectors come from ``memo``, the run's ledger the view was taken from,
     and new ones are added to it, so none is computed twice in a run;
     the view samples' canonical keys are the memo's ``keys``, and a
     domain whose behavior is its score reads the view's scores. Genotypes
@@ -319,8 +342,9 @@ class ResolvedMetric:
     builds the rows of the chunk of candidates a burst screens in one
     block, and decides where that chunk ends.
     Strictly between the extremes, median scales over a deterministic
-    sample of view pairs, read from the two blocks, make the genotypic
-    and phenotypic terms comparable.
+    sample of view pairs make the genotypic and phenotypic terms
+    comparable: the genotypic pairs are read from the block, the
+    behavior pairs computed alone (``pair_behavior_distances``).
     """
 
     def __init__(self, problem, view, lam: float, memo: EvaluationLedger, k: int):
@@ -335,15 +359,14 @@ class ResolvedMetric:
         keys = [memo.keys[s.id] for s in view.samples]
         # blend extremes must reduce to the pure metrics exactly
         self._kind = {1.0: "genotypic", 0.0: "phenotypic"}.get(lam, "blended")
-        dg = dp = self._behaviors = None
+        dg = b = None
         if self._kind != "genotypic":
             if behavior_is_score(problem):
                 # the memo's scores of the view samples, the same doubles
                 b = view.scores[:, None]
             else:
                 b = memo.behaviors_of(genos, problem, keys)
-            self._behaviors = b
-            dp = behavior_distances(b, b)
+        self._behaviors = b
         if self._kind != "phenotypic":
             self._stacked = problem.stack(genos)
             dg = problem.geno_distances(self._stacked, self._stacked)
@@ -352,10 +375,10 @@ class ResolvedMetric:
         if self._kind == "blended" and len(view) >= 2:
             ii, jj = _scale_pairs(len(view))
             mg = float(np.median(dg[ii, jj]))
-            mp = float(np.median(dp[ii, jj]))
+            mp = float(np.median(pair_behavior_distances(b, ii, jj)))
             self._geno_scale = mg if mg > 0 else 1.0
             self._pheno_scale = mp if mp > 0 else 1.0
-        orders, dists = nearest(self._blend(dg, dp), self.width)
+        orders, dists = nearest(self._distances(dg, b), self.width)
         # shared by every query of a view sample
         orders.flags.writeable = dists.flags.writeable = False
         self.view_orders = orders
@@ -363,22 +386,26 @@ class ResolvedMetric:
         # genotypic rows of genotypes outside the view, not yet queried
         self._pending: dict = {}
 
-    def _blend(self, dg, dp) -> np.ndarray:
-        """The metric's distances from genotypic distances ``dg`` and
-        behavior distances ``dp`` (either None where lam omits it). A
-        blend overwrites both."""
+    def _distances(self, dg, bx) -> np.ndarray:
+        """The metric's distances from the view of the genotypes whose
+        genotypic rows are ``dg`` and whose behaviors are ``bx`` (either
+        None where lam omits it). A blend overwrites ``dg``, adding the
+        behavior distances into it BLEND_ROWS rows at a time."""
         if self._kind == "genotypic":
             return dg
         if self._kind == "phenotypic":
-            return dp
+            return behavior_distances(bx, self._behaviors)
         lam = self.lam
         # lam * dg / geno_scale + (1 - lam) * dp / pheno_scale, in that
         # operation order, in place
         np.multiply(lam, dg, out=dg)
         dg /= self._geno_scale
-        np.multiply(1 - lam, dp, out=dp)
-        dp /= self._pheno_scale
-        dg += dp
+        for start in range(0, len(dg), BLEND_ROWS):
+            rows = slice(start, start + BLEND_ROWS)
+            dp = behavior_distances(bx[rows], self._behaviors)
+            np.multiply(1 - lam, dp, out=dp)
+            dp /= self._pheno_scale
+            dg[rows] += dp
         return dg
 
     def _keys(self, genotypes, keys) -> list:
@@ -400,14 +427,13 @@ class ResolvedMetric:
         their canonical keys to, none of which has a row: their behaviors
         through the memo, in order, one m-by-n behavior block, their
         genotypic rows, one blend and one ``nearest``."""
-        dg = dp = None
+        dg = bx = None
         if self._behaviors is not None:
             bx = self._memo.behaviors_of(fresh.values(), self.problem, fresh)
-            dp = behavior_distances(bx, self._behaviors)
         if self._kind != "phenotypic":
             self._add_pending({k: g for k, g in fresh.items() if k not in self._pending})
             dg = np.array([self._pending.pop(key) for key in fresh])
-        orders, dists = nearest(self._blend(dg, dp), self.width)
+        orders, dists = nearest(self._distances(dg, bx), self.width)
         # shared by every query of these genotypes
         orders.flags.writeable = dists.flags.writeable = False
         self._rows.update(zip(fresh, zip(dists, orders)))

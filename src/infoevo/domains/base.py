@@ -15,7 +15,9 @@ class Problem(ABC):
     A domain supplies either the one-offspring operators ``mutate``,
     ``crossover`` and ``from_loci`` or their row forms ``mutate_rows``,
     ``crossover_rows`` and ``from_loci_rows``, which vary a generation
-    in one block (see ``evolve.vary``), not both.
+    in one block (see ``evolve.vary``), not both. A domain with row
+    forms and loci keeps each genotype as the row of its locus values,
+    so a stack of its genotypes is the stack of their loci.
     ``score`` and ``behavior`` must be pure and deterministic functions of
     the canonical key: a run memoizes both by that key and computes each
     at most once per genotype.

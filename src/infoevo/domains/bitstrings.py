@@ -11,7 +11,15 @@ TRAP_BLOCK = 5  # bits per deceptive trap block
 
 
 def score_onemax(bits: np.ndarray) -> float:
-    return float(bits.sum())
+    """The number of ones in ``bits``, a row of 0/1 values.
+
+    Counted as nonzero entries, so the row must hold only 0 and 1, as
+    every bitstring genotype does: ``random_genotype`` draws 0/1
+    ``uint8`` rows, and ``mutate_rows`` (an XOR with a 0/1 mask),
+    ``crossover_rows`` (a choice of parent bits) and ``from_loci_rows``
+    (over the alphabet (0, 1)) keep them so. On such a row it is the
+    same float as ``float(bits.sum())``."""
+    return float(np.count_nonzero(bits))
 
 
 def score_trap(bits: np.ndarray) -> float:

@@ -194,19 +194,18 @@ class RunState:
         return sample
 
 
-def _eda_model(parents, order, problem, m: int):
+def _eda_model(top, problem, m: int):
     """Per-locus marginals of the top-quartile parents, Laplace smoothed;
-    ``order`` ranks the parents, fittest first.
+    ``top`` holds their loci, one row per parent, fittest first.
 
     Returns the domain's alphabet, as an array, and each locus's
     cumulative distribution over it, normalised as ``Generator.choice``
-    normalises ``p``; None when the domain defines no loci.
+    normalises ``p``, so its last column is exactly 1.0; None when the
+    domain defines no loci.
     """
-    q = max(1, math.ceil(len(parents) / 4))
-    loci = [problem.loci(parents[i].genotype) for i in order[:q]]
-    if loci[0] is None:
+    if top[0] is None:
         return None
-    top = np.array(loci)
+    top = np.asarray(top)
     alphabet = np.array(problem.alphabet)
     counts = (top[:, :, None] == alphabet).sum(axis=0).astype(float)
     probs = counts / counts.sum(axis=1, keepdims=True)
@@ -226,10 +225,13 @@ def _eda_values(model, u):
     ``(cdf <= u).sum()`` is ``searchsorted(u, side="right")`` on a
     non-decreasing row, which is how ``rng.choice(len(alphabet), p=probs)``
     turns its one uniform into an index, so one uniform per locus keeps
-    the random stream of one ``choice`` call per locus.
+    the random stream of one ``choice`` call per locus. Each uniform is
+    compared with every column but the last: that column is exactly 1.0
+    and a uniform from ``Generator.random`` lies below 1, so it never
+    counts.
     """
     alphabet, cdf = model
-    return alphabet[(cdf <= u[..., None]).sum(axis=-1)]
+    return alphabet[(cdf[:, :-1] <= u[..., None]).sum(axis=-1)]
 
 
 def _sample_eda(model, problem, rng):
@@ -238,19 +240,20 @@ def _sample_eda(model, problem, rng):
     return problem.from_loci(_eda_values(model, u), rng)
 
 
-def _ranking(fitness) -> tuple[list[int], list[int]]:
-    """(order, rank) of the parents: ``order`` lists them fittest first,
-    ties to the earlier, and ``rank[i]`` is parent i's place in it."""
+def _ranking(fitness) -> tuple[np.ndarray, np.ndarray]:
+    """(order, rank) of the parents, two index arrays: ``order`` lists
+    them fittest first, ties to the earlier, and ``rank[i]`` is parent
+    i's place in it."""
     order = fittest_first(fitness)
     rank = np.empty_like(order)
     rank[order] = np.arange(len(order))
-    return order.tolist(), rank.tolist()
+    return order, rank
 
 
 def _tournament(parents, order, rank, size, rng):
     """The winner of ``size`` parents drawn with replacement: the one of
-    least rank (see ``_ranking``), which is the one of greatest
-    ``(fitness, -index)``."""
+    least rank (``_ranking``'s order and rank, as lists), which is the
+    one of greatest ``(fitness, -index)``."""
     drawn = rng.integers(0, len(parents), size=size).tolist()
     return parents[order[min(map(rank.__getitem__, drawn))]]
 
@@ -267,17 +270,28 @@ def vary(parents, fitness, config: EvolutionConfig, problem, rng) -> list:
     A domain whose variation has row forms fed uniforms (bitstrings) is
     varied from a few block draws (see ``_vary_rows``); any other goes
     offspring by offspring. Each offspring has the same distribution on
-    either path; only which draws make which choice differs.
+    either path; only which draws make which choice differs. The row
+    path stacks the parents' genotypes once, and that stack is their
+    loci too (see ``Problem``).
     """
     if not parents:
         raise ValueError("parents must be nonempty")
     count = config.subpop_size - config.elitism
     order, rank = _ranking(fitness)
+    rows = None
+    if hasattr(problem, "mutate_rows"):
+        rows = np.asarray([p.genotype for p in parents])
     model = None
     if config.eda_fraction > 0 and len(parents) >= EDA_MIN_PARENT_POOL:
-        model = _eda_model(parents, order, problem, config.subpop_size)
-    if hasattr(problem, "mutate_rows"):
-        return _vary_rows(parents, order, rank, model, config, problem, rng)
+        top = order[: max(1, math.ceil(len(parents) / 4))]
+        if rows is None:
+            top = [problem.loci(parents[i].genotype) for i in top.tolist()]
+        else:
+            top = rows[top]
+        model = _eda_model(top, problem, config.subpop_size)
+    if rows is not None:
+        return _vary_rows(rows, order, rank, model, config, problem, rng)
+    order, rank = order.tolist(), rank.tolist()
     size = config.tournament_size
     offspring = []
     for _ in range(count):
@@ -293,8 +307,10 @@ def vary(parents, fitness, config: EvolutionConfig, problem, rng) -> list:
     return offspring
 
 
-def _vary_rows(parents, order, rank, model, config: EvolutionConfig, problem, rng) -> list:
-    """``vary``'s offspring from seven block draws, in this order: one
+def _vary_rows(rows, order, rank, model, config: EvolutionConfig, problem, rng) -> list:
+    """``vary``'s offspring of the parents' stacked genotypes ``rows``,
+    ranked by ``order`` and ``rank`` (see ``_ranking``), from seven
+    block draws, in this order: one
     uniform per offspring against the EDA share, only when there is an
     EDA model; ``tournament_size`` parent draws per other offspring, in
     slot order, each row won by its parent of least rank (see
@@ -307,7 +323,6 @@ def _vary_rows(parents, order, rank, model, config: EvolutionConfig, problem, rn
     """
     count = config.subpop_size - config.elitism
     n, size, dim = len(order), config.tournament_size, problem.dimension
-    order, rank = np.asarray(order), np.asarray(rank)
     eda = np.zeros(count, dtype=bool)
     if model is not None:
         eda = rng.random(count) < config.eda_fraction
@@ -318,11 +333,10 @@ def _vary_rows(parents, order, rank, model, config: EvolutionConfig, problem, rn
 
     offspring = [None] * count
     if len(slots):
-        bits = np.asarray([p.genotype for p in parents])
-        children = bits[firsts]
+        children = rows[firsts]
         if len(crossed):
             children[crossed] = problem.crossover_rows(
-                children[crossed], bits[seconds], rng.random((len(crossed), dim))
+                children[crossed], rows[seconds], rng.random((len(crossed), dim))
             )
         rows = problem.mutate_rows(
             children, config.mutation_rate, rng.random((len(slots), dim))
@@ -377,26 +391,28 @@ def run_subpopulation(
     if filtering:
         threshold = float(np.quantile(view_fitness, policy.threshold_quantile))
 
+    ledger = state.ledger
     for _ in range(config.generations_per_round):
-        if state.stop or state.ledger.remaining <= 0:
+        if state.stop or ledger.remaining <= 0:
             report.early_stop = True
             break
         offspring = vary(parents, fitness, config, problem, rng)
         keys = [problem.canonical_key(child) for child in offspring]
         new_samples: list[ScoredSample] = []
         sample_keys = []  # new_samples' canonical keys
+        generated = skipped = 0
         out_of_budget = False
         chunk_start = chunk_end = 0
-        for i, (child, key) in enumerate(zip(offspring, keys)):
-            if state.stop:
+        for i, key in enumerate(keys):
+            if state.stop_reason is not None:
                 break
             # once the budget is spent only a genotype the ledger holds can
             # be recorded; any other ends the burst before it is counted
             # or screened
-            if state.ledger.remaining <= 0 and state.ledger.lookup(key) is None:
+            if len(ledger.samples) >= ledger.budget and ledger.lookup(key) is None:
                 out_of_budget = True
                 break
-            report.candidates_generated += 1
+            generated += 1
             if filtering:
                 if i >= chunk_end:
                     chunk_start = i
@@ -406,12 +422,14 @@ def run_subpopulation(
                     ).tolist()
                 ok, _est = guidance.should_evaluate(estimates[i - chunk_start], threshold)
                 if not ok:
-                    report.candidates_skipped += 1
+                    skipped += 1
                     state.skipped_total += 1
                     continue
-            new_samples.append(state.record(child, key))
+            new_samples.append(state.record(offspring[i], key))
             sample_keys.append(key)
-            report.candidates_evaluated += 1
+        report.candidates_generated += generated
+        report.candidates_skipped += skipped
+        report.candidates_evaluated += len(new_samples)
         report.generations_run += 1
         if out_of_budget or state.stop:
             report.early_stop = out_of_budget

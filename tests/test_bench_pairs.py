@@ -98,3 +98,63 @@ def test_verdict_of_a_metric_where_higher_is_better():
     # rate, bound 50%: a median of 1.0 against 3.0 is worse by 2.0 > 1.5
     assert bench_pairs.verdict([2.0, 3.0, 4.0], [0.5, 1.0, 1.5], False, 0.5) == "worse"
     assert bench_pairs.verdict([2.0, 3.0, 4.0], [2.0, 2.5, 3.0], False, 0.5) == "within bound"
+
+
+# parent quartiles by the inclusive method: 12.25, 14.5, 16.75, an IQR of
+# 4.5; with a 20% bound a median may be worse by 2.9
+GAIN_PARENT = [10.0, 11.0, 12.0, 13.0, 14.0, 15.0, 16.0, 17.0, 18.0, 19.0]
+
+
+@pytest.mark.parametrize(
+    "change, expected",
+    [
+        # 9 of 10 pairs won; the median 9.5 is better by 5.0 > 4.5
+        ([p - 5 for p in GAIN_PARENT[:9]] + [20.0], "gain"),
+        # every pair won, but by 4.0, inside the parent's IQR
+        ([p - 4 for p in GAIN_PARENT], "unresolved"),
+        # better by 5.0 in the median, but only 8 of 10 pairs won
+        ([p - 5 for p in GAIN_PARENT[:8]] + [19.5, 20.0], "unresolved"),
+    ],
+)
+def test_gain_needs_nine_wins_in_ten_and_a_shift_past_the_parent_iqr(change, expected):
+    pairs = [
+        (result({"wall_ref": p}), result({"wall_ref": c})) for p, c in zip(GAIN_PARENT, change)
+    ]
+    wall = bench_pairs.summarize(pairs, RULES)["metrics"]["wall_ref"]
+    assert wall["verdict"] == expected
+    # the same values where higher is better
+    negated = [-p for p in GAIN_PARENT], [-c for c in change]
+    assert bench_pairs.verdict(*negated, False, 0.2) == expected
+
+
+def test_gain_needs_ten_pairs():
+    # 9 pairs, each won by far: every change run beats every parent run,
+    # yet too few pairs to claim a gain
+    parent = GAIN_PARENT[:9]
+    change = [p - 10 for p in parent]
+    assert bench_pairs.verdict(parent, change, True, 0.2) == "within bound"
+    assert bench_pairs.verdict(parent + [19.0], change + [9.0], True, 0.2) == "gain"
+
+
+def test_the_seed_is_passed_to_every_run(monkeypatch, tmp_path):
+    argvs = []
+
+    class Done:
+        returncode = 0
+        stdout = json.dumps(result({"wall_ref": 1.0})) + "\n"
+
+    def fake_run(argv, **kwargs):
+        argvs.append(argv)
+        return Done()
+
+    monkeypatch.setattr(bench_pairs.subprocess, "run", fake_run)
+    assert bench_pairs.main([str(tmp_path), "--pairs", "2", "--seed", "7", "--seconds", "1"]) == 0
+    assert len(argvs) == 4
+    for argv in argvs:
+        assert argv[argv.index("--seed") + 1] == "7"
+    # the checkouts alternate which goes first
+    first = [Path(argvs[0][1]).parents[1], Path(argvs[2][1]).parents[1]]
+    assert first == [tmp_path.resolve(), ROOT]
+    argvs.clear()
+    bench_pairs.main([str(tmp_path), "--pairs", "1", "--seconds", "1"])
+    assert all(argv[argv.index("--seed") + 1] == "1" for argv in argvs)  # run.py's default

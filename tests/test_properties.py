@@ -363,6 +363,12 @@ def top_quartile(fitness):
     return fitness_order(fitness)[: max(1, -(-len(fitness) // 4))]
 
 
+def top_quartile_model(parents, fitness, problem, m):
+    """The EDA model of the top-quartile parents' loci, fittest first."""
+    top = [problem.loci(parents[i].genotype) for i in top_quartile(fitness)]
+    return _eda_model(top, problem, m)
+
+
 def choice_per_locus(top_loci, alphabets, m, rng):
     """One ``rng.choice`` per locus from its Laplace-smoothed marginal."""
     eps = 1.0 / m
@@ -416,7 +422,7 @@ def test_eda_sampler_matches_choice_per_locus(case, draws, seed):
     alphabet, genotypes, fitness, m = case
     problem = Loci(alphabet)
     parents = [ScoredSample(i, g, 0.0) for i, g in enumerate(genotypes)]
-    model = _eda_model(parents, fitness_order(fitness), problem, m)
+    model = top_quartile_model(parents, fitness, problem, m)
     top = [genotypes[i] for i in top_quartile(fitness)]
     rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
     for _ in range(draws):
@@ -490,7 +496,7 @@ def reference_vary(parents, fitness, config, problem, rng):
     count = config.subpop_size - config.elitism
     model = None
     if config.eda_fraction > 0 and len(parents) >= EDA_MIN_PARENT_POOL:
-        model = _eda_model(parents, fitness_order(fitness), problem, config.subpop_size)
+        model = top_quartile_model(parents, fitness, problem, config.subpop_size)
     offspring = []
     for _ in range(count):
         if model is not None and rng.random() < config.eda_fraction:
@@ -548,7 +554,7 @@ def reference_block_vary(parents, fitness, config, problem, rng):
     rank = {i: r for r, i in enumerate(order)}
     model = None
     if config.eda_fraction > 0 and len(parents) >= EDA_MIN_PARENT_POOL:
-        model = _eda_model(parents, order, problem, config.subpop_size)
+        model = top_quartile_model(parents, fitness, problem, config.subpop_size)
     eda = [False] * count
     if model is not None:
         eda = [u < config.eda_fraction for u in rng.random(count)]
@@ -2133,7 +2139,7 @@ def test_ranked_tournament_picks_the_fitness_max(fitness, numpy_doubles, size, s
     if numpy_doubles:
         fitness = np.array(fitness)
     parents = [ScoredSample(i, float(i), 0.0) for i in range(len(fitness))]
-    order, rank = _ranking(fitness)
+    order, rank = (part.tolist() for part in _ranking(fitness))
     assert order == fitness_order(fitness)
     rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
     for _ in range(20):
@@ -2177,7 +2183,7 @@ def test_fittest_first_is_the_key_sort(fitness, numpy_doubles, subpop):
     assert order.tolist() == fitness_order(fitness)
     # the seed order of a burst's parents
     assert order[:subpop].tolist() == fitness_order(fitness)[:subpop]
-    ranked, rank = _ranking(fitness)
+    ranked, rank = (part.tolist() for part in _ranking(fitness))
     assert ranked == fitness_order(fitness)
     assert [ranked[place] for place in rank] == list(range(len(fitness)))
 

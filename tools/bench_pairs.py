@@ -1,21 +1,25 @@
 """Alternating benchmark pairs of a parent checkout and this one.
 
 Usage: python3 tools/bench_pairs.py PARENT_CHECKOUT [--workload W]
-       [--pairs N] [--seconds S]
+       [--pairs N] [--seconds S] [--seed K]
 
-Runs ``perfbench/run.py --trace 0`` of PARENT_CHECKOUT and of the
-checkout this file is in (the change), each run a process of its own,
-N times each. Pair i runs both sides one after the other, and the side
-that goes first swaps from one pair to the next, so that neither side
-always meets the machine in the same state. Each run reads its own
-checkout's sources (see ``perfbench/prepare.py``).
+Runs ``perfbench/run.py --trace 0 --seed K`` (K is 1 by default, as
+in ``run.py``) of PARENT_CHECKOUT and of the checkout this file is in
+(the change), each run a process of its own, N times each. The seed
+draws the benchmark's seed order and its calibration kernel's data, so
+a claim can be checked again on a seed not used while writing it. Pair
+i runs both sides one after the other, and the side that goes first
+swaps from one pair to the next, so that neither side always meets the
+machine in the same state. Each run reads its own checkout's sources
+(see ``perfbench/prepare.py``).
 
 It then prints, for every end-to-end metric that ``BENCHMARK.json``
 names, each side's median and quartiles over its runs, the pairs the
 change won (strictly better, in the metric's direction), a verdict
-against the metric's bound (see ``verdict``), and whether every run of
-both sides reported ``"correct": true``. The last line is the same
-summary as one JSON object.
+(see ``verdict``: ``gain`` where the change passes the rule for
+claiming a gain, else one against the metric's bound), and whether
+every run of both sides reported ``"correct": true``. The last line is
+the same summary as one JSON object.
 """
 
 from __future__ import annotations
@@ -30,6 +34,7 @@ from pathlib import Path
 
 HERE = Path(__file__).resolve().parents[1]
 SIDES = ("parent", "change")
+GAIN_MIN_PAIRS = 10  # pairs a gain needs at the least
 
 
 def end_to_end_metrics(checkout: Path) -> dict[str, tuple[str, float]]:
@@ -40,12 +45,13 @@ def end_to_end_metrics(checkout: Path) -> dict[str, tuple[str, float]]:
     return {m["name"]: (m["better"], m["bound"]) for m in spec["end_to_end"]}
 
 
-def run_bench(checkout: Path, workload: str, seconds: float) -> dict:
+def run_bench(checkout: Path, workload: str, seconds: float, seed: int) -> dict:
     """One ``perfbench/run.py`` process of ``checkout``; its result, the
     JSON object on its last line of output."""
     env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
     argv = [sys.executable, str(checkout / "perfbench" / "run.py")]
     argv += ["--workload", workload, "--seconds", str(seconds), "--trace", "0"]
+    argv += ["--seed", str(seed)]
     child = subprocess.run(argv, stdout=subprocess.PIPE, text=True, env=env)
     lines = child.stdout.splitlines() or [""]
     try:
@@ -63,18 +69,33 @@ def quartiles(values) -> tuple[float, float, float]:
     return q1, q2, q3
 
 
+def wins(parent, change, lower: bool) -> int:
+    """The pairs, zipped from each side's values, whose change value is
+    strictly better than its parent value."""
+    return sum((c < p) if lower else (c > p) for p, c in zip(parent, change))
+
+
 def verdict(parent, change, lower: bool, bound: float) -> str:
-    """The change's verdict on one metric from each side's values:
-    ``"worse"`` when the change median is worse than the parent median by
-    more than ``bound`` times the parent median; else ``"unresolved"``
-    when the parent's interquartile range is wider than that and not
+    """The change's verdict on one metric from each side's values, paired
+    by position: ``"worse"`` when the change median is worse than the
+    parent median by more than ``bound`` times the parent median; else
+    ``"gain"`` when there are at least GAIN_MIN_PAIRS pairs, the change
+    wins at least nine in ten of them, and its median is better than
+    the parent median by more than the parent's interquartile range (the
+    rule a claimed gain must pass); else ``"unresolved"`` when the
+    parent's interquartile range is wider than the bound allows and not
     every change value beats every parent value; else ``"within
     bound"``."""
     q1, median, q3 = quartiles(parent)
     allowed = bound * abs(median)
     change_median = quartiles(change)[1]
-    if (change_median - median if lower else median - change_median) > allowed:
+    better_by = median - change_median if lower else change_median - median
+    if -better_by > allowed:
         return "worse"
+    pairs = len(parent)
+    won = wins(parent, change, lower)
+    if pairs >= GAIN_MIN_PAIRS and 10 * won >= 9 * pairs and better_by > q3 - q1:
+        return "gain"
     beats_all = max(change) < min(parent) if lower else min(change) > max(parent)
     if q3 - q1 > allowed and not beats_all:
         return "unresolved"
@@ -106,13 +127,10 @@ def summarize(pairs, rules: dict[str, tuple[str, float]]) -> dict:
             side: [pair[i]["metrics"][key]["value"] for pair in pairs]
             for i, side in enumerate(SIDES)
         }
-        wins = sum(
-            (c < p) if lower else (c > p) for p, c in zip(values["parent"], values["change"])
-        )
         metrics[key] = {
             "better": "lower" if lower else "higher",
             **{side: quartiles(values[side]) for side in SIDES},
-            "wins": wins,
+            "wins": wins(values["parent"], values["change"], lower),
             "pairs": len(pairs),
             "bound": bound,
             "verdict": verdict(values["parent"], values["change"], lower, bound),
@@ -140,6 +158,7 @@ def main(argv=None) -> int:
     parser.add_argument("--workload", default="all")
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seconds", type=float, default=20.0)
+    parser.add_argument("--seed", type=int, default=1)
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be positive")
@@ -149,7 +168,7 @@ def main(argv=None) -> int:
         order = SIDES if i % 2 == 0 else SIDES[::-1]
         result = {}
         for side in order:
-            result[side] = run_bench(checkouts[side], args.workload, args.seconds)
+            result[side] = run_bench(checkouts[side], args.workload, args.seconds, args.seed)
             print(f"pair {i + 1} {side}: correct {result[side]['correct']}", flush=True)
         pairs.append((result["parent"], result["change"]))
     summary = summarize(pairs, end_to_end_metrics(HERE))
