@@ -34,11 +34,13 @@ def h(zeta_norm, omega_val):
 @dataclass(frozen=True)
 class FilterPolicy:
     """The kNN filter's settings. ``lam`` is the genotypic weight of the
-    distance it and omega read (1 purely genotypic, 0 purely phenotypic)."""
+    distance it and omega read (1 purely genotypic, 0 purely phenotypic).
+    At the default, 1, screening a candidate reads no behavior and so
+    calls no objective: a guided run makes one call per evaluation."""
 
     k: int = 7
     threshold_quantile: float = 0.25
-    lam: float = 0.5
+    lam: float = 1.0
 
     def __post_init__(self):
         if self.k < 1:

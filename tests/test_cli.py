@@ -472,7 +472,7 @@ DEME_RUN = dict(
 
 
 def test_deme_run_honours_lambda():
-    blended = execute_run(RunConfig(**DEME_RUN), "info_evo", 1)
+    blended = execute_run(RunConfig(**DEME_RUN, policy=FilterPolicy(lam=0.5)), "info_evo", 1)
     genotypic = execute_run(
         RunConfig(**DEME_RUN, policy=FilterPolicy(lam=1.0)), "info_evo", 1
     )
@@ -491,11 +491,36 @@ def test_deme_run_evals_to_target_in_global_order(monkeypatch):
         return sample
 
     monkeypatch.setattr(evolve, "evaluate", recording)
-    record = execute_run(RunConfig(**DEME_RUN), "info_evo", 1)
+    # at the default lambda 1 this run misses the target within its budget
+    record = execute_run(RunConfig(**DEME_RUN, policy=FilterPolicy(lam=0.5)), "info_evo", 1)
     assert record["success"]
     assert [row["score"] for row in record["trace"]] == new_scores
     first = next(i for i, score in enumerate(new_scores) if score >= 30.0)
     assert record["evals_to_target"] == first + 1
+
+
+GATE_RUNS = {
+    "onemax-50": ["--problem", "onemax", "--bits", "50"],
+    "trap5-20": ["--problem", "trap5", "--bits", "20"],
+    "sphere-10": ["--problem", "sphere", "--dim", "10"],
+    "rosenbrock-5": ["--problem", "rosenbrock", "--dim", "5"],
+    "symreg": ["--problem", "symreg", "--dataset", "CUBIC", "--population-cap", "64"],
+}
+
+
+@pytest.mark.parametrize("name", GATE_RUNS)
+def test_default_guided_run_makes_one_objective_call_per_evaluation(name, tmp_path, monkeypatch):
+    # at the default lambda = 1 the filter and omega read genotypes only,
+    # so no candidate costs an objective call unless it is evaluated
+    monkeypatch.syspath_prepend(str(README.parent / "perfbench"))
+    from make_dataset import write_dataset
+
+    cubic = str(write_dataset(tmp_path / "cubic.csv"))
+    flags = [cubic if f == "CUBIC" else f for f in GATE_RUNS[name]]
+    cfg = config_from(flags + ["--budget", "600", "--seed", "1"])
+    record = execute_run(cfg, cfg.mode, cfg.seed)
+    assert record["objective_calls"] == record["eval_count"]
+    assert any(r["rays_generated"] > 0 for r in record["rounds"])
 
 
 def test_deme_run_keeps_the_ray_count(tmp_path):
@@ -526,7 +551,7 @@ def test_run_json_holds_only_the_seed_that_ran(tmp_path):
 
     assert list(seeds(record)) == [7, 7]  # the record's and its config's
     assert record["config"]["mode"] == "info_evo"
-    assert record["config"]["policy"] == {"k": 7, "threshold_quantile": 0.25, "lam": 0.5}
+    assert record["config"]["policy"] == {"k": 7, "threshold_quantile": 0.25, "lam": 1.0}
 
 
 def test_run_json_config_is_a_config_file_of_the_run(tmp_path):

@@ -271,14 +271,16 @@ def record_skips(problem, monkeypatch) -> set:
     ],
 )
 def test_guided_loop_scores_each_genotype_once(make, budget, stop, monkeypatch):
-    # every evaluated genotype costs one objective call, and so does each
-    # distinct genotype the filter skipped and the run never evaluated; a
-    # run ended by its budget screens no candidate once the budget is spent
+    # under a blended metric (lambda 0.5) every evaluated genotype costs
+    # one objective call, and so does each distinct genotype the filter
+    # skipped and the run never evaluated; a run ended by its budget
+    # screens no candidate once the budget is spent
     problem = make()
     calls = count_objective_calls(problem)
     skipped = record_skips(problem, monkeypatch)
     config = EvolutionConfig(subpop_size=20, generations_per_round=4, init_population=40)
-    result = run_one(problem, run_config(config, seed=3, budget=budget))
+    policy = FilterPolicy(k=3, lam=0.5)
+    result = run_one(problem, run_config(config, seed=3, budget=budget, policy=policy))
     ledger = result.ledger
     assert result.stop_reason == stop and result.skipped_total > 0
     never_evaluated = [key for key in skipped if ledger.lookup(key) is None]
@@ -298,11 +300,14 @@ def test_screening_in_blocks_makes_no_speculative_objective_call(
 ):
     # each run ends mid-generation, at an offspring that reaches the target
     # or that the spent budget cannot take; the blocks that screened that
-    # generation computed no objective value for the offspring after it
+    # generation computed no objective value for the offspring after it,
+    # under a blended metric (lambda 0.5), whose screened rows call it
     problem = make_problem(name, **params)
     calls = count_objective_calls(problem)
     skipped = record_skips(problem, monkeypatch)
-    cfg = RunConfig(problem=name, problem_params=params, budget=budget, seed=1)
+    cfg = RunConfig(
+        problem=name, problem_params=params, budget=budget, seed=1, policy=FilterPolicy(lam=0.5)
+    )
     result = run_one(problem, cfg)
     ledger = result.ledger
     assert result.stop_reason == stop and result.skipped_total > 0
@@ -314,16 +319,17 @@ def test_screening_in_blocks_makes_no_speculative_objective_call(
 
 
 def test_filter_that_skips_a_whole_round_is_loosened_not_stalled():
-    # trap5-20 with one ray per round draws rounds whose every new
-    # candidate the filter skips; each halves the quantile in force, a
-    # round that adds to the ledger restores the policy's, and the run
-    # goes on to its budget instead of stopping as stalled
+    # trap5-20 with one ray per round at lambda 0.5 draws rounds whose
+    # every new candidate the filter skips; each halves the quantile in
+    # force, a round that adds to the ledger restores the policy's, and
+    # the run goes on to its budget instead of stopping as stalled
     cfg = RunConfig(
         problem="trap5",
         problem_params={"bits": 20},
         budget=3000,
         seed=1,
         step=StepParams(ray_count=1),
+        policy=FilterPolicy(lam=0.5),
     )
     problem = make_problem("trap5", bits=20)
     (state,) = spawn_demes(problem, cfg, np.random.default_rng(cfg.seed))

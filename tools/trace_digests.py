@@ -21,12 +21,17 @@ problems pin the mutation scale ``SIGMA``), guided OneMax-50 and symreg
 with one setting changed (among them a filter k and a promise k_local,
 each large enough to set how many neighbors the metric's orders keep,
 and a promise weight ``w_lm`` other than the default),
+the ``blended`` runs, each the twin at lambda = 0.5 of a run at the
+default lambda = 1 (guided OneMax-50, symreg at cap 64 seed 3, trap5-30
+and trap5-20 with one ray), so that the blended metric, the branches of
+the screened-chunk rule that read behavior and a symreg run of more than
+one round stay covered,
 guided symreg on a 3-d chart and on a 1-d chart, whose cone rays
 coincide with +-e1 and are refined as a block of duplicate rays, guided
 symreg with depth-1 programs, whose view holds six samples, too few
 for the filter, so no candidate is screened, guided
-trap5-20 with one ray per round, which has rounds whose filter skips
-every new candidate, guided OneMax-50 with the filter off, whose new
+trap5-20 with one ray per round, whose lambda = 0.5 twin has rounds
+whose filter skips every new candidate, guided OneMax-50 with the filter off, whose new
 parents' rows are built by their own neighbor query since no chunk is
 screened, guided symreg on the built-in 4-point dataset, unguided symreg
 on the cubic dataset, whose runs read program scores only, and runs
@@ -72,7 +77,7 @@ def runs(dataset: str):
     sphere = ["--problem", "sphere", "--dim", "10"]
     rosenbrock = ["--problem", "rosenbrock", "--dim", "5", "--budget", "2000"]
     trap = ["--problem", "trap5", "--bits", "30", "--budget", "3000"]
-    genotypic = ["--lambda", "1"]
+    blended = ["--lambda", "0.5"]
     phenotypic = ["--lambda", "0"]
     chart3 = ["--chart-dim", "3", "--resolution", "8"]
     chart1 = ["--chart-dim", "1"]
@@ -101,18 +106,20 @@ def runs(dataset: str):
         ("sphere10-baseline-s1", sphere + ["--mode", "baseline", "--seed", "1"]),
         ("rosenbrock5-b2000-s1", rosenbrock + ["--seed", "1"]),
         ("trap5-30-b3000-s1", trap + ["--seed", "1"]),
-        ("onemax50-genotypic-s1", onemax + genotypic + ["--seed", "1"]),
+        ("trap5-30-blended-b3000-s1", trap + blended + ["--seed", "1"]),
+        ("onemax50-blended-s1", onemax + blended + ["--seed", "1"]),
         ("onemax50-phenotypic-s1", onemax + phenotypic + ["--seed", "1"]),
         ("onemax50-filter-k12-s1", onemax + ["--filter-k", "12", "--seed", "1"]),
         ("onemax50-klocal9-s1", onemax + ["--k-local", "9", "--seed", "1"]),
         ("onemax50-wlm1-s1", onemax + ["--w-lm", "1", "--seed", "1"]),
         ("onemax50-demes2-s1", onemax + ["--deme-count", "2", "--seed", "1"]),
         ("onemax50-nofilter-s1", onemax + unfiltered + ["--seed", "1"]),
-        ("symreg-cubic-cap64-genotypic-s3", symreg + genotypic + ["--seed", "3"]),
+        ("symreg-cubic-cap64-blended-s3", symreg + blended + ["--seed", "3"]),
         ("symreg-cubic-cap64-chartdim3-res8-s6", symreg + chart3 + ["--seed", "6"]),
         ("symreg-cubic-cap64-chartdim1-s3", symreg + chart1 + ["--seed", "3"]),
         ("symreg-maxdepth1-b100-s1", tiny + ["--seed", "1"]),
         ("trap5-20-rays1-b3000-s1", one_ray + ["--seed", "1"]),
+        ("trap5-20-rays1-blended-b3000-s1", one_ray + blended + ["--seed", "1"]),
         ("symreg-cubic-cap64-nofilter-s3", symreg + unfiltered + ["--seed", "3"]),
         ("sphere10-subpop6-s1", sphere + subpop6 + ["--seed", "1"]),
         ("symreg-builtin-b1000-s2", builtin + ["--seed", "2"]),
