@@ -73,7 +73,6 @@ SETTINGS = (
     ("--population-cap", "evolution", "population_cap", int),
     ("--filter-k", "policy", "k", int),
     ("--threshold-quantile", "policy", "threshold_quantile", float),
-    ("--lambda", "policy", "lam", float),
 )
 SECTIONS = ("problem_params", "weights", "step", "evolution", "policy")
 JSON_TYPES = {str: str, int: int, float: (int, float)}  # accepted per setting type

@@ -11,16 +11,16 @@ class Problem(ABC):
     """A pluggable optimization domain (maximization convention).
 
     Subclasses supply the scoring function, variation operators, the
-    genotypic distance and, optionally, EDA loci and a behavior vector.
+    genotypic distance and, optionally, EDA loci.
     A domain supplies either the one-offspring operators ``mutate``,
     ``crossover`` and ``from_loci`` or their row forms ``mutate_rows``,
     ``crossover_rows`` and ``from_loci_rows``, which vary a generation
     in one block (see ``evolve.vary``), not both. A domain with row
     forms and loci keeps each genotype as the row of its locus values,
     so a stack of its genotypes is the stack of their loci.
-    ``score`` and ``behavior`` must be pure and deterministic functions of
-    the canonical key: a run memoizes both by that key and computes each
-    at most once per genotype.
+    ``score`` must be a pure and deterministic function of the canonical
+    key: a run memoizes it by that key and computes it at most once per
+    genotype.
     """
 
     name: str = "problem"
@@ -58,8 +58,9 @@ class Problem(ABC):
         """A genotype whose loci are ``values`` (one per locus, an array)."""
         raise NotImplementedError
 
+    # no run reads it; it stays while perfbench/layers.py looks it up here
     def behavior(self, genotype) -> np.ndarray:
-        """Behavior vector; the score itself unless a domain overrides."""
+        """Behavior vector: the one-entry vector of the score."""
         return np.array([self.score(genotype)], dtype=float)
 
     def stack(self, genotypes):

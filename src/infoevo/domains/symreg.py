@@ -25,7 +25,6 @@ OVERFLOW_SCORE = -1e18  # finite sentinel for non-finite tree outputs
 DEFAULT_PROBES = ((-1.0,), (0.0,), (1.0,), (2.0,))
 DEFAULT_OUTPUTS = (0.0, 0.0, 2.0, 6.0)  # f(x) = x^2 + x
 BEHAVIOR_EPS = 1e-6  # relative uniform mass mixed into behavior distributions
-OUTPUT_MEMO_SIZE = 256  # programs whose outputs wait for their second read
 
 
 def _input_columns(probes) -> tuple[np.ndarray, ...]:
@@ -110,6 +109,7 @@ def behavior_to_distribution(outputs, eps_b: float = BEHAVIOR_EPS):
     return manifold.from_weights(shifted)
 
 
+# no run reads it; kept as the program metric a claim-table arm is to try
 def program_fisher_distance(a, b, probes, eps_b: float = BEHAVIOR_EPS) -> float:
     """Geodesic distance between two programs' behavior distributions.
 
@@ -201,7 +201,6 @@ class SymbolicRegression(Problem):
         self.name = f"symreg-d{max_depth}"
         self.target = target
         self._vocabulary: dict[str, int] = {}  # label -> count-vector column
-        self._outputs: dict = {}  # tree -> outputs read once, oldest first
 
     def _random_leaf(self, rng):
         if rng.random() < 0.6:
@@ -217,28 +216,10 @@ class SymbolicRegression(Problem):
     def random_genotype(self, rng):
         return self._grow(rng, self.max_depth)
 
-    def _outputs_of(self, genotype) -> np.ndarray:
-        """The program's outputs over the dataset, which ``score`` and
-        ``behavior`` both read and neither writes. A run reads each
-        program's outputs at most twice, once through each method, so
-        the first read runs the program and keeps the outputs for the
-        second, which pops them. At most OUTPUT_MEMO_SIZE programs are
-        kept, the oldest dropped first, so a program whose second read
-        never comes (a baseline run reads scores only) holds no memory
-        for the rest of the run; a read after its outputs were dropped
-        runs the program again."""
-        outs = self._outputs.pop(genotype, None)
-        if outs is None:
-            outs = eval_columns(genotype, self._columns, len(self.outputs))
-            if len(self._outputs) >= OUTPUT_MEMO_SIZE:
-                del self._outputs[next(iter(self._outputs))]
-            self._outputs[genotype] = outs
-        return outs
-
     def score(self, genotype) -> float:
         """Minus the mean squared error; OVERFLOW_SCORE for a program
         whose outputs, or whose error, are not finite."""
-        outs = self._outputs_of(genotype)
+        outs = eval_columns(genotype, self._columns, len(self.outputs))
         if not np.all(np.isfinite(outs)):
             return OVERFLOW_SCORE
         # the squared error of a large finite output may overflow
@@ -251,10 +232,6 @@ class SymbolicRegression(Problem):
     def canonical_key(self, genotype) -> tuple:
         """The tree itself: nested tuples hash and compare by structure."""
         return genotype
-
-    def behavior(self, genotype) -> np.ndarray:
-        outs = self._outputs_of(genotype)
-        return np.clip(np.nan_to_num(outs, nan=1e6, posinf=1e6, neginf=-1e6), -1e6, 1e6)
 
     def mutate(self, genotype, rate, rng):
         grow = rng.random() < max(rate * 4, 0.3)

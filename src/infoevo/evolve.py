@@ -373,9 +373,8 @@ def run_subpopulation(
     the first that reaches the target or that the spent budget cannot
     take. A guided burst with a positive quantile filters them, unless
     its view is too small to estimate a candidate (see
-    ``FilterPolicy.warm``); the filter's rows and estimates are built a
-    chunk of offspring at a time, in one block (see
-    ``ResolvedMetric.screen_rows``).
+    ``FilterPolicy.warm``); the filter's rows and estimates of a
+    generation are built in one block (see ``ResolvedMetric.rows_of``).
     """
     problem, rng = state.problem, state.rng
     guided = target is not None
@@ -402,7 +401,9 @@ def run_subpopulation(
         sample_keys = []  # new_samples' canonical keys
         generated = skipped = 0
         out_of_budget = False
-        chunk_start = chunk_end = 0
+        if filtering:
+            dists, orders = rm.rows_of(offspring, keys)
+            estimates = guidance.filter_estimates(dists, orders, policy.k, view_fitness).tolist()
         for i, key in enumerate(keys):
             if state.stop_reason is not None:
                 break
@@ -414,13 +415,8 @@ def run_subpopulation(
                 break
             generated += 1
             if filtering:
-                if i >= chunk_end:
-                    chunk_start = i
-                    chunk_end, dists, orders = rm.screen_rows(offspring, keys, i)
-                    estimates = guidance.filter_estimates(
-                        dists, orders, policy.k, view_fitness
-                    ).tolist()
-                ok, _est = guidance.should_evaluate(estimates[i - chunk_start], threshold)
+                # one call per candidate: perfbench counts the filter through it
+                ok, _est = guidance.should_evaluate(estimates[i], threshold)
                 if not ok:
                     skipped += 1
                     state.skipped_total += 1
@@ -526,7 +522,7 @@ def run_round(state: RunState, cfg: RunConfig) -> None:
             # the most neighbors the round reads: the filter's and omega's
             # k, and the promise's k_local nearest besides each sample
             k = max(policy.k, cfg.weights.k_local + 1)
-            rm = ResolvedMetric(problem, view, policy.lam, ledger, k)
+            rm = ResolvedMetric(problem, view, ledger, k)
             pv = promise_vector(cfg.weights, rm)
             base = manifold.from_weights(pv)
             d = min(step_params.chart_dim, len(view) - 1)

@@ -33,22 +33,19 @@ def h(zeta_norm, omega_val):
 
 @dataclass(frozen=True)
 class FilterPolicy:
-    """The kNN filter's settings. ``lam`` is the genotypic weight of the
-    distance it and omega read (1 purely genotypic, 0 purely phenotypic).
-    At the default, 1, screening a candidate reads no behavior and so
-    calls no objective: a guided run makes one call per evaluation."""
+    """The kNN filter's settings: its k nearest view samples, by
+    genotypic distance, and the quantile of the view's modified fitness
+    below which a candidate is skipped. Screening a candidate calls no
+    objective, so a guided run makes one call per evaluation."""
 
     k: int = 7
     threshold_quantile: float = 0.25
-    lam: float = 1.0
 
     def __post_init__(self):
         if self.k < 1:
             raise ValueError("k must be positive")
         if not 0.0 <= self.threshold_quantile < 1.0:
             raise ValueError("threshold_quantile must lie in [0, 1)")
-        if not 0.0 <= self.lam <= 1.0:
-            raise ValueError("lam must lie in [0, 1]")
 
     def warm(self, view_size: int) -> bool:
         """Whether a view of ``view_size`` samples holds the 2k the filter

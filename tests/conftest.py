@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from infoevo.core import PAIR_SAMPLE_LIMIT, EvaluationLedger, evaluate, knn
+from infoevo.core import EvaluationLedger, evaluate, knn
 from infoevo.demes import run_demes
 from infoevo.domains.base import Problem
 from infoevo.errors import LedgerTooSmall
@@ -70,23 +70,16 @@ def one_offspring(problem):
 
 
 def count_objective_calls(problem):
-    """Wrap the instance's ``score`` (and ``behavior``, where its class
-    overrides the default) to count calls, as the benchmark's own
-    wrapper does; returns the list each call appends its name to."""
+    """Wrap the instance's ``score`` to count calls, as the benchmark's
+    own wrapper does; returns the list each call appends ``"score"`` to."""
     calls = []
+    score = problem.score
 
-    def counting(name):
-        fn = getattr(problem, name)
+    def wrapper(genotype):
+        calls.append("score")
+        return score(genotype)
 
-        def wrapper(genotype):
-            calls.append(name)
-            return fn(genotype)
-
-        return wrapper
-
-    problem.score = counting("score")
-    if type(problem).behavior is not Problem.behavior:
-        problem.behavior = counting("behavior")
+    problem.score = wrapper
     return calls
 
 
@@ -113,45 +106,11 @@ def reference_nearest(row, width):
     return row[order], order
 
 
-def reference_rows(problem, view, lam, queries):
-    """Each query's distances to every view sample, built one row at a
-    time from ``geno_distances`` and the behavior vectors; at lam = 1
-    and lam = 0 a row is the pure genotypic or behavior row."""
-    genos = [s.genotype for s in view.samples]
-    stacked = problem.stack(genos)
-    behaviors = np.array([problem.behavior(g) for g in genos], dtype=float)
-
-    def parts(x):
-        dg = problem.geno_distances(problem.stack([x]), stacked)[0]
-        dp = np.linalg.norm(behaviors - problem.behavior(x)[None, :], axis=1)
-        return dg, dp
-
-    kind = "genotypic" if lam == 1.0 else "phenotypic" if lam == 0.0 else "blended"
-    geno_scale = pheno_scale = 1.0
-    n = len(genos)
-    if kind == "blended" and n >= 2:
-        rows = [parts(g) for g in genos]
-        if n * (n - 1) // 2 <= PAIR_SAMPLE_LIMIT:
-            pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-        else:
-            rng = np.random.default_rng(0xC0FFEE)
-            ii = rng.integers(0, n, size=2 * PAIR_SAMPLE_LIMIT)
-            jj = rng.integers(0, n, size=2 * PAIR_SAMPLE_LIMIT)
-            pairs = [(i, j) for i, j in zip(ii, jj) if i != j][:PAIR_SAMPLE_LIMIT]
-        mg = float(np.median([rows[i][0][j] for i, j in pairs]))
-        mp = float(np.median([rows[i][1][j] for i, j in pairs]))
-        geno_scale = mg if mg > 0 else 1.0
-        pheno_scale = mp if mp > 0 else 1.0
-    out = []
-    for x in queries:
-        dg, dp = parts(x)
-        if kind == "genotypic":
-            out.append(dg)
-        elif kind == "phenotypic":
-            out.append(dp)
-        else:
-            out.append(lam * dg / geno_scale + (1 - lam) * dp / pheno_scale)
-    return out
+def reference_rows(problem, view, queries):
+    """Each query's genotypic distances to every view sample, built one
+    row at a time from ``geno_distances``."""
+    stacked = problem.stack([s.genotype for s in view.samples])
+    return [problem.geno_distances(problem.stack([x]), stacked)[0] for x in queries]
 
 
 # One-candidate forms of the guidance and promise layers, each a
@@ -210,9 +169,8 @@ def local_max_prob(i, k_local, rm, norm) -> float:
 
 # Key-sort and dot-product forms of the rankings and distance kernels: the
 # references that ``core.view_of``, ``core.fittest_first`` (the seed
-# order and ``_ranking``), ``evolve._next_generation``,
-# ``BitstringProblem.geno_distances`` and ``core.behavior_distances`` are
-# held to, bit for bit.
+# order and ``_ranking``), ``evolve._next_generation`` and
+# ``BitstringProblem.geno_distances`` are held to, bit for bit.
 
 
 def fitness_order(fitness) -> list[int]:
@@ -253,12 +211,6 @@ def dot_hamming(xs, stacked) -> np.ndarray:
     a = np.asarray(xs, dtype=float)
     b = np.asarray(stacked, dtype=float)
     return a.sum(axis=1)[:, None] + b.sum(axis=1)[None, :] - 2.0 * (a @ b.T)
-
-
-def norm_behavior_distances(xs, ys) -> np.ndarray:
-    """Distances between two stacks of behavior vectors by the norm over
-    the last axis of their differences."""
-    return np.linalg.norm(ys[None] - xs[:, None], axis=-1)
 
 
 def one_pair_distance(a, b):

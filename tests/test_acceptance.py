@@ -112,7 +112,7 @@ def test_criterion_4_promise_reduction(capsys):
         values = list(rng.uniform(-10, 10, size=int(rng.integers(3, 15))))
         problem, ledger = make_scalar_ledger(values)
         view = view_of(ledger)
-        rm = ResolvedMetric(problem, view, 1.0, ledger, len(view))
+        rm = ResolvedMetric(problem, view, ledger, len(view))
         pv = promise_vector(weights, rm)
         ok &= int(np.argmax(pv)) == int(np.argmax(view.scores))
     report(capsys, 4, "score-only promise argmax matches raw scores on 100 ledgers", ok)
@@ -134,7 +134,7 @@ def test_criterion_5_guidance_monotonicity_and_filter_soundness(capsys):
     values = list(rng.uniform(0, 10, 30))
     problem, ledger = make_scalar_ledger(values)
     view = view_of(ledger)
-    rm = ResolvedMetric(problem, view, 1.0, ledger, len(view))
+    rm = ResolvedMetric(problem, view, ledger, len(view))
     n = len(view.samples)
     target = manifold.from_weights(rng.uniform(0.1, 1.0, n))
     policy0 = FilterPolicy(k=3, threshold_quantile=0.0)
@@ -154,7 +154,7 @@ def test_criterion_5_guidance_monotonicity_and_filter_soundness(capsys):
     # generation (the evaluated/skipped/generated accounting is exact)
     problem2, seed_ledger = make_scalar_ledger(list(rng.uniform(0, 10, 30)), budget=10000)
     view2 = view_of(seed_ledger)
-    rm2 = ResolvedMetric(problem2, view2, 1.0, seed_ledger, len(view2))
+    rm2 = ResolvedMetric(problem2, view2, seed_ledger, len(view2))
     target2 = manifold.from_weights(rng.uniform(0.1, 1.0, 30))
     policy2 = FilterPolicy(k=3, threshold_quantile=0.5)
     state = RunState(

@@ -75,31 +75,30 @@ def test_comparison_pairs_by_seed_and_drops_ties_from_the_sign_test(claim_table)
     assert c["median_saving"] == 10
 
 
-def test_claim_table_compares_each_arm_with_the_baseline_and_the_default_with_half(claim_table):
+def test_claim_table_compares_the_default_with_the_baseline(claim_table):
     records = []
     for problem in ("one", "two"):
         for seed in range(1, 21):
             records.append(record(problem, "baseline", seed, 1000))
-            records.append(record(problem, "lambda0.5", seed, 900 if seed <= 17 else 1100))
             records.append(record(problem, "default", seed, 800 if seed <= 3 else 1200))
     table = claim_table.claim_table(records)
     assert list(table) == ["one", "two"]
     entry = table["one"]
-    assert list(entry["arms"]) == ["baseline", "lambda0.5", "default"]
-    got = {(c["arm"], c["against"]): (c["wins"], c["losses"]) for c in entry["comparisons"]}
-    assert got == {
-        ("lambda0.5", "baseline"): (17, 3),
-        ("default", "baseline"): (3, 17),
-        ("default", "lambda0.5"): (3, 17),
-    }
-    last = entry["comparisons"][-1]
-    assert last["p"] == pytest.approx(2 * 1351 / 2**20)
-    assert last["median_saving"] == -300
+    assert list(entry["arms"]) == ["baseline", "default"]
+    (only,) = entry["comparisons"]
+    assert (only["arm"], only["against"]) == ("default", "baseline")
+    assert (only["wins"], only["losses"]) == (3, 17)
+    assert only["p"] == pytest.approx(2 * 1351 / 2**20)
+    assert only["median_saving"] == -200
     lines = claim_table.format_table(table)
-    assert len(lines) == 1 + 6 + 1 + 6
+    assert len(lines) == 1 + 4 + 1 + 2
 
 
 def test_claim_table_skips_comparisons_whose_arms_did_not_run(claim_table):
     records = [record("p", "baseline", 1, 10), record("p", "default", 1, 8)]
-    comparisons = claim_table.claim_table(records)["p"]["comparisons"]
-    assert [(c["arm"], c["against"]) for c in comparisons] == [("default", "baseline")]
+    records += [record("q", "default", 1, 8)]
+    table = claim_table.claim_table(records)
+    assert [(c["arm"], c["against"]) for c in table["p"]["comparisons"]] == [
+        ("default", "baseline")
+    ]
+    assert table["q"]["comparisons"] == []

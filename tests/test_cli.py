@@ -17,7 +17,6 @@ from infoevo.cli import (
     main,
 )
 from infoevo.errors import ConfigError
-from infoevo.guidance import FilterPolicy
 
 from conftest import count_objective_calls
 
@@ -194,7 +193,7 @@ def test_setting_by_flag_equals_setting_by_file_key(tmp_path, flag, section, nam
         ([], {"weights": {"w_zeta": 1.5}}, "weights.w_zeta"),  # a deleted setting
         (["--subpop-size", "0"], None, "evolution"),
         (["--threshold-quantile", "1.5"], None, "policy"),
-        (["--lambda", "2"], None, "policy"),
+        (["--filter-k", "0"], None, "policy"),
         ([], {"gamma": 0.3}, "gamma"),  # top-level alias of step.gamma
         ([], {"filter_k": 3}, "filter_k"),  # top-level alias of policy.k
         ([], {"step": {"gama": 0.3}}, "step.gama"),
@@ -222,7 +221,7 @@ def test_setting_by_flag_equals_setting_by_file_key(tmp_path, flag, section, nam
         (["--generations", "-1"], None, "evolution"),
         (["--init-population", "-3"], None, "evolution"),
         ([], {"policy": {"metric": "genotypic"}}, "policy.metric"),  # deleted
-        ([], {"policy": {"lambda": 0.5}}, "policy.lambda"),  # now policy.lam
+        ([], {"policy": {"lambda": 0.5}}, "policy.lambda"),  # an older name of a deleted setting
         ([], {"omega": "knn_mass"}, "omega"),  # a removed setting
         ([], {"h_kind": "product"}, "h_kind"),  # a removed setting
         (["--mode", "baseline"], {"h_kind": "product"}, "h_kind"),
@@ -237,7 +236,8 @@ def test_invalid_setting_exits_2(tmp_path, capsys, argv, data, field):
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("key", ["weights.w_zeta", "omega", "h_kind"])
+# policy.lam: the filter's metric weight, as an older run.json's config holds it
+@pytest.mark.parametrize("key", ["weights.w_zeta", "omega", "h_kind", "policy.lam"])
 def test_deleted_setting_is_an_unknown_config_key(tmp_path, capsys, key):
     section, _, name = key.rpartition(".")
     data = {section: {name: 1.0}} if section else {name: 1.0}
@@ -255,10 +255,11 @@ def test_deleted_setting_is_an_unknown_config_key(tmp_path, capsys, key):
         ["--h", "bogus"],  # not taken as --help
         ["--mode", "baseline", "--h", "bogus"],
         ["--omega", "bogus"],  # a deleted setting
-        ["--lam", "1"],  # not taken as --lambda
+        ["--lam", "1"],  # a deleted setting's field name
         ["--w", "0.3"],  # not taken as --w-lm
+        ["--lambda", "0.5"],  # a deleted setting
     ],
-    ids=["w-zeta", "h", "mode-h", "omega", "lam", "w"],
+    ids=["w-zeta", "h", "mode-h", "omega", "lam", "w", "lambda"],
 )
 def test_unrecognised_flag_exits_2_through_argparse(tmp_path, capsys, argv):
     with pytest.raises(SystemExit) as exc:
@@ -467,16 +468,8 @@ def test_run_flags_are_unrecognised_by_commands_that_run_nothing(command, flag, 
 
 
 DEME_RUN = dict(
-    problem="onemax", problem_params={"bits": 30}, budget=1500, seed=1, deme_count=2
+    problem="onemax", problem_params={"bits": 30}, budget=2000, seed=1, deme_count=2
 )
-
-
-def test_deme_run_honours_lambda():
-    blended = execute_run(RunConfig(**DEME_RUN, policy=FilterPolicy(lam=0.5)), "info_evo", 1)
-    genotypic = execute_run(
-        RunConfig(**DEME_RUN, policy=FilterPolicy(lam=1.0)), "info_evo", 1
-    )
-    assert blended["trace"] != genotypic["trace"]
 
 
 def test_deme_run_evals_to_target_in_global_order(monkeypatch):
@@ -491,8 +484,8 @@ def test_deme_run_evals_to_target_in_global_order(monkeypatch):
         return sample
 
     monkeypatch.setattr(evolve, "evaluate", recording)
-    # at the default lambda 1 this run misses the target within its budget
-    record = execute_run(RunConfig(**DEME_RUN, policy=FilterPolicy(lam=0.5)), "info_evo", 1)
+    # at budget 1500 this run misses the target
+    record = execute_run(RunConfig(**DEME_RUN), "info_evo", 1)
     assert record["success"]
     assert [row["score"] for row in record["trace"]] == new_scores
     first = next(i for i, score in enumerate(new_scores) if score >= 30.0)
@@ -510,8 +503,8 @@ GATE_RUNS = {
 
 @pytest.mark.parametrize("name", GATE_RUNS)
 def test_default_guided_run_makes_one_objective_call_per_evaluation(name, tmp_path, monkeypatch):
-    # at the default lambda = 1 the filter and omega read genotypes only,
-    # so no candidate costs an objective call unless it is evaluated
+    # the filter and omega read genotypes only, so no candidate costs an
+    # objective call unless it is evaluated
     monkeypatch.syspath_prepend(str(README.parent / "perfbench"))
     from make_dataset import write_dataset
 
@@ -551,12 +544,12 @@ def test_run_json_holds_only_the_seed_that_ran(tmp_path):
 
     assert list(seeds(record)) == [7, 7]  # the record's and its config's
     assert record["config"]["mode"] == "info_evo"
-    assert record["config"]["policy"] == {"k": 7, "threshold_quantile": 0.25, "lam": 1.0}
+    assert record["config"]["policy"] == {"k": 7, "threshold_quantile": 0.25}
 
 
 def test_run_json_config_is_a_config_file_of_the_run(tmp_path):
     out = tmp_path / "out"
-    argv = FAST_RUN + ["--lambda", "0.3", "--filter-k", "5", "--deme-count", "2"]
+    argv = FAST_RUN + ["--threshold-quantile", "0.3", "--filter-k", "5", "--deme-count", "2"]
     assert run_cli(["run", "--out", str(out)] + argv) == 0
     record = json.loads((out / "run.json").read_text())
     path = file_with(tmp_path, record["config"])

@@ -3,7 +3,6 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from infoevo import evolve, guidance
 from infoevo.core import EvaluationLedger, ScoredSample, evaluate, view_of
 from infoevo.demes import run_demes, spawn_demes
 from infoevo.domains import OneMax, Sphere, make_problem
@@ -235,33 +234,6 @@ def test_loop_baseline_one_objective_call_per_evaluation():
     assert len(calls) == result.ledger.eval_count
 
 
-def record_skips(problem, monkeypatch) -> set:
-    """The canonical keys of the candidates the filter skips in the runs
-    that follow, as ``guidance.should_evaluate`` decides them. A burst
-    screens a generation's offspring in order, one call each, so the
-    n-th call after a ``vary`` decides the n-th offspring it returned."""
-    skipped = set()
-    generation = {"offspring": [], "screened": 0}
-    vary, should_evaluate = evolve.vary, guidance.should_evaluate
-
-    def recording_vary(*args):
-        generation["offspring"] = vary(*args)
-        generation["screened"] = 0
-        return generation["offspring"]
-
-    def recording(*args):
-        ok, est = should_evaluate(*args)
-        x = generation["offspring"][generation["screened"]]
-        generation["screened"] += 1
-        if not ok:
-            skipped.add(problem.canonical_key(x))
-        return ok, est
-
-    monkeypatch.setattr(evolve, "vary", recording_vary)
-    monkeypatch.setattr(guidance, "should_evaluate", recording)
-    return skipped
-
-
 @pytest.mark.parametrize(
     "make, budget, stop",
     [
@@ -270,22 +242,18 @@ def record_skips(problem, monkeypatch) -> set:
         pytest.param(lambda: Sphere(dim=5), 800, "budget", id="sphere-5-budget-800"),
     ],
 )
-def test_guided_loop_scores_each_genotype_once(make, budget, stop, monkeypatch):
-    # under a blended metric (lambda 0.5) every evaluated genotype costs
-    # one objective call, and so does each distinct genotype the filter
-    # skipped and the run never evaluated; a run ended by its budget
-    # screens no candidate once the budget is spent
+def test_guided_loop_scores_each_genotype_once(make, budget, stop):
+    # every evaluated genotype costs one objective call, and a candidate
+    # the filter skipped costs none, also in a run ended by its budget; at
+    # quantile 0.75 the filter skips candidates on OneMax too
     problem = make()
     calls = count_objective_calls(problem)
-    skipped = record_skips(problem, monkeypatch)
     config = EvolutionConfig(subpop_size=20, generations_per_round=4, init_population=40)
-    policy = FilterPolicy(k=3, lam=0.5)
+    policy = FilterPolicy(k=3, threshold_quantile=0.75)
     result = run_one(problem, run_config(config, seed=3, budget=budget, policy=policy))
     ledger = result.ledger
     assert result.stop_reason == stop and result.skipped_total > 0
-    never_evaluated = [key for key in skipped if ledger.lookup(key) is None]
-    assert len(calls) == ledger.eval_count + len(never_evaluated)
-    assert ledger.objective_calls == len(calls)
+    assert len(calls) == ledger.eval_count == ledger.objective_calls
 
 
 @pytest.mark.parametrize(
@@ -295,31 +263,24 @@ def test_guided_loop_scores_each_genotype_once(make, budget, stop, monkeypatch):
         pytest.param("trap5", {"bits": 30}, 3000, "budget", id="trap5-30-budget-3000"),
     ],
 )
-def test_screening_in_blocks_makes_no_speculative_objective_call(
-    name, params, budget, stop, monkeypatch
-):
+def test_screening_in_blocks_makes_no_speculative_objective_call(name, params, budget, stop):
     # each run ends mid-generation, at an offspring that reaches the target
-    # or that the spent budget cannot take; the blocks that screened that
-    # generation computed no objective value for the offspring after it,
-    # under a blended metric (lambda 0.5), whose screened rows call it
+    # or that the spent budget cannot take; the block that screened that
+    # generation computed no objective value for the offspring after it
     problem = make_problem(name, **params)
     calls = count_objective_calls(problem)
-    skipped = record_skips(problem, monkeypatch)
-    cfg = RunConfig(
-        problem=name, problem_params=params, budget=budget, seed=1, policy=FilterPolicy(lam=0.5)
-    )
+    policy = FilterPolicy(threshold_quantile=0.5)  # OneMax skips nothing at 0.25
+    cfg = RunConfig(problem=name, problem_params=params, budget=budget, seed=1, policy=policy)
     result = run_one(problem, cfg)
-    ledger = result.ledger
     assert result.stop_reason == stop and result.skipped_total > 0
     last = result.reports[-1].subdemes[-1]
     per_generation = cfg.evolution.subpop_size - cfg.evolution.elitism
     assert last.candidates_generated % per_generation != 0
-    never_evaluated = [key for key in skipped if ledger.lookup(key) is None]
-    assert len(calls) == ledger.eval_count + len(never_evaluated)
+    assert len(calls) == result.ledger.eval_count
 
 
 def test_filter_that_skips_a_whole_round_is_loosened_not_stalled():
-    # trap5-20 with one ray per round at lambda 0.5 draws rounds whose
+    # trap5-20 with one ray per round at quantile 0.5 draws rounds whose
     # every new candidate the filter skips; each halves the quantile in
     # force, a round that adds to the ledger restores the policy's, and
     # the run goes on to its budget instead of stopping as stalled
@@ -329,7 +290,7 @@ def test_filter_that_skips_a_whole_round_is_loosened_not_stalled():
         budget=3000,
         seed=1,
         step=StepParams(ray_count=1),
-        policy=FilterPolicy(lam=0.5),
+        policy=FilterPolicy(threshold_quantile=0.5),
     )
     problem = make_problem("trap5", bits=20)
     (state,) = spawn_demes(problem, cfg, np.random.default_rng(cfg.seed))

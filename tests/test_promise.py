@@ -11,7 +11,7 @@ from conftest import local_max_prob, make_scalar_ledger
 def scalar_setup(values):
     problem, ledger = make_scalar_ledger(values)
     view = view_of(ledger)
-    rm = ResolvedMetric(problem, view, 1.0, ledger, len(view))
+    rm = ResolvedMetric(problem, view, ledger, len(view))
     return view, rm
 
 
@@ -68,9 +68,6 @@ class EqualScoreProblem:
     def geno_distances(self, xs, stacked):
         return np.abs(xs[:, None] - stacked[None, :])
 
-    def behavior(self, genotype):
-        return np.array([3.0])
-
 
 def test_local_max_prob_all_equal():
     from infoevo.core import EvaluationLedger, evaluate, view_of
@@ -80,7 +77,7 @@ def test_local_max_prob_all_equal():
     for v in (0.0, 1.0, 2.0):
         evaluate(v, problem, ledger)
     view = view_of(ledger)
-    rm = ResolvedMetric(problem, view, 1.0, ledger, len(view))
+    rm = ResolvedMetric(problem, view, ledger, len(view))
     norm = normalize_scores(view.scores, view)
     for i in range(3):
         assert local_max_prob(i, 2, rm, norm) == 1.0

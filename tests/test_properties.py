@@ -22,7 +22,6 @@ from infoevo.core import (
     PopulationView,
     ResolvedMetric,
     ScoredSample,
-    behavior_distances,
     evaluate,
     fittest_first,
     knn,
@@ -109,7 +108,6 @@ from conftest import (
     local_max_prob,
     make_scalar_ledger,
     metric_row,
-    norm_behavior_distances,
     omega_knn,
     one_offspring,
     one_pair_distance,
@@ -130,7 +128,7 @@ scalar_views = st.tuples(
 def scalar_view(values, cap):
     problem, ledger = make_scalar_ledger([float(v) for v in values])
     view = view_of(ledger, cap)
-    return view, ResolvedMetric(problem, view, 1.0, ledger, len(view))
+    return view, ResolvedMetric(problem, view, ledger, len(view))
 
 
 def brute_force_knn(view, x, k):
@@ -201,7 +199,7 @@ def table_view(positions, scores):
     for g in problem.table:
         evaluate(g, problem, ledger)
     view = view_of(ledger)
-    return view, ResolvedMetric(problem, view, 1.0, ledger, len(view))
+    return view, ResolvedMetric(problem, view, ledger, len(view))
 
 
 @st.composite
@@ -704,22 +702,18 @@ def test_vary_block_draws_give_the_loops_distribution():
 
 # --- the run memo ---
 
-# OneMax keeps the default behavior (its score); symreg, on its built-in
-# dataset, has behavior vectors of its own
+# OneMax-10 ties often; symreg, on its built-in dataset, stacks trees
 MEMO_PROBLEMS = {"onemax": OneMax(bits=10), "symreg": make_problem("symreg")}
-# the genotypic weight lam, its two extremes drawn often
-lams = st.one_of(st.just(1.0), st.just(0.0), st.floats(0.0, 1.0))
 
 
 @settings(max_examples=60, deadline=None)
 @given(
     st.sampled_from(sorted(MEMO_PROBLEMS)),
-    lams,
     st.integers(2, 12),
     st.integers(0, 2**32 - 1),
     st.data(),
 )
-def test_metric_rows_from_the_run_memo_match_rows_without_it(name, lam, n, seed, data):
+def test_metric_rows_from_the_run_memo_match_rows_without_it(name, n, seed, data):
     problem = MEMO_PROBLEMS[name]
     rng = np.random.default_rng(seed)
     ledger = EvaluationLedger(budget=n)
@@ -732,10 +726,10 @@ def test_metric_rows_from_the_run_memo_match_rows_without_it(name, lam, n, seed,
     views = [PopulationView.of(samples[:end]), PopulationView.of(samples[start:])]
     outside = [problem.random_genotype(rng) for _ in range(3)]
     for view in views:
-        rm = ResolvedMetric(problem, view, lam, ledger, len(view))
+        rm = ResolvedMetric(problem, view, ledger, len(view))
         queries = [s.genotype for s in view.samples] + outside
         # the rows built straight from the problem, without the memo
-        for x, row in zip(queries, reference_rows(problem, view, lam, queries)):
+        for x, row in zip(queries, reference_rows(problem, view, queries)):
             for a, b in zip(metric_row(rm, x), reference_nearest(row, rm.width)):
                 assert a.tobytes() == b.tobytes()
 
@@ -1746,21 +1740,19 @@ def test_column_evaluation_equals_the_one_row_recursion(inputs, constant_only, r
 def canonical_nans(values):
     """The values with every NaN as np.nan. The sign bit of a NaN such as
     nan * nan depends on which float path CPython takes, and no program
-    output reads it: score and behavior map every non-finite output."""
+    output reads it: score maps every non-finite output."""
     return np.where(np.isnan(values), np.nan, values)
 
 
 @settings(max_examples=150, deadline=None)
 @given(st.integers(1, 3), st.integers(1, 6), st.data())
-def test_score_and_behavior_read_the_one_row_outputs(inputs, rows, data):
+def test_score_reads_the_one_row_outputs(inputs, rows, data):
     values = st.one_of(st.sampled_from(EDGE_VALUES[:10]), st.floats(-1e3, 1e3))
     probes = data.draw(st.lists(st.tuples(*[values] * inputs), min_size=rows, max_size=rows))
     outputs = data.draw(st.lists(values, min_size=rows, max_size=rows))
     tree = data.draw(trees(5, inputs, values))
     problem = SymbolicRegression(probes=probes, outputs=outputs)
     outs = np.array([one_row_value(tree, p) for p in probes], dtype=float)
-    behavior = np.clip(np.nan_to_num(outs, nan=1e6, posinf=1e6, neginf=-1e6), -1e6, 1e6)
-    assert problem.behavior(tree).tobytes() == behavior.tobytes()
     got = problem.score(tree)  # warns of no overflow, which -W error would raise
     # the squared error of a large finite output may overflow
     with np.errstate(over="ignore"):
@@ -1772,7 +1764,7 @@ def test_score_and_behavior_read_the_one_row_outputs(inputs, rows, data):
 
 # --- the metric's distance blocks ---
 
-# OneMax-10 ties often; symreg has behavior vectors of its own
+# OneMax-10 ties often; symreg grows its label vocabulary as it stacks
 BLOCK_PROBLEMS = {
     "onemax": lambda: OneMax(bits=10),
     "sphere": lambda: Sphere(dim=10),
@@ -1783,41 +1775,37 @@ BLOCK_PROBLEMS = {
 @settings(max_examples=60, deadline=None)
 @given(
     st.sampled_from(sorted(BLOCK_PROBLEMS)),
-    lams,
-    st.integers(1, 50),  # past 46 samples the scales sample their pairs
+    st.integers(1, 50),
     st.integers(0, 2**32 - 1),
 )
-def test_metric_blocks_match_rows_built_one_at_a_time(name, lam, n, seed):
+def test_metric_blocks_match_rows_built_one_at_a_time(name, n, seed):
     problem = BLOCK_PROBLEMS[name]()
     rng = np.random.default_rng(seed)
     ledger = EvaluationLedger(budget=n)
     for _ in range(n):
         evaluate(problem.random_genotype(rng), problem, ledger)
     view = view_of(ledger)
-    rm = ResolvedMetric(problem, view, lam, ledger, k=len(view))
+    rm = ResolvedMetric(problem, view, ledger, k=len(view))
     genos = [s.genotype for s in view.samples]
     # offspring: new genotypes, one of them twice, and a view sample
     offspring = [problem.random_genotype(rng) for _ in range(4)]
     offspring += [offspring[0], genos[-1]]
     keys = [problem.canonical_key(g) for g in offspring]
     calls = ledger.objective_calls
-    # the first chunk of a generation adds every offspring's genotypic row
-    # in one block; only its own rows' behaviors call the objective
-    end, chunk_dists, chunk_orders = rm.screen_rows(offspring, keys, 0)
-    view_keys = {problem.canonical_key(g) for g in genos}
-    expected_calls = len(set(keys[:end]) - view_keys) if lam != 1.0 else 0
-    assert ledger.objective_calls - calls == expected_calls
+    # a generation's rows, in one block, call no objective
+    block_dists, block_orders = rm.rows_of(offspring, keys)
+    assert ledger.objective_calls == calls
     queries = genos + offspring
-    for x, row in zip(queries, reference_rows(problem, view, lam, queries)):
+    for x, row in zip(queries, reference_rows(problem, view, queries)):
         dists, got = metric_row(rm, x)
         expected_dists, order = reference_nearest(row, rm.width)
         assert dists.tobytes() == expected_dists.tobytes()
         assert got.tobytes() == order.tobytes()
         stored = rm._rows[problem.canonical_key(x)]  # shared by every query
         assert not any(a.flags.writeable for a in stored)
-    dists, orders = rm.rows_of(offspring[:end], keys[:end])
-    assert chunk_dists.tobytes() == dists.tobytes()
-    assert chunk_orders.tobytes() == orders.tobytes()
+    dists, orders = rm.rows_of(offspring, keys)
+    assert block_dists.tobytes() == dists.tobytes()
+    assert block_orders.tobytes() == orders.tobytes()
 
 
 # --- each row's k nearest, by selection and by sort ---
@@ -1972,19 +1960,18 @@ def test_guided_fitness_matches_the_per_sample_reference(case):
 @settings(max_examples=10, deadline=None)
 @given(
     st.sampled_from(sorted(MEMO_PROBLEMS)),
-    st.sampled_from([0.0, 0.5, 1.0]),
     st.integers(1, 40),  # view size, often at most k + 1
     st.integers(0, 2**32 - 1),
 )
-def test_guidance_blocks_match_the_one_candidate_forms(k, name, lam, n, seed):
+def test_guidance_blocks_match_the_one_candidate_forms(k, name, n, seed):
     problem = MEMO_PROBLEMS[name]
     rng = np.random.default_rng(seed)
     ledger = EvaluationLedger(budget=n)
     while ledger.eval_count < n:
         evaluate(problem.random_genotype(rng), problem, ledger)
     view = view_of(ledger)
-    block = ResolvedMetric(problem, view, lam, ledger, k=len(view))
-    single = ResolvedMetric(problem, view, lam, ledger, k=len(view))
+    block = ResolvedMetric(problem, view, ledger, k=len(view))
+    single = ResolvedMetric(problem, view, ledger, k=len(view))
     genos = [s.genotype for s in view.samples]
     # candidates: new genotypes, one twice, and view samples, which sit at
     # distance zero from a sample (OneMax-10 ties often besides)
@@ -2030,46 +2017,48 @@ def test_local_max_ratios_match_local_max_prob_with_ties(case, k_local, data):
 @settings(max_examples=100, deadline=None)
 @given(st.lists(st.integers(0, 6), min_size=2, max_size=12), st.integers(1, 14))
 def test_local_max_ratios_where_samples_sit_at_distance_zero(labels, k_local):
-    # scalar genotypes scored as themselves whose behaviors (their integer
-    # parts, halved and rounded down) are shared, so that under the
-    # phenotypic metric samples of different scores sit at distance zero
-    # from a sample, some before it in its order
+    # scalar genotypes scored as themselves whose distance reads only
+    # their integer parts, halved and rounded down, so that samples of
+    # different scores sit at distance zero from a sample, some before it
+    # in its order
     class Floored(ScalarProblem):
-        def behavior(self, genotype):
-            return np.array([float(int(genotype) // 2)])
+        def geno_distances(self, xs, stacked):
+            def floor(gs):
+                return [float(int(g) // 2) for g in gs]
+
+            return super().geno_distances(floor(xs), floor(stacked))
 
     problem = Floored()
     ledger = EvaluationLedger(len(labels))
     for i, label in enumerate(labels):
         evaluate(label + i / 100, problem, ledger)
     view = view_of(ledger)
-    rm = ResolvedMetric(problem, view, 0.0, ledger, len(view))
+    rm = ResolvedMetric(problem, view, ledger, len(view))
     norm = normalize_scores(view.scores, view)
     expected = [local_max_prob(i, k_local, rm, norm) for i in range(len(view))]
     assert same_doubles(local_max_ratios(rm.view_orders, norm, k_local), expected)
 
 
-# --- per-genotype facts computed once: keys, behaviors, rows, segments ---
+# --- per-genotype facts computed once: keys, rows, segments ---
 
 
 @settings(max_examples=80, deadline=None)
 @given(
     st.sampled_from(sorted(BLOCK_PROBLEMS)),
-    lams,
     st.integers(1, 30),  # view size
     st.integers(1, 12),  # k, often past the view size
     st.booleans(),  # keys given or computed
     st.integers(0, 2**32 - 1),
 )
-def test_block_knn_equals_the_one_genotype_query(name, lam, n, k, keyed, seed):
+def test_block_knn_equals_the_one_genotype_query(name, n, k, keyed, seed):
     problem = BLOCK_PROBLEMS[name]()
     rng = np.random.default_rng(seed)
     ledger = EvaluationLedger(budget=n)
     while ledger.eval_count < n:
         evaluate(problem.random_genotype(rng), problem, ledger)
     view = view_of(ledger)
-    block = ResolvedMetric(problem, view, lam, ledger, k=k)
-    single = ResolvedMetric(problem, view, lam, ledger, k=k)
+    block = ResolvedMetric(problem, view, ledger, k=k)
+    single = ResolvedMetric(problem, view, ledger, k=k)
     genos = [s.genotype for s in view.samples]
     candidates = [problem.random_genotype(rng) for _ in range(4)]
     candidates += [candidates[0], genos[0], genos[-1]]
@@ -2089,7 +2078,6 @@ def test_block_knn_equals_the_one_genotype_query(name, lam, n, k, keyed, seed):
 @settings(max_examples=80, deadline=None)
 @given(
     st.sampled_from(sorted(MEMO_PROBLEMS)),
-    lams,
     st.integers(1, 30),  # view size
     st.integers(1, 12),  # omega's k
     st.integers(1, 8),  # new parents
@@ -2097,7 +2085,7 @@ def test_block_knn_equals_the_one_genotype_query(name, lam, n, k, keyed, seed):
     st.data(),
 )
 def test_block_omega_of_new_parents_matches_the_per_sample_reference(
-    name, lam, n, k, m, seed, data
+    name, n, k, m, seed, data
 ):
     problem = MEMO_PROBLEMS[name]
     rng = np.random.default_rng(seed)
@@ -2112,13 +2100,13 @@ def test_block_omega_of_new_parents_matches_the_per_sample_reference(
     keys = [problem.canonical_key(s.genotype) for s in new]
     target = manifold.from_weights(rng.uniform(0.0, 1.0, size=n))
     zeta = normalize_scores([s.score for s in new], view)
-    reference = ResolvedMetric(problem, view, lam, ledger, k=k)
+    reference = ResolvedMetric(problem, view, ledger, k=k)
     expected = [
         reference_modified_fitness(s.genotype, z, target, k, reference)
         for s, z in zip(new, zeta.tolist())
     ]
-    rm = ResolvedMetric(problem, view, lam, ledger, k=k)
-    # some parents' rows already built, as a screened chunk builds them
+    rm = ResolvedMetric(problem, view, ledger, k=k)
+    # some parents' rows already built, as a screened generation builds them
     built = data.draw(st.lists(st.sampled_from(new), max_size=3))
     if built:
         rm.rows_of([s.genotype for s in built])
@@ -2209,7 +2197,7 @@ def test_next_generation_pool_ranks_as_the_key_sort(parents, new, elitism):
     assert same_doubles(got_fitness, expected_fitness)
 
 
-# --- popcount and one-column distance kernels, against their old forms ---
+# --- popcount distance kernels, against their old forms ---
 
 
 @settings(max_examples=200, deadline=None)
@@ -2228,33 +2216,6 @@ def test_popcount_distances_equal_the_dot_product_form(bits, m, n, data):
         got = problem.geno_distances(problem.stack(left), problem.stack(right))
         assert got.dtype == float and got.shape == (len(left), len(right))
         assert got.tobytes() == dot_hamming(left, right).tobytes()
-
-
-def differences():
-    """Doubles whose differences and squares reach every special case:
-    squares that underflow (below 1e-154) or overflow (above 1.4e154),
-    +-0, +-inf and NaN."""
-    special = st.sampled_from(
-        [0.0, -0.0, 1e-160, -3e-170, 1e-154, 1.5e154, -2e154, 1e300, np.inf, -np.inf, np.nan]
-    )
-    return st.one_of(special, st.floats(allow_nan=True, allow_infinity=True))
-
-
-@settings(max_examples=300, deadline=None)
-@given(
-    st.lists(differences(), min_size=1, max_size=5),
-    st.lists(differences(), min_size=1, max_size=6),
-    st.integers(1, 3),
-)
-def test_behavior_distances_equal_the_norm(xs, ys, width):
-    with np.errstate(all="ignore"):
-        # one column, then wider stacks (which take the norm) built from it
-        a = np.array(xs, dtype=float)[:, None] * np.arange(1, width + 1)
-        b = np.repeat(np.array(ys, dtype=float)[:, None], width, axis=1)
-        for left, right in ((a, b), (b, a), (a[:1], b), (a, b[:1]), (a, a)):
-            got = behavior_distances(left, right)
-            assert got.shape == (len(left), len(right))
-            assert got.tobytes() == norm_behavior_distances(left, right).tobytes()
 
 
 def reference_exact_ray(base, direction, length: float):
@@ -2321,42 +2282,6 @@ def test_block_exact_rays_equal_the_one_ray_reference(dim, extra, count, radius,
         gamma = data.draw(st.floats(0.0, ray.polyline.length))
         got = step_along(ray, gamma)
         assert got.phi.tobytes() == reference_step_along(ray, gamma).phi.tobytes()
-
-
-@settings(max_examples=60, deadline=None)
-@given(
-    st.sampled_from(["onemax", "sphere", "scalar", "symreg"]),
-    st.integers(1, 12),  # view size
-    st.integers(0, 2**32 - 1),
-)
-def test_behavior_column_equals_the_stacked_behavior_of(name, n, seed):
-    problem = {
-        "onemax": lambda: OneMax(bits=10),
-        "sphere": lambda: Sphere(dim=3),
-        "scalar": ScalarProblem,
-        "symreg": lambda: make_problem("symreg"),
-    }[name]()
-    rng = np.random.default_rng(seed)
-    ledger = EvaluationLedger(budget=n)
-    while ledger.eval_count < n:
-        evaluate(problem.random_genotype(rng), problem, ledger)
-    view = view_of(ledger)
-    # view samples, and genotypes the ledger has not scored
-    genos = [s.genotype for s in view.samples]
-    genos += [problem.random_genotype(rng) for _ in range(3)]
-    keys = [problem.canonical_key(g) for g in genos]
-    # each genotype's own behavior, computed one at a time
-    stacked = np.array([np.array(problem.behavior(g), dtype=float) for g in genos])
-    got = ledger.behaviors_of(genos, problem, keys)
-    assert got.shape == stacked.shape and same_doubles(got, stacked)
-    # the phenotypic view rows read the same column
-    rm = ResolvedMetric(problem, view, 0.0, ledger, len(view))
-    behaviors = stacked[:n]
-    expected = np.linalg.norm(behaviors[None] - behaviors[:, None], axis=-1)
-    for dists, order, row in zip(*rm.rows_of(genos[:n]), expected):
-        expected_dists, expected_order = reference_nearest(row, n)
-        assert same_doubles(dists, expected_dists)
-        assert order.tobytes() == expected_order.tobytes()
 
 
 @settings(max_examples=150, deadline=None)

@@ -5,20 +5,17 @@ The runs are the five benchmark-seed runs of ``tools/trace_digests.py``
 the cubic dataset of ``perfbench/make_dataset.py`` at cap 64, seed 5),
 made as that tool makes them. Each pin is the line the tool prints for
 the run: the SHA-256 of its trace, ``eval_count``, ``objective_calls``
-and ``evals_to_target``. The guided runs take the default lambda = 1,
-whose rows call no objective, so each makes one objective call per
-evaluation. Four more runs of that tool are pinned, each through a
-branch of the rule that ends a screened chunk
-(``ResolvedMetric.screen_rows``), which reads behavior only under a
-blended metric: guided trap5-30 at budget 3000 and lambda = 0.5, which
-ends on its budget with candidates skipped; guided trap5-20 with one
-ray at lambda = 0.5, which has rounds whose filter skips every new
-candidate; guided OneMax-50 at lambda = 0.5, whose screened rows call
-the objective; and guided symreg with depth-1 programs, whose view is
-too small for anything to be screened. One more pins guided symreg on
-the cubic dataset at cap 64, seed 3 and lambda = 0.5, which runs two
-rounds, so its second round stacks trees with a label vocabulary that
-grew in the first (at lambda = 1 the run ends within its first round).
+and ``evals_to_target``. The filter and omega read genotypic rows,
+which call no objective, so every run makes one objective call per
+evaluation. Three more runs of that tool are pinned, each through a
+branch of the filter: guided trap5-30 at budget 3000, which ends on its
+budget with candidates skipped; guided trap5-20 with one ray at
+threshold quantile 0.5, which has rounds whose filter skips every new
+candidate, so the quantile in force is halved; and guided symreg with
+depth-1 programs, whose view is too small for anything to be screened.
+One more pins guided symreg on the cubic dataset at cap 64, seed 2,
+which runs two rounds, so its second round stacks a new view with the
+label vocabulary its first built.
 A change that alters behaviour on purpose updates these pins and says
 why.
 """
@@ -62,24 +59,18 @@ PINS = {
     ),
 }
 
-CHUNK_RULE_PINS = {
-    "trap5-30-blended-b3000-s1": (
-        "25dca6320dcbfb6c24c4b66c88d1b06516ad56599ba106452c22b153da019919",
+FILTER_PINS = {
+    "trap5-30-b3000-s1": (
+        "5323b2c4500fe7cdf1f762cfee9c3cee94d1ac79cf9ebd15a6de71cfd91719a8",
         3000,
-        3240,
         3000,
-    ),
-    "trap5-20-rays1-blended-b3000-s1": (
-        "0e0eb655ef42a2a3c0c8c2ad8776762b58de0670d0d209b9413e84e2ec8e42ef",
-        3000,
-        3610,
         3000,
     ),
-    "onemax50-blended-s1": (
-        "463d409ec85576e30c455d23d66dbe9753b0b93af7bdf8cf7c02461e3dce20e4",
-        1225,
-        1245,
-        1225,
+    "trap5-20-rays1-tq05-b3000-s1": (
+        "ad20b008f5bfcc0a6976cfea4f5ef5dba7afabdb6b21175aa824040ab2f0189c",
+        3000,
+        3000,
+        3000,
     ),
     "symreg-maxdepth1-b100-s1": (
         "dc7891621f66e99404e5a5790ee2306a413c06d47274fd428cc8590b07780261",
@@ -90,11 +81,11 @@ CHUNK_RULE_PINS = {
 }
 
 MULTI_ROUND_PINS = {
-    "symreg-cubic-cap64-blended-s3": (
-        "5305c4551a307dda97b77357f50d60da10dab4159634484aae9eb224cb1c4679",
-        436,
-        862,
-        436,
+    "symreg-cubic-cap64-s2": (
+        "346a66e208ce222729c65e5059d9f30e6d46ec4f33bc4c4fe5a1f709a045be56",
+        454,
+        454,
+        454,
     ),
 }
 
@@ -127,8 +118,8 @@ def test_bench_seed_traces_match_their_pins(tmp_path, monkeypatch):
     assert digest_lines(PINS, tmp_path, monkeypatch) == PINS
 
 
-def test_chunk_rule_branch_traces_match_their_pins(tmp_path, monkeypatch):
-    assert digest_lines(CHUNK_RULE_PINS, tmp_path, monkeypatch) == CHUNK_RULE_PINS
+def test_filter_branch_traces_match_their_pins(tmp_path, monkeypatch):
+    assert digest_lines(FILTER_PINS, tmp_path, monkeypatch) == FILTER_PINS
 
 
 def test_multi_round_program_trace_matches_its_pin(tmp_path, monkeypatch):
