@@ -117,6 +117,10 @@ class SubdemeReport:
 
 @dataclass
 class RoundReport:
+    """One round. ``promise_flat`` is True exactly when the round's
+    promise had no ascent direction, so its chart is random; baseline
+    rounds and rounds on views of fewer than 3 samples build no chart."""
+
     round_index: int
     rays_generated: int = 0
     rays_used: int = 0
@@ -126,6 +130,7 @@ class RoundReport:
     best_score_before: float = float("-inf")
     best_score_after: float = float("-inf")
     gamma_used: float = 0.0
+    promise_flat: bool = False
     subdemes: list[SubdemeReport] = field(default_factory=list)
 
 
@@ -529,6 +534,7 @@ def run_round(state: RunState, cfg: RunConfig) -> None:
             chart = geodesic_search.build_chart(
                 base, pv, d, rng, radius=2 * gamma
             )
+            report.promise_flat = chart.degenerate_ascent
             rays = geodesic_search.geodesic_rays(chart, step_params, rng)
             report.rays_generated = len(rays)
             # a ray that folds back at the simplex boundary can be shorter

@@ -37,16 +37,17 @@ RELAX_PASSES = 3  # relaxation sweeps before each subdivision and after the last
 
 @dataclass(frozen=True)
 class Chart:
-    """Orthonormal tangent frame at a base distribution."""
+    """Orthonormal tangent frame at a base distribution: ``frame`` is a
+    read-only d-by-n block, one tangent row per chart direction."""
 
     base: LogDistribution
-    directions: tuple[TangentVector, ...]
+    frame: np.ndarray
     radius: float
     degenerate_ascent: bool = False  # promise-ascent direction vanished
 
     @property
     def dim(self) -> int:
-        return len(self.directions)
+        return len(self.frame)
 
     def tangent(self, coords) -> TangentVector:
         return TangentVector(self._tangent_rows(coords), self.base)
@@ -55,8 +56,8 @@ class Chart:
         """Tangent f of each row of chart coordinates (last axis)."""
         coords = np.asarray(coords, dtype=float)
         f = np.zeros(coords.shape[:-1] + (self.base.n,))
-        for j, u in enumerate(self.directions):
-            f = f + coords[..., j, np.newaxis] * u.f
+        for j, u in enumerate(self.frame):
+            f = f + coords[..., j, np.newaxis] * u
         return f
 
     def point(self, coords) -> LogDistribution:
@@ -79,11 +80,12 @@ class Chart:
 
 @dataclass(frozen=True)
 class GeodesicPolyline:
-    """Points joined by geodesic segments. ``segments[i]`` is the
+    """Points joined by geodesic segments: ``phi`` is a read-only
+    points-by-n block, one phi row per point. ``segments[i]`` is the
     distance from point i to point i + 1 and ``length`` their
     left-to-right sum."""
 
-    points: tuple[LogDistribution, ...]
+    phi: np.ndarray
     length: float
     segments: tuple[float, ...]
 
@@ -152,12 +154,9 @@ def build_chart(
         if cnorm < DEGENERATE_NORM:
             continue
         directions.append(cand / cnorm)
-    return Chart(
-        base=base,
-        directions=tuple(TangentVector(u, base) for u in directions),
-        radius=float(radius),
-        degenerate_ascent=degenerate,
-    )
+    frame = np.array(directions)
+    frame.flags.writeable = False
+    return Chart(base=base, frame=frame, radius=float(radius), degenerate_ascent=degenerate)
 
 
 class _Lattice:
@@ -216,12 +215,7 @@ class _Lattice:
     def _at(self, keys: np.ndarray) -> tuple:
         return tuple((keys + self._shift).T)
 
-    def point(self, node: int) -> LogDistribution:
-        if node == self.origin:
-            return self.chart.base
-        return LogDistribution(self.phi[node])
-
-    def cell_corners(self, coords: np.ndarray) -> list[int]:
+    def cell_corners(self, coords: np.ndarray) -> np.ndarray:
         """Nodes at the in-bounds corners of the lattice cell holding a
         chart point, in key order.
 
@@ -229,11 +223,9 @@ class _Lattice:
         |k_i| <= |c_i| / spacing in every axis, so it is always one.
         """
         lo = np.floor(coords / self.spacing).astype(int)
-        nodes = [
-            int(self._index[self._at(lo + o)])
-            for o in itertools.product((0, 1), repeat=self.chart.dim)
-        ]
-        return [i for i in nodes if i >= 0]
+        cell = np.array(list(itertools.product((0, 1), repeat=self.chart.dim)))
+        nodes = self._index[self._at(lo + cell)]
+        return nodes[nodes >= 0]
 
 
 def _blocks(rows: np.ndarray):
@@ -268,12 +260,12 @@ def dijkstra_geodesic(
     for name, c in [("start", start_coords)] + [("goal", g) for g in goals]:
         if float(np.linalg.norm(c)) > chart.radius * (1 + 1e-9):
             raise GoalOutsideChart(f"{name} point lies outside the chart radius")
-    start_pt = chart.point(start_coords)
+    start_phi = chart.point(start_coords).phi
     paths: list[GeodesicPolyline | None] = [None] * len(goals)
     searched = []
     for i, goal in enumerate(goals):
         if np.allclose(start_coords, goal):
-            paths[i] = GeodesicPolyline((start_pt,), 0.0, ())
+            paths[i] = GeodesicPolyline(start_phi[np.newaxis], 0.0, ())
         else:
             searched.append(i)
     if not searched:
@@ -281,25 +273,25 @@ def dijkstra_geodesic(
 
     lattice = _Lattice(chart, resolution)
 
-    def edges(corners: list[int], point: LogDistribution) -> list[tuple[int, float]]:
-        lengths = manifold.geodesic_distance_rows(lattice.phi[corners], point.phi)
-        return list(zip(corners, lengths.tolist()))
+    def edges(coords: np.ndarray, phi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        corners = lattice.cell_corners(coords)
+        return corners, manifold.geodesic_distance_rows(lattice.phi[corners], phi)
 
-    sink_points = [chart.point(goals[i]) for i in searched]
+    sink_phi = [chart.point(goals[i]).phi for i in searched]
     prev = lattice_predecessors(
         lattice.neighbors,
         lattice.lengths,
-        edges(lattice.cell_corners(start_coords), start_pt),
-        [edges(lattice.cell_corners(goals[i]), pt) for i, pt in zip(searched, sink_points)],
+        edges(start_coords, start_phi),
+        [edges(goals[i], phi) for i, phi in zip(searched, sink_phi)],
     )
     # search nodes: lattice nodes, then the start, then each sink
     start = len(lattice.keys)
-    for sink, i in enumerate(searched, start + 1):
+    for sink, (i, phi) in enumerate(zip(searched, sink_phi), start + 1):
         path = [prev[sink]]
         while path[-1] != start:
             path.append(prev[path[-1]])
-        points = [start_pt, *(lattice.point(node) for node in reversed(path[:-1]))]
-        paths[i] = _deduped_polyline(points + [sink_points[sink - start - 1]])
+        nodes = lattice.phi[path[-2::-1]]  # from the start's corner on
+        paths[i] = _deduped_polyline(np.vstack([start_phi, nodes, phi]))
     return paths
 
 
@@ -310,9 +302,9 @@ def lattice_predecessors(neighbors, lengths, start_edges, sink_edges) -> list[in
     node count + 1 + s is sink s. Lattice node i's j-th edge leads to
     ``neighbors[i, j]`` (-1 for none) and is ``lengths[i, j]`` long;
     edges come in pairs, ``neighbors[neighbors[i, j], width - 1 - j]``
-    being i at the same length. ``start_edges`` lists the start's
-    (lattice node, length) edges and ``sink_edges[s]`` the (lattice
-    node, length) edges that enter sink s, which no edge leaves.
+    being i at the same length. ``start_edges`` is the start's edges as
+    a (lattice nodes, lengths) pair of arrays and ``sink_edges[s]`` the
+    same pair for the edges that enter sink s, which no edge leaves.
     Entries off the sinks' paths are unspecified. Raises NoPath when a
     sink cannot be reached.
 
@@ -332,17 +324,16 @@ def lattice_predecessors(neighbors, lengths, start_edges, sink_edges) -> list[in
     # dist[-1] stays inf: the entry every -1 neighbour reads
     dist = np.full(count + 1, np.inf)
     prev = np.full(count + 1 + len(sink_edges), -1)
-    start_nodes = np.array([node for node, _ in start_edges], dtype=np.intp)
-    dist[start_nodes] = [length for _, length in start_edges]
-    prev[start_nodes] = count
-    entries = max(map(len, sink_edges))
+    frontier, start_lengths = start_edges
+    dist[frontier] = start_lengths
+    prev[frontier] = count
+    entries = max(len(nodes) for nodes, _ in sink_edges)
     sink_nodes = np.full((len(sink_edges), entries), -1)
     sink_lengths = np.full((len(sink_edges), entries), np.inf)
-    for s, sink in enumerate(sink_edges):
-        sink_nodes[s, : len(sink)] = [node for node, _ in sink]
-        sink_lengths[s, : len(sink)] = [length for _, length in sink]
+    for s, (nodes, entry_lengths) in enumerate(sink_edges):
+        sink_nodes[s, : len(nodes)] = nodes
+        sink_lengths[s, : len(nodes)] = entry_lengths
 
-    frontier = start_nodes
     while True:
         sink_dist = np.min(dist[sink_nodes] + sink_lengths, axis=1)
         frontier = frontier[dist[frontier] <= sink_dist.max()]
@@ -370,32 +361,32 @@ def lattice_predecessors(neighbors, lengths, start_edges, sink_edges) -> list[in
     return prev.tolist()
 
 
-def _deduped_polyline(points: list) -> GeodesicPolyline:
-    """The polyline through the points, less each point that coincides
-    with the last one kept (a start or goal may sit on a lattice node).
+def _deduped_polyline(phi: np.ndarray) -> GeodesicPolyline:
+    """The polyline through the rows of a phi block, less each row that
+    coincides with the last one kept (a start or goal may sit on a
+    lattice node), in a read-only copy of the kept rows.
 
-    Consecutive distances are computed in one row block; a point after a
-    dropped one is compared with the last kept point instead, on its
-    own. The length is the segments' left-to-right sum, a float also for
-    a path that dedupes to one point.
+    Consecutive distances are computed in one row block; a row after a
+    dropped one is compared with the last kept row instead, on its own.
+    The length is the segments' left-to-right sum, a float also for a
+    path that dedupes to one point.
     """
-    phi = np.array([pt.phi for pt in points])
     steps = manifold.geodesic_distance_rows(phi[:-1], phi[1:]).tolist()
     kept, segments = [0], []
-    for i in range(1, len(points)):
+    for i in range(1, len(phi)):
         d = steps[i - 1]
         if kept[-1] != i - 1:
-            d = manifold.geodesic_distance_exact(points[kept[-1]], points[i])
+            d = float(manifold.geodesic_distance_rows(phi[kept[-1]], phi[i]))
         if d > 1e-14:
             kept.append(i)
             segments.append(d)
-    return GeodesicPolyline(tuple(points[i] for i in kept), sum(segments, 0.0), tuple(segments))
+    rows = phi[kept]
+    rows.flags.writeable = False
+    return GeodesicPolyline(rows, sum(segments, 0.0), tuple(segments))
 
 
-def _downsample(pts: list, keep: int) -> list:
-    """Evenly spaced subset including both endpoints (never lengthens)."""
-    if len(pts) <= keep:
-        return pts
+def _downsample(pts, keep: int) -> list:
+    """Every point, or ``keep`` evenly spaced ones with both endpoints."""
     idx = np.unique(np.round(np.linspace(0, len(pts) - 1, keep)).astype(int))
     return [pts[i] for i in idx]
 
@@ -416,10 +407,11 @@ def refine_polyline(polylines, levels: int) -> list[GeodesicPolyline]:
     one (polylines, points, n) phi block: each step of the relaxation
     sets a strided set of interior points of every polyline in one row
     operation (see ``_relax``), so each polyline has the bits it has
-    when refined alone, one point at a time. A polyline that refinement
-    would lengthen, that has fewer than 2 points, or any polyline when
-    ``levels`` is 0, comes back as the same object; a refined one keeps
-    its endpoint objects.
+    when refined alone, one point at a time. A refined polyline's ``phi``
+    is its read-only rows of that block, whose first and last rows are
+    its endpoints' rows, bit for bit. A polyline that refinement would
+    lengthen, that has fewer than 2 points, or any polyline when
+    ``levels`` is 0, comes back as the same object.
     """
     refined = list(polylines)
     if levels == 0:
@@ -427,11 +419,11 @@ def refine_polyline(polylines, levels: int) -> list[GeodesicPolyline]:
     groups: dict[int, list[int]] = {}  # coarse point count -> polylines
     coarse = {}
     for i, poly in enumerate(refined):
-        if len(poly.points) >= 2:
-            coarse[i] = _downsample(list(poly.points), COARSE_POINTS)
+        if len(poly.phi) >= 2:
+            coarse[i] = _downsample(poly.phi, COARSE_POINTS)
             groups.setdefault(len(coarse[i]), []).append(i)
     for members in groups.values():
-        phi = np.array([[pt.phi for pt in coarse[i]] for i in members])
+        phi = np.array([coarse[i] for i in members])
         for _ in range(levels):
             _relax(phi, RELAX_PASSES)
             mids = manifold.geodesic_point_rows(phi[:, :-1], phi[:, 1:], 0.5)
@@ -440,14 +432,12 @@ def refine_polyline(polylines, levels: int) -> list[GeodesicPolyline]:
             subdivided[:, 1::2] = mids
             phi = subdivided
         _relax(phi, RELAX_PASSES)
+        phi.flags.writeable = False
         segments = manifold.geodesic_distance_rows(phi[:, :-1], phi[:, 1:])
         for i, rows, lengths in zip(members, phi, segments.tolist()):
             length = sum(lengths)
-            if length > refined[i].length + 1e-12:
-                continue
-            first, last = coarse[i][0], coarse[i][-1]
-            interior = (LogDistribution(row) for row in rows[1:-1])
-            refined[i] = GeodesicPolyline((first, *interior, last), length, tuple(lengths))
+            if length <= refined[i].length + 1e-12:
+                refined[i] = GeodesicPolyline(rows, length, tuple(lengths))
     return refined
 
 
@@ -474,9 +464,9 @@ def _exact_rays(base: LogDistribution, f: np.ndarray, length: float):
     """Closed-form geodesic polylines of the given arc length, one along
     each row of tangents ``f``: the points exp_map(base, row, t) at
     RAY_SEGMENTS + 1 evenly spaced t, each with the bits of that one
-    ``exp_map`` call. Every ray's moving points are one ``exp_map_rows``
-    block, and every segment's length comes from one
-    ``geodesic_distance_rows`` block."""
+    ``exp_map`` call. The polylines' rows are one read-only block, its
+    moving points one ``exp_map_rows`` call, and every segment's length
+    comes from one ``geodesic_distance_rows`` block."""
     if length < 0:
         raise ValueError("length must be nonnegative")
     ts = np.linspace(0.0, length, RAY_SEGMENTS + 1)
@@ -492,12 +482,9 @@ def _exact_rays(base: LogDistribution, f: np.ndarray, length: float):
             base, np.repeat(f, len(moving), axis=0), np.tile(ts[moving], len(f))[:, None]
         )
         phi[:, moving] = rows.reshape(len(f), len(moving), base.n)
+    phi.flags.writeable = False
     lengths = manifold.geodesic_distance_rows(phi[:, :-1], phi[:, 1:]).tolist()
-    polys = []
-    for rows, segs in zip(phi, lengths):
-        points = [base if t == 0 else LogDistribution(row) for t, row in zip(ts, rows)]
-        polys.append(GeodesicPolyline(tuple(points), sum(segs), tuple(segs)))
-    return polys
+    return [GeodesicPolyline(rows, sum(segs), tuple(segs)) for rows, segs in zip(phi, lengths)]
 
 
 def _ray_coord_directions(dim: int, count: int, rng: np.random.Generator):
@@ -547,15 +534,16 @@ def step_along(ray: GeodesicRay, gamma: float) -> LogDistribution:
         raise ValueError("gamma must be nonnegative")
     if gamma == 0:
         return ray.origin
-    pts = ray.polyline.points
+    phi = ray.polyline.phi
     if gamma > ray.polyline.length + 1e-9:
         raise GammaExceedsRay(
             f"gamma {gamma} exceeds polyline length {ray.polyline.length}"
         )
     walked = 0.0
-    for a, b, seg in zip(pts, pts[1:], ray.polyline.segments):
+    for i, seg in enumerate(ray.polyline.segments):
         if walked + seg >= gamma - 1e-12:
             frac = 0.0 if seg == 0 else (gamma - walked) / seg
+            a, b = LogDistribution(phi[i]), LogDistribution(phi[i + 1])
             return manifold.geodesic_point(a, b, min(max(frac, 0.0), 1.0))
         walked += seg
-    return pts[-1]
+    return LogDistribution(phi[-1])

@@ -6,6 +6,7 @@ from infoevo.demes import run_demes
 from infoevo.domains.base import Problem
 from infoevo.errors import LedgerTooSmall
 from infoevo.geodesic_search import GeodesicPolyline
+from infoevo.manifold import LogDistribution
 
 
 class ScalarProblem(Problem):
@@ -220,10 +221,15 @@ def one_pair_distance(a, b):
 
 
 def one_pair_polyline(points):
-    """The polyline through the points, each segment measured one pair
-    alone and the length their left-to-right sum."""
+    """The polyline through the points (distributions), each segment
+    measured one pair alone and the length their left-to-right sum."""
     segments = tuple(one_pair_distance(a, b) for a, b in zip(points, points[1:]))
-    return GeodesicPolyline(tuple(points), sum(segments), segments)
+    return GeodesicPolyline(np.array([pt.phi for pt in points]), sum(segments), segments)
+
+
+def polyline_points(poly):
+    """The polyline's rows as distributions."""
+    return [LogDistribution(row) for row in poly.phi]
 
 
 def run_one(problem, cfg):

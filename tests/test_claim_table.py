@@ -16,8 +16,10 @@ def claim_table(monkeypatch):
     return importlib.import_module("claim_table")
 
 
-def record(problem, arm, seed, calls, evals=None, to_target=None, success=True):
+def record(problem, arm, seed, calls, evals=None, to_target=None, success=True, stop=None):
     evals = calls if evals is None else evals
+    if stop is None:
+        stop = "target" if success else "budget"
     return {
         "problem": problem,
         "arm": arm,
@@ -26,7 +28,7 @@ def record(problem, arm, seed, calls, evals=None, to_target=None, success=True):
         "objective_calls": calls,
         "eval_count": evals,
         "evals_to_target": evals if to_target is None else to_target,
-        "stop_reason": "target" if success else "budget",
+        "stop_reason": stop,
     }
 
 
@@ -60,6 +62,32 @@ def test_arm_summary_counts_reached_quartiles_and_calls_per_eval(claim_table):
     assert s["calls"] == (200, 300, 400)
     assert s["evals_to_target"] == (140, 200, 300)
     assert s["calls_per_eval"] == 900 / 680
+    assert s["stop_reasons"] == {"budget": 1, "target": 2}
+
+
+def test_arm_summary_counts_each_stop_reason_in_name_order(claim_table):
+    runs = [record("p", "a", 1, 10, stop="target")]
+    runs += [record("p", "a", seed, 50, success=False, stop="stall") for seed in (2, 3)]
+    runs += [record("p", "a", 4, 60, success=False)]
+    s = claim_table.arm_summary(runs)
+    assert list(s["stop_reasons"].items()) == [("budget", 1), ("stall", 2), ("target", 1)]
+    assert claim_table.format_table({"p": {"arms": {"a": s}, "comparisons": []}})[1].endswith(
+        "  budget 1 stall 2 target 1"
+    )
+
+
+def test_sign_test_interval_takes_the_kth_smallest_and_largest(claim_table):
+    # n = 20: P(Bin(20, 1/2) <= 5) = 21700 / 2**20 = 0.0207 and P(<= 6) =
+    # 0.0577, so k = 6, whatever order the savings come in
+    assert claim_table.sign_test_interval(list(range(20, 0, -1))) == (6, 15)
+    # n = 40: P(<= 13) = 0.0192 and P(<= 14) = 0.0403, so k = 14
+    assert claim_table.sign_test_interval(list(range(1, 41))) == (14, 27)
+    # n = 6 is the least n with k = 1 (1/64 <= 0.025 < 1/32)
+    assert claim_table.sign_test_interval([3, 1, 2, 6, 5, 4]) == (1, 6)
+    assert claim_table.sign_test_interval([1, 2, 3, 4, 5]) == (None, None)
+    assert claim_table.sign_test_interval([]) == (None, None)
+    # ties count as pairs
+    assert claim_table.sign_test_interval([0] * 10 + [7] * 10) == (0, 7)
 
 
 def test_comparison_pairs_by_seed_and_drops_ties_from_the_sign_test(claim_table):
@@ -73,6 +101,7 @@ def test_comparison_pairs_by_seed_and_drops_ties_from_the_sign_test(claim_table)
     assert (c["pairs"], c["wins"], c["losses"]) == (5, 3, 1)
     assert c["p"] == claim_table.sign_test_p(3, 1)
     assert c["median_saving"] == 10
+    assert c["saving_interval"] == (None, None)  # 5 pairs
 
 
 def test_claim_table_compares_the_default_with_the_baseline(claim_table):
@@ -90,8 +119,10 @@ def test_claim_table_compares_the_default_with_the_baseline(claim_table):
     assert (only["wins"], only["losses"]) == (3, 17)
     assert only["p"] == pytest.approx(2 * 1351 / 2**20)
     assert only["median_saving"] == -200
+    assert only["saving_interval"] == (-200, -200)  # 17 of the 20 savings are -200
     lines = claim_table.format_table(table)
     assert len(lines) == 1 + 4 + 1 + 2
+    assert lines[-2].endswith("-200.0  -200.0 to -200.0")
 
 
 def test_claim_table_skips_comparisons_whose_arms_did_not_run(claim_table):

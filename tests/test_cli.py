@@ -395,7 +395,7 @@ def test_geodesic_check_fails_a_refined_path_too_short(monkeypatch, capsys):
 
     def too_short(polylines, levels):
         return [
-            geodesic_search.GeodesicPolyline(p.points, 0.9 * p.length, p.segments)
+            geodesic_search.GeodesicPolyline(p.phi, 0.9 * p.length, p.segments)
             for p in refine(polylines, levels)
         ]
 
@@ -514,6 +514,7 @@ def test_default_guided_run_makes_one_objective_call_per_evaluation(name, tmp_pa
     record = execute_run(cfg, cfg.mode, cfg.seed)
     assert record["objective_calls"] == record["eval_count"]
     assert any(r["rays_generated"] > 0 for r in record["rounds"])
+    assert not any(r["promise_flat"] for r in record["rounds"])
 
 
 def test_deme_run_keeps_the_ray_count(tmp_path):

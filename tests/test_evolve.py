@@ -380,6 +380,30 @@ def test_loop_round_accounting():
         assert report.best_score_after >= report.best_score_before
 
 
+class FlatScalar(ScalarProblem):
+    """Every genotype scores 0, so every promise is uniform."""
+
+    def score(self, genotype):
+        return 0.0
+
+
+def test_flat_promise_rounds_report_it():
+    # a uniform promise has no ascent direction, so build_chart falls
+    # back to a random frame, and the round says so
+    config = small_config(subpop_size=6, generations_per_round=1, init_population=10)
+    result = run_one(FlatScalar(), run_config(config, seed=1, budget=60))
+    guided = [r for r in result.reports if r.rays_generated]
+    assert guided
+    assert all(r.promise_flat for r in guided)
+
+
+@pytest.mark.parametrize("mode", ["info_evo", "baseline"])
+def test_onemax_rounds_report_no_flat_promise(mode):
+    result = run_one(OneMax(bits=50), RunConfig(budget=500, seed=1, mode=mode))
+    assert any(r.rays_generated for r in result.reports) == (mode == "info_evo")
+    assert not any(r.promise_flat for r in result.reports)
+
+
 def test_loop_filter_disabled_evaluates_everything():
     problem = OneMax(bits=24)
     problem.target = 25.0

@@ -87,7 +87,7 @@ from infoevo.guidance import (
     modified_fitness,
     omega_block,
 )
-from infoevo.manifold import _EXP_CLIP, LogDistribution, TangentVector
+from infoevo.manifold import _EXP_CLIP, LogDistribution
 from infoevo.promise import (
     SCORE_WEIGHT,
     PromiseWeights,
@@ -112,6 +112,7 @@ from conftest import (
     one_offspring,
     one_pair_distance,
     one_pair_polyline,
+    polyline_points,
     reference_nearest,
     reference_rows,
 )
@@ -323,7 +324,7 @@ def test_step_along_a_ray_shorter_than_gamma(w, data, length, over):
     assert np.all(np.isfinite(end.phi))
     assert manifold.mass(end.phi) == pytest.approx(1.0, abs=1e-12)
     assert manifold.geodesic_distance_exact(base, end) <= short + 1e-6
-    last = ray.polyline.points[-1]
+    last = LogDistribution(ray.polyline.phi[-1])
     assert manifold.geodesic_distance_exact(end, last) < 1e-6
 
 
@@ -779,9 +780,8 @@ def test_one_search_gives_each_goal_its_own_path(dim, extra, resolution, seed, d
     for goal, poly in zip(goals, together):
         (alone,) = dijkstra_geodesic(chart, start, [goal], resolution)
         assert poly.length == alone.length
-        assert len(poly.points) == len(alone.points)
-        for a, b in zip(poly.points, alone.points):
-            assert np.array_equal(a.phi, b.phi)
+        assert poly.phi.shape == alone.phi.shape
+        assert poly.phi.tobytes() == alone.phi.tobytes()
 
 
 # --- the lattice in blocks against one node and one edge at a time ---
@@ -807,8 +807,8 @@ def one_node_point(chart, coords):
     if float(np.linalg.norm(coords)) == 0.0:
         return chart.base
     f = np.zeros(chart.base.n)
-    for c, u in zip(coords, chart.directions):
-        f = f + c * u.f
+    for c, u in zip(coords, chart.frame):
+        f = f + c * u
     return one_vector_exp_map(chart.base, f)
 
 
@@ -865,7 +865,7 @@ def reference_lattice_paths(chart, start_coords, goals, resolution):
     sink_points, sinks_entered = {}, {}
     for i, goal in enumerate(goals):
         if np.allclose(start_coords, goal):
-            paths[i] = GeodesicPolyline((start_pt,), 0.0, ())
+            paths[i] = GeodesicPolyline(start_pt.phi[np.newaxis], 0.0, ())
             continue
         sink_points[("G", i)] = one_node_point(chart, goal)
         for corner in cell_corners(goal):
@@ -963,7 +963,7 @@ def test_lattice_node_rows_are_chart_points(drawn):
     for key, phi in zip(lattice.keys, lattice.phi):
         point = one_node_point(chart, key * lattice.spacing)
         assert phi.tobytes() == point.phi.tobytes()
-    assert lattice.point(lattice.origin) is chart.base
+    assert lattice.phi[lattice.origin].tobytes() == chart.base.phi.tobytes()
 
 
 @settings(max_examples=25, deadline=None)
@@ -1016,9 +1016,8 @@ def test_cell_corner_nearest_zero_is_a_node(dim, resolution, radius, u, scale):
 
 def same_polylines(got, expected):
     assert np.float64(got.length).tobytes() == np.float64(expected.length).tobytes()
-    assert len(got.points) == len(expected.points)
-    for a, b in zip(got.points, expected.points):
-        assert a.phi.tobytes() == b.phi.tobytes()
+    assert got.phi.shape == expected.phi.shape
+    assert got.phi.tobytes() == expected.phi.tobytes()
 
 
 @settings(max_examples=30, deadline=None)
@@ -1048,8 +1047,8 @@ def heap_predecessors(neighbors, lengths, start_edges, sink_edges):
     count = len(neighbors)
     start = count
     entered = {}  # lattice node -> (sink, length), in sink order
-    for s, sink in enumerate(sink_edges):
-        for node, length in sink:
+    for s, (nodes, entries) in enumerate(sink_edges):
+        for node, length in zip(nodes.tolist(), entries.tolist()):
             entered.setdefault(node, []).append((count + 1 + s, length))
     dist = [np.inf] * (count + 1 + len(sink_edges))
     prev = [-1] * len(dist)
@@ -1067,7 +1066,7 @@ def heap_predecessors(neighbors, lengths, start_edges, sink_edges):
             unsettled -= 1
             continue
         if node == start:
-            steps = start_edges
+            steps = zip(*(edges.tolist() for edges in start_edges))
         else:
             steps = [
                 (v, w)
@@ -1128,15 +1127,17 @@ def tied_lattice_graphs(draw):
         neighbors[other, width - 1 - j], lengths[other, width - 1 - j] = i, length
 
     def edges(nodes, min_size):
+        """A (nodes, lengths) pair of arrays, as the search passes edges."""
         nodes = draw(st.lists(nodes, min_size=min_size, max_size=4, unique=True))
-        return [(node, draw(st.sampled_from((0.0, 1.0, 2.0, 3.0)))) for node in nodes]
+        lengths = [draw(st.sampled_from((0.0, 1.0, 2.0, 3.0))) for _ in nodes]
+        return np.array(nodes, dtype=np.intp), np.array(lengths)
 
     nodes = st.sampled_from(range(len(keys)))
     start_edges = edges(nodes, 1)
     sink_edges = [edges(nodes, 1) for _ in range(draw(st.integers(1, 4)))]
     if draw(st.booleans(), label="duplicate a sink"):
-        sink_edges.append(list(draw(st.sampled_from(sink_edges))))
-    unreachable = sorted(cut - {node for node, _ in start_edges})
+        sink_edges.append(draw(st.sampled_from(sink_edges)))
+    unreachable = sorted(cut - set(start_edges[0].tolist()))
     if unreachable and draw(st.booleans(), label="a sink with no reachable entry"):
         sink_edges.insert(
             draw(st.integers(0, len(sink_edges))), edges(st.sampled_from(unreachable), 1)
@@ -1152,12 +1153,13 @@ def path_length(graph, path):
     total = 0.0
     for u, v in zip(path, path[1:]):
         if u == count:
-            out = dict(start_edges)
+            out = dict(zip(*(edges.tolist() for edges in start_edges)))
         else:
             out = dict(zip(neighbors[u].tolist(), lengths[u].tolist()))
             out.pop(-1, None)
-            for s, sink in enumerate(sink_edges):
-                out.update((count + 1 + s, length) for node, length in sink if node == u)
+            for s, (nodes, entries) in enumerate(sink_edges):
+                entered = zip(nodes.tolist(), entries.tolist())
+                out.update((count + 1 + s, length) for node, length in entered if node == u)
         assert v in out
         total += out[v]
     return total
@@ -1211,7 +1213,7 @@ def test_zero_length_lattice_edges_give_shortest_paths():
     # 2 every lattice node is the base and every edge has length 0
     base = manifold.from_weights([1.0, 2.0, 3.0])
     u = manifold.project_tangent(base, np.array([1.0, -0.5, 0.2]))
-    chart = Chart(base, (TangentVector(u.f / u.norm, base),), 4 * np.pi)
+    chart = Chart(base, (u.f / u.norm)[np.newaxis], 4 * np.pi)
     goals = [[4 * np.pi], [-2 * np.pi], [np.pi]]
     for resolution in (2, 4, 8):
         lattice = _Lattice(chart, resolution)
@@ -1221,8 +1223,7 @@ def test_zero_length_lattice_edges_give_shortest_paths():
         def edges(coords):
             corners = lattice.cell_corners(np.array(coords))
             point = chart.point(coords)
-            rows = manifold.geodesic_distance_rows(lattice.phi[corners], point.phi)
-            return list(zip(corners, rows.tolist()))
+            return corners, manifold.geodesic_distance_rows(lattice.phi[corners], point.phi)
 
         prev = lattice_predecessors(
             lattice.neighbors, lattice.lengths, edges([0.0]), [edges(g) for g in goals]
@@ -1272,10 +1273,11 @@ def test_deduped_polyline_matches_one_pair_dedupe(n, kinds, seed):
             for _ in range(int(rng.integers(1, 4))):
                 nudged = np.nextafter(nudged, rng.choice([-np.inf, np.inf], size=n))
             points.append(LogDistribution(nudged))
-    got, expected = _deduped_polyline(points), one_pair_dedupe(points)
+    got = _deduped_polyline(np.array([pt.phi for pt in points]))
+    expected = one_pair_dedupe(points)
     assert np.float64(got.length).tobytes() == np.float64(expected.length).tobytes()
-    assert len(got.points) == len(expected.points)
-    assert all(a is b for a, b in zip(got.points, expected.points))
+    assert got.phi.shape == expected.phi.shape
+    assert got.phi.tobytes() == expected.phi.tobytes()
 
 
 # --- refinement and exact rays in blocks, against one pair at a time ---
@@ -1308,9 +1310,9 @@ def one_pair_point(a, b, frac):
 def one_polyline_refinement(poly, levels):
     """refine_polyline for one polyline, one midpoint at a time: 5 coarse
     points, 3 relaxation sweeps."""
-    if len(poly.points) < 2 or levels == 0:
+    if len(poly.phi) < 2 or levels == 0:
         return poly
-    pts = _downsample(list(poly.points), 5)
+    pts = _downsample(polyline_points(poly), 5)
 
     def relax():
         for _ in range(3):
@@ -1347,7 +1349,7 @@ def chart_polylines(draw, chart):
     poly = one_pair_polyline(points)
     if draw(st.booleans()):
         return poly
-    return GeodesicPolyline(poly.points, 0.0, poly.segments)
+    return GeodesicPolyline(poly.phi, 0.0, poly.segments)
 
 
 @settings(max_examples=40, deadline=None)
@@ -1367,12 +1369,11 @@ def test_block_refinement_equals_one_polyline_at_a_time(drawn, levels, data):
         if ref is poly:
             assert got is poly
             continue
-        assert got.points[0] is poly.points[0]
-        assert got.points[-1] is poly.points[-1]
+        assert got.phi[0].tobytes() == poly.phi[0].tobytes()
+        assert got.phi[-1].tobytes() == poly.phi[-1].tobytes()
         assert got.length == ref.length
-        assert len(got.points) == len(ref.points)
-        for a, b in zip(got.points, ref.points):
-            assert a.phi.tobytes() == b.phi.tobytes()
+        assert got.phi.shape == ref.phi.shape
+        assert got.phi.tobytes() == ref.phi.tobytes()
 
 
 @settings(max_examples=100, deadline=None)
@@ -1500,19 +1501,17 @@ def test_exact_ray_points_equal_one_exp_map_each(n, length, seed):
     poly = _exact_rays(base, direction.f[np.newaxis], length)[0]
     ts = np.linspace(0.0, length, 9)  # 8 segments
     expected = [manifold.exp_map(base, direction, t) for t in ts]
-    assert poly.points[0] is base
-    assert len(poly.points) == len(expected)
-    for got, ref in zip(poly.points, expected):
-        if ref is base:
-            assert got is base
-        assert got.phi.tobytes() == ref.phi.tobytes()
+    assert len(poly.phi) == len(expected)
+    for got, ref in zip(poly.phi, expected):
+        assert got.tobytes() == ref.phi.tobytes()
     assert poly.length == one_pair_polyline(expected).length
     zero = np.zeros((1, n))
     if length > 0:
         with pytest.raises(ZeroTangent):
             _exact_rays(base, zero, length)
     else:
-        assert all(pt is base for pt in _exact_rays(base, zero, 0.0)[0].points)
+        (still,) = _exact_rays(base, zero, 0.0)
+        assert all(row.tobytes() == base.phi.tobytes() for row in still.phi)
 
 
 # --- genotype distance blocks ---
@@ -2238,7 +2237,7 @@ def reference_step_along(ray, gamma: float):
     """``step_along`` with each segment's one-pair distance recomputed."""
     if gamma == 0:
         return ray.origin
-    pts = ray.polyline.points
+    pts = polyline_points(ray.polyline)
     walked = 0.0
     for a, b in zip(pts, pts[1:]):
         seg = manifold.geodesic_distance_exact(a, b)
@@ -2271,14 +2270,45 @@ def test_block_exact_rays_equal_the_one_ray_reference(dim, extra, count, radius,
         direction = chart.tangent(cdir)
         points, lengths, length = reference_exact_ray(base, direction, radius)
         for poly in (ray.polyline, _exact_rays(base, direction.f[np.newaxis], radius)[0]):
-            assert poly.points[0] is base
-            assert len(poly.points) == len(points)
-            for got, expected in zip(poly.points, points):
-                assert got.phi.tobytes() == expected.phi.tobytes()
-                assert (got is base) == (expected is base)
+            assert len(poly.phi) == len(points)
+            for got, expected in zip(poly.phi, points):
+                assert got.tobytes() == expected.phi.tobytes()
             assert same_doubles(poly.segments, lengths)
             assert same_doubles(poly.length, length)
-            assert same_doubles(one_pair_polyline(poly.points).segments, lengths)
+            assert same_doubles(one_pair_polyline(polyline_points(poly)).segments, lengths)
+        gamma = data.draw(st.floats(0.0, ray.polyline.length))
+        got = step_along(ray, gamma)
+        assert got.phi.tobytes() == reference_step_along(ray, gamma).phi.tobytes()
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(1, 3),  # chart dimension
+    st.integers(0, 20),  # extra view samples
+    st.integers(1, 7),  # rays
+    st.floats(0.05, 1.5),  # the chart radius
+    st.integers(1, 6),  # lattice resolution
+    st.integers(0, 3),  # refinement levels
+    st.integers(0, 2**32 - 1),
+    st.data(),
+)
+def test_step_along_refined_lattice_rays_equals_the_reference(
+    dim, extra, count, radius, resolution, levels, seed, data
+):
+    # rays of a view at most EXACT_RAYS_THRESHOLD samples: lattice paths,
+    # refined or not, whose rows step_along wraps as it goes
+    rng = np.random.default_rng(seed)
+    n = dim + 1 + extra
+    base = manifold.from_weights(rng.uniform(0.05, 1.0, size=n))
+    chart = build_chart(base, rng.uniform(0.0, 1.0, size=n), dim, rng, radius=radius)
+    params = StepParams(
+        ray_count=count, grid_resolution=resolution, refinement_levels=levels, chart_dim=dim
+    )
+    for ray in geodesic_rays(chart, params, rng):
+        assert ray.origin is base
+        assert ray.polyline.phi[0].tobytes() == base.phi.tobytes()
+        segments = one_pair_polyline(polyline_points(ray.polyline)).segments
+        assert same_doubles(ray.polyline.segments, segments)
         gamma = data.draw(st.floats(0.0, ray.polyline.length))
         got = step_along(ray, gamma)
         assert got.phi.tobytes() == reference_step_along(ray, gamma).phi.tobytes()

@@ -22,8 +22,6 @@ why.
 
 from pathlib import Path
 
-from infoevo.cli import build_parser, build_run_config, execute_run
-
 ROOT = Path(__file__).resolve().parents[1]
 
 PINS = {
@@ -97,14 +95,13 @@ def digest_lines(pins, tmp_path, monkeypatch) -> dict:
     monkeypatch.syspath_prepend(str(ROOT / "tools"))
     from checks import trace_digest
     from make_dataset import write_dataset
-    from trace_digests import runs
+    from trace_digests import run_record, runs
 
     got = {}
     for name, flags in runs(str(write_dataset(tmp_path / "cubic.csv"))):
         if name not in pins:
             continue
-        cfg = build_run_config(build_parser().parse_args(["run", *flags]))
-        record = execute_run(cfg, cfg.mode, cfg.seed)
+        record = run_record(flags)
         got[name] = (
             trace_digest(record["trace"]),
             record["eval_count"],

@@ -12,14 +12,18 @@ problems are OneMax-50, sphere-10, symreg on the cubic dataset of
 (budget 20000); the others keep the default budget.
 
 For each problem and arm it reports the runs that reached the target,
-the quartiles of objective calls and of evaluations to target, and
-calls per evaluation (all calls over all evaluations). A run that
-misses the target counts as its budget in evaluations to target and as
-the calls it made in calls. For each problem it then compares, paired
-by seed and in objective calls, the default against the baseline: the
-default's wins and losses (fewer calls wins, ties are dropped), the
-exact two-sided sign-test p and the median paired saving (the
-baseline's calls minus the default's, ties included).
+how many runs stopped for each ``stop_reason``, the quartiles of
+objective calls and of evaluations to target, and calls per evaluation
+(all calls over all evaluations). A run that misses the target counts
+as its budget in evaluations to target and as the calls it made in
+calls. For each problem it then compares, paired by seed and in
+objective calls, the default against the baseline: the default's wins
+and losses (fewer calls wins, ties are dropped), the exact two-sided
+sign-test p and the median paired saving (the baseline's calls minus
+the default's, ties included) with its 95% sign-test interval: from
+the k-th smallest to the k-th largest saving, where k is the largest
+count with P(Bin(n, 1/2) <= k - 1) <= 0.025 over the n pairs (no
+bounds, ``None``, when no k >= 1 qualifies, as for n < 6).
 
 It prints the table and writes it, with every run's counts, to
 ``BENCH_claim.json`` at the repository root.
@@ -34,9 +38,12 @@ import multiprocessing
 import statistics
 import sys
 import tempfile
+from collections import Counter
 from pathlib import Path
 
-from bench_pairs import quartiles  # tools/, this script's directory, leads sys.path
+# tools/, this script's directory, leads sys.path
+from bench_pairs import quartiles
+from trace_digests import run_record
 
 HERE = Path(__file__).resolve().parents[1]
 OUT = HERE / "BENCH_claim.json"
@@ -69,11 +76,8 @@ def parse_seeds(text: str) -> range:
 
 def run_one(job: tuple[str, str, int, list[str]]) -> dict:
     """The counts of one run: ``job`` is (problem, arm, seed, flags)."""
-    from infoevo.cli import build_parser, build_run_config, execute_run
-
     problem, arm, seed, flags = job
-    cfg = build_run_config(build_parser().parse_args(["run", *flags, "--seed", str(seed)]))
-    record = execute_run(cfg, cfg.mode, cfg.seed)
+    record = run_record([*flags, "--seed", str(seed)])
     return {"problem": problem, "arm": arm, "seed": seed} | {k: record[k] for k in COUNTS}
 
 
@@ -84,14 +88,30 @@ def sign_test_p(wins: int, losses: int) -> float:
     return min(1.0, 2 * tail / 2**n)
 
 
+def sign_test_interval(savings: list) -> tuple:
+    """The 95% sign-test interval of the median of ``savings``: the k-th
+    smallest and k-th largest, k the largest count with P(Bin(n, 1/2)
+    <= k - 1) <= 0.025; (None, None) when that k is 0."""
+    n = len(savings)
+    k = 0
+    # the sum is 2**n * P(Bin(n, 1/2) <= k), so the test is that P <= 1/40
+    while k < n and 40 * sum(math.comb(n, i) for i in range(k + 1)) <= 2**n:
+        k += 1
+    if k == 0:
+        return None, None
+    ordered = sorted(savings)
+    return ordered[k - 1], ordered[n - k]
+
+
 def arm_summary(runs: list[dict]) -> dict:
-    """Reached, quartiles and calls per evaluation of one problem's runs
-    of one arm."""
+    """Reached, stop-reason counts, quartiles and calls per evaluation of
+    one problem's runs of one arm."""
     calls = sum(r["objective_calls"] for r in runs)
     evals = sum(r["eval_count"] for r in runs)
     return {
         "runs": len(runs),
         "reached": sum(r["success"] for r in runs),
+        "stop_reasons": dict(sorted(Counter(r["stop_reason"] for r in runs).items())),
         "calls": quartiles([r["objective_calls"] for r in runs]),
         "evals_to_target": quartiles([r["evals_to_target"] for r in runs]),
         "calls_per_eval": calls / evals,
@@ -114,6 +134,7 @@ def comparison(runs: list[dict], arm: str, against: str) -> dict:
         "losses": losses,
         "p": sign_test_p(wins, losses),
         "median_saving": statistics.median(savings),
+        "saving_interval": sign_test_interval(savings),
     }
 
 
@@ -140,24 +161,30 @@ def format_table(table: dict) -> list[str]:
     comparison."""
     lines = [
         f"{'problem':20s} {'arm':10s} reached {'calls q1 / median / q3':>26s} "
-        f"{'evals to target q1 / median / q3':>34s} calls/eval"
+        f"{'evals to target q1 / median / q3':>34s} calls/eval  stops"
     ]
     for problem, entry in table.items():
         for arm, s in entry["arms"].items():
             calls = "{:8.0f} {:8.0f} {:8.0f}".format(*s["calls"])
             evals = "{:8.0f} {:8.0f} {:8.0f}".format(*s["evals_to_target"])
             reached = f"{s['reached']}/{s['runs']}"
+            stops = " ".join(f"{reason} {count}" for reason, count in s["stop_reasons"].items())
             lines.append(
                 f"{problem:20s} {arm:10s} {reached:>7s} {calls:>26s} {evals:>34s} "
-                f"{s['calls_per_eval']:10.3f}"
+                f"{s['calls_per_eval']:10.3f}  {stops}"
             )
-    lines.append(f"{'problem':20s} {'arm vs against':24s}   W/L        p  median saving")
+    lines.append(
+        f"{'problem':20s} {'arm vs against':24s}   W/L        p  median saving  95% interval"
+    )
     for problem, entry in table.items():
         for c in entry["comparisons"]:
             pair = f"{c['arm']} vs {c['against']}"
             wl = f"{c['wins']}/{c['losses']}"
+            lo, hi = c["saving_interval"]
+            interval = "unbounded" if lo is None else f"{lo:.1f} to {hi:.1f}"
             lines.append(
                 f"{problem:20s} {pair:24s} {wl:>5s} {c['p']:8.2g} {c['median_saving']:14.1f}"
+                f"  {interval}"
             )
     return lines
 

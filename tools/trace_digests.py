@@ -6,8 +6,10 @@ CHECKOUT is a source tree of this project (default: the one this file
 is in); its ``src`` is imported. Each run is given as ``info-evo run``
 flags, which the checkout's own ``cli.build_parser`` and
 ``build_run_config`` turn into its run settings, and is run by its
-``cli.execute_run``; so any checkout that has these three and the flags
-used can be run, whatever its settings are called inside.
+``cli.execute_run`` (``run_record``, the runner that
+``tools/claim_table.py`` and ``tests/test_trace_pins.py`` use too); so
+any checkout that has these three and the flags used can be run,
+whatever its settings are called inside.
 For each run the script prints its name, the SHA-256 of its trace lines
 as ``info-evo run`` writes them (the digest ``perfbench/checks.py``
 takes), ``eval_count``, ``objective_calls`` and ``evals_to_target``.
@@ -65,6 +67,18 @@ from pathlib import Path
 import numpy as np
 
 HERE = Path(__file__).resolve().parents[1]
+
+
+def run_record(flags: list[str]) -> dict:
+    """The record of the run that ``info-evo run`` flags describe, run
+    by the ``infoevo`` that ``sys.path`` finds first: its
+    ``cli.build_parser`` and ``build_run_config`` turn the flags into
+    the run's settings, and ``cli.execute_run`` runs them."""
+    from infoevo.cli import build_parser, build_run_config, execute_run
+
+    cfg = build_run_config(build_parser().parse_args(["run", *flags]))
+    return execute_run(cfg, cfg.mode, cfg.seed)
+
 
 def runs(dataset: str):
     """(name, flags) of every run; a run is guided unless its flags say
@@ -140,14 +154,13 @@ def main(argv=None) -> int:
     from make_dataset import write_dataset
 
     sys.path.insert(0, str(Path(args.checkout).resolve() / "src"))
-    from infoevo.cli import build_parser, build_run_config, execute_run, geodesic_check
+    from infoevo.cli import geodesic_check
 
     with tempfile.TemporaryDirectory() as tmp:
         dataset = str(write_dataset(Path(tmp) / "cubic.csv"))
         print("run sha256 eval_count objective_calls evals_to_target")
         for name, flags in runs(dataset):
-            cfg = build_run_config(build_parser().parse_args(["run", *flags]))
-            record = execute_run(cfg, cfg.mode, cfg.seed)
+            record = run_record(flags)
             print(
                 name,
                 trace_digest(record["trace"]),
