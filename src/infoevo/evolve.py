@@ -104,13 +104,16 @@ class RunConfig:
 class SubdemeReport:
     """One ray's burst. ``candidates_evaluated`` counts the candidates
     passed to the ledger, duplicates that cost no budget included.
-    ``early_stop`` is True exactly when the burst ended because the
-    budget was spent, before all its generations ran."""
+    ``candidates_skipped_held`` counts the skipped candidates that the
+    ledger already held when they were screened, which would have cost
+    no objective call. ``early_stop`` is True exactly when the burst
+    ended because the budget was spent, before all its generations ran."""
 
     ray_index: int
     generations_run: int = 0
     candidates_generated: int = 0
     candidates_skipped: int = 0
+    candidates_skipped_held: int = 0
     candidates_evaluated: int = 0
     early_stop: bool = False
 
@@ -126,6 +129,7 @@ class RoundReport:
     rays_used: int = 0
     candidates_generated: int = 0
     candidates_skipped: int = 0
+    candidates_skipped_held: int = 0
     candidates_evaluated: int = 0
     best_score_before: float = float("-inf")
     best_score_after: float = float("-inf")
@@ -404,7 +408,7 @@ def run_subpopulation(
         keys = [problem.canonical_key(child) for child in offspring]
         new_samples: list[ScoredSample] = []
         sample_keys = []  # new_samples' canonical keys
-        generated = skipped = 0
+        generated = skipped = held = 0
         out_of_budget = False
         if filtering:
             dists, orders = rm.rows_of(offspring, keys)
@@ -424,12 +428,14 @@ def run_subpopulation(
                 ok, _est = guidance.should_evaluate(estimates[i], threshold)
                 if not ok:
                     skipped += 1
+                    held += ledger.lookup(key) is not None
                     state.skipped_total += 1
                     continue
             new_samples.append(state.record(offspring[i], key))
             sample_keys.append(key)
         report.candidates_generated += generated
         report.candidates_skipped += skipped
+        report.candidates_skipped_held += held
         report.candidates_evaluated += len(new_samples)
         report.generations_run += 1
         if out_of_budget or state.stop:
@@ -560,6 +566,9 @@ def run_round(state: RunState, cfg: RunConfig) -> None:
 
         report.candidates_generated = sum(f.candidates_generated for f in report.subdemes)
         report.candidates_skipped = sum(f.candidates_skipped for f in report.subdemes)
+        report.candidates_skipped_held = sum(
+            f.candidates_skipped_held for f in report.subdemes
+        )
         report.candidates_evaluated = sum(f.candidates_evaluated for f in report.subdemes)
         report.best_score_after = ledger.best.score
         state.reports.append(report)

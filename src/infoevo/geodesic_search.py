@@ -7,8 +7,9 @@ paths on a lattice built in array blocks are found by array relaxation
 (``lattice_predecessors``: the least fixed point of the distances, each
 predecessor set where a distance falls, and each goal entered from its
 nearest corner on a shortest edge) and are tightened by hierarchical
-midpoint refinement. Every ray starts at the chart base, so one search
-from the base serves all of a chart's rays, and a chart's rays are then
+midpoint refinement. Every search starts at the lattice origin, whose
+node is the chart base itself, and every ray starts at the base, so one
+search serves all of a chart's rays, and a chart's rays are then
 refined together, one row block per refinement step.
 The closed-form geometry in :mod:`infoevo.manifold` provides both the
 fast path and the oracle.
@@ -233,20 +234,16 @@ def _blocks(rows: np.ndarray):
         yield rows[s : s + _Lattice.BLOCK_ROWS]
 
 
-def dijkstra_geodesic(
-    chart: Chart,
-    start_coords,
-    goals,
-    resolution: int,
-) -> list[GeodesicPolyline]:
-    """Shortest lattice paths from one chart point to each goal point.
+def dijkstra_geodesic(chart: Chart, goals, resolution: int) -> list[GeodesicPolyline]:
+    """Shortest lattice paths from the chart base to each goal point.
 
     The lattice is a uniform grid in chart coordinates (8-connected in
     2-d, 26-connected in 3-d) with edge weights given by the exact
-    pairwise geodesic distance of the mapped distributions. The start
-    enters the corners of its cell. Each goal is a sink of its own,
-    entered from the corners of its cell and never left, so one search
-    serves every goal with a shortest lattice path to it.
+    pairwise geodesic distance of the mapped distributions. The search
+    starts at the lattice origin, whose node is the base itself. Each
+    goal is a sink of its own, entered from the corners of its cell and
+    never left, so one search serves every goal with a shortest lattice
+    path to it.
 
     ``lattice_predecessors`` finds the paths by array relaxation: the
     distances are the least fixed point, bit for bit those of a Dijkstra
@@ -255,78 +252,62 @@ def dijkstra_geodesic(
     The function keeps its name because the benchmark's layer probes
     (``perfbench/layers.py``) wrap and count it by name.
     """
-    start_coords = np.asarray(start_coords, dtype=float)
     goals = [np.asarray(g, dtype=float) for g in goals]
-    for name, c in [("start", start_coords)] + [("goal", g) for g in goals]:
-        if float(np.linalg.norm(c)) > chart.radius * (1 + 1e-9):
-            raise GoalOutsideChart(f"{name} point lies outside the chart radius")
-    start_phi = chart.point(start_coords).phi
-    paths: list[GeodesicPolyline | None] = [None] * len(goals)
-    searched = []
-    for i, goal in enumerate(goals):
-        if np.allclose(start_coords, goal):
-            paths[i] = GeodesicPolyline(start_phi[np.newaxis], 0.0, ())
-        else:
-            searched.append(i)
+    for goal in goals:
+        if float(np.linalg.norm(goal)) > chart.radius * (1 + 1e-9):
+            raise GoalOutsideChart("goal point lies outside the chart radius")
+    at_base = GeodesicPolyline(chart.base.phi[np.newaxis], 0.0, ())
+    paths = [at_base if np.allclose(goal, 0) else None for goal in goals]
+    searched = [i for i, path in enumerate(paths) if path is None]
     if not searched:
         return paths
 
     lattice = _Lattice(chart, resolution)
-
-    def edges(coords: np.ndarray, phi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        corners = lattice.cell_corners(coords)
-        return corners, manifold.geodesic_distance_rows(lattice.phi[corners], phi)
-
     sink_phi = [chart.point(goals[i]).phi for i in searched]
-    prev = lattice_predecessors(
-        lattice.neighbors,
-        lattice.lengths,
-        edges(start_coords, start_phi),
-        [edges(goals[i], phi) for i, phi in zip(searched, sink_phi)],
-    )
-    # search nodes: lattice nodes, then the start, then each sink
-    start = len(lattice.keys)
-    for sink, (i, phi) in enumerate(zip(searched, sink_phi), start + 1):
+    sink_edges = []
+    for i, phi in zip(searched, sink_phi):
+        corners = lattice.cell_corners(goals[i])
+        sink_edges.append((corners, manifold.geodesic_distance_rows(lattice.phi[corners], phi)))
+    prev = lattice_predecessors(lattice.neighbors, lattice.lengths, lattice.origin, sink_edges)
+    # search nodes: lattice nodes, then each sink
+    for sink, (i, phi) in enumerate(zip(searched, sink_phi), len(lattice.keys)):
         path = [prev[sink]]
-        while path[-1] != start:
+        while path[-1] != lattice.origin:
             path.append(prev[path[-1]])
-        nodes = lattice.phi[path[-2::-1]]  # from the start's corner on
-        paths[i] = _deduped_polyline(np.vstack([start_phi, nodes, phi]))
+        paths[i] = _lattice_polyline(lattice.phi[path[::-1]], phi)
     return paths
 
 
-def lattice_predecessors(neighbors, lengths, start_edges, sink_edges) -> list[int]:
-    """Each node's predecessor on a shortest path from the start.
+def lattice_predecessors(neighbors, lengths, origin: int, sink_edges) -> list[int]:
+    """Each node's predecessor on a shortest path from the origin.
 
-    Nodes 0 .. count - 1 are lattice nodes, node count is the start and
-    node count + 1 + s is sink s. Lattice node i's j-th edge leads to
-    ``neighbors[i, j]`` (-1 for none) and is ``lengths[i, j]`` long;
-    edges come in pairs, ``neighbors[neighbors[i, j], width - 1 - j]``
-    being i at the same length. ``start_edges`` is the start's edges as
-    a (lattice nodes, lengths) pair of arrays and ``sink_edges[s]`` the
-    same pair for the edges that enter sink s, which no edge leaves.
-    Entries off the sinks' paths are unspecified. Raises NoPath when a
-    sink cannot be reached.
+    Nodes 0 .. count - 1 are lattice nodes, the search starts at node
+    ``origin`` and node count + s is sink s. Lattice node i's j-th edge
+    leads to ``neighbors[i, j]`` (-1 for none) and is ``lengths[i, j]``
+    long; edges come in pairs, ``neighbors[neighbors[i, j], width - 1 -
+    j]`` being i at the same length. ``sink_edges[s]`` is the edges that
+    enter sink s, which no edge leaves, as a (lattice nodes, lengths)
+    pair of arrays. Entries off the sinks' paths are unspecified. Raises
+    NoPath when a sink cannot be reached.
 
-    Seeded with the start's edges, each sweep pulls min(D[v], D[u] +
-    lengths[v, j]) into the nodes next to those whose distance fell in
-    the last sweep, until none falls. Float addition is monotone, so
-    this least fixed point is the distances of a Dijkstra search, bit
-    for bit, and a node farther than every sink's tentative distance
-    need not pull further. ``prev[v]`` is set to u where D[v] falls to
-    D[u] + length: lengths are nonnegative, so these edges form no
-    cycle (Bellman-Ford's predecessor graph is a tree), and on each
+    Seeded with the origin at distance 0, each sweep pulls min(D[v],
+    D[u] + lengths[v, j]) into the nodes next to those whose distance
+    fell in the last sweep, until none falls. Float addition is
+    monotone, so this least fixed point is the distances of a Dijkstra
+    search, bit for bit, and a node farther than every sink's tentative
+    distance need not pull further. ``prev[v]`` is set to u where D[v]
+    falls to D[u] + length: lengths are nonnegative, so these edges form
+    no cycle (Bellman-Ford's predecessor graph is a tree), and on each
     sink's path every distance is its predecessor's plus the edge. A
-    sink is entered from the nearest of its tight entries, the first
-    in list order among equals.
+    sink is entered from the nearest of its tight entries, the first in
+    list order among equals.
     """
     count = len(neighbors)
     # dist[-1] stays inf: the entry every -1 neighbour reads
     dist = np.full(count + 1, np.inf)
-    prev = np.full(count + 1 + len(sink_edges), -1)
-    frontier, start_lengths = start_edges
-    dist[frontier] = start_lengths
-    prev[frontier] = count
+    prev = np.full(count + len(sink_edges), -1)
+    dist[origin] = 0.0
+    frontier = np.array([origin])
     entries = max(len(nodes) for nodes, _ in sink_edges)
     sink_nodes = np.full((len(sink_edges), entries), -1)
     sink_lengths = np.full((len(sink_edges), entries), np.inf)
@@ -354,35 +335,26 @@ def lattice_predecessors(neighbors, lengths, start_edges, sink_edges) -> list[in
             fell[fallen] = True
         frontier = np.flatnonzero(fell)
     if not np.all(np.isfinite(sink_dist)):
-        raise NoPath("no lattice route from start to goal")
+        raise NoPath("no lattice route from the origin to a goal")
     tight = dist[sink_nodes] + sink_lengths == sink_dist[:, np.newaxis]
     nearest = np.argmin(np.where(tight, dist[sink_nodes], np.inf), axis=1)
-    prev[count + 1 :] = sink_nodes[np.arange(len(sink_edges)), nearest]
+    prev[count:] = sink_nodes[np.arange(len(sink_edges)), nearest]
     return prev.tolist()
 
 
-def _deduped_polyline(phi: np.ndarray) -> GeodesicPolyline:
-    """The polyline through the rows of a phi block, less each row that
-    coincides with the last one kept (a start or goal may sit on a
-    lattice node), in a read-only copy of the kept rows.
+def _lattice_polyline(nodes: np.ndarray, goal: np.ndarray) -> GeodesicPolyline:
+    """The polyline through a lattice path's node rows, from the
+    origin's, and then the goal's row, unless it equals the last node's
+    bit for bit (a goal on a lattice node), in a read-only block.
 
-    Consecutive distances are computed in one row block; a row after a
-    dropped one is compared with the last kept row instead, on its own.
-    The length is the segments' left-to-right sum, a float also for a
-    path that dedupes to one point.
+    The segments are computed in one row block, and the length is their
+    left-to-right sum, a float also for a path of one point.
     """
-    steps = manifold.geodesic_distance_rows(phi[:-1], phi[1:]).tolist()
-    kept, segments = [0], []
-    for i in range(1, len(phi)):
-        d = steps[i - 1]
-        if kept[-1] != i - 1:
-            d = float(manifold.geodesic_distance_rows(phi[kept[-1]], phi[i]))
-        if d > 1e-14:
-            kept.append(i)
-            segments.append(d)
-    rows = phi[kept]
-    rows.flags.writeable = False
-    return GeodesicPolyline(rows, sum(segments, 0.0), tuple(segments))
+    if nodes[-1].tobytes() != goal.tobytes():
+        nodes = np.vstack([nodes, goal])
+    segments = manifold.geodesic_distance_rows(nodes[:-1], nodes[1:]).tolist()
+    nodes.flags.writeable = False
+    return GeodesicPolyline(nodes, sum(segments, 0.0), tuple(segments))
 
 
 def _downsample(pts, keep: int) -> list:
@@ -518,12 +490,7 @@ def geodesic_rays(
     if chart.base.n > EXACT_RAYS_THRESHOLD:
         polys = _exact_rays(chart.base, chart._tangent_rows(np.array(cdirs)), length)
     else:
-        raws = dijkstra_geodesic(
-            chart,
-            np.zeros(chart.dim),
-            [length * cdir for cdir in cdirs],
-            params.grid_resolution,
-        )
+        raws = dijkstra_geodesic(chart, [length * cdir for cdir in cdirs], params.grid_resolution)
         polys = refine_polyline(raws, params.refinement_levels)
     return [GeodesicRay(origin=chart.base, polyline=poly) for poly in polys]
 

@@ -2,6 +2,7 @@
 hand-made records: no run is made."""
 
 import importlib
+import json
 import math
 from pathlib import Path
 
@@ -71,9 +72,8 @@ def test_arm_summary_counts_each_stop_reason_in_name_order(claim_table):
     runs += [record("p", "a", 4, 60, success=False)]
     s = claim_table.arm_summary(runs)
     assert list(s["stop_reasons"].items()) == [("budget", 1), ("stall", 2), ("target", 1)]
-    assert claim_table.format_table({"p": {"arms": {"a": s}, "comparisons": []}})[1].endswith(
-        "  budget 1 stall 2 target 1"
-    )
+    table = {"p": {"arms": {"a": s}, "comparisons": [], "null": []}}
+    assert claim_table.format_table(table)[1].endswith("  budget 1 stall 2 target 1")
 
 
 def test_sign_test_interval_takes_the_kth_smallest_and_largest(claim_table):
@@ -121,8 +121,9 @@ def test_claim_table_compares_the_default_with_the_baseline(claim_table):
     assert only["median_saving"] == -200
     assert only["saving_interval"] == (-200, -200)  # 17 of the 20 savings are -200
     lines = claim_table.format_table(table)
-    assert len(lines) == 1 + 4 + 1 + 2
-    assert lines[-2].endswith("-200.0  -200.0 to -200.0")
+    assert len(lines) == 1 + 4 + 1 + 2 + 1 + 4
+    assert lines[6].startswith("one ")
+    assert lines[6].endswith("-200.0  -200.0 to -200.0")
 
 
 def test_claim_table_skips_comparisons_whose_arms_did_not_run(claim_table):
@@ -133,3 +134,68 @@ def test_claim_table_skips_comparisons_whose_arms_did_not_run(claim_table):
         ("default", "baseline")
     ]
     assert table["q"]["comparisons"] == []
+
+
+def test_holm_steps_down_from_the_smallest_p(claim_table):
+    # sorted: 0.01 * 4, 0.03 * 3, 0.04 * 2 (raised to 0.09), 0.5 * 1
+    got = claim_table.holm([0.01, 0.04, 0.03, 0.5])
+    assert got == pytest.approx([0.04, 0.09, 0.09, 0.5])
+    assert claim_table.holm([0.5, 0.9]) == [1.0, 1.0]
+    assert claim_table.holm([0.2]) == [0.2]
+    assert claim_table.holm([]) == []
+
+
+def test_claim_table_holm_adjusts_over_every_problem(claim_table):
+    # "one": the default wins 18 of 20; "two": 12 of 20; "three" has no
+    # baseline, so it adds no comparison to the family
+    records = []
+    for problem, wins in (("one", 18), ("two", 12), ("three", 0)):
+        for seed in range(1, 21):
+            if problem != "three":
+                records.append(record(problem, "baseline", seed, 1000))
+            records.append(record(problem, "default", seed, 900 if seed <= wins else 1100))
+    table = claim_table.claim_table(records)
+    assert table["three"]["comparisons"] == []
+    (one,), (two,) = table["one"]["comparisons"], table["two"]["comparisons"]
+    assert one["p"] == claim_table.sign_test_p(18, 2)
+    assert two["p"] == claim_table.sign_test_p(12, 8)
+    assert [one["holm_p"], two["holm_p"]] == claim_table.holm([one["p"], two["p"]])
+    assert one["holm_p"] == 2 * one["p"]
+    assert two["holm_p"] == two["p"]
+
+
+def test_half_split_pairs_the_halves_in_seed_order(claim_table):
+    # seeds 1-5 in shuffled order: 1 pairs with 3 and 2 with 4, and the
+    # odd last seed 5 is left out; another arm's runs are not read
+    calls = {4: 100, 1: 90, 5: 1, 3: 100, 2: 110}
+    runs = [record("p", "a", seed, c) for seed, c in calls.items()]
+    runs += [record("p", "b", seed, 5) for seed in range(1, 6)]
+    null = claim_table.half_split(runs, "a")
+    assert null["halves"] == [[1, 2], [3, 4]]
+    assert (null["pairs"], null["wins"], null["losses"]) == (2, 1, 1)
+    assert null["p"] == 1.0
+    assert null["exploratory"] is True
+    alone = claim_table.half_split(runs[:1], "a")
+    assert (alone["pairs"], alone["halves"], alone["p"]) == (0, [[], []], 1.0)
+
+
+def test_claim_table_has_a_null_row_per_arm(claim_table):
+    arms = ("baseline", "default")
+    records = [record("p", arm, seed, 100 + seed) for seed in range(1, 9) for arm in arms]
+    table = claim_table.claim_table(records)
+    nulls = table["p"]["null"]
+    assert [n["arm"] for n in nulls] == ["baseline", "default"]
+    # calls rise with the seed, so the first half wins every pair
+    assert all((n["pairs"], n["wins"], n["losses"]) == (4, 4, 0) for n in nulls)
+    lines = claim_table.format_table(table)
+    assert "null (exploratory)" in lines[-3]
+    assert lines[-2].split()[1:6] == ["baseline", "1st", "vs", "2nd", "half"]
+    assert lines[-1].split()[-2:] == ["4/0", f"{claim_table.sign_test_p(4, 0):.2g}"]
+
+
+def test_committed_table_is_the_table_of_its_runs(claim_table):
+    # no run is made: the committed runs are tabled again and compared
+    # with the committed table after the same JSON round trip
+    committed = json.loads((ROOT / "BENCH_claim.json").read_text())
+    table = json.loads(json.dumps(claim_table.claim_table(committed["runs"])))
+    assert table == committed["table"]

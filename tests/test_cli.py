@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from infoevo import cli, evolve, geodesic_search
+from infoevo import cli, evolve, geodesic_search, manifold
 from infoevo.cli import (
     SETTINGS,
     RunConfig,
@@ -386,6 +386,25 @@ def test_geodesic_check_function_accuracy():
     for exact, refined in results:
         assert 0.2 <= exact <= 0.8
         assert abs(refined - exact) / exact <= 0.02
+
+
+def test_geodesic_check_paths_start_at_the_chart_base(monkeypatch):
+    # as a run's rays do: each trial searches from its own chart's base
+    # to one goal at the closed-form distance it checks against
+    search = geodesic_search.dijkstra_geodesic
+    searched = []
+
+    def recording(chart, goals, resolution):
+        paths = search(chart, goals, resolution)
+        searched.append((chart, goals, paths))
+        return paths
+
+    monkeypatch.setattr(geodesic_search, "dijkstra_geodesic", recording)
+    _, results = geodesic_check(5, trials=4, resolution=16, seed=3, verbose=False)
+    assert len(searched) == 4
+    for (chart, (goal,), (path,)), (exact, _) in zip(searched, results):
+        assert path.phi[0].tobytes() == chart.base.phi.tobytes()
+        assert exact == manifold.geodesic_distance_exact(chart.base, chart.point(goal))
 
 
 def test_geodesic_check_fails_a_refined_path_too_short(monkeypatch, capsys):

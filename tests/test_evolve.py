@@ -308,6 +308,27 @@ def test_filter_that_skips_a_whole_round_is_loosened_not_stalled():
     assert state.stop_reason == "budget"
 
 
+def test_skipped_candidates_the_ledger_held_are_counted_apart():
+    # guided trap5-20 with one ray draws many genotypes it already scored,
+    # and the filter skips some of them: those skips would have cost no
+    # objective call
+    cfg = RunConfig(
+        problem="trap5",
+        problem_params={"bits": 20},
+        budget=3000,
+        seed=1,
+        step=StepParams(ray_count=1),
+    )
+    state = run_one(make_problem("trap5", bits=20), cfg)
+    assert sum(r.candidates_skipped_held for r in state.reports) > 0
+    for report in state.reports:
+        for burst in report.subdemes:
+            assert 0 <= burst.candidates_skipped_held <= burst.candidates_skipped
+        assert report.candidates_skipped_held == sum(
+            burst.candidates_skipped_held for burst in report.subdemes
+        )
+
+
 @pytest.mark.parametrize("mode", ["info_evo", "baseline"])
 def test_budget_ended_run_counts_every_candidate(mode):
     # the last round's burst ends before a candidate the spent budget

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -94,16 +96,17 @@ def test_chart_point_normal_coordinates(rng):
 # --- lattice shortest paths ---
 
 
-def test_dijkstra_start_equals_goal(rng):
+def test_dijkstra_goal_at_the_base(rng):
     base = random_distribution(rng, 5)
     chart = build_chart(base, rng.uniform(0, 1, 5), 2, rng, radius=0.5)
-    (poly,) = dijkstra_geodesic(chart, [0.1, 0.1], [[0.1, 0.1]], 8)
+    (poly,) = dijkstra_geodesic(chart, [[0.0, 0.0]], 8)
     assert poly.length == 0.0
     assert poly.phi.shape == (1, 5)
+    assert poly.phi[0].tobytes() == base.phi.tobytes()
 
 
 def test_dijkstra_matches_exact_distance_n3(rng):
-    # start at uniform over three samples, goal 0.785 away: the lattice
+    # base at uniform over three samples, goal 0.785 away: the lattice
     # route must be within the grid slack of the closed form
     base = manifold.uniform(3)
     goal = manifold.from_weights([0.7, 0.2, 0.1], eps_floor=0.0)
@@ -112,7 +115,7 @@ def test_dijkstra_matches_exact_distance_n3(rng):
     chart = build_chart(base, np.array([3.0, 1.0, 0.5]), 2, np.random.default_rng(1), radius=1.0)
     v = manifold.log_map(base, goal)
     coords = [manifold.inner(base, v.f, u) for u in chart.frame]
-    (poly,) = dijkstra_geodesic(chart, [0.0, 0.0], [coords], 32)
+    (poly,) = dijkstra_geodesic(chart, [coords], 32)
     assert poly.length <= exact * (1 + grid_slack(32))
     assert poly.length >= exact - 1e-9
     (refined,) = refine_polyline([poly], 3)
@@ -122,7 +125,7 @@ def test_dijkstra_matches_exact_distance_n3(rng):
 def test_dijkstra_axis_aligned_goal(rng):
     base = random_distribution(rng, 6)
     chart = build_chart(base, rng.uniform(0, 1, 6), 2, rng, radius=0.8)
-    (poly,) = dijkstra_geodesic(chart, [0.0, 0.0], [[0.8, 0.0]], 16)
+    (poly,) = dijkstra_geodesic(chart, [[0.8, 0.0]], 16)
     # goal along a frame direction: geodesic distance equals 0.8 exactly
     assert poly.length >= 0.8 - 1e-9
     assert poly.length <= 0.8 * (1 + grid_slack(16))
@@ -132,33 +135,51 @@ def test_dijkstra_goal_outside_chart(rng):
     base = random_distribution(rng, 5)
     chart = build_chart(base, rng.uniform(0, 1, 5), 2, rng, radius=0.3)
     with pytest.raises(GoalOutsideChart):
-        dijkstra_geodesic(chart, [0.0, 0.0], [[0.4, 0.0]], 8)
+        dijkstra_geodesic(chart, [[0.4, 0.0]], 8)
 
 
 def test_dijkstra_endpoints_match_requests(rng):
     base = random_distribution(rng, 7)
     chart = build_chart(base, rng.uniform(0, 1, 7), 2, rng, radius=0.6)
-    start, goal = [0.05, -0.1], [0.3, 0.4]
-    (poly,) = dijkstra_geodesic(chart, start, [goal], 12)
-    # the start is the first row; the goal sits on a lattice node, whose
+    goal = [0.3, 0.4]
+    (poly,) = dijkstra_geodesic(chart, [goal], 12)
+    # the base is the first row; the goal sits on a lattice node, whose
     # row may stand for it
-    assert poly.phi[0].tobytes() == chart.point(start).phi.tobytes()
+    assert poly.phi[0].tobytes() == base.phi.tobytes()
     d1 = manifold.geodesic_distance_rows(poly.phi[-1], chart.point(goal).phi)
     assert d1 < 1e-12
 
 
-def test_dijkstra_symmetry(rng):
-    base = random_distribution(rng, 6)
-    chart = build_chart(base, rng.uniform(0, 1, 6), 2, rng, radius=0.6)
-    (fwd,) = dijkstra_geodesic(chart, [-0.2, 0.1], [[0.3, -0.25]], 12)
-    (bwd,) = dijkstra_geodesic(chart, [0.3, -0.25], [[-0.2, 0.1]], 12)
-    assert fwd.length == pytest.approx(bwd.length, abs=1e-9)
+def arccos_floor_bases(n, count):
+    """The first ``count`` seeded bases of size n whose distance to
+    themselves is not 0: their masses sum below 1 by rounding, and
+    arccos has infinite slope at 1, so it is about 3e-8."""
+    bases = []
+    for seed in itertools.count():
+        rng = np.random.default_rng(seed)
+        base = manifold.from_weights(rng.uniform(0.05, 1.0, size=n))
+        if manifold.geodesic_distance_rows(base.phi, base.phi) > 0:
+            bases.append((base, rng))
+            if len(bases) == count:
+                return bases
+
+
+@pytest.mark.parametrize("n", [5, 12, 40])
+def test_lattice_paths_start_on_the_base_row_with_no_spurious_segment(n):
+    # a search from a point placed on the origin node took a first step
+    # of about 3e-8 from it at such bases, and a goal on a node a last one
+    goals = [[0.5, 0.0], [-0.5, 0.0], [0.0, 0.5], [0.0, -0.5]]
+    for base, rng in arccos_floor_bases(n, 3):
+        chart = build_chart(base, rng.uniform(0, 1, n), 2, rng, radius=0.5)
+        for poly in dijkstra_geodesic(chart, goals, 32):
+            assert poly.phi[0].tobytes() == base.phi.tobytes()
+            assert min(poly.segments) > 1e-6
 
 
 def test_dijkstra_3d_chart(rng):
     base = random_distribution(rng, 10)
     chart = build_chart(base, rng.uniform(0, 1, 10), 3, rng, radius=0.5)
-    (poly,) = dijkstra_geodesic(chart, [0.0, 0.0, 0.0], [[0.3, 0.2, 0.1]], 8)
+    (poly,) = dijkstra_geodesic(chart, [[0.3, 0.2, 0.1]], 8)
     exact = float(np.linalg.norm([0.3, 0.2, 0.1]))
     assert poly.length >= exact - 1e-9
     assert poly.length <= exact * (1 + grid_slack(8))
@@ -170,7 +191,7 @@ def test_dijkstra_3d_chart(rng):
 def test_refine_never_lengthens(rng):
     base = random_distribution(rng, 6)
     chart = build_chart(base, rng.uniform(0, 1, 6), 2, rng, radius=0.7)
-    (raw,) = dijkstra_geodesic(chart, [0.0, 0.0], [[0.4, 0.5]], 16)
+    (raw,) = dijkstra_geodesic(chart, [[0.4, 0.5]], 16)
     (refined,) = refine_polyline([raw], 3)
     assert refined.length <= raw.length + 1e-12
 
@@ -178,7 +199,7 @@ def test_refine_never_lengthens(rng):
 def test_refine_monotone_across_levels(rng):
     base = random_distribution(rng, 6)
     chart = build_chart(base, rng.uniform(0, 1, 6), 2, rng, radius=0.7)
-    (raw,) = dijkstra_geodesic(chart, [0.0, 0.0], [[0.35, 0.55]], 16)
+    (raw,) = dijkstra_geodesic(chart, [[0.35, 0.55]], 16)
     lengths = [refine_polyline([raw], lv)[0].length for lv in (0, 1, 2, 3)]
     for a, b in zip(lengths, lengths[1:]):
         assert b <= a + 1e-12
@@ -200,7 +221,7 @@ def test_refine_exact_geodesic_is_fixed_point(rng):
 def test_refine_preserves_endpoints(rng):
     base = random_distribution(rng, 6)
     chart = build_chart(base, rng.uniform(0, 1, 6), 2, rng, radius=0.6)
-    (raw,) = dijkstra_geodesic(chart, [0.0, 0.0], [[0.3, 0.3]], 12)
+    (raw,) = dijkstra_geodesic(chart, [[0.3, 0.3]], 12)
     (refined,) = refine_polyline([raw], 3)
     assert refined.phi[0].tobytes() == raw.phi[0].tobytes()
     assert refined.phi[-1].tobytes() == raw.phi[-1].tobytes()
@@ -216,10 +237,10 @@ def test_refine_trivial_polylines():
 
 def test_search_blocks_are_read_only(rng):
     # a chart's frame and every path's phi, closed-form, lattice (one goal
-    # at the start), refined or not
+    # at the base), refined or not
     base = random_distribution(rng, 8)
     chart = build_chart(base, rng.uniform(0, 1, 8), 2, rng, radius=0.5)
-    raws = dijkstra_geodesic(chart, [0.0, 0.0], [[0.5, 0.0], [0.1, 0.2], [0.0, 0.0]], 8)
+    raws = dijkstra_geodesic(chart, [[0.5, 0.0], [0.1, 0.2], [0.0, 0.0]], 8)
     refined = refine_polyline(raws, 2)
     (exact,) = _exact_rays(base, chart.frame[:1], 0.5)
     for block in [chart.frame, exact.phi] + [p.phi for p in raws + refined]:
@@ -279,9 +300,9 @@ def test_geodesic_rays_one_lattice_search_per_chart(rng, monkeypatch):
     searches = []
     search = geodesic_search.dijkstra_geodesic
 
-    def counting(chart, start, goals, resolution):
+    def counting(chart, goals, resolution):
         searches.append(len(goals))
-        return search(chart, start, goals, resolution)
+        return search(chart, goals, resolution)
 
     monkeypatch.setattr(geodesic_search, "dijkstra_geodesic", counting)
     base = random_distribution(rng, 8)

@@ -66,9 +66,9 @@ from infoevo.geodesic_search import (
     GeodesicPolyline,
     GeodesicRay,
     StepParams,
-    _deduped_polyline,
     _downsample,
     _Lattice,
+    _lattice_polyline,
     _ray_coord_directions,
     _relax,
     build_chart,
@@ -739,11 +739,11 @@ def test_metric_rows_from_the_run_memo_match_rows_without_it(name, n, seed, data
 
 
 @st.composite
-def chart_point(draw, dim: int, radius: float, spacing: float, start):
-    """A point in the chart disc: anywhere, the start, or a lattice node."""
-    kind = draw(st.sampled_from(("any", "start", "node")))
-    if kind == "start":
-        return np.array(start)
+def chart_point(draw, dim: int, radius: float, spacing: float):
+    """A point in the chart disc: anywhere, the base, or a lattice node."""
+    kind = draw(st.sampled_from(("any", "base", "node")))
+    if kind == "base":
+        return np.zeros(dim)
     if kind == "node":
         steps = int(radius / spacing)
         key = draw(st.lists(st.integers(-steps, steps), min_size=dim, max_size=dim))
@@ -767,18 +767,15 @@ def test_one_search_gives_each_goal_its_own_path(dim, extra, resolution, seed, d
     base = manifold.from_weights(rng.uniform(0.1, 1.0, size=n))
     chart = build_chart(base, rng.uniform(0.0, 1.0, size=n), dim, rng, radius=0.6)
     spacing = chart.radius / resolution
-    start = np.zeros(dim)
-    if data.draw(st.booleans(), label="start away from the origin"):
-        start = data.draw(chart_point(dim, chart.radius / 2, spacing, start))
     goals = data.draw(
-        st.lists(chart_point(dim, chart.radius, spacing, start), min_size=1, max_size=4)
+        st.lists(chart_point(dim, chart.radius, spacing), min_size=1, max_size=4)
     )
     if data.draw(st.booleans(), label="duplicate a goal"):
         goals.append(goals[data.draw(st.integers(0, len(goals) - 1))].copy())
-    together = dijkstra_geodesic(chart, start, goals, resolution)
+    together = dijkstra_geodesic(chart, goals, resolution)
     assert len(together) == len(goals)
     for goal, poly in zip(goals, together):
-        (alone,) = dijkstra_geodesic(chart, start, [goal], resolution)
+        (alone,) = dijkstra_geodesic(chart, [goal], resolution)
         assert poly.length == alone.length
         assert poly.phi.shape == alone.phi.shape
         assert poly.phi.tobytes() == alone.phi.tobytes()
@@ -835,11 +832,13 @@ def test_row_forms_keep_the_one_vector_arithmetic(n, t, zeros, seed):
     assert manifold.geodesic_distance_exact(got, other) == one_pair_distance(got, other)
 
 
-def reference_lattice_paths(chart, start_coords, goals, resolution):
-    """The lattice search one node and one edge at a time: nodes are
-    tuple keys tested in bounds in floating point, and each node's point
-    and each edge's length is computed on its own with the one-vector
-    arithmetic."""
+def reference_lattice_paths(chart, goals, resolution):
+    """The lattice search one node and one edge at a time, from the
+    origin node: nodes are tuple keys tested in bounds in floating
+    point, and each node's point and each edge's length is computed on
+    its own with the one-vector arithmetic. A path's points are its
+    nodes' and then its goal's, unless the goal's phi is its last node's,
+    bit for bit."""
     spacing = chart.radius / resolution
     limit = chart.radius + 0.5 * spacing
     offsets = [o for o in itertools.product((-1, 0, 1), repeat=chart.dim) if any(o)]
@@ -857,23 +856,19 @@ def reference_lattice_paths(chart, start_coords, goals, resolution):
         keys = (tuple(int(a + b) for a, b in zip(lo, o)) for o in cell)
         return sorted(k for k in keys if in_bounds(k))
 
-    start_coords = np.asarray(start_coords, dtype=float)
     goals = [np.asarray(g, dtype=float) for g in goals]
-    start_pt = one_node_point(chart, start_coords)
     paths = [None] * len(goals)
-    START = ("S",)
+    ORIGIN = (0,) * chart.dim
     sink_points, sinks_entered = {}, {}
     for i, goal in enumerate(goals):
-        if np.allclose(start_coords, goal):
-            paths[i] = GeodesicPolyline(start_pt.phi[np.newaxis], 0.0, ())
+        if np.allclose(goal, 0):
+            paths[i] = GeodesicPolyline(chart.base.phi[np.newaxis], 0.0, ())
             continue
         sink_points[("G", i)] = one_node_point(chart, goal)
         for corner in cell_corners(goal):
             sinks_entered.setdefault(corner, []).append(("G", i))
 
     def node_point(key):
-        if key == START:
-            return start_pt
         if key in sink_points:
             return sink_points[key]
         if key not in points:
@@ -881,14 +876,12 @@ def reference_lattice_paths(chart, start_coords, goals, resolution):
         return points[key]
 
     def expand(key):
-        if key == START:
-            return cell_corners(start_coords)
         nbrs = [tuple(a + b for a, b in zip(key, o)) for o in offsets]
         return [k for k in nbrs if in_bounds(k)] + sinks_entered.get(key, [])
 
-    dist, prev, done = {START: 0.0}, {}, set()
+    dist, prev, done = {ORIGIN: 0.0}, {}, set()
     counter = itertools.count()
-    heap = [(0.0, next(counter), START)]
+    heap = [(0.0, next(counter), ORIGIN)]
     unsettled = len(sink_points)
     while heap and unsettled:
         d, _, key = heapq.heappop(heap)
@@ -907,14 +900,13 @@ def reference_lattice_paths(chart, start_coords, goals, resolution):
                 prev[nk] = key
                 heapq.heappush(heap, (nd, next(counter), nk))
     for sink in sink_points:
-        keys = [sink]
-        while keys[-1] != START:
+        keys = [prev[sink]]
+        while keys[-1] != ORIGIN:
             keys.append(prev[keys[-1]])
-        deduped = []
-        for pt in (node_point(k) for k in reversed(keys)):
-            if not deduped or one_pair_distance(deduped[-1], pt) > 1e-14:
-                deduped.append(pt)
-        paths[sink[1]] = one_pair_polyline(deduped)
+        path = [node_point(k) for k in reversed(keys)]
+        if path[-1].phi.tobytes() != sink_points[sink].phi.tobytes():
+            path.append(sink_points[sink])
+        paths[sink[1]] = one_pair_polyline(path)
     return paths
 
 
@@ -1025,15 +1017,11 @@ def same_polylines(got, expected):
 def test_lattice_paths_equal_the_per_edge_reference(drawn, data):
     dim, extra, resolution, radius, seed = drawn
     chart = lattice_chart(dim, extra, radius, seed)
-    spacing = radius / resolution
-    start = np.zeros(dim)
-    if data.draw(st.booleans(), label="start away from the origin"):
-        start = data.draw(chart_point(dim, radius / 2, spacing, start))
     goals = data.draw(
-        st.lists(chart_point(dim, radius, spacing, start), min_size=1, max_size=4)
+        st.lists(chart_point(dim, radius, radius / resolution), min_size=1, max_size=4)
     )
-    blocks = dijkstra_geodesic(chart, start, goals, resolution)
-    reference = reference_lattice_paths(chart, start, goals, resolution)
+    blocks = dijkstra_geodesic(chart, goals, resolution)
+    reference = reference_lattice_paths(chart, goals, resolution)
     for poly, ref in zip(blocks, reference):
         same_polylines(poly, ref)
 
@@ -1041,38 +1029,32 @@ def test_lattice_paths_equal_the_per_edge_reference(drawn, data):
 # --- the lattice relaxation against a heap search, where ties are everywhere ---
 
 
-def heap_predecessors(neighbors, lengths, start_edges, sink_edges):
+def heap_predecessors(neighbors, lengths, origin, sink_edges):
     """Dijkstra with a (distance, push counter) heap over the graph that
     ``lattice_predecessors`` takes, stopping once every sink is settled."""
     count = len(neighbors)
-    start = count
     entered = {}  # lattice node -> (sink, length), in sink order
     for s, (nodes, entries) in enumerate(sink_edges):
         for node, length in zip(nodes.tolist(), entries.tolist()):
-            entered.setdefault(node, []).append((count + 1 + s, length))
-    dist = [np.inf] * (count + 1 + len(sink_edges))
+            entered.setdefault(node, []).append((count + s, length))
+    dist = [np.inf] * (count + len(sink_edges))
     prev = [-1] * len(dist)
     done = [False] * len(dist)
-    dist[start] = 0.0
+    dist[origin] = 0.0
     counter = itertools.count()
-    heap = [(0.0, next(counter), start)]
+    heap = [(0.0, next(counter), origin)]
     unsettled = len(sink_edges)
     while heap and unsettled:
         d, _, node = heapq.heappop(heap)
         if done[node]:
             continue
         done[node] = True
-        if node > start:
+        if node >= count:
             unsettled -= 1
             continue
-        if node == start:
-            steps = zip(*(edges.tolist() for edges in start_edges))
-        else:
-            steps = [
-                (v, w)
-                for v, w in zip(neighbors[node].tolist(), lengths[node].tolist())
-                if v >= 0
-            ] + entered.get(node, [])
+        steps = [
+            (v, w) for v, w in zip(neighbors[node].tolist(), lengths[node].tolist()) if v >= 0
+        ] + entered.get(node, [])
         for v, w in steps:
             if not done[v] and d + w < dist[v]:
                 dist[v] = d + w
@@ -1083,13 +1065,13 @@ def heap_predecessors(neighbors, lengths, start_edges, sink_edges):
     return prev
 
 
-def sink_paths(prev, count, sinks):
-    """Each sink's path back towards the start, cut off once it is longer
-    than a path that visits no node twice."""
+def sink_paths(prev, count, origin, sinks):
+    """Each sink's path back towards the origin, cut off once it is
+    longer than a path that visits no node twice."""
     paths = []
-    for sink in range(count + 1, count + 1 + sinks):
+    for sink in range(count, count + sinks):
         path = [sink]
-        while path[-1] != count and len(path) <= len(prev):
+        while path[-1] != origin and len(path) <= len(prev):
             path.append(prev[path[-1]])
         paths.append(path)
     return paths
@@ -1099,8 +1081,9 @@ def sink_paths(prev, count, sinks):
 def tied_lattice_graphs(draw):
     """A box of a 1-, 2- or 3-d lattice with some nodes cut off, edge
     lengths drawn from {1, 2, 3} (and, if drawn, 0, which exercises edges
-    that leave a distance as it is), start and sink edges of length 0 to
-    3, duplicate sinks and a sink entered only from cut-off nodes."""
+    that leave a distance as it is), an origin anywhere (cut off too),
+    sink edges of length 0 to 3, duplicate sinks and a sink entered only
+    from cut-off nodes."""
     dim = draw(st.integers(1, 3))
     side = draw(st.integers(2, (9, 5, 3)[dim - 1]))
     keys = list(itertools.product(range(side), repeat=dim))
@@ -1133,33 +1116,30 @@ def tied_lattice_graphs(draw):
         return np.array(nodes, dtype=np.intp), np.array(lengths)
 
     nodes = st.sampled_from(range(len(keys)))
-    start_edges = edges(nodes, 1)
+    origin = draw(nodes)
     sink_edges = [edges(nodes, 1) for _ in range(draw(st.integers(1, 4)))]
     if draw(st.booleans(), label="duplicate a sink"):
         sink_edges.append(draw(st.sampled_from(sink_edges)))
-    unreachable = sorted(cut - set(start_edges[0].tolist()))
+    unreachable = sorted(cut - {origin})
     if unreachable and draw(st.booleans(), label="a sink with no reachable entry"):
         sink_edges.insert(
             draw(st.integers(0, len(sink_edges))), edges(st.sampled_from(unreachable), 1)
         )
-    return neighbors, lengths, start_edges, sink_edges
+    return neighbors, lengths, origin, sink_edges
 
 
 def path_length(graph, path):
     """The length of a path of ``lattice_predecessors``' nodes, summed
     from its first node; each step must be an edge of the graph."""
-    neighbors, lengths, start_edges, sink_edges = graph
+    neighbors, lengths, _, sink_edges = graph
     count = len(neighbors)
     total = 0.0
     for u, v in zip(path, path[1:]):
-        if u == count:
-            out = dict(zip(*(edges.tolist() for edges in start_edges)))
-        else:
-            out = dict(zip(neighbors[u].tolist(), lengths[u].tolist()))
-            out.pop(-1, None)
-            for s, (nodes, entries) in enumerate(sink_edges):
-                entered = zip(nodes.tolist(), entries.tolist())
-                out.update((count + 1 + s, length) for node, length in entered if node == u)
+        out = dict(zip(neighbors[u].tolist(), lengths[u].tolist()))
+        out.pop(-1, None)
+        for s, (nodes, entries) in enumerate(sink_edges):
+            entered = zip(nodes.tolist(), entries.tolist())
+            out.update((count + s, length) for node, length in entered if node == u)
         assert v in out
         total += out[v]
     return total
@@ -1168,7 +1148,7 @@ def path_length(graph, path):
 @settings(max_examples=400, deadline=None)
 @given(tied_lattice_graphs())
 def test_relaxation_finds_shortest_paths(graph):
-    neighbors, lengths, start_edges, sink_edges = graph
+    neighbors, lengths, origin, sink_edges = graph
     try:
         expected = heap_predecessors(*graph)
     except NoPath:
@@ -1177,9 +1157,9 @@ def test_relaxation_finds_shortest_paths(graph):
         return
     got = lattice_predecessors(*graph)
     count, sinks = len(neighbors), len(sink_edges)
-    heap_paths = sink_paths(expected, count, sinks)
-    for path, heap_path in zip(sink_paths(got, count, sinks), heap_paths):
-        assert path[-1] == count  # the start is reached, so the path has no cycle
+    heap_paths = sink_paths(expected, count, origin, sinks)
+    for path, heap_path in zip(sink_paths(got, count, origin, sinks), heap_paths):
+        assert path[-1] == origin  # the origin is reached, so the path has no cycle
         # sums of nonnegative lengths from 0.0: equal floats have equal bits
         assert path_length(graph, path[::-1]) == path_length(graph, heap_path[::-1])
 
@@ -1202,9 +1182,8 @@ def test_goal_on_a_lattice_node_is_entered_from_the_nearest_entry(
     # shortest edge too, the search enters from that nearer corner, as a
     # heap search does
     chart = lattice_chart(dim, extra, radius, seed)
-    start = np.zeros(dim)
-    (got,) = dijkstra_geodesic(chart, start, [goal], resolution)
-    (expected,) = reference_lattice_paths(chart, start, [goal], resolution)
+    (got,) = dijkstra_geodesic(chart, [goal], resolution)
+    (expected,) = reference_lattice_paths(chart, [goal], resolution)
     same_polylines(got, expected)
 
 
@@ -1226,28 +1205,17 @@ def test_zero_length_lattice_edges_give_shortest_paths():
             return corners, manifold.geodesic_distance_rows(lattice.phi[corners], point.phi)
 
         prev = lattice_predecessors(
-            lattice.neighbors, lattice.lengths, edges([0.0]), [edges(g) for g in goals]
+            lattice.neighbors, lattice.lengths, lattice.origin, [edges(g) for g in goals]
         )
-        count = len(lattice.keys)
-        for path in sink_paths(prev, count, len(goals)):
-            assert path[-1] == count  # a cycle would never end the path walk
-        paths = dijkstra_geodesic(chart, [0.0], goals, resolution)
-        reference = reference_lattice_paths(chart, [0.0], goals, resolution)
+        paths = sink_paths(prev, len(lattice.keys), lattice.origin, len(goals))
+        for path in paths:
+            assert path[-1] == lattice.origin  # a cycle would never end the path walk
+        paths = dijkstra_geodesic(chart, goals, resolution)
+        reference = reference_lattice_paths(chart, goals, resolution)
         assert [p.length for p in paths] == [p.length for p in reference]
         assert all(isinstance(p.length, float) for p in paths)
         if resolution == 2:
             assert [p.length for p in paths][:2] == [0.0, 0.0]
-
-
-def one_pair_dedupe(points):
-    """A lattice path's polyline as first assembled: each point compared
-    with the last one kept, one pair at a time, then every kept segment
-    measured again, one pair at a time."""
-    deduped = [points[0]]
-    for pt in points[1:]:
-        if one_pair_distance(deduped[-1], pt) > 1e-14:
-            deduped.append(pt)
-    return one_pair_polyline(deduped)
 
 
 @settings(max_examples=200, deadline=None)
@@ -1256,10 +1224,11 @@ def one_pair_dedupe(points):
     st.lists(st.sampled_from(("new", "same", "nudged")), min_size=1, max_size=10),
     st.integers(0, 2**32 - 1),
 )
-def test_deduped_polyline_matches_one_pair_dedupe(n, kinds, seed):
-    # "same" repeats the last point; "nudged" moves it by a few ulps, which
-    # can leave it at distance zero from the last point but not from the
-    # next, so a point after a dropped one must be measured again
+def test_lattice_polyline_drops_only_a_goal_row_equal_to_the_last_node(n, kinds, seed):
+    # the last kind is the goal's; each kind says how a row follows the
+    # one before: "same" repeats its bits, "nudged" moves it by a few ulps,
+    # which can leave it at distance zero. Only a goal that repeats the
+    # last node's bits is dropped; node rows are all kept
     rng = np.random.default_rng(seed)
     points = [manifold.from_weights(rng.uniform(0.05, 1.0, size=n))]
     for kind in kinds:
@@ -1267,17 +1236,25 @@ def test_deduped_polyline_matches_one_pair_dedupe(n, kinds, seed):
         if kind == "new":
             points.append(manifold.from_weights(rng.uniform(0.05, 1.0, size=n)))
         elif kind == "same":
-            points.append(LogDistribution(phi))
+            points.append(LogDistribution(phi.copy()))
         else:
             nudged = phi.copy()
             for _ in range(int(rng.integers(1, 4))):
                 nudged = np.nextafter(nudged, rng.choice([-np.inf, np.inf], size=n))
             points.append(LogDistribution(nudged))
-    got = _deduped_polyline(np.array([pt.phi for pt in points]))
-    expected = one_pair_dedupe(points)
+    *nodes, goal = points
+    got = _lattice_polyline(np.array([pt.phi for pt in nodes]), goal.phi)
+    if goal.phi.tobytes() != nodes[-1].phi.tobytes():
+        nodes.append(goal)
+    elif kinds[-1] == "same":
+        assert len(got.phi) == len(points) - 1
+    expected = one_pair_polyline(nodes)
+    assert isinstance(got.length, float)
     assert np.float64(got.length).tobytes() == np.float64(expected.length).tobytes()
+    assert got.segments == expected.segments
     assert got.phi.shape == expected.phi.shape
     assert got.phi.tobytes() == expected.phi.tobytes()
+    assert not got.phi.flags.writeable
 
 
 # --- refinement and exact rays in blocks, against one pair at a time ---
@@ -1358,10 +1335,8 @@ def test_block_refinement_equals_one_polyline_at_a_time(drawn, levels, data):
     dim, extra, resolution, radius, seed = drawn
     chart = lattice_chart(dim, extra, radius, seed)
     polys = data.draw(st.lists(chart_polylines(chart), min_size=1, max_size=5))
-    goals = data.draw(
-        st.lists(chart_point(dim, radius, radius / resolution, np.zeros(dim)), max_size=3)
-    )
-    polys += dijkstra_geodesic(chart, np.zeros(dim), goals, resolution)
+    goals = data.draw(st.lists(chart_point(dim, radius, radius / resolution), max_size=3))
+    polys += dijkstra_geodesic(chart, goals, resolution)
     refined = refine_polyline(polys, levels)
     assert len(refined) == len(polys)
     for poly, got in zip(polys, refined):

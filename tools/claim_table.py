@@ -23,7 +23,18 @@ sign-test p and the median paired saving (the baseline's calls minus
 the default's, ties included) with its 95% sign-test interval: from
 the k-th smallest to the k-th largest saving, where k is the largest
 count with P(Bin(n, 1/2) <= k - 1) <= 0.025 over the n pairs (no
-bounds, ``None``, when no k >= 1 qualifies, as for n < 6).
+bounds, ``None``, when no k >= 1 qualifies, as for n < 6). These
+comparisons are the primary family: each also gets its Holm-adjusted p
+over all of them, one per problem.
+
+For each problem and arm it adds a null row, marked exploratory: the
+arm's runs at the first half of the seeds against its runs at the
+second half, paired in seed order (the first seed of each half, then
+the second, and so on; an odd last seed is left out), with the first
+half's wins and losses in calls and their sign-test p. Both halves ran
+the same code, so a null row far from level says how far the seeds
+alone can tip a sign test of this many pairs. The table is computed
+from the run records alone.
 
 It prints the table and writes it, with every run's counts, to
 ``BENCH_claim.json`` at the repository root.
@@ -118,6 +129,40 @@ def arm_summary(runs: list[dict]) -> dict:
     }
 
 
+def holm(ps: list[float]) -> list[float]:
+    """Holm's step-down adjustment of ``ps``, in their order: the i-th
+    smallest p (i from 0) times len(ps) - i, capped at 1, and raised to
+    the largest such value of every smaller p."""
+    adjusted = [0.0] * len(ps)
+    running = 0.0
+    for rank, i in enumerate(sorted(range(len(ps)), key=ps.__getitem__)):
+        running = max(running, min(1.0, (len(ps) - rank) * ps[i]))
+        adjusted[i] = running
+    return adjusted
+
+
+def half_split(runs: list[dict], arm: str) -> dict:
+    """``arm``'s first half of seeds against its second half, paired in
+    seed order, in objective calls, over one problem's records; the
+    first half wins a pair with fewer calls."""
+    ordered = sorted((r for r in runs if r["arm"] == arm), key=lambda r: r["seed"])
+    half = len(ordered) // 2
+    first, second = ordered[:half], ordered[half : 2 * half]
+    savings = [b["objective_calls"] - a["objective_calls"] for a, b in zip(first, second)]
+    wins = sum(d > 0 for d in savings)
+    losses = sum(d < 0 for d in savings)
+    return {
+        "arm": arm,
+        # the first and last seed of each half
+        "halves": [[h[0]["seed"], h[-1]["seed"]] if h else [] for h in (first, second)],
+        "pairs": len(savings),
+        "wins": wins,
+        "losses": losses,
+        "p": sign_test_p(wins, losses),
+        "exploratory": True,
+    }
+
+
 def comparison(runs: list[dict], arm: str, against: str) -> dict:
     """``arm`` against ``against`` in objective calls, over the seeds
     both ran in ``runs`` (one problem's records)."""
@@ -140,7 +185,9 @@ def comparison(runs: list[dict], arm: str, against: str) -> dict:
 
 def claim_table(records: list[dict]) -> dict:
     """Per problem, in the order first met in ``records``: each arm's
-    summary and the COMPARISONS between arms both present."""
+    summary, the COMPARISONS between arms both present, each with its
+    Holm-adjusted p over every problem's comparisons, and each arm's
+    null row."""
     table = {}
     for problem in dict.fromkeys(r["problem"] for r in records):
         runs = [r for r in records if r["problem"] == problem]
@@ -152,13 +199,17 @@ def claim_table(records: list[dict]) -> dict:
                 for arm, against in COMPARISONS
                 if arm in arms and against in arms
             ],
+            "null": [half_split(runs, arm) for arm in arms],
         }
+    family = [c for entry in table.values() for c in entry["comparisons"]]
+    for c, p in zip(family, holm([c["p"] for c in family])):
+        c["holm_p"] = p
     return table
 
 
 def format_table(table: dict) -> list[str]:
     """The table as text lines, one per problem and arm, then one per
-    comparison."""
+    comparison, then one per null row."""
     lines = [
         f"{'problem':20s} {'arm':10s} reached {'calls q1 / median / q3':>26s} "
         f"{'evals to target q1 / median / q3':>34s} calls/eval  stops"
@@ -174,7 +225,8 @@ def format_table(table: dict) -> list[str]:
                 f"{s['calls_per_eval']:10.3f}  {stops}"
             )
     lines.append(
-        f"{'problem':20s} {'arm vs against':24s}   W/L        p  median saving  95% interval"
+        f"{'problem':20s} {'arm vs against':24s}   W/L        p   Holm p  median saving"
+        "  95% interval"
     )
     for problem, entry in table.items():
         for c in entry["comparisons"]:
@@ -183,9 +235,15 @@ def format_table(table: dict) -> list[str]:
             lo, hi = c["saving_interval"]
             interval = "unbounded" if lo is None else f"{lo:.1f} to {hi:.1f}"
             lines.append(
-                f"{problem:20s} {pair:24s} {wl:>5s} {c['p']:8.2g} {c['median_saving']:14.1f}"
-                f"  {interval}"
+                f"{problem:20s} {pair:24s} {wl:>5s} {c['p']:8.2g} {c['holm_p']:8.2g}"
+                f" {c['median_saving']:14.1f}  {interval}"
             )
+    lines.append(f"{'problem':20s} {'null (exploratory)':24s}   W/L        p")
+    for problem, entry in table.items():
+        for c in entry["null"]:
+            pair = f"{c['arm']} 1st vs 2nd half"
+            wl = f"{c['wins']}/{c['losses']}"
+            lines.append(f"{problem:20s} {pair:24s} {wl:>5s} {c['p']:8.2g}")
     return lines
 
 

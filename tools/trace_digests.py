@@ -53,7 +53,9 @@ The last line covers the lattice search outside a run: the SHA-256 of
 the float64 bytes of the (exact, refined) lengths that
 ``cli.geodesic_check(n, 50, 32, verbose=False)`` returns for n = 3, 5
 and 10, as ``info-evo geodesic-check --n 3 5 10 --trials 50
---resolution 32`` checks them, with ``-`` in the count columns.
+--resolution 32`` checks them, with ``-`` in the count columns. Each of
+its trials searches from a random chart base to one goal in the chart,
+as a run's rays start at their chart's base.
 """
 
 from __future__ import annotations
